@@ -10,6 +10,7 @@ config and seed reproduce every non-manifest artifact byte for byte.
 """
 
 import argparse
+import logging
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -18,8 +19,8 @@ from dataclasses import replace
 import numpy as np
 
 from .config import ExperimentConfig, parse_config
-from .errors import AfstabError
-from .geodesy import (DistanceField, bishop_gromov_check, pythagorean_check,
+from .errors import AfstabError, NoConvergence
+from .geodesy import (DistanceField, bishop_gromov_check, pythagorean_records,
                       write_pythagorean_csv)
 from .geometry import SphereSampling, VolumeSampling, certify_hypotheses, \
     verify_asymptotic_flatness
@@ -174,22 +175,25 @@ def stage_inequality(cfg, out_dir):
     return ok, payload
 
 
-def stage_pythagoras(cfg, out_dir):
-    triple, _ = _load_or_solve_triple(cfg, out_dir)
-    chart = triple.chart
+def _pythagoras_records(cfg, chart, triple):
+    """The configured Pythagorean records, in lockstep; returns
+    (records, n_failures, ok), ok when failures stay within the 1 % rule."""
     n = cfg.sampling.n_pythagoras_pairs
     pts, _ = sample_geodesic_ball(chart, triple, cfg.sampling.ball_radius, 2 * n,
                                   cfg.sampling.seed, label="pythagoras")
-    records = []
-    failures = 0
-    for k in range(n):
-        try:
-            records.append(pythagorean_check(
-                chart, triple, pts[k], pts[n + k], k % 3,
-                rho=cfg.rho(), n_mv_samples=cfg.sampling.n_mv_samples,
-                seed=cfg.sampling.seed + k))
-        except AfstabError:
-            failures += 1
+    results = pythagorean_records(chart, triple, pts[:n], pts[n:],
+                                  [k % 3 for k in range(n)],
+                                  [cfg.sampling.seed + k for k in range(n)],
+                                  rho=cfg.rho(), n_mv_samples=cfg.sampling.n_mv_samples)
+    records = [r for r in results if not isinstance(r, AfstabError)]
+    failures = n - len(records)
+    return records, failures, failures <= max(1, n // 100)
+
+
+def stage_pythagoras(cfg, out_dir):
+    triple, _ = _load_or_solve_triple(cfg, out_dir)
+    chart = triple.chart
+    records, failures, ok = _pythagoras_records(cfg, chart, triple)
     write_pythagorean_csv(os.path.join(out_dir, "pythagoras.csv"), records,
                           chart.family, chart.params.get("m", 0.0))
     defects = [r.defect for r in records]
@@ -199,7 +203,7 @@ def stage_pythagoras(cfg, out_dir):
                "median_u_defect_same": float(np.median([r.u_defect_same for r in records]))
                if records else float("nan")}
     write_json(os.path.join(out_dir, "pythagoras_report.json"), payload)
-    return failures <= max(1, n // 100), payload
+    return ok, payload
 
 
 def _eikonal_field(cfg, chart):
@@ -265,7 +269,9 @@ def _sweep_point(cfg_point: ExperimentConfig, out_dir, tag: str):
         rep.mass = adm_mass(chart, cfg_point.mass.radii,
                             fit_exponent=cfg_point.mass.fit_exponent,
                             n_polar=cfg_point.mass.quadrature_polar,
-                            n_azimuth=cfg_point.mass.quadrature_azimuth).extrapolated
+                            n_azimuth=cfg_point.mass.quadrature_azimuth,
+                            residual_threshold=cfg_point.mass.residual_threshold
+                            ).extrapolated
 
     state = {}
 
@@ -280,7 +286,10 @@ def _sweep_point(cfg_point: ExperimentConfig, out_dir, tag: str):
         triple = state["triple"]
         hess = grad = slack = rhs = -np.inf
         for axis in range(3):
-            r = mass_inequality_rhs(triple, chart, axis, mass=rep.mass)
+            r = mass_inequality_rhs(
+                triple, chart, axis,
+                eps_grad=cfg_point.solver.eps_grad_factor * triple.grad_sup,
+                mass=rep.mass)
             hess = max(hess, r.hessian_l2)
             rhs = max(rhs, r.rhs_integral)
             slack = rep.mass - rhs
@@ -304,18 +313,12 @@ def _sweep_point(cfg_point: ExperimentConfig, out_dir, tag: str):
         rep.defect_max = d.max_defect
 
     def s_pythagoras():
-        triple = state["triple"]
         n = cfg_point.sampling.n_pythagoras_pairs
-        pts, _ = sample_geodesic_ball(chart, triple, cfg_point.sampling.ball_radius,
-                                      2 * n, cfg_point.sampling.seed,
-                                      label="pythagoras")
-        defs = []
-        for k in range(n):
-            defs.append(pythagorean_check(
-                chart, triple, pts[k], pts[n + k], k % 3, rho=cfg_point.rho(),
-                n_mv_samples=cfg_point.sampling.n_mv_samples,
-                seed=cfg_point.sampling.seed + k).defect)
-        rep.pythagorean_median = float(np.median(defs))
+        records, failures, ok = _pythagoras_records(cfg_point, chart, state["triple"])
+        if not ok:
+            raise NoConvergence(f"{failures} of {n} Pythagorean records failed")
+        defects = [r.defect for r in records]
+        rep.pythagorean_median = float(np.median(defects)) if defects else float("nan")
 
     def s_flow():
         traces, hausdorff = flow_coverage(
@@ -403,7 +406,9 @@ def run(subcommand: str, cfg: ExperimentConfig, out_dir=None, threads: int = 1):
         else:
             raise AfstabError(f"unknown subcommand {subcommand!r}")
         manifest.stage(subcommand, "ok" if ok else "assertion-failed")
-    except AfstabError as exc:
+    except Exception as exc:   # noqa: BLE001 - any failure is a recorded stage
+        if not isinstance(exc, AfstabError):
+            logging.getLogger(__name__).exception("afstab %s raised", subcommand)
         manifest.stage(subcommand, f"failed: {type(exc).__name__}: {exc}")
         payload = {"error": str(exc)}
     summary = [f"afstab {subcommand}: {'ok' if ok else 'FAILED'}"]

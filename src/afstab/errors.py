@@ -29,6 +29,10 @@ class FitFailure(AfstabError):
         self.residual = residual
 
 
+class BadFieldDump(AfstabError, ValueError):
+    """A binary field dump is malformed: bad magic, layout or payload length."""
+
+
 class LeftDomain(AfstabError):
     """A geodesic or flow line exited the chart box."""
 

@@ -7,6 +7,12 @@ time, batched over many pairs at once with finite-difference Jacobians.
 A 26-neighbor graph Dijkstra distance seeds hard pairs and provides the
 admissible-curve upper bound the converged distance must respect.
 
+Batches are invariant: a converged row is frozen out of later Newton
+passes and every operation on a row is row-local, so a pair's distance is
+the same bit for bit alone or in any batch.  The level-set projections
+and Pythagorean records build on that to run many rows in lockstep, one
+Newton batch per stage step instead of one per record.
+
 Ball volumes for the volume-comparison check come from a first-order
 upwind eikonal solve of |grad T|_g = 1 (Jacobi-iterated to its fixed
 point, which is the fast-marching solution), not from pairwise shooting.
@@ -21,8 +27,8 @@ from scipy.integrate import solve_ivp
 from scipy.interpolate import RegularGridInterpolator
 from scipy.sparse.csgraph import dijkstra
 
-from .errors import (EmptySample, LeftDomain, NoConvergence, NoCrossing,
-                     OutOfDomain)
+from .errors import (AfstabError, EmptySample, LeftDomain, NoConvergence,
+                     NoCrossing, OutOfDomain)
 from .geometry import MetricChart
 from .harmonic import HarmonicTriple
 from .seeding import rng_for
@@ -103,6 +109,18 @@ def _rk4_batch(chart: MetricChart, x0, w, n_steps, record_every=0):
     return x, v
 
 
+def _newton_steps(J, E):
+    """Per-row solutions of J step = E; a singular row alone gets the
+    pseudo-inverse, so one row's conditioning never changes another's step."""
+    try:
+        return np.linalg.solve(J, E[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        if len(J) == 1:
+            return np.einsum("kij,kj->ki", np.linalg.pinv(J), E)
+        return np.concatenate([_newton_steps(J[i:i + 1], E[i:i + 1])
+                               for i in range(len(J))])
+
+
 def _bvp_batch(chart: MetricChart, starts, targets, w0=None, n_steps=160,
                max_iter=16, rel_target=1e-9):
     """Batched Newton shooting for the endpoint map.
@@ -111,6 +129,12 @@ def _bvp_batch(chart: MetricChart, starts, targets, w0=None, n_steps=160,
     unit-time geodesics end nearest the targets; residual is the chart
     distance of the endpoint miss; converged marks pairs that met
     1e-6 * separation (the shipping tolerance; iteration aims lower).
+
+    A row is frozen once its best residual meets rel_target * separation:
+    later passes integrate and step only the rows still active.  Every
+    operation on a row is row-local, so each row takes exactly the Newton
+    iterates it would take alone, and the result for a pair is the same
+    bit for bit whatever batch it is solved in.
     """
     starts = np.atleast_2d(np.asarray(starts, float))
     targets = np.atleast_2d(np.asarray(targets, float))
@@ -122,36 +146,42 @@ def _bvp_batch(chart: MetricChart, starts, targets, w0=None, n_steps=160,
     best_res = np.full(K, np.inf)
     lam = np.ones(K)           # per-pair Newton damping
     eye = np.eye(3)
+    active = np.arange(K)
     for _ in range(max_iter):
-        delta = 1e-7 * np.maximum(1.0, np.linalg.norm(w, axis=1))
-        stacked_x = np.concatenate([starts] * 4, axis=0)
-        stacked_w = np.concatenate([w] + [w + delta[:, None] * eye[j] for j in range(3)],
-                                   axis=0)
-        ends, _ = _rk4_batch(chart, stacked_x, stacked_w, n_steps)
-        E = ends[:K] - targets
-        res = np.linalg.norm(E, axis=1)
-        improved = res < best_res
-        worse = res > best_res * (1.0 + 1e-9)
-        lam = np.where(improved, np.minimum(1.0, 1.5 * lam),
-                       np.where(worse, 0.5 * lam, lam))
-        best_w[improved] = w[improved]
-        best_res[improved] = res[improved]
-        if np.all(best_res <= rel_target * scale):
+        if len(active) == 0:
             break
-        J = np.stack([(ends[(j + 1) * K:(j + 2) * K] - ends[:K]) / delta[:, None]
-                      for j in range(3)], axis=-1)
-        J = J + 1e-13 * eye
-        try:
-            step = np.linalg.solve(J, E[..., None])[..., 0]
-        except np.linalg.LinAlgError:
-            step = np.einsum("kij,kj->ki", np.linalg.pinv(J), E)
+        k = len(active)
+        w_a = w[active]
+        delta = 1e-7 * np.maximum(1.0, np.linalg.norm(w_a, axis=1))
+        stacked_x = np.concatenate([starts[active]] * 4, axis=0)
+        stacked_w = np.concatenate([w_a] + [w_a + delta[:, None] * eye[j]
+                                            for j in range(3)], axis=0)
+        ends, _ = _rk4_batch(chart, stacked_x, stacked_w, n_steps)
+        E = ends[:k] - targets[active]
+        res = np.linalg.norm(E, axis=1)
+        prev = best_res[active]
+        improved = res < prev
+        worse = res > prev * (1.0 + 1e-9)
+        lam_a = lam[active]
+        lam_a = np.where(improved, np.minimum(1.0, 1.5 * lam_a),
+                         np.where(worse, 0.5 * lam_a, lam_a))
+        best_w[active[improved]] = w_a[improved]
+        best_res[active[improved]] = res[improved]
+        live = best_res[active] > rel_target * scale[active]
+        J = np.stack([(ends[(j + 1) * k:(j + 2) * k] - ends[:k]) / delta[:, None]
+                      for j in range(3)], axis=-1)[live]
+        step = _newton_steps(J + 1e-13 * eye, E[live])
         # damp and clip steps; a worsened row restarts at its best point and
         # resumes from there with the halved damping on the next pass
+        rows = active[live]
         step_norm = np.linalg.norm(step, axis=1)
-        cap = 2.0 * scale
-        factor = lam * np.minimum(1.0, cap / np.maximum(step_norm, 1e-300))
-        factor = np.where(worse, 0.0, factor)
-        w = np.where(worse[:, None], best_w, w) - factor[:, None] * step
+        cap = 2.0 * scale[rows]
+        factor = lam_a[live] * np.minimum(1.0, cap / np.maximum(step_norm, 1e-300))
+        factor = np.where(worse[live], 0.0, factor)
+        w[rows] = (np.where(worse[live][:, None], best_w[rows], w_a[live])
+                   - factor[:, None] * step)
+        lam[rows] = lam_a[live]
+        active = rows
     converged = best_res <= 1e-6 * scale
     return best_w, best_res, converged
 
@@ -339,19 +369,30 @@ def distance_batch(chart: MetricChart, starts, targets, n_steps: int = 160,
     """Distances for many pairs at once; returns (d, w, residual, converged).
 
     Pairs whose straight-chord seed fails get a second Newton pass from a
-    Dijkstra-path seed at doubled integration resolution.
+    Dijkstra-path seed at doubled integration resolution, on a graph sized
+    by the pair itself unless `graph` is given.  Both passes are
+    batch-invariant, so a pair's row is the same bit for bit whatever
+    other pairs share its call.
     """
     starts = np.atleast_2d(np.asarray(starts, float))
     targets = np.atleast_2d(np.asarray(targets, float))
     w, res, conv = _bvp_batch(chart, starts, targets, n_steps=n_steps)
     need = ~conv
     if np.any(need) and graph_fallback:
-        if graph is None:
-            hw = min(chart.box_halfwidth,
-                     float(np.max(np.abs(np.vstack([starts, targets])))) + 3.0)
-            graph = GeodesicGraph(chart, hw, nodes=25)
-        seeds = np.array([graph.seed_velocity(s, t)
-                          for s, t in zip(starts[need], targets[need])])
+        graphs = {}
+        seeds = []
+        for s, t in zip(starts[need], targets[need]):
+            g = graph
+            if g is None:
+                # sized by the pair alone (in whole units, so pairs of like
+                # extent share one graph): the seed ignores the batch-mates
+                hw = min(chart.box_halfwidth,
+                         float(np.ceil(np.max(np.abs([s, t])))) + 3.0)
+                if hw not in graphs:
+                    graphs[hw] = GeodesicGraph(chart, hw, nodes=25)
+                g = graphs[hw]
+            seeds.append(g.seed_velocity(s, t))
+        seeds = np.array(seeds)
         w2, res2, conv2 = _bvp_batch(chart, starts[need], targets[need], w0=seeds,
                                      n_steps=2 * n_steps, max_iter=24)
         idx = np.nonzero(need)[0]
@@ -382,19 +423,14 @@ def segment_functional(chart: MetricChart, path: GeodesicPath, f) -> float:
     return float(np.trapezoid(vals, s))
 
 
-def mean_value_pick(chart: MetricChart, center, rho: float, score, n_samples: int,
-                    seed: int, label: str = "mv"):
-    """Pick a sample whose score meets the mean-value threshold on the ball.
+def mean_value_candidates(chart: MetricChart, center, rho: float, n_samples: int,
+                          seed: int, label: str = "mv"):
+    """Candidates of a mean-value pick; returns (cands, has_center).
 
-    Candidates are the ball center followed by n_samples - 1 uniform draws
+    The ball center comes first, followed by n_samples - 1 uniform draws
     from the chart-Euclidean rho-ball, filtered to the geodesic ball via
-    the small-separation distance.  Any point scoring at most twice the
-    ball average satisfies the mean-value inequality the construction
-    needs, so the center is returned whenever it qualifies (it always does
-    for mildly varying integrands, and the pick then converges to the
-    center in the small-mass limit); otherwise the minimizing sample wins,
-    with ties resolved to the earliest candidate.  `score` is called once
-    with the (K, 3) candidate array and must return K values.
+    the small-separation distance.  has_center says whether the center
+    survived the filters and so sits in row 0.
     """
     center = np.asarray(center, float)
     if rho <= 0.0:
@@ -414,22 +450,49 @@ def mean_value_pick(chart: MetricChart, center, rho: float, score, n_samples: in
     cands = np.vstack([head, draws])
     if len(cands) == 0:
         raise EmptySample("every candidate fell outside the chart box")
-    keep = np.array([local_distance(chart, center, c) <= rho * (1.0 + 1e-9)
-                     for c in cands])
+    keep = local_distance(chart, np.broadcast_to(center, cands.shape),
+                          cands) <= rho * (1.0 + 1e-9)
     has_center = has_center and bool(keep[0])
     cands = cands[keep]
     if len(cands) == 0:
         raise EmptySample("every candidate fell outside the geodesic ball")
-    values = np.asarray(score(cands), float)
+    return cands, has_center
+
+
+def mean_value_rule(values, has_center: bool) -> int:
+    """Index of the candidate a mean-value pick takes, given its scores.
+
+    Any point scoring at most twice the ball average satisfies the
+    mean-value inequality the construction needs, so the center is taken
+    whenever it qualifies (it always does for mildly varying integrands,
+    and the pick then converges to the center in the small-mass limit);
+    otherwise the minimizing sample wins, with ties resolved to the
+    earliest candidate.
+    """
+    values = np.asarray(values, float)
     finite = np.isfinite(values)
     if not np.any(finite):
         raise EmptySample("no candidate produced a finite score")
     avg = float(np.mean(values[finite]))
     if has_center and np.isfinite(values[0]) and values[0] <= 2.0 * avg + 1e-300:
-        return cands[0], float(values[0])
+        return 0
     vmin = float(np.min(values[finite]))
     tie_tol = 1e-9 * float(np.max(np.abs(values[finite])))
-    best = int(np.nonzero(values <= vmin + tie_tol)[0][0])
+    return int(np.nonzero(values <= vmin + tie_tol)[0][0])
+
+
+def mean_value_pick(chart: MetricChart, center, rho: float, score, n_samples: int,
+                    seed: int, label: str = "mv"):
+    """Pick a sample whose score meets the mean-value threshold on the ball.
+
+    The composition of mean_value_candidates and mean_value_rule; `score`
+    is called once with the (K, 3) candidate array and must return K
+    values.  Returns (point, score).
+    """
+    cands, has_center = mean_value_candidates(chart, center, rho, n_samples, seed,
+                                              label=label)
+    values = np.asarray(score(cands), float)
+    best = mean_value_rule(values, has_center)
     return cands[best], float(values[best])
 
 
@@ -472,6 +535,116 @@ def _far_target(policy: str, point, axis: int, sign: float, L: float):
     raise ValueError(f"unknown far-point policy {policy!r}")
 
 
+def _score_sample_index(n_steps: int) -> np.ndarray:
+    """Trajectory steps a projection score reads: every n_steps // 64-th
+    step and the endpoint, as _rk4_batch records them."""
+    every = max(1, n_steps // 64)
+    steps = [s + 1 for s in range(n_steps)
+             if (s + 1) % every == 0 or s == n_steps - 1]
+    return np.array([0] + steps)
+
+
+def _level_crossing(traj, u_i, target: float, halfwidth: float):
+    """First crossing of {u_i = target} along a trajectory, by bisection."""
+    inside = np.all(np.abs(traj) <= halfwidth, axis=1)
+    if not np.all(inside):
+        traj = traj[:int(np.argmin(inside))]
+    uvals = np.asarray(u_i(traj), float) - target
+    crossings = np.nonzero(np.diff(np.sign(uvals)) != 0)[0]
+    if uvals[0] == 0.0:
+        return traj[0], traj
+    if len(crossings) == 0:
+        raise NoCrossing("geodesic never crossed the level set; increase L")
+    k = int(crossings[0])
+    a, b = traj[k], traj[k + 1]
+    fa = uvals[k]
+    for _ in range(80):
+        mid = 0.5 * (a + b)
+        fm = float(u_i(mid)[0]) - target
+        if fa * fm <= 0.0:
+            b = mid
+        else:
+            a, fa = mid, fm
+        if abs(fm) < LEVEL_TOL:
+            break
+    return 0.5 * (a + b), traj
+
+
+def level_set_projections(chart: MetricChart, triple: HarmonicTriple, xs, ys, axes,
+                          seeds, far_point_policy: str = "axis",
+                          L: float | None = None, rho: float | None = None,
+                          n_mv_samples: int = 8, n_steps: int = 200):
+    """Quasi-project each xs[i] onto the u^axes[i] level set through ys[i].
+
+    The projections run in lockstep: the mean-value candidates of every
+    row are shot toward their far points as one Newton batch and
+    integrated as one trajectory batch.  The picked candidate's solution
+    and trajectory are the projection geodesic itself; since a batch
+    solve equals the one-row solve bit for bit, nothing is solved twice.
+    Returns one entry per row: (z, path, x_star), or the AfstabError that
+    ended that row.  See level_set_projection for the construction.
+    """
+    grid = triple.grid
+    if L is None:
+        L = 0.6 * grid.halfwidth
+    if rho is None:
+        rho = 2.0 * grid.h
+    xs = np.atleast_2d(np.asarray(xs, float))
+    ys = np.atleast_2d(np.asarray(ys, float))
+    out = [None] * len(xs)
+    rows = []        # (row, axis, target, cands, has_center, fars)
+    for i, (x, y, axis, seed) in enumerate(zip(xs, ys, axes, seeds)):
+        u_i = triple.u_interp(axis)
+        target = float(u_i(y)[0])
+        if abs(float(u_i(x)[0]) - target) < LEVEL_TOL:
+            path = GeodesicPath(nodes=np.array([x, x]), length=0.0,
+                                endpoint_residual=0.0, method="Trivial")
+            out[i] = (x.copy(), path, x.copy())
+            continue
+        try:
+            cands, has_center = mean_value_candidates(chart, x, rho, n_mv_samples,
+                                                      seed, label=f"lsp-{axis}")
+        except EmptySample as exc:
+            out[i] = exc
+            continue
+        signs = np.where(target >= np.asarray(u_i(cands), float), 1.0, -1.0)
+        fars = np.array([_far_target(far_point_policy, c, axis, s, L)
+                         for c, s in zip(cands, signs)])
+        rows.append((i, axis, target, cands, has_center, fars))
+    if not rows:
+        return out
+
+    starts = np.vstack([r[3] for r in rows])
+    w, res, conv = _bvp_batch(chart, starts, np.vstack([r[5] for r in rows]),
+                              n_steps=n_steps)
+    _, _, trajs = _rk4_batch(chart, starts, w, n_steps, record_every=1)
+    lengths = geodesic_lengths(chart, starts, w)
+    samples = trajs[:, _score_sample_index(n_steps)]
+    clipped = np.clip(samples, -grid.halfwidth, grid.halfwidth)
+    vals = triple.hess_sum_interp()(clipped.reshape(-1, 3)).reshape(samples.shape[:2])
+    scores = np.trapezoid(vals, axis=1) * (lengths / (samples.shape[1] - 1))
+    # integrated defects at stencil-noise level are exact ties (flat family)
+    scores = np.where(scores < SCORE_FLOOR, 0.0, scores)
+    scores = np.where(conv, scores, np.inf)
+
+    offset = 0
+    for i, axis, target, cands, has_center, _ in rows:
+        block = slice(offset, offset + len(cands))
+        offset += len(cands)
+        try:
+            k = block.start + mean_value_rule(scores[block], has_center)
+            z, traj = _level_crossing(trajs[k], triple.u_interp(axis), target,
+                                      grid.halfwidth)
+        except AfstabError as exc:
+            out[i] = exc
+            continue
+        path = GeodesicPath(nodes=traj[:: max(1, len(traj) // 64)],
+                            length=float(lengths[k]),
+                            endpoint_residual=float(res[k]), method="Shooting")
+        out[i] = (z, path, starts[k].copy())
+    return out
+
+
 def level_set_projection(chart: MetricChart, triple: HarmonicTriple, x, y,
                          axis: int, far_point_policy: str = "axis",
                          L: float | None = None, rho: float | None = None,
@@ -484,95 +657,19 @@ def level_set_projection(chart: MetricChart, triple: HarmonicTriple, x, y,
     set along the geodesic, located by bisection on interpolated u, is the
     returned z.  The default far-point policy "axis" offsets from the
     start point, the large-L limit of the fixed +-L e_axis construction
-    ("fixed"), which the flat-family exactness checks require.
+    ("fixed"), which the flat-family exactness checks require.  Returns
+    (z, path, x_star); the one-row case of level_set_projections.
     """
-    x = np.asarray(x, float)
-    y = np.asarray(y, float)
-    grid = triple.grid
-    if L is None:
-        L = 0.6 * grid.halfwidth
-    if rho is None:
-        rho = 2.0 * grid.h
-    u_i = triple.u_interp(axis)
-    target = float(u_i(y)[0])
-    if abs(float(u_i(x)[0]) - target) < LEVEL_TOL:
-        path = GeodesicPath(nodes=np.array([x, x]), length=0.0,
-                            endpoint_residual=0.0, method="Trivial")
-        return x.copy(), path, x.copy()
-
-    hess_f = triple.hess_sum_interp()
-
-    def score(cands):
-        signs = np.where(target >= np.asarray(u_i(cands), float), 1.0, -1.0)
-        fars = np.array([_far_target(far_point_policy, c, axis, s, L)
-                         for c, s in zip(cands, signs)])
-        w, _, conv = _bvp_batch(chart, cands, fars, n_steps=n_steps)
-        _, _, samples = _rk4_batch(chart, cands, w, n_steps,
-                                   record_every=max(1, n_steps // 64))
-        lengths = geodesic_lengths(chart, cands, w)
-        clipped = np.clip(samples, -grid.halfwidth, grid.halfwidth)
-        vals = hess_f(clipped.reshape(-1, 3)).reshape(samples.shape[:2])
-        scores = np.trapezoid(vals, axis=1) * (lengths / (samples.shape[1] - 1))
-        # integrated defects at stencil-noise level are exact ties (flat family)
-        scores = np.where(scores < SCORE_FLOOR, 0.0, scores)
-        return np.where(conv, scores, np.inf)
-
-    x_star, _ = mean_value_pick(chart, x, rho, score, n_mv_samples, seed,
-                                label=f"lsp-{axis}")
-    sign = 1.0 if target >= float(u_i(x_star)[0]) else -1.0
-    far = _far_target(far_point_policy, x_star, axis, sign, L)
-    w, res, conv = _bvp_batch(chart, x_star[None], far[None], n_steps=n_steps)
-    if not conv[0]:
-        raise NoConvergence("projection geodesic failed to converge")
-    _, _, samples = _rk4_batch(chart, x_star[None], w, n_steps, record_every=1)
-    traj = samples[0]
-    inside = np.all(np.abs(traj) <= grid.halfwidth, axis=1)
-    if not np.all(inside):
-        traj = traj[:int(np.argmin(inside))]
-    uvals = np.asarray(u_i(traj), float) - target
-    crossings = np.nonzero(np.diff(np.sign(uvals)) != 0)[0]
-    if uvals[0] == 0.0:
-        z = traj[0]
-    elif len(crossings) == 0:
-        raise NoCrossing("geodesic never crossed the level set; increase L")
-    else:
-        k = int(crossings[0])
-        a, b = traj[k], traj[k + 1]
-        fa = uvals[k]
-        for _ in range(80):
-            mid = 0.5 * (a + b)
-            fm = float(u_i(mid)[0]) - target
-            if fa * fm <= 0.0:
-                b = mid
-            else:
-                a, fa = mid, fm
-            if abs(fm) < LEVEL_TOL:
-                break
-        z = 0.5 * (a + b)
-    length = float(geodesic_lengths(chart, x_star, w[0])[0])
-    path = GeodesicPath(nodes=traj[:: max(1, len(traj) // 64)], length=length,
-                        endpoint_residual=float(res[0]), method="Shooting")
-    return z, path, x_star
+    result, = level_set_projections(chart, triple, [x], [y], [axis], [seed],
+                                    far_point_policy=far_point_policy, L=L,
+                                    rho=rho, n_mv_samples=n_mv_samples,
+                                    n_steps=n_steps)
+    if isinstance(result, AfstabError):
+        raise result
+    return result
 
 
-def pythagorean_check(chart: MetricChart, triple: HarmonicTriple, x, y, axis: int,
-                      far_point_policy: str = "axis", L: float | None = None,
-                      rho: float | None = None, n_mv_samples: int = 8,
-                      seed: int = 0) -> PythagoreanRecord:
-    """Almost-Pythagorean defect record for a pair and a level-set axis."""
-    x = np.asarray(x, float)
-    y = np.asarray(y, float)
-    if np.linalg.norm(x - y) < 1e-14:
-        return PythagoreanRecord(tuple(x), tuple(y), tuple(x), axis,
-                                 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
-    z, _, _ = level_set_projection(chart, triple, x, y, axis,
-                                   far_point_policy=far_point_policy, L=L,
-                                   rho=rho, n_mv_samples=n_mv_samples, seed=seed)
-    starts = np.array([x, x, y])
-    targets = np.array([y, z, z])
-    d, _, res, conv = distance_batch(chart, starts, targets)
-    if not np.all(conv):
-        raise NoConvergence(f"pair distances failed to converge (residuals {res})")
+def _record(triple: HarmonicTriple, x, y, z, axis: int, d) -> PythagoreanRecord:
     d_xy, d_xz, d_yz = (float(v) for v in d)
     u_vals_x = triple.u_map(x)
     u_vals_z = triple.u_map(z)
@@ -581,6 +678,68 @@ def pythagorean_check(chart: MetricChart, triple: HarmonicTriple, x, y, axis: in
     u_cross = max(abs(u_vals_x[j] - u_vals_z[j]) for j in range(3) if j != axis)
     return PythagoreanRecord(tuple(x), tuple(y), tuple(z), axis, float(defect),
                              float(u_same), float(u_cross), d_xy, d_xz, d_yz)
+
+
+def pythagorean_records(chart: MetricChart, triple: HarmonicTriple, xs, ys, axes,
+                        seeds, far_point_policy: str = "axis",
+                        L: float | None = None, rho: float | None = None,
+                        n_mv_samples: int = 8):
+    """Almost-Pythagorean defect records for many pairs, in lockstep.
+
+    Row i projects xs[i] onto the u^axes[i] level set through ys[i]
+    (level_set_projections, seeded by seeds[i]) and closes the triangle
+    with d(x, y), d(x, z) and d(y, z); all 3n closing distances are one
+    distance_batch.  Returns one entry per pair: its PythagoreanRecord, or
+    the AfstabError that ended it, so a caller can tolerate failures.
+    """
+    xs = np.atleast_2d(np.asarray(xs, float))
+    ys = np.atleast_2d(np.asarray(ys, float))
+    axes = [int(a) for a in axes]
+    out = [None] * len(xs)
+    live = []
+    for i, (x, y) in enumerate(zip(xs, ys)):
+        if np.linalg.norm(x - y) < 1e-14:
+            out[i] = PythagoreanRecord(tuple(x), tuple(y), tuple(x), axes[i],
+                                       0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+        else:
+            live.append(i)
+    projections = level_set_projections(
+        chart, triple, xs[live], ys[live], [axes[i] for i in live],
+        [seeds[i] for i in live], far_point_policy=far_point_policy, L=L, rho=rho,
+        n_mv_samples=n_mv_samples) if live else []
+    closing = []     # (row, z)
+    for i, proj in zip(live, projections):
+        if isinstance(proj, AfstabError):
+            out[i] = proj
+        else:
+            closing.append((i, proj[0]))
+    if not closing:
+        return out
+    starts = np.array([p for i, _ in closing for p in (xs[i], xs[i], ys[i])])
+    targets = np.array([p for i, z in closing for p in (ys[i], z, z)])
+    d, _, res, conv = distance_batch(chart, starts, targets)
+    for m, (i, z) in enumerate(closing):
+        tri = slice(3 * m, 3 * m + 3)
+        if not np.all(conv[tri]):
+            out[i] = NoConvergence("pair distances failed to converge "
+                                   f"(residuals {res[tri]})")
+        else:
+            out[i] = _record(triple, xs[i], ys[i], z, axes[i], d[tri])
+    return out
+
+
+def pythagorean_check(chart: MetricChart, triple: HarmonicTriple, x, y, axis: int,
+                      far_point_policy: str = "axis", L: float | None = None,
+                      rho: float | None = None, n_mv_samples: int = 8,
+                      seed: int = 0) -> PythagoreanRecord:
+    """Almost-Pythagorean defect record for a pair and a level-set axis;
+    the one-record case of pythagorean_records."""
+    result, = pythagorean_records(chart, triple, [x], [y], [axis], [seed],
+                                  far_point_policy=far_point_policy, L=L, rho=rho,
+                                  n_mv_samples=n_mv_samples)
+    if isinstance(result, AfstabError):
+        raise result
+    return result
 
 
 def write_pythagorean_csv(path, records, family: str, m: float, append=False):

@@ -48,7 +48,8 @@ class Bump:
         out[inside] = (self.amplitude * np.exp(1.0 - 1.0 / (1.0 - qi)))[inside]
         return out
 
-    def value_grad_hess(self, pts):
+    def value_grad_hess(self, pts, hessian: bool = True):
+        """Bump value, gradient and (unless hessian is False, then None) Hessian."""
         d = pts - np.asarray(self.center, dtype=float)
         q = np.einsum("...a,...a->...", d, d) / self.width**2
         inside = q < 1.0 - 1e-12
@@ -57,10 +58,12 @@ class Bump:
         base = np.where(inside, self.amplitude * np.exp(1.0 - 1.0 / one_m), 0.0)
         # dB/dq and d2B/dq2 of B(q) = amp * exp(1 - 1/(1-q))
         bq = np.where(inside, -base / one_m**2, 0.0)
-        bqq = np.where(inside, base / one_m**4 - 2.0 * base / one_m**3, 0.0)
         dq = 2.0 * d / self.width**2              # (..., 3)
-        ddq = (2.0 / self.width**2) * np.eye(3)    # constant (3, 3)
         grad = bq[..., None] * dq
+        if not hessian:
+            return base, grad, None
+        bqq = np.where(inside, base / one_m**4 - 2.0 * base / one_m**3, 0.0)
+        ddq = (2.0 / self.width**2) * np.eye(3)    # constant (3, 3)
         hess = (bqq[..., None, None] * dq[..., :, None] * dq[..., None, :]
                 + bq[..., None, None] * ddq)
         return base, grad, hess
@@ -127,10 +130,22 @@ class MetricChart:
 
     def conformal_terms(self, x):
         """phi, grad phi, hess phi at points x, shape (...,), (..., 3), (..., 3, 3)."""
+        return self._conformal(x, hessian=True)
+
+    def conformal_gradient(self, x):
+        """phi and grad phi at points x, bit-identical to conformal_terms.
+
+        The geodesic equation and the distance quadratures read no second
+        derivatives, so they skip the Hessian and its per-call identity.
+        """
+        phi, grad, _ = self._conformal(x, hessian=False)
+        return phi, grad
+
+    def _conformal(self, x, hessian):
         pts = _as_points(x)
         phi = np.ones(pts.shape[:-1])
         grad = np.zeros(pts.shape)
-        hess = np.zeros(pts.shape + (3,))
+        hess = np.zeros(pts.shape + (3,)) if hessian else None
         a = self.monopole_amplitude
         if a != 0.0:
             r2 = np.einsum("...a,...a->...", pts, pts)
@@ -138,12 +153,13 @@ class MetricChart:
             with np.errstate(divide="ignore", invalid="ignore"):
                 inv_r = 1.0 / r
                 inv_r3 = inv_r / r2
-                inv_r5 = inv_r3 / r2
                 phi = phi + a * inv_r
                 grad = grad - a * pts * inv_r3[..., None]
-                hess = hess + a * (3.0 * pts[..., :, None] * pts[..., None, :]
-                                   * inv_r5[..., None, None]
-                                   - np.eye(3) * inv_r3[..., None, None])
+                if hessian:
+                    inv_r5 = inv_r3 / r2
+                    hess = hess + a * (3.0 * pts[..., :, None] * pts[..., None, :]
+                                       * inv_r5[..., None, None]
+                                       - np.eye(3) * inv_r3[..., None, None])
         for term in self.bumps:
             if term[0] == "gauss":
                 _, amp, center, width = term
@@ -152,24 +168,20 @@ class MetricChart:
                 val = amp * np.exp(-q)
                 phi = phi + val
                 grad = grad + val[..., None] * (-2.0 * d / width**2)
-                hess = hess + val[..., None, None] * (
-                    4.0 * d[..., :, None] * d[..., None, :] / width**4
-                    - 2.0 * np.eye(3) / width**2)
+                if hessian:
+                    hess = hess + val[..., None, None] * (
+                        4.0 * d[..., :, None] * d[..., None, :] / width**4
+                        - 2.0 * np.eye(3) / width**2)
             else:
-                bump = term[1]
-                v, gr, he = bump.value_grad_hess(pts)
+                v, gr, he = term[1].value_grad_hess(pts, hessian=hessian)
                 phi = phi + v
                 grad = grad + gr
-                hess = hess + he
+                if hessian:
+                    hess = hess + he
         return phi, grad, hess
 
     def conformal_factor(self, x):
-        return self.conformal_terms(x)[0]
-
-    def flat_laplacian_of_phi(self, x):
-        """Euclidean Laplacian of the conformal factor, exact."""
-        _, _, hess = self.conformal_terms(x)
-        return np.trace(hess, axis1=-2, axis2=-1)
+        return self.conformal_gradient(x)[0]
 
     # -- domain ----------------------------------------------------------
 
@@ -195,13 +207,6 @@ class MetricChart:
         phi = self.conformal_factor(x)
         return phi[..., None, None] ** 4 * np.eye(3)
 
-    def inverse_metric(self, x):
-        phi = self.conformal_factor(x)
-        return phi[..., None, None] ** -4 * np.eye(3)
-
-    def sqrt_det_metric(self, x):
-        return self.conformal_factor(x) ** 6
-
     def metric_derivs(self, x):
         """g, dg, ddg with dg[..., k, i, j] = d_k g_ij and ddg[..., l, k, i, j] = d_l d_k g_ij."""
         phi, dphi, ddphi = self.conformal_terms(x)
@@ -216,7 +221,7 @@ class MetricChart:
 
     def christoffel(self, x):
         """Gamma[..., k, a, b] = Gamma^k_ab, closed form for the conformal metric."""
-        phi, dphi, _ = self.conformal_terms(x)
+        phi, dphi = self.conformal_gradient(x)
         w = dphi / phi[..., None]                  # grad(log phi)
         eye = np.eye(3)
         gamma = 2.0 * (eye[:, :, None] * w[..., None, None, :]
@@ -225,8 +230,12 @@ class MetricChart:
         return gamma
 
     def christoffel_quadratic(self, x, v):
-        """Gamma^k_ab v^a v^b for velocity vectors v, exploiting the conformal form."""
-        phi, dphi, _ = self.conformal_terms(x)
+        """Gamma^k_ab v^a v^b for velocity vectors v, exploiting the conformal form.
+
+        The one entry point of the geodesic right-hand side; it reads phi
+        and grad phi only.
+        """
+        phi, dphi = self.conformal_gradient(x)
         w = dphi / phi[..., None]
         vw = np.einsum("...a,...a->...", v, w)
         vv = np.einsum("...a,...a->...", v, v)

@@ -222,48 +222,74 @@ def gradient_flow_step(chart: MetricChart, triple: HarmonicTriple, start, axis: 
     return y_star, end, u_err
 
 
+def reach_points(chart: MetricChart, triple: HarmonicTriple, targets, rho: float,
+                 seeds, margin_factor: float = 0.05):
+    """Three-leg gradient-flow constructions aiming u at Euclidean targets.
+
+    Each trace starts from the base point and flows along grad u^1, u^2,
+    u^3 for times equal to its target's components (mean-value-perturbing
+    each leg start, seeded by seeds[k] + 7 axis); u_error is
+    |u(end) - target|.  The target ball radius must leave the heuristic
+    margin grad_sup * margin_factor * rho.
+
+    The traces run in lockstep: leg j of every trace runs first, then the
+    leg's displacements d(y*, end) and the distances d(p, end) that the
+    next leg's ball budget reads are one distance_batch, so a whole run
+    makes three.  Pair solves do not depend on their batch, so trace k is
+    the same as reach_point(targets[k], seed=seeds[k]) bit for bit.
+    """
+    targets = np.atleast_2d(np.asarray(targets, float))
+    n = len(targets)
+    gsup = triple.grad_sup
+    r_limits = [3.0 * (gsup + 1.0)
+                * max(float(np.linalg.norm(t)) + gsup * margin_factor * rho, rho, 1.0)
+                for t in targets]
+    p = np.asarray(chart.base_point, float)
+    current = [p.copy() for _ in range(n)]
+    d_p_current = [0.0] * n
+    picked = [[] for _ in range(n)]
+    seg_ends = [[] for _ in range(n)]
+    displacements = [[] for _ in range(n)]
+    for axis in range(3):
+        steps = [gradient_flow_step(chart, triple, current[k], axis,
+                                    float(targets[k, axis]), rho, seeds[k] + 7 * axis,
+                                    r_limits[k], d_p_start=d_p_current[k])
+                 for k in range(n)]
+        moving = [k for k in range(n) if abs(float(targets[k, axis])) >= 1e-14]
+        starts = np.array([steps[k][0] for k in moving] + [p] * n)
+        ends = np.array([steps[k][1] for k in moving] + [st[1] for st in steps])
+        d, _, _, conv = distance_batch(chart, starts, ends)
+        d_leg = dict(zip(moving, range(len(moving))))
+        for k, (y_star, end, _) in enumerate(steps):
+            picked[k].append(tuple(y_star))
+            seg_ends[k].append(tuple(end))
+            j = d_leg.get(k)
+            if j is None:
+                displacements[k].append(0.0)
+            else:
+                displacements[k].append(float(d[j]) if conv[j]
+                                        else float(local_distance(chart, y_star, end)))
+            current[k] = end
+            j = len(moving) + k
+            d_p_current[k] = (float(d[j]) if conv[j]
+                              else float(local_distance(chart, p, end)))
+    traces = []
+    for k in range(n):
+        err_vec = triple.u_map(current[k]) - targets[k]
+        traces.append(FlowTrace(start=tuple(p), times=tuple(float(t) for t in targets[k]),
+                                picked=tuple(picked[k]), segment_ends=tuple(seg_ends[k]),
+                                end=tuple(current[k]),
+                                u_error=float(np.linalg.norm(err_vec)),
+                                u_error_vec=tuple(err_vec),
+                                displacements=tuple(displacements[k])))
+    return traces
+
+
 def reach_point(chart: MetricChart, triple: HarmonicTriple, target, rho: float,
                 seed: int, margin_factor: float = 0.05) -> FlowTrace:
-    """Three-leg gradient-flow construction aiming u at a Euclidean target.
-
-    Starting from the base point, flows along grad u^1, u^2, u^3 for times
-    equal to the target components (mean-value-perturbing each leg start);
-    u_error is |u(end) - target|.  The target ball radius must leave the
-    heuristic margin grad_sup * margin_factor * rho.
-    """
-    target = np.asarray(target, float)
-    gsup = triple.grad_sup
-    rho_ball = float(np.linalg.norm(target)) + gsup * margin_factor * rho
-    r_limit = 3.0 * (gsup + 1.0) * max(rho_ball, rho, 1.0)
-    p = np.asarray(chart.base_point, float)
-    current = p.copy()
-    d_p_current = 0.0
-    picked = []
-    seg_ends = []
-    displacements = []
-    for axis in range(3):
-        t_axis = float(target[axis])
-        y_star, end, _ = gradient_flow_step(chart, triple, current, axis, t_axis,
-                                            rho, seed + 7 * axis, r_limit,
-                                            d_p_start=d_p_current)
-        picked.append(tuple(y_star))
-        seg_ends.append(tuple(end))
-        if abs(t_axis) < 1e-14:
-            displacements.append(0.0)
-        else:
-            d_leg, _, _, conv = distance_batch(chart, y_star[None], end[None])
-            displacements.append(float(d_leg[0]) if conv[0]
-                                 else float(local_distance(chart, y_star, end)))
-        current = end
-        d_pc, _, _, convp = distance_batch(chart, p[None], current[None])
-        d_p_current = float(d_pc[0]) if convp[0] else float(local_distance(chart, p, current))
-    u_end = triple.u_map(current)
-    err_vec = u_end - target
-    return FlowTrace(start=tuple(p), times=tuple(float(t) for t in target),
-                     picked=tuple(picked), segment_ends=tuple(seg_ends),
-                     end=tuple(current), u_error=float(np.linalg.norm(err_vec)),
-                     u_error_vec=tuple(err_vec),
-                     displacements=tuple(displacements))
+    """The three-leg flow construction for one target; see reach_points."""
+    return reach_points(chart, triple, [target], rho, [seed],
+                        margin_factor=margin_factor)[0]
 
 
 def flow_coverage(chart: MetricChart, triple: HarmonicTriple, radius: float,
@@ -281,9 +307,8 @@ def flow_coverage(chart: MetricChart, triple: HarmonicTriple, radius: float,
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     radii = radius * rng.uniform(size=n_targets) ** (1.0 / 3.0)
     targets = dirs * radii[:, None]
-    traces = []
-    for k, tgt in enumerate(targets):
-        traces.append(reach_point(chart, triple, tgt, rho, seed + 1000 + k))
+    traces = reach_points(chart, triple, targets, rho,
+                          [seed + 1000 + k for k in range(n_targets)])
     hausdorff = max(tr.u_error for tr in traces)
     return traces, float(hausdorff)
 

@@ -7,8 +7,11 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.interpolate import RegularGridInterpolator
 
+from .errors import BadFieldDump
+
 MAGIC = b"AFSF"
 FORMAT_VERSION = 1
+HEADER = "<4sHI d 3s"     # magic, version, nodes, halfwidth, axis order
 
 
 @dataclass(frozen=True)
@@ -157,7 +160,7 @@ def second_derivatives(values: np.ndarray, h: float) -> np.ndarray:
 
 
 def write_field(path, field: ScalarGridField, sidecar: dict | None = None):
-    header = struct.pack("<4sHI d 3s", MAGIC, FORMAT_VERSION, field.grid.nodes,
+    header = struct.pack(HEADER, MAGIC, FORMAT_VERSION, field.grid.nodes,
                          field.grid.halfwidth, b"xyz")
     payload = np.ascontiguousarray(field.values.astype("<f8").T).tobytes()
     with open(path, "wb") as f:
@@ -170,15 +173,24 @@ def write_field(path, field: ScalarGridField, sidecar: dict | None = None):
 
 
 def read_field(path) -> ScalarGridField:
+    """Read a field dump; raises BadFieldDump, naming the file, when the
+    header is wrong or the payload is not exactly nodes^3 reals."""
+    head_size = struct.calcsize(HEADER)
     with open(path, "rb") as f:
-        head = f.read(struct.calcsize("<4sHI d 3s"))
-        magic, version, n, halfwidth, order = struct.unpack("<4sHI d 3s", head)
-        if magic != MAGIC:
-            raise ValueError(f"{path}: not a field dump (magic {magic!r})")
-        if version != FORMAT_VERSION or order != b"xyz":
-            raise ValueError(f"{path}: unsupported version/layout")
-        payload = np.frombuffer(f.read(8 * n**3), dtype="<f8")
-    values = payload.reshape((n, n, n)).T.copy()   # stored z-slow, x-fast
+        head = f.read(head_size)
+        payload = f.read()
+    if len(head) != head_size:
+        raise BadFieldDump(f"{path}: truncated header ({len(head)} bytes)")
+    magic, version, n, halfwidth, order = struct.unpack(HEADER, head)
+    if magic != MAGIC:
+        raise BadFieldDump(f"{path}: not a field dump (magic {magic!r})")
+    if version != FORMAT_VERSION or order != b"xyz":
+        raise BadFieldDump(f"{path}: unsupported version/layout")
+    if len(payload) != 8 * n**3:
+        raise BadFieldDump(f"{path}: payload holds {len(payload)} bytes, "
+                           f"expected {8 * n**3} for {n}^3 nodes")
+    # stored z-slow, x-fast
+    values = np.frombuffer(payload, dtype="<f8").reshape((n, n, n)).T.copy()
     return ScalarGridField(Grid(halfwidth=halfwidth, nodes=n), values)
 
 

@@ -7,7 +7,8 @@ import sys
 
 import pytest
 
-from afstab.cli import main, run
+import afstab.cli
+from afstab.cli import _sweep_point, main, run
 from afstab.config import config_from_dict
 from afstab.reporting import load_manifest, sha256_file
 
@@ -106,6 +107,33 @@ class TestSubcommands:
         assert resolved["sampling"]["seed"] == 42
 
 
+class TestFailedStages:
+    def test_non_afstab_exception_recorded(self, flat_cfg, tmp_path, monkeypatch):
+        def broken(cfg, out_dir):
+            raise ValueError("flow step violates its ball budget")
+
+        monkeypatch.setitem(afstab.cli.STAGES, "flow", broken)
+        code, manifest = run("flow", flat_cfg, out_dir=tmp_path)
+        assert code == 1
+        assert manifest.data["stages"]["flow"].startswith("failed: ValueError")
+        assert "ball budget" in (tmp_path / "summary.txt").read_text()
+        assert load_manifest(tmp_path).verify() == []
+
+    def test_truncated_dump_fails_inequality(self, schw_cfg, tmp_path):
+        assert run("harmonic", schw_cfg, out_dir=tmp_path)[0] == 0
+        dump = tmp_path / "u2.field"
+        dump.write_bytes(dump.read_bytes()[:-100])
+        (tmp_path / "manifest.json").unlink()
+        code, manifest = run("inequality", schw_cfg, out_dir=tmp_path)
+        assert code == 1
+        status = manifest.data["stages"]["inequality"]
+        assert status.startswith("failed: BadFieldDump") and "u2.field" in status
+        loaded = load_manifest(tmp_path)
+        assert loaded.data["stages"] == {"inequality": status}
+        assert loaded.verify() == []
+        assert "FAILED" in (tmp_path / "summary.txt").read_text()
+
+
 class TestManifest:
     def test_completeness_and_hashes(self, flat_cfg, tmp_path):
         _, manifest = run("mass", flat_cfg, out_dir=tmp_path)
@@ -164,6 +192,31 @@ class TestSweep:
         assert all(summary["monotone_decreasing"].values())
         csv_lines = (tmp_path / "sweep.csv").read_text().strip().splitlines()
         assert len(csv_lines) == 4
+
+    def test_sweep_point_applies_stage_knobs(self, tmp_path):
+        # non-default knobs reach the sweep exactly as the single stages
+        data = tiny_config(
+            tag="schwarzschild",
+            family={"tag": "schwarzschild", "params": {"m": 0.1},
+                    "box_halfwidth": 100.0},
+            solver={"eps_grad_factor": 0.95},
+            sweep={"parameter": "m", "values": [0.1, 0.05, 0.025]})
+        data["mass"]["residual_threshold"] = 2e-2
+        cfg = config_from_dict(data)
+        rep = _sweep_point(cfg, tmp_path, "m0.1")
+        assert all(v == "ok" for v in rep.stages.values()), rep.stages
+        assert run("inequality", cfg, out_dir=tmp_path / "ineq")[0] == 0
+        ineq = json.loads((tmp_path / "ineq" / "inequality_report.json").read_text())
+        assert max(ax["floored_fraction"] for ax in ineq["axes"]) > 0.0
+        assert rep.mass == ineq["mass"]
+        assert rep.hessian_l2 == max(ax["hessian_l2"] for ax in ineq["axes"])
+        assert rep.rhs_integral == max(ax["rhs_integral"] for ax in ineq["axes"])
+
+        data["mass"]["residual_threshold"] = 1e-14
+        cfg = config_from_dict(data)
+        assert run("mass", cfg, out_dir=tmp_path / "mass")[0] == 1
+        rep = _sweep_point(cfg, tmp_path, "m0.1-strict")
+        assert rep.stages["mass"].startswith("failed: FitFailure")
 
     def test_parallel_sweep_matches_serial(self, tmp_path):
         # execution order must not leak into any artifact

@@ -7,8 +7,10 @@ from afstab.errors import EmptySample, LeftDomain, OutOfDomain
 from afstab.geodesy import (DistanceField, GeodesicGraph, bishop_gromov_check,
                             distance, distance_batch, hyperbolic_ball_volume,
                             level_set_projection, local_distance,
-                            mean_value_pick, pythagorean_check, segment_functional,
-                            shoot_geodesic, write_pythagorean_csv)
+                            mean_value_candidates, mean_value_pick,
+                            pythagorean_check, pythagorean_records,
+                            segment_functional, shoot_geodesic,
+                            write_pythagorean_csv)
 from afstab.geometry import MetricChart
 from afstab.grid import ScalarGridField
 from afstab.seeding import rng_for
@@ -92,6 +94,20 @@ class TestDistance:
             ok = c1 & c2 & c3
             scale = np.maximum(dxz[ok], 1.0)
             assert np.all(dxz[ok] <= dxy[ok] + dyz[ok] + 1e-6 * scale)
+
+    def test_batch_invariant_bit_for_bit(self, schw):
+        # a pair's solve must not depend on its batch-mates: converged rows
+        # are frozen, and graph-seeded retries use a graph sized by the pair
+        rng = rng_for(21, "batch-invariance")
+        p = np.array([2.0, 0.0, 0.0])
+        xs = p + rng.uniform(-2.5, 2.5, size=(40, 3))
+        ys = p + rng.uniform(-2.5, 2.5, size=(40, 3))
+        batch = distance_batch(schw, xs, ys)
+        assert np.all(batch[3])
+        for i in range(40):
+            alone = distance_batch(schw, xs[i:i + 1], ys[i:i + 1])
+            for whole, one in zip(batch, alone):
+                assert np.array_equal(whole[i], one[0]), i
 
     def test_degenerate_pair(self, flat_chart):
         d, path = distance(flat_chart, (1.0, 2.0, 3.0), (1.0, 2.0, 3.0))
@@ -206,6 +222,20 @@ class TestMeanValuePick:
         b = mean_value_pick(schw, (2.0, 0.0, 0.0), 0.7, score, 12, seed=9)
         assert np.array_equal(a[0], b[0]) and a[1] == b[1]
 
+    def test_candidate_filter_matches_per_candidate_loop(self, schw):
+        # the batched geodesic-ball filter against the one-candidate form
+        rng = rng_for(12, "mv-filter")
+        for k in range(20):
+            center = np.array([2.0, 0.0, 0.0]) + rng.uniform(-2.0, 2.0, size=3)
+            cands, has_center = mean_value_candidates(schw, center, 0.9, 16, seed=k)
+            draws = np.vstack([center, center + rng.normal(scale=0.6, size=(15, 3))])
+            loop = np.array([local_distance(schw, center, c) for c in draws])
+            batch = local_distance(schw, np.broadcast_to(center, draws.shape), draws)
+            assert np.array_equal(loop, batch)
+            assert has_center and np.array_equal(cands[0], center)
+            assert np.all(local_distance(schw, np.broadcast_to(center, cands.shape),
+                                         cands) <= 0.9 * (1.0 + 1e-9))
+
     def test_rho_must_be_positive(self, flat_chart):
         with pytest.raises(ValueError):
             mean_value_pick(flat_chart, (0.0, 0.0, 0.0), 0.0,
@@ -274,6 +304,21 @@ class TestPythagorean:
                                 (3.2, -0.3, 0.6), 0, seed=12)
         scale = max(rec.d_xy, 1.0)
         assert rec.u_defect_cross <= rec.u_defect_same + rec.defect + 0.5 * scale
+
+    def test_lockstep_records_equal_single_records(self, schw, schw02_triple):
+        rng = rng_for(13, "lockstep-records")
+        p = np.array([2.0, 0.0, 0.0])
+        xs = p + rng.uniform(-2.0, 2.0, size=(5, 3))
+        ys = p + rng.uniform(-2.0, 2.0, size=(5, 3))
+        ys[4] = xs[4]                              # a degenerate pair rides along
+        axes = [k % 3 for k in range(5)]
+        seeds = [60 + k for k in range(5)]
+        batch = pythagorean_records(schw, schw02_triple, xs, ys, axes, seeds)
+        for k in range(5):
+            single = pythagorean_check(schw, schw02_triple, xs[k], ys[k], axes[k],
+                                       seed=seeds[k])
+            assert batch[k] == single, k
+        assert batch[4].defect == 0.0
 
     def test_csv_stream(self, tmp_path, flat_chart, flat_triple):
         recs = [pythagorean_check(flat_chart, flat_triple, (1.0, 1.0, 0.0),

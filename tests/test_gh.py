@@ -96,6 +96,21 @@ class TestFlows:
             bound = triple.grad_sup * abs(trace.times[leg]) * 1.001 + 1e-12
             assert trace.displacements[leg] <= bound
 
+    def test_lockstep_coverage_equals_reach_point(self, schw_charts, schw_triples,
+                                                  monkeypatch):
+        import afstab.gh as gh
+
+        chart, triple = schw_charts[0.1], schw_triples[0.1]
+        calls = []
+        monkeypatch.setattr(gh, "distance_batch",
+                            lambda *a, **k: calls.append(1) or distance_batch(*a, **k))
+        traces, _ = flow_coverage(chart, triple, 1.5, 3, seed=13)
+        assert len(calls) == 3        # one batch per leg, whatever the count
+        rho = 2.0 * triple.grid.h
+        for k, trace in enumerate(traces):
+            alone = reach_point(chart, triple, trace.times, rho, seed=13 + 1000 + k)
+            assert alone == trace, k
+
     def test_flow_error_tracks_mass(self, schw_charts, schw_triples):
         errs = {}
         for m in (0.2, 0.05):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from afstab.errors import BadFieldDump
 from afstab.grid import (Grid, ScalarGridField, diff1, diff2, gradient,
                          read_field, second_derivatives, write_axis_profiles,
                          write_field)
@@ -99,6 +100,16 @@ class TestBinaryFormat:
         path.write_bytes(b"NOPE" + b"\x00" * 64)
         with pytest.raises(ValueError):
             read_field(path)
+
+    def test_rejects_wrong_payload_length(self, tmp_path):
+        g = Grid(halfwidth=7.0, nodes=17)
+        path = tmp_path / "u.field"
+        write_field(path, ScalarGridField(g, np.zeros((17, 17, 17))))
+        raw = path.read_bytes()
+        for bad in (raw[:-8], raw + b"\x00" * 8):
+            path.write_bytes(bad)
+            with pytest.raises(BadFieldDump, match="u.field"):
+                read_field(path)
 
     @given(nodes=st.integers(17, 23).filter(lambda n: n % 2 == 1),
            seed=st.integers(0, 2**31 - 1))

@@ -1,7 +1,6 @@
 """Command-line harness: configuration, orchestration, persistence.
 
-    afstab <subcommand> --config <path> [--out <dir>] [--threads <n>]
-           [--seed <int override>]
+    afstab <subcommand> --config <path> [--out <dir>] [--seed <int override>]
 
 Subcommands: check-af, mass, harmonic, inequality, pythagoras, distort,
 flow, sweep.  Every run writes JSON/CSV reports plus a manifest (written
@@ -10,18 +9,19 @@ config and seed reproduce every non-manifest artifact byte for byte.
 """
 
 import argparse
+import json
 import logging
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import replace
+from functools import cached_property
 
 import numpy as np
 
 from .config import ExperimentConfig, parse_config
-from .errors import AfstabError, NoConvergence
-from .geodesy import (DistanceField, bishop_gromov_check, pythagorean_records,
-                      write_pythagorean_csv)
+from .errors import AfstabError, BadFieldDump, NoConvergence
+from .geodesy import DistanceField, pythagorean_records, write_pythagorean_csv
 from .geometry import SphereSampling, VolumeSampling, certify_hypotheses, \
     verify_asymptotic_flatness
 from .gh import (StabilityReport, flow_coverage, gh_distortion,
@@ -69,26 +69,34 @@ def _chart_sidecar(cfg: ExperimentConfig, chart) -> dict:
             "config_hash": config_hash(cfg)}
 
 
-def _solve_triple(cfg: ExperimentConfig, chart=None):
-    chart = cfg.chart() if chart is None else chart
+def _solve_triple(cfg: ExperimentConfig, chart):
     return build_harmonic_triple(chart, cfg.make_grid(), bc=cfg.grid.bc,
                                  tol=cfg.solver.tol, method=cfg.solver.method,
                                  max_iter=cfg.solver.max_iter,
                                  normalization=cfg.solver.normalization)
 
 
-def _load_or_solve_triple(cfg: ExperimentConfig, out_dir):
-    """Reuse this run directory's field dumps when they match the config."""
-    import json as _json
+def _sidecar_matches(path, expected: dict) -> bool:
+    with open(path) as f:
+        return json.load(f) == expected
 
-    chart = cfg.chart()
+
+def _load_or_solve_triple(cfg: ExperimentConfig, out_dir, chart):
+    """Reuse this run directory's field dumps when they match the config.
+
+    u1's sidecar decides whether the dumps belong to this config; u2's and
+    u3's must then match it too, or BadFieldDump names the first that does
+    not (a `harmonic` run stopped between dumps leaves a mixed triple).
+    """
     paths = [os.path.join(out_dir, f"u{i + 1}.field") for i in range(3)]
     sidecars = [p + ".json" for p in paths]
     if all(os.path.exists(p) for p in paths + sidecars):
         expected = _chart_sidecar(cfg, chart)
-        with open(sidecars[0]) as f:
-            found = _json.load(f)
-        if found == expected:
+        if _sidecar_matches(sidecars[0], expected):
+            for path in sidecars[1:]:
+                if not _sidecar_matches(path, expected):
+                    raise BadFieldDump(f"{path}: sidecar differs from u1.field.json; "
+                                       "the field dumps come from different runs")
             fields = [read_field(p) for p in paths]
             return triple_from_solutions(chart, cfg.make_grid(), fields,
                                          bc=cfg.grid.bc,
@@ -96,37 +104,133 @@ def _load_or_solve_triple(cfg: ExperimentConfig, out_dir):
     return _solve_triple(cfg, chart), False
 
 
+class RunContext:
+    """One run's config and output directory, plus the values its stages
+    share, each computed on first use.
+
+    With reuse_dumps (the single stages) the triple comes from matching
+    field dumps in out_dir when there are any; without it (`harmonic` and
+    sweep points) the triple is always solved.
+    """
+
+    def __init__(self, cfg: ExperimentConfig, out_dir, reuse_dumps: bool = True):
+        self.cfg = cfg
+        self.out_dir = out_dir
+        self.reuse_dumps = reuse_dumps
+        self.loaded_from_dump = False
+
+    @cached_property
+    def chart(self):
+        return self.cfg.chart()
+
+    @cached_property
+    def triple(self):
+        if not self.reuse_dumps:
+            return _solve_triple(self.cfg, self.chart)
+        triple, self.loaded_from_dump = _load_or_solve_triple(self.cfg, self.out_dir,
+                                                              self.chart)
+        return triple
+
+    @cached_property
+    def mass_report(self):
+        m = self.cfg.mass
+        return adm_mass(self.chart, m.radii, fit_exponent=m.fit_exponent,
+                        n_polar=m.quadrature_polar, n_azimuth=m.quadrature_azimuth,
+                        residual_threshold=m.residual_threshold)
+
+    @cached_property
+    def eikonal_field(self):
+        chart, r = self.chart, self.cfg.sampling.ball_radius
+        hw = min(chart.box_halfwidth - float(np.max(np.abs(chart.base_point))),
+                 max(1.6 * r, r + 2.0))
+        return DistanceField(chart, chart.base_point, hw,
+                             nodes=self.cfg.sampling.eikonal_nodes)
+
+
+# ---------------------------------------------------------------------------
+# the quantities of the chain, each computed one way for the single stages
+# and the sweep
+
+
+def _hypotheses(ctx: RunContext):
+    return certify_hypotheses(ctx.chart, _volume_spec(ctx.cfg))
+
+
+def _inequality_reports(ctx: RunContext, mass: float):
+    """Mass-inequality report per axis, against the given ADM mass."""
+    triple = ctx.triple
+    eps_grad = ctx.cfg.solver.eps_grad_factor * triple.grad_sup
+    return [mass_inequality_rhs(triple, ctx.chart, axis, eps_grad=eps_grad, mass=mass)
+            for axis in range(3)]
+
+
+def _relaxed_certificate(ctx: RunContext):
+    return relaxed_scalar_certificate(ctx.chart, _x_spec(ctx.cfg), ctx.triple.grid,
+                                      c_coef=ctx.cfg.certificate.c_coef)
+
+
+def _distortion(ctx: RunContext):
+    s = ctx.cfg.sampling
+    return gh_distortion(ctx.chart, ctx.triple, s.ball_radius, s.n_pairs, s.seed,
+                         dist_field=ctx.eikonal_field)
+
+
+def _pythagoras_records(ctx: RunContext):
+    """The configured Pythagorean records, in lockstep; returns
+    (records, n_failures, ok), ok when failures stay within the 1 % rule."""
+    s = ctx.cfg.sampling
+    n = s.n_pythagoras_pairs
+    pts, _ = sample_geodesic_ball(ctx.chart, ctx.triple, s.ball_radius, 2 * n, s.seed,
+                                  label="pythagoras")
+    results = pythagorean_records(ctx.chart, ctx.triple, pts[:n], pts[n:],
+                                  [k % 3 for k in range(n)],
+                                  [s.seed + k for k in range(n)],
+                                  rho=ctx.cfg.rho(), n_mv_samples=s.n_mv_samples)
+    records = [r for r in results if not isinstance(r, AfstabError)]
+    failures = n - len(records)
+    return records, failures, failures <= max(1, n // 100)
+
+
+def _flows(ctx: RunContext):
+    """Flow traces to the configured targets; returns (traces, image
+    Hausdorff distance, largest u error of a trace end)."""
+    s = ctx.cfg.sampling
+    traces, hausdorff = flow_coverage(ctx.chart, ctx.triple, s.target_radius,
+                                      s.n_targets, s.seed, rho=ctx.cfg.rho())
+    return traces, hausdorff, max(tr.u_error for tr in traces) if traces else 0.0
+
+
+def _median(values) -> float:
+    return float(np.median(values)) if values else float("nan")
+
+
 # ---------------------------------------------------------------------------
 # stage pipelines (each returns (ok, payload) and writes its artifacts)
 
 
 def stage_check_af(cfg, out_dir):
-    chart = cfg.chart()
-    af_ok, fitted_tau, worst = verify_asymptotic_flatness(chart, _sphere_spec(cfg))
-    cert = certify_hypotheses(chart, _volume_spec(cfg))
+    ctx = RunContext(cfg, out_dir)
+    af_ok, fitted_tau, worst = verify_asymptotic_flatness(ctx.chart, _sphere_spec(cfg))
+    cert = _hypotheses(ctx)
     payload = {"af_ok": bool(af_ok), "fitted_tau": fitted_tau, "worst_ratio": worst,
                "scalar_min": cert.scalar_min, "ricci_kappa": cert.ricci_kappa,
                "witness_points": [list(w) for w in cert.witness_points],
-               "scalar_integrability": scalar_curvature_l1(chart)}
+               "scalar_integrability": scalar_curvature_l1(ctx.chart)}
     write_json(os.path.join(out_dir, "af_report.json"), payload)
     return bool(af_ok), payload
 
 
 def stage_mass(cfg, out_dir):
-    chart = cfg.chart()
-    rep = adm_mass(chart, cfg.mass.radii, fit_exponent=cfg.mass.fit_exponent,
-                   n_polar=cfg.mass.quadrature_polar,
-                   n_azimuth=cfg.mass.quadrature_azimuth,
-                   residual_threshold=cfg.mass.residual_threshold)
+    rep = RunContext(cfg, out_dir).mass_report
     rep.write_json(os.path.join(out_dir, "mass_report.json"))
     rep.write_csv(os.path.join(out_dir, "mass.csv"))
     return True, {"extrapolated": rep.extrapolated}
 
 
 def stage_harmonic(cfg, out_dir):
-    chart = cfg.chart()
-    triple = _solve_triple(cfg, chart)
-    sidecar = _chart_sidecar(cfg, chart)
+    ctx = RunContext(cfg, out_dir, reuse_dumps=False)
+    triple = ctx.triple
+    sidecar = _chart_sidecar(cfg, ctx.chart)
     for i, comp in enumerate(triple.components):
         write_field(os.path.join(out_dir, f"u{i + 1}.field"), comp.u, sidecar)
     write_axis_profiles(os.path.join(out_dir, "harmonic_profiles.csv"),
@@ -143,29 +247,17 @@ def stage_harmonic(cfg, out_dir):
 
 
 def stage_inequality(cfg, out_dir):
-    triple, loaded = _load_or_solve_triple(cfg, out_dir)
-    chart = triple.chart
-    mass_rep = adm_mass(chart, cfg.mass.radii, fit_exponent=cfg.mass.fit_exponent,
-                        n_polar=cfg.mass.quadrature_polar,
-                        n_azimuth=cfg.mass.quadrature_azimuth,
-                        residual_threshold=cfg.mass.residual_threshold)
-    reports = []
-    kato = []
-    ok = True
-    for axis in range(3):
-        rep = mass_inequality_rhs(triple, chart, axis,
-                                  eps_grad=cfg.solver.eps_grad_factor * triple.grad_sup,
-                                  mass=mass_rep.extrapolated)
-        lhs, rhs = refined_kato_check(triple, chart, axis)
-        ok = ok and lhs <= rhs * (1.0 + 1e-6) + 1e-14
-        reports.append(rep)
-        kato.append({"lhs": lhs, "rhs": rhs})
-    cert = relaxed_scalar_certificate(chart, _x_spec(cfg), triple.grid,
-                                      c_coef=cfg.certificate.c_coef)
-    payload = {"fields_loaded_from_dump": loaded,
-               "mass": mass_rep.extrapolated,
+    ctx = RunContext(cfg, out_dir)
+    triple, chart = ctx.triple, ctx.chart
+    mass = ctx.mass_report.extrapolated
+    reports = _inequality_reports(ctx, mass)
+    kato = [refined_kato_check(triple, chart, axis) for axis in range(3)]
+    ok = all(lhs <= rhs * (1.0 + 1e-6) + 1e-14 for lhs, rhs in kato)
+    cert = _relaxed_certificate(ctx)
+    payload = {"fields_loaded_from_dump": ctx.loaded_from_dump,
+               "mass": mass,
                "axes": [r.to_json_dict() for r in reports],
-               "kato": kato,
+               "kato": [{"lhs": lhs, "rhs": rhs} for lhs, rhs in kato],
                "relaxed_certificate": cert.to_json_dict()}
     write_json(os.path.join(out_dir, "inequality_report.json"), payload)
     rows = [(chart.family, chart.params.get("m", chart.params.get("A", 0.0)),
@@ -175,69 +267,36 @@ def stage_inequality(cfg, out_dir):
     return ok, payload
 
 
-def _pythagoras_records(cfg, chart, triple):
-    """The configured Pythagorean records, in lockstep; returns
-    (records, n_failures, ok), ok when failures stay within the 1 % rule."""
-    n = cfg.sampling.n_pythagoras_pairs
-    pts, _ = sample_geodesic_ball(chart, triple, cfg.sampling.ball_radius, 2 * n,
-                                  cfg.sampling.seed, label="pythagoras")
-    results = pythagorean_records(chart, triple, pts[:n], pts[n:],
-                                  [k % 3 for k in range(n)],
-                                  [cfg.sampling.seed + k for k in range(n)],
-                                  rho=cfg.rho(), n_mv_samples=cfg.sampling.n_mv_samples)
-    records = [r for r in results if not isinstance(r, AfstabError)]
-    failures = n - len(records)
-    return records, failures, failures <= max(1, n // 100)
-
-
 def stage_pythagoras(cfg, out_dir):
-    triple, _ = _load_or_solve_triple(cfg, out_dir)
-    chart = triple.chart
-    records, failures, ok = _pythagoras_records(cfg, chart, triple)
+    ctx = RunContext(cfg, out_dir)
+    records, failures, ok = _pythagoras_records(ctx)
     write_pythagorean_csv(os.path.join(out_dir, "pythagoras.csv"), records,
-                          chart.family, chart.params.get("m", 0.0))
+                          ctx.chart.family, ctx.chart.params.get("m", 0.0))
     defects = [r.defect for r in records]
     payload = {"n_records": len(records), "n_failures": failures,
-               "median_defect": float(np.median(defects)) if defects else float("nan"),
+               "median_defect": _median(defects),
                "max_defect": float(np.max(defects)) if defects else float("nan"),
-               "median_u_defect_same": float(np.median([r.u_defect_same for r in records]))
-               if records else float("nan")}
+               "median_u_defect_same": _median([r.u_defect_same for r in records])}
     write_json(os.path.join(out_dir, "pythagoras_report.json"), payload)
     return ok, payload
 
 
-def _eikonal_field(cfg, chart):
-    r = cfg.sampling.ball_radius
-    hw = min(chart.box_halfwidth - float(np.max(np.abs(chart.base_point))),
-             max(1.6 * r, r + 2.0))
-    return DistanceField(chart, chart.base_point, hw, nodes=cfg.sampling.eikonal_nodes)
-
-
 def stage_distort(cfg, out_dir):
-    triple, _ = _load_or_solve_triple(cfg, out_dir)
-    chart = triple.chart
-    field = _eikonal_field(cfg, chart)
-    rep = gh_distortion(chart, triple, cfg.sampling.ball_radius,
-                        cfg.sampling.n_pairs, cfg.sampling.seed, dist_field=field)
+    rep = _distortion(RunContext(cfg, out_dir))
     write_json(os.path.join(out_dir, "distortion_report.json"), rep.to_json_dict())
     ok = rep.n_failed_pairs <= max(1, cfg.sampling.n_pairs // 100)
     return ok, rep.to_json_dict()
 
 
 def stage_flow(cfg, out_dir):
-    triple, _ = _load_or_solve_triple(cfg, out_dir)
-    chart = triple.chart
-    traces, hausdorff = flow_coverage(chart, triple, cfg.sampling.target_radius,
-                                      cfg.sampling.n_targets, cfg.sampling.seed,
-                                      rho=cfg.rho())
-    ok = True
-    for tr in traces:
-        for leg in range(3):
-            bound = triple.grad_sup * abs(tr.times[leg]) * 1.001 + 1e-12
-            ok = ok and tr.displacements[leg] <= bound
+    ctx = RunContext(cfg, out_dir)
+    traces, hausdorff, err_max = _flows(ctx)
+    grad_sup = ctx.triple.grad_sup
+    ok = all(tr.displacements[leg] <= grad_sup * abs(tr.times[leg]) * 1.001 + 1e-12
+             for tr in traces for leg in range(3))
     payload = {"n_targets": len(traces),
                "image_hausdorff": hausdorff,
-               "flow_err_max": max(tr.u_error for tr in traces) if traces else 0.0,
+               "flow_err_max": err_max,
                "displacement_bound_ok": ok}
     write_json(os.path.join(out_dir, "flow_report.json"), payload)
     write_json(os.path.join(out_dir, "flow_traces.json"),
@@ -245,103 +304,63 @@ def stage_flow(cfg, out_dir):
     return ok, payload
 
 
+@contextmanager
+def _tagged(rep: StabilityReport, name: str):
+    """One sweep stage: its failure is recorded under `name` and skips the
+    rest of its block, and the sweep goes on."""
+    try:
+        yield
+    except Exception as exc:   # noqa: BLE001 - stage tag, sweep continues
+        if not isinstance(exc, AfstabError):
+            logging.getLogger(__name__).exception("sweep stage %s raised", name)
+        rep.stages[name] = f"failed: {type(exc).__name__}: {exc}"
+    else:
+        rep.stages[name] = "ok"
+
+
 def _sweep_point(cfg_point: ExperimentConfig, out_dir, tag: str):
-    """All stages for one sweep parameter value; failures tag the report."""
-    chart = cfg_point.chart()
-    rep = StabilityReport(family=chart.family, parameter=float(
-        chart.params.get(cfg_point.sweep.parameter, 0.0)),
+    """All stages for one sweep parameter value, always solving the
+    triple; each stage's results, or its failure, land in the report."""
+    ctx = RunContext(cfg_point, out_dir, reuse_dumps=False)
+    rep = StabilityReport(family=ctx.chart.family, parameter=float(
+        ctx.chart.params.get(cfg_point.sweep.parameter, 0.0)),
         N=cfg_point.grid.nodes, R_out=cfg_point.grid.halfwidth)
-
-    def run_stage(name, fn):
-        try:
-            fn()
-            rep.stages[name] = "ok"
-        except Exception as exc:   # noqa: BLE001 - stage tag, sweep continues
-            rep.stages[name] = f"failed: {type(exc).__name__}: {exc}"
-
-    def s_certify():
-        cert = certify_hypotheses(chart, _volume_spec(cfg_point))
-        rep.ricci_kappa = cert.ricci_kappa
-        rep.scalar_min = cert.scalar_min
-        rep.af_ok = cert.af_ok
-
-    def s_mass():
-        rep.mass = adm_mass(chart, cfg_point.mass.radii,
-                            fit_exponent=cfg_point.mass.fit_exponent,
-                            n_polar=cfg_point.mass.quadrature_polar,
-                            n_azimuth=cfg_point.mass.quadrature_azimuth,
-                            residual_threshold=cfg_point.mass.residual_threshold
-                            ).extrapolated
-
-    state = {}
-
-    def s_triple():
-        state["triple"] = _solve_triple(cfg_point, chart)
-        rep.grad_sup = state["triple"].grad_sup
-        rep.residual_norms = state["triple"].residual_norms
-        rep.cheng_yau = cheng_yau_ratio(state["triple"], 0,
-                                        cfg_point.sampling.ball_radius)
-
-    def s_inequality():
-        triple = state["triple"]
-        hess = grad = slack = rhs = -np.inf
-        for axis in range(3):
-            r = mass_inequality_rhs(
-                triple, chart, axis,
-                eps_grad=cfg_point.solver.eps_grad_factor * triple.grad_sup,
-                mass=rep.mass)
-            hess = max(hess, r.hessian_l2)
-            rhs = max(rhs, r.rhs_integral)
-            slack = rep.mass - rhs
-        rep.hessian_l2 = hess
-        rep.rhs_integral = rhs
-        rep.slack = slack
-
-    def s_certificate():
-        rep.psi_l1 = relaxed_scalar_certificate(
-            chart, _x_spec(cfg_point), state["triple"].grid,
-            c_coef=cfg_point.certificate.c_coef).psi_l1
-
-    def s_distort():
-        field = _eikonal_field(cfg_point, chart)
-        d = gh_distortion(chart, state["triple"], cfg_point.sampling.ball_radius,
-                          cfg_point.sampling.n_pairs, cfg_point.sampling.seed,
-                          dist_field=field)
-        rep.ortho_l1 = d.ortho_l1
-        rep.defect_p50 = d.defect_p50
-        rep.defect_p90 = d.defect_p90
-        rep.defect_max = d.max_defect
-
-    def s_pythagoras():
-        n = cfg_point.sampling.n_pythagoras_pairs
-        records, failures, ok = _pythagoras_records(cfg_point, chart, state["triple"])
-        if not ok:
-            raise NoConvergence(f"{failures} of {n} Pythagorean records failed")
-        defects = [r.defect for r in records]
-        rep.pythagorean_median = float(np.median(defects)) if defects else float("nan")
-
-    def s_flow():
-        traces, hausdorff = flow_coverage(
-            chart, state["triple"], cfg_point.sampling.target_radius,
-            cfg_point.sampling.n_targets, cfg_point.sampling.seed,
-            rho=cfg_point.rho())
-        rep.image_hausdorff = hausdorff
-        rep.flow_err_max = max(tr.u_error for tr in traces) if traces else 0.0
-
-    run_stage("certify", s_certify)
-    run_stage("mass", s_mass)
-    run_stage("harmonic", s_triple)
-    if "triple" in state:
-        run_stage("inequality", s_inequality)
-        run_stage("certificate", s_certificate)
-        run_stage("distortion", s_distort)
-        run_stage("pythagoras", s_pythagoras)
-        run_stage("flow", s_flow)
+    with _tagged(rep, "certify"):
+        cert = _hypotheses(ctx)
+        rep.ricci_kappa, rep.scalar_min, rep.af_ok = (cert.ricci_kappa, cert.scalar_min,
+                                                      cert.af_ok)
+    with _tagged(rep, "mass"):
+        rep.mass = ctx.mass_report.extrapolated
+    triple = None
+    with _tagged(rep, "harmonic"):
+        triple = ctx.triple
+        rep.grad_sup, rep.residual_norms = triple.grad_sup, triple.residual_norms
+        rep.cheng_yau = cheng_yau_ratio(triple, 0, cfg_point.sampling.ball_radius)
+    if triple is not None:
+        with _tagged(rep, "inequality"):
+            reports = _inequality_reports(ctx, rep.mass)
+            rep.hessian_l2 = max(r.hessian_l2 for r in reports)
+            rep.rhs_integral = max(r.rhs_integral for r in reports)
+            rep.slack = rep.mass - rep.rhs_integral
+        with _tagged(rep, "certificate"):
+            rep.psi_l1 = _relaxed_certificate(ctx).psi_l1
+        with _tagged(rep, "distortion"):
+            d = _distortion(ctx)
+            rep.ortho_l1, rep.defect_p50, rep.defect_p90, rep.defect_max = (
+                d.ortho_l1, d.defect_p50, d.defect_p90, d.max_defect)
+        with _tagged(rep, "pythagoras"):
+            records, failures, ok = _pythagoras_records(ctx)
+            if not ok:
+                raise NoConvergence(f"{failures} of {cfg_point.sampling.n_pythagoras_pairs} "
+                                    "Pythagorean records failed")
+            rep.pythagorean_median = _median([r.defect for r in records])
+        with _tagged(rep, "flow"):
+            _, rep.image_hausdorff, rep.flow_err_max = _flows(ctx)
     write_stability_json(os.path.join(out_dir, f"stability_{tag}.json"), rep)
     return rep
 
 
-def stage_sweep(cfg, out_dir, threads: int = 1):
+def stage_sweep(cfg, out_dir):
     values = cfg.sweep.values
     if len(values) < 3:
         raise AfstabError("sweep requires at least 3 parameter values")
@@ -353,12 +372,7 @@ def stage_sweep(cfg, out_dir, threads: int = 1):
         params[cfg.sweep.parameter] = val
         points.append(replace(cfg, family=replace(cfg.family, params=params)))
     tags = [f"{cfg.sweep.parameter}{val:g}" for val in values]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            reports = list(pool.map(lambda pt: _sweep_point(pt[0], out_dir, pt[1]),
-                                    zip(points, tags)))
-    else:
-        reports = [_sweep_point(pt, out_dir, tag) for pt, tag in zip(points, tags)]
+    reports = [_sweep_point(pt, out_dir, tag) for pt, tag in zip(points, tags)]
     write_master_csv(os.path.join(out_dir, "sweep.csv"), reports)
     write_inequality_csv(os.path.join(out_dir, "inequality_sweep.csv"),
                          [(rep.family, rep.parameter, rep.N, rep.R_out, rep.mass,
@@ -375,10 +389,6 @@ def stage_sweep(cfg, out_dir, threads: int = 1):
     return ok and all(trends.values()), payload
 
 
-# the sweep orchestration is the stability_sweep operation; it lives here
-# because it composes every other module's pipeline
-stability_sweep = stage_sweep
-
 STAGES = {
     "check-af": stage_check_af,
     "mass": stage_mass,
@@ -390,7 +400,7 @@ STAGES = {
 }
 
 
-def run(subcommand: str, cfg: ExperimentConfig, out_dir=None, threads: int = 1):
+def run(subcommand: str, cfg: ExperimentConfig, out_dir=None):
     """Execute one subcommand pipeline; returns (exit_code, manifest)."""
     out_dir = cfg.output.directory if out_dir is None else str(out_dir)
     os.makedirs(out_dir, exist_ok=True)
@@ -400,7 +410,7 @@ def run(subcommand: str, cfg: ExperimentConfig, out_dir=None, threads: int = 1):
     ok = False
     try:
         if subcommand == "sweep":
-            ok, payload = stage_sweep(cfg, out_dir, threads=threads)
+            ok, payload = stage_sweep(cfg, out_dir)
         elif subcommand in STAGES:
             ok, payload = STAGES[subcommand](cfg, out_dir)
         else:
@@ -427,7 +437,6 @@ def main(argv=None) -> int:
     parser.add_argument("subcommand", choices=sorted(STAGES) + ["sweep"])
     parser.add_argument("--config", required=True, help="path to the JSON config")
     parser.add_argument("--out", default=None, help="output directory override")
-    parser.add_argument("--threads", type=int, default=1)
     parser.add_argument("--seed", type=int, default=None, help="seed override")
     args = parser.parse_args(argv)
     try:
@@ -437,8 +446,7 @@ def main(argv=None) -> int:
         return 2
     if args.seed is not None:
         cfg = replace(cfg, sampling=replace(cfg.sampling, seed=args.seed))
-    code, manifest = run(args.subcommand, cfg, out_dir=args.out,
-                         threads=args.threads)
+    code, manifest = run(args.subcommand, cfg, out_dir=args.out)
     status = manifest.data["stages"].get(args.subcommand, "?")
     print(f"afstab {args.subcommand}: {status} "
           f"(artifacts: {len(manifest.data['artifacts'])})")

@@ -30,6 +30,7 @@ from scipy.sparse.csgraph import dijkstra
 from .errors import (AfstabError, EmptySample, LeftDomain, NoConvergence,
                      NoCrossing, OutOfDomain)
 from .geometry import MetricChart
+from .grid import ScalarGridField
 from .harmonic import HarmonicTriple
 from .seeding import rng_for
 
@@ -413,7 +414,7 @@ def segment_functional(chart: MetricChart, path: GeodesicPath, f) -> float:
     f may be a ScalarGridField or any callable on (..., 3) points; values
     are trilinearly interpolated grid data in the intended use.
     """
-    fn = f.at if hasattr(f, "at") else f
+    fn = f.interpolator() if isinstance(f, ScalarGridField) else f
     vals = np.asarray(fn(path.nodes), float)
     if np.min(vals) < -1e-12:
         raise ValueError("segment functional requires a nonnegative integrand")
@@ -742,17 +743,16 @@ def pythagorean_check(chart: MetricChart, triple: HarmonicTriple, x, y, axis: in
     return result
 
 
-def write_pythagorean_csv(path, records, family: str, m: float, append=False):
+def write_pythagorean_csv(path, records, family: str, m: float):
     header = ["family", "m", "i", "x", "y", "z", "defect", "u_defect_same",
               "u_defect_cross", "d_xy", "d_xz", "d_yz"]
 
     def point(p):
         return ";".join(repr(float(c)) for c in p)
 
-    with open(path, "a" if append else "w", newline="") as f:
+    with open(path, "w", newline="") as f:
         writer = csv.writer(f)
-        if not append:
-            writer.writerow(header)
+        writer.writerow(header)
         for r in records:
             writer.writerow([family, repr(float(m)), r.axis, point(r.x), point(r.y),
                              point(r.z), repr(r.defect), repr(r.u_defect_same),

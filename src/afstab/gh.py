@@ -105,11 +105,8 @@ def gh_distortion(chart: MetricChart, triple: HarmonicTriple, r: float,
     else:
         node_d = np.linalg.norm(nodes - p, axis=-1) * chart.conformal_factor(nodes) ** 2
     in_ball = (node_d <= r) & ~triple.excluded
-    total = np.zeros(in_ball.shape)
-    for i in range(3):
-        for j in range(3):
-            total += np.abs(triple.gram(i, j) - (1.0 if i == j else 0.0))
-    ortho_l1 = float(np.sum(total[in_ball] * triple.volume_weights()[in_ball]))
+    ortho_l1 = float(np.sum(triple.gram_defect()[in_ball]
+                            * triple.volume_weights()[in_ball]))
     return DistortionReport(r=float(r), n_pairs=int(n_pairs),
                             max_defect=float(np.max(defects)),
                             defect_p50=float(quant[0]), defect_p90=float(quant[1]),

@@ -84,23 +84,6 @@ class ScalarGridField:
         return RegularGridInterpolator((ax, ax, ax), self.values, method="linear",
                                        bounds_error=True)
 
-    def at(self, pts):
-        return self.interpolator()(np.asarray(pts, float))
-
-
-@dataclass
-class VectorGridField:
-    grid: Grid
-    values: np.ndarray   # (N, N, N, 3)
-
-    def interpolator(self):
-        ax = self.grid.axis
-        return RegularGridInterpolator((ax, ax, ax), self.values, method="linear",
-                                       bounds_error=True)
-
-    def at(self, pts):
-        return self.interpolator()(np.asarray(pts, float))
-
 
 # ---------------------------------------------------------------------------
 # finite-difference stencils (post-processing; the solver assembles its own)

@@ -154,10 +154,6 @@ class LaplaceBeltrami:
         return A, couplings
 
 
-def assemble_laplace_beltrami(chart: MetricChart, grid: Grid) -> LaplaceBeltrami:
-    return LaplaceBeltrami(chart, grid)
-
-
 def fit_monopole(chart: MetricChart, radius: float) -> float:
     """Coefficient a of phi ~ 1 + a/r from the sphere average at `radius`."""
     dirs, w = sphere_rule(16, 32)
@@ -256,7 +252,7 @@ class HarmonicTriple:
     excluded: np.ndarray         # nodes excluded from integral norms
     grad_sup: float = 0.0
     u_at_p: tuple = (0.0, 0.0, 0.0)
-    _interpolators: dict = field(default_factory=dict, repr=False)
+    _cache: dict = field(default_factory=dict, repr=False)
 
     @property
     def residual_norms(self):
@@ -287,41 +283,47 @@ class HarmonicTriple:
 
     def u_interp(self, i: int):
         key = ("u", i)
-        if key not in self._interpolators:
-            self._interpolators[key] = self.components[i].u.interpolator()
-        return self._interpolators[key]
+        if key not in self._cache:
+            self._cache[key] = self.components[i].u.interpolator()
+        return self._cache[key]
 
     def grad_interp(self, i: int):
         from scipy.interpolate import RegularGridInterpolator
         key = ("grad", i)
-        if key not in self._interpolators:
+        if key not in self._cache:
             ax = self.grid.axis
-            self._interpolators[key] = RegularGridInterpolator(
+            self._cache[key] = RegularGridInterpolator(
                 (ax, ax, ax), self.components[i].grad, method="linear",
                 bounds_error=True)
-        return self._interpolators[key]
+        return self._cache[key]
 
     def hess_sum_interp(self):
         from scipy.interpolate import RegularGridInterpolator
-        if "hess_sum" not in self._interpolators:
+        if "hess_sum" not in self._cache:
             ax = self.grid.axis
-            self._interpolators["hess_sum"] = RegularGridInterpolator(
+            self._cache["hess_sum"] = RegularGridInterpolator(
                 (ax, ax, ax), self.hess_norm_sum(), method="linear",
                 bounds_error=True)
-        return self._interpolators["hess_sum"]
+        return self._cache["hess_sum"]
 
-    def gram_defect_interp(self):
-        """Interpolator for sum_ij |<grad u^i, grad u^j> - delta^ij|."""
-        from scipy.interpolate import RegularGridInterpolator
-        if "gram_defect" not in self._interpolators:
-            ax = self.grid.axis
+    def gram_defect(self) -> np.ndarray:
+        """sum_ij |<grad u^i, grad u^j> - delta^ij| field, built once."""
+        if "gram_defect" not in self._cache:
             total = np.zeros((self.grid.nodes,) * 3)
             for i in range(3):
                 for j in range(3):
                     total += np.abs(self.gram(i, j) - (1.0 if i == j else 0.0))
-            self._interpolators["gram_defect"] = RegularGridInterpolator(
-                (ax, ax, ax), total, method="linear", bounds_error=True)
-        return self._interpolators["gram_defect"]
+            self._cache["gram_defect"] = total
+        return self._cache["gram_defect"]
+
+    def gram_defect_interp(self):
+        """Interpolator for the gram_defect field."""
+        from scipy.interpolate import RegularGridInterpolator
+        if "gram_defect_interp" not in self._cache:
+            ax = self.grid.axis
+            self._cache["gram_defect_interp"] = RegularGridInterpolator(
+                (ax, ax, ax), self.gram_defect(), method="linear", bounds_error=True)
+        return self._cache["gram_defect_interp"]
 
     def u_map(self, pts) -> np.ndarray:
         """The map u = (u^1, u^2, u^3) at arbitrary points."""
@@ -338,12 +340,10 @@ def _finite_impute(arr: np.ndarray, node):
                     + arr[i, j - 1, k] + arr[i, j, k + 1] + arr[i, j, k - 1]) / 6.0
 
 
-def build_component(chart: MetricChart, grid: Grid, axis: int, bc: str,
-                    operator: LaplaceBeltrami, phi: np.ndarray, dphi: np.ndarray,
-                    tol: float = 1e-11, method: str = "auto",
-                    max_iter: int = 20000) -> HarmonicComponent:
-    u = solve_harmonic_coordinate(chart, grid, axis, bc=bc, tol=tol,
-                                  max_iter=max_iter, method=method, operator=operator)
+def _derived_component(axis: int, u: ScalarGridField, operator: LaplaceBeltrami,
+                       phi: np.ndarray, dphi: np.ndarray) -> HarmonicComponent:
+    """Gradient, covariant Hessian and residual of one solved coordinate."""
+    grid = operator.grid
     h = grid.h
     du = gradient(u.values, h)
     grad = du / phi[..., None] ** 4
@@ -351,10 +351,9 @@ def build_component(chart: MetricChart, grid: Grid, axis: int, bc: str,
     # covariant Hessian: dd_ab - Gamma^k_ab d_k u with the conformal Christoffels
     w = dphi / phi[..., None]
     duw = np.einsum("...a,...a->...", du, w)
-    eye = np.eye(3)
     gamma_term = 2.0 * (du[..., :, None] * w[..., None, :]
                         + w[..., :, None] * du[..., None, :]
-                        - eye * duw[..., None, None])
+                        - np.eye(3) * duw[..., None, None])
     hess = dd - gamma_term
     resid = operator.apply(u.values)
     inner = ~grid.margin_mask(2)
@@ -363,6 +362,15 @@ def build_component(chart: MetricChart, grid: Grid, axis: int, bc: str,
     residual_norm = float(np.max(np.abs(resid[inner])))
     return HarmonicComponent(axis=axis, u=u, du=du, grad=grad, hess=hess,
                              residual_norm=residual_norm)
+
+
+def build_component(chart: MetricChart, grid: Grid, axis: int, bc: str,
+                    operator: LaplaceBeltrami, phi: np.ndarray, dphi: np.ndarray,
+                    tol: float = 1e-11, method: str = "auto",
+                    max_iter: int = 20000) -> HarmonicComponent:
+    u = solve_harmonic_coordinate(chart, grid, axis, bc=bc, tol=tol,
+                                  max_iter=max_iter, method=method, operator=operator)
+    return _derived_component(axis, u, operator, phi, dphi)
 
 
 def _nodal_conformal_cache(chart: MetricChart, grid: Grid, operator: LaplaceBeltrami):
@@ -398,7 +406,7 @@ def _assemble_triple(chart, grid, comps, bc, normalization, operator, phi, dphi)
     for c, off in zip(comps, offsets):
         c.u.values -= off
     triple.u_at_p = tuple(offsets)
-    triple._interpolators.clear()
+    triple._cache.clear()
     sup = 0.0
     for i in range(3):
         sup = max(sup, float(np.max(triple.grad_norm(i)[~excluded])))
@@ -440,22 +448,7 @@ def triple_from_solutions(chart: MetricChart, grid: Grid, solutions,
     for axis, sol in enumerate(solutions):
         if sol.grid != grid:
             raise MismatchedChart("field dump grid differs from the config grid")
-        h = grid.h
-        du = gradient(sol.values, h)
-        grad = du / phi[..., None] ** 4
-        dd = second_derivatives(sol.values, h)
-        w = dphi / phi[..., None]
-        duw = np.einsum("...a,...a->...", du, w)
-        gamma_term = 2.0 * (du[..., :, None] * w[..., None, :]
-                            + w[..., :, None] * du[..., None, :]
-                            - np.eye(3) * duw[..., None, None])
-        resid = operator.apply(sol.values)
-        inner = ~grid.margin_mask(2)
-        if operator.singular_node is not None:
-            inner[operator.singular_node] = False
-        comps.append(HarmonicComponent(axis=axis, u=sol, du=du, grad=grad,
-                                       hess=dd - gamma_term,
-                                       residual_norm=float(np.max(np.abs(resid[inner])))))
+        comps.append(_derived_component(axis, sol, operator, phi, dphi))
     return _assemble_triple(chart, grid, comps, bc, normalization, operator,
                             phi, dphi)
 

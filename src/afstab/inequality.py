@@ -11,7 +11,6 @@ asserted on any single grid.
 """
 
 import csv
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -243,22 +242,14 @@ def richardson_slack(slacks, spacings):
     return e_last, band
 
 
-def write_inequality_csv(path, rows, append=False):
+def write_inequality_csv(path, rows):
     """Sweep CSV: family, m, N, R_out, mass, rhs_integral, hessian_l2,
     grad_sup, slack, psi_l1."""
     header = ["family", "m", "N", "R_out", "mass", "rhs_integral",
               "hessian_l2", "grad_sup", "slack", "psi_l1"]
-    mode = "a" if append else "w"
-    with open(path, mode, newline="") as f:
+    with open(path, "w", newline="") as f:
         writer = csv.writer(f)
-        if not append:
-            writer.writerow(header)
+        writer.writerow(header)
         for row in rows:
             writer.writerow([row[0]] + [str(v) if isinstance(v, (int, np.integer))
                                         else repr(float(v)) for v in row[1:]])
-
-
-def write_report_json(path, report):
-    with open(path, "w") as f:
-        json.dump(report.to_json_dict(), f, sort_keys=True, indent=2)
-        f.write("\n")

@@ -8,6 +8,8 @@ import sys
 import pytest
 
 import afstab.cli
+import afstab.harmonic
+import afstab.mass
 from afstab.cli import _sweep_point, main, run
 from afstab.config import config_from_dict
 from afstab.reporting import load_manifest, sha256_file
@@ -133,6 +135,22 @@ class TestFailedStages:
         assert loaded.verify() == []
         assert "FAILED" in (tmp_path / "summary.txt").read_text()
 
+    def test_mixed_dumps_fail_inequality(self, schw_cfg, tmp_path):
+        # a harmonic run stopped after u1 leaves u2, u3 of another config
+        assert run("harmonic", schw_cfg, out_dir=tmp_path)[0] == 0
+        sidecar = tmp_path / "u3.field.json"
+        data = json.loads(sidecar.read_text())
+        data["params"]["m"] = 0.3
+        sidecar.write_text(json.dumps(data))
+        (tmp_path / "manifest.json").unlink()
+        code, manifest = run("inequality", schw_cfg, out_dir=tmp_path)
+        assert code == 1
+        status = manifest.data["stages"]["inequality"]
+        assert status.startswith("failed: BadFieldDump") and "u3.field.json" in status
+        loaded = load_manifest(tmp_path)
+        assert loaded.data["stages"] == {"inequality": status}
+        assert loaded.verify() == []
+
 
 class TestManifest:
     def test_completeness_and_hashes(self, flat_cfg, tmp_path):
@@ -211,6 +229,17 @@ class TestSweep:
         assert rep.mass == ineq["mass"]
         assert rep.hessian_l2 == max(ax["hessian_l2"] for ax in ineq["axes"])
         assert rep.rhs_integral == max(ax["rhs_integral"] for ax in ineq["axes"])
+        # fresh single stages (no dumps, so each solves) give the sweep's numbers
+        for sub in ("distort", "pythagoras", "flow"):
+            assert run(sub, cfg, out_dir=tmp_path / sub)[0] == 0, sub
+        dist = json.loads((tmp_path / "distort" / "distortion_report.json").read_text())
+        pyth = json.loads((tmp_path / "pythagoras" / "pythagoras_report.json").read_text())
+        flow = json.loads((tmp_path / "flow" / "flow_report.json").read_text())
+        assert (rep.defect_p50, rep.defect_p90, rep.defect_max, rep.ortho_l1) == (
+            dist["defect_p50"], dist["defect_p90"], dist["max_defect"], dist["ortho_l1"])
+        assert rep.pythagorean_median == pyth["median_defect"]
+        assert (rep.image_hausdorff, rep.flow_err_max) == (
+            flow["image_hausdorff"], flow["flow_err_max"])
 
         data["mass"]["residual_threshold"] = 1e-14
         cfg = config_from_dict(data)
@@ -218,17 +247,21 @@ class TestSweep:
         rep = _sweep_point(cfg, tmp_path, "m0.1-strict")
         assert rep.stages["mass"].startswith("failed: FitFailure")
 
-    def test_parallel_sweep_matches_serial(self, tmp_path):
-        # execution order must not leak into any artifact
-        cfg = config_from_dict(tiny_config(
-            tag="schwarzschild",
-            family={"tag": "schwarzschild", "params": {"m": 0.2},
-                    "box_halfwidth": 100.0},
-            sweep={"parameter": "m", "values": [0.2, 0.1, 0.05]}))
-        serial, parallel = tmp_path / "serial", tmp_path / "parallel"
-        assert run("sweep", cfg, out_dir=serial)[0] == 0
-        assert run("sweep", cfg, out_dir=parallel, threads=3)[0] == 0
-        for name in os.listdir(serial):
-            if name == "manifest.json":
-                continue
-            assert sha256_file(serial / name) == sha256_file(parallel / name), name
+
+class TestBenchHooks:
+    def test_tracer_hooks_resolve(self, monkeypatch):
+        # every name the benchmark's tracer wraps must exist, and uninstall
+        # must leave the program as it was
+        bench = os.path.join(os.path.dirname(__file__), os.pardir, "bench")
+        monkeypatch.syspath_prepend(os.path.abspath(bench))
+        import tracing
+
+        stages = dict(afstab.cli.STAGES)
+        tracer = tracing.Tracer()
+        try:
+            tracer.install()
+        finally:
+            tracer.uninstall()
+        assert afstab.cli.STAGES == stages
+        assert afstab.cli.adm_mass is afstab.mass.adm_mass
+        assert hasattr(afstab.harmonic, "pyamg")

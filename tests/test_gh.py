@@ -8,7 +8,7 @@ from afstab.geometry import MetricChart
 from afstab.gh import (StabilityReport, flow_coverage, gh_distortion,
                        gradient_flow_step, reach_point, sample_geodesic_ball,
                        write_master_csv)
-from afstab.harmonic import assemble_laplace_beltrami
+from afstab.harmonic import LaplaceBeltrami
 
 
 class TestBallSampling:
@@ -132,7 +132,7 @@ class TestFlows:
         # the literally assertable form: the discrete divergence of grad u^j
         # (the operator residual) has weighted L1 norm at solver tolerance
         chart = schw_charts[0.2]
-        op = assemble_laplace_beltrami(chart, schw02_triple.grid)
+        op = LaplaceBeltrami(chart, schw02_triple.grid)
         w = schw02_triple.volume_weights()
         ok = ~schw02_triple.excluded
         for comp in schw02_triple.components:

@@ -6,9 +6,8 @@ import pytest
 from afstab.errors import ExcisedPoint, MismatchedChart
 from afstab.geometry import MetricChart
 from afstab.grid import Grid, ScalarGridField
-from afstab.harmonic import (LaplaceBeltrami, assemble_laplace_beltrami,
-                             boundary_values, build_harmonic_triple,
-                             cheng_yau_ratio, fit_monopole,
+from afstab.harmonic import (LaplaceBeltrami, boundary_values,
+                             build_harmonic_triple, cheng_yau_ratio, fit_monopole,
                              solve_harmonic_coordinate, triple_from_solutions)
 
 from oracles import harmonic_radial_profile, schwarzschild_harmonic_closed_form
@@ -22,7 +21,7 @@ def schw_chart():
 class TestAssembly:
     def test_flat_gives_seven_point_laplacian(self):
         grid = Grid(halfwidth=5.0, nodes=17)
-        op = assemble_laplace_beltrami(MetricChart("flat", box_halfwidth=10.0), grid)
+        op = LaplaceBeltrami(MetricChart("flat", box_halfwidth=10.0), grid)
         rng = np.random.default_rng(1)
         f = rng.normal(size=(17, 17, 17))
         lap = op.apply(f)
@@ -36,13 +35,13 @@ class TestAssembly:
 
     def test_constants_are_harmonic(self, schw_chart):
         grid = Grid(halfwidth=10.0, nodes=17)
-        op = assemble_laplace_beltrami(schw_chart, grid)
+        op = LaplaceBeltrami(schw_chart, grid)
         lap = op.apply(np.full((17, 17, 17), 3.7))
         assert np.max(np.abs(lap)) < 1e-12
 
     def test_interior_matrix_symmetric(self, schw_chart):
         grid = Grid(halfwidth=10.0, nodes=17)
-        A, _ = assemble_laplace_beltrami(schw_chart, grid).interior_system()
+        A, _ = LaplaceBeltrami(schw_chart, grid).interior_system()
         asym = (A - A.T).tocoo()
         assert len(asym.data) == 0 or np.max(np.abs(asym.data)) < 1e-13
 
@@ -53,7 +52,7 @@ class TestAssembly:
         errs = []
         for n in (33, 65):
             grid = Grid(halfwidth=20.0, nodes=n)
-            op = assemble_laplace_beltrami(schw_chart, grid)
+            op = LaplaceBeltrami(schw_chart, grid)
             w = 1.0 / schw_chart.conformal_factor(grid.points())
             resid = op.apply(w)
             sample = (~grid.margin_mask(2)) & (grid.radius() >= 1.0)

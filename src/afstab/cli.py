@@ -170,9 +170,11 @@ def _relaxed_certificate(ctx: RunContext):
 
 
 def _distortion(ctx: RunContext):
+    """The distortion report and ok, when failed pairs stay within the 1 % rule."""
     s = ctx.cfg.sampling
-    return gh_distortion(ctx.chart, ctx.triple, s.ball_radius, s.n_pairs, s.seed,
-                         dist_field=ctx.eikonal_field)
+    rep = gh_distortion(ctx.chart, ctx.triple, s.ball_radius, s.n_pairs, s.seed,
+                        dist_field=ctx.eikonal_field)
+    return rep, rep.n_failed_pairs <= max(1, s.n_pairs // 100)
 
 
 def _pythagoras_records(ctx: RunContext):
@@ -231,10 +233,10 @@ def stage_harmonic(cfg, out_dir):
     ctx = RunContext(cfg, out_dir, reuse_dumps=False)
     triple = ctx.triple
     sidecar = _chart_sidecar(cfg, ctx.chart)
-    for i, comp in enumerate(triple.components):
-        write_field(os.path.join(out_dir, f"u{i + 1}.field"), comp.u, sidecar)
+    for i, u in enumerate(triple.u):
+        write_field(os.path.join(out_dir, f"u{i + 1}.field"), u, sidecar)
     write_axis_profiles(os.path.join(out_dir, "harmonic_profiles.csv"),
-                        {f"u{i + 1}": triple.components[i].u.values for i in range(3)},
+                        {f"u{i + 1}": triple.u[i].values for i in range(3)},
                         triple.grid)
     payload = {"residual_norms": list(triple.residual_norms),
                "grad_sup": triple.grad_sup,
@@ -282,9 +284,8 @@ def stage_pythagoras(cfg, out_dir):
 
 
 def stage_distort(cfg, out_dir):
-    rep = _distortion(RunContext(cfg, out_dir))
+    rep, ok = _distortion(RunContext(cfg, out_dir))
     write_json(os.path.join(out_dir, "distortion_report.json"), rep.to_json_dict())
-    ok = rep.n_failed_pairs <= max(1, cfg.sampling.n_pairs // 100)
     return ok, rep.to_json_dict()
 
 
@@ -345,7 +346,10 @@ def _sweep_point(cfg_point: ExperimentConfig, out_dir, tag: str):
         with _tagged(rep, "certificate"):
             rep.psi_l1 = _relaxed_certificate(ctx).psi_l1
         with _tagged(rep, "distortion"):
-            d = _distortion(ctx)
+            d, ok = _distortion(ctx)
+            if not ok:
+                raise NoConvergence(f"{d.n_failed_pairs} of {d.n_pairs} "
+                                    "distortion pairs failed")
             rep.ortho_l1, rep.defect_p50, rep.defect_p90, rep.defect_max = (
                 d.ortho_l1, d.defect_p50, d.defect_p90, d.max_defect)
         with _tagged(rep, "pythagoras"):

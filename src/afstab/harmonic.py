@@ -1,8 +1,11 @@
 """Harmonic coordinates on a truncated grid.
 
 Solves div_g grad u = 0 for the three functions asymptotic to the chart
-coordinates, with Dirichlet data on the truncation box, then produces the
-g-gradient and covariant-Hessian fields the downstream diagnostics need.
+coordinates, with Dirichlet data on the truncation box, all three against
+one assembled operator and matrix.  The triple keeps what the downstream
+diagnostics read: u, its coordinate partials (from which |grad u|_g, the
+Gram defect and the interpolated g-gradient are formed) and |Hess u|_g^2;
+the covariant Hessian exists only while that norm is computed.
 
 The discretization is the conservative second-order scheme for
 u -> (1/sqrt(det g)) d_a (sqrt(det g) g^ab d_b u) with coefficients
@@ -20,7 +23,7 @@ import scipy.sparse as sps
 from scipy.sparse.linalg import cg
 
 from .errors import ExcisedPoint, MismatchedChart, SolverDiverged
-from .geometry import MetricChart
+from .geometry import MetricChart, scalar_curvature
 from .grid import Grid, ScalarGridField, gradient, second_derivatives
 from .mass import sphere_rule
 
@@ -34,6 +37,13 @@ def _offdiag_magnitude(chart: MetricChart):
     probe = np.array([[1.3, 0.7, -0.4], [3.0, 2.0, 1.0], [-2.0, 0.3, 0.9]])
     g = chart.metric(probe)
     return float(np.max(np.abs(g - np.einsum("...ab,ab->...ab", g, np.eye(3)))))
+
+
+def _finite_impute(arr: np.ndarray, node):
+    """Replace the values at one node by the mean of its six neighbors."""
+    i, j, k = node
+    arr[i, j, k] = (arr[i + 1, j, k] + arr[i - 1, j, k] + arr[i, j + 1, k]
+                    + arr[i, j - 1, k] + arr[i, j, k + 1] + arr[i, j, k - 1]) / 6.0
 
 
 class LaplaceBeltrami:
@@ -80,11 +90,10 @@ class LaplaceBeltrami:
             if abs(ax[c]) < 1e-12:
                 self.singular_node = (c, c, c)
                 # impute the puncture node so nodal caches stay finite
-                phi[c, c, c] = (phi[c - 1, c, c] + phi[c + 1, c, c]
-                                + phi[c, c - 1, c] + phi[c, c + 1, c]
-                                + phi[c, c, c - 1] + phi[c, c, c + 1]) / 6.0
+                _finite_impute(phi, self.singular_node)
         self.weight = phi**6
         self.h = h
+        self._system = None
 
     def apply(self, values: np.ndarray) -> np.ndarray:
         """Operator applied to nodal values; zero on the boundary ring."""
@@ -108,7 +117,14 @@ class LaplaceBeltrami:
         Returns (A, couplings) where couplings is a list of
         (interior_flat_index, boundary_multi_index, coefficient) encoded as
         arrays, so rhs = sum coefficient * u_boundary for any Dirichlet data.
+        Assembled on the first call; later calls return the same objects, so
+        the three axes of a triple solve against one matrix.
         """
+        if self._system is None:
+            self._system = self._assemble()
+        return self._system
+
+    def _assemble(self):
         N = self.grid.nodes
         n = N - 2
         idx = -np.ones((N, N, N), dtype=np.int64)
@@ -231,20 +247,20 @@ def solve_harmonic_coordinate(chart: MetricChart, grid: Grid, axis: int,
 
 
 @dataclass
-class HarmonicComponent:
-    axis: int
-    u: ScalarGridField
-    du: np.ndarray        # (N, N, N, 3) coordinate partials
-    grad: np.ndarray      # (N, N, N, 3) raised g-gradient components
-    hess: np.ndarray      # (N, N, N, 3, 3) covariant Hessian
-    residual_norm: float
-
-
-@dataclass
 class HarmonicTriple:
+    """The three solved coordinates and the fields the diagnostics read.
+
+    du[i] holds the coordinate partials of u^i and hess2[i] the field
+    |Hess u^i|_g^2, both taken from the solved values before normalization;
+    the g-gradient and the covariant Hessian are not kept.
+    """
+
     chart: MetricChart
     grid: Grid
-    components: tuple
+    u: tuple                     # three solved ScalarGridFields
+    du: tuple                    # (N, N, N, 3) coordinate partials per axis
+    hess2: tuple                 # (N, N, N) |Hess u^i|_g^2 per axis
+    residual_norms: tuple
     bc: str
     normalization: str
     phi: np.ndarray              # nodal conformal factor (puncture imputed)
@@ -254,23 +270,18 @@ class HarmonicTriple:
     u_at_p: tuple = (0.0, 0.0, 0.0)
     _cache: dict = field(default_factory=dict, repr=False)
 
-    @property
-    def residual_norms(self):
-        return tuple(c.residual_norm for c in self.components)
-
     def volume_weights(self) -> np.ndarray:
         """Riemannian cell volumes sqrt(det g) h^3 at nodes."""
         return self.phi**6 * self.grid.h**3
 
     def grad_norm(self, i: int) -> np.ndarray:
         """|grad u^i|_g field."""
-        du = self.components[i].du
+        du = self.du[i]
         return np.sqrt(np.einsum("...a,...a->...", du, du)) / self.phi**2
 
     def hess_norm2(self, i: int) -> np.ndarray:
         """|Hess u^i|_g^2 field (both indices raised with g^-1)."""
-        H = self.components[i].hess
-        return np.einsum("...ab,...ab->...", H, H) / self.phi**8
+        return self.hess2[i]
 
     def hess_norm_sum(self) -> np.ndarray:
         """sum_j |Hess u^j|_g, the segment-functional integrand."""
@@ -278,22 +289,30 @@ class HarmonicTriple:
 
     def gram(self, i: int, j: int) -> np.ndarray:
         """<grad u^i, grad u^j>_g field."""
-        return (np.einsum("...a,...a->...", self.components[i].du,
-                          self.components[j].du) / self.phi**4)
+        return np.einsum("...a,...a->...", self.du[i], self.du[j]) / self.phi**4
+
+    def scalar_curvature(self) -> np.ndarray:
+        """R = -8 phi^-5 lap(phi) at the nodes, from the chart's phi (the
+        puncture is not imputed), built once."""
+        if "scalar" not in self._cache:
+            with np.errstate(invalid="ignore"):
+                self._cache["scalar"] = scalar_curvature(self.chart, self.grid.points())
+        return self._cache["scalar"]
 
     def u_interp(self, i: int):
         key = ("u", i)
         if key not in self._cache:
-            self._cache[key] = self.components[i].u.interpolator()
+            self._cache[key] = self.u[i].interpolator()
         return self._cache[key]
 
     def grad_interp(self, i: int):
+        """Interpolator of the raised g-gradient du / phi^4 of u^i."""
         from scipy.interpolate import RegularGridInterpolator
         key = ("grad", i)
         if key not in self._cache:
             ax = self.grid.axis
             self._cache[key] = RegularGridInterpolator(
-                (ax, ax, ax), self.components[i].grad, method="linear",
+                (ax, ax, ax), self.du[i] / self.phi[..., None] ** 4, method="linear",
                 bounds_error=True)
         return self._cache[key]
 
@@ -333,63 +352,41 @@ class HarmonicTriple:
         return out[0] if single else out
 
 
-def _finite_impute(arr: np.ndarray, node):
-    """Replace the values at one node by the mean of its six neighbors."""
-    i, j, k = node
-    arr[i, j, k] = (arr[i + 1, j, k] + arr[i - 1, j, k] + arr[i, j + 1, k]
-                    + arr[i, j - 1, k] + arr[i, j, k + 1] + arr[i, j, k - 1]) / 6.0
+def _gradient_and_hessian(values: np.ndarray, phi: np.ndarray, dphi: np.ndarray,
+                          h: float):
+    """Coordinate partials and covariant Hessian of nodal values.
 
-
-def _derived_component(axis: int, u: ScalarGridField, operator: LaplaceBeltrami,
-                       phi: np.ndarray, dphi: np.ndarray) -> HarmonicComponent:
-    """Gradient, covariant Hessian and residual of one solved coordinate."""
-    grid = operator.grid
-    h = grid.h
-    du = gradient(u.values, h)
-    grad = du / phi[..., None] ** 4
-    dd = second_derivatives(u.values, h)
-    # covariant Hessian: dd_ab - Gamma^k_ab d_k u with the conformal Christoffels
+    The Hessian is dd_ab - Gamma^k_ab d_k u with the conformal Christoffels.
+    """
+    du = gradient(values, h)
+    dd = second_derivatives(values, h)
     w = dphi / phi[..., None]
     duw = np.einsum("...a,...a->...", du, w)
     gamma_term = 2.0 * (du[..., :, None] * w[..., None, :]
                         + w[..., :, None] * du[..., None, :]
                         - np.eye(3) * duw[..., None, None])
-    hess = dd - gamma_term
-    resid = operator.apply(u.values)
-    inner = ~grid.margin_mask(2)
-    if operator.singular_node is not None:
-        inner[operator.singular_node] = False
-    residual_norm = float(np.max(np.abs(resid[inner])))
-    return HarmonicComponent(axis=axis, u=u, du=du, grad=grad, hess=hess,
-                             residual_norm=residual_norm)
+    return du, dd - gamma_term
 
 
-def build_component(chart: MetricChart, grid: Grid, axis: int, bc: str,
-                    operator: LaplaceBeltrami, phi: np.ndarray, dphi: np.ndarray,
-                    tol: float = 1e-11, method: str = "auto",
-                    max_iter: int = 20000) -> HarmonicComponent:
-    u = solve_harmonic_coordinate(chart, grid, axis, bc=bc, tol=tol,
-                                  max_iter=max_iter, method=method, operator=operator)
-    return _derived_component(axis, u, operator, phi, dphi)
-
-
-def _nodal_conformal_cache(chart: MetricChart, grid: Grid, operator: LaplaceBeltrami):
-    pts = grid.points()
-    phi, dphi, _ = chart.conformal_terms(pts)
-    phi = phi.copy()
-    dphi = dphi.copy()
+def _triple(chart, grid, solutions, bc, normalization, operator) -> HarmonicTriple:
+    """The triple of three solved fields: derived fields and residuals from
+    the solved values, then the normalization."""
+    phi, dphi = chart.conformal_gradient(grid.points())
+    excluded = grid.margin_mask(2)
     if operator.singular_node is not None:
         _finite_impute(phi, operator.singular_node)
         _finite_impute(dphi, operator.singular_node)
-    return phi, dphi
-
-
-def _assemble_triple(chart, grid, comps, bc, normalization, operator, phi, dphi):
-    excluded = grid.margin_mask(2)
-    if operator.singular_node is not None:
         excluded[operator.singular_node] = True
-    triple = HarmonicTriple(chart=chart, grid=grid, components=tuple(comps), bc=bc,
-                            normalization=normalization, phi=phi, dphi=dphi,
+    du, hess2, residual_norms = [], [], []
+    for u in solutions:
+        du_i, hess = _gradient_and_hessian(u.values, phi, dphi, grid.h)
+        du.append(du_i)
+        hess2.append(np.einsum("...ab,...ab->...", hess, hess) / phi**8)
+        resid = operator.apply(u.values)
+        residual_norms.append(float(np.max(np.abs(resid[~excluded]))))
+    triple = HarmonicTriple(chart=chart, grid=grid, u=tuple(solutions), du=tuple(du),
+                            hess2=tuple(hess2), residual_norms=tuple(residual_norms),
+                            bc=bc, normalization=normalization, phi=phi, dphi=dphi,
                             excluded=excluded)
     if normalization == "point":
         p = np.asarray(chart.base_point, float)
@@ -398,19 +395,16 @@ def _assemble_triple(chart, grid, comps, bc, normalization, operator, phi, dphi)
         r = grid.radius()
         shell = (r >= 0.5 * grid.halfwidth) & (r <= 0.75 * grid.halfwidth) & ~excluded
         wv = triple.volume_weights()[shell]
-        offsets = [float(np.sum(c.u.values[shell] * wv) / np.sum(wv)) for c in comps]
+        offsets = [float(np.sum(u.values[shell] * wv) / np.sum(wv)) for u in solutions]
     elif normalization == "none":
         offsets = [0.0, 0.0, 0.0]
     else:
         raise ValueError(f"unknown normalization {normalization!r}")
-    for c, off in zip(comps, offsets):
-        c.u.values -= off
+    for u, off in zip(solutions, offsets):
+        u.values -= off
     triple.u_at_p = tuple(offsets)
     triple._cache.clear()
-    sup = 0.0
-    for i in range(3):
-        sup = max(sup, float(np.max(triple.grad_norm(i)[~excluded])))
-    triple.grad_sup = sup
+    triple.grad_sup = max(float(np.max(triple.grad_norm(i)[~excluded])) for i in range(3))
     return triple
 
 
@@ -418,19 +412,19 @@ def build_harmonic_triple(chart: MetricChart, grid: Grid, bc: str = "corrected",
                           tol: float = 1e-11, method: str = "auto",
                           max_iter: int = 20000,
                           normalization: str = "point") -> HarmonicTriple:
-    """Solve all three axes and attach gradients, Hessians, and normalization.
+    """Solve all three axes against one operator and matrix, then attach
+    the derived fields and the normalization.
 
     normalization "point" subtracts u^i(p) (trilinear at the chart base
     point); "annulus" subtracts the volume-weighted mean over the shell
     halfwidth/2 <= |x| <= 3 halfwidth/4.
     """
     operator = LaplaceBeltrami(chart, grid)
-    phi, dphi = _nodal_conformal_cache(chart, grid, operator)
-    comps = [build_component(chart, grid, a, bc, operator, phi, dphi,
-                             tol=tol, method=method, max_iter=max_iter)
-             for a in range(3)]
-    return _assemble_triple(chart, grid, comps, bc, normalization, operator,
-                            phi, dphi)
+    solutions = [solve_harmonic_coordinate(chart, grid, a, bc=bc, tol=tol,
+                                           max_iter=max_iter, method=method,
+                                           operator=operator)
+                 for a in range(3)]
+    return _triple(chart, grid, solutions, bc, normalization, operator)
 
 
 def triple_from_solutions(chart: MetricChart, grid: Grid, solutions,
@@ -438,19 +432,16 @@ def triple_from_solutions(chart: MetricChart, grid: Grid, solutions,
                           normalization: str = "point") -> HarmonicTriple:
     """Rebuild a triple from already-solved nodal fields (e.g. field dumps).
 
-    Derived fields (gradients, Hessians, residual norms) are recomputed
+    Derived fields (gradients, Hessian norms, residual norms) are recomputed
     from the nodal values; normalization is re-applied, which is a no-op
-    on fields that were normalized before serialization.
+    on fields that were normalized before serialization.  The fields are
+    normalized in place.
     """
-    operator = LaplaceBeltrami(chart, grid)
-    phi, dphi = _nodal_conformal_cache(chart, grid, operator)
-    comps = []
-    for axis, sol in enumerate(solutions):
+    for sol in solutions:
         if sol.grid != grid:
             raise MismatchedChart("field dump grid differs from the config grid")
-        comps.append(_derived_component(axis, sol, operator, phi, dphi))
-    return _assemble_triple(chart, grid, comps, bc, normalization, operator,
-                            phi, dphi)
+    return _triple(chart, grid, list(solutions), bc, normalization,
+                   LaplaceBeltrami(chart, grid))
 
 
 def cheng_yau_ratio(triple: HarmonicTriple, i: int, radius: float,
@@ -466,5 +457,5 @@ def cheng_yau_ratio(triple: HarmonicTriple, i: int, radius: float,
     outer = (r <= 2.0 * radius) & ~triple.excluded
     u0 = float(triple.u_interp(i)(c)[0])
     num = float(np.max(triple.grad_norm(i)[inner]))
-    den = float(np.max(np.abs(triple.components[i].u.values[outer] - u0)))
+    den = float(np.max(np.abs(triple.u[i].values[outer] - u0)))
     return num / max(den, 1e-300)

@@ -61,10 +61,7 @@ def mass_inequality_rhs(triple: HarmonicTriple, chart: MetricChart, axis: int,
     if eps_grad <= 0.0:
         raise ValueError("eps_grad must be positive")
 
-    pts = triple.grid.points()
-    phi, _, ddphi = chart.conformal_terms(pts)
-    with np.errstate(invalid="ignore"):
-        scal = -8.0 * phi**-5 * np.trace(ddphi, axis1=-2, axis2=-1)
+    scal = triple.scalar_curvature()
     weights = triple.volume_weights()
 
     usable = ~triple.excluded

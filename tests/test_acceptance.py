@@ -19,9 +19,7 @@ from afstab.geometry import (MetricChart, VolumeSampling, certify_hypotheses,
                              ricci_batch)
 from afstab.gh import flow_coverage, gh_distortion, sample_geodesic_ball
 from afstab.grid import Grid
-from afstab.harmonic import (LaplaceBeltrami, _assemble_triple,
-                             _nodal_conformal_cache, build_component,
-                             solve_harmonic_coordinate)
+from afstab.harmonic import solve_harmonic_coordinate, triple_from_solutions
 from afstab.inequality import (VectorFieldSpec, mass_inequality_rhs,
                                relaxed_scalar_certificate, richardson_slack)
 from afstab.mass import adm_mass
@@ -38,13 +36,10 @@ LEVELS = (33, 65, 129)
 
 
 def single_axis_triple(chart, grid):
-    """Axis-1 component wrapped as a triple (normalization skipped; the
+    """Axis-1 solve wrapped as a triple (normalization skipped; the
     inequality integrals only read derivative fields)."""
-    op = LaplaceBeltrami(chart, grid)
-    phi, dphi = _nodal_conformal_cache(chart, grid, op)
-    comp = build_component(chart, grid, 0, "corrected", op, phi, dphi)
-    return _assemble_triple(chart, grid, [comp, comp, comp], "corrected",
-                            "none", op, phi, dphi)
+    u = solve_harmonic_coordinate(chart, grid, 0, bc="corrected")
+    return triple_from_solutions(chart, grid, [u, u, u], normalization="none")
 
 
 @pytest.fixture(scope="module")
@@ -121,7 +116,7 @@ def test_criterion_04_harmonic_ode_oracle(criterion, refinement_triples):
     for n, triple in refinement_triples.items():
         grid = triple.grid
         c = n // 2
-        u = triple.components[0].u.values
+        u = triple.u[0].values
         err = 0.0
         for r, href in zip(PROBE_RADII, H):
             i = int(round((r + 20.0) / grid.h))

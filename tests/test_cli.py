@@ -5,9 +5,11 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import afstab.cli
+import afstab.gh
 import afstab.harmonic
 import afstab.mass
 from afstab.cli import _sweep_point, main, run
@@ -72,6 +74,10 @@ class TestSubcommands:
                     "box_halfwidth": 100.0}))
         out = tmp_path / "out"
         env = dict(os.environ)
+        # the child imports the same afstab as this process, installed or not
+        src = os.path.dirname(os.path.dirname(afstab.cli.__file__))
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p)
         for sub in ("harmonic", "inequality"):
             proc = subprocess.run(
                 [sys.executable, "-m", "afstab.cli", sub, "--config",
@@ -246,6 +252,36 @@ class TestSweep:
         assert run("mass", cfg, out_dir=tmp_path / "mass")[0] == 1
         rep = _sweep_point(cfg, tmp_path, "m0.1-strict")
         assert rep.stages["mass"].startswith("failed: FitFailure")
+
+
+    def test_distortion_failures_fail_stage_and_sweep(self, tmp_path, monkeypatch):
+        # 2 failed pairs of 20 exceed the max(1, n_pairs // 100) rule, so the
+        # single stage and the sweep point must both report a failure
+        data = tiny_config(
+            tag="schwarzschild",
+            family={"tag": "schwarzschild", "params": {"m": 0.1},
+                    "box_halfwidth": 100.0},
+            sweep={"parameter": "m", "values": [0.1, 0.05, 0.025]})
+        data["sampling"]["n_pairs"] = 20
+        cfg = config_from_dict(data)
+        real_batch = afstab.gh.distance_batch
+
+        def two_unconverged(chart, x, y, *args, **kwargs):
+            d, w, res, conv = real_batch(chart, x, y, *args, **kwargs)
+            # the x-y pair batch; ball sampling shoots from the base point
+            if len(y) == 20 and np.any(np.asarray(x) != chart.base_point):
+                conv = conv.copy()
+                conv[:2] = False
+            return d, w, res, conv
+
+        monkeypatch.setattr(afstab.gh, "distance_batch", two_unconverged)
+        code, manifest = run("distort", cfg, out_dir=tmp_path / "distort")
+        assert code == 1
+        assert manifest.data["stages"]["distort"] == "assertion-failed"
+        dist = json.loads((tmp_path / "distort" / "distortion_report.json").read_text())
+        assert dist["n_failed_pairs"] == 2
+        rep = _sweep_point(cfg, tmp_path, "m0.1")
+        assert rep.stages["distortion"].startswith("failed: NoConvergence"), rep.stages
 
 
 class TestBenchHooks:

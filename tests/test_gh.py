@@ -135,8 +135,8 @@ class TestFlows:
         op = LaplaceBeltrami(chart, schw02_triple.grid)
         w = schw02_triple.volume_weights()
         ok = ~schw02_triple.excluded
-        for comp in schw02_triple.components:
-            resid = op.apply(comp.u.values)
+        for u in schw02_triple.u:
+            resid = op.apply(u.values)
             l1 = float(np.sum(np.abs(resid[ok]) * w[ok]))
             scale = float(np.sum(w[ok])) * 20.0 / schw02_triple.grid.h**2
             assert l1 / scale < 1e-9

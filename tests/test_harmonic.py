@@ -1,12 +1,15 @@
 """Harmonic solver: operator structure, oracle agreement, field invariants."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+import afstab.harmonic
 from afstab.errors import ExcisedPoint, MismatchedChart
 from afstab.geometry import MetricChart
 from afstab.grid import Grid, ScalarGridField
-from afstab.harmonic import (LaplaceBeltrami, boundary_values,
+from afstab.harmonic import (LaplaceBeltrami, _gradient_and_hessian, boundary_values,
                              build_harmonic_triple, cheng_yau_ratio, fit_monopole,
                              solve_harmonic_coordinate, triple_from_solutions)
 
@@ -143,17 +146,20 @@ class TestTriple:
     def test_flat_triple_fields(self, flat_triple):
         grid = flat_triple.grid
         ok = ~flat_triple.excluded
-        for i, comp in enumerate(flat_triple.components):
+        for i in range(3):
             e_i = np.zeros(3)
             e_i[i] = 1.0
-            assert np.max(np.abs(comp.grad[ok] - e_i)) < 1e-8
-            assert np.max(np.abs(comp.hess[ok])) < 1e-8
+            grad = flat_triple.du[i] / flat_triple.phi[..., None] ** 4
+            assert np.max(np.abs(grad[ok] - e_i)) < 1e-8
+            # |Hess u|_g bounds every component (phi = 1)
+            assert np.max(np.sqrt(flat_triple.hess_norm2(i)[ok])) < 1e-8
         p = np.asarray(flat_triple.chart.base_point)
         assert np.max(np.abs(flat_triple.u_map(p))) < 1e-12
         assert flat_triple.grad_sup == pytest.approx(1.0, abs=1e-8)
 
     def test_hessian_exactly_symmetric(self, schw02_triple):
-        H = schw02_triple.components[0].hess
+        t = schw02_triple
+        _, H = _gradient_and_hessian(t.u[0].values, t.phi, t.dphi, t.grid.h)
         assert np.max(np.abs(H - np.swapaxes(H, -1, -2))) == 0.0
 
     def test_hess_sup_decreases_with_mass(self, schw_triples):
@@ -165,8 +171,8 @@ class TestTriple:
         # |grad u - e_1| ~ C r^-tau on the mid-range shell
         grid = schw02_triple.grid
         r = grid.radius()
-        dev = np.linalg.norm(schw02_triple.components[0].grad
-                             - np.array([1.0, 0.0, 0.0]), axis=-1)
+        grad = schw02_triple.du[0] / schw02_triple.phi[..., None] ** 4
+        dev = np.linalg.norm(grad - np.array([1.0, 0.0, 0.0]), axis=-1)
         slopes = []
         radii = np.array([4.0, 6.0, 9.0])
         sups = []
@@ -188,7 +194,7 @@ class TestTriple:
         ta = build_harmonic_triple(schw_chart, grid, normalization="annulus")
         # the two normalizations differ by a constant per component
         for i in range(3):
-            diff = tp.components[i].u.values - ta.components[i].u.values
+            diff = tp.u[i].values - ta.u[i].values
             assert np.ptp(diff) < 1e-9
 
     def test_cheng_yau_finite(self, schw02_triple):
@@ -199,10 +205,51 @@ class TestTriple:
     def test_triple_from_solutions_round_trip(self, schw_chart):
         grid = Grid(halfwidth=20.0, nodes=17)
         t1 = build_harmonic_triple(schw_chart, grid)
-        fields = [ScalarGridField(grid, c.u.values.copy()) for c in t1.components]
+        fields = [ScalarGridField(grid, u.values.copy()) for u in t1.u]
         t2 = triple_from_solutions(schw_chart, grid, fields)
-        assert np.allclose(t2.components[0].hess, t1.components[0].hess, atol=1e-12)
+        for i in range(3):
+            assert np.allclose(t2.grad_norm(i), t1.grad_norm(i), atol=1e-12)
+            assert np.allclose(t2.hess_norm2(i), t1.hess_norm2(i), atol=1e-12)
+        assert np.allclose(t2.gram_defect(), t1.gram_defect(), atol=1e-12)
         assert t2.grad_sup == pytest.approx(t1.grad_sup, rel=1e-12)
+
+    def test_axes_share_one_matrix(self, schw_chart, monkeypatch):
+        matrices = []
+        real_cg = afstab.harmonic.cg
+
+        def recording_cg(A, *args, **kwargs):
+            matrices.append(A)
+            return real_cg(A, *args, **kwargs)
+
+        monkeypatch.setattr(afstab.harmonic, "cg", recording_cg)
+        build_harmonic_triple(schw_chart, Grid(halfwidth=20.0, nodes=17))
+        assert len(matrices) == 3
+        assert matrices[1] is matrices[0] and matrices[2] is matrices[0]
+
+    def test_triple_keeps_reduced_fields(self, schw_chart):
+        # u, du and |Hess u|^2 per axis plus phi and dphi: 19 float64 per node,
+        # and no tensor field (the parent layout held 52 with the Hessians)
+        grid = Grid(halfwidth=20.0, nodes=17)
+        t = build_harmonic_triple(schw_chart, grid)
+        arrays = []
+
+        def collect(obj):
+            if isinstance(obj, np.ndarray):
+                arrays.append(obj)
+            elif dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+                for f in dataclasses.fields(obj):
+                    collect(getattr(obj, f.name))
+            elif isinstance(obj, (tuple, list)):
+                for item in obj:
+                    collect(item)
+            elif isinstance(obj, dict):
+                for item in obj.values():
+                    collect(item)
+
+        collect(t)
+        assert not any(a.ndim >= 2 and a.shape[-2:] == (3, 3) for a in arrays)
+        floats = sum(a.size for a in arrays if a.dtype == np.float64)
+        assert floats / grid.nodes**3 <= 20
 
     def test_grid_convergence_order_against_oracle(self, schw_chart):
         # part of acceptance criterion 4 at reduced size: orders from the

@@ -6,6 +6,7 @@ import pytest
 from afstab.errors import MismatchedChart
 from afstab.geometry import MetricChart
 from afstab.grid import Grid
+from afstab.harmonic import build_harmonic_triple
 from afstab.inequality import (VectorFieldSpec, mass_inequality_rhs,
                                refined_kato_check, relaxed_scalar_certificate,
                                richardson_slack)
@@ -51,6 +52,25 @@ class TestMassInequality:
         half = mass_inequality_rhs(t, c, 0, eps_grad=0.5e-6 * t.grad_sup, mass=0.1)
         assert half.rhs_integral == pytest.approx(base.rhs_integral, rel=1e-3)
         assert base.floored_fraction == half.floored_fraction == 0.0
+
+    def test_scalar_curvature_once_per_triple(self, monkeypatch):
+        chart = MetricChart("schwarzschild", {"m": 0.2}, box_halfwidth=100.0)
+        t = build_harmonic_triple(chart, Grid(halfwidth=20.0, nodes=17))
+        real_terms = MetricChart.conformal_terms
+        calls = []
+
+        def counting_terms(self, x):
+            calls.append(np.shape(x))
+            return real_terms(self, x)
+
+        monkeypatch.setattr(MetricChart, "conformal_terms", counting_terms)
+        for axis in range(3):
+            mass_inequality_rhs(t, chart, axis, mass=0.2)
+        assert len(calls) == 1
+        phi, _, ddphi = real_terms(chart, t.grid.points())
+        with np.errstate(invalid="ignore"):
+            scal = -8.0 * phi**-5 * np.trace(ddphi, axis1=-2, axis2=-1)
+        assert np.array_equal(t.scalar_curvature(), scal, equal_nan=True)
 
     def test_mismatched_chart_rejected(self, schw_triples):
         other = MetricChart("schwarzschild", {"m": 0.15}, box_halfwidth=100.0)

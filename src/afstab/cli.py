@@ -165,7 +165,9 @@ def _inequality_reports(ctx: RunContext, mass: float):
 
 
 def _relaxed_certificate(ctx: RunContext):
-    return relaxed_scalar_certificate(ctx.chart, _x_spec(ctx.cfg), ctx.triple.grid,
+    triple = ctx.triple
+    return relaxed_scalar_certificate(ctx.chart, _x_spec(ctx.cfg), triple.grid,
+                                      triple.scalar_curvature(),
                                       c_coef=ctx.cfg.certificate.c_coef)
 
 

@@ -14,11 +14,14 @@ and Pythagorean records build on that to run many rows in lockstep, one
 Newton batch per stage step instead of one per record.
 
 Ball volumes for the volume-comparison check come from a first-order
-upwind eikonal solve of |grad T|_g = 1 (Jacobi-iterated to its fixed
-point, which is the fast-marching solution), not from pairwise shooting.
+upwind eikonal solve of |grad T|_g = 1, not from pairwise shooting.  The
+solve runs the Jacobi iteration to its fixed point (the fast-marching
+solution), but each sweep updates only the nodes next to a node that
+moved in the sweep before; the others would keep their values anyway.
 """
 
 import csv
+import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -787,6 +790,19 @@ class DistanceField:
     which coincides with the fast-marching solution; nodes within a few
     cells of the source are initialized with the chord quadrature to tame
     the point-source singularity.
+
+    Each sweep sets T to min(T, f) at every free node, with f the upwind
+    update from the six neighbours' values of the previous sweep (inf read
+    as a large finite value).  A node none of whose neighbours' values
+    changed since it was last updated would get the same f again, and its
+    T is already at most that f, so it would keep its value.  The solve
+    therefore updates every free node in the first sweep and afterwards
+    only the free neighbours of the nodes whose values changed in the
+    sweep before: the iterates, the stopping test and the sweep count are
+    those of the full-grid loop, bit for bit.  `sweeps` counts the sweeps
+    run; `converged` is False (and a warning is logged) when max_sweeps
+    (default 4 * nodes) ran out before the largest change fell below
+    tol * h.
     """
 
     def __init__(self, chart: MetricChart, center, halfwidth: float, nodes: int = 97,
@@ -835,23 +851,36 @@ class DistanceField:
         self.T = self._solve(T, tol, max_sweeps)
 
     def _solve(self, T, tol, max_sweeps):
-        fh = self.slowness * self.h
-        sweeps = max_sweeps if max_sweeps is not None else 4 * self.n
+        n, h = self.n, self.h
+        m = n + 2
+        steps = (m * m, m, 1)          # flat offsets of the axis neighbours
         big = 1e30
+        # T and its upwind view Tc (inf read as big) on a grid with a border
+        # of big, flattened, so every node has six neighbours to gather
+        Tp = np.full((m, m, m), big)
+        Tp[1:-1, 1:-1, 1:-1] = T
+        Tp = Tp.ravel()
+        Tc = np.where(np.isfinite(Tp), Tp, big)
+        fhp = np.zeros((m, m, m))
+        fhp[1:-1, 1:-1, 1:-1] = self.slowness * h
+        fhp = fhp.ravel()
+        free = np.zeros((m, m, m), dtype=bool)
+        free[1:-1, 1:-1, 1:-1] = ~self.frozen
+        free = free.ravel()
+        touched = np.zeros_like(free)
+        active = np.flatnonzero(free)
+        sweeps = max_sweeps if max_sweeps is not None else 4 * n
+        self.sweeps, self.converged = 0, False
         for _ in range(sweeps):
-            Tc = np.where(np.isfinite(T), T, big)
-            mins = []
-            for a in range(3):
-                lo = np.full_like(Tc, big)
-                hi = np.full_like(Tc, big)
-                sl_lo = [slice(None)] * 3
-                sl_hi = [slice(None)] * 3
-                sl_lo[a] = slice(1, None)
-                sl_hi[a] = slice(None, -1)
-                lo[tuple(sl_lo)] = Tc[tuple(sl_hi)]
-                hi[tuple(sl_hi)] = Tc[tuple(sl_lo)]
-                mins.append(np.minimum(lo, hi))
-            a1, a2, a3 = np.sort(np.stack(mins, axis=0), axis=0)
+            self.sweeps += 1
+            # the three axis minima in increasing order: a min/max network
+            # sorts them as np.sort does, since Tc holds no NaN
+            x, y, z = (np.minimum(Tc.take(active - s), Tc.take(active + s))
+                       for s in steps)
+            lo, hi = np.minimum(x, y), np.maximum(x, y)
+            a1, a3 = np.minimum(lo, z), np.maximum(hi, z)
+            a2 = np.maximum(lo, np.minimum(hi, z))
+            fh = fhp.take(active)
             t_new = a1 + fh
             use2 = t_new > a2
             s12 = a1 + a2
@@ -863,14 +892,27 @@ class DistanceField:
             disc3 = np.maximum(s123**2 - 3.0 * (a1**2 + a2**2 + a3**2 - fh**2), 0.0)
             t3 = (s123 + np.sqrt(disc3)) / 3.0
             t_new = np.where(use3 & (a3 < big), t3, t_new)
-            t_new = np.where(self.frozen, T, np.minimum(T, t_new))
-            change = np.max(np.abs(np.where(np.isfinite(T) & np.isfinite(t_new),
-                                            t_new - T, 0.0)))
-            still_inf = np.isinf(T).sum() - np.isinf(t_new).sum()
-            T = t_new
-            if change < tol * self.h and still_inf == 0:
+            t_old = Tp.take(active)
+            t_new = np.minimum(t_old, t_new)
+            change = np.max(np.abs(np.where(np.isfinite(t_old) & np.isfinite(t_new),
+                                            t_new - t_old, 0.0)), initial=0.0)
+            still_inf = np.isinf(t_old).sum() - np.isinf(t_new).sum()
+            tc_new = np.where(np.isfinite(t_new), t_new, big)
+            moved = active[tc_new != Tc.take(active)]
+            Tp[active] = t_new
+            Tc[active] = tc_new
+            if change < tol * h and still_inf == 0:
+                self.converged = True
                 break
-        return T
+            for s in steps:
+                touched[moved - s] = True
+                touched[moved + s] = True
+            active = np.flatnonzero(touched & free)
+            touched[:] = False
+        if not self.converged:
+            logging.getLogger(__name__).warning(
+                "eikonal field not converged after %d sweeps", self.sweeps)
+        return Tp.reshape(m, m, m)[1:-1, 1:-1, 1:-1].copy()
 
     def volume(self, r: float) -> float:
         """Riemannian volume of {T <= r} with a one-cell smoothed indicator."""

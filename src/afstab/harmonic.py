@@ -51,9 +51,11 @@ class LaplaceBeltrami:
 
     Face coefficient arrays kx, ky, kz hold sqrt(det g) g^aa at the
     midpoints of the faces normal to each axis; weight holds the nodal
-    sqrt(det g).  apply() evaluates the full operator including boundary
-    nodes in the stencil; interior_system() returns the SPD matrix and the
-    right-hand-side builder for Dirichlet data.
+    sqrt(det g), and phi, dphi the nodal conformal factor and its gradient
+    (puncture imputed), which the triple builder reuses.  apply() evaluates
+    the full operator including boundary nodes in the stencil;
+    interior_system() returns the SPD matrix and the right-hand-side
+    builder for Dirichlet data.
     """
 
     def __init__(self, chart: MetricChart, grid: Grid):
@@ -83,7 +85,7 @@ class LaplaceBeltrami:
         self.kx = face_phi2(0)   # (N-1, N, N)
         self.ky = face_phi2(1)
         self.kz = face_phi2(2)
-        phi = chart.conformal_factor(grid.points())
+        phi, dphi = chart.conformal_gradient(grid.points())
         self.singular_node = None
         if chart.singular_at_origin:
             c = N // 2
@@ -91,6 +93,8 @@ class LaplaceBeltrami:
                 self.singular_node = (c, c, c)
                 # impute the puncture node so nodal caches stay finite
                 _finite_impute(phi, self.singular_node)
+                _finite_impute(dphi, self.singular_node)
+        self.phi, self.dphi = phi, dphi
         self.weight = phi**6
         self.h = h
         self._system = None
@@ -371,11 +375,9 @@ def _gradient_and_hessian(values: np.ndarray, phi: np.ndarray, dphi: np.ndarray,
 def _triple(chart, grid, solutions, bc, normalization, operator) -> HarmonicTriple:
     """The triple of three solved fields: derived fields and residuals from
     the solved values, then the normalization."""
-    phi, dphi = chart.conformal_gradient(grid.points())
+    phi, dphi = operator.phi, operator.dphi
     excluded = grid.margin_mask(2)
     if operator.singular_node is not None:
-        _finite_impute(phi, operator.singular_node)
-        _finite_impute(dphi, operator.singular_node)
         excluded[operator.singular_node] = True
     du, hess2, residual_norms = [], [], []
     for u in solutions:

@@ -159,19 +159,20 @@ PSI_ZERO_TOL = 1e-12
 
 
 def relaxed_scalar_certificate(chart: MetricChart, x_spec: VectorFieldSpec,
-                               grid: Grid, c_coef: float = 1.0) -> RelaxedScalarCertificate:
+                               grid: Grid, scal: np.ndarray,
+                               c_coef: float = 1.0) -> RelaxedScalarCertificate:
     """psi := max(0, c|X|^2 + div X - R) on the grid, its L1(g) norm, and
     the smallest radius outside which psi vanishes numerically.
 
-    For X = grad_g w the divergence is the conformal Laplace-Beltrami of w,
+    scal is R at the grid nodes, as `geometry.scalar_curvature` gives it
+    (a triple caches it in `scalar_curvature()`).  For X = grad_g w the
+    divergence is the conformal Laplace-Beltrami of w,
     phi^-4 lap(w) + 2 phi^-5 grad(phi).grad(w), assembled in closed form.
     The c_coef knob is the constant allowed to replace |X|^2 (any c > 1/4
     works in the continuum argument; default 1).
     """
     pts = grid.points()
-    phi, dphi, ddphi = chart.conformal_terms(pts)
-    with np.errstate(invalid="ignore"):
-        scal = -8.0 * phi**-5 * np.trace(ddphi, axis1=-2, axis2=-1)
+    phi, dphi = chart.conformal_gradient(pts)
 
     if x_spec.kind == "zero" or x_spec.amplitude == 0.0:
         xsq = np.zeros_like(scal)

@@ -4,13 +4,23 @@ The heavy solves are session-scoped so the acceptance criteria and the
 module tests share one solve per (family, parameter, grid).
 """
 
+import numpy as np
 import pytest
 
-from afstab.geometry import MetricChart
+from afstab.geodesy import DistanceField
+from afstab.geometry import MetricChart, scalar_curvature
 from afstab.grid import Grid
 from afstab.harmonic import build_harmonic_triple
+from afstab.inequality import relaxed_scalar_certificate
 
 SWEEP_MASSES = (0.2, 0.1, 0.05, 0.025)
+
+
+def certificate(chart, x_spec, grid, **kwargs):
+    """The relaxed certificate on a grid, with R from the chart."""
+    with np.errstate(invalid="ignore"):
+        scal = scalar_curvature(chart, grid.points())
+    return relaxed_scalar_certificate(chart, x_spec, grid, scal, **kwargs)
 
 
 @pytest.fixture()
@@ -39,6 +49,13 @@ def small_grid():
 @pytest.fixture(scope="session")
 def flat_chart():
     return MetricChart("flat", box_halfwidth=100.0)
+
+
+@pytest.fixture(scope="session")
+def flat_field_81(flat_chart):
+    """The flat 81^3 eikonal field around (2, 0, 0), halfwidth 7, shared by
+    the volume-comparison tests."""
+    return DistanceField(flat_chart, (2.0, 0.0, 0.0), 7.0, nodes=81)
 
 
 @pytest.fixture(scope="session")

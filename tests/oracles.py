@@ -224,3 +224,54 @@ def bump_positive_laplacian_integral(width):
 
     val, _ = quad(lambda r: 4 * np.pi * max(0.0, lapB(r)) * r**2, 0, w, limit=400)
     return val
+
+
+# ---------------------------------------------------------------------------
+# full-grid Jacobi eikonal
+
+
+def full_grid_eikonal(field, T, tol, max_sweeps):
+    """The upwind eikonal Jacobi loop over every node of the grid.
+
+    The reference for `DistanceField`, which runs the same iterates on an
+    active set; T is the initial field (inf off the frozen source ball).
+    Returns (T, sweeps run).
+    """
+    fh = field.slowness * field.h
+    sweeps = max_sweeps if max_sweeps is not None else 4 * field.n
+    big = 1e30
+    done = 0
+    for _ in range(sweeps):
+        done += 1
+        Tc = np.where(np.isfinite(T), T, big)
+        mins = []
+        for a in range(3):
+            lo = np.full_like(Tc, big)
+            hi = np.full_like(Tc, big)
+            sl_lo = [slice(None)] * 3
+            sl_hi = [slice(None)] * 3
+            sl_lo[a] = slice(1, None)
+            sl_hi[a] = slice(None, -1)
+            lo[tuple(sl_lo)] = Tc[tuple(sl_hi)]
+            hi[tuple(sl_hi)] = Tc[tuple(sl_lo)]
+            mins.append(np.minimum(lo, hi))
+        a1, a2, a3 = np.sort(np.stack(mins, axis=0), axis=0)
+        t_new = a1 + fh
+        use2 = t_new > a2
+        s12 = a1 + a2
+        disc2 = np.maximum(2.0 * fh**2 - (a1 - a2) ** 2, 0.0)
+        t2 = 0.5 * (s12 + np.sqrt(disc2))
+        t_new = np.where(use2 & (a2 < big), t2, t_new)
+        use3 = t_new > a3
+        s123 = a1 + a2 + a3
+        disc3 = np.maximum(s123**2 - 3.0 * (a1**2 + a2**2 + a3**2 - fh**2), 0.0)
+        t3 = (s123 + np.sqrt(disc3)) / 3.0
+        t_new = np.where(use3 & (a3 < big), t3, t_new)
+        t_new = np.where(field.frozen, T, np.minimum(T, t_new))
+        change = np.max(np.abs(np.where(np.isfinite(T) & np.isfinite(t_new),
+                                        t_new - T, 0.0)))
+        still_inf = np.isinf(T).sum() - np.isinf(t_new).sum()
+        T = t_new
+        if change < tol * field.h and still_inf == 0:
+            break
+    return T, done

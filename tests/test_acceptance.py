@@ -20,13 +20,12 @@ from afstab.geometry import (MetricChart, VolumeSampling, certify_hypotheses,
 from afstab.gh import flow_coverage, gh_distortion, sample_geodesic_ball
 from afstab.grid import Grid
 from afstab.harmonic import solve_harmonic_coordinate, triple_from_solutions
-from afstab.inequality import (VectorFieldSpec, mass_inequality_rhs,
-                               relaxed_scalar_certificate, richardson_slack)
+from afstab.inequality import VectorFieldSpec, mass_inequality_rhs, richardson_slack
 from afstab.mass import adm_mass
 from afstab.reporting import sha256_file
 from afstab.seeding import rng_for
 
-from conftest import SWEEP_MASSES
+from conftest import SWEEP_MASSES, certificate
 from oracles import (bump_positive_laplacian_integral, harmonic_radial_profile,
                      schwarzschild_radial_arclength, sympy_conformal_scalar,
                      sympy_gaussian_phi)
@@ -177,11 +176,10 @@ def test_criterion_06_hessian_l2_bound(criterion, schw_charts, schw_triples,
                             f"monotone over m-sweep: {monotone}")
 
 
-def test_criterion_07_bishop_gromov(criterion, flat_chart, schw_charts):
+def test_criterion_07_bishop_gromov(criterion, flat_chart, flat_field_81, schw_charts):
     radii = [1.5, 2.0, 2.5, 3.0, 4.0, 5.0]
     p = (2.0, 0.0, 0.0)
-    field_flat = DistanceField(flat_chart, p, 7.0, nodes=81)
-    r_flat = bishop_gromov_check(flat_chart, p, radii, 0.1, field=field_flat)
+    r_flat = bishop_gromov_check(flat_chart, p, radii, 0.1, field=flat_field_81)
     flat_ok = bool(np.all(np.diff(r_flat) / r_flat[:-1] < 0.01))
 
     chart = schw_charts[0.2]
@@ -260,8 +258,8 @@ def test_criterion_10_surjectivity_flows(criterion, flat_chart, flat_triple,
 def test_criterion_11_relaxed_certificate(criterion, flat_chart, schw_charts,
                                           desk_grid):
     zero = VectorFieldSpec("zero")
-    flat_psi = relaxed_scalar_certificate(flat_chart, zero, desk_grid).psi_l1
-    schw_psi = relaxed_scalar_certificate(schw_charts[0.1], zero, desk_grid).psi_l1
+    flat_psi = certificate(flat_chart, zero, desk_grid).psi_l1
+    schw_psi = certificate(schw_charts[0.1], zero, desk_grid).psi_l1
 
     def bump_chart(c):
         return MetricChart("perturbed",
@@ -271,8 +269,7 @@ def test_criterion_11_relaxed_certificate(criterion, flat_chart, schw_charts,
                            box_halfwidth=100.0)
 
     amps = np.array([0.08, 0.04, 0.02, 0.01])
-    psi = np.array([relaxed_scalar_certificate(bump_chart(c), zero,
-                                               desk_grid).psi_l1 for c in amps])
+    psi = np.array([certificate(bump_chart(c), zero, desk_grid).psi_l1 for c in amps])
     slope = float(np.polyfit(amps, psi, 1)[0])
     oracle = 8.0 * bump_positive_laplacian_integral(6.0)
     slope_dev = abs(slope - oracle) / oracle

@@ -14,6 +14,7 @@ import afstab.harmonic
 import afstab.mass
 from afstab.cli import _sweep_point, main, run
 from afstab.config import config_from_dict
+from afstab.geometry import MetricChart
 from afstab.reporting import load_manifest, sha256_file
 
 
@@ -156,6 +157,38 @@ class TestFailedStages:
         loaded = load_manifest(tmp_path)
         assert loaded.data["stages"] == {"inequality": status}
         assert loaded.verify() == []
+
+
+class TestGridEvaluations:
+    """Conformal evaluations on the whole node grid: phi and grad phi once
+    per triple, R once per inequality stage."""
+
+    @staticmethod
+    def _grid_calls(monkeypatch, cfg, name):
+        real = getattr(MetricChart, name)
+        shape = cfg.make_grid().points().shape
+        calls = []
+
+        def counting(self, x, **kwargs):
+            if np.shape(x) == shape:
+                calls.append(name)
+            return real(self, x, **kwargs)
+
+        monkeypatch.setattr(MetricChart, name, counting)
+        return calls
+
+    def test_harmonic_evaluates_phi_once(self, schw_cfg, tmp_path, monkeypatch):
+        calls = self._grid_calls(monkeypatch, schw_cfg, "_conformal")
+        code, _ = run("harmonic", schw_cfg, out_dir=tmp_path)
+        assert code == 0
+        assert len(calls) == 1
+
+    def test_inequality_evaluates_scalar_once(self, schw_cfg, tmp_path, monkeypatch):
+        assert run("harmonic", schw_cfg, out_dir=tmp_path)[0] == 0
+        calls = self._grid_calls(monkeypatch, schw_cfg, "conformal_terms")
+        code, _ = run("inequality", schw_cfg, out_dir=tmp_path)
+        assert code == 0
+        assert len(calls) == 1
 
 
 class TestManifest:

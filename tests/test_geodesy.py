@@ -1,5 +1,7 @@
 """Geodesics, distances, level-set projections, volume comparison."""
 
+import logging
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,7 @@ from afstab.geometry import MetricChart
 from afstab.grid import ScalarGridField
 from afstab.seeding import rng_for
 
-from oracles import schwarzschild_radial_arclength
+from oracles import full_grid_eikonal, schwarzschild_radial_arclength
 
 RADIAL_D_2_5 = 3.186258146374831   # 3 + 0.2 ln(5/2) + 0.01 (1/2 - 1/5), m = 0.2
 
@@ -330,20 +332,54 @@ class TestPythagorean:
         assert len(lines) == 2
 
 
+class TestDistanceField:
+    """The active-set solve against the full-grid Jacobi loop, 41^3 fields
+    around (2, 0, 0) with the desk-point halfwidth."""
+
+    @staticmethod
+    def _reference(field, max_sweeps=None):
+        # the frozen source ball keeps its initial values; all else starts at inf
+        return full_grid_eikonal(field, np.where(field.frozen, field.T, np.inf),
+                                 1e-10, max_sweeps)
+
+    @pytest.mark.parametrize("family, params", [
+        ("flat", {}),
+        ("schwarzschild", {"m": 0.2}),
+        ("conformal", {"A": 0.0, "gauss_amp": 0.3, "gauss_center": (2.5, 0.5, 0.0),
+                       "gauss_width": 1.0}),
+    ])
+    def test_matches_full_grid_loop(self, family, params):
+        chart = MetricChart(family, params, box_halfwidth=100.0)
+        field = DistanceField(chart, (2.0, 0.0, 0.0), 3.5, nodes=41)
+        T, sweeps = self._reference(field)
+        assert np.array_equal(field.T, T)
+        assert field.converged is True
+        assert field.sweeps == sweeps
+
+    @pytest.mark.parametrize("max_sweeps", [3, 7])
+    def test_truncated_iterates_match(self, schw, caplog, max_sweeps):
+        with caplog.at_level(logging.WARNING, logger="afstab.geodesy"):
+            field = DistanceField(schw, (2.0, 0.0, 0.0), 3.5, nodes=41,
+                                  max_sweeps=max_sweeps)
+        assert f"not converged after {max_sweeps} sweeps" in caplog.text
+        T, sweeps = self._reference(field, max_sweeps=max_sweeps)
+        assert np.array_equal(field.T, T)
+        assert field.converged is False
+        assert field.sweeps == sweeps == max_sweeps
+
+
 class TestBishopGromov:
-    def test_flat_kappa_zero_limit(self, flat_chart):
-        field = DistanceField(flat_chart, (2.0, 0.0, 0.0), 7.0, nodes=81)
+    def test_flat_kappa_zero_limit(self, flat_chart, flat_field_81):
         radii = [1.5, 2.0, 3.0, 4.0]
         ratios = bishop_gromov_check(flat_chart, (2.0, 0.0, 0.0), radii, 1e-12,
-                                     field=field)
+                                     field=flat_field_81)
         assert np.max(np.abs(ratios - 1.0)) < 0.05
 
-    def test_flat_kappa_positive_decreasing(self, flat_chart):
+    def test_flat_kappa_positive_decreasing(self, flat_chart, flat_field_81):
         # analytic oracle: ratio = (4 pi r^3/3)/V_kappa(r), strictly decreasing
-        field = DistanceField(flat_chart, (2.0, 0.0, 0.0), 7.0, nodes=81)
         radii = np.array([1.5, 2.0, 3.0, 4.0])
         ratios = bishop_gromov_check(flat_chart, (2.0, 0.0, 0.0), radii, 0.1,
-                                     field=field)
+                                     field=flat_field_81)
         assert np.all(np.diff(ratios) < 0.0)
         oracle = (4 * np.pi / 3 * radii**3) / hyperbolic_ball_volume(radii, 0.1)
         assert np.allclose(ratios, oracle, rtol=0.05)

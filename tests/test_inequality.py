@@ -8,9 +8,9 @@ from afstab.geometry import MetricChart
 from afstab.grid import Grid
 from afstab.harmonic import build_harmonic_triple
 from afstab.inequality import (VectorFieldSpec, mass_inequality_rhs,
-                               refined_kato_check, relaxed_scalar_certificate,
-                               richardson_slack)
+                               refined_kato_check, richardson_slack)
 
+from conftest import certificate
 from oracles import bump_positive_laplacian_integral
 
 
@@ -107,15 +107,13 @@ class TestKato:
 
 class TestRelaxedCertificate:
     def test_zero_field_flat(self, flat_chart, small_grid):
-        cert = relaxed_scalar_certificate(flat_chart, VectorFieldSpec("zero"),
-                                          small_grid)
+        cert = certificate(flat_chart, VectorFieldSpec("zero"), small_grid)
         assert cert.psi_l1 == 0.0
         assert cert.psi_support_radius == 0.0
         assert cert.holds_pointwise_outside
 
     def test_zero_field_schwarzschild(self, schw_charts, small_grid):
-        cert = relaxed_scalar_certificate(schw_charts[0.1], VectorFieldSpec("zero"),
-                                          small_grid)
+        cert = certificate(schw_charts[0.1], VectorFieldSpec("zero"), small_grid)
         assert cert.psi_l1 < 1e-12
 
     def test_negative_bump_positive_part(self, small_grid):
@@ -129,8 +127,8 @@ class TestRelaxedCertificate:
 
         amps = [0.08, 0.04, 0.02, 0.01]
         grid = Grid(halfwidth=20.0, nodes=65)
-        psi = [relaxed_scalar_certificate(bump_chart(c), VectorFieldSpec("zero"),
-                                          grid).psi_l1 for c in amps]
+        psi = [certificate(bump_chart(c), VectorFieldSpec("zero"), grid).psi_l1
+               for c in amps]
         assert all(a > b for a, b in zip(psi, psi[1:]))
         slope = np.polyfit(amps, psi, 1)[0]
         oracle = 8.0 * bump_positive_laplacian_integral(6.0)
@@ -139,13 +137,13 @@ class TestRelaxedCertificate:
     def test_gradient_bump_field(self, schw_charts, small_grid):
         spec = VectorFieldSpec("gradient_bump", amplitude=0.05,
                                center=(1.0, 0.0, 0.0), width=2.0)
-        cert = relaxed_scalar_certificate(schw_charts[0.1], spec, small_grid)
+        cert = certificate(schw_charts[0.1], spec, small_grid)
         assert cert.psi_l1 >= 0.0
         assert cert.psi_support_radius <= spec.support_radius() + small_grid.h
         # shrink the field amplitude: the positive part decreases
         weaker = VectorFieldSpec("gradient_bump", amplitude=0.01,
                                  center=(1.0, 0.0, 0.0), width=2.0)
-        cert2 = relaxed_scalar_certificate(schw_charts[0.1], weaker, small_grid)
+        cert2 = certificate(schw_charts[0.1], weaker, small_grid)
         assert cert2.psi_l1 <= cert.psi_l1
 
     def test_c_coefficient_knob(self, small_grid):
@@ -156,8 +154,8 @@ class TestRelaxedCertificate:
                             box_halfwidth=100.0)
         spec = VectorFieldSpec("gradient_bump", amplitude=0.1,
                                center=(0.0, 0.0, 0.0), width=2.5)
-        c1 = relaxed_scalar_certificate(chart, spec, small_grid, c_coef=1.0)
-        c2 = relaxed_scalar_certificate(chart, spec, small_grid, c_coef=0.3)
+        c1 = certificate(chart, spec, small_grid, c_coef=1.0)
+        c2 = certificate(chart, spec, small_grid, c_coef=0.3)
         assert c2.psi_l1 <= c1.psi_l1
 
 

@@ -857,16 +857,10 @@ class DistanceField:
         big = 1e30
         # T and its upwind view Tc (inf read as big) on a grid with a border
         # of big, flattened, so every node has six neighbours to gather
-        Tp = np.full((m, m, m), big)
-        Tp[1:-1, 1:-1, 1:-1] = T
-        Tp = Tp.ravel()
+        Tp = np.pad(T, 1, constant_values=big).ravel()
         Tc = np.where(np.isfinite(Tp), Tp, big)
-        fhp = np.zeros((m, m, m))
-        fhp[1:-1, 1:-1, 1:-1] = self.slowness * h
-        fhp = fhp.ravel()
-        free = np.zeros((m, m, m), dtype=bool)
-        free[1:-1, 1:-1, 1:-1] = ~self.frozen
-        free = free.ravel()
+        fhp = np.pad(self.slowness * h, 1).ravel()
+        free = np.pad(~self.frozen, 1).ravel()
         touched = np.zeros_like(free)
         active = np.flatnonzero(free)
         sweeps = max_sweeps if max_sweeps is not None else 4 * n

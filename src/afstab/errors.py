@@ -30,7 +30,8 @@ class FitFailure(AfstabError):
 
 
 class BadFieldDump(AfstabError, ValueError):
-    """A binary field dump is malformed: bad magic, layout or payload length."""
+    """A binary field dump is malformed: bad magic, layout or payload length,
+    or a grid or values that Grid and ScalarGridField reject."""
 
 
 class LeftDomain(AfstabError):
@@ -38,11 +39,7 @@ class LeftDomain(AfstabError):
 
 
 class NoConvergence(AfstabError):
-    """Two-point geodesic search failed; carries the graph upper bound."""
-
-    def __init__(self, message, upper_bound=None):
-        super().__init__(message)
-        self.upper_bound = upper_bound
+    """Two-point geodesic shooting, or a computation built on it, did not converge."""
 
 
 class NoCrossing(AfstabError):

@@ -1,17 +1,21 @@
 """Geodesics, distances, and the level-set diagnostics built on them.
 
-Two-point distances solve the shooting boundary-value problem for the
-exponential map: Newton iteration on the initial velocity of the geodesic
-equation xdd^k + Gamma^k_ab xd^a xd^b = 0, integrated over unit affine
-time, batched over many pairs at once with finite-difference Jacobians.
-A 26-neighbor graph Dijkstra distance seeds hard pairs and provides the
-admissible-curve upper bound the converged distance must respect.
+Two-point distances (distance_batch, the one distance entry point) solve
+the shooting boundary-value problem for the exponential map: Newton
+iteration on the initial velocity of the geodesic equation
+xdd^k + Gamma^k_ab xd^a xd^b = 0, integrated by fixed-step RK4 over unit
+affine time, batched over many pairs at once with finite-difference
+Jacobians.  A 26-neighbor graph Dijkstra distance seeds hard pairs and
+provides the admissible-curve upper bound the converged distance must
+respect.
 
 Batches are invariant: a converged row is frozen out of later Newton
 passes and every operation on a row is row-local, so a pair's distance is
 the same bit for bit alone or in any batch.  The level-set projections
 and Pythagorean records build on that to run many rows in lockstep, one
-Newton batch per stage step instead of one per record.
+Newton batch per stage step instead of one per record; the projections
+score their mean-value candidates with segment_functional, the trapezoid
+integral of sum_j |Hess u^j|_g along the sampled candidate geodesics.
 
 Ball volumes for the volume-comparison check come from a first-order
 upwind eikonal solve of |grad T|_g = 1, not from pairwise shooting.  The
@@ -26,14 +30,12 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sps
-from scipy.integrate import solve_ivp
 from scipy.interpolate import RegularGridInterpolator
 from scipy.sparse.csgraph import dijkstra
 
-from .errors import (AfstabError, EmptySample, LeftDomain, NoConvergence,
-                     NoCrossing, OutOfDomain)
+from .errors import (AfstabError, EmptySample, NoConvergence, NoCrossing,
+                     OutOfDomain)
 from .geometry import MetricChart
-from .grid import ScalarGridField
 from .harmonic import HarmonicTriple
 from .seeding import rng_for
 
@@ -43,14 +45,6 @@ class GeodesicPath:
     nodes: np.ndarray          # (M, 3) chart points, uniform arclength spacing
     length: float
     endpoint_residual: float
-    method: str                # "Shooting" | "GraphSeed+Shooting" | "Trivial"
-    speed_drift: float = 0.0
-
-    def to_polyline_dict(self):
-        return {"length": self.length,
-                "endpoint_residual": self.endpoint_residual,
-                "method": self.method,
-                "nodes": [[float(c) for c in p] for p in self.nodes]}
 
 
 def metric_speed(chart: MetricChart, x, v):
@@ -282,92 +276,6 @@ class GeodesicGraph:
 # public geodesic operations
 
 
-def _resample_path(chart, x0, w, n_steps, n_nodes=65):
-    _, _, samples = _rk4_batch(chart, x0[None], w[None], n_steps,
-                               record_every=max(1, n_steps // (n_nodes - 1)))
-    return samples[0]
-
-
-def shoot_geodesic(chart: MetricChart, x0, v0, length: float,
-                   rtol: float = 1e-11, n_nodes: int = 65) -> GeodesicPath:
-    """Integrate a unit-speed geodesic for a given arclength.
-
-    The initial velocity must be g-unit to 1e-10; integration is adaptive
-    RK45 and the returned drift is the largest deviation of |xd|_g from 1
-    along the path.  Raises LeftDomain when the path exits the chart box.
-    """
-    x0 = np.asarray(x0, float)
-    v0 = np.asarray(v0, float)
-    speed0 = float(metric_speed(chart, x0, v0))
-    if abs(speed0 - 1.0) > 1e-10:
-        raise ValueError(f"launch velocity has |v|_g = {speed0}, expected unit")
-
-    def rhs(s, y):
-        x, v = y[:3], y[3:]
-        return np.concatenate([v, -_gamma_vv(chart, x[None], v[None])[0]])
-
-    def exit_event(s, y):
-        return chart.box_halfwidth - np.max(np.abs(y[:3]))
-    exit_event.terminal = True
-
-    sol = solve_ivp(rhs, (0.0, length), np.concatenate([x0, v0]), method="RK45",
-                    rtol=rtol, atol=1e-13, dense_output=True, events=exit_event)
-    if sol.status == 1:
-        raise LeftDomain(f"geodesic from {x0} exited the box before arclength {length}")
-    if not sol.success:
-        raise NoConvergence(f"geodesic integration failed: {sol.message}")
-    s_nodes = np.linspace(0.0, length, n_nodes)
-    states = sol.sol(s_nodes)
-    nodes = states[:3].T
-    vels = states[3:].T
-    speeds = metric_speed(chart, nodes, vels)
-    drift = float(np.max(np.abs(speeds - 1.0)))
-    return GeodesicPath(nodes=nodes, length=float(length), endpoint_residual=0.0,
-                        method="Shooting", speed_drift=drift)
-
-
-def distance(chart: MetricChart, x, y, graph: GeodesicGraph | None = None,
-             n_steps: int = 160, n_nodes: int = 65):
-    """Minimizing-geodesic distance between two chart points.
-
-    Shooting with a straight-chord seed, retried from a Dijkstra seed when
-    Newton fails; the shorter converged candidate wins.  Raises
-    NoConvergence carrying the graph upper bound when no candidate meets
-    the endpoint tolerance.
-    """
-    x = np.asarray(x, float)
-    y = np.asarray(y, float)
-    if not (np.all(chart.in_box(x)) and np.all(chart.in_box(y))):
-        raise OutOfDomain("distance endpoints must lie in the chart box")
-    if np.linalg.norm(y - x) < 1e-14:
-        return 0.0, GeodesicPath(nodes=np.array([x, y]), length=0.0,
-                                 endpoint_residual=0.0, method="Trivial")
-    candidates = []
-    w, res, conv = _bvp_batch(chart, x[None], y[None], n_steps=n_steps)
-    if conv[0]:
-        candidates.append((w[0], float(res[0]), "Shooting"))
-    if not candidates:
-        if graph is None:
-            hw = min(chart.box_halfwidth, float(np.max(np.abs([x, y]))) + 3.0)
-            graph = GeodesicGraph(chart, hw, nodes=21)
-        seed = graph.seed_velocity(x, y)
-        w, res, conv = _bvp_batch(chart, x[None], y[None], w0=seed[None],
-                                  n_steps=n_steps)
-        if conv[0]:
-            candidates.append((w[0], float(res[0]), "GraphSeed+Shooting"))
-        if not candidates:
-            ub = graph.distance(x, y)
-            raise NoConvergence("two-point shooting did not converge; graph upper "
-                                f"bound {ub:.6g}", upper_bound=ub)
-    w, res, method = min(candidates,
-                         key=lambda c: float(geodesic_lengths(chart, x, c[0])[0]))
-    length = float(geodesic_lengths(chart, x, w)[0])
-    nodes = _resample_path(chart, x, w, n_steps, n_nodes)
-    path = GeodesicPath(nodes=nodes, length=length, endpoint_residual=res,
-                        method=method)
-    return length, path
-
-
 def distance_batch(chart: MetricChart, starts, targets, n_steps: int = 160,
                    graph: GeodesicGraph | None = None, graph_fallback: bool = True):
     """Distances for many pairs at once; returns (d, w, residual, converged).
@@ -411,20 +319,19 @@ def distance_batch(chart: MetricChart, starts, targets, n_steps: int = 160,
     return d, w, res, conv
 
 
-def segment_functional(chart: MetricChart, path: GeodesicPath, f) -> float:
-    """Composite-Simpson line integral of a nonnegative field along a path.
+def segment_functional(samples, lengths, f) -> np.ndarray:
+    """Trapezoid line integrals of a nonnegative field along geodesics.
 
-    f may be a ScalarGridField or any callable on (..., 3) points; values
-    are trilinearly interpolated grid data in the intended use.
+    samples: (K, M, 3) points of K geodesics at M equally spaced affine
+    times (so equally spaced in arclength), lengths: their K g-lengths;
+    f is a callable on (P, 3) points, trilinearly interpolated grid data
+    in the intended use.  Returns the K integrals; this is the score of
+    the level-set projections' mean-value picks.
     """
-    fn = f.interpolator() if isinstance(f, ScalarGridField) else f
-    vals = np.asarray(fn(path.nodes), float)
+    vals = np.asarray(f(samples.reshape(-1, 3)), float).reshape(samples.shape[:2])
     if np.min(vals) < -1e-12:
         raise ValueError("segment functional requires a nonnegative integrand")
-    if path.length == 0.0 or len(path.nodes) < 2:
-        return 0.0
-    s = np.linspace(0.0, path.length, len(path.nodes))
-    return float(np.trapezoid(vals, s))
+    return np.trapezoid(vals, axis=1) * (lengths / (samples.shape[1] - 1))
 
 
 def mean_value_candidates(chart: MetricChart, center, rho: float, n_samples: int,
@@ -602,7 +509,7 @@ def level_set_projections(chart: MetricChart, triple: HarmonicTriple, xs, ys, ax
         target = float(u_i(y)[0])
         if abs(float(u_i(x)[0]) - target) < LEVEL_TOL:
             path = GeodesicPath(nodes=np.array([x, x]), length=0.0,
-                                endpoint_residual=0.0, method="Trivial")
+                                endpoint_residual=0.0)
             out[i] = (x.copy(), path, x.copy())
             continue
         try:
@@ -623,10 +530,12 @@ def level_set_projections(chart: MetricChart, triple: HarmonicTriple, xs, ys, ax
                               n_steps=n_steps)
     _, _, trajs = _rk4_batch(chart, starts, w, n_steps, record_every=1)
     lengths = geodesic_lengths(chart, starts, w)
+    # the last sample is the endpoint, fewer than n_steps // 64 steps after
+    # the one before when that does not divide n_steps (200 // 64 = 3), yet
+    # segment_functional weighs it like every other interval
     samples = trajs[:, _score_sample_index(n_steps)]
-    clipped = np.clip(samples, -grid.halfwidth, grid.halfwidth)
-    vals = triple.hess_sum_interp()(clipped.reshape(-1, 3)).reshape(samples.shape[:2])
-    scores = np.trapezoid(vals, axis=1) * (lengths / (samples.shape[1] - 1))
+    scores = segment_functional(np.clip(samples, -grid.halfwidth, grid.halfwidth),
+                                lengths, triple.hess_sum_interp())
     # integrated defects at stencil-noise level are exact ties (flat family)
     scores = np.where(scores < SCORE_FLOOR, 0.0, scores)
     scores = np.where(conv, scores, np.inf)
@@ -644,7 +553,7 @@ def level_set_projections(chart: MetricChart, triple: HarmonicTriple, xs, ys, ax
             continue
         path = GeodesicPath(nodes=traj[:: max(1, len(traj) // 64)],
                             length=float(lengths[k]),
-                            endpoint_residual=float(res[k]), method="Shooting")
+                            endpoint_residual=float(res[k]))
         out[i] = (z, path, starts[k].copy())
     return out
 

@@ -219,16 +219,6 @@ class MetricChart:
                * ddphi[..., :, :, None, None]) * eye
         return g, dg, ddg
 
-    def christoffel(self, x):
-        """Gamma[..., k, a, b] = Gamma^k_ab, closed form for the conformal metric."""
-        phi, dphi = self.conformal_gradient(x)
-        w = dphi / phi[..., None]                  # grad(log phi)
-        eye = np.eye(3)
-        gamma = 2.0 * (eye[:, :, None] * w[..., None, None, :]
-                       + eye[:, None, :] * w[..., None, :, None]
-                       - eye[None, :, :] * w[..., :, None, None])
-        return gamma
-
     def christoffel_quadratic(self, x, v):
         """Gamma^k_ab v^a v^b for velocity vectors v, exploiting the conformal form.
 
@@ -252,13 +242,6 @@ class CurvatureSample:
     christoffel: np.ndarray   # (3, 3, 3), Gamma^k_ab
     ricci: np.ndarray         # (3, 3), symmetric
     scalar: float
-
-
-def metric_at(chart: MetricChart, x):
-    """Exact metric, first and second derivatives at one chart point."""
-    chart.check_point(x)
-    g, dg, ddg = chart.metric_derivs(x)
-    return g, dg, ddg
 
 
 def _ricci_from_derivs(g, dg, ddg):

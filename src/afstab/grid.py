@@ -48,13 +48,6 @@ class Grid:
     def radius(self) -> np.ndarray:
         return np.linalg.norm(self.points(), axis=-1)
 
-    def boundary_mask(self) -> np.ndarray:
-        m = np.zeros((self.nodes,) * 3, dtype=bool)
-        m[0, :, :] = m[-1, :, :] = True
-        m[:, 0, :] = m[:, -1, :] = True
-        m[:, :, 0] = m[:, :, -1] = True
-        return m
-
     def margin_mask(self, width: int = 2) -> np.ndarray:
         """Nodes within `width` cells of the box boundary."""
         m = np.ones((self.nodes,) * 3, dtype=bool)
@@ -79,10 +72,13 @@ class ScalarGridField:
         if not np.all(np.isfinite(self.values)):
             raise ValueError("grid field contains non-finite values")
 
-    def interpolator(self):
-        ax = self.grid.axis
-        return RegularGridInterpolator((ax, ax, ax), self.values, method="linear",
-                                       bounds_error=True)
+
+def interpolator(grid: Grid, values: np.ndarray):
+    """Trilinear interpolator of nodal values (N, N, N, ...) on the grid;
+    points outside the box raise ValueError."""
+    ax = grid.axis
+    return RegularGridInterpolator((ax, ax, ax), values, method="linear",
+                                   bounds_error=True)
 
 
 # ---------------------------------------------------------------------------
@@ -157,7 +153,8 @@ def write_field(path, field: ScalarGridField, sidecar: dict | None = None):
 
 def read_field(path) -> ScalarGridField:
     """Read a field dump; raises BadFieldDump, naming the file, when the
-    header is wrong or the payload is not exactly nodes^3 reals."""
+    header is wrong, the payload is not exactly nodes^3 reals, or the
+    grid or the values are invalid."""
     head_size = struct.calcsize(HEADER)
     with open(path, "rb") as f:
         head = f.read(head_size)
@@ -174,7 +171,10 @@ def read_field(path) -> ScalarGridField:
                            f"expected {8 * n**3} for {n}^3 nodes")
     # stored z-slow, x-fast
     values = np.frombuffer(payload, dtype="<f8").reshape((n, n, n)).T.copy()
-    return ScalarGridField(Grid(halfwidth=halfwidth, nodes=n), values)
+    try:
+        return ScalarGridField(Grid(halfwidth=halfwidth, nodes=n), values)
+    except ValueError as exc:
+        raise BadFieldDump(f"{path}: {exc}") from None
 
 
 def write_axis_profiles(path, fields: dict, grid: Grid):

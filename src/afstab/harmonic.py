@@ -24,12 +24,12 @@ from scipy.sparse.linalg import cg
 
 from .errors import ExcisedPoint, MismatchedChart, SolverDiverged
 from .geometry import MetricChart, scalar_curvature
-from .grid import Grid, ScalarGridField, gradient, second_derivatives
+from .grid import Grid, ScalarGridField, gradient, interpolator, second_derivatives
 from .mass import sphere_rule
 
 try:
     import pyamg
-except ImportError:   # pragma: no cover - present in the supported env
+except ImportError:   # optional "amg" extra; without it "auto" runs Jacobi-CG
     pyamg = None
 
 
@@ -283,13 +283,9 @@ class HarmonicTriple:
         du = self.du[i]
         return np.sqrt(np.einsum("...a,...a->...", du, du)) / self.phi**2
 
-    def hess_norm2(self, i: int) -> np.ndarray:
-        """|Hess u^i|_g^2 field (both indices raised with g^-1)."""
-        return self.hess2[i]
-
     def hess_norm_sum(self) -> np.ndarray:
         """sum_j |Hess u^j|_g, the segment-functional integrand."""
-        return sum(np.sqrt(self.hess_norm2(j)) for j in range(3))
+        return sum(np.sqrt(self.hess2[j]) for j in range(3))
 
     def gram(self, i: int, j: int) -> np.ndarray:
         """<grad u^i, grad u^j>_g field."""
@@ -306,27 +302,20 @@ class HarmonicTriple:
     def u_interp(self, i: int):
         key = ("u", i)
         if key not in self._cache:
-            self._cache[key] = self.u[i].interpolator()
+            self._cache[key] = interpolator(self.grid, self.u[i].values)
         return self._cache[key]
 
     def grad_interp(self, i: int):
         """Interpolator of the raised g-gradient du / phi^4 of u^i."""
-        from scipy.interpolate import RegularGridInterpolator
         key = ("grad", i)
         if key not in self._cache:
-            ax = self.grid.axis
-            self._cache[key] = RegularGridInterpolator(
-                (ax, ax, ax), self.du[i] / self.phi[..., None] ** 4, method="linear",
-                bounds_error=True)
+            self._cache[key] = interpolator(self.grid,
+                                            self.du[i] / self.phi[..., None] ** 4)
         return self._cache[key]
 
     def hess_sum_interp(self):
-        from scipy.interpolate import RegularGridInterpolator
         if "hess_sum" not in self._cache:
-            ax = self.grid.axis
-            self._cache["hess_sum"] = RegularGridInterpolator(
-                (ax, ax, ax), self.hess_norm_sum(), method="linear",
-                bounds_error=True)
+            self._cache["hess_sum"] = interpolator(self.grid, self.hess_norm_sum())
         return self._cache["hess_sum"]
 
     def gram_defect(self) -> np.ndarray:
@@ -341,11 +330,9 @@ class HarmonicTriple:
 
     def gram_defect_interp(self):
         """Interpolator for the gram_defect field."""
-        from scipy.interpolate import RegularGridInterpolator
         if "gram_defect_interp" not in self._cache:
-            ax = self.grid.axis
-            self._cache["gram_defect_interp"] = RegularGridInterpolator(
-                (ax, ax, ax), self.gram_defect(), method="linear", bounds_error=True)
+            self._cache["gram_defect_interp"] = interpolator(self.grid,
+                                                             self.gram_defect())
         return self._cache["gram_defect_interp"]
 
     def u_map(self, pts) -> np.ndarray:

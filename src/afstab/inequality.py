@@ -54,7 +54,7 @@ def mass_inequality_rhs(triple: HarmonicTriple, chart: MetricChart, axis: int,
     if triple.chart != chart:
         raise MismatchedChart("harmonic triple was solved on a different chart")
     gnorm = triple.grad_norm(axis)
-    hess2 = triple.hess_norm2(axis)
+    hess2 = triple.hess2[axis]
     grad_sup = float(np.max(gnorm[~triple.excluded]))
     if eps_grad is None:
         eps_grad = 1e-6 * grad_sup
@@ -97,7 +97,7 @@ def refined_kato_check(triple: HarmonicTriple, chart: MetricChart, axis: int,
     if triple.chart != chart:
         raise MismatchedChart("harmonic triple was solved on a different chart")
     gnorm = triple.grad_norm(axis)
-    hess2 = triple.hess_norm2(axis)
+    hess2 = triple.hess2[axis]
     grad_sup = float(np.max(gnorm[~triple.excluded]))
     if eps_grad is None:
         eps_grad = 1e-6 * grad_sup

@@ -13,8 +13,9 @@ import pytest
 
 from afstab.config import config_from_dict
 from afstab.cli import run
-from afstab.geodesy import (DistanceField, bishop_gromov_check, distance,
-                            pythagorean_check)
+from afstab.errors import AfstabError
+from afstab.geodesy import (DistanceField, bishop_gromov_check, distance_batch,
+                            pythagorean_records)
 from afstab.geometry import (MetricChart, VolumeSampling, certify_hypotheses,
                              ricci_batch)
 from afstab.gh import flow_coverage, gh_distortion, sample_geodesic_ball
@@ -41,6 +42,14 @@ def single_axis_triple(chart, grid):
     return triple_from_solutions(chart, grid, [u, u, u], normalization="none")
 
 
+def defects(records):
+    """The defects of lockstep Pythagorean records; a failed record raises."""
+    for rec in records:
+        if isinstance(rec, AfstabError):
+            raise rec
+    return [rec.defect for rec in records]
+
+
 @pytest.fixture(scope="module")
 def masses(schw_charts):
     return {m: adm_mass(c, (20.0, 40.0, 80.0)).extrapolated
@@ -63,11 +72,11 @@ def test_criterion_01_flat_exactness(criterion, flat_chart, flat_triple):
         u = solve_harmonic_coordinate(flat_chart, grid, axis, bc="plain")
         u_err = max(u_err, float(np.max(np.abs(u.values - grid.points()[..., axis]))))
     drep = gh_distortion(flat_chart, flat_triple, 3.0, 30, seed=101)
-    pyth = max(pythagorean_check(flat_chart, flat_triple, x, y, k % 3,
-                                 seed=300 + k).defect
-               for k, (x, y) in enumerate([((1.0, 1.0, 0.0), (0.0, 0.0, 0.0)),
-                                           ((2.5, -1.0, 0.5), (1.0, 0.0, -1.0)),
-                                           ((3.0, 1.0, 1.0), (1.5, -0.5, 0.0))]))
+    xs = [(1.0, 1.0, 0.0), (2.5, -1.0, 0.5), (3.0, 1.0, 1.0)]
+    ys = [(0.0, 0.0, 0.0), (1.0, 0.0, -1.0), (1.5, -0.5, 0.0)]
+    pyth = max(defects(pythagorean_records(flat_chart, flat_triple, xs, ys,
+                                           [k % 3 for k in range(3)],
+                                           [300 + k for k in range(3)])))
     traces, _ = flow_coverage(flat_chart, flat_triple, 2.0, 5, seed=102)
     flow_err = max(t.u_error for t in traces)
     ok = (abs(mass) < 1e-10 and u_err < 1e-8 and drep.max_defect < 1e-6
@@ -197,11 +206,11 @@ def test_criterion_08_pythagorean_sweep(criterion, flat_chart, flat_triple,
     def median_defect(chart, triple, n_pairs=50):
         pts, _ = sample_geodesic_ball(chart, triple, 3.0, 2 * n_pairs,
                                       seed=808, label="acc-pyth")
-        defs = []
-        for k in range(n_pairs):
-            defs.append(pythagorean_check(chart, triple, pts[k], pts[n_pairs + k],
-                                          k % 3, seed=9000 + k).defect)
-        return float(np.median(defs))
+        recs = pythagorean_records(chart, triple, pts[:n_pairs],
+                                   pts[n_pairs:2 * n_pairs],
+                                   [k % 3 for k in range(n_pairs)],
+                                   [9000 + k for k in range(n_pairs)])
+        return float(np.median(defects(recs)))
 
     medians = [median_defect(schw_charts[m], schw_triples[m]) for m in SWEEP_MASSES]
     flat_med = median_defect(flat_chart, flat_triple, n_pairs=10)
@@ -225,7 +234,9 @@ def test_criterion_09_gh_distortion_sweep(criterion, schw_charts, schw_triples):
     # radial pair on grid nodes against the closed-form radial distance
     chart, triple = schw_charts[0.1], schw_triples[0.1]
     x, y = np.array([2.5, 0.0, 0.0]), np.array([5.0, 0.0, 0.0])
-    d_bvp, _ = distance(chart, x, y)
+    d, _, _, conv = distance_batch(chart, x[None], y[None])
+    assert conv[0]
+    d_bvp = float(d[0])
     d_closed = schwarzschild_radial_arclength(0.1, 2.5, 5.0)
     du = np.linalg.norm(triple.u_map(x) - triple.u_map(y))
     radial_dev = abs(abs(d_bvp - du) - abs(d_closed - du))

@@ -2,6 +2,7 @@
 
 import json
 import os
+import struct
 import subprocess
 import sys
 
@@ -15,6 +16,7 @@ import afstab.mass
 from afstab.cli import _sweep_point, main, run
 from afstab.config import config_from_dict
 from afstab.geometry import MetricChart
+from afstab.grid import FORMAT_VERSION, HEADER, MAGIC
 from afstab.reporting import load_manifest, sha256_file
 
 
@@ -141,6 +143,28 @@ class TestFailedStages:
         assert loaded.data["stages"] == {"inequality": status}
         assert loaded.verify() == []
         assert "FAILED" in (tmp_path / "summary.txt").read_text()
+
+    @pytest.mark.parametrize("dump", [
+        # a 3^3 grid, which Grid rejects (nodes must be odd and >= 17)
+        struct.pack(HEADER, MAGIC, FORMAT_VERSION, 3, 20.0, b"xyz") + bytes(8 * 27),
+        # a NaN in place of the first value
+        "nan",
+    ], ids=["grid", "nonfinite"])
+    def test_invalid_dump_fails_inequality(self, schw_cfg, tmp_path, dump):
+        assert run("harmonic", schw_cfg, out_dir=tmp_path)[0] == 0
+        path = tmp_path / "u2.field"
+        if dump == "nan":
+            data = bytearray(path.read_bytes())
+            start = struct.calcsize(HEADER)
+            data[start:start + 8] = struct.pack("<d", float("nan"))
+            dump = bytes(data)
+        path.write_bytes(dump)
+        (tmp_path / "manifest.json").unlink()
+        code, manifest = run("inequality", schw_cfg, out_dir=tmp_path)
+        assert code == 1
+        status = manifest.data["stages"]["inequality"]
+        assert status.startswith("failed: BadFieldDump") and "u2.field" in status
+        assert load_manifest(tmp_path).verify() == []
 
     def test_mixed_dumps_fail_inequality(self, schw_cfg, tmp_path):
         # a harmonic run stopped after u1 leaves u2, u3 of another config

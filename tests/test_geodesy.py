@@ -5,16 +5,16 @@ import logging
 import numpy as np
 import pytest
 
-from afstab.errors import EmptySample, LeftDomain, OutOfDomain
-from afstab.geodesy import (DistanceField, GeodesicGraph, bishop_gromov_check,
-                            distance, distance_batch, hyperbolic_ball_volume,
-                            level_set_projection, local_distance,
-                            mean_value_candidates, mean_value_pick,
-                            pythagorean_check, pythagorean_records,
-                            segment_functional, shoot_geodesic,
+from afstab.errors import OutOfDomain
+from afstab.geodesy import (DistanceField, GeodesicGraph, _rk4_batch,
+                            bishop_gromov_check, distance_batch,
+                            hyperbolic_ball_volume, level_set_projection,
+                            local_distance, mean_value_candidates,
+                            mean_value_pick, metric_speed, pythagorean_check,
+                            pythagorean_records, segment_functional,
                             write_pythagorean_csv)
 from afstab.geometry import MetricChart
-from afstab.grid import ScalarGridField
+from afstab.grid import interpolator
 from afstab.seeding import rng_for
 
 from oracles import full_grid_eikonal, schwarzschild_radial_arclength
@@ -27,21 +27,32 @@ def schw():
     return MetricChart("schwarzschild", {"m": 0.2}, box_halfwidth=100.0)
 
 
+def sampled_geodesic(chart, x, y):
+    """The distance_batch geodesic from x to y, sampled every second of its
+    160 RK4 steps as (1, 81, 3), with its length as a (1,) array."""
+    start = np.atleast_2d(np.asarray(x, float))
+    d, w, _, conv = distance_batch(chart, start, np.atleast_2d(y))
+    assert conv[0]
+    _, _, samples = _rk4_batch(chart, start, w, 160, record_every=2)
+    return samples, d
+
+
 class TestShoot:
+    """The fixed-step RK4 integrator that every distance shoots with,
+    launched over unit affine time with velocity length * (unit vector)."""
+
     def test_flat_straight_line(self, flat_chart):
-        path = shoot_geodesic(flat_chart, (0.5, -1.0, 2.0), (0.0, 1.0, 0.0), 4.0)
-        assert np.allclose(path.nodes[-1], (0.5, 3.0, 2.0), atol=1e-10)
-        assert path.speed_drift < 1e-10
+        x, v = _rk4_batch(flat_chart, [[0.5, -1.0, 2.0]], [[0.0, 4.0, 0.0]], 160)
+        assert np.allclose(x[0], (0.5, 3.0, 2.0), atol=1e-10)
+        assert abs(metric_speed(flat_chart, x, v)[0] - 4.0) < 4e-10
 
     def test_radial_launch_closed_form(self, schw):
         # endpoint radius solves the radial arclength antiderivative
         x0 = np.array([2.0, 0.0, 0.0])
         phi2 = float(schw.conformal_factor(x0)) ** 2
-        v0 = np.array([1.0, 0.0, 0.0]) / phi2
         L = 3.0
-        path = shoot_geodesic(schw, x0, v0, L)
-        r_end = path.nodes[-1][0]
-        assert schwarzschild_radial_arclength(0.2, 2.0, r_end) == pytest.approx(
+        x, _ = _rk4_batch(schw, x0[None], L * np.array([[1.0, 0.0, 0.0]]) / phi2, 160)
+        assert schwarzschild_radial_arclength(0.2, 2.0, x[0, 0]) == pytest.approx(
             L, abs=1e-8)
 
     def test_speed_conservation_random_launch(self, schw):
@@ -50,31 +61,21 @@ class TestShoot:
         x0 = np.array([2.5, 1.0, -0.5])
         g = schw.metric(x0)
         v = v / np.sqrt(v @ g @ v)
-        path = shoot_geodesic(schw, x0, v, 5.0)
-        assert path.speed_drift < 1e-8
-
-    def test_non_unit_speed_rejected(self, schw):
-        with pytest.raises(ValueError):
-            shoot_geodesic(schw, (2.0, 0.0, 0.0), (1.0, 0.0, 0.0), 1.0)
-
-    def test_left_domain(self):
-        chart = MetricChart("flat", box_halfwidth=5.0)
-        with pytest.raises(LeftDomain):
-            shoot_geodesic(chart, (4.0, 0.0, 0.0), (1.0, 0.0, 0.0), 3.0)
+        x, w = _rk4_batch(schw, x0[None], 5.0 * v[None], 160)
+        assert abs(metric_speed(schw, x, w)[0] / 5.0 - 1.0) < 1e-8
 
 
 class TestDistance:
     def test_flat_345(self, flat_chart):
-        d, path = distance(flat_chart, (0.0, 0.0, 0.0), (3.0, 4.0, 0.0))
-        assert d == pytest.approx(5.0, abs=1e-10)
-        assert path.endpoint_residual < 1e-6 * d
-        assert path.method == "Shooting"
+        d, _, res, conv = distance_batch(flat_chart, [[0.0, 0.0, 0.0]], [[3.0, 4.0, 0.0]])
+        assert d[0] == pytest.approx(5.0, abs=1e-10)
+        assert conv[0] and res[0] < 1e-6 * d[0]
 
     def test_schwarzschild_radial_closed_form(self, schw):
-        d, _ = distance(schw, (2.0, 0.0, 0.0), (5.0, 0.0, 0.0))
+        d, _, _, conv = distance_batch(schw, [[2.0, 0.0, 0.0]], [[5.0, 0.0, 0.0]])
         assert schwarzschild_radial_arclength(0.2, 2.0, 5.0) == pytest.approx(
             RADIAL_D_2_5, abs=1e-12)
-        assert d == pytest.approx(RADIAL_D_2_5, abs=1e-8)
+        assert conv[0] and d[0] == pytest.approx(RADIAL_D_2_5, abs=1e-8)
 
     def test_symmetry_on_random_pairs(self, schw):
         rng = rng_for(4, "sym")
@@ -112,24 +113,17 @@ class TestDistance:
                 assert np.array_equal(whole[i], one[0]), i
 
     def test_degenerate_pair(self, flat_chart):
-        d, path = distance(flat_chart, (1.0, 2.0, 3.0), (1.0, 2.0, 3.0))
-        assert d == 0.0 and path.method == "Trivial"
-
-    def test_out_of_domain(self, flat_chart):
-        with pytest.raises(OutOfDomain):
-            distance(flat_chart, (0.0, 0.0, 0.0), (200.0, 0.0, 0.0))
+        d, _, _, conv = distance_batch(flat_chart, [[1.0, 2.0, 3.0]], [[1.0, 2.0, 3.0]])
+        assert d[0] == 0.0 and conv[0]
 
     def test_path_invariants(self, schw):
-        d, path = distance(schw, (2.0, 1.0, 0.0), (-1.0, 0.5, 2.0))
-        # unit-speed resampling: consecutive g-lengths agree within 1% of mean
-        legs = [local_distance(schw, a, b)
-                for a, b in zip(path.nodes[:-1], path.nodes[1:])]
-        legs = np.asarray(legs)
-        assert np.max(np.abs(legs - legs.mean())) < 0.01 * legs.mean()
+        x, y = np.array([2.0, 1.0, 0.0]), np.array([-1.0, 0.5, 2.0])
+        d, _, _, conv = distance_batch(schw, x[None], y[None])
+        assert conv[0]
         # length dominates the Euclidean chord up to the metric distortion bound
-        chord = np.linalg.norm(np.asarray(path.nodes[-1]) - path.nodes[0])
+        chord = np.linalg.norm(y - x)
         phi_min = 1.0   # phi >= 1 for this family, so g-length >= Euclidean
-        assert d >= chord * phi_min**2 * (1.0 - 1e-9)
+        assert d[0] >= chord * phi_min**2 * (1.0 - 1e-9)
 
     def test_graph_distance_upper_bounds_shooting(self, schw):
         graph = GeodesicGraph(schw, 8.0, nodes=17)
@@ -147,38 +141,37 @@ class TestDistance:
 
 class TestSegmentFunctional:
     def test_zero_field(self, flat_chart, flat_triple):
-        _, path = distance(flat_chart, (0.0, 0.0, 0.0), (2.0, 2.0, 1.0))
-        zero = ScalarGridField(flat_triple.grid,
-                               np.zeros((flat_triple.grid.nodes,) * 3))
-        assert segment_functional(flat_chart, path, zero) == 0.0
+        samples, d = sampled_geodesic(flat_chart, (0.0, 0.0, 0.0), (2.0, 2.0, 1.0))
+        grid = flat_triple.grid
+        zero = interpolator(grid, np.zeros((grid.nodes,) * 3))
+        assert segment_functional(samples, d, zero)[0] == 0.0
 
     def test_flat_hessian_integrand_vanishes(self, flat_chart, flat_triple):
-        _, path = distance(flat_chart, (0.0, 0.0, 0.0), (3.0, 0.0, 1.0))
-        val = segment_functional(flat_chart, path, flat_triple.hess_sum_interp())
+        samples, d = sampled_geodesic(flat_chart, (0.0, 0.0, 0.0), (3.0, 0.0, 1.0))
+        val = segment_functional(samples, d, flat_triple.hess_sum_interp())[0]
         assert abs(val) < 1e-8
 
     def test_schwarzschild_sweep_decreases(self, schw_charts, schw_triples):
         x, y = (1.0, 1.5, 0.0), (4.0, -0.5, 1.0)
         vals = []
         for m in (0.2, 0.1, 0.05):
-            chart = schw_charts[m]
-            _, path = distance(chart, x, y)
-            vals.append(segment_functional(chart, path,
-                                           schw_triples[m].hess_sum_interp()))
+            samples, d = sampled_geodesic(schw_charts[m], x, y)
+            vals.append(segment_functional(samples, d,
+                                           schw_triples[m].hess_sum_interp())[0])
         assert vals[0] > vals[1] > vals[2] > 0.0
 
     def test_constant_speed_quadrature(self, flat_chart, flat_triple):
         # u^1 = x - 2 after normalization at p = (2,0,0); the integral of
         # u^1 + 5 along the segment x in [0, 2] is 2*3 + 2 = 8 exactly
-        _, path = distance(flat_chart, (0.0, 0.0, 0.0), (2.0, 0.0, 0.0))
+        samples, d = sampled_geodesic(flat_chart, (0.0, 0.0, 0.0), (2.0, 0.0, 0.0))
         interp = flat_triple.u_interp(0)
-        val = segment_functional(flat_chart, path, lambda pts: interp(pts) + 5.0)
+        val = segment_functional(samples, d, lambda pts: interp(pts) + 5.0)[0]
         assert val == pytest.approx(8.0, rel=1e-6)
 
     def test_negative_field_rejected(self, flat_chart):
-        _, path = distance(flat_chart, (0.0, 0.0, 0.0), (1.0, 0.0, 0.0))
+        samples, d = sampled_geodesic(flat_chart, (0.0, 0.0, 0.0), (1.0, 0.0, 0.0))
         with pytest.raises(ValueError):
-            segment_functional(flat_chart, path, lambda pts: -np.ones(len(pts)))
+            segment_functional(samples, d, lambda pts: -np.ones(len(pts)))
 
 
 class TestMeanValuePick:

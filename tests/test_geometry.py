@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from afstab.errors import ExcisedPoint, OutOfDomain
 from afstab.geometry import (MetricChart, SphereSampling, VolumeSampling,
-                             certify_hypotheses, curvature_at, metric_at,
-                             scalar_curvature, verify_asymptotic_flatness)
+                             certify_hypotheses, curvature_at, scalar_curvature,
+                             verify_asymptotic_flatness)
 from afstab.seeding import rng_for
 
 from oracles import fd_scalar_curvature, sympy_conformal_scalar, sympy_gaussian_phi
@@ -22,40 +22,42 @@ def bump_chart(amp, center=(1.0, 0.0, 0.0), width=2.0, A=0.0, box=20.0):
 
 class TestMetricAt:
     def test_flat_is_identity(self):
-        g, dg, ddg = metric_at(MetricChart("flat"), (1.0, 2.0, 3.0))
+        g, dg, ddg = MetricChart("flat").metric_derivs((1.0, 2.0, 3.0))
         assert np.array_equal(g, np.eye(3))
         assert np.all(dg == 0.0) and np.all(ddg == 0.0)
 
     def test_schwarzschild_closed_form(self):
         # (1 + 0.5/(2*2))^4, frozen from the family's closed form
         chart = MetricChart("schwarzschild", {"m": 0.5}, box_halfwidth=100.0)
-        g, _, _ = metric_at(chart, (2.0, 0.0, 0.0))
+        g, _, _ = chart.metric_derivs((2.0, 0.0, 0.0))
         assert g[0, 0] == pytest.approx(1.601806640625, abs=1e-15)
         assert g[1, 1] == pytest.approx(g[0, 0], abs=1e-15)
         assert abs(g[0, 1]) == 0.0
 
     def test_conformal_zero_amplitude_matches_flat(self):
         conf = MetricChart("conformal", {"A": 0.0})
-        g, dg, ddg = metric_at(conf, (1.0, -2.0, 0.5))
+        g, dg, ddg = conf.metric_derivs((1.0, -2.0, 0.5))
         assert np.array_equal(g, np.eye(3))
         assert np.all(dg == 0.0) and np.all(ddg == 0.0)
 
     def test_second_derivative_symmetry(self):
         chart = bump_chart(0.2)
-        _, _, ddg = metric_at(chart, (1.3, 0.4, -0.2))
+        _, _, ddg = chart.metric_derivs((1.3, 0.4, -0.2))
         assert np.allclose(ddg, np.swapaxes(ddg, 0, 1), atol=0.0)
 
     def test_errors(self):
         schw = MetricChart("schwarzschild", {"m": 0.1})
         with pytest.raises(ExcisedPoint):
-            metric_at(schw, (0.0, 0.0, 0.0))
+            schw.check_point((0.0, 0.0, 0.0))
         with pytest.raises(OutOfDomain):
-            metric_at(schw, (25.0, 0.0, 0.0))
+            schw.check_point((25.0, 0.0, 0.0))
         exc = MetricChart("flat", excision_radius=1.0)
         with pytest.raises(ExcisedPoint):
-            metric_at(exc, (0.5, 0.0, 0.0))
+            exc.check_point((0.5, 0.0, 0.0))
         # flat family with no excision is regular at the origin
-        g, _, _ = metric_at(MetricChart("flat"), (0.0, 0.0, 0.0))
+        flat = MetricChart("flat")
+        flat.check_point((0.0, 0.0, 0.0))
+        g, _, _ = flat.metric_derivs((0.0, 0.0, 0.0))
         assert np.array_equal(g, np.eye(3))
 
 
@@ -110,7 +112,6 @@ class TestCurvature:
     def test_christoffel_closed_form_matches_generic(self):
         chart = bump_chart(0.25, A=0.3)
         x = np.array([1.4, -0.6, 0.9])
-        gamma = chart.christoffel(x)
         g, dg, _ = chart.metric_derivs(x)
         ginv = np.linalg.inv(g)
         ref = np.zeros((3, 3, 3))
@@ -120,10 +121,12 @@ class TestCurvature:
                     ref[c, a, b] = 0.5 * sum(
                         ginv[c, d] * (dg[a, b, d] + dg[b, a, d] - dg[d, a, b])
                         for d in range(3))
-        assert np.allclose(gamma, ref, atol=1e-13)
-        v = np.array([0.3, -1.0, 0.2])
-        assert np.allclose(chart.christoffel_quadratic(x, v),
-                           np.einsum("kab,a,b->k", ref, v, v), atol=1e-13)
+        # e_a, e_a + e_b and one generic v: by polarization the quadratic
+        # form on these determines every symmetric Gamma^k_ab
+        eye = np.eye(3)
+        vs = np.vstack([eye, eye + np.roll(eye, 1, axis=1), [[0.3, -1.0, 0.2]]])
+        assert np.allclose(chart.christoffel_quadratic(np.broadcast_to(x, vs.shape), vs),
+                           np.einsum("kab,na,nb->nk", ref, vs, vs), atol=1e-13)
 
 
 class TestPositiveDefinite:

@@ -24,8 +24,9 @@ class TestGrid:
 
     def test_masks(self):
         g = Grid(halfwidth=5.0, nodes=17)
-        b = g.boundary_mask()
+        b = g.margin_mask(1)
         assert b.sum() == 17**3 - 15**3
+        assert not b[1:-1, 1:-1, 1:-1].any()
         m = g.margin_mask(2)
         assert m.sum() == 17**3 - 13**3
 

@@ -43,7 +43,7 @@ class TestMassInequality:
         # every sample of |Hess u|^2/|grad u| and R |grad u| is >= 0 for R >= 0
         t = schw_triples[0.1]
         gnorm = t.grad_norm(0)[~t.excluded]
-        hess2 = t.hess_norm2(0)[~t.excluded]
+        hess2 = t.hess2[0][~t.excluded]
         assert np.all(hess2 >= 0.0) and np.all(gnorm > 0.0)
 
     def test_eps_grad_robustness(self, schw_triples, schw_charts):

@@ -11,10 +11,16 @@ pythagoras, flow` with the same config, in that order, into
 lines go to stderr.  afstab is imported from this checkout's `src`, so
 the output of two checkouts can be compared line by line, e.g. with
 `diff`, to check that a change keeps the artifacts byte-identical.
-Exits nonzero if any run did.
+
+The chain runs the config's own family parameters, which are also the
+sweep's first point, and reloads the `harmonic` field dumps; its reports
+must give that point's stability_<tag>.json numbers exactly.  Each field
+that differs is named on stderr.  Exits nonzero if any run did or any
+field differs.
 """
 
 import contextlib
+import json
 import pathlib
 import sys
 
@@ -29,6 +35,27 @@ CHAIN = ("check-af", "mass", "harmonic", "inequality", "distort", "pythagoras",
          "flow")
 
 
+def chain_point(chain: pathlib.Path) -> dict:
+    """The sweep point's numbers as the chain's reports give them."""
+    def report(name):
+        return json.loads((chain / name).read_text())
+
+    harm, ineq = report("harmonic_report.json"), report("inequality_report.json")
+    dist, flow = report("distortion_report.json"), report("flow_report.json")
+    axes = ineq["axes"]
+    return {"mass": ineq["mass"], "grad_sup": harm["grad_sup"],
+            "residual_norms": harm["residual_norms"], "cheng_yau": harm["cheng_yau"][0],
+            "hessian_l2": max(ax["hessian_l2"] for ax in axes),
+            "rhs_integral": max(ax["rhs_integral"] for ax in axes),
+            "slack": min(ax["slack"] for ax in axes),
+            "psi_l1": ineq["relaxed_certificate"]["psi_l1"],
+            "defect_p50": dist["defect_p50"], "defect_p90": dist["defect_p90"],
+            "defect_max": dist["max_defect"], "ortho_l1": dist["ortho_l1"],
+            "pythagorean_median": report("pythagoras_report.json")["median_defect"],
+            "image_hausdorff": flow["image_hausdorff"],
+            "flow_err_max": flow["flow_err_max"]}
+
+
 def main():
     if len(sys.argv) != 2:
         sys.exit(__doc__)
@@ -41,6 +68,16 @@ def main():
     for path in sorted(p for p in out.rglob("*") if p.is_file()):
         if path.name != "manifest.json":
             print(path.relative_to(out).as_posix(), sha256_file(path))
+    with open(CONFIG) as f:
+        cfg = json.load(f)
+    name = cfg["sweep"]["parameter"]
+    tag = f"{name}{cfg['family']['params'][name]:g}"
+    sweep = json.loads((out / "sweep" / f"stability_{tag}.json").read_text())
+    for key, value in chain_point(out / "chain").items():
+        if value != sweep[key]:
+            print(f"chain and sweep differ in {key}: {value!r} != "
+                  f"{sweep[key]!r} (stability_{tag}.json)", file=sys.stderr)
+            code = 1
     return code
 
 

@@ -65,15 +65,13 @@ def _chart_sidecar(cfg: ExperimentConfig, chart) -> dict:
             "decay_b": chart.decay_b, "decay_tau": chart.decay_tau,
             "base_point": list(chart.base_point),
             "grid_nodes": cfg.grid.nodes, "grid_halfwidth": cfg.grid.halfwidth,
-            "bc": cfg.grid.bc, "normalization": cfg.solver.normalization,
-            "config_hash": config_hash(cfg)}
+            "bc": cfg.grid.bc, "config_hash": config_hash(cfg)}
 
 
 def _solve_triple(cfg: ExperimentConfig, chart):
     return build_harmonic_triple(chart, cfg.make_grid(), bc=cfg.grid.bc,
                                  tol=cfg.solver.tol, method=cfg.solver.method,
-                                 max_iter=cfg.solver.max_iter,
-                                 normalization=cfg.solver.normalization)
+                                 max_iter=cfg.solver.max_iter)
 
 
 def _sidecar_matches(path, expected: dict) -> bool:
@@ -98,9 +96,7 @@ def _load_or_solve_triple(cfg: ExperimentConfig, out_dir, chart):
                     raise BadFieldDump(f"{path}: sidecar differs from u1.field.json; "
                                        "the field dumps come from different runs")
             fields = [read_field(p) for p in paths]
-            return triple_from_solutions(chart, cfg.make_grid(), fields,
-                                         bc=cfg.grid.bc,
-                                         normalization=cfg.solver.normalization), True
+            return triple_from_solutions(chart, cfg.make_grid(), fields), True
     return _solve_triple(cfg, chart), False
 
 

@@ -5,6 +5,7 @@ violation instead of stopping at the first.
 """
 
 import json
+import math
 from dataclasses import asdict, dataclass, field
 
 from .errors import ParseError, ValidationError
@@ -36,7 +37,6 @@ class SolverConfig:
     max_iter: int = 20000
     method: str = "auto"
     eps_grad_factor: float = 1e-6
-    normalization: str = "point"
 
 
 @dataclass
@@ -62,12 +62,6 @@ class MassConfig:
 
 
 @dataclass
-class BishopGromovConfig:
-    radii: list = field(default_factory=lambda: [1.5, 2.0, 2.5, 3.0, 4.0, 5.0])
-    kappa: float | None = None        # None: use the certified value
-
-
-@dataclass
 class CertificateConfig:
     x_field: dict = field(default_factory=lambda: {"kind": "zero"})
     c_coef: float = 1.0
@@ -85,14 +79,12 @@ class SweepConfig:
 @dataclass
 class OutputConfig:
     directory: str = "out"
-    formats: list = field(default_factory=lambda: ["json", "csv"])
 
 
 _SECTIONS = {
     "family": FamilyConfig, "grid": GridConfig, "solver": SolverConfig,
     "sampling": SamplingConfig, "mass": MassConfig,
-    "bishop_gromov": BishopGromovConfig, "certificate": CertificateConfig,
-    "sweep": SweepConfig, "output": OutputConfig,
+    "certificate": CertificateConfig, "sweep": SweepConfig, "output": OutputConfig,
 }
 
 
@@ -103,7 +95,6 @@ class ExperimentConfig:
     solver: SolverConfig = field(default_factory=SolverConfig)
     sampling: SamplingConfig = field(default_factory=SamplingConfig)
     mass: MassConfig = field(default_factory=MassConfig)
-    bishop_gromov: BishopGromovConfig = field(default_factory=BishopGromovConfig)
     certificate: CertificateConfig = field(default_factory=CertificateConfig)
     sweep: SweepConfig = field(default_factory=SweepConfig)
     output: OutputConfig = field(default_factory=OutputConfig)
@@ -166,8 +157,8 @@ def validate(cfg: ExperimentConfig) -> list:
     f = cfg.family
     if f.tag not in FAMILIES:
         v.append(f"family.tag must be one of {FAMILIES}, got {f.tag!r}")
-    if f.box_halfwidth <= 0:
-        v.append("family.box_halfwidth must be positive")
+    if not 0 < f.box_halfwidth < math.inf:
+        v.append("family.box_halfwidth must be finite and positive")
     if f.excision_radius < 0:
         v.append("family.excision_radius must be nonnegative")
     if f.decay_b <= 0:
@@ -184,8 +175,8 @@ def validate(cfg: ExperimentConfig) -> list:
     g = cfg.grid
     if g.nodes < 17 or g.nodes % 2 == 0:
         v.append("grid.nodes must be odd and >= 17")
-    if g.halfwidth <= 0:
-        v.append("grid.halfwidth must be positive")
+    if not 0 < g.halfwidth < math.inf:
+        v.append("grid.halfwidth must be finite and positive")
     elif g.halfwidth > f.box_halfwidth:
         v.append("grid.halfwidth must not exceed family.box_halfwidth")
     if g.bc not in ("plain", "corrected"):
@@ -200,8 +191,6 @@ def validate(cfg: ExperimentConfig) -> list:
         v.append("solver.method must be 'auto', 'cg', or 'amg'")
     if s.eps_grad_factor <= 0:
         v.append("solver.eps_grad_factor must be positive")
-    if s.normalization not in ("point", "annulus"):
-        v.append("solver.normalization must be 'point' or 'annulus'")
 
     sm = cfg.sampling
     if sm.seed is None:
@@ -236,14 +225,6 @@ def validate(cfg: ExperimentConfig) -> list:
     if ms.residual_threshold <= 0:
         v.append("mass.residual_threshold must be positive")
 
-    bg = cfg.bishop_gromov
-    if len(bg.radii) < 2:
-        v.append("bishop_gromov.radii needs at least 2 radii")
-    elif any(b <= a for a, b in zip(bg.radii, bg.radii[1:])):
-        v.append("bishop_gromov.radii must be strictly increasing")
-    if bg.kappa is not None and bg.kappa < 0:
-        v.append("bishop_gromov.kappa must be nonnegative when given")
-
     ct = cfg.certificate
     if ct.x_field.get("kind", "zero") not in ("zero", "gradient_bump"):
         v.append("certificate.x_field.kind must be 'zero' or 'gradient_bump'")
@@ -257,9 +238,6 @@ def validate(cfg: ExperimentConfig) -> list:
     o = cfg.output
     if not isinstance(o.directory, str) or not o.directory:
         v.append("output.directory must be a nonempty string")
-    bad = set(o.formats) - {"json", "csv"}
-    if bad:
-        v.append(f"output.formats contains unsupported entries {sorted(bad)}")
     return v
 
 

@@ -320,13 +320,14 @@ def distance_batch(chart: MetricChart, starts, targets, n_steps: int = 160,
 
 
 def segment_functional(samples, lengths, f) -> np.ndarray:
-    """Trapezoid line integrals of a nonnegative field along geodesics.
+    """Trapezoid line integrals of a nonnegative field along sampled paths.
 
-    samples: (K, M, 3) points of K geodesics at M equally spaced affine
-    times (so equally spaced in arclength), lengths: their K g-lengths;
-    f is a callable on (P, 3) points, trilinearly interpolated grid data
-    in the intended use.  Returns the K integrals; this is the score of
-    the level-set projections' mean-value picks.
+    samples: (K, M, 3) points of K paths at M equally spaced parameter
+    values (affine times of geodesics, so equally spaced in arclength, or
+    flow times), lengths: the K parameter lengths, or one for all; f is a
+    callable on (P, 3) points, trilinearly interpolated grid data in the
+    intended use.  Returns the K integrals; this is the score of the
+    mean-value picks of the level-set projections and the flow legs.
     """
     vals = np.asarray(f(samples.reshape(-1, 3)), float).reshape(samples.shape[:2])
     if np.min(vals) < -1e-12:

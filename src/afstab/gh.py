@@ -16,7 +16,7 @@ from scipy.integrate import solve_ivp
 
 from .errors import LeftDomain, NoConvergence
 from .geodesy import (DistanceField, distance_batch, local_distance,
-                      mean_value_pick, SCORE_FLOOR)
+                      mean_value_pick, segment_functional, SCORE_FLOOR)
 from .geometry import MetricChart
 from .harmonic import HarmonicTriple
 from .seeding import rng_for
@@ -186,6 +186,7 @@ def gradient_flow_step(chart: MetricChart, triple: HarmonicTriple, start, axis: 
                          f">= {r_limit:.3f}")
     defect_interp = triple.gram_defect_interp()
     n_score_steps = max(24, int(8 * abs(t) / triple.grid.h))
+    lim = triple.grid.halfwidth - 2 * triple.grid.h
 
     if abs(t) < 1e-14:
         y_star = start.copy()
@@ -193,16 +194,12 @@ def gradient_flow_step(chart: MetricChart, triple: HarmonicTriple, start, axis: 
 
     def score(cands):
         _, samples = _flow_batch(triple, axis, cands, t, n_score_steps)
-        lim = triple.grid.halfwidth - 2 * triple.grid.h
-        vals = defect_interp(np.clip(samples.reshape(-1, 3), -lim, lim))
-        vals = vals.reshape(samples.shape[:2])
-        scores = np.trapezoid(vals, axis=1) * (abs(t) / n_score_steps)
+        scores = segment_functional(np.clip(samples, -lim, lim), abs(t), defect_interp)
         return np.where(scores < SCORE_FLOOR, 0.0, scores)
 
     y_star, _ = mean_value_pick(chart, start, rho, score, n_mv_samples, seed,
                                 label=f"flow-{axis}")
     sign = 1.0 if t >= 0 else -1.0
-    lim = triple.grid.halfwidth - 2 * triple.grid.h
 
     def exit_event(s, x):
         return lim - np.max(np.abs(x))

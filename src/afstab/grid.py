@@ -28,8 +28,9 @@ class Grid:
     def __post_init__(self):
         if self.nodes < 17 or self.nodes % 2 == 0:
             raise ValueError(f"grid nodes must be odd and >= 17, got {self.nodes}")
-        if self.halfwidth <= 0:
-            raise ValueError("grid halfwidth must be positive")
+        if not 0 < self.halfwidth < np.inf:
+            raise ValueError(f"grid halfwidth must be finite and positive, "
+                             f"got {self.halfwidth}")
 
     @property
     def h(self) -> float:

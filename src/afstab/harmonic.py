@@ -2,10 +2,13 @@
 
 Solves div_g grad u = 0 for the three functions asymptotic to the chart
 coordinates, with Dirichlet data on the truncation box, all three against
-one assembled operator and matrix.  The triple keeps what the downstream
-diagnostics read: u, its coordinate partials (from which |grad u|_g, the
-Gram defect and the interpolated g-gradient are formed) and |Hess u|_g^2;
-the covariant Hessian exists only while that norm is computed.
+one assembled operator and matrix, and normalizes them to u(p) = 0 at
+the chart base point p.  The triple keeps what the downstream
+diagnostics read, derived from the normalized values the same way on a
+solve and on a reload of field dumps: u, its coordinate partials (from
+which |grad u|_g, the Gram defect and the interpolated g-gradient are
+formed) and |Hess u|_g^2; the covariant Hessian exists only while that
+norm is computed.
 
 The discretization is the conservative second-order scheme for
 u -> (1/sqrt(det g)) d_a (sqrt(det g) g^ab d_b u) with coefficients
@@ -46,16 +49,29 @@ def _finite_impute(arr: np.ndarray, node):
                     + arr[i, j - 1, k] + arr[i, j, k + 1] + arr[i, j, k - 1]) / 6.0
 
 
+def nodal_conformal(chart: MetricChart, grid: Grid):
+    """Nodal conformal factor and gradient; returns (phi, dphi, node).  For
+    a chart singular at the origin with a node there, node is that node and
+    phi, dphi hold the mean of its six neighbors there, else node is None."""
+    phi, dphi = chart.conformal_gradient(grid.points())
+    c = grid.nodes // 2
+    if not (chart.singular_at_origin and abs(grid.axis[c]) < 1e-12):
+        return phi, dphi, None
+    node = (c, c, c)
+    _finite_impute(phi, node)
+    _finite_impute(dphi, node)
+    return phi, dphi, node
+
+
 class LaplaceBeltrami:
     """Assembled divergence-form operator on a grid.
 
     Face coefficient arrays kx, ky, kz hold sqrt(det g) g^aa at the
     midpoints of the faces normal to each axis; weight holds the nodal
-    sqrt(det g), and phi, dphi the nodal conformal factor and its gradient
-    (puncture imputed), which the triple builder reuses.  apply() evaluates
-    the full operator including boundary nodes in the stencil;
-    interior_system() returns the SPD matrix and the right-hand-side
-    builder for Dirichlet data.
+    sqrt(det g), and phi, dphi, singular_node those of nodal_conformal,
+    which the triple builder reuses.  apply() evaluates the full operator
+    including boundary nodes in the stencil; interior_system() returns the
+    SPD matrix and the right-hand-side builder for Dirichlet data.
     """
 
     def __init__(self, chart: MetricChart, grid: Grid):
@@ -71,7 +87,6 @@ class LaplaceBeltrami:
                                       "metrics only; every corpus family qualifies")
         self.chart = chart
         self.grid = grid
-        N, h = grid.nodes, grid.h
         ax = grid.axis
         mid = 0.5 * (ax[:-1] + ax[1:])
 
@@ -85,18 +100,9 @@ class LaplaceBeltrami:
         self.kx = face_phi2(0)   # (N-1, N, N)
         self.ky = face_phi2(1)
         self.kz = face_phi2(2)
-        phi, dphi = chart.conformal_gradient(grid.points())
-        self.singular_node = None
-        if chart.singular_at_origin:
-            c = N // 2
-            if abs(ax[c]) < 1e-12:
-                self.singular_node = (c, c, c)
-                # impute the puncture node so nodal caches stay finite
-                _finite_impute(phi, self.singular_node)
-                _finite_impute(dphi, self.singular_node)
-        self.phi, self.dphi = phi, dphi
-        self.weight = phi**6
-        self.h = h
+        self.phi, self.dphi, self.singular_node = nodal_conformal(chart, grid)
+        self.weight = self.phi**6
+        self.h = grid.h
         self._system = None
 
     def apply(self, values: np.ndarray) -> np.ndarray:
@@ -252,26 +258,25 @@ def solve_harmonic_coordinate(chart: MetricChart, grid: Grid, axis: int,
 
 @dataclass
 class HarmonicTriple:
-    """The three solved coordinates and the fields the diagnostics read.
+    """The three normalized coordinates and the fields the diagnostics read.
 
     du[i] holds the coordinate partials of u^i and hess2[i] the field
-    |Hess u^i|_g^2, both taken from the solved values before normalization;
-    the g-gradient and the covariant Hessian are not kept.
+    |Hess u^i|_g^2, both taken from the normalized values; the g-gradient
+    and the covariant Hessian are not kept.  residual_norms and u_at_p
+    are solve diagnostics, None on a triple rebuilt from field dumps.
     """
 
     chart: MetricChart
     grid: Grid
-    u: tuple                     # three solved ScalarGridFields
+    u: tuple                     # three ScalarGridFields, u^i(p) = 0
     du: tuple                    # (N, N, N, 3) coordinate partials per axis
     hess2: tuple                 # (N, N, N) |Hess u^i|_g^2 per axis
-    residual_norms: tuple
-    bc: str
-    normalization: str
     phi: np.ndarray              # nodal conformal factor (puncture imputed)
     dphi: np.ndarray             # nodal conformal gradient
     excluded: np.ndarray         # nodes excluded from integral norms
     grad_sup: float = 0.0
-    u_at_p: tuple = (0.0, 0.0, 0.0)
+    residual_norms: tuple | None = None   # operator residual per raw solution
+    u_at_p: tuple | None = None           # the subtracted raw values u^i(p)
     _cache: dict = field(default_factory=dict, repr=False)
 
     def volume_weights(self) -> np.ndarray:
@@ -359,78 +364,71 @@ def _gradient_and_hessian(values: np.ndarray, phi: np.ndarray, dphi: np.ndarray,
     return du, dd - gamma_term
 
 
-def _triple(chart, grid, solutions, bc, normalization, operator) -> HarmonicTriple:
-    """The triple of three solved fields: derived fields and residuals from
-    the solved values, then the normalization."""
-    phi, dphi = operator.phi, operator.dphi
+def _excluded(grid: Grid, singular_node) -> np.ndarray:
+    """Nodes excluded from norms: the two-cell margin and the puncture."""
     excluded = grid.margin_mask(2)
-    if operator.singular_node is not None:
-        excluded[operator.singular_node] = True
-    du, hess2, residual_norms = [], [], []
+    if singular_node is not None:
+        excluded[singular_node] = True
+    return excluded
+
+
+def _derived_triple(chart, grid, solutions, phi, dphi, excluded) -> HarmonicTriple:
+    """The triple of three normalized fields, with the fields derived from
+    them and the nodal conformal data."""
+    du, hess2 = [], []
     for u in solutions:
         du_i, hess = _gradient_and_hessian(u.values, phi, dphi, grid.h)
         du.append(du_i)
         hess2.append(np.einsum("...ab,...ab->...", hess, hess) / phi**8)
-        resid = operator.apply(u.values)
-        residual_norms.append(float(np.max(np.abs(resid[~excluded]))))
     triple = HarmonicTriple(chart=chart, grid=grid, u=tuple(solutions), du=tuple(du),
-                            hess2=tuple(hess2), residual_norms=tuple(residual_norms),
-                            bc=bc, normalization=normalization, phi=phi, dphi=dphi,
-                            excluded=excluded)
-    if normalization == "point":
-        p = np.asarray(chart.base_point, float)
-        offsets = [float(triple.u_interp(i)(p)[0]) for i in range(3)]
-    elif normalization == "annulus":
-        r = grid.radius()
-        shell = (r >= 0.5 * grid.halfwidth) & (r <= 0.75 * grid.halfwidth) & ~excluded
-        wv = triple.volume_weights()[shell]
-        offsets = [float(np.sum(u.values[shell] * wv) / np.sum(wv)) for u in solutions]
-    elif normalization == "none":
-        offsets = [0.0, 0.0, 0.0]
-    else:
-        raise ValueError(f"unknown normalization {normalization!r}")
-    for u, off in zip(solutions, offsets):
-        u.values -= off
-    triple.u_at_p = tuple(offsets)
-    triple._cache.clear()
+                            hess2=tuple(hess2), phi=phi, dphi=dphi, excluded=excluded)
     triple.grad_sup = max(float(np.max(triple.grad_norm(i)[~excluded])) for i in range(3))
     return triple
 
 
 def build_harmonic_triple(chart: MetricChart, grid: Grid, bc: str = "corrected",
                           tol: float = 1e-11, method: str = "auto",
-                          max_iter: int = 20000,
-                          normalization: str = "point") -> HarmonicTriple:
-    """Solve all three axes against one operator and matrix, then attach
-    the derived fields and the normalization.
+                          max_iter: int = 20000) -> HarmonicTriple:
+    """Solve all three axes against one operator and matrix, normalize,
+    then derive.
 
-    normalization "point" subtracts u^i(p) (trilinear at the chart base
-    point); "annulus" subtracts the volume-weighted mean over the shell
-    halfwidth/2 <= |x| <= 3 halfwidth/4.
+    The residual norms are taken from the raw solutions; each is then
+    normalized in place to u^i(p) = 0 at the chart base point p (trilinear
+    value subtracted), and the derived fields come from the normalized
+    values, as triple_from_solutions derives them from the dumps.
     """
     operator = LaplaceBeltrami(chart, grid)
     solutions = [solve_harmonic_coordinate(chart, grid, a, bc=bc, tol=tol,
                                            max_iter=max_iter, method=method,
                                            operator=operator)
                  for a in range(3)]
-    return _triple(chart, grid, solutions, bc, normalization, operator)
+    excluded = _excluded(grid, operator.singular_node)
+    residual_norms = tuple(float(np.max(np.abs(operator.apply(u.values)[~excluded])))
+                           for u in solutions)
+    p = np.asarray(chart.base_point, float)
+    u_at_p = tuple(float(interpolator(grid, u.values)(p)[0]) for u in solutions)
+    for u, off in zip(solutions, u_at_p):
+        u.values -= off
+    triple = _derived_triple(chart, grid, solutions, operator.phi, operator.dphi,
+                             excluded)
+    triple.residual_norms, triple.u_at_p = residual_norms, u_at_p
+    return triple
 
 
-def triple_from_solutions(chart: MetricChart, grid: Grid, solutions,
-                          bc: str = "corrected",
-                          normalization: str = "point") -> HarmonicTriple:
-    """Rebuild a triple from already-solved nodal fields (e.g. field dumps).
+def triple_from_solutions(chart: MetricChart, grid: Grid, solutions) -> HarmonicTriple:
+    """The triple of already-normalized nodal fields (e.g. field dumps).
 
-    Derived fields (gradients, Hessian norms, residual norms) are recomputed
-    from the nodal values; normalization is re-applied, which is a no-op
-    on fields that were normalized before serialization.  The fields are
-    normalized in place.
+    The derived fields come from the values as they are, the same way
+    build_harmonic_triple derives them after normalizing, so a triple
+    reloaded from its dumps equals the solved one bit for bit.  No operator
+    is built: residual_norms and u_at_p stay None.
     """
     for sol in solutions:
         if sol.grid != grid:
             raise MismatchedChart("field dump grid differs from the config grid")
-    return _triple(chart, grid, list(solutions), bc, normalization,
-                   LaplaceBeltrami(chart, grid))
+    phi, dphi, singular_node = nodal_conformal(chart, grid)
+    return _derived_triple(chart, grid, solutions, phi, dphi,
+                           _excluded(grid, singular_node))
 
 
 def cheng_yau_ratio(triple: HarmonicTriple, i: int, radius: float,

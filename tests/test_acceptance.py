@@ -36,10 +36,10 @@ LEVELS = (33, 65, 129)
 
 
 def single_axis_triple(chart, grid):
-    """Axis-1 solve wrapped as a triple (normalization skipped; the
-    inequality integrals only read derivative fields)."""
+    """Axis-1 solve wrapped as a triple (not normalized; the inequality
+    integrals only read derivative fields)."""
     u = solve_harmonic_coordinate(chart, grid, 0, bc="corrected")
-    return triple_from_solutions(chart, grid, [u, u, u], normalization="none")
+    return triple_from_solutions(chart, grid, [u, u, u])
 
 
 def defects(records):

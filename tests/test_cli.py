@@ -28,7 +28,6 @@ def tiny_config(tag="flat", **extra):
                      "n_pythagoras_pairs": 3, "eikonal_nodes": 33,
                      "ball_radius": 2.0, "target_radius": 1.0},
         "mass": {"radii": [20.0, 40.0, 80.0]},
-        "bishop_gromov": {"radii": [1.0, 1.5, 2.0]},
     }
     data.update(extra)
     return data
@@ -147,9 +146,12 @@ class TestFailedStages:
     @pytest.mark.parametrize("dump", [
         # a 3^3 grid, which Grid rejects (nodes must be odd and >= 17)
         struct.pack(HEADER, MAGIC, FORMAT_VERSION, 3, 20.0, b"xyz") + bytes(8 * 27),
+        # a NaN halfwidth, which Grid rejects (it must be finite and positive)
+        struct.pack(HEADER, MAGIC, FORMAT_VERSION, 17, float("nan"), b"xyz")
+        + bytes(8 * 17**3),
         # a NaN in place of the first value
         "nan",
-    ], ids=["grid", "nonfinite"])
+    ], ids=["grid", "halfwidth", "nonfinite"])
     def test_invalid_dump_fails_inequality(self, schw_cfg, tmp_path, dump):
         assert run("harmonic", schw_cfg, out_dir=tmp_path)[0] == 0
         path = tmp_path / "u2.field"
@@ -309,6 +311,34 @@ class TestSweep:
         assert run("mass", cfg, out_dir=tmp_path / "mass")[0] == 1
         rep = _sweep_point(cfg, tmp_path, "m0.1-strict")
         assert rep.stages["mass"].startswith("failed: FitFailure")
+
+    def test_chain_with_dumps_equals_sweep_point(self, schw_cfg, tmp_path):
+        # the stages after `harmonic` reload its dumps and give the sweep's
+        # numbers exactly
+        rep = _sweep_point(schw_cfg, tmp_path, "m0.1")
+        assert all(v == "ok" for v in rep.stages.values()), rep.stages
+        chain = tmp_path / "chain"
+        for sub in ("harmonic", "inequality", "distort", "pythagoras", "flow"):
+            assert run(sub, schw_cfg, out_dir=chain)[0] == 0, sub
+
+        def report(name):
+            return json.loads((chain / name).read_text())
+
+        harm, ineq = report("harmonic_report.json"), report("inequality_report.json")
+        dist, pyth = report("distortion_report.json"), report("pythagoras_report.json")
+        flow = report("flow_report.json")
+        assert ineq["fields_loaded_from_dump"] is True
+        assert (rep.grad_sup, list(rep.residual_norms), rep.cheng_yau) == (
+            harm["grad_sup"], harm["residual_norms"], harm["cheng_yau"][0])
+        assert (rep.mass, rep.psi_l1) == (ineq["mass"],
+                                          ineq["relaxed_certificate"]["psi_l1"])
+        assert rep.hessian_l2 == max(ax["hessian_l2"] for ax in ineq["axes"])
+        assert rep.rhs_integral == max(ax["rhs_integral"] for ax in ineq["axes"])
+        assert (rep.defect_p50, rep.defect_p90, rep.defect_max, rep.ortho_l1) == (
+            dist["defect_p50"], dist["defect_p90"], dist["max_defect"], dist["ortho_l1"])
+        assert rep.pythagorean_median == pyth["median_defect"]
+        assert (rep.image_hausdorff, rep.flow_err_max) == (
+            flow["image_hausdorff"], flow["flow_err_max"])
 
 
     def test_distortion_failures_fail_stage_and_sweep(self, tmp_path, monkeypatch):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from afstab.config import ExperimentConfig, config_from_dict, parse_config
 from afstab.errors import ParseError, ValidationError
+from afstab.grid import Grid
 
 
 def minimal_config(**overrides):
@@ -85,6 +86,20 @@ class TestValidation:
         with pytest.raises(ValidationError, match="box_halfwidth"):
             config_from_dict(minimal_config(**{"grid.halfwidth": 50.0,
                                                "family.box_halfwidth": 30.0}))
+
+    def test_halfwidths_must_be_finite(self):
+        nan = float("nan")
+        with pytest.raises(ValidationError) as err:
+            config_from_dict(minimal_config(**{"grid.halfwidth": nan,
+                                               "family.box_halfwidth": nan}))
+        assert sorted(err.value.violations) == [
+            "family.box_halfwidth must be finite and positive",
+            "grid.halfwidth must be finite and positive"]
+        with pytest.raises(ValidationError, match="grid.halfwidth"):
+            config_from_dict(minimal_config(**{"grid.halfwidth": float("inf")}))
+        for bad in (nan, float("inf")):
+            with pytest.raises(ValueError, match="finite and positive"):
+                Grid(halfwidth=bad, nodes=17)
 
     def test_mass_radii_checks(self):
         with pytest.raises(ValidationError, match="increasing"):

@@ -152,11 +152,15 @@ def _hypotheses(ctx: RunContext):
     return certify_hypotheses(ctx.chart, _volume_spec(ctx.cfg))
 
 
+def _eps_grad(ctx: RunContext) -> float:
+    """The gradient floor of the inequality integrands and the Kato check."""
+    return ctx.cfg.solver.eps_grad_factor * ctx.triple.grad_sup
+
+
 def _inequality_reports(ctx: RunContext, mass: float):
     """Mass-inequality report per axis, against the given ADM mass."""
-    triple = ctx.triple
-    eps_grad = ctx.cfg.solver.eps_grad_factor * triple.grad_sup
-    return [mass_inequality_rhs(triple, ctx.chart, axis, eps_grad=eps_grad, mass=mass)
+    eps_grad = _eps_grad(ctx)
+    return [mass_inequality_rhs(ctx.triple, ctx.chart, axis, mass, eps_grad=eps_grad)
             for axis in range(3)]
 
 
@@ -185,7 +189,7 @@ def _pythagoras_records(ctx: RunContext):
     results = pythagorean_records(ctx.chart, ctx.triple, pts[:n], pts[n:],
                                   [k % 3 for k in range(n)],
                                   [s.seed + k for k in range(n)],
-                                  rho=ctx.cfg.rho(), n_mv_samples=s.n_mv_samples)
+                                  rho=ctx.cfg.rho())
     records = [r for r in results if not isinstance(r, AfstabError)]
     failures = n - len(records)
     return records, failures, failures <= max(1, n // 100)
@@ -197,7 +201,7 @@ def _flows(ctx: RunContext):
     s = ctx.cfg.sampling
     traces, hausdorff = flow_coverage(ctx.chart, ctx.triple, s.target_radius,
                                       s.n_targets, s.seed, rho=ctx.cfg.rho())
-    return traces, hausdorff, max(tr.u_error for tr in traces) if traces else 0.0
+    return traces, hausdorff, max(tr.u_error for tr in traces)
 
 
 def _median(values) -> float:
@@ -251,7 +255,8 @@ def stage_inequality(cfg, out_dir):
     triple, chart = ctx.triple, ctx.chart
     mass = ctx.mass_report.extrapolated
     reports = _inequality_reports(ctx, mass)
-    kato = [refined_kato_check(triple, chart, axis) for axis in range(3)]
+    kato = [refined_kato_check(triple, chart, axis, eps_grad=_eps_grad(ctx))
+            for axis in range(3)]
     ok = all(lhs <= rhs * (1.0 + 1e-6) + 1e-14 for lhs, rhs in kato)
     cert = _relaxed_certificate(ctx)
     payload = {"fields_loaded_from_dump": ctx.loaded_from_dump,

@@ -47,7 +47,6 @@ class SamplingConfig:
     n_pairs: int = 200
     n_targets: int = 20
     target_radius: float = 2.0
-    n_mv_samples: int = 8
     n_pythagoras_pairs: int = 50
     eikonal_nodes: int = 81
 
@@ -201,11 +200,9 @@ def validate(cfg: ExperimentConfig) -> list:
         v.append("sampling.ball_radius must be positive")
     if sm.rho is not None and sm.rho <= 0:
         v.append("sampling.rho must be positive when given")
-    for name in ("n_pairs", "n_mv_samples", "n_pythagoras_pairs"):
+    for name in ("n_pairs", "n_targets", "n_pythagoras_pairs"):
         if getattr(sm, name) < 1:
             v.append(f"sampling.{name} must be at least 1")
-    if sm.n_targets < 0:
-        v.append("sampling.n_targets must be nonnegative")
     if sm.target_radius <= 0:
         v.append("sampling.target_radius must be positive")
     if sm.eikonal_nodes < 33:

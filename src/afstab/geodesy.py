@@ -40,13 +40,6 @@ from .harmonic import HarmonicTriple
 from .seeding import rng_for
 
 
-@dataclass
-class GeodesicPath:
-    nodes: np.ndarray          # (M, 3) chart points, uniform arclength spacing
-    length: float
-    endpoint_residual: float
-
-
 def metric_speed(chart: MetricChart, x, v):
     """|v|_g at x, batched."""
     g = chart.metric(x)
@@ -276,34 +269,29 @@ class GeodesicGraph:
 # public geodesic operations
 
 
-def distance_batch(chart: MetricChart, starts, targets, n_steps: int = 160,
-                   graph: GeodesicGraph | None = None, graph_fallback: bool = True):
+def distance_batch(chart: MetricChart, starts, targets, n_steps: int = 160):
     """Distances for many pairs at once; returns (d, w, residual, converged).
 
     Pairs whose straight-chord seed fails get a second Newton pass from a
     Dijkstra-path seed at doubled integration resolution, on a graph sized
-    by the pair itself unless `graph` is given.  Both passes are
-    batch-invariant, so a pair's row is the same bit for bit whatever
-    other pairs share its call.
+    by the pair itself.  Both passes are batch-invariant, so a pair's row
+    is the same bit for bit whatever other pairs share its call.
     """
     starts = np.atleast_2d(np.asarray(starts, float))
     targets = np.atleast_2d(np.asarray(targets, float))
     w, res, conv = _bvp_batch(chart, starts, targets, n_steps=n_steps)
     need = ~conv
-    if np.any(need) and graph_fallback:
+    if np.any(need):
         graphs = {}
         seeds = []
         for s, t in zip(starts[need], targets[need]):
-            g = graph
-            if g is None:
-                # sized by the pair alone (in whole units, so pairs of like
-                # extent share one graph): the seed ignores the batch-mates
-                hw = min(chart.box_halfwidth,
-                         float(np.ceil(np.max(np.abs([s, t])))) + 3.0)
-                if hw not in graphs:
-                    graphs[hw] = GeodesicGraph(chart, hw, nodes=25)
-                g = graphs[hw]
-            seeds.append(g.seed_velocity(s, t))
+            # sized by the pair alone (in whole units, so pairs of like
+            # extent share one graph): the seed ignores the batch-mates
+            hw = min(chart.box_halfwidth,
+                     float(np.ceil(np.max(np.abs([s, t])))) + 3.0)
+            if hw not in graphs:
+                graphs[hw] = GeodesicGraph(chart, hw, nodes=25)
+            seeds.append(graphs[hw].seed_velocity(s, t))
         seeds = np.array(seeds)
         w2, res2, conv2 = _bvp_batch(chart, starts[need], targets[need], w0=seeds,
                                      n_steps=2 * n_steps, max_iter=24)
@@ -434,17 +422,12 @@ LEVEL_TOL = 1e-10
 # mean-value pick falls back to the ball center.
 SCORE_FLOOR = 1e-8
 
+# Candidates of one mean-value pick (the ball center and 7 draws), for the
+# level-set projections and the flow legs alike.
+MV_SAMPLES = 8
 
-def _far_target(policy: str, point, axis: int, sign: float, L: float):
-    if policy == "axis":
-        q = np.array(point, float)
-        q[axis] += sign * L
-        return q
-    if policy == "fixed":
-        q = np.zeros(3)
-        q[axis] = sign * L
-        return q
-    raise ValueError(f"unknown far-point policy {policy!r}")
+# RK4 steps over unit affine time of a projection geodesic.
+PROJECTION_STEPS = 200
 
 
 def _score_sample_index(n_steps: int) -> np.ndarray:
@@ -457,16 +440,17 @@ def _score_sample_index(n_steps: int) -> np.ndarray:
 
 
 def _level_crossing(traj, u_i, target: float, halfwidth: float):
-    """First crossing of {u_i = target} along a trajectory, by bisection."""
+    """First crossing of {u_i = target} along a trajectory, by bisection;
+    returns the crossing point."""
     inside = np.all(np.abs(traj) <= halfwidth, axis=1)
     if not np.all(inside):
         traj = traj[:int(np.argmin(inside))]
     uvals = np.asarray(u_i(traj), float) - target
     crossings = np.nonzero(np.diff(np.sign(uvals)) != 0)[0]
     if uvals[0] == 0.0:
-        return traj[0], traj
+        return traj[0]
     if len(crossings) == 0:
-        raise NoCrossing("geodesic never crossed the level set; increase L")
+        raise NoCrossing("geodesic never crossed the level set inside the grid")
     k = int(crossings[0])
     a, b = traj[k], traj[k + 1]
     fa = uvals[k]
@@ -479,13 +463,11 @@ def _level_crossing(traj, u_i, target: float, halfwidth: float):
             a, fa = mid, fm
         if abs(fm) < LEVEL_TOL:
             break
-    return 0.5 * (a + b), traj
+    return 0.5 * (a + b)
 
 
 def level_set_projections(chart: MetricChart, triple: HarmonicTriple, xs, ys, axes,
-                          seeds, far_point_policy: str = "axis",
-                          L: float | None = None, rho: float | None = None,
-                          n_mv_samples: int = 8, n_steps: int = 200):
+                          seeds, rho: float | None = None):
     """Quasi-project each xs[i] onto the u^axes[i] level set through ys[i].
 
     The projections run in lockstep: the mean-value candidates of every
@@ -493,12 +475,11 @@ def level_set_projections(chart: MetricChart, triple: HarmonicTriple, xs, ys, ax
     integrated as one trajectory batch.  The picked candidate's solution
     and trajectory are the projection geodesic itself; since a batch
     solve equals the one-row solve bit for bit, nothing is solved twice.
-    Returns one entry per row: (z, path, x_star), or the AfstabError that
-    ended that row.  See level_set_projection for the construction.
+    Returns one entry per row: (z, x_star), or the AfstabError that ended
+    that row.  See level_set_projection for the construction.
     """
     grid = triple.grid
-    if L is None:
-        L = 0.6 * grid.halfwidth
+    L = 0.6 * grid.halfwidth
     if rho is None:
         rho = 2.0 * grid.h
     xs = np.atleast_2d(np.asarray(xs, float))
@@ -509,32 +490,30 @@ def level_set_projections(chart: MetricChart, triple: HarmonicTriple, xs, ys, ax
         u_i = triple.u_interp(axis)
         target = float(u_i(y)[0])
         if abs(float(u_i(x)[0]) - target) < LEVEL_TOL:
-            path = GeodesicPath(nodes=np.array([x, x]), length=0.0,
-                                endpoint_residual=0.0)
-            out[i] = (x.copy(), path, x.copy())
+            out[i] = (x.copy(), x.copy())
             continue
         try:
-            cands, has_center = mean_value_candidates(chart, x, rho, n_mv_samples,
+            cands, has_center = mean_value_candidates(chart, x, rho, MV_SAMPLES,
                                                       seed, label=f"lsp-{axis}")
         except EmptySample as exc:
             out[i] = exc
             continue
         signs = np.where(target >= np.asarray(u_i(cands), float), 1.0, -1.0)
-        fars = np.array([_far_target(far_point_policy, c, axis, s, L)
-                         for c, s in zip(cands, signs)])
+        fars = cands.copy()
+        fars[:, axis] += signs * L
         rows.append((i, axis, target, cands, has_center, fars))
     if not rows:
         return out
 
     starts = np.vstack([r[3] for r in rows])
-    w, res, conv = _bvp_batch(chart, starts, np.vstack([r[5] for r in rows]),
-                              n_steps=n_steps)
-    _, _, trajs = _rk4_batch(chart, starts, w, n_steps, record_every=1)
+    w, _, conv = _bvp_batch(chart, starts, np.vstack([r[5] for r in rows]),
+                            n_steps=PROJECTION_STEPS)
+    _, _, trajs = _rk4_batch(chart, starts, w, PROJECTION_STEPS, record_every=1)
     lengths = geodesic_lengths(chart, starts, w)
     # the last sample is the endpoint, fewer than n_steps // 64 steps after
     # the one before when that does not divide n_steps (200 // 64 = 3), yet
     # segment_functional weighs it like every other interval
-    samples = trajs[:, _score_sample_index(n_steps)]
+    samples = trajs[:, _score_sample_index(PROJECTION_STEPS)]
     scores = segment_functional(np.clip(samples, -grid.halfwidth, grid.halfwidth),
                                 lengths, triple.hess_sum_interp())
     # integrated defects at stencil-noise level are exact ties (flat family)
@@ -547,37 +526,29 @@ def level_set_projections(chart: MetricChart, triple: HarmonicTriple, xs, ys, ax
         offset += len(cands)
         try:
             k = block.start + mean_value_rule(scores[block], has_center)
-            z, traj = _level_crossing(trajs[k], triple.u_interp(axis), target,
-                                      grid.halfwidth)
+            z = _level_crossing(trajs[k], triple.u_interp(axis), target,
+                                grid.halfwidth)
         except AfstabError as exc:
             out[i] = exc
             continue
-        path = GeodesicPath(nodes=traj[:: max(1, len(traj) // 64)],
-                            length=float(lengths[k]),
-                            endpoint_residual=float(res[k]))
-        out[i] = (z, path, starts[k].copy())
+        out[i] = (z, starts[k].copy())
     return out
 
 
 def level_set_projection(chart: MetricChart, triple: HarmonicTriple, x, y,
-                         axis: int, far_point_policy: str = "axis",
-                         L: float | None = None, rho: float | None = None,
-                         n_mv_samples: int = 8, seed: int = 0, n_steps: int = 200):
+                         axis: int, rho: float | None = None, seed: int = 0):
     """Quasi-project x onto the u^axis level set through y.
 
-    A mean-value-picked start near x shoots the minimizing geodesic toward
-    a far point in the +-axis direction (sign chosen so the level value at
-    y lies between start and far values); the first crossing of the level
-    set along the geodesic, located by bisection on interpolated u, is the
-    returned z.  The default far-point policy "axis" offsets from the
-    start point, the large-L limit of the fixed +-L e_axis construction
-    ("fixed"), which the flat-family exactness checks require.  Returns
-    (z, path, x_star); the one-row case of level_set_projections.
+    A mean-value-picked start x_star near x (MV_SAMPLES candidates in the
+    rho-ball, default two grid cells) shoots the minimizing geodesic
+    toward the far point x_star +- L e_axis, L = 0.6 grid halfwidths, the
+    sign chosen so the level value at y lies between start and far values;
+    the first crossing of the level set along the geodesic, located by
+    bisection on interpolated u, is the returned z.  Returns (z, x_star);
+    the one-row case of level_set_projections.
     """
     result, = level_set_projections(chart, triple, [x], [y], [axis], [seed],
-                                    far_point_policy=far_point_policy, L=L,
-                                    rho=rho, n_mv_samples=n_mv_samples,
-                                    n_steps=n_steps)
+                                    rho=rho)
     if isinstance(result, AfstabError):
         raise result
     return result
@@ -595,9 +566,7 @@ def _record(triple: HarmonicTriple, x, y, z, axis: int, d) -> PythagoreanRecord:
 
 
 def pythagorean_records(chart: MetricChart, triple: HarmonicTriple, xs, ys, axes,
-                        seeds, far_point_policy: str = "axis",
-                        L: float | None = None, rho: float | None = None,
-                        n_mv_samples: int = 8):
+                        seeds, rho: float | None = None):
     """Almost-Pythagorean defect records for many pairs, in lockstep.
 
     Row i projects xs[i] onto the u^axes[i] level set through ys[i]
@@ -619,8 +588,7 @@ def pythagorean_records(chart: MetricChart, triple: HarmonicTriple, xs, ys, axes
             live.append(i)
     projections = level_set_projections(
         chart, triple, xs[live], ys[live], [axes[i] for i in live],
-        [seeds[i] for i in live], far_point_policy=far_point_policy, L=L, rho=rho,
-        n_mv_samples=n_mv_samples) if live else []
+        [seeds[i] for i in live], rho=rho) if live else []
     closing = []     # (row, z)
     for i, proj in zip(live, projections):
         if isinstance(proj, AfstabError):
@@ -643,14 +611,10 @@ def pythagorean_records(chart: MetricChart, triple: HarmonicTriple, xs, ys, axes
 
 
 def pythagorean_check(chart: MetricChart, triple: HarmonicTriple, x, y, axis: int,
-                      far_point_policy: str = "axis", L: float | None = None,
-                      rho: float | None = None, n_mv_samples: int = 8,
-                      seed: int = 0) -> PythagoreanRecord:
+                      rho: float | None = None, seed: int = 0) -> PythagoreanRecord:
     """Almost-Pythagorean defect record for a pair and a level-set axis;
     the one-record case of pythagorean_records."""
-    result, = pythagorean_records(chart, triple, [x], [y], [axis], [seed],
-                                  far_point_policy=far_point_policy, L=L, rho=rho,
-                                  n_mv_samples=n_mv_samples)
+    result, = pythagorean_records(chart, triple, [x], [y], [axis], [seed], rho=rho)
     if isinstance(result, AfstabError):
         raise result
     return result
@@ -693,12 +657,17 @@ def hyperbolic_ball_volume(r, kappa: float):
     return np.pi * (np.sinh(2.0 * rk * r) / rk - 2.0 * r) / kappa
 
 
+# The eikonal solve stops once no node moved by more than this many cells.
+EIKONAL_TOL = 1e-10
+
+
 class DistanceField:
     """First-order upwind eikonal solve of |grad T|_g = 1 from one source.
 
     The upwind discretization is iterated Jacobi-style to its fixed point,
-    which coincides with the fast-marching solution; nodes within a few
-    cells of the source are initialized with the chord quadrature to tame
+    which coincides with the fast-marching solution; nodes within
+    min(2, 0.3 halfwidth) of the source (at least 3 cells, and 4 cells
+    clear of a puncture) are initialized with the chord quadrature to tame
     the point-source singularity.
 
     Each sweep sets T to min(T, f) at every free node, with f the upwind
@@ -712,11 +681,10 @@ class DistanceField:
     those of the full-grid loop, bit for bit.  `sweeps` counts the sweeps
     run; `converged` is False (and a warning is logged) when max_sweeps
     (default 4 * nodes) ran out before the largest change fell below
-    tol * h.
+    EIKONAL_TOL * h.
     """
 
     def __init__(self, chart: MetricChart, center, halfwidth: float, nodes: int = 97,
-                 source_radius: float | None = None, tol: float = 1e-10,
                  max_sweeps: int | None = None):
         center = np.asarray(center, float)
         n = int(nodes)
@@ -741,12 +709,10 @@ class DistanceField:
         # point-source error of the first-order upwind march; for singular
         # charts the ball stays clear of the puncture (the quadrature must
         # never undershoot the true distance there)
-        if source_radius is None:
-            source_radius = min(2.0, 0.3 * halfwidth)
-            if chart.singular_at_origin:
-                source_radius = min(source_radius,
-                                    float(np.linalg.norm(center)) - 4.0 * h)
-            source_radius = max(source_radius, 3.0 * h)
+        source_radius = min(2.0, 0.3 * halfwidth)
+        if chart.singular_at_origin:
+            source_radius = min(source_radius, float(np.linalg.norm(center)) - 4.0 * h)
+        source_radius = max(source_radius, 3.0 * h)
         dist_e = np.linalg.norm(pts - center, axis=-1)
         T = np.full((n, n, n), np.inf)
         near = dist_e <= source_radius + 1e-12
@@ -758,9 +724,9 @@ class DistanceField:
             phi2(np.broadcast_to(center, near_pts.shape)) + 4.0 * phi2(mids)
             + phi2(near_pts)) / 6.0
         self.frozen = near
-        self.T = self._solve(T, tol, max_sweeps)
+        self.T = self._solve(T, max_sweeps)
 
-    def _solve(self, T, tol, max_sweeps):
+    def _solve(self, T, max_sweeps):
         n, h = self.n, self.h
         m = n + 2
         steps = (m * m, m, 1)          # flat offsets of the axis neighbours
@@ -805,7 +771,7 @@ class DistanceField:
             moved = active[tc_new != Tc.take(active)]
             Tp[active] = t_new
             Tc[active] = tc_new
-            if change < tol * h and still_inf == 0:
+            if change < EIKONAL_TOL * h and still_inf == 0:
                 self.converged = True
                 break
             for s in steps:
@@ -830,25 +796,18 @@ class DistanceField:
         return interp(np.asarray(pts, float))
 
 
-def bishop_gromov_check(chart: MetricChart, q, radii, kappa: float,
-                        field: DistanceField | None = None, nodes: int = 97,
-                        margin: float = 1.3):
+def bishop_gromov_check(field: DistanceField, radii, kappa: float):
     """Volume ratios |B_r(q)| / |B_r^-kappa| for increasing radii.
 
-    The distance field is an eikonal solve seeded at q; the model volume
-    is the constant-curvature -kappa ball.  Monotone nonincrease of the
-    returned sequence is the comparison inequality under Ric >= -2 kappa g.
+    `field` is the eikonal solve seeded at q, and it must cover 1.3 r for
+    every radius r; the model volume is the constant-curvature -kappa
+    ball.  Monotone nonincrease of the returned sequence is the comparison
+    inequality under Ric >= -2 kappa g.
     """
     radii = np.asarray(sorted(float(r) for r in radii))
-    if field is None:
-        halfwidth = margin * float(radii[-1])
-        q_arr = np.asarray(q, float)
-        if np.any(np.abs(q_arr) + halfwidth > chart.box_halfwidth):
-            raise OutOfDomain("volume-comparison balls leave the chart box")
-        field = DistanceField(chart, q, halfwidth, nodes=nodes)
     ratios = []
     for r in radii:
-        if margin * r > field.n * field.h:
+        if 1.3 * r > field.n * field.h:
             raise OutOfDomain(f"ball radius {r} not covered by the distance field")
         ratios.append(field.volume(float(r)) / float(hyperbolic_ball_volume(r, kappa)))
     return np.asarray(ratios)

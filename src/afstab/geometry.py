@@ -371,13 +371,14 @@ def verify_asymptotic_flatness(chart: MetricChart, sampling: SphereSampling):
     return worst <= 1.0, fitted_tau, worst
 
 
-def certify_hypotheses(chart: MetricChart, sampling: VolumeSampling,
-                       sphere_sampling: SphereSampling | None = None) -> HypothesisCertificate:
+def certify_hypotheses(chart: MetricChart, sampling: VolumeSampling) -> HypothesisCertificate:
     """Empirical scalar-curvature infimum and Ricci lower-bound constant.
 
     kappa is the smallest kappa >= 0 with Ric >= -2 kappa g on the sample
     set, computed from generalized eigenvalue minima of Ric with respect
-    to g; scalar_min is the sampled infimum of R.
+    to g; scalar_min is the sampled infimum of R; af_ok is the decay check
+    of verify_asymptotic_flatness on six spheres from max(2, r_max) to 0.9
+    box halfwidths.
     """
     rng = rng_for(sampling.seed, "certify", chart.family)
     dirs = _sphere_dirs(sampling.n_points, rng)
@@ -395,12 +396,11 @@ def certify_hypotheses(chart: MetricChart, sampling: VolumeSampling,
     kappa = max(0.0, -0.5 * float(np.min(lam)))
     i_scal = int(np.argmin(scal))
     i_lam = int(np.argmin(lam))
-    if sphere_sampling is None:
-        r_hi = 0.9 * chart.box_halfwidth
-        sphere_sampling = SphereSampling(
-            radii=tuple(np.geomspace(max(2.0, sampling.r_max), r_hi, 6)),
-            n_per_sphere=32, seed=sampling.seed)
-    af_ok, _, _ = verify_asymptotic_flatness(chart, sphere_sampling)
+    r_hi = 0.9 * chart.box_halfwidth
+    spheres = SphereSampling(
+        radii=tuple(np.geomspace(max(2.0, sampling.r_max), r_hi, 6)),
+        n_per_sphere=32, seed=sampling.seed)
+    af_ok, _, _ = verify_asymptotic_flatness(chart, spheres)
     return HypothesisCertificate(
         scalar_min=float(np.min(scal)),
         ricci_kappa=kappa,

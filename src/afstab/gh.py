@@ -16,7 +16,7 @@ from scipy.integrate import solve_ivp
 
 from .errors import LeftDomain, NoConvergence
 from .geodesy import (DistanceField, distance_batch, local_distance,
-                      mean_value_pick, segment_functional, SCORE_FLOOR)
+                      mean_value_pick, segment_functional, MV_SAMPLES, SCORE_FLOOR)
 from .geometry import MetricChart
 from .harmonic import HarmonicTriple
 from .seeding import rng_for
@@ -24,6 +24,9 @@ from .seeding import rng_for
 
 @dataclass
 class DistortionReport:
+    """Distortion of u over sampled pairs of the geodesic r-ball: quantiles
+    of the pair defects, the Gram-defect integral, and the failed pairs."""
+
     r: float
     n_pairs: int
     max_defect: float
@@ -31,13 +34,12 @@ class DistortionReport:
     defect_p90: float
     defect_p99: float
     ortho_l1: float
-    image_hausdorff: float      # filled by the flow stage; nan until then
     n_failed_pairs: int
 
     def to_json_dict(self):
         return {k: getattr(self, k) for k in
                 ("r", "n_pairs", "max_defect", "defect_p50", "defect_p90",
-                 "defect_p99", "ortho_l1", "image_hausdorff", "n_failed_pairs")}
+                 "defect_p99", "ortho_l1", "n_failed_pairs")}
 
 
 def sample_geodesic_ball(chart: MetricChart, triple: HarmonicTriple, r: float,
@@ -111,7 +113,7 @@ def gh_distortion(chart: MetricChart, triple: HarmonicTriple, r: float,
                             max_defect=float(np.max(defects)),
                             defect_p50=float(quant[0]), defect_p90=float(quant[1]),
                             defect_p99=float(quant[2]), ortho_l1=ortho_l1,
-                            image_hausdorff=float("nan"), n_failed_pairs=n_failed)
+                            n_failed_pairs=n_failed)
 
 
 # ---------------------------------------------------------------------------
@@ -126,7 +128,6 @@ class FlowTrace:
     segment_ends: tuple          # endpoints of the three flow legs
     end: tuple
     u_error: float
-    u_error_vec: tuple
     displacements: tuple         # geodesic d(picked_j, segment_end_j) per leg
 
     def to_polyline_dict(self):
@@ -169,14 +170,14 @@ def _flow_batch(triple: HarmonicTriple, axis: int, starts, t: float, n_steps: in
 
 def gradient_flow_step(chart: MetricChart, triple: HarmonicTriple, start, axis: int,
                        t: float, rho: float, seed: int, r_limit: float,
-                       d_p_start: float = 0.0, n_mv_samples: int = 8):
+                       d_p_start: float = 0.0):
     """One mean-value-perturbed leg of the gradient flow of u^axis.
 
     Checks the ball-budget precondition d(p, start) + grad_sup |t| + rho
-    < r_limit, picks the start y* in B_rho(start) scoring the
-    flow-integrated frame-orthonormality defect, then integrates
-    dx/ds = grad u^axis with an adaptive solver.  Returns
-    (y*, end, u_error_vec) with u_error_vec = u(end) - u(y*) - t e_axis.
+    < r_limit, picks the start y* among MV_SAMPLES candidates in
+    B_rho(start) scoring the flow-integrated frame-orthonormality defect,
+    then integrates dx/ds = grad u^axis over time t with an adaptive
+    solver.  Returns (y*, end); a leg with t = 0 returns (start, start).
     """
     start = np.asarray(start, float)
     gsup = triple.grad_sup
@@ -189,15 +190,14 @@ def gradient_flow_step(chart: MetricChart, triple: HarmonicTriple, start, axis: 
     lim = triple.grid.halfwidth - 2 * triple.grid.h
 
     if abs(t) < 1e-14:
-        y_star = start.copy()
-        return y_star, y_star.copy(), triple.u_map(y_star) * 0.0
+        return start.copy(), start.copy()
 
     def score(cands):
         _, samples = _flow_batch(triple, axis, cands, t, n_score_steps)
         scores = segment_functional(np.clip(samples, -lim, lim), abs(t), defect_interp)
         return np.where(scores < SCORE_FLOOR, 0.0, scores)
 
-    y_star, _ = mean_value_pick(chart, start, rho, score, n_mv_samples, seed,
+    y_star, _ = mean_value_pick(chart, start, rho, score, MV_SAMPLES, seed,
                                 label=f"flow-{axis}")
     sign = 1.0 if t >= 0 else -1.0
 
@@ -209,22 +209,18 @@ def gradient_flow_step(chart: MetricChart, triple: HarmonicTriple, start, axis: 
                     method="RK45", rtol=1e-10, atol=1e-12, events=exit_event)
     if sol.status == 1 or not sol.success:
         raise LeftDomain(f"gradient flow exited the usable grid box (axis {axis})")
-    end = sol.y[:, -1]
-    e_j = np.zeros(3)
-    e_j[axis] = 1.0
-    u_err = triple.u_map(end) - triple.u_map(y_star) - t * e_j
-    return y_star, end, u_err
+    return y_star, sol.y[:, -1]
 
 
 def reach_points(chart: MetricChart, triple: HarmonicTriple, targets, rho: float,
-                 seeds, margin_factor: float = 0.05):
+                 seeds):
     """Three-leg gradient-flow constructions aiming u at Euclidean targets.
 
     Each trace starts from the base point and flows along grad u^1, u^2,
     u^3 for times equal to its target's components (mean-value-perturbing
     each leg start, seeded by seeds[k] + 7 axis); u_error is
-    |u(end) - target|.  The target ball radius must leave the heuristic
-    margin grad_sup * margin_factor * rho.
+    |u(end) - target|.  The ball budget of a trace is
+    3 (grad_sup + 1) max(|target| + 0.05 grad_sup rho, rho, 1).
 
     The traces run in lockstep: leg j of every trace runs first, then the
     leg's displacements d(y*, end) and the distances d(p, end) that the
@@ -236,7 +232,7 @@ def reach_points(chart: MetricChart, triple: HarmonicTriple, targets, rho: float
     n = len(targets)
     gsup = triple.grad_sup
     r_limits = [3.0 * (gsup + 1.0)
-                * max(float(np.linalg.norm(t)) + gsup * margin_factor * rho, rho, 1.0)
+                * max(float(np.linalg.norm(t)) + gsup * 0.05 * rho, rho, 1.0)
                 for t in targets]
     p = np.asarray(chart.base_point, float)
     current = [p.copy() for _ in range(n)]
@@ -254,7 +250,7 @@ def reach_points(chart: MetricChart, triple: HarmonicTriple, targets, rho: float
         ends = np.array([steps[k][1] for k in moving] + [st[1] for st in steps])
         d, _, _, conv = distance_batch(chart, starts, ends)
         d_leg = dict(zip(moving, range(len(moving))))
-        for k, (y_star, end, _) in enumerate(steps):
+        for k, (y_star, end) in enumerate(steps):
             picked[k].append(tuple(y_star))
             seg_ends[k].append(tuple(end))
             j = d_leg.get(k)
@@ -274,16 +270,14 @@ def reach_points(chart: MetricChart, triple: HarmonicTriple, targets, rho: float
                                 picked=tuple(picked[k]), segment_ends=tuple(seg_ends[k]),
                                 end=tuple(current[k]),
                                 u_error=float(np.linalg.norm(err_vec)),
-                                u_error_vec=tuple(err_vec),
                                 displacements=tuple(displacements[k])))
     return traces
 
 
 def reach_point(chart: MetricChart, triple: HarmonicTriple, target, rho: float,
-                seed: int, margin_factor: float = 0.05) -> FlowTrace:
+                seed: int) -> FlowTrace:
     """The three-leg flow construction for one target; see reach_points."""
-    return reach_points(chart, triple, [target], rho, [seed],
-                        margin_factor=margin_factor)[0]
+    return reach_points(chart, triple, [target], rho, [seed])[0]
 
 
 def flow_coverage(chart: MetricChart, triple: HarmonicTriple, radius: float,

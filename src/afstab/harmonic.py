@@ -36,12 +36,6 @@ except ImportError:   # optional "amg" extra; without it "auto" runs Jacobi-CG
     pyamg = None
 
 
-def _offdiag_magnitude(chart: MetricChart):
-    probe = np.array([[1.3, 0.7, -0.4], [3.0, 2.0, 1.0], [-2.0, 0.3, 0.9]])
-    g = chart.metric(probe)
-    return float(np.max(np.abs(g - np.einsum("...ab,ab->...ab", g, np.eye(3)))))
-
-
 def _finite_impute(arr: np.ndarray, node):
     """Replace the values at one node by the mean of its six neighbors."""
     i, j, k = node
@@ -82,9 +76,6 @@ class LaplaceBeltrami:
             if np.any(r <= chart.excision_radius + grid.h):
                 raise ExcisedPoint("grid stencils touch the excision region; "
                                    "shrink r_exc or refit the box")
-        if _offdiag_magnitude(chart) > 1e-12:
-            raise NotImplementedError("assembly supports diagonal (conformally flat) "
-                                      "metrics only; every corpus family qualifies")
         self.chart = chart
         self.grid = grid
         ax = grid.axis
@@ -431,14 +422,13 @@ def triple_from_solutions(chart: MetricChart, grid: Grid, solutions) -> Harmonic
                            _excluded(grid, singular_node))
 
 
-def cheng_yau_ratio(triple: HarmonicTriple, i: int, radius: float,
-                    center=None) -> float:
-    """Diagnostic sup_{B_r}|grad u| / sup_{B_2r}|u - u(center)|.
+def cheng_yau_ratio(triple: HarmonicTriple, i: int, radius: float) -> float:
+    """Diagnostic sup_{B_r}|grad u| / sup_{B_2r}|u - u(p)|.
 
-    Balls are chart-Euclidean around the base point; the constant is
+    Balls are chart-Euclidean around the base point p; the constant is
     reported per run and never asserted against a fixed value.
     """
-    c = np.asarray(triple.chart.base_point if center is None else center, float)
+    c = np.asarray(triple.chart.base_point, float)
     r = np.linalg.norm(triple.grid.points() - c, axis=-1)
     inner = (r <= radius) & ~triple.excluded
     outer = (r <= 2.0 * radius) & ~triple.excluded

@@ -19,7 +19,6 @@ from .errors import MismatchedChart
 from .geometry import MetricChart
 from .grid import Grid, gradient
 from .harmonic import HarmonicTriple
-from .mass import adm_mass, default_radii
 
 
 @dataclass(frozen=True)
@@ -41,15 +40,16 @@ class InequalityReport:
 
 
 def mass_inequality_rhs(triple: HarmonicTriple, chart: MetricChart, axis: int,
-                        eps_grad: float | None = None, mass: float | None = None,
-                        mass_radii=None) -> InequalityReport:
+                        mass: float, eps_grad: float | None = None) -> InequalityReport:
     """Evaluate the mass-inequality right side for one harmonic coordinate.
 
     Midpoint-rule volume integral with sqrt(det g) h^3 weights over cells
     that are neither boundary-flagged nor under the gradient floor
-    (default 1e-6 of the component's sup gradient).  The slack
-    mass - rhs may dip below zero only within discretization error; it is
-    reported, not asserted.
+    (default 1e-6 of the component's sup gradient).  `mass` is the ADM
+    mass the right side is compared with (the caller's adm_mass
+    extrapolation, or the family's exact value).  The slack mass - rhs may
+    dip below zero only within discretization error; it is reported, not
+    asserted.
     """
     if triple.chart != chart:
         raise MismatchedChart("harmonic triple was solved on a different chart")
@@ -77,9 +77,6 @@ def mass_inequality_rhs(triple: HarmonicTriple, chart: MetricChart, axis: int,
     rhs = float(np.sum(integrand * weights[included]) / (16.0 * np.pi))
     hessian_l2 = float(np.sum(hess2[usable] * weights[usable]))
 
-    if mass is None:
-        radii = default_radii(chart) if mass_radii is None else mass_radii
-        mass = adm_mass(chart, radii).extrapolated
     return InequalityReport(axis=axis, mass=float(mass), rhs_integral=rhs,
                             hessian_l2=hessian_l2, grad_sup=grad_sup,
                             slack=float(mass) - rhs, eps_grad=float(eps_grad),

@@ -128,12 +128,6 @@ def adm_mass(chart: MetricChart, radii, fit_exponent: float | None = None,
                       quadrature_order=n_polar, fit_residual=resid)
 
 
-def default_radii(chart: MetricChart):
-    """Extraction radii (0.2, 0.4, 0.8) of the chart halfwidth."""
-    R = chart.box_halfwidth
-    return (0.2 * R, 0.4 * R, 0.8 * R)
-
-
 def scalar_curvature_l1(chart: MetricChart, r_interior: float | None = None,
                         n: int = 48):
     """Reported integrability certificate for R_g.

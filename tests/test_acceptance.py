@@ -185,16 +185,16 @@ def test_criterion_06_hessian_l2_bound(criterion, schw_charts, schw_triples,
                             f"monotone over m-sweep: {monotone}")
 
 
-def test_criterion_07_bishop_gromov(criterion, flat_chart, flat_field_81, schw_charts):
+def test_criterion_07_bishop_gromov(criterion, flat_field_81, schw_charts):
     radii = [1.5, 2.0, 2.5, 3.0, 4.0, 5.0]
     p = (2.0, 0.0, 0.0)
-    r_flat = bishop_gromov_check(flat_chart, p, radii, 0.1, field=flat_field_81)
+    r_flat = bishop_gromov_check(flat_field_81, radii, 0.1)
     flat_ok = bool(np.all(np.diff(r_flat) / r_flat[:-1] < 0.01))
 
     chart = schw_charts[0.2]
     cert = certify_hypotheses(chart, VolumeSampling(n_points=600, seed=77))
     field_s = DistanceField(chart, p, 7.0, nodes=81)
-    r_schw = bishop_gromov_check(chart, p, radii, cert.ricci_kappa, field=field_s)
+    r_schw = bishop_gromov_check(field_s, radii, cert.ricci_kappa)
     schw_ok = bool(np.all(np.diff(r_schw) / r_schw[:-1] < 0.01))
     ok = flat_ok and schw_ok
     assert criterion(7, ok, f"Bishop-Gromov nonincreasing: flat(k=0.1) {flat_ok}, "

@@ -17,6 +17,7 @@ from afstab.cli import _sweep_point, main, run
 from afstab.config import config_from_dict
 from afstab.geometry import MetricChart
 from afstab.grid import FORMAT_VERSION, HEADER, MAGIC
+from afstab.inequality import refined_kato_check
 from afstab.reporting import load_manifest, sha256_file
 
 
@@ -294,6 +295,13 @@ class TestSweep:
         assert rep.mass == ineq["mass"]
         assert rep.hessian_l2 == max(ax["hessian_l2"] for ax in ineq["axes"])
         assert rep.rhs_integral == max(ax["rhs_integral"] for ax in ineq["axes"])
+        # the Kato check floors |grad u| where the inequality integrands do
+        triple = afstab.cli._solve_triple(cfg, cfg.chart())
+        eps_grad = 0.95 * triple.grad_sup
+        assert ineq["kato"] == [
+            dict(zip(("lhs", "rhs"), refined_kato_check(triple, triple.chart, axis,
+                                                        eps_grad=eps_grad)))
+            for axis in range(3)]
         # fresh single stages (no dumps, so each solves) give the sweep's numbers
         for sub in ("distort", "pythagoras", "flow"):
             assert run(sub, cfg, out_dir=tmp_path / sub)[0] == 0, sub
@@ -318,8 +326,16 @@ class TestSweep:
         rep = _sweep_point(schw_cfg, tmp_path, "m0.1")
         assert all(v == "ok" for v in rep.stages.values()), rep.stages
         chain = tmp_path / "chain"
-        for sub in ("harmonic", "inequality", "distort", "pythagoras", "flow"):
+        for sub in ("check-af", "mass", "harmonic", "inequality", "distort",
+                    "pythagoras", "flow"):
             assert run(sub, schw_cfg, out_dir=chain)[0] == 0, sub
+
+        def no_constant(name):
+            raise ValueError(f"{name} is not JSON")
+
+        # every report is strict JSON: no NaN or Infinity
+        for path in sorted(chain.glob("*.json")) + sorted(tmp_path.glob("*.json")):
+            json.loads(path.read_text(), parse_constant=no_constant)
 
         def report(name):
             return json.loads((chain / name).read_text())
@@ -381,10 +397,22 @@ class TestBenchHooks:
 
         stages = dict(afstab.cli.STAGES)
         tracer = tracing.Tracer()
+        chart = MetricChart("flat", box_halfwidth=10.0)
+        center = np.array([1.0, 0.0, 0.0])
+
+        def centre_scores_high(cands):
+            return np.where(np.all(cands == center, axis=1), 10.0, 0.0)
+
         try:
             tracer.install()
+            # called as gradient_flow_step calls it: the hook reads the
+            # centre argument and the picked point of the result
+            afstab.gh.mean_value_pick(chart, center, 0.5, centre_scores_high, 8, 3,
+                                      label="flow-0")
         finally:
             tracer.uninstall()
+        assert [s[1] for s in tracer.spans] == ["geodesy.mv_pick"]
+        assert tracer.counts["geodesy.mv_offcentre"] == 1
         assert afstab.cli.STAGES == stages
         assert afstab.cli.adm_mass is afstab.mass.adm_mass
         assert hasattr(afstab.harmonic, "pyamg")

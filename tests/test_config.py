@@ -101,6 +101,11 @@ class TestValidation:
             with pytest.raises(ValueError, match="finite and positive"):
                 Grid(halfwidth=bad, nodes=17)
 
+    @pytest.mark.parametrize("name", ["n_pairs", "n_targets", "n_pythagoras_pairs"])
+    def test_sample_counts_at_least_one(self, name):
+        with pytest.raises(ValidationError, match=f"sampling.{name} must be at least 1"):
+            config_from_dict(minimal_config(**{f"sampling.{name}": 0}))
+
     def test_mass_radii_checks(self):
         with pytest.raises(ValidationError, match="increasing"):
             config_from_dict(minimal_config(**{"mass.radii": [40.0, 20.0, 80.0]}))

@@ -239,15 +239,14 @@ class TestMeanValuePick:
 
 class TestLevelSetProjection:
     def test_flat_exact_projection(self, flat_chart, flat_triple):
-        z, path, x_star = level_set_projection(flat_chart, flat_triple,
-                                               (1.0, 1.0, 0.0), (0.0, 0.0, 0.0),
-                                               0, seed=3)
+        z, x_star = level_set_projection(flat_chart, flat_triple,
+                                         (1.0, 1.0, 0.0), (0.0, 0.0, 0.0), 0, seed=3)
         assert np.allclose(z, (0.0, 1.0, 0.0), atol=1e-8)
         assert np.allclose(x_star, (1.0, 1.0, 0.0))
 
     def test_level_value_hit(self, schw, schw02_triple):
-        z, _, _ = level_set_projection(schw, schw02_triple, (1.0, 1.0, 0.5),
-                                       (3.0, -0.5, 0.0), 0, seed=4)
+        z, _ = level_set_projection(schw, schw02_triple, (1.0, 1.0, 0.5),
+                                    (3.0, -0.5, 0.0), 0, seed=4)
         u0 = schw02_triple.u_interp(0)
         assert abs(float(u0(z)[0]) - float(u0(np.array([3.0, -0.5, 0.0]))[0])) < 1e-6
 
@@ -258,16 +257,15 @@ class TestLevelSetProjection:
         for k in range(6):
             x = p + rng.uniform(-2, 2, size=3)
             y = p + rng.uniform(-2, 2, size=3)
-            z, _, _ = level_set_projection(schw, schw02_triple, x, y, k % 3,
-                                           seed=20 + k)
+            z, _ = level_set_projection(schw, schw02_triple, x, y, k % 3,
+                                        seed=20 + k)
             assert np.linalg.norm(z - p) < 12.0
 
     def test_trivial_when_already_on_level(self, flat_chart, flat_triple):
         x = np.array([1.0, 2.0, 0.0])
         y = np.array([1.0, -1.0, 0.5])   # same u^1 level for flat
-        z, path, _ = level_set_projection(flat_chart, flat_triple, x, y, 0, seed=5)
+        z, _ = level_set_projection(flat_chart, flat_triple, x, y, 0, seed=5)
         assert np.allclose(z, x)
-        assert path.length == 0.0
 
 
 class TestPythagorean:
@@ -362,17 +360,15 @@ class TestDistanceField:
 
 
 class TestBishopGromov:
-    def test_flat_kappa_zero_limit(self, flat_chart, flat_field_81):
+    def test_flat_kappa_zero_limit(self, flat_field_81):
         radii = [1.5, 2.0, 3.0, 4.0]
-        ratios = bishop_gromov_check(flat_chart, (2.0, 0.0, 0.0), radii, 1e-12,
-                                     field=flat_field_81)
+        ratios = bishop_gromov_check(flat_field_81, radii, 1e-12)
         assert np.max(np.abs(ratios - 1.0)) < 0.05
 
-    def test_flat_kappa_positive_decreasing(self, flat_chart, flat_field_81):
+    def test_flat_kappa_positive_decreasing(self, flat_field_81):
         # analytic oracle: ratio = (4 pi r^3/3)/V_kappa(r), strictly decreasing
         radii = np.array([1.5, 2.0, 3.0, 4.0])
-        ratios = bishop_gromov_check(flat_chart, (2.0, 0.0, 0.0), radii, 0.1,
-                                     field=flat_field_81)
+        ratios = bishop_gromov_check(flat_field_81, radii, 0.1)
         assert np.all(np.diff(ratios) < 0.0)
         oracle = (4 * np.pi / 3 * radii**3) / hyperbolic_ball_volume(radii, 0.1)
         assert np.allclose(ratios, oracle, rtol=0.05)
@@ -392,5 +388,4 @@ class TestBishopGromov:
     def test_out_of_domain_ball(self, flat_chart):
         field = DistanceField(flat_chart, (2.0, 0.0, 0.0), 4.0, nodes=49)
         with pytest.raises(OutOfDomain):
-            bishop_gromov_check(flat_chart, (2.0, 0.0, 0.0), [1.0, 20.0], 0.1,
-                                field=field)
+            bishop_gromov_check(field, [1.0, 20.0], 0.1)

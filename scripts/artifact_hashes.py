@@ -52,8 +52,7 @@ def chain_point(chain: pathlib.Path) -> dict:
             "defect_p50": dist["defect_p50"], "defect_p90": dist["defect_p90"],
             "defect_max": dist["max_defect"], "ortho_l1": dist["ortho_l1"],
             "pythagorean_median": report("pythagoras_report.json")["median_defect"],
-            "image_hausdorff": flow["image_hausdorff"],
-            "flow_err_max": flow["flow_err_max"]}
+            "image_hausdorff": flow["image_hausdorff"]}
 
 
 def main():

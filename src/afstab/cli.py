@@ -167,7 +167,7 @@ def _inequality_reports(ctx: RunContext, mass: float):
 def _relaxed_certificate(ctx: RunContext):
     triple = ctx.triple
     return relaxed_scalar_certificate(ctx.chart, _x_spec(ctx.cfg), triple.grid,
-                                      triple.scalar_curvature(),
+                                      triple.scalar_curvature,
                                       c_coef=ctx.cfg.certificate.c_coef)
 
 
@@ -197,11 +197,11 @@ def _pythagoras_records(ctx: RunContext):
 
 def _flows(ctx: RunContext):
     """Flow traces to the configured targets; returns (traces, image
-    Hausdorff distance, largest u error of a trace end)."""
+    Hausdorff distance), the distance being the largest u error of a
+    trace end."""
     s = ctx.cfg.sampling
-    traces, hausdorff = flow_coverage(ctx.chart, ctx.triple, s.target_radius,
-                                      s.n_targets, s.seed, rho=ctx.cfg.rho())
-    return traces, hausdorff, max(tr.u_error for tr in traces)
+    return flow_coverage(ctx.chart, ctx.triple, s.target_radius, s.n_targets,
+                         s.seed, rho=ctx.cfg.rho())
 
 
 def _median(values) -> float:
@@ -294,13 +294,12 @@ def stage_distort(cfg, out_dir):
 
 def stage_flow(cfg, out_dir):
     ctx = RunContext(cfg, out_dir)
-    traces, hausdorff, err_max = _flows(ctx)
+    traces, hausdorff = _flows(ctx)
     grad_sup = ctx.triple.grad_sup
     ok = all(tr.displacements[leg] <= grad_sup * abs(tr.times[leg]) * 1.001 + 1e-12
              for tr in traces for leg in range(3))
     payload = {"n_targets": len(traces),
                "image_hausdorff": hausdorff,
-               "flow_err_max": err_max,
                "displacement_bound_ok": ok}
     write_json(os.path.join(out_dir, "flow_report.json"), payload)
     write_json(os.path.join(out_dir, "flow_traces.json"),
@@ -362,7 +361,7 @@ def _sweep_point(cfg_point: ExperimentConfig, out_dir, tag: str):
                                     "Pythagorean records failed")
             rep.pythagorean_median = _median([r.defect for r in records])
         with _tagged(rep, "flow"):
-            _, rep.image_hausdorff, rep.flow_err_max = _flows(ctx)
+            _, rep.image_hausdorff = _flows(ctx)
     write_stability_json(os.path.join(out_dir, f"stability_{tag}.json"), rep)
     return rep
 
@@ -387,7 +386,7 @@ def stage_sweep(cfg, out_dir):
                            rep.slack, rep.psi_l1) for rep in reports])
     ok = all(all(v == "ok" for v in rep.stages.values()) for rep in reports)
     trends = {}
-    for col in ("mass", "hessian_l2", "ortho_l1", "defect_p50", "flow_err_max"):
+    for col in ("mass", "hessian_l2", "ortho_l1", "defect_p50", "image_hausdorff"):
         seq = [getattr(rep, col) for rep in reports]
         trends[col] = bool(np.all(np.diff(seq) < 0.0))
     payload = {"values": list(values), "monotone_decreasing": trends,

@@ -151,25 +151,30 @@ def config_from_dict(data: dict) -> ExperimentConfig:
 
 
 def validate(cfg: ExperimentConfig) -> list:
-    """All validation violations, empty when the config is usable."""
+    """All validation violations, empty when the config is usable.
+
+    Every real-valued field must be finite: NaN fails each range test
+    written as `not lo < x < hi`, and inf fails it at hi = math.inf.
+    """
     v = []
     f = cfg.family
     if f.tag not in FAMILIES:
         v.append(f"family.tag must be one of {FAMILIES}, got {f.tag!r}")
     if not 0 < f.box_halfwidth < math.inf:
         v.append("family.box_halfwidth must be finite and positive")
-    if f.excision_radius < 0:
-        v.append("family.excision_radius must be nonnegative")
-    if f.decay_b <= 0:
-        v.append("family.decay_b must be positive")
+    if not 0 <= f.excision_radius < math.inf:
+        v.append("family.excision_radius must be finite and nonnegative")
+    if not 0 < f.decay_b < math.inf:
+        v.append("family.decay_b must be finite and positive")
     if not f.decay_tau > 0.5:
         v.append("family.decay_tau: tau must exceed 1/2")
     elif f.decay_tau > 1.0:
         v.append("family.decay_tau must not exceed 1 for the corpus families")
     if len(f.base_point) != 3:
         v.append("family.base_point must be a 3-vector")
-    elif not all(isinstance(c, (int, float)) for c in f.base_point):
-        v.append("family.base_point components must be numbers")
+    elif not all(isinstance(c, (int, float)) and -math.inf < c < math.inf
+                 for c in f.base_point):
+        v.append("family.base_point components must be finite numbers")
 
     g = cfg.grid
     if g.nodes < 17 or g.nodes % 2 == 0:
@@ -188,29 +193,31 @@ def validate(cfg: ExperimentConfig) -> list:
         v.append("solver.max_iter must be at least 100")
     if s.method not in ("auto", "cg", "amg"):
         v.append("solver.method must be 'auto', 'cg', or 'amg'")
-    if s.eps_grad_factor <= 0:
-        v.append("solver.eps_grad_factor must be positive")
+    if not 0 < s.eps_grad_factor < math.inf:
+        v.append("solver.eps_grad_factor must be finite and positive")
 
     sm = cfg.sampling
     if sm.seed is None:
         v.append("sampling.seed is mandatory")
     elif not isinstance(sm.seed, int):
         v.append("sampling.seed must be an integer")
-    if sm.ball_radius <= 0:
-        v.append("sampling.ball_radius must be positive")
-    if sm.rho is not None and sm.rho <= 0:
-        v.append("sampling.rho must be positive when given")
+    if not 0 < sm.ball_radius < math.inf:
+        v.append("sampling.ball_radius must be finite and positive")
+    if sm.rho is not None and not 0 < sm.rho < math.inf:
+        v.append("sampling.rho must be finite and positive when given")
     for name in ("n_pairs", "n_targets", "n_pythagoras_pairs"):
         if getattr(sm, name) < 1:
             v.append(f"sampling.{name} must be at least 1")
-    if sm.target_radius <= 0:
-        v.append("sampling.target_radius must be positive")
+    if not 0 < sm.target_radius < math.inf:
+        v.append("sampling.target_radius must be finite and positive")
     if sm.eikonal_nodes < 33:
         v.append("sampling.eikonal_nodes must be at least 33")
 
     ms = cfg.mass
     if len(ms.radii) < 3:
         v.append("mass.radii needs at least 3 extraction radii")
+    elif not all(-math.inf < r < math.inf for r in ms.radii):
+        v.append("mass.radii must be finite")
     elif any(b <= a for a, b in zip(ms.radii, ms.radii[1:])):
         v.append("mass.radii must be strictly increasing")
     elif ms.radii[0] <= 1.0:
@@ -219,18 +226,20 @@ def validate(cfg: ExperimentConfig) -> list:
         v.append("mass.radii must fit inside family.box_halfwidth")
     if ms.quadrature_polar < 4 or ms.quadrature_azimuth < 8:
         v.append("mass quadrature orders too small (polar >= 4, azimuth >= 8)")
-    if ms.residual_threshold <= 0:
-        v.append("mass.residual_threshold must be positive")
+    if ms.fit_exponent is not None and not -math.inf < ms.fit_exponent < math.inf:
+        v.append("mass.fit_exponent must be finite when given")
+    if not 0 < ms.residual_threshold < math.inf:
+        v.append("mass.residual_threshold must be finite and positive")
 
     ct = cfg.certificate
     if ct.x_field.get("kind", "zero") not in ("zero", "gradient_bump"):
         v.append("certificate.x_field.kind must be 'zero' or 'gradient_bump'")
-    if ct.c_coef <= 0.25:
-        v.append("certificate.c_coef must exceed 1/4")
+    if not 0.25 < ct.c_coef < math.inf:
+        v.append("certificate.c_coef must be finite and exceed 1/4")
     if ct.n_sample_points < 10:
         v.append("certificate.n_sample_points must be at least 10")
-    if not 0 < ct.sample_r_min < ct.sample_r_max:
-        v.append("certificate sample radii must satisfy 0 < r_min < r_max")
+    if not 0 < ct.sample_r_min < ct.sample_r_max < math.inf:
+        v.append("certificate sample radii must satisfy 0 < r_min < r_max < inf")
 
     o = cfg.output
     if not isinstance(o.directory, str) or not o.directory:

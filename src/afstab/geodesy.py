@@ -487,7 +487,7 @@ def level_set_projections(chart: MetricChart, triple: HarmonicTriple, xs, ys, ax
     out = [None] * len(xs)
     rows = []        # (row, axis, target, cands, has_center, fars)
     for i, (x, y, axis, seed) in enumerate(zip(xs, ys, axes, seeds)):
-        u_i = triple.u_interp(axis)
+        u_i = triple.u_interp[axis]
         target = float(u_i(y)[0])
         if abs(float(u_i(x)[0]) - target) < LEVEL_TOL:
             out[i] = (x.copy(), x.copy())
@@ -515,7 +515,7 @@ def level_set_projections(chart: MetricChart, triple: HarmonicTriple, xs, ys, ax
     # segment_functional weighs it like every other interval
     samples = trajs[:, _score_sample_index(PROJECTION_STEPS)]
     scores = segment_functional(np.clip(samples, -grid.halfwidth, grid.halfwidth),
-                                lengths, triple.hess_sum_interp())
+                                lengths, triple.hess_sum_interp)
     # integrated defects at stencil-noise level are exact ties (flat family)
     scores = np.where(scores < SCORE_FLOOR, 0.0, scores)
     scores = np.where(conv, scores, np.inf)
@@ -526,7 +526,7 @@ def level_set_projections(chart: MetricChart, triple: HarmonicTriple, xs, ys, ax
         offset += len(cands)
         try:
             k = block.start + mean_value_rule(scores[block], has_center)
-            z = _level_crossing(trajs[k], triple.u_interp(axis), target,
+            z = _level_crossing(trajs[k], triple.u_interp[axis], target,
                                 grid.halfwidth)
         except AfstabError as exc:
             out[i] = exc

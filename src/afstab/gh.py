@@ -107,7 +107,7 @@ def gh_distortion(chart: MetricChart, triple: HarmonicTriple, r: float,
     else:
         node_d = np.linalg.norm(nodes - p, axis=-1) * chart.conformal_factor(nodes) ** 2
     in_ball = (node_d <= r) & ~triple.excluded
-    ortho_l1 = float(np.sum(triple.gram_defect()[in_ball]
+    ortho_l1 = float(np.sum(triple.gram_defect[in_ball]
                             * triple.volume_weights()[in_ball]))
     return DistortionReport(r=float(r), n_pairs=int(n_pairs),
                             max_defect=float(np.max(defects)),
@@ -138,7 +138,7 @@ class FlowTrace:
 
 
 def _flow_rhs(triple: HarmonicTriple, axis: int, sign: float):
-    interp = triple.grad_interp(axis)
+    interp = triple.grad_interp[axis]
 
     def rhs(t, x):
         return sign * interp(x)
@@ -148,7 +148,7 @@ def _flow_rhs(triple: HarmonicTriple, axis: int, sign: float):
 
 def _flow_batch(triple: HarmonicTriple, axis: int, starts, t: float, n_steps: int):
     """Fixed-step RK4 flow of many seeds through the interpolated gradient."""
-    interp = triple.grad_interp(axis)
+    interp = triple.grad_interp[axis]
     sign = 1.0 if t >= 0 else -1.0
     dt = abs(t) / n_steps
     x = np.array(starts, float, copy=True)
@@ -185,7 +185,7 @@ def gradient_flow_step(chart: MetricChart, triple: HarmonicTriple, start, axis: 
         raise ValueError("flow step violates its ball budget: "
                          f"{d_p_start:.3f} + {gsup:.3f}*{abs(t):.3f} + {rho:.3f} "
                          f">= {r_limit:.3f}")
-    defect_interp = triple.gram_defect_interp()
+    defect_interp = triple.gram_defect_interp
     n_score_steps = max(24, int(8 * abs(t) / triple.grid.h))
     lim = triple.grid.halfwidth - 2 * triple.grid.h
 
@@ -319,7 +319,6 @@ class StabilityReport:
     defect_p90: float = float("nan")
     defect_max: float = float("nan")
     image_hausdorff: float = float("nan")
-    flow_err_max: float = float("nan")
     pythagorean_median: float = float("nan")
     psi_l1: float = float("nan")
     ricci_kappa: float = float("nan")
@@ -333,7 +332,7 @@ class StabilityReport:
 
     def csv_row(self):
         cols = ("mass", "hessian_l2", "grad_sup", "ortho_l1", "defect_p50",
-                "defect_p90", "defect_max", "image_hausdorff", "flow_err_max")
+                "defect_p90", "defect_max", "image_hausdorff")
         return ([self.family, repr(float(self.parameter)), self.N,
                  repr(float(self.R_out))]
                 + [repr(float(getattr(self, c))) for c in cols])
@@ -342,7 +341,7 @@ class StabilityReport:
         d = {k: getattr(self, k) for k in
              ("family", "parameter", "N", "R_out", "mass", "hessian_l2",
               "grad_sup", "ortho_l1", "defect_p50", "defect_p90", "defect_max",
-              "image_hausdorff", "flow_err_max", "pythagorean_median", "psi_l1",
+              "image_hausdorff", "pythagorean_median", "psi_l1",
               "ricci_kappa", "scalar_min", "af_ok", "slack", "rhs_integral",
               "cheng_yau")}
         d["residual_norms"] = list(self.residual_norms)
@@ -352,7 +351,7 @@ class StabilityReport:
 
 MASTER_CSV_HEADER = ["family", "m", "N", "R_out", "mass", "hessian_l2",
                      "grad_sup", "ortho_l1", "defect_p50", "defect_p90",
-                     "defect_max", "image_hausdorff", "flow_err_max"]
+                     "defect_max", "image_hausdorff"]
 
 
 def write_master_csv(path, reports):

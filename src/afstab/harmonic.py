@@ -3,12 +3,12 @@
 Solves div_g grad u = 0 for the three functions asymptotic to the chart
 coordinates, with Dirichlet data on the truncation box, all three against
 one assembled operator and matrix, and normalizes them to u(p) = 0 at
-the chart base point p.  The triple keeps what the downstream
-diagnostics read, derived from the normalized values the same way on a
-solve and on a reload of field dumps: u, its coordinate partials (from
-which |grad u|_g, the Gram defect and the interpolated g-gradient are
-formed) and |Hess u|_g^2; the covariant Hessian exists only while that
-norm is computed.
+the chart base point p.  A solve and a reload of field dumps build the
+triple by one constructor from the normalized u and the nodal conformal
+data; each field a diagnostic reads (u's coordinate partials, |Hess u|_g^2,
+grad_sup, R, the Gram defect, the interpolators) is derived on its first
+read, so a stage pays only for what it reads: only the mass inequality
+and the Pythagorean scoring read |Hess u|_g^2.
 
 The discretization is the conservative second-order scheme for
 u -> (1/sqrt(det g)) d_a (sqrt(det g) g^ab d_b u) with coefficients
@@ -19,7 +19,8 @@ positive definite, which is exactly the symmetry of the operator in the
 sqrt(det g)-weighted inner product.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sps
@@ -247,28 +248,96 @@ def solve_harmonic_coordinate(chart: MetricChart, grid: Grid, axis: int,
 # the solved triple with its derived fields
 
 
+def _covariant_hessian(values: np.ndarray, du: np.ndarray, phi: np.ndarray,
+                       dphi: np.ndarray, h: float) -> np.ndarray:
+    """Covariant Hessian dd_ab - Gamma^k_ab d_k u of nodal values with
+    coordinate partials du, from the conformal Christoffels."""
+    dd = second_derivatives(values, h)
+    w = dphi / phi[..., None]
+    duw = np.einsum("...a,...a->...", du, w)
+    gamma_term = 2.0 * (du[..., :, None] * w[..., None, :]
+                        + w[..., :, None] * du[..., None, :]
+                        - np.eye(3) * duw[..., None, None])
+    return dd - gamma_term
+
+
 @dataclass
 class HarmonicTriple:
-    """The three normalized coordinates and the fields the diagnostics read.
+    """The three normalized coordinates and the fields derived from them.
 
-    du[i] holds the coordinate partials of u^i and hess2[i] the field
-    |Hess u^i|_g^2, both taken from the normalized values; the g-gradient
-    and the covariant Hessian are not kept.  residual_norms and u_at_p
-    are solve diagnostics, None on a triple rebuilt from field dumps.
+    The constructor takes what a solve or a reload provides: the fields
+    u^i (u^i(p) = 0), the nodal conformal data, the excluded-node mask
+    and, from a solve only, the diagnostics residual_norms and u_at_p
+    (None on a triple rebuilt from field dumps).  Every other field is
+    derived from these on first read and kept; the covariant Hessian
+    exists only while |Hess u^i|_g^2 is computed.
     """
 
     chart: MetricChart
     grid: Grid
     u: tuple                     # three ScalarGridFields, u^i(p) = 0
-    du: tuple                    # (N, N, N, 3) coordinate partials per axis
-    hess2: tuple                 # (N, N, N) |Hess u^i|_g^2 per axis
     phi: np.ndarray              # nodal conformal factor (puncture imputed)
     dphi: np.ndarray             # nodal conformal gradient
     excluded: np.ndarray         # nodes excluded from integral norms
-    grad_sup: float = 0.0
     residual_norms: tuple | None = None   # operator residual per raw solution
     u_at_p: tuple | None = None           # the subtracted raw values u^i(p)
-    _cache: dict = field(default_factory=dict, repr=False)
+
+    @cached_property
+    def du(self) -> tuple:
+        """(N, N, N, 3) coordinate partials per axis."""
+        return tuple(gradient(u.values, self.grid.h) for u in self.u)
+
+    @cached_property
+    def hess2(self) -> tuple:
+        """(N, N, N) |Hess u^i|_g^2 per axis."""
+        out = []
+        for u, du in zip(self.u, self.du):
+            hess = _covariant_hessian(u.values, du, self.phi, self.dphi, self.grid.h)
+            out.append(np.einsum("...ab,...ab->...", hess, hess) / self.phi**8)
+        return tuple(out)
+
+    @cached_property
+    def grad_sup(self) -> float:
+        """The largest |grad u^i|_g over the axes and the kept nodes."""
+        return max(float(np.max(self.grad_norm(i)[~self.excluded])) for i in range(3))
+
+    @cached_property
+    def scalar_curvature(self) -> np.ndarray:
+        """R = -8 phi^-5 lap(phi) at the nodes, from the chart's phi (the
+        puncture is not imputed)."""
+        with np.errstate(invalid="ignore"):
+            return scalar_curvature(self.chart, self.grid.points())
+
+    @cached_property
+    def gram_defect(self) -> np.ndarray:
+        """sum_ij |<grad u^i, grad u^j>_g - delta^ij| field."""
+        total = np.zeros((self.grid.nodes,) * 3)
+        for i in range(3):
+            for j in range(3):
+                gram = np.einsum("...a,...a->...", self.du[i], self.du[j]) / self.phi**4
+                total += np.abs(gram - (1.0 if i == j else 0.0))
+        return total
+
+    @cached_property
+    def u_interp(self) -> tuple:
+        """Interpolator of u^i per axis."""
+        return tuple(interpolator(self.grid, u.values) for u in self.u)
+
+    @cached_property
+    def grad_interp(self) -> tuple:
+        """Interpolator of the raised g-gradient du / phi^4 of u^i per axis."""
+        return tuple(interpolator(self.grid, du / self.phi[..., None] ** 4)
+                     for du in self.du)
+
+    @cached_property
+    def hess_sum_interp(self):
+        """Interpolator of sum_j |Hess u^j|_g, the segment-functional integrand."""
+        return interpolator(self.grid, sum(np.sqrt(h2) for h2 in self.hess2))
+
+    @cached_property
+    def gram_defect_interp(self):
+        """Interpolator of the gram_defect field."""
+        return interpolator(self.grid, self.gram_defect)
 
     def volume_weights(self) -> np.ndarray:
         """Riemannian cell volumes sqrt(det g) h^3 at nodes."""
@@ -279,80 +348,12 @@ class HarmonicTriple:
         du = self.du[i]
         return np.sqrt(np.einsum("...a,...a->...", du, du)) / self.phi**2
 
-    def hess_norm_sum(self) -> np.ndarray:
-        """sum_j |Hess u^j|_g, the segment-functional integrand."""
-        return sum(np.sqrt(self.hess2[j]) for j in range(3))
-
-    def gram(self, i: int, j: int) -> np.ndarray:
-        """<grad u^i, grad u^j>_g field."""
-        return np.einsum("...a,...a->...", self.du[i], self.du[j]) / self.phi**4
-
-    def scalar_curvature(self) -> np.ndarray:
-        """R = -8 phi^-5 lap(phi) at the nodes, from the chart's phi (the
-        puncture is not imputed), built once."""
-        if "scalar" not in self._cache:
-            with np.errstate(invalid="ignore"):
-                self._cache["scalar"] = scalar_curvature(self.chart, self.grid.points())
-        return self._cache["scalar"]
-
-    def u_interp(self, i: int):
-        key = ("u", i)
-        if key not in self._cache:
-            self._cache[key] = interpolator(self.grid, self.u[i].values)
-        return self._cache[key]
-
-    def grad_interp(self, i: int):
-        """Interpolator of the raised g-gradient du / phi^4 of u^i."""
-        key = ("grad", i)
-        if key not in self._cache:
-            self._cache[key] = interpolator(self.grid,
-                                            self.du[i] / self.phi[..., None] ** 4)
-        return self._cache[key]
-
-    def hess_sum_interp(self):
-        if "hess_sum" not in self._cache:
-            self._cache["hess_sum"] = interpolator(self.grid, self.hess_norm_sum())
-        return self._cache["hess_sum"]
-
-    def gram_defect(self) -> np.ndarray:
-        """sum_ij |<grad u^i, grad u^j> - delta^ij| field, built once."""
-        if "gram_defect" not in self._cache:
-            total = np.zeros((self.grid.nodes,) * 3)
-            for i in range(3):
-                for j in range(3):
-                    total += np.abs(self.gram(i, j) - (1.0 if i == j else 0.0))
-            self._cache["gram_defect"] = total
-        return self._cache["gram_defect"]
-
-    def gram_defect_interp(self):
-        """Interpolator for the gram_defect field."""
-        if "gram_defect_interp" not in self._cache:
-            self._cache["gram_defect_interp"] = interpolator(self.grid,
-                                                             self.gram_defect())
-        return self._cache["gram_defect_interp"]
-
     def u_map(self, pts) -> np.ndarray:
         """The map u = (u^1, u^2, u^3) at arbitrary points."""
         pts = np.asarray(pts, float)
         single = pts.ndim == 1
-        out = np.stack([self.u_interp(i)(pts) for i in range(3)], axis=-1)
+        out = np.stack([interp(pts) for interp in self.u_interp], axis=-1)
         return out[0] if single else out
-
-
-def _gradient_and_hessian(values: np.ndarray, phi: np.ndarray, dphi: np.ndarray,
-                          h: float):
-    """Coordinate partials and covariant Hessian of nodal values.
-
-    The Hessian is dd_ab - Gamma^k_ab d_k u with the conformal Christoffels.
-    """
-    du = gradient(values, h)
-    dd = second_derivatives(values, h)
-    w = dphi / phi[..., None]
-    duw = np.einsum("...a,...a->...", du, w)
-    gamma_term = 2.0 * (du[..., :, None] * w[..., None, :]
-                        + w[..., :, None] * du[..., None, :]
-                        - np.eye(3) * duw[..., None, None])
-    return du, dd - gamma_term
 
 
 def _excluded(grid: Grid, singular_node) -> np.ndarray:
@@ -363,30 +364,15 @@ def _excluded(grid: Grid, singular_node) -> np.ndarray:
     return excluded
 
 
-def _derived_triple(chart, grid, solutions, phi, dphi, excluded) -> HarmonicTriple:
-    """The triple of three normalized fields, with the fields derived from
-    them and the nodal conformal data."""
-    du, hess2 = [], []
-    for u in solutions:
-        du_i, hess = _gradient_and_hessian(u.values, phi, dphi, grid.h)
-        du.append(du_i)
-        hess2.append(np.einsum("...ab,...ab->...", hess, hess) / phi**8)
-    triple = HarmonicTriple(chart=chart, grid=grid, u=tuple(solutions), du=tuple(du),
-                            hess2=tuple(hess2), phi=phi, dphi=dphi, excluded=excluded)
-    triple.grad_sup = max(float(np.max(triple.grad_norm(i)[~excluded])) for i in range(3))
-    return triple
-
-
 def build_harmonic_triple(chart: MetricChart, grid: Grid, bc: str = "corrected",
                           tol: float = 1e-11, method: str = "auto",
                           max_iter: int = 20000) -> HarmonicTriple:
-    """Solve all three axes against one operator and matrix, normalize,
-    then derive.
+    """Solve all three axes against one operator and matrix, then normalize.
 
     The residual norms are taken from the raw solutions; each is then
     normalized in place to u^i(p) = 0 at the chart base point p (trilinear
-    value subtracted), and the derived fields come from the normalized
-    values, as triple_from_solutions derives them from the dumps.
+    value subtracted).  The derived fields come from the normalized values
+    on first read, as on a triple_from_solutions reload of the dumps.
     """
     operator = LaplaceBeltrami(chart, grid)
     solutions = [solve_harmonic_coordinate(chart, grid, a, bc=bc, tol=tol,
@@ -400,26 +386,25 @@ def build_harmonic_triple(chart: MetricChart, grid: Grid, bc: str = "corrected",
     u_at_p = tuple(float(interpolator(grid, u.values)(p)[0]) for u in solutions)
     for u, off in zip(solutions, u_at_p):
         u.values -= off
-    triple = _derived_triple(chart, grid, solutions, operator.phi, operator.dphi,
-                             excluded)
-    triple.residual_norms, triple.u_at_p = residual_norms, u_at_p
-    return triple
+    return HarmonicTriple(chart=chart, grid=grid, u=tuple(solutions),
+                          phi=operator.phi, dphi=operator.dphi, excluded=excluded,
+                          residual_norms=residual_norms, u_at_p=u_at_p)
 
 
 def triple_from_solutions(chart: MetricChart, grid: Grid, solutions) -> HarmonicTriple:
     """The triple of already-normalized nodal fields (e.g. field dumps).
 
-    The derived fields come from the values as they are, the same way
-    build_harmonic_triple derives them after normalizing, so a triple
-    reloaded from its dumps equals the solved one bit for bit.  No operator
-    is built: residual_norms and u_at_p stay None.
+    Built by the same constructor as a solved triple, from the values as
+    they are, so a triple reloaded from its dumps derives the solved one's
+    fields bit for bit.  No operator is built: residual_norms and u_at_p
+    stay None.
     """
     for sol in solutions:
         if sol.grid != grid:
             raise MismatchedChart("field dump grid differs from the config grid")
     phi, dphi, singular_node = nodal_conformal(chart, grid)
-    return _derived_triple(chart, grid, solutions, phi, dphi,
-                           _excluded(grid, singular_node))
+    return HarmonicTriple(chart=chart, grid=grid, u=tuple(solutions), phi=phi,
+                          dphi=dphi, excluded=_excluded(grid, singular_node))
 
 
 def cheng_yau_ratio(triple: HarmonicTriple, i: int, radius: float) -> float:
@@ -432,7 +417,7 @@ def cheng_yau_ratio(triple: HarmonicTriple, i: int, radius: float) -> float:
     r = np.linalg.norm(triple.grid.points() - c, axis=-1)
     inner = (r <= radius) & ~triple.excluded
     outer = (r <= 2.0 * radius) & ~triple.excluded
-    u0 = float(triple.u_interp(i)(c)[0])
+    u0 = float(triple.u_interp[i](c)[0])
     num = float(np.max(triple.grad_norm(i)[inner]))
     den = float(np.max(np.abs(triple.u[i].values[outer] - u0)))
     return num / max(den, 1e-300)

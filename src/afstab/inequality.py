@@ -40,28 +40,26 @@ class InequalityReport:
 
 
 def mass_inequality_rhs(triple: HarmonicTriple, chart: MetricChart, axis: int,
-                        mass: float, eps_grad: float | None = None) -> InequalityReport:
+                        mass: float, eps_grad: float) -> InequalityReport:
     """Evaluate the mass-inequality right side for one harmonic coordinate.
 
     Midpoint-rule volume integral with sqrt(det g) h^3 weights over cells
     that are neither boundary-flagged nor under the gradient floor
-    (default 1e-6 of the component's sup gradient).  `mass` is the ADM
-    mass the right side is compared with (the caller's adm_mass
-    extrapolation, or the family's exact value).  The slack mass - rhs may
-    dip below zero only within discretization error; it is reported, not
-    asserted.
+    eps_grad (the stages take solver.eps_grad_factor times the triple's
+    grad_sup).  `mass` is the ADM mass the right side is compared with
+    (the caller's adm_mass extrapolation, or the family's exact value).
+    The slack mass - rhs may dip below zero only within discretization
+    error; it is reported, not asserted.
     """
     if triple.chart != chart:
         raise MismatchedChart("harmonic triple was solved on a different chart")
     gnorm = triple.grad_norm(axis)
     hess2 = triple.hess2[axis]
     grad_sup = float(np.max(gnorm[~triple.excluded]))
-    if eps_grad is None:
-        eps_grad = 1e-6 * grad_sup
     if eps_grad <= 0.0:
         raise ValueError("eps_grad must be positive")
 
-    scal = triple.scalar_curvature()
+    scal = triple.scalar_curvature
     weights = triple.volume_weights()
 
     usable = ~triple.excluded
@@ -85,19 +83,17 @@ def mass_inequality_rhs(triple: HarmonicTriple, chart: MetricChart, axis: int,
 
 
 def refined_kato_check(triple: HarmonicTriple, chart: MetricChart, axis: int,
-                       eps_grad: float | None = None):
+                       eps_grad: float):
     """Integrals of both sides of |grad sqrt|grad u||^2 <= |Hess u|^2 / (4|grad u|).
 
-    Returns (lhs, rhs); the continuum inequality is pointwise, so lhs must
-    not exceed rhs beyond discretization error.
+    Cells under the gradient floor eps_grad are left out, as in
+    mass_inequality_rhs.  Returns (lhs, rhs); the continuum inequality is
+    pointwise, so lhs must not exceed rhs beyond discretization error.
     """
     if triple.chart != chart:
         raise MismatchedChart("harmonic triple was solved on a different chart")
     gnorm = triple.grad_norm(axis)
     hess2 = triple.hess2[axis]
-    grad_sup = float(np.max(gnorm[~triple.excluded]))
-    if eps_grad is None:
-        eps_grad = 1e-6 * grad_sup
     s = np.sqrt(gnorm)
     ds = gradient(s, triple.grid.h)
     lhs_field = np.einsum("...a,...a->...", ds, ds) / triple.phi**4
@@ -162,7 +158,7 @@ def relaxed_scalar_certificate(chart: MetricChart, x_spec: VectorFieldSpec,
     the smallest radius outside which psi vanishes numerically.
 
     scal is R at the grid nodes, as `geometry.scalar_curvature` gives it
-    (a triple caches it in `scalar_curvature()`).  For X = grad_g w the
+    (a triple keeps it as `scalar_curvature`).  For X = grad_g w the
     divergence is the conformal Laplace-Beltrami of w,
     phi^-4 lap(w) + 2 phi^-5 grad(phi).grad(w), assembled in closed form.
     The c_coef knob is the constant allowed to replace |X|^2 (any c > 1/4

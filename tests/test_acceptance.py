@@ -146,8 +146,9 @@ def test_criterion_05_mass_inequality_richardson(criterion, schw_charts,
     # three-level Richardson at m = 0.2, two-level support at smaller masses
     slacks = []
     for n in LEVELS:
-        rep = mass_inequality_rhs(refinement_triples[n], schw_charts[0.2], 0,
-                                  mass=masses[0.2])
+        triple = refinement_triples[n]
+        rep = mass_inequality_rhs(triple, schw_charts[0.2], 0, mass=masses[0.2],
+                                  eps_grad=1e-6 * triple.grad_sup)
         slacks.append(rep.slack)
     hs = [2.0 * 20.0 / (n - 1) for n in LEVELS]
     extr, band = richardson_slack(slacks, hs)
@@ -155,9 +156,11 @@ def test_criterion_05_mass_inequality_richardson(criterion, schw_charts,
     details = [f"m=0.2: slack->{extr:.4f} band {band:.4f}"]
     for m in (0.1, 0.05):
         chart = schw_charts[m]
-        s33 = mass_inequality_rhs(single_axis_triple(chart, Grid(20.0, 33)),
-                                  chart, 0, mass=masses[m]).slack
-        s65 = mass_inequality_rhs(schw_triples[m], chart, 0, mass=masses[m]).slack
+        t33, t65 = single_axis_triple(chart, Grid(20.0, 33)), schw_triples[m]
+        s33 = mass_inequality_rhs(t33, chart, 0, mass=masses[m],
+                                  eps_grad=1e-6 * t33.grad_sup).slack
+        s65 = mass_inequality_rhs(t65, chart, 0, mass=masses[m],
+                                  eps_grad=1e-6 * t65.grad_sup).slack
         e2, b2 = richardson_slack([s33, s65], [20.0 / 16, 20.0 / 32])
         ok = ok and e2 >= -b2
         details.append(f"m={m}: {e2:.4f}+-{b2:.4f}")
@@ -173,7 +176,8 @@ def test_criterion_06_hessian_l2_bound(criterion, schw_charts, schw_triples,
         triple = schw_triples[m]
         hess = 0.0
         for axis in range(3):
-            rep = mass_inequality_rhs(triple, schw_charts[m], axis, mass=masses[m])
+            rep = mass_inequality_rhs(triple, schw_charts[m], axis, mass=masses[m],
+                                      eps_grad=1e-6 * triple.grad_sup)
             bound = 16.0 * np.pi * rep.grad_sup * rep.mass * 1.1
             worst = max(worst, rep.hessian_l2 / bound)
             ok = ok and rep.hessian_l2 <= bound

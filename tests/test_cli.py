@@ -187,8 +187,9 @@ class TestFailedStages:
 
 
 class TestGridEvaluations:
-    """Conformal evaluations on the whole node grid: phi and grad phi once
-    per triple, R once per inequality stage."""
+    """Evaluations on the whole node grid: phi and grad phi once per
+    triple, R once per inequality stage, second derivatives of u only in
+    the stages that read |Hess u|^2."""
 
     @staticmethod
     def _grid_calls(monkeypatch, cfg, name):
@@ -216,6 +217,25 @@ class TestGridEvaluations:
         code, _ = run("inequality", schw_cfg, out_dir=tmp_path)
         assert code == 0
         assert len(calls) == 1
+
+    def test_hessians_derived_only_where_read(self, schw_cfg, tmp_path, monkeypatch):
+        # inequality and pythagoras read |Hess u|^2 (one field per axis); the
+        # solve, the distortion and the flows read only u and grad u
+        real = afstab.harmonic.second_derivatives
+        calls = []
+
+        def counting(values, h):
+            calls.append(h)
+            return real(values, h)
+
+        monkeypatch.setattr(afstab.harmonic, "second_derivatives", counting)
+        counts = {}
+        for sub in ("harmonic", "inequality", "distort", "pythagoras", "flow"):
+            calls.clear()
+            assert run(sub, schw_cfg, out_dir=tmp_path)[0] == 0, sub
+            counts[sub] = len(calls)
+        assert counts == {"harmonic": 0, "inequality": 3, "distort": 0,
+                          "pythagoras": 3, "flow": 0}
 
 
 class TestManifest:
@@ -311,8 +331,7 @@ class TestSweep:
         assert (rep.defect_p50, rep.defect_p90, rep.defect_max, rep.ortho_l1) == (
             dist["defect_p50"], dist["defect_p90"], dist["max_defect"], dist["ortho_l1"])
         assert rep.pythagorean_median == pyth["median_defect"]
-        assert (rep.image_hausdorff, rep.flow_err_max) == (
-            flow["image_hausdorff"], flow["flow_err_max"])
+        assert rep.image_hausdorff == flow["image_hausdorff"]
 
         data["mass"]["residual_threshold"] = 1e-14
         cfg = config_from_dict(data)
@@ -353,8 +372,7 @@ class TestSweep:
         assert (rep.defect_p50, rep.defect_p90, rep.defect_max, rep.ortho_l1) == (
             dist["defect_p50"], dist["defect_p90"], dist["max_defect"], dist["ortho_l1"])
         assert rep.pythagorean_median == pyth["median_defect"]
-        assert (rep.image_hausdorff, rep.flow_err_max) == (
-            flow["image_hausdorff"], flow["flow_err_max"])
+        assert rep.image_hausdorff == flow["image_hausdorff"]
 
 
     def test_distortion_failures_fail_stage_and_sweep(self, tmp_path, monkeypatch):

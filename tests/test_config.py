@@ -100,6 +100,23 @@ class TestValidation:
         for bad in (nan, float("inf")):
             with pytest.raises(ValueError, match="finite and positive"):
                 Grid(halfwidth=bad, nodes=17)
+        # every other real-valued field: NaN or inf is one violation naming it
+        for bad in (nan, float("inf")):
+            real_fields = {
+                "solver.eps_grad_factor": bad, "sampling.ball_radius": bad,
+                "sampling.rho": bad, "sampling.target_radius": bad,
+                "family.decay_b": bad, "family.excision_radius": bad,
+                "family.base_point": [2.0, bad, 0.0],
+                "mass.residual_threshold": bad, "mass.fit_exponent": bad,
+                "mass.radii": [20.0, 40.0, bad], "certificate.c_coef": bad,
+                "certificate.sample_r_max": bad}
+            for key, value in real_fields.items():
+                with pytest.raises(ValidationError) as err:
+                    config_from_dict(minimal_config(**{key: value}))
+                name = ("certificate sample radii" if key == "certificate.sample_r_max"
+                        else key)
+                assert [m.startswith(name) for m in err.value.violations] == [True], \
+                    (key, bad, err.value.violations)
 
     @pytest.mark.parametrize("name", ["n_pairs", "n_targets", "n_pythagoras_pairs"])
     def test_sample_counts_at_least_one(self, name):

@@ -148,7 +148,7 @@ class TestSegmentFunctional:
 
     def test_flat_hessian_integrand_vanishes(self, flat_chart, flat_triple):
         samples, d = sampled_geodesic(flat_chart, (0.0, 0.0, 0.0), (3.0, 0.0, 1.0))
-        val = segment_functional(samples, d, flat_triple.hess_sum_interp())[0]
+        val = segment_functional(samples, d, flat_triple.hess_sum_interp)[0]
         assert abs(val) < 1e-8
 
     def test_schwarzschild_sweep_decreases(self, schw_charts, schw_triples):
@@ -157,14 +157,14 @@ class TestSegmentFunctional:
         for m in (0.2, 0.1, 0.05):
             samples, d = sampled_geodesic(schw_charts[m], x, y)
             vals.append(segment_functional(samples, d,
-                                           schw_triples[m].hess_sum_interp())[0])
+                                           schw_triples[m].hess_sum_interp)[0])
         assert vals[0] > vals[1] > vals[2] > 0.0
 
     def test_constant_speed_quadrature(self, flat_chart, flat_triple):
         # u^1 = x - 2 after normalization at p = (2,0,0); the integral of
         # u^1 + 5 along the segment x in [0, 2] is 2*3 + 2 = 8 exactly
         samples, d = sampled_geodesic(flat_chart, (0.0, 0.0, 0.0), (2.0, 0.0, 0.0))
-        interp = flat_triple.u_interp(0)
+        interp = flat_triple.u_interp[0]
         val = segment_functional(samples, d, lambda pts: interp(pts) + 5.0)[0]
         assert val == pytest.approx(8.0, rel=1e-6)
 
@@ -247,7 +247,7 @@ class TestLevelSetProjection:
     def test_level_value_hit(self, schw, schw02_triple):
         z, _ = level_set_projection(schw, schw02_triple, (1.0, 1.0, 0.5),
                                     (3.0, -0.5, 0.0), 0, seed=4)
-        u0 = schw02_triple.u_interp(0)
+        u0 = schw02_triple.u_interp[0]
         assert abs(float(u0(z)[0]) - float(u0(np.array([3.0, -0.5, 0.0]))[0])) < 1e-6
 
     def test_z_stays_bounded(self, schw, schw02_triple):

@@ -170,12 +170,10 @@ class TestReports:
         rep = StabilityReport(family="flat", parameter=0.0, N=17, R_out=5.0,
                               mass=0.0, hessian_l2=0.0, grad_sup=1.0,
                               ortho_l1=0.0, defect_p50=0.0, defect_p90=0.0,
-                              defect_max=0.0, image_hausdorff=0.0,
-                              flow_err_max=0.0)
+                              defect_max=0.0, image_hausdorff=0.0)
         path = tmp_path / "sweep.csv"
         write_master_csv(path, [rep])
         lines = path.read_text().strip().splitlines()
         assert lines[0] == ("family,m,N,R_out,mass,hessian_l2,grad_sup,ortho_l1,"
-                            "defect_p50,defect_p90,defect_max,image_hausdorff,"
-                            "flow_err_max")
+                            "defect_p50,defect_p90,defect_max,image_hausdorff")
         assert lines[1].startswith("flat,0.0,17,5.0,")

@@ -1,6 +1,7 @@
 """Harmonic solver: operator structure, oracle agreement, field invariants."""
 
 import dataclasses
+import functools
 
 import numpy as np
 import pytest
@@ -8,10 +9,11 @@ import pytest
 import afstab.harmonic
 from afstab.errors import ExcisedPoint, MismatchedChart
 from afstab.geometry import MetricChart
-from afstab.grid import Grid, ScalarGridField
-from afstab.harmonic import (LaplaceBeltrami, _gradient_and_hessian, boundary_values,
-                             build_harmonic_triple, cheng_yau_ratio, fit_monopole,
-                             solve_harmonic_coordinate, triple_from_solutions)
+from afstab.grid import Grid, ScalarGridField, gradient
+from afstab.harmonic import (HarmonicTriple, LaplaceBeltrami, _covariant_hessian,
+                             boundary_values, build_harmonic_triple, cheng_yau_ratio,
+                             fit_monopole, solve_harmonic_coordinate,
+                             triple_from_solutions)
 
 from oracles import harmonic_radial_profile, schwarzschild_harmonic_closed_form
 
@@ -159,7 +161,8 @@ class TestTriple:
 
     def test_hessian_exactly_symmetric(self, schw02_triple):
         t = schw02_triple
-        _, H = _gradient_and_hessian(t.u[0].values, t.phi, t.dphi, t.grid.h)
+        values = t.u[0].values
+        H = _covariant_hessian(values, gradient(values, t.grid.h), t.phi, t.dphi, t.grid.h)
         assert np.max(np.abs(H - np.swapaxes(H, -1, -2))) == 0.0
 
     def test_hess_sup_decreases_with_mass(self, schw_triples):
@@ -225,28 +228,45 @@ class TestTriple:
 
     def test_triple_keeps_reduced_fields(self, schw_chart):
         # u, du and |Hess u|^2 per axis plus phi and dphi: 19 float64 per node,
-        # and no tensor field (the parent layout held 52 with the Hessians)
+        # and no tensor field (keeping the Hessians took 52); every derived
+        # field is read first, so the walk over vars(t) sees the cached values
         grid = Grid(halfwidth=20.0, nodes=17)
         t = build_harmonic_triple(schw_chart, grid)
-        arrays = []
 
-        def collect(obj):
-            if isinstance(obj, np.ndarray):
-                arrays.append(obj)
-            elif dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-                for f in dataclasses.fields(obj):
-                    collect(getattr(obj, f.name))
-            elif isinstance(obj, (tuple, list)):
-                for item in obj:
-                    collect(item)
-            elif isinstance(obj, dict):
-                for item in obj.values():
-                    collect(item)
+        def arrays():
+            found = []
 
-        collect(t)
-        assert not any(a.ndim >= 2 and a.shape[-2:] == (3, 3) for a in arrays)
-        floats = sum(a.size for a in arrays if a.dtype == np.float64)
-        assert floats / grid.nodes**3 <= 20
+            def collect(obj):
+                if isinstance(obj, np.ndarray):
+                    found.append(obj)
+                elif dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+                    for f in dataclasses.fields(obj):
+                        collect(getattr(obj, f.name))
+                elif isinstance(obj, (tuple, list)):
+                    for item in obj:
+                        collect(item)
+                elif isinstance(obj, dict):
+                    for item in obj.values():
+                        collect(item)
+
+            collect(vars(t))
+            return found
+
+        def floats_per_node(found):
+            return sum(a.size for a in found if a.dtype == np.float64) / grid.nodes**3
+
+        for name in ("du", "hess2", "grad_sup"):   # with u, phi, dphi: the 19
+            getattr(t, name)
+        assert floats_per_node(arrays()) <= 20
+        derived = [name for name, attr in vars(HarmonicTriple).items()
+                   if isinstance(attr, functools.cached_property)]
+        for name in derived:
+            getattr(t, name)
+        assert set(derived) <= set(vars(t))
+        found = arrays()
+        assert not any(a.ndim >= 2 and a.shape[-2:] == (3, 3) for a in found)
+        # R and the Gram defect are the only other nodal fields kept
+        assert floats_per_node(found) <= 20 + 2
 
     def test_grid_convergence_order_against_oracle(self, schw_chart):
         # part of acceptance criterion 4 at reduced size: orders from the

@@ -28,40 +28,22 @@ from .gh import (StabilityReport, flow_coverage, gh_distortion,
                  sample_geodesic_ball, write_master_csv, write_stability_json)
 from .grid import read_field, write_axis_profiles, write_field
 from .harmonic import build_harmonic_triple, cheng_yau_ratio, triple_from_solutions
-from .inequality import (VectorFieldSpec, mass_inequality_rhs, refined_kato_check,
-                         relaxed_scalar_certificate, write_inequality_csv)
+from .inequality import (EPS_GRAD_FACTOR, VectorFieldSpec, mass_inequality_rhs,
+                         refined_kato_check, relaxed_scalar_certificate,
+                         write_inequality_csv)
 from .mass import adm_mass, scalar_curvature_l1
 from .reporting import RunManifest, config_hash, write_json
 
 
 def _sphere_spec(cfg: ExperimentConfig) -> SphereSampling:
-    lo = max(2.0, cfg.family.excision_radius + 1.0)
     hi = 0.9 * cfg.family.box_halfwidth
-    return SphereSampling(radii=tuple(np.geomspace(lo, hi, 8)),
+    return SphereSampling(radii=tuple(np.geomspace(2.0, hi, 8)),
                           n_per_sphere=48, seed=cfg.sampling.seed)
-
-
-def _volume_spec(cfg: ExperimentConfig) -> VolumeSampling:
-    ct = cfg.certificate
-    return VolumeSampling(n_points=ct.n_sample_points, r_min=ct.sample_r_min,
-                          r_max=ct.sample_r_max, seed=cfg.sampling.seed)
-
-
-def _x_spec(cfg: ExperimentConfig) -> VectorFieldSpec:
-    xf = dict(cfg.certificate.x_field)
-    kind = xf.get("kind", "zero")
-    if kind == "zero":
-        return VectorFieldSpec(kind="zero")
-    return VectorFieldSpec(kind="gradient_bump",
-                           amplitude=float(xf.get("amplitude", 0.0)),
-                           center=tuple(xf.get("center", (0.0, 0.0, 0.0))),
-                           width=float(xf.get("width", 1.0)))
 
 
 def _chart_sidecar(cfg: ExperimentConfig, chart) -> dict:
     return {"family": chart.family, "params": chart.params,
             "box_halfwidth": chart.box_halfwidth,
-            "excision_radius": chart.excision_radius,
             "decay_b": chart.decay_b, "decay_tau": chart.decay_tau,
             "base_point": list(chart.base_point),
             "grid_nodes": cfg.grid.nodes, "grid_halfwidth": cfg.grid.halfwidth,
@@ -129,10 +111,7 @@ class RunContext:
 
     @cached_property
     def mass_report(self):
-        m = self.cfg.mass
-        return adm_mass(self.chart, m.radii, fit_exponent=m.fit_exponent,
-                        n_polar=m.quadrature_polar, n_azimuth=m.quadrature_azimuth,
-                        residual_threshold=m.residual_threshold)
+        return adm_mass(self.chart, self.cfg.mass.radii)
 
     @cached_property
     def eikonal_field(self):
@@ -149,12 +128,12 @@ class RunContext:
 
 
 def _hypotheses(ctx: RunContext):
-    return certify_hypotheses(ctx.chart, _volume_spec(ctx.cfg))
+    return certify_hypotheses(ctx.chart, VolumeSampling(seed=ctx.cfg.sampling.seed))
 
 
 def _eps_grad(ctx: RunContext) -> float:
     """The gradient floor of the inequality integrands and the Kato check."""
-    return ctx.cfg.solver.eps_grad_factor * ctx.triple.grad_sup
+    return EPS_GRAD_FACTOR * ctx.triple.grad_sup
 
 
 def _inequality_reports(ctx: RunContext, mass: float):
@@ -166,7 +145,8 @@ def _inequality_reports(ctx: RunContext, mass: float):
 
 def _relaxed_certificate(ctx: RunContext):
     triple = ctx.triple
-    return relaxed_scalar_certificate(ctx.chart, _x_spec(ctx.cfg), triple.grid,
+    x_spec = VectorFieldSpec(**ctx.cfg.certificate.x_field)
+    return relaxed_scalar_certificate(ctx.chart, x_spec, triple.grid,
                                       triple.scalar_curvature,
                                       c_coef=ctx.cfg.certificate.c_coef)
 
@@ -188,8 +168,7 @@ def _pythagoras_records(ctx: RunContext):
                                   label="pythagoras")
     results = pythagorean_records(ctx.chart, ctx.triple, pts[:n], pts[n:],
                                   [k % 3 for k in range(n)],
-                                  [s.seed + k for k in range(n)],
-                                  rho=ctx.cfg.rho())
+                                  [s.seed + k for k in range(n)])
     records = [r for r in results if not isinstance(r, AfstabError)]
     failures = n - len(records)
     return records, failures, failures <= max(1, n // 100)
@@ -200,8 +179,7 @@ def _flows(ctx: RunContext):
     Hausdorff distance), the distance being the largest u error of a
     trace end."""
     s = ctx.cfg.sampling
-    return flow_coverage(ctx.chart, ctx.triple, s.target_radius, s.n_targets,
-                         s.seed, rho=ctx.cfg.rho())
+    return flow_coverage(ctx.chart, ctx.triple, s.target_radius, s.n_targets, s.seed)
 
 
 def _median(values) -> float:

@@ -9,7 +9,7 @@ import math
 from dataclasses import asdict, dataclass, field
 
 from .errors import ParseError, ValidationError
-from .geometry import FAMILIES, MetricChart
+from .geometry import FAMILIES, FAMILY_PARAMS, MetricChart
 from .grid import Grid
 
 
@@ -18,10 +18,8 @@ class FamilyConfig:
     tag: str = "flat"
     params: dict = field(default_factory=dict)
     box_halfwidth: float = 100.0
-    excision_radius: float = 0.0
     decay_b: float = 10.0
     decay_tau: float = 1.0
-    base_point: list = field(default_factory=lambda: [2.0, 0.0, 0.0])
 
 
 @dataclass
@@ -36,14 +34,12 @@ class SolverConfig:
     tol: float = 1e-11
     max_iter: int = 20000
     method: str = "auto"
-    eps_grad_factor: float = 1e-6
 
 
 @dataclass
 class SamplingConfig:
     seed: int | None = None
     ball_radius: float = 3.0
-    rho: float | None = None          # defaults to two grid cells at run time
     n_pairs: int = 200
     n_targets: int = 20
     target_radius: float = 2.0
@@ -54,19 +50,12 @@ class SamplingConfig:
 @dataclass
 class MassConfig:
     radii: list = field(default_factory=lambda: [20.0, 40.0, 80.0])
-    fit_exponent: float | None = None
-    quadrature_polar: int = 32
-    quadrature_azimuth: int = 64
-    residual_threshold: float = 1e-3
 
 
 @dataclass
 class CertificateConfig:
     x_field: dict = field(default_factory=lambda: {"kind": "zero"})
     c_coef: float = 1.0
-    n_sample_points: int = 600
-    sample_r_min: float = 0.25
-    sample_r_max: float = 10.0
 
 
 @dataclass
@@ -104,24 +93,56 @@ class ExperimentConfig:
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
 
-    def chart(self, override_params: dict | None = None) -> MetricChart:
+    def chart(self) -> MetricChart:
         f = self.family
-        params = dict(f.params)
-        if override_params:
-            params.update(override_params)
-        return MetricChart(family=f.tag, params=params,
+        return MetricChart(family=f.tag, params=dict(f.params),
                            box_halfwidth=f.box_halfwidth,
-                           excision_radius=f.excision_radius,
-                           decay_b=f.decay_b, decay_tau=f.decay_tau,
-                           base_point=tuple(f.base_point))
+                           decay_b=f.decay_b, decay_tau=f.decay_tau)
 
     def make_grid(self) -> Grid:
         return Grid(halfwidth=self.grid.halfwidth, nodes=self.grid.nodes)
 
-    def rho(self) -> float:
-        if self.sampling.rho is not None:
-            return float(self.sampling.rho)
-        return 2.0 * 2.0 * self.grid.halfwidth / (self.grid.nodes - 1)
+
+def _finite(x) -> bool:
+    return (isinstance(x, (int, float)) and not isinstance(x, bool)
+            and -math.inf < x < math.inf)
+
+
+# what a value of each kind in FAMILY_PARAMS (bar "bumps") or in an
+# x_field must be, and its test
+_KINDS = {
+    "number": ("a finite number", _finite),
+    "width": ("finite and positive", lambda x: _finite(x) and x > 0),
+    "point": ("a finite 3-vector", lambda x: isinstance(x, (list, tuple))
+              and len(x) == 3 and all(map(_finite, x))),
+    "x_kind": ("'zero' or 'gradient_bump'", lambda x: x in ("zero", "gradient_bump")),
+}
+_BUMP = {"amplitude": "number", "center": "point", "width": "width"}
+_X_FIELD = {"kind": "x_kind", **_BUMP}
+
+
+def _entries_violations(where: str, entries, kinds: dict, required=False) -> list:
+    """Violations of an object whose keys must be among `kinds` (all of them
+    when required) and whose values must be of the kind each names."""
+    if not isinstance(entries, dict):
+        return [f"{where} must be an object"]
+    v = []
+    unknown = set(entries) - set(kinds)
+    if unknown:
+        v.append(f"{where}: unknown key(s) {sorted(unknown)}, expected {sorted(kinds)}")
+    if required and set(kinds) - set(entries):
+        v.append(f"{where}: missing key(s) {sorted(set(kinds) - set(entries))}")
+    for key, value in entries.items():
+        kind = kinds.get(key)
+        if kind == "bumps":
+            if not isinstance(value, list):
+                v.append(f"{where}.{key} must be a list")
+            else:
+                for i, bump in enumerate(value):
+                    v += _entries_violations(f"{where}.{key}[{i}]", bump, _BUMP, True)
+        elif kind and not _KINDS[kind][1](value):
+            v.append(f"{where}.{key} must be {_KINDS[kind][0]}")
+    return v
 
 
 def config_from_dict(data: dict) -> ExperimentConfig:
@@ -154,7 +175,9 @@ def validate(cfg: ExperimentConfig) -> list:
     """All validation violations, empty when the config is usable.
 
     Every real-valued field must be finite: NaN fails each range test
-    written as `not lo < x < hi`, and inf fails it at hi = math.inf.
+    written as `not lo < x < hi`, and inf fails it at hi = math.inf.  The
+    same holds inside family.params (keys and kinds from FAMILY_PARAMS),
+    certificate.x_field and sweep.values.
     """
     v = []
     f = cfg.family
@@ -162,19 +185,15 @@ def validate(cfg: ExperimentConfig) -> list:
         v.append(f"family.tag must be one of {FAMILIES}, got {f.tag!r}")
     if not 0 < f.box_halfwidth < math.inf:
         v.append("family.box_halfwidth must be finite and positive")
-    if not 0 <= f.excision_radius < math.inf:
-        v.append("family.excision_radius must be finite and nonnegative")
     if not 0 < f.decay_b < math.inf:
         v.append("family.decay_b must be finite and positive")
     if not f.decay_tau > 0.5:
         v.append("family.decay_tau: tau must exceed 1/2")
     elif f.decay_tau > 1.0:
         v.append("family.decay_tau must not exceed 1 for the corpus families")
-    if len(f.base_point) != 3:
-        v.append("family.base_point must be a 3-vector")
-    elif not all(isinstance(c, (int, float)) and -math.inf < c < math.inf
-                 for c in f.base_point):
-        v.append("family.base_point components must be finite numbers")
+    family_params = FAMILY_PARAMS.get(f.tag, {})
+    if f.tag in FAMILY_PARAMS:
+        v += _entries_violations("family.params", f.params, family_params)
 
     g = cfg.grid
     if g.nodes < 17 or g.nodes % 2 == 0:
@@ -193,8 +212,6 @@ def validate(cfg: ExperimentConfig) -> list:
         v.append("solver.max_iter must be at least 100")
     if s.method not in ("auto", "cg", "amg"):
         v.append("solver.method must be 'auto', 'cg', or 'amg'")
-    if not 0 < s.eps_grad_factor < math.inf:
-        v.append("solver.eps_grad_factor must be finite and positive")
 
     sm = cfg.sampling
     if sm.seed is None:
@@ -203,8 +220,6 @@ def validate(cfg: ExperimentConfig) -> list:
         v.append("sampling.seed must be an integer")
     if not 0 < sm.ball_radius < math.inf:
         v.append("sampling.ball_radius must be finite and positive")
-    if sm.rho is not None and not 0 < sm.rho < math.inf:
-        v.append("sampling.rho must be finite and positive when given")
     for name in ("n_pairs", "n_targets", "n_pythagoras_pairs"):
         if getattr(sm, name) < 1:
             v.append(f"sampling.{name} must be at least 1")
@@ -224,22 +239,22 @@ def validate(cfg: ExperimentConfig) -> list:
         v.append("mass.radii must all exceed 1")
     elif ms.radii[-1] > f.box_halfwidth:
         v.append("mass.radii must fit inside family.box_halfwidth")
-    if ms.quadrature_polar < 4 or ms.quadrature_azimuth < 8:
-        v.append("mass quadrature orders too small (polar >= 4, azimuth >= 8)")
-    if ms.fit_exponent is not None and not -math.inf < ms.fit_exponent < math.inf:
-        v.append("mass.fit_exponent must be finite when given")
-    if not 0 < ms.residual_threshold < math.inf:
-        v.append("mass.residual_threshold must be finite and positive")
 
     ct = cfg.certificate
-    if ct.x_field.get("kind", "zero") not in ("zero", "gradient_bump"):
-        v.append("certificate.x_field.kind must be 'zero' or 'gradient_bump'")
+    v += _entries_violations("certificate.x_field", ct.x_field, _X_FIELD)
     if not 0.25 < ct.c_coef < math.inf:
         v.append("certificate.c_coef must be finite and exceed 1/4")
-    if ct.n_sample_points < 10:
-        v.append("certificate.n_sample_points must be at least 10")
-    if not 0 < ct.sample_r_min < ct.sample_r_max < math.inf:
-        v.append("certificate sample radii must satisfy 0 < r_min < r_max < inf")
+
+    sw = cfg.sweep
+    if not all(map(_finite, sw.values)):
+        v.append("sweep.values must be finite numbers")
+    elif sw.values and f.tag in FAMILY_PARAMS:
+        kind = family_params.get(sw.parameter)
+        if kind not in ("number", "width"):
+            numeric = sorted(k for k, c in family_params.items() if c in ("number", "width"))
+            v.append(f"sweep.parameter must be one of {numeric} for family {f.tag!r}")
+        elif not all(map(_KINDS[kind][1], sw.values)):
+            v.append(f"sweep.values must each be {_KINDS[kind][0]} for {sw.parameter}")
 
     o = cfg.output
     if not isinstance(o.directory, str) or not o.directory:

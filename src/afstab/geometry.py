@@ -17,7 +17,17 @@ from scipy.linalg import eigh
 from .errors import ExcisedPoint, OutOfDomain
 from .seeding import rng_for
 
-FAMILIES = ("flat", "schwarzschild", "conformal", "perturbed")
+# The params each family reads, and the kind of value each takes: a finite
+# "number", a finite positive "width", a finite 3-vector "point", or
+# "bumps", a list of {amplitude: number, center: point, width: width}.
+FAMILY_PARAMS = {
+    "flat": {},
+    "schwarzschild": {"m": "number"},
+    "conformal": {"A": "number", "gauss_amp": "number", "gauss_center": "point",
+                  "gauss_width": "width"},
+    "perturbed": {"A": "number", "bumps": "bumps"},
+}
+FAMILIES = tuple(FAMILY_PARAMS)
 
 # Radius below which a monopole family counts as sitting on its puncture.
 SINGULAR_RADIUS = 1e-12
@@ -38,15 +48,6 @@ class Bump:
     amplitude: float
     center: tuple
     width: float
-
-    def profile(self, q):
-        """Bump value as a function of q = s^2, vectorized, zero for q >= 1."""
-        q = np.asarray(q, dtype=float)
-        inside = q < 1.0 - 1e-12
-        out = np.zeros_like(q)
-        qi = np.where(inside, q, 0.0)
-        out[inside] = (self.amplitude * np.exp(1.0 - 1.0 / (1.0 - qi)))[inside]
-        return out
 
     def value_grad_hess(self, pts, hessian: bool = True):
         """Bump value, gradient and (unless hessian is False, then None) Hessian."""
@@ -74,21 +75,21 @@ class MetricChart:
     """A conformally flat metric family on the box [-box_halfwidth, box_halfwidth]^3.
 
     family: one of "flat", "schwarzschild", "conformal", "perturbed".
-    params: family parameters; "m" for schwarzschild, "A" (monopole
-        amplitude), optional Gaussian ("gauss_amp", "gauss_center",
-        "gauss_width") for conformal, and "bumps" (list of dicts with
-        amplitude/center/width) for perturbed.
+    params: family parameters, the keys FAMILY_PARAMS names for it; "m"
+        for schwarzschild, "A" (monopole amplitude), optional Gaussian
+        ("gauss_amp", "gauss_center", "gauss_width") for conformal, and
+        "bumps" (list of dicts with amplitude/center/width) for perturbed.
     decay_b, decay_tau: the declared asymptotic-flatness constants; the
         decay inequality |d^beta (g - delta)| <= b |x|^(-tau - |beta|)
         is verified, never assumed.
     base_point: the marked point p of the stability runs, on a chart
-        node away from the unit ball by convention.
+        node away from the unit ball by convention; every run takes the
+        default (2, 0, 0).
     """
 
     family: str
     params: dict = field(default_factory=dict)
     box_halfwidth: float = 20.0
-    excision_radius: float = 0.0
     decay_b: float = 10.0
     decay_tau: float = 1.0
     base_point: tuple = (2.0, 0.0, 0.0)
@@ -96,6 +97,9 @@ class MetricChart:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}, expected one of {FAMILIES}")
+        unknown = set(self.params) - set(FAMILY_PARAMS[self.family])
+        if unknown:
+            raise ValueError(f"family {self.family!r} reads no param(s) {sorted(unknown)}")
 
     # -- conformal factor ------------------------------------------------
 
@@ -195,9 +199,6 @@ class MetricChart:
         if not np.all(self.in_box(pts)):
             raise OutOfDomain(f"point {np.asarray(x)} outside box of halfwidth {self.box_halfwidth}")
         r = np.linalg.norm(pts, axis=-1)
-        if self.excision_radius > 0.0 and np.any(r <= self.excision_radius):
-            raise ExcisedPoint(f"point at radius {float(np.min(r)):.3g} inside excision "
-                               f"radius {self.excision_radius}")
         if self.singular_at_origin and np.any(r < SINGULAR_RADIUS):
             raise ExcisedPoint("point sits on the puncture of a monopole family")
 
@@ -314,7 +315,7 @@ class SphereSampling:
 class VolumeSampling:
     """Pseudorandom ball sampling for the curvature certificates."""
 
-    n_points: int = 1000
+    n_points: int = 600
     r_min: float = 0.25
     r_max: float = 10.0
     seed: int = 0

@@ -26,7 +26,7 @@ import numpy as np
 import scipy.sparse as sps
 from scipy.sparse.linalg import cg
 
-from .errors import ExcisedPoint, MismatchedChart, SolverDiverged
+from .errors import MismatchedChart, SolverDiverged
 from .geometry import MetricChart, scalar_curvature
 from .grid import Grid, ScalarGridField, gradient, interpolator, second_derivatives
 from .mass import sphere_rule
@@ -72,11 +72,6 @@ class LaplaceBeltrami:
     def __init__(self, chart: MetricChart, grid: Grid):
         if grid.halfwidth > chart.box_halfwidth:
             raise MismatchedChart("grid box exceeds the chart domain")
-        if chart.excision_radius > 0.0:
-            r = grid.radius()
-            if np.any(r <= chart.excision_radius + grid.h):
-                raise ExcisedPoint("grid stencils touch the excision region; "
-                                   "shrink r_exc or refit the box")
         self.chart = chart
         self.grid = grid
         ax = grid.axis

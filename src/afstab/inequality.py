@@ -39,13 +39,17 @@ class InequalityReport:
                  "slack", "eps_grad", "excluded_fraction", "floored_fraction")}
 
 
+# The stages floor |grad u| at this fraction of the triple's grad_sup.
+EPS_GRAD_FACTOR = 1e-6
+
+
 def mass_inequality_rhs(triple: HarmonicTriple, chart: MetricChart, axis: int,
                         mass: float, eps_grad: float) -> InequalityReport:
     """Evaluate the mass-inequality right side for one harmonic coordinate.
 
     Midpoint-rule volume integral with sqrt(det g) h^3 weights over cells
     that are neither boundary-flagged nor under the gradient floor
-    eps_grad (the stages take solver.eps_grad_factor times the triple's
+    eps_grad (the stages take EPS_GRAD_FACTOR times the triple's
     grad_sup).  `mass` is the ADM mass the right side is compared with
     (the caller's adm_mass extrapolation, or the family's exact value).
     The slack mass - rhs may dip below zero only within discretization

@@ -35,10 +35,10 @@ def adm_mass_at_radius(chart: MetricChart, r: float,
     """Flux integral (1/16 pi) over the coordinate sphere S_r.
 
     Euclidean unit normal and area element; the sphere must fit inside the
-    chart box and stay clear of the excision.
+    chart box and stay outside the unit ball, clear of the puncture.
     """
-    if r <= max(1.0, chart.excision_radius):
-        raise ValueError(f"extraction radius {r} must exceed max(1, r_exc)")
+    if r <= 1.0:
+        raise ValueError(f"extraction radius {r} must exceed 1")
     if r > chart.box_halfwidth:
         raise OutOfDomain(f"sphere of radius {r} leaves the chart box "
                           f"of halfwidth {chart.box_halfwidth}")

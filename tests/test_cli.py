@@ -15,9 +15,11 @@ import afstab.harmonic
 import afstab.mass
 from afstab.cli import _sweep_point, main, run
 from afstab.config import config_from_dict
+from afstab.errors import FitFailure
 from afstab.geometry import MetricChart
 from afstab.grid import FORMAT_VERSION, HEADER, MAGIC
-from afstab.inequality import refined_kato_check
+from afstab.inequality import (VectorFieldSpec, refined_kato_check,
+                               relaxed_scalar_certificate)
 from afstab.reporting import load_manifest, sha256_file
 
 
@@ -297,27 +299,33 @@ class TestSweep:
         csv_lines = (tmp_path / "sweep.csv").read_text().strip().splitlines()
         assert len(csv_lines) == 4
 
-    def test_sweep_point_applies_stage_knobs(self, tmp_path):
+    def test_sweep_point_applies_stage_knobs(self, tmp_path, monkeypatch):
         # non-default knobs reach the sweep exactly as the single stages
+        x_field = {"kind": "gradient_bump", "amplitude": 0.05,
+                   "center": [0.5, 0.0, 0.0], "width": 1.5}
         data = tiny_config(
             tag="schwarzschild",
             family={"tag": "schwarzschild", "params": {"m": 0.1},
                     "box_halfwidth": 100.0},
-            solver={"eps_grad_factor": 0.95},
+            certificate={"x_field": x_field, "c_coef": 0.5},
             sweep={"parameter": "m", "values": [0.1, 0.05, 0.025]})
-        data["mass"]["residual_threshold"] = 2e-2
         cfg = config_from_dict(data)
         rep = _sweep_point(cfg, tmp_path, "m0.1")
         assert all(v == "ok" for v in rep.stages.values()), rep.stages
         assert run("inequality", cfg, out_dir=tmp_path / "ineq")[0] == 0
         ineq = json.loads((tmp_path / "ineq" / "inequality_report.json").read_text())
-        assert max(ax["floored_fraction"] for ax in ineq["axes"]) > 0.0
         assert rep.mass == ineq["mass"]
         assert rep.hessian_l2 == max(ax["hessian_l2"] for ax in ineq["axes"])
         assert rep.rhs_integral == max(ax["rhs_integral"] for ax in ineq["axes"])
+        cert = ineq["relaxed_certificate"]
+        assert (cert["x_field"], cert["quadratic_coefficient"]) == (x_field, 0.5)
+        assert rep.psi_l1 == cert["psi_l1"]
         # the Kato check floors |grad u| where the inequality integrands do
         triple = afstab.cli._solve_triple(cfg, cfg.chart())
-        eps_grad = 0.95 * triple.grad_sup
+        default = relaxed_scalar_certificate(triple.chart, VectorFieldSpec(),
+                                             triple.grid, triple.scalar_curvature)
+        assert rep.psi_l1 != default.psi_l1
+        eps_grad = 1e-6 * triple.grad_sup
         assert ineq["kato"] == [
             dict(zip(("lhs", "rhs"), refined_kato_check(triple, triple.chart, axis,
                                                         eps_grad=eps_grad)))
@@ -333,8 +341,11 @@ class TestSweep:
         assert rep.pythagorean_median == pyth["median_defect"]
         assert rep.image_hausdorff == flow["image_hausdorff"]
 
-        data["mass"]["residual_threshold"] = 1e-14
-        cfg = config_from_dict(data)
+        # a failed mass fit fails the mass stage, alone and in the sweep
+        def no_fit(chart, radii):
+            raise FitFailure("fit residual over threshold")
+
+        monkeypatch.setattr(afstab.cli, "adm_mass", no_fit)
         assert run("mass", cfg, out_dir=tmp_path / "mass")[0] == 1
         rep = _sweep_point(cfg, tmp_path, "m0.1-strict")
         assert rep.stages["mass"].startswith("failed: FitFailure")

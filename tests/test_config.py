@@ -1,6 +1,9 @@
 """Config parsing, validation, and the round-trip invariant."""
 
+import glob
 import json
+import os
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +12,10 @@ from hypothesis import strategies as st
 from afstab.config import ExperimentConfig, config_from_dict, parse_config
 from afstab.errors import ParseError, ValidationError
 from afstab.grid import Grid
+
+ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
+NAN = float("nan")
+BUMP = {"amplitude": 0.15, "center": [1.0, 0.0, 0.0], "width": 2.0}
 
 
 def minimal_config(**overrides):
@@ -56,6 +63,37 @@ class TestParsing:
     def test_unknown_field_rejected(self):
         with pytest.raises(ValidationError, match="unknown field"):
             config_from_dict(minimal_config(**{"grid.mesh": 3}))
+        # the gradient floor, the certificate sampling, the mass fit, rho and
+        # the base point are constants of the program, and the excision is
+        # gone: none of them is a config field
+        fixed = ["family.excision_radius", "family.base_point",
+                 "solver.eps_grad_factor", "sampling.rho", "mass.fit_exponent",
+                 "mass.quadrature_polar", "mass.quadrature_azimuth",
+                 "mass.residual_threshold", "certificate.n_sample_points",
+                 "certificate.sample_r_min", "certificate.sample_r_max"]
+        with pytest.raises(ValidationError) as err:
+            config_from_dict(minimal_config(**{key: 1.0 for key in fixed}))
+        assert err.value.violations == [
+            "family: unknown field(s) ['base_point', 'excision_radius']",
+            "solver: unknown field(s) ['eps_grad_factor']",
+            "sampling: unknown field(s) ['rho']",
+            "mass: unknown field(s) ['fit_exponent', 'quadrature_azimuth', "
+            "'quadrature_polar', 'residual_threshold']",
+            "certificate: unknown field(s) ['n_sample_points', 'sample_r_max', "
+            "'sample_r_min']"]
+
+    def test_repository_and_benchmark_configs_valid(self, monkeypatch):
+        # the scripts run configs/*.json and the benchmark runs its workload
+        # configs; a schema change must keep every one of them valid
+        paths = sorted(glob.glob(os.path.join(ROOT, "configs", "*.json")))
+        assert paths
+        for path in paths:
+            parse_config(path)
+        monkeypatch.syspath_prepend(os.path.abspath(os.path.join(ROOT, "bench")))
+        import workloads
+
+        for name in workloads.WORKLOADS:
+            config_from_dict(workloads.config_dict(ROOT, name, 0))
 
 
 class TestValidation:
@@ -70,10 +108,6 @@ class TestValidation:
     def test_seed_mandatory(self):
         with pytest.raises(ValidationError, match="seed is mandatory"):
             config_from_dict({"family": {"tag": "flat"}})
-
-    def test_eps_grad_positive(self):
-        with pytest.raises(ValidationError, match="eps_grad_factor"):
-            config_from_dict(minimal_config(**{"solver.eps_grad_factor": -1.0}))
 
     def test_all_violations_collected(self):
         data = minimal_config(**{"family.decay_tau": 0.3, "grid.nodes": 10,
@@ -103,20 +137,53 @@ class TestValidation:
         # every other real-valued field: NaN or inf is one violation naming it
         for bad in (nan, float("inf")):
             real_fields = {
-                "solver.eps_grad_factor": bad, "sampling.ball_radius": bad,
-                "sampling.rho": bad, "sampling.target_radius": bad,
-                "family.decay_b": bad, "family.excision_radius": bad,
-                "family.base_point": [2.0, bad, 0.0],
-                "mass.residual_threshold": bad, "mass.fit_exponent": bad,
-                "mass.radii": [20.0, 40.0, bad], "certificate.c_coef": bad,
-                "certificate.sample_r_max": bad}
+                "sampling.ball_radius": bad, "sampling.target_radius": bad,
+                "family.decay_b": bad, "mass.radii": [20.0, 40.0, bad],
+                "certificate.c_coef": bad}
             for key, value in real_fields.items():
                 with pytest.raises(ValidationError) as err:
                     config_from_dict(minimal_config(**{key: value}))
-                name = ("certificate sample radii" if key == "certificate.sample_r_max"
-                        else key)
-                assert [m.startswith(name) for m in err.value.violations] == [True], \
+                assert [m.startswith(key) for m in err.value.violations] == [True], \
                     (key, bad, err.value.violations)
+
+    @pytest.mark.parametrize("overrides, message", [
+        ({"family.tag": "schwarzschild", "family.params": {"m": NAN}},
+         "family.params.m must be a finite number"),
+        ({"family.tag": "schwarzschild", "family.params": {"A": 0.2}},
+         r"family.params: unknown key\(s\) \['A'\]"),
+        ({"family.tag": "perturbed",
+          "family.params": {"A": 0.2, "bumps": [dict(BUMP, amplitude=NAN)]}},
+         r"family.params.bumps\[0\].amplitude must be a finite number"),
+        ({"family.tag": "perturbed",
+          "family.params": {"bumps": [{"amplitude": 0.1, "center": [1.0, 0.0, 0.0]}]}},
+         r"family.params.bumps\[0\]: missing key\(s\) \['width'\]"),
+        ({"family.tag": "perturbed",
+          "family.params": {"bumps": [dict(BUMP, center=[1.0, 0.0])]}},
+         r"family.params.bumps\[0\].center must be a finite 3-vector"),
+        ({"family.tag": "conformal", "family.params": {"gauss_amp": 0.1,
+                                                       "gauss_width": 0.0}},
+         "family.params.gauss_width must be finite and positive"),
+        ({"certificate.x_field": {"kind": "gradient_bump", "amplitude": 0.1,
+                                  "center": [0.0, 0.0, 0.0], "width": NAN}},
+         "certificate.x_field.width must be finite and positive"),
+        ({"certificate.x_field": {"kind": "gradient_bump", "radius": 1.0}},
+         r"certificate.x_field: unknown key\(s\) \['radius'\]"),
+        ({"family.tag": "schwarzschild", "family.params": {"m": 0.2},
+          "sweep.values": [0.2, NAN, 0.05]},
+         "sweep.values must be finite numbers"),
+        ({"family.tag": "schwarzschild", "family.params": {"m": 0.2},
+          "sweep.parameter": "A", "sweep.values": [0.2, 0.1, 0.05]},
+         r"sweep.parameter must be one of \['m'\] for family 'schwarzschild'"),
+    ], ids=["m-nan", "schwarzschild-A", "bump-amplitude-nan", "bump-missing-width",
+            "bump-center-2d", "gauss-width-zero", "x-width-nan", "x-unknown-key",
+            "sweep-value-nan", "sweep-parameter-unread"])
+    def test_nested_values_checked(self, overrides, message):
+        # family.params, certificate.x_field and sweep hold only known keys
+        # with values of their kind
+        with pytest.raises(ValidationError) as err:
+            config_from_dict(minimal_config(**overrides))
+        assert len(err.value.violations) == 1, err.value.violations
+        assert re.match(message, err.value.violations[0]), err.value.violations
 
     @pytest.mark.parametrize("name", ["n_pairs", "n_targets", "n_pythagoras_pairs"])
     def test_sample_counts_at_least_one(self, name):
@@ -133,9 +200,6 @@ class TestValidation:
         chart = cfg.chart()
         assert chart.monopole_amplitude == pytest.approx(0.05)
         assert cfg.make_grid().nodes == 65
-        assert cfg.rho() == pytest.approx(2.0 * cfg.make_grid().h)
-        over = cfg.chart({"m": 0.2})
-        assert over.monopole_amplitude == pytest.approx(0.1)
 
     @given(nodes=st.integers(17, 129).filter(lambda n: n % 2 == 1),
            halfwidth=st.floats(5.0, 50.0),

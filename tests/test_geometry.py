@@ -51,10 +51,10 @@ class TestMetricAt:
             schw.check_point((0.0, 0.0, 0.0))
         with pytest.raises(OutOfDomain):
             schw.check_point((25.0, 0.0, 0.0))
-        exc = MetricChart("flat", excision_radius=1.0)
-        with pytest.raises(ExcisedPoint):
-            exc.check_point((0.5, 0.0, 0.0))
-        # flat family with no excision is regular at the origin
+        # a chart takes only the params its family reads
+        with pytest.raises(ValueError, match=r"reads no param\(s\) \['A'\]"):
+            MetricChart("schwarzschild", {"A": 0.2})
+        # the flat family is regular at the origin
         flat = MetricChart("flat")
         flat.check_point((0.0, 0.0, 0.0))
         g, _, _ = flat.metric_derivs((0.0, 0.0, 0.0))

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import afstab.harmonic
-from afstab.errors import ExcisedPoint, MismatchedChart
+from afstab.errors import MismatchedChart
 from afstab.geometry import MetricChart
 from afstab.grid import Grid, ScalarGridField, gradient
 from afstab.harmonic import (HarmonicTriple, LaplaceBeltrami, _covariant_hessian,
@@ -64,11 +64,6 @@ class TestAssembly:
             errs.append(np.max(np.abs(resid[sample])))
         order = np.log2(errs[0] / errs[1])
         assert order >= 1.5
-
-    def test_excision_guard(self):
-        chart = MetricChart("flat", box_halfwidth=30.0, excision_radius=1.0)
-        with pytest.raises(ExcisedPoint):
-            LaplaceBeltrami(chart, Grid(halfwidth=10.0, nodes=17))
 
     def test_grid_must_fit_chart(self):
         with pytest.raises(MismatchedChart):

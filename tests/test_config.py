@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from afstab.config import ExperimentConfig, config_from_dict, parse_config
 from afstab.errors import ParseError, ValidationError
 from afstab.grid import Grid
+from afstab.inequality import EPS_GRAD_FACTOR
 
 ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
 NAN = float("nan")
@@ -108,6 +109,13 @@ class TestValidation:
     def test_seed_mandatory(self):
         with pytest.raises(ValidationError, match="seed is mandatory"):
             config_from_dict({"family": {"tag": "flat"}})
+
+    def test_eps_grad_positive(self):
+        # the gradient floor factor is a positive constant; a config cannot
+        # set it, so no run floors |grad u| at zero or below
+        assert EPS_GRAD_FACTOR > 0.0
+        with pytest.raises(ValidationError, match=r"unknown field.*'eps_grad_factor'"):
+            config_from_dict(minimal_config(**{"solver.eps_grad_factor": -1.0}))
 
     def test_all_violations_collected(self):
         data = minimal_config(**{"family.decay_tau": 0.3, "grid.nodes": 10,

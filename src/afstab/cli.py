@@ -319,10 +319,11 @@ def _sweep_point(cfg_point: ExperimentConfig, out_dir, tag: str):
         rep.cheng_yau = cheng_yau_ratio(triple, 0, cfg_point.sampling.ball_radius)
     if triple is not None:
         with _tagged(rep, "inequality"):
-            reports = _inequality_reports(ctx, rep.mass)
+            mass = ctx.mass_report.extrapolated
+            reports = _inequality_reports(ctx, mass)
             rep.hessian_l2 = max(r.hessian_l2 for r in reports)
             rep.rhs_integral = max(r.rhs_integral for r in reports)
-            rep.slack = rep.mass - rep.rhs_integral
+            rep.slack = mass - rep.rhs_integral
         with _tagged(rep, "certificate"):
             rep.psi_l1 = _relaxed_certificate(ctx).psi_l1
         with _tagged(rep, "distortion"):

@@ -17,6 +17,12 @@ conformally flat, so the face tensor sqrt(det g) g^ab reduces to the
 diagonal phi^2 delta^ab; the assembled interior system is symmetric
 positive definite, which is exactly the symmetry of the operator in the
 sqrt(det g)-weighted inner product.
+
+The solve is conjugate gradients on that matrix, preconditioned by the
+Concus-Golub scaled Laplacian: A = div(phi^2 grad .) is spectrally close
+to Phi L Phi, with Phi = diag(phi) and L the 7-point Dirichlet Laplacian,
+which DST-I diagonalizes exactly, so each application of the inverse is
+one forward and one inverse fast sine transform.
 """
 
 from dataclasses import dataclass
@@ -24,7 +30,8 @@ from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sps
-from scipy.sparse.linalg import cg
+from scipy.fft import dstn, idstn
+from scipy.sparse.linalg import LinearOperator, cg
 
 from .errors import MismatchedChart, SolverDiverged
 from .geometry import MetricChart, scalar_curvature
@@ -33,7 +40,7 @@ from .mass import sphere_rule
 
 try:
     import pyamg
-except ImportError:   # optional "amg" extra; without it "auto" runs Jacobi-CG
+except ImportError:   # optional "amg" extra; without it "auto" runs fast-Poisson CG
     pyamg = None
 
 
@@ -66,7 +73,8 @@ class LaplaceBeltrami:
     sqrt(det g), and phi, dphi, singular_node those of nodal_conformal,
     which the triple builder reuses.  apply() evaluates the full operator
     including boundary nodes in the stencil; interior_system() returns the
-    SPD matrix and the right-hand-side builder for Dirichlet data.
+    SPD matrix and the right-hand-side builder for Dirichlet data, and
+    poisson_preconditioner() the fast-Poisson preconditioner of that matrix.
     """
 
     def __init__(self, chart: MetricChart, grid: Grid):
@@ -91,6 +99,7 @@ class LaplaceBeltrami:
         self.weight = self.phi**6
         self.h = grid.h
         self._system = None
+        self._preconditioner = None
 
     def apply(self, values: np.ndarray) -> np.ndarray:
         """Operator applied to nodal values; zero on the boundary ring."""
@@ -120,6 +129,32 @@ class LaplaceBeltrami:
         if self._system is None:
             self._system = self._assemble()
         return self._system
+
+    def poisson_preconditioner(self) -> LinearOperator:
+        """M^-1 v = Phi^-1 L^-1 Phi^-1 v over the interior nodes.
+
+        Phi is the interior block of the nodal phi (imputed at the
+        puncture) and L the unscaled 6/-1 Dirichlet stencil, in the units
+        of the interior_system() matrix; L^-1 divides the DST-I transform
+        by the eigenvalues sum_a (2 - 2 cos(pi k_a / (n + 1))).  Built on
+        the first call; later calls return the same operator, so the three
+        axes of a triple share it.
+        """
+        if self._preconditioner is None:
+            n = self.grid.nodes - 2
+            lam1 = 2.0 - 2.0 * np.cos(np.pi * np.arange(1, n + 1) / (n + 1))
+            lam = lam1[:, None, None] + lam1[None, :, None] + lam1[None, None, :]
+            inv_phi = 1.0 / self.phi[1:-1, 1:-1, 1:-1]
+
+            def apply_inverse(v):
+                w = dstn(v.reshape(n, n, n) * inv_phi, type=1)
+                w /= lam
+                w = idstn(w, type=1, overwrite_x=True)
+                w *= inv_phi
+                return w.ravel()
+
+            self._preconditioner = LinearOperator((n**3, n**3), matvec=apply_inverse)
+        return self._preconditioner
 
     def _assemble(self):
         N = self.grid.nodes
@@ -200,11 +235,12 @@ def solve_harmonic_coordinate(chart: MetricChart, grid: Grid, axis: int,
                               operator: LaplaceBeltrami | None = None) -> ScalarGridField:
     """Solve the Dirichlet problem for one harmonic coordinate.
 
-    Iterates preconditioned conjugate gradients (Jacobi by default, an
-    algebraic-multigrid V-cycle preconditioner when pyamg is available and
-    method is "auto"/"amg") to relative residual <= tol, starting from the
-    boundary profile extended inward, and raises SolverDiverged when the
-    budget is exhausted.
+    Iterates preconditioned conjugate gradients to relative residual
+    <= tol, starting from the boundary profile extended inward, and raises
+    SolverDiverged when the budget is exhausted.  Method "cg" uses the
+    operator's fast-Poisson preconditioner, "amg" an algebraic-multigrid
+    V-cycle from pyamg ("cg" without it), and "auto" is "amg" with pyamg
+    at N >= 49, else "cg".
     """
     if axis not in (0, 1, 2):
         raise ValueError("axis index must be 0, 1, or 2")
@@ -225,8 +261,7 @@ def solve_harmonic_coordinate(chart: MetricChart, grid: Grid, axis: int,
         ml = pyamg.smoothed_aggregation_solver(A, max_coarse=200)
         precond = ml.aspreconditioner(cycle="V")
     elif method == "cg":
-        inv_diag = 1.0 / A.diagonal()
-        precond = sps.linalg.LinearOperator(A.shape, matvec=lambda v: inv_diag * v)
+        precond = op.poisson_preconditioner()
     else:
         raise ValueError(f"unknown solver method {method!r}")
 

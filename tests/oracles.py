@@ -9,6 +9,9 @@ quadrature.
 import numpy as np
 import sympy as sp
 from scipy.integrate import quad, solve_ivp
+from scipy.sparse.linalg import LinearOperator, cg
+
+from afstab.harmonic import LaplaceBeltrami, boundary_values
 
 
 # ---------------------------------------------------------------------------
@@ -182,6 +185,30 @@ def harmonic_radial_profile(m, r_eval, r_far=300.0, rtol=1e-12):
                   [R2 - a + a**2 / R2, R2**-2]])
     A, _ = np.linalg.solve(M, np.array([H[R1], H[R2]]))
     return np.array([H[r] for r in r_eval]) / A
+
+
+# ---------------------------------------------------------------------------
+# Jacobi-preconditioned CG on the assembled harmonic system
+
+
+def jacobi_cg_coordinate(chart, grid, axis, bc="corrected", tol=1e-11, max_iter=20000):
+    """Nodal values of one harmonic coordinate, solved by CG with the
+    diagonal (Jacobi) preconditioner on the library's interior system, from
+    the same start and to the same relative residual as the library solve;
+    a second solver for the same discrete problem."""
+    A, (b_rows, b_index, b_vals) = LaplaceBeltrami(chart, grid).interior_system()
+    ub = boundary_values(chart, grid, axis, bc)
+    rhs = np.zeros(A.shape[0])
+    np.add.at(rhs, b_rows, b_vals * ub[b_index[:, 0], b_index[:, 1], b_index[:, 2]])
+    inv_diag = 1.0 / A.diagonal()
+    jacobi = LinearOperator(A.shape, matvec=lambda v: inv_diag * v)
+    sol, info = cg(A, rhs, x0=ub[1:-1, 1:-1, 1:-1].ravel().copy(), rtol=tol, atol=0.0,
+                   maxiter=max_iter, M=jacobi)
+    assert info == 0
+    values = ub.copy()
+    n = grid.nodes - 2
+    values[1:-1, 1:-1, 1:-1] = sol.reshape(n, n, n)
+    return values
 
 
 # ---------------------------------------------------------------------------

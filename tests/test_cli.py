@@ -299,7 +299,7 @@ class TestSweep:
         csv_lines = (tmp_path / "sweep.csv").read_text().strip().splitlines()
         assert len(csv_lines) == 4
 
-    def test_sweep_point_applies_stage_knobs(self, tmp_path, monkeypatch):
+    def test_sweep_point_applies_stage_knobs(self, tmp_path):
         # non-default knobs reach the sweep exactly as the single stages
         x_field = {"kind": "gradient_bump", "amplitude": 0.05,
                    "center": [0.5, 0.0, 0.0], "width": 1.5}
@@ -341,14 +341,19 @@ class TestSweep:
         assert rep.pythagorean_median == pyth["median_defect"]
         assert rep.image_hausdorff == flow["image_hausdorff"]
 
-        # a failed mass fit fails the mass stage, alone and in the sweep
+    def test_failed_mass_fails_inequality_alone_and_in_sweep(self, schw_cfg, tmp_path,
+                                                             monkeypatch):
+        # the inequality compares with the fitted mass, so a failed fit fails
+        # it too, never an ok stage with a NaN slack
         def no_fit(chart, radii):
             raise FitFailure("fit residual over threshold")
 
         monkeypatch.setattr(afstab.cli, "adm_mass", no_fit)
-        assert run("mass", cfg, out_dir=tmp_path / "mass")[0] == 1
-        rep = _sweep_point(cfg, tmp_path, "m0.1-strict")
-        assert rep.stages["mass"].startswith("failed: FitFailure")
+        assert run("mass", schw_cfg, out_dir=tmp_path / "mass")[0] == 1
+        assert run("inequality", schw_cfg, out_dir=tmp_path / "ineq")[0] == 1
+        rep = _sweep_point(schw_cfg, tmp_path, "m0.1")
+        for stage in ("mass", "inequality"):
+            assert rep.stages[stage].startswith("failed: FitFailure"), rep.stages
 
     def test_chain_with_dumps_equals_sweep_point(self, schw_cfg, tmp_path):
         # the stages after `harmonic` reload its dumps and give the sweep's

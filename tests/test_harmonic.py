@@ -2,12 +2,15 @@
 
 import dataclasses
 import functools
+import json
+import pathlib
 
 import numpy as np
 import pytest
 
 import afstab.harmonic
-from afstab.errors import MismatchedChart
+from afstab.config import config_from_dict
+from afstab.errors import MismatchedChart, SolverDiverged
 from afstab.geometry import MetricChart
 from afstab.grid import Grid, ScalarGridField, gradient
 from afstab.harmonic import (HarmonicTriple, LaplaceBeltrami, _covariant_hessian,
@@ -15,12 +18,25 @@ from afstab.harmonic import (HarmonicTriple, LaplaceBeltrami, _covariant_hessian
                              fit_monopole, solve_harmonic_coordinate,
                              triple_from_solutions)
 
-from oracles import harmonic_radial_profile, schwarzschild_harmonic_closed_form
+from oracles import (harmonic_radial_profile, jacobi_cg_coordinate,
+                     schwarzschild_harmonic_closed_form)
+
+BUMP_CONFIG = pathlib.Path(__file__).resolve().parent.parent / "configs" / "bump_control.json"
 
 
 @pytest.fixture(scope="module")
 def schw_chart():
     return MetricChart("schwarzschild", {"m": 0.2}, box_halfwidth=100.0)
+
+
+@pytest.fixture(scope="module")
+def family_charts(schw_chart):
+    """One chart per family: flat, Schwarzschild m = 0.2, conformal A = 0.2
+    and the perturbed chart with the bump_control bump."""
+    bump = config_from_dict(json.loads(BUMP_CONFIG.read_text())).chart()
+    return {"flat": MetricChart("flat", box_halfwidth=100.0), "schwarzschild": schw_chart,
+            "conformal": MetricChart("conformal", {"A": 0.2}, box_halfwidth=100.0),
+            "perturbed": bump}
 
 
 class TestAssembly:
@@ -139,6 +155,48 @@ class TestSolve:
         assert 1.3 < diffs[0] / diffs[1] < 3.2   # declared tau = 1, ratio ~ 2
 
 
+class TestSolverContract:
+    @pytest.mark.parametrize("nodes", (33, 65))
+    @pytest.mark.parametrize("family", ("flat", "schwarzschild", "conformal", "perturbed"))
+    def test_true_residual_within_tol_in_few_iterations(self, family_charts, family,
+                                                        nodes, monkeypatch):
+        solves = []
+        real_cg = afstab.harmonic.cg
+
+        def counting_cg(A, b, **kwargs):
+            iters = []
+            sol, info = real_cg(A, b, callback=iters.append, **kwargs)
+            solves.append((A, b, sol, len(iters)))
+            return sol, info
+
+        monkeypatch.setattr(afstab.harmonic, "cg", counting_cg)
+        chart, grid = family_charts[family], Grid(halfwidth=20.0, nodes=nodes)
+        op = LaplaceBeltrami(chart, grid)
+        if family == "schwarzschild":   # the puncture is an interior node
+            assert op.singular_node == (nodes // 2,) * 3
+        for axis in range(3):
+            solve_harmonic_coordinate(chart, grid, axis, tol=1e-11, operator=op)
+        assert len(solves) == 3
+        for A, b, x, iters in solves:
+            assert np.linalg.norm(A @ x - b) <= 1e-11 * np.linalg.norm(b)
+            assert iters <= 15
+
+    @pytest.mark.parametrize("family, nodes", [("schwarzschild", 33), ("perturbed", 33),
+                                               ("perturbed", 65)])
+    def test_agrees_with_jacobi_cg_oracle(self, family_charts, family, nodes):
+        # both solves stop at relative residual 1e-11; u is O(20), and the
+        # perturbed chart at N=65 differs the most (1.3e-9)
+        chart, grid = family_charts[family], Grid(halfwidth=20.0, nodes=nodes)
+        u = solve_harmonic_coordinate(chart, grid, 0)
+        ref = jacobi_cg_coordinate(chart, grid, 0)
+        assert np.max(np.abs(u.values - ref)) <= 1e-8
+
+    def test_exhausted_budget_raises(self, family_charts):
+        grid = Grid(halfwidth=20.0, nodes=33)
+        with pytest.raises(SolverDiverged, match=r"axis 1, N=33, method=cg"):
+            solve_harmonic_coordinate(family_charts["perturbed"], grid, 1, max_iter=1)
+
+
 class TestTriple:
     def test_flat_triple_fields(self, flat_triple):
         grid = flat_triple.grid
@@ -209,17 +267,19 @@ class TestTriple:
         assert len(t1.residual_norms) == 3 and len(t1.u_at_p) == 3
 
     def test_axes_share_one_matrix(self, schw_chart, monkeypatch):
-        matrices = []
+        matrices, preconditioners = [], []
         real_cg = afstab.harmonic.cg
 
         def recording_cg(A, *args, **kwargs):
             matrices.append(A)
+            preconditioners.append(kwargs["M"])
             return real_cg(A, *args, **kwargs)
 
         monkeypatch.setattr(afstab.harmonic, "cg", recording_cg)
         build_harmonic_triple(schw_chart, Grid(halfwidth=20.0, nodes=17))
-        assert len(matrices) == 3
-        assert matrices[1] is matrices[0] and matrices[2] is matrices[0]
+        for shared in (matrices, preconditioners):
+            assert len(shared) == 3
+            assert shared[1] is shared[0] and shared[2] is shared[0]
 
     def test_triple_keeps_reduced_fields(self, schw_chart):
         # u, du and |Hess u|^2 per axis plus phi and dphi: 19 float64 per node,

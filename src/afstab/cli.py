@@ -13,17 +13,14 @@ import json
 import logging
 import os
 import sys
-from contextlib import contextmanager
 from dataclasses import replace
-from functools import cached_property
 
 import numpy as np
 
 from .config import ExperimentConfig, parse_config
-from .errors import AfstabError, BadFieldDump, NoConvergence
+from .errors import AfstabError, BadFieldDump
 from .geodesy import DistanceField, pythagorean_records, write_pythagorean_csv
-from .geometry import SphereSampling, VolumeSampling, certify_hypotheses, \
-    verify_asymptotic_flatness
+from .geometry import VolumeSampling, certify_hypotheses
 from .gh import (StabilityReport, flow_coverage, gh_distortion,
                  sample_geodesic_ball, write_master_csv, write_stability_json)
 from .grid import read_field, write_axis_profiles, write_field
@@ -33,12 +30,6 @@ from .inequality import (EPS_GRAD_FACTOR, VectorFieldSpec, mass_inequality_rhs,
                          write_inequality_csv)
 from .mass import adm_mass, scalar_curvature_l1
 from .reporting import RunManifest, config_hash, write_json
-
-
-def _sphere_spec(cfg: ExperimentConfig) -> SphereSampling:
-    hi = 0.9 * cfg.family.box_halfwidth
-    return SphereSampling(radii=tuple(np.geomspace(2.0, hi, 8)),
-                          n_per_sphere=48, seed=cfg.sampling.seed)
 
 
 def _chart_sidecar(cfg: ExperimentConfig, chart) -> dict:
@@ -82,9 +73,25 @@ def _load_or_solve_triple(cfg: ExperimentConfig, out_dir, chart):
     return _solve_triple(cfg, chart), False
 
 
+def _cached(fn):
+    """A cached property that also keeps a raised exception and re-raises it
+    on every read, so a failed input is never computed twice."""
+    def get(ctx):
+        if fn.__name__ not in ctx.results:
+            try:
+                ctx.results[fn.__name__] = fn(ctx), None
+            except Exception as exc:   # noqa: BLE001 - re-raised on every read
+                ctx.results[fn.__name__] = None, exc
+        value, exc = ctx.results[fn.__name__]
+        if exc is not None:
+            raise exc
+        return value
+    return property(get, doc=fn.__doc__)
+
+
 class RunContext:
     """One run's config and output directory, plus the values its stages
-    share, each computed on first use.
+    share, each computed (or failed) on first use.
 
     With reuse_dumps (the single stages) the triple comes from matching
     field dumps in out_dir when there are any; without it (`harmonic` and
@@ -96,12 +103,13 @@ class RunContext:
         self.out_dir = out_dir
         self.reuse_dumps = reuse_dumps
         self.loaded_from_dump = False
+        self.results = {}
 
-    @cached_property
+    @_cached
     def chart(self):
         return self.cfg.chart()
 
-    @cached_property
+    @_cached
     def triple(self):
         if not self.reuse_dumps:
             return _solve_triple(self.cfg, self.chart)
@@ -109,11 +117,11 @@ class RunContext:
                                                               self.chart)
         return triple
 
-    @cached_property
+    @_cached
     def mass_report(self):
         return adm_mass(self.chart, self.cfg.mass.radii)
 
-    @cached_property
+    @_cached
     def eikonal_field(self):
         chart, r = self.chart, self.cfg.sampling.ball_radius
         hw = min(chart.box_halfwidth - float(np.max(np.abs(chart.base_point))),
@@ -124,23 +132,31 @@ class RunContext:
 
 # ---------------------------------------------------------------------------
 # the quantities of the chain, each computed one way for the single stages
-# and the sweep
+# and the sweep; each returns (result, ok), its verdict rule written once
 
 
 def _hypotheses(ctx: RunContext):
-    return certify_hypotheses(ctx.chart, VolumeSampling(seed=ctx.cfg.sampling.seed))
+    """The hypothesis certificate; ok when the metric decays as declared."""
+    cert = certify_hypotheses(ctx.chart, VolumeSampling(seed=ctx.cfg.sampling.seed))
+    return cert, cert.af_ok
 
 
-def _eps_grad(ctx: RunContext) -> float:
-    """The gradient floor of the inequality integrands and the Kato check."""
-    return EPS_GRAD_FACTOR * ctx.triple.grad_sup
+def _harmonic(ctx: RunContext):
+    """The triple and its Cheng-Yau ratio per axis."""
+    triple, r = ctx.triple, ctx.cfg.sampling.ball_radius
+    return (triple, [cheng_yau_ratio(triple, i, r) for i in range(3)]), True
 
 
-def _inequality_reports(ctx: RunContext, mass: float):
-    """Mass-inequality report per axis, against the given ADM mass."""
-    eps_grad = _eps_grad(ctx)
-    return [mass_inequality_rhs(ctx.triple, ctx.chart, axis, mass, eps_grad=eps_grad)
+def _inequality(ctx: RunContext):
+    """The mass-inequality report against the fitted ADM mass and the refined
+    Kato check (lhs, rhs), per axis; ok when every axis passes the check."""
+    triple, chart, mass = ctx.triple, ctx.chart, ctx.mass_report.extrapolated
+    eps_grad = EPS_GRAD_FACTOR * triple.grad_sup
+    reports = [mass_inequality_rhs(triple, chart, axis, mass, eps_grad=eps_grad)
+               for axis in range(3)]
+    kato = [refined_kato_check(triple, chart, axis, eps_grad=eps_grad)
             for axis in range(3)]
+    return (reports, kato), all(lhs <= rhs * (1.0 + 1e-6) + 1e-14 for lhs, rhs in kato)
 
 
 def _relaxed_certificate(ctx: RunContext):
@@ -148,20 +164,20 @@ def _relaxed_certificate(ctx: RunContext):
     x_spec = VectorFieldSpec(**ctx.cfg.certificate.x_field)
     return relaxed_scalar_certificate(ctx.chart, x_spec, triple.grid,
                                       triple.scalar_curvature,
-                                      c_coef=ctx.cfg.certificate.c_coef)
+                                      c_coef=ctx.cfg.certificate.c_coef), True
 
 
 def _distortion(ctx: RunContext):
-    """The distortion report and ok, when failed pairs stay within the 1 % rule."""
+    """The distortion report; ok when failed pairs stay within the 1 % rule."""
     s = ctx.cfg.sampling
     rep = gh_distortion(ctx.chart, ctx.triple, s.ball_radius, s.n_pairs, s.seed,
                         dist_field=ctx.eikonal_field)
     return rep, rep.n_failed_pairs <= max(1, s.n_pairs // 100)
 
 
-def _pythagoras_records(ctx: RunContext):
-    """The configured Pythagorean records, in lockstep; returns
-    (records, n_failures, ok), ok when failures stay within the 1 % rule."""
+def _pythagoras(ctx: RunContext):
+    """The configured Pythagorean records, in lockstep, and the number that
+    failed; ok when failures stay within the 1 % rule."""
     s = ctx.cfg.sampling
     n = s.n_pythagoras_pairs
     pts, _ = sample_geodesic_ball(ctx.chart, ctx.triple, s.ball_radius, 2 * n, s.seed,
@@ -171,19 +187,34 @@ def _pythagoras_records(ctx: RunContext):
                                   [s.seed + k for k in range(n)])
     records = [r for r in results if not isinstance(r, AfstabError)]
     failures = n - len(records)
-    return records, failures, failures <= max(1, n // 100)
+    return (records, failures), failures <= max(1, n // 100)
 
 
 def _flows(ctx: RunContext):
-    """Flow traces to the configured targets; returns (traces, image
-    Hausdorff distance), the distance being the largest u error of a
-    trace end."""
-    s = ctx.cfg.sampling
-    return flow_coverage(ctx.chart, ctx.triple, s.target_radius, s.n_targets, s.seed)
+    """Flow traces to the configured targets and their image Hausdorff
+    distance, the largest u error of a trace end; ok when no leg moves
+    further than grad_sup * |t|."""
+    s, grad_sup = ctx.cfg.sampling, ctx.triple.grad_sup
+    traces, hausdorff = flow_coverage(ctx.chart, ctx.triple, s.target_radius,
+                                      s.n_targets, s.seed)
+    ok = all(tr.displacements[leg] <= grad_sup * abs(tr.times[leg]) * 1.001 + 1e-12
+             for tr in traces for leg in range(3))
+    return (traces, hausdorff), ok
 
 
 def _median(values) -> float:
     return float(np.median(values)) if values else float("nan")
+
+
+def _status(ok: bool) -> str:
+    return "ok" if ok else "assertion-failed"
+
+
+def _failure(name: str, exc: Exception) -> str:
+    """The status of a stage that raised exc; a non-afstab error is logged."""
+    if not isinstance(exc, AfstabError):
+        logging.getLogger(__name__).error("afstab %s raised", name, exc_info=exc)
+    return f"failed: {type(exc).__name__}: {exc}"
 
 
 # ---------------------------------------------------------------------------
@@ -192,14 +223,14 @@ def _median(values) -> float:
 
 def stage_check_af(cfg, out_dir):
     ctx = RunContext(cfg, out_dir)
-    af_ok, fitted_tau, worst = verify_asymptotic_flatness(ctx.chart, _sphere_spec(cfg))
-    cert = _hypotheses(ctx)
-    payload = {"af_ok": bool(af_ok), "fitted_tau": fitted_tau, "worst_ratio": worst,
-               "scalar_min": cert.scalar_min, "ricci_kappa": cert.ricci_kappa,
+    cert, ok = _hypotheses(ctx)
+    payload = {"af_ok": cert.af_ok, "fitted_tau": cert.fitted_tau,
+               "worst_ratio": cert.worst_ratio, "scalar_min": cert.scalar_min,
+               "ricci_kappa": cert.ricci_kappa,
                "witness_points": [list(w) for w in cert.witness_points],
                "scalar_integrability": scalar_curvature_l1(ctx.chart)}
     write_json(os.path.join(out_dir, "af_report.json"), payload)
-    return bool(af_ok), payload
+    return ok, payload
 
 
 def stage_mass(cfg, out_dir):
@@ -211,7 +242,7 @@ def stage_mass(cfg, out_dir):
 
 def stage_harmonic(cfg, out_dir):
     ctx = RunContext(cfg, out_dir, reuse_dumps=False)
-    triple = ctx.triple
+    (triple, cheng_yau), ok = _harmonic(ctx)
     sidecar = _chart_sidecar(cfg, ctx.chart)
     for i, u in enumerate(triple.u):
         write_field(os.path.join(out_dir, f"u{i + 1}.field"), u, sidecar)
@@ -222,23 +253,18 @@ def stage_harmonic(cfg, out_dir):
                "grad_sup": triple.grad_sup,
                "u_at_p": list(triple.u_at_p),
                "bc": cfg.grid.bc,
-               "cheng_yau": [cheng_yau_ratio(triple, i, cfg.sampling.ball_radius)
-                             for i in range(3)]}
+               "cheng_yau": cheng_yau}
     write_json(os.path.join(out_dir, "harmonic_report.json"), payload)
-    return True, payload
+    return ok, payload
 
 
 def stage_inequality(cfg, out_dir):
     ctx = RunContext(cfg, out_dir)
-    triple, chart = ctx.triple, ctx.chart
-    mass = ctx.mass_report.extrapolated
-    reports = _inequality_reports(ctx, mass)
-    kato = [refined_kato_check(triple, chart, axis, eps_grad=_eps_grad(ctx))
-            for axis in range(3)]
-    ok = all(lhs <= rhs * (1.0 + 1e-6) + 1e-14 for lhs, rhs in kato)
-    cert = _relaxed_certificate(ctx)
+    (reports, kato), ok = _inequality(ctx)
+    cert, _ = _relaxed_certificate(ctx)
+    chart = ctx.chart
     payload = {"fields_loaded_from_dump": ctx.loaded_from_dump,
-               "mass": mass,
+               "mass": ctx.mass_report.extrapolated,
                "axes": [r.to_json_dict() for r in reports],
                "kato": [{"lhs": lhs, "rhs": rhs} for lhs, rhs in kato],
                "relaxed_certificate": cert.to_json_dict()}
@@ -252,7 +278,7 @@ def stage_inequality(cfg, out_dir):
 
 def stage_pythagoras(cfg, out_dir):
     ctx = RunContext(cfg, out_dir)
-    records, failures, ok = _pythagoras_records(ctx)
+    (records, failures), ok = _pythagoras(ctx)
     write_pythagorean_csv(os.path.join(out_dir, "pythagoras.csv"), records,
                           ctx.chart.family, ctx.chart.params.get("m", 0.0))
     defects = [r.defect for r in records]
@@ -271,11 +297,7 @@ def stage_distort(cfg, out_dir):
 
 
 def stage_flow(cfg, out_dir):
-    ctx = RunContext(cfg, out_dir)
-    traces, hausdorff = _flows(ctx)
-    grad_sup = ctx.triple.grad_sup
-    ok = all(tr.displacements[leg] <= grad_sup * abs(tr.times[leg]) * 1.001 + 1e-12
-             for tr in traces for leg in range(3))
+    (traces, hausdorff), ok = _flows(RunContext(cfg, out_dir))
     payload = {"n_targets": len(traces),
                "image_hausdorff": hausdorff,
                "displacement_bound_ok": ok}
@@ -285,62 +307,48 @@ def stage_flow(cfg, out_dir):
     return ok, payload
 
 
-@contextmanager
-def _tagged(rep: StabilityReport, name: str):
-    """One sweep stage: its failure is recorded under `name` and skips the
-    rest of its block, and the sweep goes on."""
-    try:
-        yield
-    except Exception as exc:   # noqa: BLE001 - stage tag, sweep continues
-        if not isinstance(exc, AfstabError):
-            logging.getLogger(__name__).exception("sweep stage %s raised", name)
-        rep.stages[name] = f"failed: {type(exc).__name__}: {exc}"
-    else:
-        rep.stages[name] = "ok"
+# sweep stage tag, its quantity, and the report fields it fills from the result
+_SWEEP_STAGES = (
+    ("certify", _hypotheses, lambda c: {
+        "ricci_kappa": c.ricci_kappa, "scalar_min": c.scalar_min, "af_ok": c.af_ok}),
+    ("mass", lambda ctx: (ctx.mass_report, True), lambda m: {"mass": m.extrapolated}),
+    ("harmonic", _harmonic, lambda h: {"grad_sup": h[0].grad_sup, "cheng_yau": h[1][0],
+                                       "residual_norms": h[0].residual_norms}),
+    ("inequality", _inequality, lambda ineq: {
+        "hessian_l2": max(r.hessian_l2 for r in ineq[0]),
+        "rhs_integral": max(r.rhs_integral for r in ineq[0]),
+        "slack": min(r.slack for r in ineq[0])}),
+    ("certificate", _relaxed_certificate, lambda c: {"psi_l1": c.psi_l1}),
+    ("distortion", _distortion, lambda d: {
+        "ortho_l1": d.ortho_l1, "defect_p50": d.defect_p50,
+        "defect_p90": d.defect_p90, "defect_max": d.max_defect}),
+    ("pythagoras", _pythagoras, lambda p: {
+        "pythagorean_median": _median([r.defect for r in p[0]])}),
+    ("flow", _flows, lambda f: {"image_hausdorff": f[1]}),
+)
 
 
 def _sweep_point(cfg_point: ExperimentConfig, out_dir, tag: str):
-    """All stages for one sweep parameter value, always solving the
-    triple; each stage's results, or its failure, land in the report."""
+    """All stages for one sweep parameter value, always solving the triple.
+
+    Each stage tag (`certify` for `check-af`, `distortion` for `distort`,
+    the others by name; `certificate` is the relaxed certificate of
+    `inequality`) gets the status its subcommand writes to the manifest,
+    from the same quantity and rule: `ok`, `assertion-failed` or
+    `failed: Exc: msg`.  A stage whose input failed carries that input's
+    failure.  The report holds the numbers of every stage that returned.
+    """
     ctx = RunContext(cfg_point, out_dir, reuse_dumps=False)
     rep = StabilityReport(family=ctx.chart.family, parameter=float(
         ctx.chart.params.get(cfg_point.sweep.parameter, 0.0)),
         N=cfg_point.grid.nodes, R_out=cfg_point.grid.halfwidth)
-    with _tagged(rep, "certify"):
-        cert = _hypotheses(ctx)
-        rep.ricci_kappa, rep.scalar_min, rep.af_ok = (cert.ricci_kappa, cert.scalar_min,
-                                                      cert.af_ok)
-    with _tagged(rep, "mass"):
-        rep.mass = ctx.mass_report.extrapolated
-    triple = None
-    with _tagged(rep, "harmonic"):
-        triple = ctx.triple
-        rep.grad_sup, rep.residual_norms = triple.grad_sup, triple.residual_norms
-        rep.cheng_yau = cheng_yau_ratio(triple, 0, cfg_point.sampling.ball_radius)
-    if triple is not None:
-        with _tagged(rep, "inequality"):
-            mass = ctx.mass_report.extrapolated
-            reports = _inequality_reports(ctx, mass)
-            rep.hessian_l2 = max(r.hessian_l2 for r in reports)
-            rep.rhs_integral = max(r.rhs_integral for r in reports)
-            rep.slack = mass - rep.rhs_integral
-        with _tagged(rep, "certificate"):
-            rep.psi_l1 = _relaxed_certificate(ctx).psi_l1
-        with _tagged(rep, "distortion"):
-            d, ok = _distortion(ctx)
-            if not ok:
-                raise NoConvergence(f"{d.n_failed_pairs} of {d.n_pairs} "
-                                    "distortion pairs failed")
-            rep.ortho_l1, rep.defect_p50, rep.defect_p90, rep.defect_max = (
-                d.ortho_l1, d.defect_p50, d.defect_p90, d.max_defect)
-        with _tagged(rep, "pythagoras"):
-            records, failures, ok = _pythagoras_records(ctx)
-            if not ok:
-                raise NoConvergence(f"{failures} of {cfg_point.sampling.n_pythagoras_pairs} "
-                                    "Pythagorean records failed")
-            rep.pythagorean_median = _median([r.defect for r in records])
-        with _tagged(rep, "flow"):
-            _, rep.image_hausdorff = _flows(ctx)
+    for name, quantity, fields in _SWEEP_STAGES:
+        try:
+            result, ok = quantity(ctx)
+            vars(rep).update(fields(result))
+            rep.stages[name] = _status(ok)
+        except Exception as exc:   # noqa: BLE001 - stage tag, sweep continues
+            rep.stages[name] = _failure(name, exc)
     write_stability_json(os.path.join(out_dir, f"stability_{tag}.json"), rep)
     return rep
 
@@ -400,11 +408,9 @@ def run(subcommand: str, cfg: ExperimentConfig, out_dir=None):
             ok, payload = STAGES[subcommand](cfg, out_dir)
         else:
             raise AfstabError(f"unknown subcommand {subcommand!r}")
-        manifest.stage(subcommand, "ok" if ok else "assertion-failed")
+        manifest.stage(subcommand, _status(ok))
     except Exception as exc:   # noqa: BLE001 - any failure is a recorded stage
-        if not isinstance(exc, AfstabError):
-            logging.getLogger(__name__).exception("afstab %s raised", subcommand)
-        manifest.stage(subcommand, f"failed: {type(exc).__name__}: {exc}")
+        manifest.stage(subcommand, _failure(subcommand, exc))
         payload = {"error": str(exc)}
     summary = [f"afstab {subcommand}: {'ok' if ok else 'FAILED'}"]
     for k, v in sorted(payload.items()):

@@ -234,15 +234,6 @@ class GeodesicGraph:
                       0, self.n - 1).astype(int)
         return int(ijk[0] * self.n**2 + ijk[1] * self.n + ijk[2])
 
-    def distance(self, x, y):
-        """Admissible-curve upper bound for d(x, y) through lattice nodes."""
-        ix, iy = self.nearest_node(x), self.nearest_node(y)
-        dist = dijkstra(self.adj, directed=False, indices=ix)
-        through = float(dist[iy])
-        snap = (local_distance(self.chart, x, self.pts[ix])
-                + local_distance(self.chart, y, self.pts[iy]))
-        return through + snap
-
     def seed_velocity(self, x, y):
         """Initial shooting velocity along the first Dijkstra leg."""
         ix, iy = self.nearest_node(x), self.nearest_node(y)

@@ -323,9 +323,14 @@ class VolumeSampling:
 
 @dataclass(frozen=True)
 class HypothesisCertificate:
+    """Sampled curvature bounds, and the decay check outside a compact set as
+    verify_asymptotic_flatness returns it (af_ok, fitted_tau, worst_ratio)."""
+
     scalar_min: float
     ricci_kappa: float
     af_ok: bool
+    fitted_tau: float
+    worst_ratio: float
     witness_points: tuple   # (argmin of scalar, argmin of Ricci eigenvalue)
 
 
@@ -373,13 +378,13 @@ def verify_asymptotic_flatness(chart: MetricChart, sampling: SphereSampling):
 
 
 def certify_hypotheses(chart: MetricChart, sampling: VolumeSampling) -> HypothesisCertificate:
-    """Empirical scalar-curvature infimum and Ricci lower-bound constant.
+    """Empirical scalar-curvature infimum, Ricci lower-bound constant and decay.
 
     kappa is the smallest kappa >= 0 with Ric >= -2 kappa g on the sample
     set, computed from generalized eigenvalue minima of Ric with respect
-    to g; scalar_min is the sampled infimum of R; af_ok is the decay check
-    of verify_asymptotic_flatness on six spheres from max(2, r_max) to 0.9
-    box halfwidths.
+    to g; scalar_min is the sampled infimum of R.  af_ok, fitted_tau and
+    worst_ratio are verify_asymptotic_flatness on six spheres of 32 points
+    from max(2, r_max) to 0.9 box halfwidths: decay outside a compact set.
     """
     rng = rng_for(sampling.seed, "certify", chart.family)
     dirs = _sphere_dirs(sampling.n_points, rng)
@@ -401,9 +406,11 @@ def certify_hypotheses(chart: MetricChart, sampling: VolumeSampling) -> Hypothes
     spheres = SphereSampling(
         radii=tuple(np.geomspace(max(2.0, sampling.r_max), r_hi, 6)),
         n_per_sphere=32, seed=sampling.seed)
-    af_ok, _, _ = verify_asymptotic_flatness(chart, spheres)
+    af_ok, fitted_tau, worst = verify_asymptotic_flatness(chart, spheres)
     return HypothesisCertificate(
         scalar_min=float(np.min(scal)),
         ricci_kappa=kappa,
         af_ok=bool(af_ok),
+        fitted_tau=fitted_tau,
+        worst_ratio=worst,
         witness_points=(tuple(pts[i_scal]), tuple(pts[i_lam])))

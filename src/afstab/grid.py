@@ -56,10 +56,6 @@ class Grid:
         m[s, s, s] = False
         return m
 
-    def contains(self, pts) -> np.ndarray:
-        pts = np.asarray(pts, float)
-        return np.all(np.abs(pts) <= self.halfwidth + 1e-12, axis=-1)
-
 
 @dataclass
 class ScalarGridField:

@@ -9,8 +9,10 @@ quadrature.
 import numpy as np
 import sympy as sp
 from scipy.integrate import quad, solve_ivp
+from scipy.sparse.csgraph import dijkstra
 from scipy.sparse.linalg import LinearOperator, cg
 
+from afstab.geodesy import local_distance
 from afstab.harmonic import LaplaceBeltrami, boundary_values
 
 
@@ -209,6 +211,20 @@ def jacobi_cg_coordinate(chart, grid, axis, bc="corrected", tol=1e-11, max_iter=
     n = grid.nodes - 2
     values[1:-1, 1:-1, 1:-1] = sol.reshape(n, n, n)
     return values
+
+
+# ---------------------------------------------------------------------------
+# lattice-graph distance
+
+
+def graph_distance(graph, x, y):
+    """Admissible-curve upper bound for d(x, y) on a GeodesicGraph: the
+    Dijkstra distance between the nearest lattice nodes plus the two
+    straight snaps to them."""
+    ix, iy = graph.nearest_node(x), graph.nearest_node(y)
+    through = float(dijkstra(graph.adj, directed=False, indices=ix)[iy])
+    return (through + local_distance(graph.chart, x, graph.pts[ix])
+            + local_distance(graph.chart, y, graph.pts[iy]))
 
 
 # ---------------------------------------------------------------------------

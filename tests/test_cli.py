@@ -1,5 +1,6 @@
 """CLI harness: pipelines, manifests, idempotence, stage decoupling."""
 
+import dataclasses
 import json
 import os
 import struct
@@ -15,13 +16,14 @@ import afstab.harmonic
 import afstab.mass
 from afstab.cli import _sweep_point, main, run
 from afstab.config import config_from_dict
-from afstab.errors import FitFailure
+from afstab.errors import FitFailure, SolverDiverged
 from afstab.geometry import MetricChart
 from afstab.grid import FORMAT_VERSION, HEADER, MAGIC
 from afstab.inequality import (VectorFieldSpec, refined_kato_check,
                                relaxed_scalar_certificate)
 from afstab.reporting import load_manifest, sha256_file
 
+REPO = os.path.join(os.path.dirname(__file__), os.pardir)
 
 def tiny_config(tag="flat", **extra):
     data = {
@@ -63,12 +65,17 @@ class TestSubcommands:
         assert rep["extrapolated"] == 0.0
         assert manifest.data["stages"]["mass"] == "ok"
 
-    def test_check_af(self, schw_cfg, tmp_path):
-        code, _ = run("check-af", schw_cfg, out_dir=tmp_path)
+    def test_check_af(self, flat_cfg, schw_cfg, tmp_path):
+        code, _ = run("check-af", schw_cfg, out_dir=tmp_path / "schw")
         assert code == 0
-        rep = json.loads((tmp_path / "af_report.json").read_text())
+        rep = json.loads((tmp_path / "schw" / "af_report.json").read_text())
         assert rep["af_ok"] is True
         assert rep["fitted_tau"] == pytest.approx(1.0, abs=0.08)
+        code, _ = run("check-af", flat_cfg, out_dir=tmp_path / "flat")
+        assert code == 0
+        rep = json.loads((tmp_path / "flat" / "af_report.json").read_text())
+        assert rep["af_ok"] is True
+        assert (rep["worst_ratio"], rep["scalar_min"], rep["ricci_kappa"]) == (0.0, 0.0, 0.0)
 
     def test_harmonic_then_inequality_decoupled_processes(self, tmp_path):
         # stages in separate processes communicate only through the
@@ -418,7 +425,69 @@ class TestSweep:
         dist = json.loads((tmp_path / "distort" / "distortion_report.json").read_text())
         assert dist["n_failed_pairs"] == 2
         rep = _sweep_point(cfg, tmp_path, "m0.1")
-        assert rep.stages["distortion"].startswith("failed: NoConvergence"), rep.stages
+        assert rep.stages["distortion"] == "assertion-failed", rep.stages
+        assert rep.defect_max == dist["max_defect"]
+
+    def test_failed_kato_check_fails_inequality_alone_and_in_sweep(self, schw_cfg,
+                                                                  tmp_path, monkeypatch):
+        monkeypatch.setattr(afstab.cli, "refined_kato_check",
+                            lambda triple, chart, axis, eps_grad: (2.0, 1.0))
+        _, manifest = run("inequality", schw_cfg, out_dir=tmp_path / "ineq")
+        assert manifest.data["stages"]["inequality"] == "assertion-failed"
+        rep = _sweep_point(schw_cfg, tmp_path, "m0.1")
+        assert rep.stages["inequality"] == "assertion-failed", rep.stages
+
+    def test_flow_displacement_bound_fails_flow_alone_and_in_sweep(self, schw_cfg,
+                                                                  tmp_path, monkeypatch):
+        real_coverage = afstab.cli.flow_coverage
+
+        def one_leg_too_far(*args, **kwargs):
+            traces, hausdorff = real_coverage(*args, **kwargs)
+            moved = dataclasses.replace(traces[0],
+                                        displacements=(1e6,) + traces[0].displacements[1:])
+            return [moved] + traces[1:], hausdorff
+
+        monkeypatch.setattr(afstab.cli, "flow_coverage", one_leg_too_far)
+        _, manifest = run("flow", schw_cfg, out_dir=tmp_path / "flow")
+        assert manifest.data["stages"]["flow"] == "assertion-failed"
+        flow = json.loads((tmp_path / "flow" / "flow_report.json").read_text())
+        assert flow["displacement_bound_ok"] is False
+        rep = _sweep_point(schw_cfg, tmp_path, "m0.1")
+        assert rep.stages["flow"] == "assertion-failed", rep.stages
+
+    def test_af_rule_is_one_for_check_af_and_sweep(self, tmp_path):
+        # bump_control's bump reaches the r = 2 sphere; asymptotic flatness is
+        # decay outside a compact set, so both read the r >= 10 check
+        with open(os.path.join(REPO, "configs", "bump_control.json")) as f:
+            family = json.load(f)["family"]
+        cfg = config_from_dict(tiny_config(tag="perturbed", family=family,
+                                           sweep={"parameter": "A",
+                                                  "values": [0.2, 0.1, 0.05]}))
+        _, manifest = run("check-af", cfg, out_dir=tmp_path / "af")
+        af = json.loads((tmp_path / "af" / "af_report.json").read_text())
+        rep = _sweep_point(cfg, tmp_path, "A0.2")
+        assert rep.stages["certify"] == manifest.data["stages"]["check-af"] == "ok"
+        assert rep.af_ok is af["af_ok"] is True
+
+    def test_failed_harmonic_fails_its_dependents_alone_and_in_sweep(
+            self, schw_cfg, tmp_path, monkeypatch):
+        calls = []
+
+        def diverged(*args, **kwargs):
+            calls.append(1)
+            raise SolverDiverged("CG did not converge")
+
+        monkeypatch.setattr(afstab.cli, "build_harmonic_triple", diverged)
+        rep = _sweep_point(schw_cfg, tmp_path, "m0.1")
+        assert len(calls) == 1
+        status = "failed: SolverDiverged: CG did not converge"
+        for stage in ("harmonic", "inequality", "certificate", "distortion",
+                      "pythagoras", "flow"):
+            assert rep.stages[stage] == status, rep.stages
+        assert (rep.stages["certify"], rep.stages["mass"]) == ("ok", "ok")
+        for sub in ("inequality", "distort", "flow"):
+            _, manifest = run(sub, schw_cfg, out_dir=tmp_path / sub)
+            assert manifest.data["stages"][sub] == status
 
 
 class TestBenchHooks:

@@ -17,7 +17,7 @@ from afstab.geometry import MetricChart
 from afstab.grid import interpolator
 from afstab.seeding import rng_for
 
-from oracles import full_grid_eikonal, schwarzschild_radial_arclength
+from oracles import full_grid_eikonal, graph_distance, schwarzschild_radial_arclength
 
 RADIAL_D_2_5 = 3.186258146374831   # 3 + 0.2 ln(5/2) + 0.01 (1/2 - 1/5), m = 0.2
 
@@ -136,7 +136,7 @@ class TestDistance:
                 continue
             d, _, _, conv = distance_batch(schw, x[None], y[None])
             if conv[0]:
-                assert d[0] <= graph.distance(x, y) + 1e-8
+                assert d[0] <= graph_distance(graph, x, y) + 1e-8
 
 
 class TestSegmentFunctional:

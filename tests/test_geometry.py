@@ -194,6 +194,7 @@ class TestCertificates:
         assert cert.ricci_kappa == 0.0
         assert cert.scalar_min == 0.0
         assert cert.af_ok
+        assert (cert.fitted_tau, cert.worst_ratio) == (float("inf"), 0.0)   # exactly flat
 
     def test_schwarzschild(self):
         chart = MetricChart("schwarzschild", {"m": 0.1}, box_halfwidth=100.0)
@@ -202,6 +203,8 @@ class TestCertificates:
         assert abs(cert.scalar_min) < 1e-10
         assert cert.ricci_kappa > 0.0
         assert np.isfinite(cert.ricci_kappa)
+        assert cert.af_ok and cert.worst_ratio < 1.0
+        assert cert.fitted_tau == pytest.approx(1.0, abs=0.05)
 
     def test_negative_bump_witnessed(self):
         chart = bump_chart(0.4, center=(2.0, 0.0, 0.0), width=1.5)

@@ -13,23 +13,22 @@ import json
 import logging
 import os
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 
 from .config import ExperimentConfig, parse_config
 from .errors import AfstabError, BadFieldDump
-from .geodesy import DistanceField, pythagorean_records, write_pythagorean_csv
+from .geodesy import pythagorean_records
 from .geometry import VolumeSampling, certify_hypotheses
-from .gh import (StabilityReport, flow_coverage, gh_distortion,
-                 sample_geodesic_ball, write_master_csv, write_stability_json)
-from .grid import read_field, write_axis_profiles, write_field
+from .gh import (StabilityReport, ball_distance_field, flow_coverage, gh_distortion,
+                 sample_geodesic_ball)
+from .grid import read_field, write_field
 from .harmonic import build_harmonic_triple, cheng_yau_ratio, triple_from_solutions
 from .inequality import (EPS_GRAD_FACTOR, VectorFieldSpec, mass_inequality_rhs,
-                         refined_kato_check, relaxed_scalar_certificate,
-                         write_inequality_csv)
+                         refined_kato_check, relaxed_scalar_certificate)
 from .mass import adm_mass, scalar_curvature_l1
-from .reporting import RunManifest, config_hash, write_json
+from .reporting import RunManifest, config_hash, write_csv, write_json, write_summary
 
 
 def _chart_sidecar(cfg: ExperimentConfig, chart) -> dict:
@@ -123,11 +122,8 @@ class RunContext:
 
     @_cached
     def eikonal_field(self):
-        chart, r = self.chart, self.cfg.sampling.ball_radius
-        hw = min(chart.box_halfwidth - float(np.max(np.abs(chart.base_point))),
-                 max(1.6 * r, r + 2.0))
-        return DistanceField(chart, chart.base_point, hw,
-                             nodes=self.cfg.sampling.eikonal_nodes)
+        s = self.cfg.sampling
+        return ball_distance_field(self.chart, s.ball_radius, s.eikonal_nodes)
 
 
 # ---------------------------------------------------------------------------
@@ -149,22 +145,19 @@ def _harmonic(ctx: RunContext):
 
 def _inequality(ctx: RunContext):
     """The mass-inequality report against the fitted ADM mass and the refined
-    Kato check (lhs, rhs), per axis; ok when every axis passes the check."""
+    Kato check (lhs, rhs), per axis, and the relaxed scalar-curvature
+    certificate; ok when every axis passes the check."""
     triple, chart, mass = ctx.triple, ctx.chart, ctx.mass_report.extrapolated
     eps_grad = EPS_GRAD_FACTOR * triple.grad_sup
     reports = [mass_inequality_rhs(triple, chart, axis, mass, eps_grad=eps_grad)
                for axis in range(3)]
     kato = [refined_kato_check(triple, chart, axis, eps_grad=eps_grad)
             for axis in range(3)]
-    return (reports, kato), all(lhs <= rhs * (1.0 + 1e-6) + 1e-14 for lhs, rhs in kato)
-
-
-def _relaxed_certificate(ctx: RunContext):
-    triple = ctx.triple
-    x_spec = VectorFieldSpec(**ctx.cfg.certificate.x_field)
-    return relaxed_scalar_certificate(ctx.chart, x_spec, triple.grid,
-                                      triple.scalar_curvature,
-                                      c_coef=ctx.cfg.certificate.c_coef), True
+    cert = relaxed_scalar_certificate(chart, VectorFieldSpec(**ctx.cfg.certificate.x_field),
+                                      triple.grid, triple.scalar_curvature,
+                                      c_coef=ctx.cfg.certificate.c_coef)
+    ok = all(lhs <= rhs * (1.0 + 1e-6) + 1e-14 for lhs, rhs in kato)
+    return (reports, kato, cert), ok
 
 
 def _distortion(ctx: RunContext):
@@ -235,8 +228,10 @@ def stage_check_af(cfg, out_dir):
 
 def stage_mass(cfg, out_dir):
     rep = RunContext(cfg, out_dir).mass_report
-    rep.write_json(os.path.join(out_dir, "mass_report.json"))
-    rep.write_csv(os.path.join(out_dir, "mass.csv"))
+    write_json(os.path.join(out_dir, "mass_report.json"), asdict(rep))
+    write_csv(os.path.join(out_dir, "mass.csv"), ["r", "m_r", "abs_err_vs_extrapolated"],
+              [(r, m_r, abs(m_r - rep.extrapolated))
+               for r, m_r in zip(rep.radii, rep.raw_values)])
     return True, {"extrapolated": rep.extrapolated}
 
 
@@ -246,9 +241,14 @@ def stage_harmonic(cfg, out_dir):
     sidecar = _chart_sidecar(cfg, ctx.chart)
     for i, u in enumerate(triple.u):
         write_field(os.path.join(out_dir, f"u{i + 1}.field"), u, sidecar)
-    write_axis_profiles(os.path.join(out_dir, "harmonic_profiles.csv"),
-                        {f"u{i + 1}": triple.u[i].values for i in range(3)},
-                        triple.grid)
+    # u1, u2, u3 along the three coordinate axes through the box center
+    c = triple.grid.nodes // 2
+    probes = {"x": np.s_[:, c, c], "y": np.s_[c, :, c], "z": np.s_[c, c, :]}
+    write_csv(os.path.join(out_dir, "harmonic_profiles.csv"),
+              ["axis", "coord", "u1", "u2", "u3"],
+              [(name, float(coord), *(float(u.values[probe][i]) for u in triple.u))
+               for name, probe in probes.items()
+               for i, coord in enumerate(triple.grid.axis)])
     payload = {"residual_norms": list(triple.residual_norms),
                "grad_sup": triple.grad_sup,
                "u_at_p": list(triple.u_at_p),
@@ -258,29 +258,41 @@ def stage_harmonic(cfg, out_dir):
     return ok, payload
 
 
+_INEQUALITY_CSV_HEADER = ["family", "m", "N", "R_out", "mass", "rhs_integral",
+                         "hessian_l2", "grad_sup", "slack", "psi_l1"]
+
+
 def stage_inequality(cfg, out_dir):
     ctx = RunContext(cfg, out_dir)
-    (reports, kato), ok = _inequality(ctx)
-    cert, _ = _relaxed_certificate(ctx)
+    (reports, kato, cert), ok = _inequality(ctx)
     chart = ctx.chart
     payload = {"fields_loaded_from_dump": ctx.loaded_from_dump,
                "mass": ctx.mass_report.extrapolated,
-               "axes": [r.to_json_dict() for r in reports],
+               "axes": [asdict(r) for r in reports],
                "kato": [{"lhs": lhs, "rhs": rhs} for lhs, rhs in kato],
-               "relaxed_certificate": cert.to_json_dict()}
+               "relaxed_certificate": asdict(cert)}
     write_json(os.path.join(out_dir, "inequality_report.json"), payload)
-    rows = [(chart.family, chart.params.get("m", chart.params.get("A", 0.0)),
-             cfg.grid.nodes, cfg.grid.halfwidth, r.mass, r.rhs_integral,
-             r.hessian_l2, r.grad_sup, r.slack, cert.psi_l1) for r in reports]
-    write_inequality_csv(os.path.join(out_dir, "inequality.csv"), rows)
+    write_csv(os.path.join(out_dir, "inequality.csv"), _INEQUALITY_CSV_HEADER,
+              [(chart.family, chart.params.get("m", chart.params.get("A", 0.0)),
+                cfg.grid.nodes, cfg.grid.halfwidth, r.mass, r.rhs_integral,
+                r.hessian_l2, r.grad_sup, r.slack, cert.psi_l1) for r in reports])
     return ok, payload
+
+
+def _point(x) -> str:
+    return ";".join(repr(float(c)) for c in x)
 
 
 def stage_pythagoras(cfg, out_dir):
     ctx = RunContext(cfg, out_dir)
     (records, failures), ok = _pythagoras(ctx)
-    write_pythagorean_csv(os.path.join(out_dir, "pythagoras.csv"), records,
-                          ctx.chart.family, ctx.chart.params.get("m", 0.0))
+    m = float(ctx.chart.params.get("m", 0.0))
+    write_csv(os.path.join(out_dir, "pythagoras.csv"),
+              ["family", "m", "i", "x", "y", "z", "defect", "u_defect_same",
+               "u_defect_cross", "d_xy", "d_xz", "d_yz"],
+              [(ctx.chart.family, m, r.axis, _point(r.x), _point(r.y), _point(r.z),
+                r.defect, r.u_defect_same, r.u_defect_cross, r.d_xy, r.d_xz, r.d_yz)
+               for r in records])
     defects = [r.defect for r in records]
     payload = {"n_records": len(records), "n_failures": failures,
                "median_defect": _median(defects),
@@ -292,8 +304,9 @@ def stage_pythagoras(cfg, out_dir):
 
 def stage_distort(cfg, out_dir):
     rep, ok = _distortion(RunContext(cfg, out_dir))
-    write_json(os.path.join(out_dir, "distortion_report.json"), rep.to_json_dict())
-    return ok, rep.to_json_dict()
+    payload = asdict(rep)
+    write_json(os.path.join(out_dir, "distortion_report.json"), payload)
+    return ok, payload
 
 
 def stage_flow(cfg, out_dir):
@@ -317,8 +330,7 @@ _SWEEP_STAGES = (
     ("inequality", _inequality, lambda ineq: {
         "hessian_l2": max(r.hessian_l2 for r in ineq[0]),
         "rhs_integral": max(r.rhs_integral for r in ineq[0]),
-        "slack": min(r.slack for r in ineq[0])}),
-    ("certificate", _relaxed_certificate, lambda c: {"psi_l1": c.psi_l1}),
+        "slack": min(r.slack for r in ineq[0]), "psi_l1": ineq[2].psi_l1}),
     ("distortion", _distortion, lambda d: {
         "ortho_l1": d.ortho_l1, "defect_p50": d.defect_p50,
         "defect_p90": d.defect_p90, "defect_max": d.max_defect}),
@@ -332,9 +344,8 @@ def _sweep_point(cfg_point: ExperimentConfig, out_dir, tag: str):
     """All stages for one sweep parameter value, always solving the triple.
 
     Each stage tag (`certify` for `check-af`, `distortion` for `distort`,
-    the others by name; `certificate` is the relaxed certificate of
-    `inequality`) gets the status its subcommand writes to the manifest,
-    from the same quantity and rule: `ok`, `assertion-failed` or
+    the others by name) gets the status its subcommand writes to the
+    manifest, from the same quantity and rule: `ok`, `assertion-failed` or
     `failed: Exc: msg`.  A stage whose input failed carries that input's
     failure.  The report holds the numbers of every stage that returned.
     """
@@ -349,7 +360,7 @@ def _sweep_point(cfg_point: ExperimentConfig, out_dir, tag: str):
             rep.stages[name] = _status(ok)
         except Exception as exc:   # noqa: BLE001 - stage tag, sweep continues
             rep.stages[name] = _failure(name, exc)
-    write_stability_json(os.path.join(out_dir, f"stability_{tag}.json"), rep)
+    write_json(os.path.join(out_dir, f"stability_{tag}.json"), asdict(rep))
     return rep
 
 
@@ -366,11 +377,14 @@ def stage_sweep(cfg, out_dir):
         points.append(replace(cfg, family=replace(cfg.family, params=params)))
     tags = [f"{cfg.sweep.parameter}{val:g}" for val in values]
     reports = [_sweep_point(pt, out_dir, tag) for pt, tag in zip(points, tags)]
-    write_master_csv(os.path.join(out_dir, "sweep.csv"), reports)
-    write_inequality_csv(os.path.join(out_dir, "inequality_sweep.csv"),
-                         [(rep.family, rep.parameter, rep.N, rep.R_out, rep.mass,
-                           rep.rhs_integral, rep.hessian_l2, rep.grad_sup,
-                           rep.slack, rep.psi_l1) for rep in reports])
+    cols = ("mass", "hessian_l2", "grad_sup", "ortho_l1", "defect_p50", "defect_p90",
+            "defect_max", "image_hausdorff")
+    write_csv(os.path.join(out_dir, "sweep.csv"), ["family", "m", "N", "R_out", *cols],
+              [(rep.family, float(rep.parameter), rep.N, float(rep.R_out),
+                *(getattr(rep, c) for c in cols)) for rep in reports])
+    write_csv(os.path.join(out_dir, "inequality_sweep.csv"), _INEQUALITY_CSV_HEADER,
+              [(rep.family, rep.parameter, rep.N, rep.R_out, rep.mass, rep.rhs_integral,
+                rep.hessian_l2, rep.grad_sup, rep.slack, rep.psi_l1) for rep in reports])
     ok = all(all(v == "ok" for v in rep.stages.values()) for rep in reports)
     trends = {}
     for col in ("mass", "hessian_l2", "ortho_l1", "defect_p50", "image_hausdorff"):
@@ -412,11 +426,8 @@ def run(subcommand: str, cfg: ExperimentConfig, out_dir=None):
     except Exception as exc:   # noqa: BLE001 - any failure is a recorded stage
         manifest.stage(subcommand, _failure(subcommand, exc))
         payload = {"error": str(exc)}
-    summary = [f"afstab {subcommand}: {'ok' if ok else 'FAILED'}"]
-    for k, v in sorted(payload.items()):
-        summary.append(f"  {k}: {v}")
-    with open(os.path.join(out_dir, "summary.txt"), "w") as f:
-        f.write("\n".join(summary) + "\n")
+    write_summary(os.path.join(out_dir, "summary.txt"),
+                  f"afstab {subcommand}: {'ok' if ok else 'FAILED'}", payload)
     manifest.finish()
     return (0 if ok else 1), manifest
 

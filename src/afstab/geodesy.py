@@ -24,7 +24,6 @@ solution), but each sweep updates only the nodes next to a node that
 moved in the sweep before; the others would keep their values anyway.
 """
 
-import csv
 import logging
 from dataclasses import dataclass
 
@@ -609,23 +608,6 @@ def pythagorean_check(chart: MetricChart, triple: HarmonicTriple, x, y, axis: in
     if isinstance(result, AfstabError):
         raise result
     return result
-
-
-def write_pythagorean_csv(path, records, family: str, m: float):
-    header = ["family", "m", "i", "x", "y", "z", "defect", "u_defect_same",
-              "u_defect_cross", "d_xy", "d_xz", "d_yz"]
-
-    def point(p):
-        return ";".join(repr(float(c)) for c in p)
-
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(header)
-        for r in records:
-            writer.writerow([family, repr(float(m)), r.axis, point(r.x), point(r.y),
-                             point(r.z), repr(r.defect), repr(r.u_defect_same),
-                             repr(r.u_defect_cross), repr(r.d_xy), repr(r.d_xz),
-                             repr(r.d_yz)])
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,6 @@ ball, and one-sided coverage of the Euclidean ball by the image of the
 three-step gradient-flow construction.
 """
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,11 +34,6 @@ class DistortionReport:
     defect_p99: float
     ortho_l1: float
     n_failed_pairs: int
-
-    def to_json_dict(self):
-        return {k: getattr(self, k) for k in
-                ("r", "n_pairs", "max_defect", "defect_p50", "defect_p90",
-                 "defect_p99", "ortho_l1", "n_failed_pairs")}
 
 
 def sample_geodesic_ball(chart: MetricChart, triple: HarmonicTriple, r: float,
@@ -76,15 +70,23 @@ def sample_geodesic_ball(chart: MetricChart, triple: HarmonicTriple, r: float,
     return np.array(pts[:n_points]), np.array(dists[:n_points])
 
 
+def ball_distance_field(chart: MetricChart, r: float, nodes: int) -> DistanceField:
+    """The eikonal distance field from the base point that measures the
+    geodesic r-ball: halfwidth max(1.6 r, r + 2), kept inside the chart box."""
+    hw = min(chart.box_halfwidth - float(np.max(np.abs(chart.base_point))),
+             max(1.6 * r, r + 2.0))
+    return DistanceField(chart, chart.base_point, hw, nodes=nodes)
+
+
 def gh_distortion(chart: MetricChart, triple: HarmonicTriple, r: float,
-                  n_pairs: int, seed: int,
-                  dist_field: DistanceField | None = None) -> DistortionReport:
+                  n_pairs: int, seed: int, dist_field: DistanceField) -> DistortionReport:
     """Sampled distortion of the map u over pairs in the geodesic r-ball.
 
     Per-pair defect |d(x, y) - |u(x) - u(y)||; pairs whose two-point solve
     fails are excluded and counted (they must stay under 1% in acceptance
     runs).  ortho_l1 is the cell integral over the ball of
-    sum_ij |<grad u^i, grad u^j> - delta^ij|.
+    sum_ij |<grad u^i, grad u^j> - delta^ij|, the ball being the nodes
+    that dist_field (see ball_distance_field) puts within r.
     """
     pts, _ = sample_geodesic_ball(chart, triple, r, 2 * n_pairs, seed,
                                   label=f"distort-{r}")
@@ -99,13 +101,8 @@ def gh_distortion(chart: MetricChart, triple: HarmonicTriple, r: float,
         raise NoConvergence("every distortion pair failed to converge")
     quant = np.percentile(np.sort(defects), [50.0, 90.0, 99.0])
 
-    grid = triple.grid
-    nodes = grid.points()
-    p = np.asarray(chart.base_point, float)
-    if dist_field is not None:
-        node_d = dist_field.at(nodes.reshape(-1, 3)).reshape(nodes.shape[:-1])
-    else:
-        node_d = np.linalg.norm(nodes - p, axis=-1) * chart.conformal_factor(nodes) ** 2
+    nodes = triple.grid.points()
+    node_d = dist_field.at(nodes.reshape(-1, 3)).reshape(nodes.shape[:-1])
     in_ball = (node_d <= r) & ~triple.excluded
     ortho_l1 = float(np.sum(triple.gram_defect[in_ball]
                             * triple.volume_weights()[in_ball]))
@@ -329,42 +326,3 @@ class StabilityReport:
     cheng_yau: float = float("nan")
     residual_norms: tuple = ()
     stages: dict = field(default_factory=dict)
-
-    def csv_row(self):
-        cols = ("mass", "hessian_l2", "grad_sup", "ortho_l1", "defect_p50",
-                "defect_p90", "defect_max", "image_hausdorff")
-        return ([self.family, repr(float(self.parameter)), self.N,
-                 repr(float(self.R_out))]
-                + [repr(float(getattr(self, c))) for c in cols])
-
-    def to_json_dict(self):
-        d = {k: getattr(self, k) for k in
-             ("family", "parameter", "N", "R_out", "mass", "hessian_l2",
-              "grad_sup", "ortho_l1", "defect_p50", "defect_p90", "defect_max",
-              "image_hausdorff", "pythagorean_median", "psi_l1",
-              "ricci_kappa", "scalar_min", "af_ok", "slack", "rhs_integral",
-              "cheng_yau")}
-        d["residual_norms"] = list(self.residual_norms)
-        d["stages"] = dict(self.stages)
-        return d
-
-
-MASTER_CSV_HEADER = ["family", "m", "N", "R_out", "mass", "hessian_l2",
-                     "grad_sup", "ortho_l1", "defect_p50", "defect_p90",
-                     "defect_max", "image_hausdorff"]
-
-
-def write_master_csv(path, reports):
-    import csv
-
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(MASTER_CSV_HEADER)
-        for rep in reports:
-            writer.writerow(rep.csv_row())
-
-
-def write_stability_json(path, report: StabilityReport):
-    with open(path, "w") as f:
-        json.dump(report.to_json_dict(), f, sort_keys=True, indent=2)
-        f.write("\n")

@@ -1,6 +1,5 @@
 """Structured Cartesian grids, grid fields, and their flat binary format."""
 
-import json
 import struct
 from dataclasses import dataclass
 
@@ -8,6 +7,7 @@ import numpy as np
 from scipy.interpolate import RegularGridInterpolator
 
 from .errors import BadFieldDump
+from .reporting import write_json
 
 MAGIC = b"AFSF"
 FORMAT_VERSION = 1
@@ -143,9 +143,7 @@ def write_field(path, field: ScalarGridField, sidecar: dict | None = None):
         f.write(header)
         f.write(payload)
     if sidecar is not None:
-        with open(str(path) + ".json", "w") as f:
-            json.dump(sidecar, f, sort_keys=True, indent=2)
-            f.write("\n")
+        write_json(str(path) + ".json", sidecar)
 
 
 def read_field(path) -> ScalarGridField:
@@ -173,19 +171,3 @@ def read_field(path) -> ScalarGridField:
     except ValueError as exc:
         raise BadFieldDump(f"{path}: {exc}") from None
 
-
-def write_axis_profiles(path, fields: dict, grid: Grid):
-    """CSV line probe: values of each named field along the three axes."""
-    import csv
-
-    ax = grid.axis
-    c = grid.nodes // 2
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["axis", "coord"] + list(fields.keys()))
-        for name_axis, take in (("x", lambda v, i: v[i, c, c]),
-                                ("y", lambda v, i: v[c, i, c]),
-                                ("z", lambda v, i: v[c, c, i])):
-            for i, coord in enumerate(ax):
-                writer.writerow([name_axis, repr(float(coord))]
-                                + [repr(float(take(v, i))) for v in fields.values()])

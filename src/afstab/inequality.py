@@ -10,7 +10,6 @@ carries a Richardson error bar over grid levels rather than being
 asserted on any single grid.
 """
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,11 +31,6 @@ class InequalityReport:
     eps_grad: float
     excluded_fraction: float    # volume fraction dropped by floor or boundary flags
     floored_fraction: float     # part of that due to the gradient floor alone
-
-    def to_json_dict(self):
-        return {k: getattr(self, k) for k in
-                ("axis", "mass", "rhs_integral", "hessian_l2", "grad_sup",
-                 "slack", "eps_grad", "excluded_fraction", "floored_fraction")}
 
 
 # The stages floor |grad u| at this fraction of the triple's grad_sup.
@@ -141,16 +135,6 @@ class RelaxedScalarCertificate:
     holds_pointwise_outside: bool
     quadratic_coefficient: float
 
-    def to_json_dict(self):
-        return {"x_field": {"kind": self.x_field.kind,
-                            "amplitude": self.x_field.amplitude,
-                            "center": list(self.x_field.center),
-                            "width": self.x_field.width},
-                "psi_l1": self.psi_l1,
-                "psi_support_radius": self.psi_support_radius,
-                "holds_pointwise_outside": self.holds_pointwise_outside,
-                "quadratic_coefficient": self.quadratic_coefficient}
-
 
 PSI_ZERO_TOL = 1e-12
 
@@ -236,15 +220,3 @@ def richardson_slack(slacks, spacings):
     band = abs(e_last - e_prev)
     return e_last, band
 
-
-def write_inequality_csv(path, rows):
-    """Sweep CSV: family, m, N, R_out, mass, rhs_integral, hessian_l2,
-    grad_sup, slack, psi_l1."""
-    header = ["family", "m", "N", "R_out", "mass", "rhs_integral",
-              "hessian_l2", "grad_sup", "slack", "psi_l1"]
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([row[0]] + [str(v) if isinstance(v, (int, np.integer))
-                                        else repr(float(v)) for v in row[1:]])

@@ -7,8 +7,6 @@ for the smooth integrands of the corpus.  The r -> infinity limit is taken
 by a least-squares fit m(r) = m_inf + a r^-q.
 """
 
-import csv
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,28 +57,6 @@ class MassReport:
     fit_exponent: float
     quadrature_order: int
     fit_residual: float
-
-    def to_json_dict(self):
-        return {
-            "radii": list(self.radii),
-            "raw_values": list(self.raw_values),
-            "extrapolated": self.extrapolated,
-            "fit_exponent": self.fit_exponent,
-            "quadrature_order": self.quadrature_order,
-            "fit_residual": self.fit_residual,
-        }
-
-    def write_json(self, path):
-        with open(path, "w") as f:
-            json.dump(self.to_json_dict(), f, sort_keys=True, indent=2)
-            f.write("\n")
-
-    def write_csv(self, path):
-        with open(path, "w", newline="") as f:
-            writer = csv.writer(f)
-            writer.writerow(["r", "m_r", "abs_err_vs_extrapolated"])
-            for r, m_r in zip(self.radii, self.raw_values):
-                writer.writerow([repr(r), repr(m_r), repr(abs(m_r - self.extrapolated))])
 
 
 def adm_mass(chart: MetricChart, radii, fit_exponent: float | None = None,

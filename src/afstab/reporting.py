@@ -1,4 +1,15 @@
-"""Run manifests and artifact bookkeeping.
+"""The artifact format, and run manifests.
+
+Every report, table and summary a run writes goes through this module,
+so their format is decided in one place:
+
+* JSON (`write_json`): sorted keys, indent 2, a trailing newline; NaN
+  and infinite numbers, at any depth, are written as null, so every
+  report is strict JSON.
+* CSV (`write_csv`): a header row, then one cell rule: a str as is, an
+  int as str(v), anything else as repr(float(v)).
+* `summary.txt` (`write_summary`): a title line, then `  key: value` per
+  payload entry in key order, tuples printed as lists.
 
 Every CLI run writes its reports first and a manifest last; the manifest
 records the config hash, per-stage status, and a content hash for every
@@ -7,14 +18,60 @@ byte-identical outputs.  The manifest itself carries timestamps and is the
 one file exempt from the byte-identity guarantee.
 """
 
+import csv
 import datetime
 import hashlib
 import json
+import math
 import os
+
+import numpy as np
 
 from . import __version__
 
 MANIFEST_NAME = "manifest.json"
+
+
+def _plain(obj, leaf=lambda v: v):
+    """obj with every tuple as a list and leaf applied to every other
+    value that is not a dict or a list, at any depth."""
+    if isinstance(obj, dict):
+        return {k: _plain(v, leaf) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_plain(v, leaf) for v in obj]
+    return leaf(obj)
+
+
+def _finite_or_none(v):
+    return None if isinstance(v, float) and not math.isfinite(v) else v
+
+
+def write_json(path, payload: dict):
+    with open(path, "w") as f:
+        json.dump(_plain(payload, _finite_or_none), f, sort_keys=True, indent=2,
+                  allow_nan=False)
+        f.write("\n")
+
+
+def _cell(v) -> str:
+    if isinstance(v, str):
+        return v
+    if isinstance(v, (int, np.integer)):
+        return str(v)
+    return repr(float(v))
+
+
+def write_csv(path, header, rows):
+    with open(path, "w", newline="") as f:
+        writer = csv.writer(f)
+        writer.writerow(header)
+        writer.writerows([_cell(v) for v in row] for row in rows)
+
+
+def write_summary(path, title: str, payload: dict):
+    lines = [title] + [f"  {k}: {v}" for k, v in sorted(_plain(payload).items())]
+    with open(path, "w") as f:
+        f.write("\n".join(lines) + "\n")
 
 
 def sha256_file(path) -> str:
@@ -57,9 +114,7 @@ class RunManifest:
         self.data["artifacts"] = artifacts
         self.data["finished"] = datetime.datetime.now(datetime.timezone.utc).isoformat()
         path = os.path.join(self.out_dir, MANIFEST_NAME)
-        with open(path, "w") as f:
-            json.dump(self.data, f, sort_keys=True, indent=2)
-            f.write("\n")
+        write_json(path, self.data)
         return path
 
     def verify(self) -> list:
@@ -82,9 +137,3 @@ def load_manifest(out_dir):
     m.out_dir = str(out_dir)
     m.data = data
     return m
-
-
-def write_json(path, payload: dict):
-    with open(path, "w") as f:
-        json.dump(payload, f, sort_keys=True, indent=2)
-        f.write("\n")

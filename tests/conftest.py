@@ -9,6 +9,7 @@ import pytest
 
 from afstab.geodesy import DistanceField
 from afstab.geometry import MetricChart, scalar_curvature
+from afstab.gh import ball_distance_field
 from afstab.grid import Grid
 from afstab.harmonic import build_harmonic_triple
 from afstab.inequality import relaxed_scalar_certificate
@@ -62,6 +63,18 @@ def flat_field_81(flat_chart):
 def schw_charts():
     return {m: MetricChart("schwarzschild", {"m": m}, box_halfwidth=100.0)
             for m in SWEEP_MASSES}
+
+
+@pytest.fixture(scope="session")
+def flat_ball_field(flat_chart):
+    """The eikonal field that measures the geodesic 3-ball, as the stages
+    build it at the default 81 nodes."""
+    return ball_distance_field(flat_chart, 3.0, 81)
+
+
+@pytest.fixture(scope="session")
+def schw_ball_fields(schw_charts):
+    return {m: ball_distance_field(chart, 3.0, 81) for m, chart in schw_charts.items()}
 
 
 @pytest.fixture(scope="session")

@@ -64,14 +64,15 @@ def refinement_triples(schw_charts):
             for n in LEVELS}
 
 
-def test_criterion_01_flat_exactness(criterion, flat_chart, flat_triple):
+def test_criterion_01_flat_exactness(criterion, flat_chart, flat_triple, flat_ball_field):
     mass = adm_mass(flat_chart, (20.0, 40.0, 80.0)).extrapolated
     grid = flat_triple.grid
     u_err = 0.0
     for axis in range(3):
         u = solve_harmonic_coordinate(flat_chart, grid, axis, bc="plain")
         u_err = max(u_err, float(np.max(np.abs(u.values - grid.points()[..., axis]))))
-    drep = gh_distortion(flat_chart, flat_triple, 3.0, 30, seed=101)
+    drep = gh_distortion(flat_chart, flat_triple, 3.0, 30, seed=101,
+                         dist_field=flat_ball_field)
     xs = [(1.0, 1.0, 0.0), (2.5, -1.0, 0.5), (3.0, 1.0, 1.0)]
     ys = [(0.0, 0.0, 0.0), (1.0, 0.0, -1.0), (1.5, -0.5, 0.0)]
     pyth = max(defects(pythagorean_records(flat_chart, flat_triple, xs, ys,
@@ -225,10 +226,12 @@ def test_criterion_08_pythagorean_sweep(criterion, flat_chart, flat_triple,
                      + f" (monotone {monotone}), flat {flat_med:.1e}")
 
 
-def test_criterion_09_gh_distortion_sweep(criterion, schw_charts, schw_triples):
+def test_criterion_09_gh_distortion_sweep(criterion, schw_charts, schw_triples,
+                                          schw_ball_fields):
     p50s, p90s = [], []
     for m in SWEEP_MASSES:
-        rep = gh_distortion(schw_charts[m], schw_triples[m], 3.0, 200, seed=909)
+        rep = gh_distortion(schw_charts[m], schw_triples[m], 3.0, 200, seed=909,
+                            dist_field=schw_ball_fields[m])
         assert rep.n_failed_pairs <= 2
         p50s.append(rep.defect_p50)
         p90s.append(rep.defect_p90)

@@ -77,6 +77,16 @@ class TestSubcommands:
         assert rep["af_ok"] is True
         assert (rep["worst_ratio"], rep["scalar_min"], rep["ricci_kappa"]) == (0.0, 0.0, 0.0)
 
+    def test_check_af_flat_report_is_strict_json(self, flat_cfg, tmp_path):
+        # a flat chart has no decay to fit: its tau is infinite, written as null
+        def no_constant(name):
+            raise ValueError(f"{name} is not JSON")
+
+        assert run("check-af", flat_cfg, out_dir=tmp_path)[0] == 0
+        rep = json.loads((tmp_path / "af_report.json").read_text(),
+                         parse_constant=no_constant)
+        assert rep["fitted_tau"] is None
+
     def test_harmonic_then_inequality_decoupled_processes(self, tmp_path):
         # stages in separate processes communicate only through the
         # declared serialized formats (field dumps + sidecars)
@@ -428,6 +438,20 @@ class TestSweep:
         assert rep.stages["distortion"] == "assertion-failed", rep.stages
         assert rep.defect_max == dist["max_defect"]
 
+    def test_failed_certificate_fails_inequality_alone_and_in_sweep(self, schw_cfg,
+                                                                    tmp_path, monkeypatch):
+        # the relaxed certificate is part of `inequality`, with no tag of its own
+        def no_fit(*args, **kwargs):
+            raise FitFailure("certificate fit failed")
+
+        monkeypatch.setattr(afstab.cli, "relaxed_scalar_certificate", no_fit)
+        _, manifest = run("inequality", schw_cfg, out_dir=tmp_path / "ineq")
+        status = manifest.data["stages"]["inequality"]
+        assert status == "failed: FitFailure: certificate fit failed"
+        rep = _sweep_point(schw_cfg, tmp_path, "m0.1")
+        assert rep.stages["inequality"] == status, rep.stages
+        assert "certificate" not in rep.stages
+
     def test_failed_kato_check_fails_inequality_alone_and_in_sweep(self, schw_cfg,
                                                                   tmp_path, monkeypatch):
         monkeypatch.setattr(afstab.cli, "refined_kato_check",
@@ -481,8 +505,7 @@ class TestSweep:
         rep = _sweep_point(schw_cfg, tmp_path, "m0.1")
         assert len(calls) == 1
         status = "failed: SolverDiverged: CG did not converge"
-        for stage in ("harmonic", "inequality", "certificate", "distortion",
-                      "pythagoras", "flow"):
+        for stage in ("harmonic", "inequality", "distortion", "pythagoras", "flow"):
             assert rep.stages[stage] == status, rep.stages
         assert (rep.stages["certify"], rep.stages["mass"]) == ("ok", "ok")
         for sub in ("inequality", "distort", "flow"):

@@ -5,14 +5,15 @@ import logging
 import numpy as np
 import pytest
 
+from afstab.cli import run
+from afstab.config import config_from_dict
 from afstab.errors import OutOfDomain
 from afstab.geodesy import (DistanceField, GeodesicGraph, _rk4_batch,
                             bishop_gromov_check, distance_batch,
                             hyperbolic_ball_volume, level_set_projection,
                             local_distance, mean_value_candidates,
                             mean_value_pick, metric_speed, pythagorean_check,
-                            pythagorean_records, segment_functional,
-                            write_pythagorean_csv)
+                            pythagorean_records, segment_functional)
 from afstab.geometry import MetricChart
 from afstab.grid import interpolator
 from afstab.seeding import rng_for
@@ -313,12 +314,14 @@ class TestPythagorean:
             assert batch[k] == single, k
         assert batch[4].defect == 0.0
 
-    def test_csv_stream(self, tmp_path, flat_chart, flat_triple):
-        recs = [pythagorean_check(flat_chart, flat_triple, (1.0, 1.0, 0.0),
-                                  (0.0, 0.0, 0.0), 0, seed=6)]
-        path = tmp_path / "records.csv"
-        write_pythagorean_csv(path, recs, "flat", 0.0)
-        lines = path.read_text().strip().splitlines()
+    def test_csv_stream(self, tmp_path):
+        # the pythagoras stage writes one row per record
+        cfg = config_from_dict({"family": {"tag": "flat", "box_halfwidth": 100.0},
+                                "grid": {"nodes": 17, "halfwidth": 10.0},
+                                "sampling": {"seed": 6, "n_pythagoras_pairs": 1,
+                                             "ball_radius": 2.0}})
+        assert run("pythagoras", cfg, out_dir=tmp_path)[0] == 0
+        lines = (tmp_path / "pythagoras.csv").read_text().strip().splitlines()
         assert lines[0].startswith("family,m,i,x,y,z,defect")
         assert len(lines) == 2
 

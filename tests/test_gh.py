@@ -1,13 +1,17 @@
 """Distortion of the coordinate map, gradient flows, sweep reports."""
 
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
+import afstab.cli
+from afstab.config import config_from_dict
 from afstab.geodesy import distance_batch
 from afstab.geometry import MetricChart
-from afstab.gh import (StabilityReport, flow_coverage, gh_distortion,
-                       gradient_flow_step, reach_point, sample_geodesic_ball,
-                       write_master_csv)
+from afstab.gh import (StabilityReport, ball_distance_field, flow_coverage,
+                       gh_distortion, gradient_flow_step, reach_point,
+                       sample_geodesic_ball)
 from afstab.harmonic import LaplaceBeltrami
 
 
@@ -26,8 +30,9 @@ class TestBallSampling:
 
 
 class TestDistortion:
-    def test_flat_exact(self, flat_chart, flat_triple):
-        rep = gh_distortion(flat_chart, flat_triple, 3.0, 30, seed=2)
+    def test_flat_exact(self, flat_chart, flat_triple, flat_ball_field):
+        rep = gh_distortion(flat_chart, flat_triple, 3.0, 30, seed=2,
+                            dist_field=flat_ball_field)
         assert rep.max_defect < 1e-6
         assert rep.ortho_l1 < 1e-6
         assert rep.n_failed_pairs == 0
@@ -45,18 +50,19 @@ class TestDistortion:
         assert np.all(np.linalg.norm(u, axis=1)
                       <= schw02_triple.grad_sup * d * 1.01 + 1e-8)
 
-    def test_image_containment(self, schw_charts, schw02_triple):
+    def test_image_containment(self, schw_charts, schw02_triple, schw_ball_fields):
         chart = schw_charts[0.2]
         r = 3.0
-        rep = gh_distortion(chart, schw02_triple, r, 40, seed=4)
+        rep = gh_distortion(chart, schw02_triple, r, 40, seed=4,
+                            dist_field=schw_ball_fields[0.2])
         pts, _ = sample_geodesic_ball(chart, schw02_triple, r, 40, seed=4)
         u = schw02_triple.u_map(pts)
         assert np.all(np.linalg.norm(u, axis=1) <= r + rep.max_defect + 1e-8)
 
-    def test_determinism(self, schw_charts, schw02_triple):
-        a = gh_distortion(schw_charts[0.2], schw02_triple, 3.0, 20, seed=6)
-        b = gh_distortion(schw_charts[0.2], schw02_triple, 3.0, 20, seed=6)
-        assert a.to_json_dict() == b.to_json_dict()
+    def test_determinism(self, schw_charts, schw02_triple, schw_ball_fields):
+        a, b = (gh_distortion(schw_charts[0.2], schw02_triple, 3.0, 20, seed=6,
+                              dist_field=schw_ball_fields[0.2]) for _ in range(2))
+        assert asdict(a) == asdict(b)
 
 
 def _leg_u_error(triple, y, end, axis, t):
@@ -159,20 +165,27 @@ class TestHypothesisViolationControl:
                                     "width": 2.0}]},
                 box_halfwidth=100.0, decay_tau=0.9)
             triple = build_harmonic_triple(chart, grid)
-            rep = gh_distortion(chart, triple, 3.0, 30, seed=12)
+            rep = gh_distortion(chart, triple, 3.0, 30, seed=12,
+                                dist_field=ball_distance_field(chart, 3.0, 81))
             p50.append(rep.defect_p50)
         assert min(p50) > 1e-3          # far above the flat noise floor
         assert p50[1] > 0.3 * p50[0]    # no decay toward zero
 
 
 class TestReports:
-    def test_master_csv(self, tmp_path):
-        rep = StabilityReport(family="flat", parameter=0.0, N=17, R_out=5.0,
+    def test_master_csv(self, tmp_path, monkeypatch):
+        # the sweep writes sweep.csv from its points' reports; an integer
+        # parameter or R_out still prints as a float
+        rep = StabilityReport(family="flat", parameter=0, N=17, R_out=5,
                               mass=0.0, hessian_l2=0.0, grad_sup=1.0,
                               ortho_l1=0.0, defect_p50=0.0, defect_p90=0.0,
                               defect_max=0.0, image_hausdorff=0.0)
+        monkeypatch.setattr(afstab.cli, "_sweep_point", lambda cfg, out_dir, tag: rep)
+        cfg = config_from_dict({"family": {"tag": "schwarzschild", "params": {"m": 0.1}},
+                                "sampling": {"seed": 1},
+                                "sweep": {"parameter": "m", "values": [0.1, 0.05, 0.025]}})
+        afstab.cli.stage_sweep(cfg, tmp_path)
         path = tmp_path / "sweep.csv"
-        write_master_csv(path, [rep])
         lines = path.read_text().strip().splitlines()
         assert lines[0] == ("family,m,N,R_out,mass,hessian_l2,grad_sup,ortho_l1,"
                             "defect_p50,defect_p90,defect_max,image_hausdorff")

@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from afstab.cli import run
+from afstab.config import config_from_dict
 from afstab.errors import BadFieldDump
 from afstab.grid import (Grid, ScalarGridField, diff1, diff2, gradient,
-                         read_field, second_derivatives, write_axis_profiles,
-                         write_field)
+                         read_field, second_derivatives, write_field)
 
 
 class TestGrid:
@@ -126,10 +127,12 @@ class TestBinaryFormat:
             assert np.array_equal(read_field(path).values, vals)
 
     def test_axis_profiles(self, tmp_path):
-        g = Grid(halfwidth=2.0, nodes=17)
-        f = g.points()[..., 0].copy()
-        path = tmp_path / "profiles.csv"
-        write_axis_profiles(path, {"u1": f}, g)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "axis,coord,u1"
+        # the harmonic stage probes u1, u2, u3 along the three axes
+        cfg = config_from_dict({"family": {"tag": "flat", "box_halfwidth": 100.0},
+                                "grid": {"nodes": 17, "halfwidth": 10.0},
+                                "sampling": {"seed": 1}})
+        assert run("harmonic", cfg, out_dir=tmp_path)[0] == 0
+        lines = (tmp_path / "harmonic_profiles.csv").read_text().strip().splitlines()
+        assert lines[0] == "axis,coord,u1,u2,u3"
         assert len(lines) == 1 + 3 * 17
+        assert lines[1].startswith("x,-10.0,")

@@ -1,8 +1,12 @@
 """Mass quadrature against the spherically symmetric closed forms."""
 
+import json
+
 import numpy as np
 import pytest
 
+from afstab.cli import run
+from afstab.config import config_from_dict
 from afstab.errors import FitFailure, OutOfDomain
 from afstab.geometry import MetricChart
 from afstab.mass import adm_mass, adm_mass_at_radius, scalar_curvature_l1, sphere_rule
@@ -99,10 +103,17 @@ class TestExtrapolation:
                      residual_threshold=1e-5)
 
     def test_report_serialization(self, tmp_path):
+        # the mass stage writes the report as JSON and the per-radius CSV
         chart = MetricChart("schwarzschild", {"m": 0.1}, box_halfwidth=100.0)
         rep = adm_mass(chart, (20.0, 40.0, 80.0))
-        rep.write_json(tmp_path / "mass.json")
-        rep.write_csv(tmp_path / "mass.csv")
+        cfg = config_from_dict({"family": {"tag": "schwarzschild", "params": {"m": 0.1},
+                                           "box_halfwidth": 100.0},
+                                "sampling": {"seed": 1},
+                                "mass": {"radii": [20.0, 40.0, 80.0]}})
+        assert run("mass", cfg, out_dir=tmp_path)[0] == 0
+        report = json.loads((tmp_path / "mass_report.json").read_text())
+        assert (report["radii"], report["extrapolated"]) == ([20.0, 40.0, 80.0],
+                                                             rep.extrapolated)
         lines = (tmp_path / "mass.csv").read_text().strip().splitlines()
         assert lines[0] == "r,m_r,abs_err_vs_extrapolated"
         assert len(lines) == 4

@@ -173,8 +173,8 @@ def _pythagoras(ctx: RunContext):
     failed; ok when failures stay within the 1 % rule."""
     s = ctx.cfg.sampling
     n = s.n_pythagoras_pairs
-    pts, _ = sample_geodesic_ball(ctx.chart, ctx.triple, s.ball_radius, 2 * n, s.seed,
-                                  label="pythagoras")
+    pts = sample_geodesic_ball(ctx.chart, ctx.triple, s.ball_radius, 2 * n, s.seed,
+                               label="pythagoras")
     results = pythagorean_records(ctx.chart, ctx.triple, pts[:n], pts[n:],
                                   [k % 3 for k in range(n)],
                                   [s.seed + k for k in range(n)])
@@ -258,6 +258,11 @@ def stage_harmonic(cfg, out_dir):
     return ok, payload
 
 
+def _family_parameter(chart) -> float:
+    """The family's parameter in the CSVs' `m` column: m, else A, else 0."""
+    return float(chart.params.get("m", chart.params.get("A", 0.0)))
+
+
 _INEQUALITY_CSV_HEADER = ["family", "m", "N", "R_out", "mass", "rhs_integral",
                          "hessian_l2", "grad_sup", "slack", "psi_l1"]
 
@@ -273,9 +278,9 @@ def stage_inequality(cfg, out_dir):
                "relaxed_certificate": asdict(cert)}
     write_json(os.path.join(out_dir, "inequality_report.json"), payload)
     write_csv(os.path.join(out_dir, "inequality.csv"), _INEQUALITY_CSV_HEADER,
-              [(chart.family, chart.params.get("m", chart.params.get("A", 0.0)),
-                cfg.grid.nodes, cfg.grid.halfwidth, r.mass, r.rhs_integral,
-                r.hessian_l2, r.grad_sup, r.slack, cert.psi_l1) for r in reports])
+              [(chart.family, _family_parameter(chart), cfg.grid.nodes,
+                cfg.grid.halfwidth, r.mass, r.rhs_integral, r.hessian_l2, r.grad_sup,
+                r.slack, cert.psi_l1) for r in reports])
     return ok, payload
 
 
@@ -286,7 +291,7 @@ def _point(x) -> str:
 def stage_pythagoras(cfg, out_dir):
     ctx = RunContext(cfg, out_dir)
     (records, failures), ok = _pythagoras(ctx)
-    m = float(ctx.chart.params.get("m", 0.0))
+    m = _family_parameter(ctx.chart)
     write_csv(os.path.join(out_dir, "pythagoras.csv"),
               ["family", "m", "i", "x", "y", "z", "defect", "u_defect_same",
                "u_defect_cross", "d_xy", "d_xz", "d_yz"],

@@ -5,9 +5,11 @@ the shooting boundary-value problem for the exponential map: Newton
 iteration on the initial velocity of the geodesic equation
 xdd^k + Gamma^k_ab xd^a xd^b = 0, integrated by fixed-step RK4 over unit
 affine time, batched over many pairs at once with finite-difference
-Jacobians.  A 26-neighbor graph Dijkstra distance seeds hard pairs and
-provides the admissible-curve upper bound the converged distance must
-respect.
+Jacobians.  The integrator holds one stacked state [x | v] per row and
+makes one MetricChart.christoffel_quadratic call per RK4 stage, which
+also moves rows off a monopole puncture.  A 26-neighbor graph Dijkstra
+distance seeds hard pairs and provides the admissible-curve upper bound
+the converged distance must respect.
 
 Batches are invariant: a converged row is frozen out of later Newton
 passes and every operation on a row is row-local, so a pair's distance is
@@ -60,40 +62,38 @@ def local_distance(chart: MetricChart, a, b):
             + metric_speed(chart, b, d)) / 6.0
 
 
-def _gamma_vv(chart: MetricChart, x, v):
-    """Quadratic Christoffel term with a puncture nudge for monopole families."""
-    if chart.singular_at_origin:
-        r2 = np.einsum("...a,...a->...", x, x)
-        bad = r2 < 1e-18
-        if np.any(bad):
-            x = x.copy()
-            x[bad, 0] += 1e-9
-    return chart.christoffel_quadratic(x, v)
-
-
 def _rk4_batch(chart: MetricChart, x0, w, n_steps, record_every=0):
     """Integrate the geodesic equation over unit affine time for a batch.
 
-    x0, w: (K, 3) starts and initial velocities.  With record_every > 0,
-    also returns sampled trajectory points of shape (K, M, 3) including
-    both endpoints.
+    x0, w: (K, 3) starts and initial velocities; returns the (K, 3) end
+    points and velocities.  With record_every > 0, also returns sampled
+    trajectory points of shape (K, M, 3) including both endpoints.
+
+    The state is one (K, 6) array y = [x | v] with slope k = [v | -Gamma(v, v)],
+    one christoffel_quadratic call per stage, and each RK4 update is one
+    expression on the stacked state.  Elementwise arithmetic on y is the
+    same, bit for bit, as the same expressions on x and v apart.
     """
     dt = 1.0 / n_steps
-    x = np.array(x0, dtype=float, copy=True)
-    v = np.array(w, dtype=float, copy=True)
-    samples = [x.copy()] if record_every else None
+    hdt = 0.5 * dt
+    y = np.concatenate([np.asarray(x0, float), np.asarray(w, float)], axis=1)
+
+    def slope(y):
+        k = np.empty_like(y)
+        k[:, :3] = y[:, 3:]
+        k[:, 3:] = -chart.christoffel_quadratic(y[:, :3], y[:, 3:])
+        return k
+
+    samples = [y[:, :3].copy()] if record_every else None
     for step in range(n_steps):
-        k1x, k1v = v, -_gamma_vv(chart, x, v)
-        x2, v2 = x + 0.5 * dt * k1x, v + 0.5 * dt * k1v
-        k2x, k2v = v2, -_gamma_vv(chart, x2, v2)
-        x3, v3 = x + 0.5 * dt * k2x, v + 0.5 * dt * k2v
-        k3x, k3v = v3, -_gamma_vv(chart, x3, v3)
-        x4, v4 = x + dt * k3x, v + dt * k3v
-        k4x, k4v = v4, -_gamma_vv(chart, x4, v4)
-        x = x + dt * (k1x + 2.0 * k2x + 2.0 * k3x + k4x) / 6.0
-        v = v + dt * (k1v + 2.0 * k2v + 2.0 * k3v + k4v) / 6.0
+        k1 = slope(y)
+        k2 = slope(y + hdt * k1)
+        k3 = slope(y + hdt * k2)
+        k4 = slope(y + dt * k3)
+        y = y + dt * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
         if record_every and ((step + 1) % record_every == 0 or step == n_steps - 1):
-            samples.append(x.copy())
+            samples.append(y[:, :3].copy())
+    x, v = y[:, :3].copy(), y[:, 3:].copy()
     if record_every:
         return x, v, np.stack(samples, axis=1)
     return x, v

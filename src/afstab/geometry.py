@@ -41,6 +41,14 @@ def _as_points(x):
     return pts
 
 
+def _monopole(pts, r2, a):
+    """phi = 1 + a/|x| and grad phi from the points and their |x|^2, with
+    1/|x|^3; the seeds are the scalars 1 and 0 the other terms add to."""
+    inv_r = 1.0 / np.sqrt(r2)
+    inv_r3 = inv_r / r2
+    return 1.0 + a * inv_r, 0.0 - a * pts * inv_r3[..., None], inv_r3
+
+
 @dataclass(frozen=True)
 class Bump:
     """C^infinity bump c * exp(1 - 1/(1 - s^2)), s = |x - center|/width, supported in s < 1."""
@@ -147,18 +155,15 @@ class MetricChart:
 
     def _conformal(self, x, hessian):
         pts = _as_points(x)
-        phi = np.ones(pts.shape[:-1])
-        grad = np.zeros(pts.shape)
         hess = np.zeros(pts.shape + (3,)) if hessian else None
         a = self.monopole_amplitude
-        if a != 0.0:
+        if a == 0.0:
+            phi = np.ones(pts.shape[:-1])
+            grad = np.zeros(pts.shape)
+        else:
             r2 = np.einsum("...a,...a->...", pts, pts)
-            r = np.sqrt(r2)
             with np.errstate(divide="ignore", invalid="ignore"):
-                inv_r = 1.0 / r
-                inv_r3 = inv_r / r2
-                phi = phi + a * inv_r
-                grad = grad - a * pts * inv_r3[..., None]
+                phi, grad, inv_r3 = _monopole(pts, r2, a)
                 if hessian:
                     inv_r5 = inv_r3 / r2
                     hess = hess + a * (3.0 * pts[..., :, None] * pts[..., None, :]
@@ -223,10 +228,27 @@ class MetricChart:
     def christoffel_quadratic(self, x, v):
         """Gamma^k_ab v^a v^b for velocity vectors v, exploiting the conformal form.
 
-        The one entry point of the geodesic right-hand side; it reads phi
-        and grad phi only.
+        The one entry point of the geodesic right-hand side, one call per
+        RK4 stage; it reads phi and grad phi only.  On a monopole family a
+        row within 1e-9 of the puncture is nudged by 1e-9 along x, so the
+        puncture itself returns the value at (1e-9, 0, 0).  A pure monopole
+        chart forms phi and grad phi in one pass from that |x|^2, by the
+        arithmetic conformal_gradient uses; charts with bumps or without
+        a monopole go through conformal_gradient.
         """
-        phi, dphi = self.conformal_gradient(x)
+        x = _as_points(x)
+        a = self.monopole_amplitude
+        if a != 0.0:
+            r2 = np.einsum("...a,...a->...", x, x)
+            bad = r2 < 1e-18
+            if bad.any():
+                x = x.copy()
+                x[bad, 0] += 1e-9
+                r2 = np.einsum("...a,...a->...", x, x)
+        if a != 0.0 and not self.bumps:
+            phi, dphi, _ = _monopole(x, r2, a)
+        else:
+            phi, dphi = self.conformal_gradient(x)
         w = dphi / phi[..., None]
         vw = np.einsum("...a,...a->...", v, w)
         vv = np.einsum("...a,...a->...", v, v)

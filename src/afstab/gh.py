@@ -8,6 +8,7 @@ ball, and one-sided coverage of the Euclidean ball by the image of the
 three-step gradient-flow construction.
 """
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,18 +37,60 @@ class DistortionReport:
     n_failed_pairs: int
 
 
+# A candidate is certified in the geodesic r-ball without a shot when its
+# chord length is below r (1 - CHORD_MARGIN) by the CHORD_NODES-point and the
+# 2 CHORD_NODES-point Gauss-Legendre rules alike, and the two agree to
+# CHORD_AGREE relative (near the puncture the lower rule can undershoot).
+CHORD_NODES = 32
+CHORD_MARGIN = 1e-6
+CHORD_AGREE = 1e-9
+
+
+@functools.cache
+def _unit_gauss_legendre(n: int):
+    """Gauss-Legendre nodes and weights of the n-point rule on [0, 1]."""
+    t, w = np.polynomial.legendre.leggauss(n)
+    s, w = 0.5 * (t + 1.0), 0.5 * w
+    s.setflags(write=False)
+    w.setflags(write=False)
+    return s, w
+
+
+def _chord_lengths(chart: MetricChart, p, xs, n_nodes: int):
+    """Lengths of the straight chart segments p -> xs[k] under g, by the
+    n_nodes-point Gauss-Legendre rule on int_0^1 phi(p + s(x - p))^2 |x - p| ds.
+
+    The chord is an admissible curve, so its length bounds d(p, x) from
+    above; near the puncture phi^2 is singular and the rule may undershoot.
+    """
+    s, w = _unit_gauss_legendre(n_nodes)
+    seg = np.asarray(xs, float) - p
+    phi = chart.conformal_factor(p + s[:, None, None] * seg)
+    return (w @ phi**2) * np.linalg.norm(seg, axis=1)
+
+
+def _chord_certified(chart: MetricChart, p, xs, r: float):
+    """Candidates whose chord length certifies d(p, x) < r without a shot."""
+    bound = r * (1.0 - CHORD_MARGIN)
+    lo = _chord_lengths(chart, p, xs, CHORD_NODES)
+    hi = _chord_lengths(chart, p, xs, 2 * CHORD_NODES)
+    return (lo < bound) & (hi < bound) & (np.abs(lo - hi) <= CHORD_AGREE * hi)
+
+
 def sample_geodesic_ball(chart: MetricChart, triple: HarmonicTriple, r: float,
                          n_points: int, seed: int, label: str = "ball"):
     """Seeded points of the geodesic r-ball around the base point.
 
-    Rejection sampling from the chart-Euclidean r-ball followed by the
-    geodesic filter via shooting distances from p; returns (points,
-    distances to p).
+    Rejection sampling from the chart-Euclidean r-ball, then the geodesic
+    filter: a candidate whose chord length certifies d(p, x) < r (see
+    _chord_certified) is kept without a shot; the others are shot from p
+    and kept when the shot converges with d <= r.  Candidate order and the
+    draws do not depend on which test kept a candidate.  Returns the
+    (n_points, 3) points only.
     """
     p = np.asarray(chart.base_point, float)
     rng = rng_for(seed, label)
     pts = []
-    dists = []
     budget = 12
     while len(pts) < n_points and budget > 0:
         need = max(8, int(1.3 * (n_points - len(pts))))
@@ -60,14 +103,17 @@ def sample_geodesic_ball(chart: MetricChart, triple: HarmonicTriple, r: float,
         if len(cands) == 0:
             budget -= 1
             continue
-        d, _, _, conv = distance_batch(chart, np.broadcast_to(p, cands.shape), cands)
-        good = conv & (d <= r)
+        good = _chord_certified(chart, p, cands, r)
+        shoot = ~good
+        if np.any(shoot):
+            rest = cands[shoot]
+            d, _, _, conv = distance_batch(chart, np.broadcast_to(p, rest.shape), rest)
+            good[shoot] = conv & (d <= r)
         pts.extend(cands[good])
-        dists.extend(d[good])
         budget -= 1
     if len(pts) < n_points:
         raise NoConvergence(f"geodesic-ball sampling stalled at {len(pts)}/{n_points}")
-    return np.array(pts[:n_points]), np.array(dists[:n_points])
+    return np.array(pts[:n_points])
 
 
 def ball_distance_field(chart: MetricChart, r: float, nodes: int) -> DistanceField:
@@ -88,8 +134,8 @@ def gh_distortion(chart: MetricChart, triple: HarmonicTriple, r: float,
     sum_ij |<grad u^i, grad u^j> - delta^ij|, the ball being the nodes
     that dist_field (see ball_distance_field) puts within r.
     """
-    pts, _ = sample_geodesic_ball(chart, triple, r, 2 * n_pairs, seed,
-                                  label=f"distort-{r}")
+    pts = sample_geodesic_ball(chart, triple, r, 2 * n_pairs, seed,
+                               label=f"distort-{r}")
     xs, ys = pts[:n_pairs], pts[n_pairs:]
     d, _, _, conv = distance_batch(chart, xs, ys)
     u_xs = triple.u_map(xs)

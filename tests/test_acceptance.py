@@ -209,8 +209,8 @@ def test_criterion_07_bishop_gromov(criterion, flat_field_81, schw_charts):
 def test_criterion_08_pythagorean_sweep(criterion, flat_chart, flat_triple,
                                         schw_charts, schw_triples):
     def median_defect(chart, triple, n_pairs=50):
-        pts, _ = sample_geodesic_ball(chart, triple, 3.0, 2 * n_pairs,
-                                      seed=808, label="acc-pyth")
+        pts = sample_geodesic_ball(chart, triple, 3.0, 2 * n_pairs,
+                                   seed=808, label="acc-pyth")
         recs = pythagorean_records(chart, triple, pts[:n_pairs],
                                    pts[n_pairs:2 * n_pairs],
                                    [k % 3 for k in range(n_pairs)],

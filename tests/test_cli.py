@@ -119,6 +119,16 @@ class TestSubcommands:
         rep = json.loads((tmp_path / "flow" / "flow_report.json").read_text())
         assert rep["displacement_bound_ok"] is True
 
+    def test_csv_m_column_is_the_family_parameter(self, tmp_path):
+        # bump_control's parameter is A = 0.2: both CSVs carry it as m
+        with open(os.path.join(REPO, "configs", "bump_control.json")) as f:
+            family = json.load(f)["family"]
+        cfg = config_from_dict(tiny_config(tag="perturbed", family=family))
+        for sub in ("inequality", "pythagoras"):
+            run(sub, cfg, out_dir=tmp_path)
+            rows = (tmp_path / f"{sub}.csv").read_text().splitlines()[1:]
+            assert rows and all(row.startswith("perturbed,0.2,") for row in rows), sub
+
     def test_invalid_subcommand_rejected(self, flat_cfg, tmp_path):
         code, manifest = run("bogus", flat_cfg, out_dir=tmp_path)
         assert code == 1

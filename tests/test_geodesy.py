@@ -1,6 +1,8 @@
 """Geodesics, distances, level-set projections, volume comparison."""
 
+import json
 import logging
+import pathlib
 
 import numpy as np
 import pytest
@@ -18,7 +20,10 @@ from afstab.geometry import MetricChart
 from afstab.grid import interpolator
 from afstab.seeding import rng_for
 
-from oracles import full_grid_eikonal, graph_distance, schwarzschild_radial_arclength
+from oracles import (full_grid_eikonal, graph_distance, rk4_reference,
+                     schwarzschild_radial_arclength)
+
+BUMP_CONFIG = pathlib.Path(__file__).resolve().parent.parent / "configs" / "bump_control.json"
 
 RADIAL_D_2_5 = 3.186258146374831   # 3 + 0.2 ln(5/2) + 0.01 (1/2 - 1/5), m = 0.2
 
@@ -64,6 +69,56 @@ class TestShoot:
         v = v / np.sqrt(v @ g @ v)
         x, w = _rk4_batch(schw, x0[None], 5.0 * v[None], 160)
         assert abs(metric_speed(schw, x, w)[0] / 5.0 - 1.0) < 1e-8
+
+
+def kernel_chart(name):
+    if name == "bump_control":
+        return config_from_dict(json.loads(BUMP_CONFIG.read_text())).chart()
+    return {"flat": MetricChart("flat", box_halfwidth=100.0),
+            "schwarzschild": MetricChart("schwarzschild", {"m": 0.2}, box_halfwidth=100.0),
+            "conformal": MetricChart("conformal", {"A": 0.3, "gauss_amp": 0.1,
+                                                   "gauss_width": 1.5},
+                                     box_halfwidth=50.0)}[name]
+
+
+class TestKernel:
+    """The stacked RK4 state and the one-pass Christoffel term against the
+    two-array integrator they replaced (tests/oracles.py)."""
+
+    @pytest.mark.parametrize("name", ["flat", "schwarzschild", "conformal", "bump_control"])
+    def test_rk4_matches_two_array_reference(self, name):
+        chart = kernel_chart(name)
+        rng = rng_for(12, "rk4-reference", name)
+        x0 = rng.uniform(-3.0, 3.0, size=(24, 3))
+        x0[0] = 0.0                       # a start on the puncture
+        w = rng.normal(size=(24, 3))
+        for record_every in (0, 2):
+            got = _rk4_batch(chart, x0, w, 160, record_every=record_every)
+            ref = rk4_reference(chart, x0, w, 160, record_every=record_every)
+            assert len(got) == len(ref)
+            for a, b in zip(got, ref):
+                assert a.shape == b.shape and np.array_equal(a, b)
+
+    def test_puncture_nudged_along_x(self, schw):
+        v = np.array([[0.3, -1.0, 0.2]])
+        at_origin = schw.christoffel_quadratic(np.zeros((1, 3)), v)
+        nudged = schw.christoffel_quadratic(np.array([[1e-9, 0.0, 0.0]]), v)
+        assert np.all(np.isfinite(at_origin)) and np.array_equal(at_origin, nudged)
+
+    def test_one_christoffel_call_per_stage(self, schw, monkeypatch):
+        # the benchmark counts christoffel_quadratic calls and rows: one
+        # call per RK4 stage over the whole batch
+        calls = []
+        original = MetricChart.christoffel_quadratic
+
+        def counted(chart, x, v):
+            calls.append(len(x))
+            return original(chart, x, v)
+
+        monkeypatch.setattr(MetricChart, "christoffel_quadratic", counted)
+        rng = rng_for(13, "christoffel-calls")
+        _rk4_batch(schw, rng.uniform(-3.0, 3.0, size=(7, 3)), rng.normal(size=(7, 3)), 160)
+        assert calls == [7] * 640
 
 
 class TestDistance:

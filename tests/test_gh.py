@@ -6,27 +6,64 @@ import numpy as np
 import pytest
 
 import afstab.cli
+import afstab.gh
 from afstab.config import config_from_dict
 from afstab.geodesy import distance_batch
 from afstab.geometry import MetricChart
-from afstab.gh import (StabilityReport, ball_distance_field, flow_coverage,
-                       gh_distortion, gradient_flow_step, reach_point,
-                       sample_geodesic_ball)
+from afstab.gh import (StabilityReport, _chord_certified, _chord_lengths,
+                       ball_distance_field, flow_coverage, gh_distortion,
+                       gradient_flow_step, reach_point, sample_geodesic_ball)
 from afstab.harmonic import LaplaceBeltrami
 
 
 class TestBallSampling:
     def test_samples_inside_ball(self, flat_chart, flat_triple):
-        pts, d = sample_geodesic_ball(flat_chart, flat_triple, 3.0, 30, seed=1)
+        pts = sample_geodesic_ball(flat_chart, flat_triple, 3.0, 30, seed=1)
         p = np.asarray(flat_chart.base_point)
+        d, _, _, _ = distance_batch(flat_chart, np.broadcast_to(p, pts.shape), pts)
         assert len(pts) == 30
         assert np.max(np.linalg.norm(pts - p, axis=1)) <= 3.0 + 1e-9
         assert np.allclose(d, np.linalg.norm(pts - p, axis=1), atol=1e-8)
 
     def test_deterministic(self, flat_chart, flat_triple):
-        a, _ = sample_geodesic_ball(flat_chart, flat_triple, 3.0, 10, seed=5)
-        b, _ = sample_geodesic_ball(flat_chart, flat_triple, 3.0, 10, seed=5)
+        a = sample_geodesic_ball(flat_chart, flat_triple, 3.0, 10, seed=5)
+        b = sample_geodesic_ball(flat_chart, flat_triple, 3.0, 10, seed=5)
         assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("m, r, n_points", [(0.2, 3.0, 400), (0.025, 3.0, 400),
+                                                (0.2, 1.5, 120)])
+    def test_certified_candidates_shoot_inside(self, schw_charts, schw_triples,
+                                               monkeypatch, m, r, n_points):
+        # the sweep ball (r = 3 on N = 65) and the desk-point ball (r = 1.5):
+        # a candidate kept on its chord length alone has a converged shot
+        # with d(p, x) <= r, so certifying it keeps what shooting kept
+        chart = schw_charts[m]
+        seen = []
+        original = afstab.gh._chord_certified
+
+        def recording(chart, p, xs, r):
+            cert = original(chart, p, xs, r)
+            seen.append(xs[cert])
+            return cert
+
+        monkeypatch.setattr(afstab.gh, "_chord_certified", recording)
+        sample_geodesic_ball(chart, schw_triples[m], r, n_points, seed=2026,
+                             label=f"distort-{r}")
+        certified = np.vstack(seen)
+        assert len(certified) >= n_points // 2
+        p = np.asarray(chart.base_point)
+        d, _, _, conv = distance_batch(chart, np.broadcast_to(p, certified.shape),
+                                       certified)
+        assert np.all(conv) and np.all(d <= r)
+
+    def test_chord_through_puncture_not_certified(self, schw_charts):
+        # the true chord length through the puncture is infinite; the
+        # 32-point rule alone would certify it (2.876 < 3)
+        chart = schw_charts[0.025]
+        p = np.asarray(chart.base_point)
+        x = np.array([[-0.5, 0.0, 0.0]])
+        assert _chord_lengths(chart, p, x, 32)[0] < 3.0 * (1.0 - 1e-6)
+        assert not _chord_certified(chart, p, x, 3.0)[0]
 
 
 class TestDistortion:
@@ -45,7 +82,9 @@ class TestDistortion:
     def test_u_bounded_by_distance(self, schw_charts, schw02_triple):
         # |u(x)| <= grad_sup d(p, x) for sampled x
         chart = schw_charts[0.2]
-        pts, d = sample_geodesic_ball(chart, schw02_triple, 3.0, 25, seed=3)
+        pts = sample_geodesic_ball(chart, schw02_triple, 3.0, 25, seed=3)
+        p = np.asarray(chart.base_point)
+        d, _, _, _ = distance_batch(chart, np.broadcast_to(p, pts.shape), pts)
         u = schw02_triple.u_map(pts)
         assert np.all(np.linalg.norm(u, axis=1)
                       <= schw02_triple.grad_sup * d * 1.01 + 1e-8)
@@ -55,7 +94,7 @@ class TestDistortion:
         r = 3.0
         rep = gh_distortion(chart, schw02_triple, r, 40, seed=4,
                             dist_field=schw_ball_fields[0.2])
-        pts, _ = sample_geodesic_ball(chart, schw02_triple, r, 40, seed=4)
+        pts = sample_geodesic_ball(chart, schw02_triple, r, 40, seed=4)
         u = schw02_triple.u_map(pts)
         assert np.all(np.linalg.norm(u, axis=1) <= r + rep.max_defect + 1e-8)
 

@@ -7,17 +7,21 @@ xdd^k + Gamma^k_ab xd^a xd^b = 0, integrated by fixed-step RK4 over unit
 affine time, batched over many pairs at once with finite-difference
 Jacobians.  The integrator holds one stacked state [x | v] per row and
 makes one MetricChart.christoffel_quadratic call per RK4 stage, which
-also moves rows off a monopole puncture.  A 26-neighbor graph Dijkstra
-distance seeds hard pairs and provides the admissible-curve upper bound
-the converged distance must respect.
+also moves rows off a monopole puncture.  A pass costs its step count in
+such calls whatever its rows, so the solve is seeded by the same Newton
+solve at an eighth of the steps; pairs that one does not converge start
+from the straight chord.  A 26-neighbor graph Dijkstra distance seeds
+hard pairs and provides the admissible-curve upper bound the converged
+distance must respect.
 
 Batches are invariant: a converged row is frozen out of later Newton
 passes and every operation on a row is row-local, so a pair's distance is
 the same bit for bit alone or in any batch.  The level-set projections
 and Pythagorean records build on that to run many rows in lockstep, one
 Newton batch per stage step instead of one per record; the projections
-score their mean-value candidates with segment_functional, the trapezoid
-integral of sum_j |Hess u^j|_g along the sampled candidate geodesics.
+take their candidate geodesics from the Newton passes that solved them
+and score them with segment_functional, the trapezoid integral of
+sum_j |Hess u^j|_g along the sampled trajectories.
 
 Ball volumes for the volume-comparison check come from a first-order
 upwind eikonal solve of |grad T|_g = 1, not from pairwise shooting.  The
@@ -112,13 +116,15 @@ def _newton_steps(J, E):
 
 
 def _bvp_batch(chart: MetricChart, starts, targets, w0=None, n_steps=160,
-               max_iter=16, rel_target=1e-9):
+               max_iter=16, rel_target=1e-9, record=False):
     """Batched Newton shooting for the endpoint map.
 
     Returns (w, residual, converged) where w are initial velocities whose
     unit-time geodesics end nearest the targets; residual is the chart
     distance of the endpoint miss; converged marks pairs that met
     1e-6 * separation (the shipping tolerance; iteration aims lower).
+    With record, also returns the (K, n_steps + 1, 3) trajectories of
+    those w at every step, kept from the Newton pass that integrated them.
 
     A row is frozen once its best residual meets rel_target * separation:
     later passes integrate and step only the rows still active.  Every
@@ -137,6 +143,7 @@ def _bvp_batch(chart: MetricChart, starts, targets, w0=None, n_steps=160,
     lam = np.ones(K)           # per-pair Newton damping
     eye = np.eye(3)
     active = np.arange(K)
+    best_traj = None
     for _ in range(max_iter):
         if len(active) == 0:
             break
@@ -146,7 +153,8 @@ def _bvp_batch(chart: MetricChart, starts, targets, w0=None, n_steps=160,
         stacked_x = np.concatenate([starts[active]] * 4, axis=0)
         stacked_w = np.concatenate([w_a] + [w_a + delta[:, None] * eye[j]
                                             for j in range(3)], axis=0)
-        ends, _ = _rk4_batch(chart, stacked_x, stacked_w, n_steps)
+        ends, _, *traj = _rk4_batch(chart, stacked_x, stacked_w, n_steps,
+                                    record_every=int(record))
         E = ends[:k] - targets[active]
         res = np.linalg.norm(E, axis=1)
         prev = best_res[active]
@@ -157,6 +165,13 @@ def _bvp_batch(chart: MetricChart, starts, targets, w0=None, n_steps=160,
                          np.where(worse, 0.5 * lam_a, lam_a))
         best_w[active[improved]] = w_a[improved]
         best_res[active[improved]] = res[improved]
+        if record:
+            # the first pass integrates every row at its starting w, which
+            # stays its best w until an iterate improves on it
+            if best_traj is None:
+                best_traj = traj[0][:k].copy()
+            else:
+                best_traj[active[improved]] = traj[0][:k][improved]
         live = best_res[active] > rel_target * scale[active]
         J = np.stack([(ends[(j + 1) * k:(j + 2) * k] - ends[:k]) / delta[:, None]
                       for j in range(3)], axis=-1)[live]
@@ -173,6 +188,8 @@ def _bvp_batch(chart: MetricChart, starts, targets, w0=None, n_steps=160,
         lam[rows] = lam_a[live]
         active = rows
     converged = best_res <= 1e-6 * scale
+    if record:
+        return best_w, best_res, converged, best_traj
     return best_w, best_res, converged
 
 
@@ -259,17 +276,31 @@ class GeodesicGraph:
 # public geodesic operations
 
 
+# The coarse solve that seeds distance_batch: n_steps // COARSE_STEP_DIVISOR
+# RK4 steps, stopped at COARSE_REL_TARGET times the separation.  From its
+# velocity the full solve typically freezes after two passes, not three or four.
+COARSE_STEP_DIVISOR = 8
+COARSE_REL_TARGET = 1e-6
+
+
 def distance_batch(chart: MetricChart, starts, targets, n_steps: int = 160):
     """Distances for many pairs at once; returns (d, w, residual, converged).
 
-    Pairs whose straight-chord seed fails get a second Newton pass from a
-    Dijkstra-path seed at doubled integration resolution, on a graph sized
-    by the pair itself.  Both passes are batch-invariant, so a pair's row
-    is the same bit for bit whatever other pairs share its call.
+    A Newton solve at n_steps // COARSE_STEP_DIVISOR steps runs first; the
+    pairs it converges start the n_steps solve from its velocity, the
+    others from the straight chord.  Pairs whose n_steps solve fails get a
+    second Newton pass from a Dijkstra-path seed at doubled integration
+    resolution, on a graph sized by the pair itself.  Every pass is
+    batch-invariant, so a pair's row is the same bit for bit whatever
+    other pairs share its call.
     """
     starts = np.atleast_2d(np.asarray(starts, float))
     targets = np.atleast_2d(np.asarray(targets, float))
-    w, res, conv = _bvp_batch(chart, starts, targets, n_steps=n_steps)
+    w0, _, seeded = _bvp_batch(chart, starts, targets,
+                               n_steps=n_steps // COARSE_STEP_DIVISOR,
+                               rel_target=COARSE_REL_TARGET)
+    w0 = np.where(seeded[:, None], w0, targets - starts)
+    w, res, conv = _bvp_batch(chart, starts, targets, w0=w0, n_steps=n_steps)
     need = ~conv
     if np.any(need):
         graphs = {}
@@ -461,10 +492,11 @@ def level_set_projections(chart: MetricChart, triple: HarmonicTriple, xs, ys, ax
     """Quasi-project each xs[i] onto the u^axes[i] level set through ys[i].
 
     The projections run in lockstep: the mean-value candidates of every
-    row are shot toward their far points as one Newton batch and
-    integrated as one trajectory batch.  The picked candidate's solution
-    and trajectory are the projection geodesic itself; since a batch
-    solve equals the one-row solve bit for bit, nothing is solved twice.
+    row are shot toward their far points as one Newton batch, which keeps
+    the trajectory of each candidate's solution from the pass that
+    integrated it.  The picked candidate's solution and trajectory are the
+    projection geodesic itself; since a batch solve equals the one-row
+    solve bit for bit, nothing is solved or integrated twice.
     Returns one entry per row: (z, x_star), or the AfstabError that ended
     that row.  See level_set_projection for the construction.
     """
@@ -496,9 +528,8 @@ def level_set_projections(chart: MetricChart, triple: HarmonicTriple, xs, ys, ax
         return out
 
     starts = np.vstack([r[3] for r in rows])
-    w, _, conv = _bvp_batch(chart, starts, np.vstack([r[5] for r in rows]),
-                            n_steps=PROJECTION_STEPS)
-    _, _, trajs = _rk4_batch(chart, starts, w, PROJECTION_STEPS, record_every=1)
+    w, _, conv, trajs = _bvp_batch(chart, starts, np.vstack([r[5] for r in rows]),
+                                   n_steps=PROJECTION_STEPS, record=True)
     lengths = geodesic_lengths(chart, starts, w)
     # the last sample is the endpoint, fewer than n_steps // 64 steps after
     # the one before when that does not divide n_steps (200 // 64 = 3), yet

@@ -265,55 +265,59 @@ def reach_points(chart: MetricChart, triple: HarmonicTriple, targets, rho: float
     |u(end) - target|.  The ball budget of a trace is
     3 (grad_sup + 1) max(|target| + 0.05 grad_sup rho, rho, 1).
 
-    The traces run in lockstep: leg j of every trace runs first, then the
-    leg's displacements d(y*, end) and the distances d(p, end) that the
-    next leg's ball budget reads are one distance_batch, so a whole run
-    makes three.  Pair solves do not depend on their batch, so trace k is
-    the same as reach_point(targets[k], seed=seeds[k]) bit for bit.
+    The traces run in lockstep, one leg of every trace at a time.  The next
+    leg's budget check reads d(p, end), or the chord length of p -> end
+    where that certifies the check (see _chord_certified): d(p, end) is
+    shot only for the traces whose chord does not, one distance_batch per
+    leg that has any.  The displacements d(y*, end) of all moving legs are
+    one distance_batch after the last leg, so a run whose budgets all
+    certify makes one.  Pair solves do not depend on their batch, so
+    trace k is the same as reach_point(targets[k], seed=seeds[k]) bit for
+    bit.
     """
     targets = np.atleast_2d(np.asarray(targets, float))
     n = len(targets)
     gsup = triple.grad_sup
-    r_limits = [3.0 * (gsup + 1.0)
-                * max(float(np.linalg.norm(t)) + gsup * 0.05 * rho, rho, 1.0)
-                for t in targets]
+    r_limits = np.array([3.0 * (gsup + 1.0)
+                         * max(float(np.linalg.norm(t)) + gsup * 0.05 * rho, rho, 1.0)
+                         for t in targets])
     p = np.asarray(chart.base_point, float)
-    current = [p.copy() for _ in range(n)]
-    d_p_current = [0.0] * n
-    picked = [[] for _ in range(n)]
-    seg_ends = [[] for _ in range(n)]
-    displacements = [[] for _ in range(n)]
+    current = np.broadcast_to(p, targets.shape).copy()
+    d_p_current = np.zeros(n)
+    picked = np.empty((n, 3, 3))          # [trace, leg]: the leg's start y*
+    seg_ends = np.empty((n, 3, 3))        # [trace, leg]: the leg's end
     for axis in range(3):
-        steps = [gradient_flow_step(chart, triple, current[k], axis,
-                                    float(targets[k, axis]), rho, seeds[k] + 7 * axis,
-                                    r_limits[k], d_p_start=d_p_current[k])
-                 for k in range(n)]
-        moving = [k for k in range(n) if abs(float(targets[k, axis])) >= 1e-14]
-        starts = np.array([steps[k][0] for k in moving] + [p] * n)
-        ends = np.array([steps[k][1] for k in moving] + [st[1] for st in steps])
+        for k in range(n):
+            picked[k, axis], seg_ends[k, axis] = gradient_flow_step(
+                chart, triple, current[k], axis, float(targets[k, axis]), rho,
+                seeds[k] + 7 * axis, float(r_limits[k]),
+                d_p_start=float(d_p_current[k]))
+        current = seg_ends[:, axis].copy()
+        if axis < 2:
+            # room the next leg's budget leaves for d(p, end)
+            room = r_limits - gsup * np.abs(targets[:, axis + 1]) - rho
+            d_p_current = _chord_lengths(chart, p, current, 2 * CHORD_NODES)
+            shoot = ~_chord_certified(chart, p, current, room)
+            if np.any(shoot):
+                ends = current[shoot]
+                d, _, _, conv = distance_batch(chart, np.broadcast_to(p, ends.shape),
+                                               ends)
+                d_p_current[shoot] = np.where(conv, d, local_distance(chart, p, ends))
+    moving = np.abs(targets) >= 1e-14
+    displacements = np.zeros((n, 3))
+    if np.any(moving):
+        starts, ends = picked[moving], seg_ends[moving]
         d, _, _, conv = distance_batch(chart, starts, ends)
-        d_leg = dict(zip(moving, range(len(moving))))
-        for k, (y_star, end) in enumerate(steps):
-            picked[k].append(tuple(y_star))
-            seg_ends[k].append(tuple(end))
-            j = d_leg.get(k)
-            if j is None:
-                displacements[k].append(0.0)
-            else:
-                displacements[k].append(float(d[j]) if conv[j]
-                                        else float(local_distance(chart, y_star, end)))
-            current[k] = end
-            j = len(moving) + k
-            d_p_current[k] = (float(d[j]) if conv[j]
-                              else float(local_distance(chart, p, end)))
+        displacements[moving] = np.where(conv, d, local_distance(chart, starts, ends))
     traces = []
     for k in range(n):
         err_vec = triple.u_map(current[k]) - targets[k]
         traces.append(FlowTrace(start=tuple(p), times=tuple(float(t) for t in targets[k]),
-                                picked=tuple(picked[k]), segment_ends=tuple(seg_ends[k]),
+                                picked=tuple(map(tuple, picked[k])),
+                                segment_ends=tuple(map(tuple, seg_ends[k])),
                                 end=tuple(current[k]),
                                 u_error=float(np.linalg.norm(err_vec)),
-                                displacements=tuple(displacements[k])))
+                                displacements=tuple(float(v) for v in displacements[k])))
     return traces
 
 

@@ -267,6 +267,31 @@ class TestGridEvaluations:
                           "pythagoras": 3, "flow": 0}
 
 
+class TestShootingBudget:
+    # christoffel_quadratic calls (one per RK4 stage whatever its rows, so
+    # 640 per Newton pass of a distance) of the distort, pythagoras and flow
+    # stages on the tiny Schwarzschild config; the count is deterministic.
+    # With every distance solve started from the chord, a separate pass for
+    # the projection trajectories and one flow distance batch per leg, the
+    # chain made 21 760 (4 480 + 11 520 + 5 760); with the coarse-step seed,
+    # the trajectories kept from the Newton passes and the flow budgets
+    # certified by their chords it makes 13 360 (3 040 + 8 800 + 1 520).
+    CALLS = 13_360
+
+    def test_chain_christoffel_calls(self, schw_cfg, tmp_path, monkeypatch):
+        real = MetricChart.christoffel_quadratic
+        calls = []
+
+        def counting(self, x, v):
+            calls.append(len(x))
+            return real(self, x, v)
+
+        monkeypatch.setattr(MetricChart, "christoffel_quadratic", counting)
+        for sub in ("distort", "pythagoras", "flow"):
+            assert run(sub, schw_cfg, out_dir=tmp_path)[0] == 0, sub
+        assert len(calls) <= self.CALLS
+
+
 class TestManifest:
     def test_completeness_and_hashes(self, flat_cfg, tmp_path):
         _, manifest = run("mass", flat_cfg, out_dir=tmp_path)

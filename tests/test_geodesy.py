@@ -10,18 +10,20 @@ import pytest
 from afstab.cli import run
 from afstab.config import config_from_dict
 from afstab.errors import OutOfDomain
-from afstab.geodesy import (DistanceField, GeodesicGraph, _rk4_batch,
+from afstab.geodesy import (COARSE_REL_TARGET, COARSE_STEP_DIVISOR,
+                            DistanceField, GeodesicGraph, _bvp_batch, _rk4_batch,
                             bishop_gromov_check, distance_batch,
                             hyperbolic_ball_volume, level_set_projection,
                             local_distance, mean_value_candidates,
                             mean_value_pick, metric_speed, pythagorean_check,
                             pythagorean_records, segment_functional)
 from afstab.geometry import MetricChart
+from afstab.gh import sample_geodesic_ball
 from afstab.grid import interpolator
 from afstab.seeding import rng_for
 
-from oracles import (full_grid_eikonal, graph_distance, rk4_reference,
-                     schwarzschild_radial_arclength)
+from oracles import (chord_seeded_distance_batch, full_grid_eikonal, graph_distance,
+                     rk4_reference, schwarzschild_radial_arclength)
 
 BUMP_CONFIG = pathlib.Path(__file__).resolve().parent.parent / "configs" / "bump_control.json"
 
@@ -156,17 +158,38 @@ class TestDistance:
 
     def test_batch_invariant_bit_for_bit(self, schw):
         # a pair's solve must not depend on its batch-mates: converged rows
-        # are frozen, and graph-seeded retries use a graph sized by the pair
+        # are frozen, and graph-seeded retries use a graph sized by the pair;
+        # the last pair's chord runs through the puncture, so its coarse
+        # solve fails and its full solve starts from the chord
         rng = rng_for(21, "batch-invariance")
         p = np.array([2.0, 0.0, 0.0])
-        xs = p + rng.uniform(-2.5, 2.5, size=(40, 3))
-        ys = p + rng.uniform(-2.5, 2.5, size=(40, 3))
+        xs = np.vstack([p + rng.uniform(-2.5, 2.5, size=(40, 3)), p])
+        ys = np.vstack([p + rng.uniform(-2.5, 2.5, size=(40, 3)), -p])
+        _, _, coarse = _bvp_batch(schw, xs[-1:], ys[-1:],
+                                  n_steps=160 // COARSE_STEP_DIVISOR,
+                                  rel_target=COARSE_REL_TARGET)
+        assert not coarse[0]
         batch = distance_batch(schw, xs, ys)
         assert np.all(batch[3])
-        for i in range(40):
+        for i in range(41):
             alone = distance_batch(schw, xs[i:i + 1], ys[i:i + 1])
             for whole, one in zip(batch, alone):
                 assert np.array_equal(whole[i], one[0]), i
+
+    @pytest.mark.parametrize("m, r", [(0.2, 1.5), (0.2, 3.0), (0.025, 1.5),
+                                      (0.025, 3.0)])
+    def test_coarse_seed_matches_chord_seed(self, schw_charts, schw_triples, m, r):
+        # the desk pairs of the geodesic r-ball: starting the Newton solve
+        # from the coarse-step velocity instead of the chord converges the
+        # same pairs to the same distances, within the freeze tolerance
+        chart = schw_charts[m]
+        pts = sample_geodesic_ball(chart, schw_triples[m], r, 120, seed=15,
+                                   label=f"distort-{r}")
+        xs, ys = pts[:60], pts[60:]
+        d, _, _, conv = distance_batch(chart, xs, ys)
+        d_chord, _, _, conv_chord = chord_seeded_distance_batch(chart, xs, ys)
+        assert np.array_equal(conv, conv_chord)
+        assert np.all(np.abs(d - d_chord) <= 5e-9 * d_chord)
 
     def test_degenerate_pair(self, flat_chart):
         d, _, _, conv = distance_batch(flat_chart, [[1.0, 2.0, 3.0]], [[1.0, 2.0, 3.0]])

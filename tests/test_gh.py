@@ -150,11 +150,27 @@ class TestFlows:
         monkeypatch.setattr(gh, "distance_batch",
                             lambda *a, **k: calls.append(1) or distance_batch(*a, **k))
         traces, _ = flow_coverage(chart, triple, 1.5, 3, seed=13)
-        assert len(calls) == 3        # one batch per leg, whatever the count
+        # every leg budget certifies on its chord: the displacements of all
+        # legs are the one batch
+        assert len(calls) == 1
         rho = 2.0 * triple.grid.h
         for k, trace in enumerate(traces):
             alone = reach_point(chart, triple, trace.times, rho, seed=13 + 1000 + k)
             assert alone == trace, k
+
+    def test_shot_budgets_equal_certified(self, schw_charts, schw_triples, monkeypatch):
+        # shooting d(p, end) for every budget check instead of certifying it
+        # on the chord changes the number of distance batches, not the traces
+        chart, triple = schw_charts[0.1], schw_triples[0.1]
+        certified, _ = flow_coverage(chart, triple, 1.5, 3, seed=13)
+        calls = []
+        monkeypatch.setattr(afstab.gh, "_chord_certified",
+                            lambda chart, p, xs, r: np.zeros(len(xs), bool))
+        monkeypatch.setattr(afstab.gh, "distance_batch",
+                            lambda *a, **k: calls.append(1) or distance_batch(*a, **k))
+        shot, _ = flow_coverage(chart, triple, 1.5, 3, seed=13)
+        assert len(calls) == 3        # legs 1 and 2, then the displacements
+        assert shot == certified
 
     def test_flow_error_tracks_mass(self, schw_charts, schw_triples):
         errs = {}

@@ -42,13 +42,18 @@ def _chart_sidecar(cfg: ExperimentConfig, chart) -> dict:
 
 def _solve_triple(cfg: ExperimentConfig, chart):
     return build_harmonic_triple(chart, cfg.make_grid(), bc=cfg.grid.bc,
-                                 tol=cfg.solver.tol, method=cfg.solver.method,
-                                 max_iter=cfg.solver.max_iter)
+                                 tol=cfg.solver.tol, max_iter=cfg.solver.max_iter)
 
 
 def _sidecar_matches(path, expected: dict) -> bool:
+    """Whether a field-dump sidecar holds `expected`; raises BadFieldDump,
+    naming the sidecar, when it is not JSON."""
     with open(path) as f:
-        return json.load(f) == expected
+        try:
+            sidecar = json.load(f)
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise BadFieldDump(f"{path}: sidecar is not valid JSON ({exc})") from None
+    return sidecar == expected
 
 
 def _load_or_solve_triple(cfg: ExperimentConfig, out_dir, chart):

@@ -33,7 +33,7 @@ class GridConfig:
 class SolverConfig:
     tol: float = 1e-11
     max_iter: int = 20000
-    method: str = "auto"
+    method: str = "auto"   # selects nothing: every solve is fast-Poisson CG
 
 
 @dataclass
@@ -210,8 +210,8 @@ def validate(cfg: ExperimentConfig) -> list:
         v.append("solver.tol must lie in (0, 1e-6]")
     if s.max_iter < 100:
         v.append("solver.max_iter must be at least 100")
-    if s.method not in ("auto", "cg", "amg"):
-        v.append("solver.method must be 'auto', 'cg', or 'amg'")
+    if s.method not in ("auto", "cg"):
+        v.append("solver.method must be 'auto' or 'cg' (both run fast-Poisson CG)")
 
     sm = cfg.sampling
     if sm.seed is None:

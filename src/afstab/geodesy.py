@@ -23,8 +23,9 @@ take their candidate geodesics from the Newton passes that solved them
 and score them with segment_functional, the trapezoid integral of
 sum_j |Hess u^j|_g along the sampled trajectories.
 
-Ball volumes for the volume-comparison check come from a first-order
-upwind eikonal solve of |grad T|_g = 1, not from pairwise shooting.  The
+The nodes of the geodesic ball whose frame orthonormality the distortion
+integrates come from a first-order upwind eikonal solve of
+|grad T|_g = 1 from the base point, not from pairwise shooting.  The
 solve runs the Jacobi iteration to its fixed point (the fast-marching
 solution), but each sweep updates only the nodes next to a node that
 moved in the sweep before; the others would keep their values anyway.
@@ -642,23 +643,7 @@ def pythagorean_check(chart: MetricChart, triple: HarmonicTriple, x, y, axis: in
 
 
 # ---------------------------------------------------------------------------
-# eikonal distance field and volume comparison
-
-
-def hyperbolic_ball_volume(r, kappa: float):
-    """Geodesic-ball volume in the constant-curvature -kappa model space.
-
-    pi (sinh(2 sqrt(k) r)/sqrt(k) - 2 r)/k, normalized so the kappa -> 0
-    limit is the Euclidean 4 pi r^3 / 3.
-    """
-    r = np.asarray(r, float)
-    if kappa < 0.0:
-        raise ValueError("kappa must be nonnegative")
-    x = kappa * r**2
-    if kappa == 0.0 or np.max(x) < 1e-8:
-        return 4.0 * np.pi / 3.0 * r**3 * (1.0 + 0.2 * x + 2.0 * x**2 / 105.0)
-    rk = np.sqrt(kappa)
-    return np.pi * (np.sinh(2.0 * rk * r) / rk - 2.0 * r) / kappa
+# eikonal distance field
 
 
 # The eikonal solve stops once no node moved by more than this many cells.
@@ -788,30 +773,7 @@ class DistanceField:
                 "eikonal field not converged after %d sweeps", self.sweeps)
         return Tp.reshape(m, m, m)[1:-1, 1:-1, 1:-1].copy()
 
-    def volume(self, r: float) -> float:
-        """Riemannian volume of {T <= r} with a one-cell smoothed indicator."""
-        weights = self.slowness**3 * self.h**3   # phi^6 h^3
-        soft = np.clip((r - self.T) / self.h + 0.5, 0.0, 1.0)
-        return float(np.sum(soft * weights))
-
     def at(self, pts):
         interp = RegularGridInterpolator(self.axes, self.T, method="linear",
                                          bounds_error=False, fill_value=np.inf)
         return interp(np.asarray(pts, float))
-
-
-def bishop_gromov_check(field: DistanceField, radii, kappa: float):
-    """Volume ratios |B_r(q)| / |B_r^-kappa| for increasing radii.
-
-    `field` is the eikonal solve seeded at q, and it must cover 1.3 r for
-    every radius r; the model volume is the constant-curvature -kappa
-    ball.  Monotone nonincrease of the returned sequence is the comparison
-    inequality under Ric >= -2 kappa g.
-    """
-    radii = np.asarray(sorted(float(r) for r in radii))
-    ratios = []
-    for r in radii:
-        if 1.3 * r > field.n * field.h:
-            raise OutOfDomain(f"ball radius {r} not covered by the distance field")
-        ratios.append(field.volume(float(r)) / float(hyperbolic_ball_volume(r, kappa)))
-    return np.asarray(ratios)

@@ -79,7 +79,8 @@ def interpolator(grid: Grid, values: np.ndarray):
 
 
 # ---------------------------------------------------------------------------
-# finite-difference stencils (post-processing; the solver assembles its own)
+# finite-difference stencils for post-processing; the harmonic operator is
+# its own face-flux stencil (harmonic.LaplaceBeltrami), with no matrix
 
 
 def diff1(values: np.ndarray, h: float, axis: int) -> np.ndarray:

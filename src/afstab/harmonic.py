@@ -2,23 +2,26 @@
 
 Solves div_g grad u = 0 for the three functions asymptotic to the chart
 coordinates, with Dirichlet data on the truncation box, all three against
-one assembled operator and matrix, and normalizes them to u(p) = 0 at
-the chart base point p.  A solve and a reload of field dumps build the
-triple by one constructor from the normalized u and the nodal conformal
-data; each field a diagnostic reads (u's coordinate partials, |Hess u|_g^2,
-grad_sup, R, the Gram defect, the interpolators) is derived on its first
-read, so a stage pays only for what it reads: only the mass inequality
-and the Pythagorean scoring read |Hess u|_g^2.
+one operator, and normalizes them to u(p) = 0 at the chart base point p.
+A solve and a reload of field dumps build the triple by one constructor
+from the normalized u and the nodal conformal data; each field a
+diagnostic reads (u's coordinate partials, |Hess u|_g^2, grad_sup, R, the
+Gram defect, the interpolators) is derived on its first read, so a stage
+pays only for what it reads: only the mass inequality and the Pythagorean
+scoring read |Hess u|_g^2.
 
 The discretization is the conservative second-order scheme for
 u -> (1/sqrt(det g)) d_a (sqrt(det g) g^ab d_b u) with coefficients
 evaluated at cell-face midpoints.  Every family in the corpus is
 conformally flat, so the face tensor sqrt(det g) g^ab reduces to the
-diagonal phi^2 delta^ab; the assembled interior system is symmetric
-positive definite, which is exactly the symmetry of the operator in the
-sqrt(det g)-weighted inner product.
+diagonal phi^2 delta^ab.  One face-flux stencil is the only encoding of
+the scheme, and no matrix is assembled: without the 1/(h^2 sqrt(det g))
+scaling and negated, the stencil on the interior nodes is a symmetric
+positive definite operator, which is exactly the symmetry of the operator
+in the sqrt(det g)-weighted inner product, and the same stencil on the
+boundary data gives the Dirichlet right-hand side.
 
-The solve is conjugate gradients on that matrix, preconditioned by the
+The solve is conjugate gradients on that operator, preconditioned by the
 Concus-Golub scaled Laplacian: A = div(phi^2 grad .) is spectrally close
 to Phi L Phi, with Phi = diag(phi) and L the 7-point Dirichlet Laplacian,
 which DST-I diagonalizes exactly, so each application of the inverse is
@@ -26,10 +29,9 @@ one forward and one inverse fast sine transform.
 """
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
-import scipy.sparse as sps
 from scipy.fft import dstn, idstn
 from scipy.sparse.linalg import LinearOperator, cg
 
@@ -38,10 +40,9 @@ from .geometry import MetricChart, scalar_curvature
 from .grid import Grid, ScalarGridField, gradient, interpolator, second_derivatives
 from .mass import sphere_rule
 
-try:
-    import pyamg
-except ImportError:   # optional "amg" extra; without it "auto" runs fast-Poisson CG
-    pyamg = None
+# No solver reads pyamg; only bench/worker.py's environment() does (and
+# TestBenchHooks checks that the name exists).
+pyamg = None
 
 
 def _finite_impute(arr: np.ndarray, node):
@@ -66,15 +67,16 @@ def nodal_conformal(chart: MetricChart, grid: Grid):
 
 
 class LaplaceBeltrami:
-    """Assembled divergence-form operator on a grid.
+    """Matrix-free divergence-form operator on a grid.
 
     Face coefficient arrays kx, ky, kz hold sqrt(det g) g^aa at the
     midpoints of the faces normal to each axis; weight holds the nodal
     sqrt(det g), and phi, dphi, singular_node those of nodal_conformal,
-    which the triple builder reuses.  apply() evaluates the full operator
-    including boundary nodes in the stencil; interior_system() returns the
-    SPD matrix and the right-hand-side builder for Dirichlet data, and
-    poisson_preconditioner() the fast-Poisson preconditioner of that matrix.
+    which the triple builder reuses.  One face-flux stencil encodes the
+    operator: apply() scales it to the full operator at the interior
+    nodes, interior_system() negates it into the SPD interior operator and
+    its Dirichlet lift, and poisson_preconditioner() is the fast-Poisson
+    preconditioner of that interior operator.
     """
 
     def __init__(self, chart: MetricChart, grid: Grid):
@@ -101,33 +103,58 @@ class LaplaceBeltrami:
         self._system = None
         self._preconditioner = None
 
+    @staticmethod
+    def _flux_divergence(kx, ky, kz, values: np.ndarray) -> np.ndarray:
+        """(n, n, n) sum over the axes of the outgoing minus the incoming
+        face flux k_a (difference of values across the face) of nodal
+        values, at the interior nodes: h^2 weight times the operator."""
+        c = slice(1, -1)
+        flux_x = kx[:, c, c] * (values[1:, c, c] - values[:-1, c, c])
+        flux_y = ky[c, :, c] * (values[c, 1:, c] - values[c, :-1, c])
+        flux_z = kz[c, c, :] * (values[c, c, 1:] - values[c, c, :-1])
+        out = flux_x[1:] - flux_x[:-1]
+        out += flux_y[:, 1:] - flux_y[:, :-1]
+        out += flux_z[:, :, 1:] - flux_z[:, :, :-1]
+        return out
+
     def apply(self, values: np.ndarray) -> np.ndarray:
         """Operator applied to nodal values; zero on the boundary ring."""
         out = np.zeros_like(values)
-        h2 = self.h**2
-        flux_x = self.kx * (values[1:] - values[:-1])
-        flux_y = self.ky * (values[:, 1:] - values[:, :-1])
-        flux_z = self.kz * (values[:, :, 1:] - values[:, :, :-1])
-        out[1:-1, :, :] += flux_x[1:] - flux_x[:-1]
-        out[:, 1:-1, :] += flux_y[:, 1:] - flux_y[:, :-1]
-        out[:, :, 1:-1] += flux_z[:, :, 1:] - flux_z[:, :, :-1]
-        out /= h2 * self.weight
-        out[0] = out[-1] = 0.0
-        out[:, 0] = out[:, -1] = 0.0
-        out[:, :, 0] = out[:, :, -1] = 0.0
+        inner = (slice(1, -1),) * 3
+        out[inner] += self._flux_divergence(self.kx, self.ky, self.kz, values)
+        out[inner] /= self.h**2 * self.weight[inner]
         return out
 
     def interior_system(self):
-        """SPD matrix over interior nodes plus the boundary-coupling triplets.
+        """SPD operator over the interior nodes plus its Dirichlet lift.
 
-        Returns (A, couplings) where couplings is a list of
-        (interior_flat_index, boundary_multi_index, coefficient) encoded as
-        arrays, so rhs = sum coefficient * u_boundary for any Dirichlet data.
-        Assembled on the first call; later calls return the same objects, so
-        the three axes of a triple solve against one matrix.
+        Returns (A, lift): A is the LinearOperator x -> -(stencil of x
+        padded with zeros on the boundary ring), and lift(ub) the stencil
+        of the nodal array ub with its interior zeroed, so A x = lift(ub)
+        is the Dirichlet problem with boundary data ub.  Built on the first
+        call; later calls return the same objects, so the three axes of a
+        triple solve against one operator.
         """
         if self._system is None:
-            self._system = self._assemble()
+            n = self.grid.nodes - 2
+            padded = np.zeros((n + 2,) * 3)
+            # bound to the face arrays, not to self: a closure over self
+            # would make a cycle that keeps the whole operator alive until
+            # the cyclic garbage collector runs
+            stencil = partial(self._flux_divergence, self.kx, self.ky, self.kz)
+
+            def matvec(x):
+                padded[1:-1, 1:-1, 1:-1] = x.reshape(n, n, n)
+                out = stencil(padded)
+                return np.negative(out, out=out).ravel()
+
+            def lift(ub):
+                shell = ub.copy()
+                shell[1:-1, 1:-1, 1:-1] = 0.0
+                return stencil(shell).ravel()
+
+            A = LinearOperator((n**3, n**3), matvec=matvec, dtype=float)
+            self._system = A, lift
         return self._system
 
     def poisson_preconditioner(self) -> LinearOperator:
@@ -135,7 +162,7 @@ class LaplaceBeltrami:
 
         Phi is the interior block of the nodal phi (imputed at the
         puncture) and L the unscaled 6/-1 Dirichlet stencil, in the units
-        of the interior_system() matrix; L^-1 divides the DST-I transform
+        of the interior_system() operator; L^-1 divides the DST-I transform
         by the eigenvalues sum_a (2 - 2 cos(pi k_a / (n + 1))).  Built on
         the first call; later calls return the same operator, so the three
         axes of a triple share it.
@@ -153,53 +180,9 @@ class LaplaceBeltrami:
                 w *= inv_phi
                 return w.ravel()
 
-            self._preconditioner = LinearOperator((n**3, n**3), matvec=apply_inverse)
+            self._preconditioner = LinearOperator((n**3, n**3), matvec=apply_inverse,
+                                                  dtype=float)
         return self._preconditioner
-
-    def _assemble(self):
-        N = self.grid.nodes
-        n = N - 2
-        idx = -np.ones((N, N, N), dtype=np.int64)
-        inner = slice(1, N - 1)
-        idx[inner, inner, inner] = np.arange(n**3).reshape(n, n, n)
-
-        rows, cols, vals = [], [], []
-        b_rows, b_index, b_vals = [], [], []
-        diag = np.zeros(n**3)
-
-        I, J, K = np.meshgrid(np.arange(1, N - 1), np.arange(1, N - 1),
-                              np.arange(1, N - 1), indexing="ij")
-        me = idx[I, J, K].ravel()
-
-        neighbor_face = (
-            ((-1, 0, 0), self.kx[I - 1, J, K]), ((1, 0, 0), self.kx[I, J, K]),
-            ((0, -1, 0), self.ky[I, J - 1, K]), ((0, 1, 0), self.ky[I, J, K]),
-            ((0, 0, -1), self.kz[I, J, K - 1]), ((0, 0, 1), self.kz[I, J, K]),
-        )
-        for (di, dj, dk), kf in neighbor_face:
-            kf = kf.ravel()
-            ni, nj, nk = I + di, J + dj, K + dk
-            nb = idx[ni, nj, nk].ravel()
-            diag += kf
-            interior = nb >= 0
-            rows.append(me[interior])
-            cols.append(nb[interior])
-            vals.append(-kf[interior])
-            bd = ~interior
-            b_rows.append(me[bd])
-            b_index.append(np.stack([ni.ravel()[bd], nj.ravel()[bd], nk.ravel()[bd]], axis=1))
-            b_vals.append(kf[bd])
-
-        rows.append(me)
-        cols.append(me)
-        vals.append(diag)
-        A = sps.csr_matrix((np.concatenate(vals),
-                            (np.concatenate(rows), np.concatenate(cols))),
-                           shape=(n**3, n**3))
-        couplings = (np.concatenate(b_rows),
-                     np.concatenate(b_index, axis=0),
-                     np.concatenate(b_vals))
-        return A, couplings
 
 
 def fit_monopole(chart: MetricChart, radius: float) -> float:
@@ -231,44 +214,28 @@ def boundary_values(chart: MetricChart, grid: Grid, axis: int, bc: str) -> np.nd
 
 def solve_harmonic_coordinate(chart: MetricChart, grid: Grid, axis: int,
                               bc: str = "corrected", tol: float = 1e-11,
-                              max_iter: int = 20000, method: str = "auto",
+                              max_iter: int = 20000,
                               operator: LaplaceBeltrami | None = None) -> ScalarGridField:
     """Solve the Dirichlet problem for one harmonic coordinate.
 
-    Iterates preconditioned conjugate gradients to relative residual
-    <= tol, starting from the boundary profile extended inward, and raises
-    SolverDiverged when the budget is exhausted.  Method "cg" uses the
-    operator's fast-Poisson preconditioner, "amg" an algebraic-multigrid
-    V-cycle from pyamg ("cg" without it), and "auto" is "amg" with pyamg
-    at N >= 49, else "cg".
+    Iterates conjugate gradients on the operator's interior system,
+    preconditioned by its fast-Poisson preconditioner, to relative
+    residual <= tol, starting from the boundary profile extended inward,
+    and raises SolverDiverged when the budget is exhausted.
     """
     if axis not in (0, 1, 2):
         raise ValueError("axis index must be 0, 1, or 2")
     op = operator if operator is not None else LaplaceBeltrami(chart, grid)
     N = grid.nodes
     n = N - 2
-    A, (b_rows, b_index, b_vals) = op.interior_system()
+    A, lift = op.interior_system()
     ub = boundary_values(chart, grid, axis, bc)
-    rhs = np.zeros(n**3)
-    np.add.at(rhs, b_rows, b_vals * ub[b_index[:, 0], b_index[:, 1], b_index[:, 2]])
-
     x0 = ub[1:-1, 1:-1, 1:-1].ravel().copy()
-    if method == "auto":
-        method = "amg" if (pyamg is not None and N >= 49) else "cg"
-    if method == "amg" and pyamg is None:
-        method = "cg"
-    if method == "amg":
-        ml = pyamg.smoothed_aggregation_solver(A, max_coarse=200)
-        precond = ml.aspreconditioner(cycle="V")
-    elif method == "cg":
-        precond = op.poisson_preconditioner()
-    else:
-        raise ValueError(f"unknown solver method {method!r}")
-
-    sol, info = cg(A, rhs, x0=x0, rtol=tol, atol=0.0, maxiter=max_iter, M=precond)
+    sol, info = cg(A, lift(ub), x0=x0, rtol=tol, atol=0.0, maxiter=max_iter,
+                   M=op.poisson_preconditioner())
     if info != 0:
         raise SolverDiverged(f"conjugate gradients returned info={info} "
-                             f"(axis {axis}, N={N}, method={method})")
+                             f"(axis {axis}, N={N})")
     values = ub.copy()
     values[1:-1, 1:-1, 1:-1] = sol.reshape(n, n, n)
     return ScalarGridField(grid, values)
@@ -395,9 +362,8 @@ def _excluded(grid: Grid, singular_node) -> np.ndarray:
 
 
 def build_harmonic_triple(chart: MetricChart, grid: Grid, bc: str = "corrected",
-                          tol: float = 1e-11, method: str = "auto",
-                          max_iter: int = 20000) -> HarmonicTriple:
-    """Solve all three axes against one operator and matrix, then normalize.
+                          tol: float = 1e-11, max_iter: int = 20000) -> HarmonicTriple:
+    """Solve all three axes against one operator, then normalize.
 
     The residual norms are taken from the raw solutions; each is then
     normalized in place to u^i(p) = 0 at the chart base point p (trilinear
@@ -406,8 +372,7 @@ def build_harmonic_triple(chart: MetricChart, grid: Grid, bc: str = "corrected",
     """
     operator = LaplaceBeltrami(chart, grid)
     solutions = [solve_harmonic_coordinate(chart, grid, a, bc=bc, tol=tol,
-                                           max_iter=max_iter, method=method,
-                                           operator=operator)
+                                           max_iter=max_iter, operator=operator)
                  for a in range(3)]
     excluded = _excluded(grid, operator.singular_node)
     residual_norms = tuple(float(np.max(np.abs(operator.apply(u.values)[~excluded])))

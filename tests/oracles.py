@@ -11,11 +11,13 @@ solve), the route it replaced is kept as the reference within tolerance.
 """
 
 import numpy as np
+import scipy.sparse as sps
 import sympy as sp
 from scipy.integrate import quad, solve_ivp
 from scipy.sparse.csgraph import dijkstra
 from scipy.sparse.linalg import LinearOperator, cg
 
+from afstab.errors import OutOfDomain
 from afstab.geodesy import GeodesicGraph, _bvp_batch, geodesic_lengths, local_distance
 from afstab.harmonic import LaplaceBeltrami, boundary_values
 
@@ -194,18 +196,78 @@ def harmonic_radial_profile(m, r_eval, r_far=300.0, rtol=1e-12):
 
 
 # ---------------------------------------------------------------------------
-# Jacobi-preconditioned CG on the assembled harmonic system
+# Jacobi-preconditioned CG on an assembled harmonic system
+
+
+def assemble_interior_system(op):
+    """CSR matrix of the interior system of a LaplaceBeltrami op plus the
+    boundary-coupling triplets, assembled node by node from op.kx/ky/kz.
+
+    Returns (A, couplings) where couplings is a list of
+    (interior_flat_index, boundary_multi_index, coefficient) encoded as
+    arrays, so rhs = sum coefficient * u_boundary for any Dirichlet data.
+    """
+    N = op.grid.nodes
+    n = N - 2
+    idx = -np.ones((N, N, N), dtype=np.int64)
+    inner = slice(1, N - 1)
+    idx[inner, inner, inner] = np.arange(n**3).reshape(n, n, n)
+
+    rows, cols, vals = [], [], []
+    b_rows, b_index, b_vals = [], [], []
+    diag = np.zeros(n**3)
+
+    I, J, K = np.meshgrid(np.arange(1, N - 1), np.arange(1, N - 1),
+                          np.arange(1, N - 1), indexing="ij")
+    me = idx[I, J, K].ravel()
+
+    neighbor_face = (
+        ((-1, 0, 0), op.kx[I - 1, J, K]), ((1, 0, 0), op.kx[I, J, K]),
+        ((0, -1, 0), op.ky[I, J - 1, K]), ((0, 1, 0), op.ky[I, J, K]),
+        ((0, 0, -1), op.kz[I, J, K - 1]), ((0, 0, 1), op.kz[I, J, K]),
+    )
+    for (di, dj, dk), kf in neighbor_face:
+        kf = kf.ravel()
+        ni, nj, nk = I + di, J + dj, K + dk
+        nb = idx[ni, nj, nk].ravel()
+        diag += kf
+        interior = nb >= 0
+        rows.append(me[interior])
+        cols.append(nb[interior])
+        vals.append(-kf[interior])
+        bd = ~interior
+        b_rows.append(me[bd])
+        b_index.append(np.stack([ni.ravel()[bd], nj.ravel()[bd], nk.ravel()[bd]], axis=1))
+        b_vals.append(kf[bd])
+
+    rows.append(me)
+    cols.append(me)
+    vals.append(diag)
+    A = sps.csr_matrix((np.concatenate(vals),
+                        (np.concatenate(rows), np.concatenate(cols))),
+                       shape=(n**3, n**3))
+    couplings = (np.concatenate(b_rows),
+                 np.concatenate(b_index, axis=0),
+                 np.concatenate(b_vals))
+    return A, couplings
+
+
+def coupling_rhs(couplings, ub):
+    """Dirichlet right-hand side sum coefficient * u_boundary per interior node."""
+    b_rows, b_index, b_vals = couplings
+    rhs = np.zeros((ub.shape[0] - 2) ** 3)
+    np.add.at(rhs, b_rows, b_vals * ub[b_index[:, 0], b_index[:, 1], b_index[:, 2]])
+    return rhs
 
 
 def jacobi_cg_coordinate(chart, grid, axis, bc="corrected", tol=1e-11, max_iter=20000):
     """Nodal values of one harmonic coordinate, solved by CG with the
-    diagonal (Jacobi) preconditioner on the library's interior system, from
+    diagonal (Jacobi) preconditioner on the assembled interior system, from
     the same start and to the same relative residual as the library solve;
     a second solver for the same discrete problem."""
-    A, (b_rows, b_index, b_vals) = LaplaceBeltrami(chart, grid).interior_system()
+    A, couplings = assemble_interior_system(LaplaceBeltrami(chart, grid))
     ub = boundary_values(chart, grid, axis, bc)
-    rhs = np.zeros(A.shape[0])
-    np.add.at(rhs, b_rows, b_vals * ub[b_index[:, 0], b_index[:, 1], b_index[:, 2]])
+    rhs = coupling_rhs(couplings, ub)
     inv_diag = 1.0 / A.diagonal()
     jacobi = LinearOperator(A.shape, matvec=lambda v: inv_diag * v)
     sol, info = cg(A, rhs, x0=ub[1:-1, 1:-1, 1:-1].ravel().copy(), rtol=tol, atol=0.0,
@@ -215,6 +277,51 @@ def jacobi_cg_coordinate(chart, grid, axis, bc="corrected", tol=1e-11, max_iter=
     n = grid.nodes - 2
     values[1:-1, 1:-1, 1:-1] = sol.reshape(n, n, n)
     return values
+
+
+# ---------------------------------------------------------------------------
+# volume comparison on an eikonal distance field
+
+
+def hyperbolic_ball_volume(r, kappa: float):
+    """Geodesic-ball volume in the constant-curvature -kappa model space.
+
+    pi (sinh(2 sqrt(k) r)/sqrt(k) - 2 r)/k, normalized so the kappa -> 0
+    limit is the Euclidean 4 pi r^3 / 3.
+    """
+    r = np.asarray(r, float)
+    if kappa < 0.0:
+        raise ValueError("kappa must be nonnegative")
+    x = kappa * r**2
+    if kappa == 0.0 or np.max(x) < 1e-8:
+        return 4.0 * np.pi / 3.0 * r**3 * (1.0 + 0.2 * x + 2.0 * x**2 / 105.0)
+    rk = np.sqrt(kappa)
+    return np.pi * (np.sinh(2.0 * rk * r) / rk - 2.0 * r) / kappa
+
+
+def ball_volume(field, r: float) -> float:
+    """Riemannian volume of {T <= r} on a DistanceField, with a one-cell
+    smoothed indicator."""
+    weights = field.slowness**3 * field.h**3   # phi^6 h^3
+    soft = np.clip((r - field.T) / field.h + 0.5, 0.0, 1.0)
+    return float(np.sum(soft * weights))
+
+
+def bishop_gromov_check(field, radii, kappa: float):
+    """Volume ratios |B_r(q)| / |B_r^-kappa| for increasing radii.
+
+    `field` is the DistanceField seeded at q, and it must cover 1.3 r for
+    every radius r; the model volume is the constant-curvature -kappa
+    ball.  Monotone nonincrease of the returned sequence is the comparison
+    inequality under Ric >= -2 kappa g.
+    """
+    radii = np.asarray(sorted(float(r) for r in radii))
+    ratios = []
+    for r in radii:
+        if 1.3 * r > field.n * field.h:
+            raise OutOfDomain(f"ball radius {r} not covered by the distance field")
+        ratios.append(ball_volume(field, float(r)) / float(hyperbolic_ball_volume(r, kappa)))
+    return np.asarray(ratios)
 
 
 # ---------------------------------------------------------------------------

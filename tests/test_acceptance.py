@@ -14,8 +14,7 @@ import pytest
 from afstab.config import config_from_dict
 from afstab.cli import run
 from afstab.errors import AfstabError
-from afstab.geodesy import (DistanceField, bishop_gromov_check, distance_batch,
-                            pythagorean_records)
+from afstab.geodesy import DistanceField, distance_batch, pythagorean_records
 from afstab.geometry import (MetricChart, VolumeSampling, certify_hypotheses,
                              ricci_batch)
 from afstab.gh import flow_coverage, gh_distortion, sample_geodesic_ball
@@ -27,9 +26,9 @@ from afstab.reporting import sha256_file
 from afstab.seeding import rng_for
 
 from conftest import SWEEP_MASSES, certificate
-from oracles import (bump_positive_laplacian_integral, harmonic_radial_profile,
-                     schwarzschild_radial_arclength, sympy_conformal_scalar,
-                     sympy_gaussian_phi)
+from oracles import (bishop_gromov_check, bump_positive_laplacian_integral,
+                     harmonic_radial_profile, schwarzschild_radial_arclength,
+                     sympy_conformal_scalar, sympy_gaussian_phi)
 
 PROBE_RADII = np.array([2.5, 5.0, 7.5, 10.0])   # common nodes of all levels
 LEVELS = (33, 65, 129)

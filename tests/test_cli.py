@@ -214,6 +214,21 @@ class TestFailedStages:
         assert loaded.data["stages"] == {"inequality": status}
         assert loaded.verify() == []
 
+    def test_garbled_sidecar_fails_inequality(self, schw_cfg, tmp_path, caplog):
+        # a sidecar cut in half is a bad dump named by its path, not a
+        # JSONDecodeError with a logged traceback
+        assert run("harmonic", schw_cfg, out_dir=tmp_path)[0] == 0
+        sidecar = tmp_path / "u1.field.json"
+        text = sidecar.read_text()
+        sidecar.write_text(text[:len(text) // 2])
+        (tmp_path / "manifest.json").unlink()
+        code, manifest = run("inequality", schw_cfg, out_dir=tmp_path)
+        assert code == 1
+        status = manifest.data["stages"]["inequality"]
+        assert status.startswith("failed: BadFieldDump") and "u1.field.json" in status
+        assert not [r for r in caplog.records if r.exc_info]
+        assert load_manifest(tmp_path).verify() == []
+
 
 class TestGridEvaluations:
     """Evaluations on the whole node grid: phi and grad phi once per

@@ -182,12 +182,14 @@ class TestValidation:
         ({"family.tag": "schwarzschild", "family.params": {"m": 0.2},
           "sweep.parameter": "A", "sweep.values": [0.2, 0.1, 0.05]},
          r"sweep.parameter must be one of \['m'\] for family 'schwarzschild'"),
+        ({"solver.method": "amg"}, "solver.method must be 'auto' or 'cg'"),
     ], ids=["m-nan", "schwarzschild-A", "bump-amplitude-nan", "bump-missing-width",
             "bump-center-2d", "gauss-width-zero", "x-width-nan", "x-unknown-key",
-            "sweep-value-nan", "sweep-parameter-unread"])
+            "sweep-value-nan", "sweep-parameter-unread", "solver-method-amg"])
     def test_nested_values_checked(self, overrides, message):
         # family.params, certificate.x_field and sweep hold only known keys
-        # with values of their kind
+        # with values of their kind, and solver.method names the solver
+        # that runs (there is no AMG solver)
         with pytest.raises(ValidationError) as err:
             config_from_dict(minimal_config(**overrides))
         assert len(err.value.violations) == 1, err.value.violations

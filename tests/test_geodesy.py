@@ -12,8 +12,7 @@ from afstab.config import config_from_dict
 from afstab.errors import OutOfDomain
 from afstab.geodesy import (COARSE_REL_TARGET, COARSE_STEP_DIVISOR,
                             DistanceField, GeodesicGraph, _bvp_batch, _rk4_batch,
-                            bishop_gromov_check, distance_batch,
-                            hyperbolic_ball_volume, level_set_projection,
+                            distance_batch, level_set_projection,
                             local_distance, mean_value_candidates,
                             mean_value_pick, metric_speed, pythagorean_check,
                             pythagorean_records, segment_functional)
@@ -22,8 +21,9 @@ from afstab.gh import sample_geodesic_ball
 from afstab.grid import interpolator
 from afstab.seeding import rng_for
 
-from oracles import (chord_seeded_distance_batch, full_grid_eikonal, graph_distance,
-                     rk4_reference, schwarzschild_radial_arclength)
+from oracles import (bishop_gromov_check, chord_seeded_distance_batch, full_grid_eikonal,
+                     graph_distance, hyperbolic_ball_volume, rk4_reference,
+                     schwarzschild_radial_arclength)
 
 BUMP_CONFIG = pathlib.Path(__file__).resolve().parent.parent / "configs" / "bump_control.json"
 

@@ -154,10 +154,9 @@ def _inequality(ctx: RunContext):
     certificate; ok when every axis passes the check."""
     triple, chart, mass = ctx.triple, ctx.chart, ctx.mass_report.extrapolated
     eps_grad = EPS_GRAD_FACTOR * triple.grad_sup
-    reports = [mass_inequality_rhs(triple, chart, axis, mass, eps_grad=eps_grad)
+    reports = [mass_inequality_rhs(triple, axis, mass, eps_grad=eps_grad)
                for axis in range(3)]
-    kato = [refined_kato_check(triple, chart, axis, eps_grad=eps_grad)
-            for axis in range(3)]
+    kato = [refined_kato_check(triple, axis, eps_grad=eps_grad) for axis in range(3)]
     cert = relaxed_scalar_certificate(chart, VectorFieldSpec(**ctx.cfg.certificate.x_field),
                                       triple.grid, triple.scalar_curvature,
                                       c_coef=ctx.cfg.certificate.c_coef)

@@ -6,7 +6,7 @@ violation instead of stopping at the first.
 
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 from .errors import ParseError, ValidationError
 from .geometry import FAMILIES, FAMILY_PARAMS, MetricChart
@@ -49,7 +49,7 @@ class SamplingConfig:
 
 @dataclass
 class MassConfig:
-    radii: list = field(default_factory=lambda: [20.0, 40.0, 80.0])
+    radii: list[float] = field(default_factory=lambda: [20.0, 40.0, 80.0])
 
 
 @dataclass
@@ -61,7 +61,7 @@ class CertificateConfig:
 @dataclass
 class SweepConfig:
     parameter: str = "m"
-    values: list = field(default_factory=list)
+    values: list[float] = field(default_factory=list)
 
 
 @dataclass
@@ -103,9 +103,23 @@ class ExperimentConfig:
         return Grid(halfwidth=self.grid.halfwidth, nodes=self.grid.nodes)
 
 
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
 def _finite(x) -> bool:
-    return (isinstance(x, (int, float)) and not isinstance(x, bool)
-            and -math.inf < x < math.inf)
+    return _is_number(x) and -math.inf < x < math.inf
+
+
+# what a field of each annotated type must hold, tested before any range test
+# compares it (bools are not numbers; a null seed is left to the range tests)
+_TYPES = {int: ("an integer", lambda x: _is_number(x) and isinstance(x, int)),
+          int | None: ("an integer",
+                       lambda x: x is None or _is_number(x) and isinstance(x, int)),
+          float: ("a number", _is_number),
+          list[float]: ("a list of numbers",
+                        lambda x: isinstance(x, list) and all(map(_is_number, x))),
+          str: ("a string", lambda x: isinstance(x, str))}
 
 
 # what a value of each kind in FAMILY_PARAMS (bar "bumps") or in an
@@ -174,12 +188,19 @@ def config_from_dict(data: dict) -> ExperimentConfig:
 def validate(cfg: ExperimentConfig) -> list:
     """All validation violations, empty when the config is usable.
 
-    Every real-valued field must be finite: NaN fails each range test
-    written as `not lo < x < hi`, and inf fails it at hi = math.inf.  The
-    same holds inside family.params (keys and kinds from FAMILY_PARAMS),
+    A field that does not fit its annotation is one violation naming it,
+    and the range tests run only when every field fits.  Every real-valued
+    field must be finite: NaN fails each range test written as
+    `not lo < x < hi`, and inf fails it at hi = math.inf.  The same holds
+    inside family.params (keys and kinds from FAMILY_PARAMS),
     certificate.x_field and sweep.values.
     """
-    v = []
+    v = [f"{name}.{fld.name} must be {_TYPES[fld.type][0]}"
+         for name in _SECTIONS for fld in fields(getattr(cfg, name))
+         if fld.type in _TYPES
+         and not _TYPES[fld.type][1](getattr(getattr(cfg, name), fld.name))]
+    if v:
+        return v
     f = cfg.family
     if f.tag not in FAMILIES:
         v.append(f"family.tag must be one of {FAMILIES}, got {f.tag!r}")
@@ -216,8 +237,6 @@ def validate(cfg: ExperimentConfig) -> list:
     sm = cfg.sampling
     if sm.seed is None:
         v.append("sampling.seed is mandatory")
-    elif not isinstance(sm.seed, int):
-        v.append("sampling.seed must be an integer")
     if not 0 < sm.ball_radius < math.inf:
         v.append("sampling.ball_radius must be finite and positive")
     for name in ("n_pairs", "n_targets", "n_pythagoras_pairs"):
@@ -257,7 +276,7 @@ def validate(cfg: ExperimentConfig) -> list:
             v.append(f"sweep.values must each be {_KINDS[kind][0]} for {sw.parameter}")
 
     o = cfg.output
-    if not isinstance(o.directory, str) or not o.directory:
+    if not o.directory:
         v.append("output.directory must be a nonempty string")
     return v
 

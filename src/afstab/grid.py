@@ -46,9 +46,6 @@ class Grid:
         X, Y, Z = np.meshgrid(ax, ax, ax, indexing="ij")
         return np.stack([X, Y, Z], axis=-1)
 
-    def radius(self) -> np.ndarray:
-        return np.linalg.norm(self.points(), axis=-1)
-
     def margin_mask(self, width: int = 2) -> np.ndarray:
         """Nodes within `width` cells of the box boundary."""
         m = np.ones((self.nodes,) * 3, dtype=bool)
@@ -79,8 +76,9 @@ def interpolator(grid: Grid, values: np.ndarray):
 
 
 # ---------------------------------------------------------------------------
-# finite-difference stencils for post-processing; the harmonic operator is
-# its own face-flux stencil (harmonic.LaplaceBeltrami), with no matrix
+# finite-difference stencils for post-processing, one (N, N, N) derivative a
+# call (a mixed second derivative is diff1 of a diff1 partial); the harmonic
+# operator is its own face-flux stencil (harmonic.LaplaceBeltrami)
 
 
 def diff1(values: np.ndarray, h: float, axis: int) -> np.ndarray:
@@ -112,23 +110,6 @@ def diff2(values: np.ndarray, h: float, axis: int) -> np.ndarray:
 def gradient(values: np.ndarray, h: float) -> np.ndarray:
     """Coordinate partials d_a u, shape (N, N, N, 3)."""
     return np.stack([diff1(values, h, a) for a in range(3)], axis=-1)
-
-
-def second_derivatives(values: np.ndarray, h: float) -> np.ndarray:
-    """Coordinate Hessian d_a d_b u, shape (N, N, N, 3, 3), exactly symmetric.
-
-    Mixed entries compose the two one-dimensional first-derivative stencils,
-    which commute, so symmetry holds to round-off by construction.
-    """
-    out = np.empty(values.shape + (3, 3))
-    firsts = [diff1(values, h, a) for a in range(3)]
-    for a in range(3):
-        out[..., a, a] = diff2(values, h, a)
-        for b in range(a + 1, 3):
-            mixed = diff1(firsts[b], h, a)
-            out[..., a, b] = mixed
-            out[..., b, a] = mixed
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,8 @@ from the normalized u and the nodal conformal data; each field a
 diagnostic reads (u's coordinate partials, |Hess u|_g^2, grad_sup, R, the
 Gram defect, the interpolators) is derived on its first read, so a stage
 pays only for what it reads: only the mass inequality and the Pythagorean
-scoring read |Hess u|_g^2.
+scoring read |Hess u|_g^2.  No derived field builds a whole-grid 3x3 tensor:
+|Hess u|_g^2 is summed entry by entry, and R is taken slab by slab.
 
 The discretization is the conservative second-order scheme for
 u -> (1/sqrt(det g)) d_a (sqrt(det g) g^ab d_b u) with coefficients
@@ -37,7 +38,7 @@ from scipy.sparse.linalg import LinearOperator, cg
 
 from .errors import MismatchedChart, SolverDiverged
 from .geometry import MetricChart, scalar_curvature
-from .grid import Grid, ScalarGridField, gradient, interpolator, second_derivatives
+from .grid import Grid, ScalarGridField, diff1, diff2, gradient, interpolator
 from .mass import sphere_rule
 
 # No solver reads pyamg; only bench/worker.py's environment() does (and
@@ -207,7 +208,7 @@ def boundary_values(chart: MetricChart, grid: Grid, axis: int, bc: str) -> np.nd
         return lin.copy()
     if bc == "corrected":
         a = fit_monopole(chart, grid.halfwidth)
-        r = np.maximum(grid.radius(), 1e-300)
+        r = np.maximum(np.linalg.norm(pts, axis=-1), 1e-300)
         return lin * (1.0 - a / r)
     raise ValueError(f"unknown boundary policy {bc!r}")
 
@@ -245,17 +246,23 @@ def solve_harmonic_coordinate(chart: MetricChart, grid: Grid, axis: int,
 # the solved triple with its derived fields
 
 
-def _covariant_hessian(values: np.ndarray, du: np.ndarray, phi: np.ndarray,
-                       dphi: np.ndarray, h: float) -> np.ndarray:
-    """Covariant Hessian dd_ab - Gamma^k_ab d_k u of nodal values with
-    coordinate partials du, from the conformal Christoffels."""
-    dd = second_derivatives(values, h)
+def _hessian_norm2(values: np.ndarray, du: np.ndarray, phi: np.ndarray,
+                   dphi: np.ndarray, h: float) -> np.ndarray:
+    """|Hess u|_g^2 of nodal values with coordinate partials du, as
+    sum_a e_aa^2 + 2 sum_{a<b} e_ab^2 over the covariant-Hessian entries
+    e_ab = dd_ab - 2(d_a u w_b + w_a d_b u - delta_ab du.w), w = dphi / phi,
+    each one (N, N, N) array."""
     w = dphi / phi[..., None]
     duw = np.einsum("...a,...a->...", du, w)
-    gamma_term = 2.0 * (du[..., :, None] * w[..., None, :]
-                        + w[..., :, None] * du[..., None, :]
-                        - np.eye(3) * duw[..., None, None])
-    return dd - gamma_term
+
+    def squared_entry(a, b, dd):
+        return (dd - 2.0 * (du[..., a] * w[..., b] + w[..., a] * du[..., b]
+                            - (a == b) * duw)) ** 2
+
+    diag = sum(squared_entry(a, a, diff2(values, h, a)) for a in range(3))
+    mixed = sum(squared_entry(a, b, diff1(du[..., b], h, a))
+                for a, b in ((0, 1), (0, 2), (1, 2)))
+    return (diag + 2.0 * mixed) / phi**8
 
 
 @dataclass
@@ -266,8 +273,7 @@ class HarmonicTriple:
     u^i (u^i(p) = 0), the nodal conformal data, the excluded-node mask
     and, from a solve only, the diagnostics residual_norms and u_at_p
     (None on a triple rebuilt from field dumps).  Every other field is
-    derived from these on first read and kept; the covariant Hessian
-    exists only while |Hess u^i|_g^2 is computed.
+    derived from these on first read and kept.
     """
 
     chart: MetricChart
@@ -287,11 +293,8 @@ class HarmonicTriple:
     @cached_property
     def hess2(self) -> tuple:
         """(N, N, N) |Hess u^i|_g^2 per axis."""
-        out = []
-        for u, du in zip(self.u, self.du):
-            hess = _covariant_hessian(u.values, du, self.phi, self.dphi, self.grid.h)
-            out.append(np.einsum("...ab,...ab->...", hess, hess) / self.phi**8)
-        return tuple(out)
+        return tuple(_hessian_norm2(u.values, du, self.phi, self.dphi, self.grid.h)
+                     for u, du in zip(self.u, self.du))
 
     @cached_property
     def grad_sup(self) -> float:
@@ -302,8 +305,10 @@ class HarmonicTriple:
     def scalar_curvature(self) -> np.ndarray:
         """R = -8 phi^-5 lap(phi) at the nodes, from the chart's phi (the
         puncture is not imputed)."""
+        # one x-slab at a time, for memory: no (N, N, N, 3, 3) phi Hessian
         with np.errstate(invalid="ignore"):
-            return scalar_curvature(self.chart, self.grid.points())
+            return np.stack([scalar_curvature(self.chart, slab)
+                             for slab in self.grid.points()])
 
     @cached_property
     def gram_defect(self) -> np.ndarray:

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MismatchedChart
 from .geometry import MetricChart
 from .grid import Grid, gradient
 from .harmonic import HarmonicTriple
@@ -37,8 +36,8 @@ class InequalityReport:
 EPS_GRAD_FACTOR = 1e-6
 
 
-def mass_inequality_rhs(triple: HarmonicTriple, chart: MetricChart, axis: int,
-                        mass: float, eps_grad: float) -> InequalityReport:
+def mass_inequality_rhs(triple: HarmonicTriple, axis: int, mass: float,
+                        eps_grad: float) -> InequalityReport:
     """Evaluate the mass-inequality right side for one harmonic coordinate.
 
     Midpoint-rule volume integral with sqrt(det g) h^3 weights over cells
@@ -49,8 +48,6 @@ def mass_inequality_rhs(triple: HarmonicTriple, chart: MetricChart, axis: int,
     The slack mass - rhs may dip below zero only within discretization
     error; it is reported, not asserted.
     """
-    if triple.chart != chart:
-        raise MismatchedChart("harmonic triple was solved on a different chart")
     gnorm = triple.grad_norm(axis)
     hess2 = triple.hess2[axis]
     grad_sup = float(np.max(gnorm[~triple.excluded]))
@@ -80,16 +77,13 @@ def mass_inequality_rhs(triple: HarmonicTriple, chart: MetricChart, axis: int,
                             floored_fraction=floored_fraction)
 
 
-def refined_kato_check(triple: HarmonicTriple, chart: MetricChart, axis: int,
-                       eps_grad: float):
+def refined_kato_check(triple: HarmonicTriple, axis: int, eps_grad: float):
     """Integrals of both sides of |grad sqrt|grad u||^2 <= |Hess u|^2 / (4|grad u|).
 
     Cells under the gradient floor eps_grad are left out, as in
     mass_inequality_rhs.  Returns (lhs, rhs); the continuum inequality is
     pointwise, so lhs must not exceed rhs beyond discretization error.
     """
-    if triple.chart != chart:
-        raise MismatchedChart("harmonic triple was solved on a different chart")
     gnorm = triple.grad_norm(axis)
     hess2 = triple.hess2[axis]
     s = np.sqrt(gnorm)
@@ -153,6 +147,7 @@ def relaxed_scalar_certificate(chart: MetricChart, x_spec: VectorFieldSpec,
     works in the continuum argument; default 1).
     """
     pts = grid.points()
+    rad = np.linalg.norm(pts, axis=-1)
     phi, dphi = chart.conformal_gradient(pts)
 
     if x_spec.kind == "zero" or x_spec.amplitude == 0.0:
@@ -171,12 +166,11 @@ def relaxed_scalar_certificate(chart: MetricChart, x_spec: VectorFieldSpec,
     psi = np.maximum(0.0, c_coef * xsq + div - scal)
     usable = np.ones_like(psi, dtype=bool)
     if chart.singular_at_origin:
-        usable &= grid.radius() > 0.5 * grid.h
+        usable &= rad > 0.5 * grid.h
         psi = np.where(usable, psi, 0.0)
     weights = phi**6 * grid.h**3
     psi_l1 = float(np.sum(psi[usable] * weights[usable]))
 
-    rad = grid.radius()
     hot = psi > PSI_ZERO_TOL
     support_radius = float(np.max(rad[hot])) if np.any(hot) else 0.0
     declared = max(x_spec.support_radius(),

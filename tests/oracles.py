@@ -19,6 +19,7 @@ from scipy.sparse.linalg import LinearOperator, cg
 
 from afstab.errors import OutOfDomain
 from afstab.geodesy import GeodesicGraph, _bvp_batch, geodesic_lengths, local_distance
+from afstab.grid import diff1, diff2
 from afstab.harmonic import LaplaceBeltrami, boundary_values
 
 
@@ -193,6 +194,41 @@ def harmonic_radial_profile(m, r_eval, r_far=300.0, rtol=1e-12):
                   [R2 - a + a**2 / R2, R2**-2]])
     A, _ = np.linalg.solve(M, np.array([H[R1], H[R2]]))
     return np.array([H[r] for r in r_eval]) / A
+
+
+# ---------------------------------------------------------------------------
+# the whole-tensor covariant Hessian, the reference for the entrywise
+# |Hess u|_g^2 of harmonic._hessian_norm2
+
+
+def second_derivatives(values: np.ndarray, h: float) -> np.ndarray:
+    """Coordinate Hessian d_a d_b u, shape (N, N, N, 3, 3), exactly symmetric.
+
+    Mixed entries compose the two one-dimensional first-derivative stencils,
+    which commute, so symmetry holds to round-off by construction.
+    """
+    out = np.empty(values.shape + (3, 3))
+    firsts = [diff1(values, h, a) for a in range(3)]
+    for a in range(3):
+        out[..., a, a] = diff2(values, h, a)
+        for b in range(a + 1, 3):
+            mixed = diff1(firsts[b], h, a)
+            out[..., a, b] = mixed
+            out[..., b, a] = mixed
+    return out
+
+
+def _covariant_hessian(values: np.ndarray, du: np.ndarray, phi: np.ndarray,
+                       dphi: np.ndarray, h: float) -> np.ndarray:
+    """Covariant Hessian dd_ab - Gamma^k_ab d_k u of nodal values with
+    coordinate partials du, from the conformal Christoffels."""
+    dd = second_derivatives(values, h)
+    w = dphi / phi[..., None]
+    duw = np.einsum("...a,...a->...", du, w)
+    gamma_term = 2.0 * (du[..., :, None] * w[..., None, :]
+                        + w[..., :, None] * du[..., None, :]
+                        - np.eye(3) * duw[..., None, None])
+    return dd - gamma_term
 
 
 # ---------------------------------------------------------------------------

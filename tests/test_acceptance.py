@@ -147,7 +147,7 @@ def test_criterion_05_mass_inequality_richardson(criterion, schw_charts,
     slacks = []
     for n in LEVELS:
         triple = refinement_triples[n]
-        rep = mass_inequality_rhs(triple, schw_charts[0.2], 0, mass=masses[0.2],
+        rep = mass_inequality_rhs(triple, 0, mass=masses[0.2],
                                   eps_grad=1e-6 * triple.grad_sup)
         slacks.append(rep.slack)
     hs = [2.0 * 20.0 / (n - 1) for n in LEVELS]
@@ -157,9 +157,9 @@ def test_criterion_05_mass_inequality_richardson(criterion, schw_charts,
     for m in (0.1, 0.05):
         chart = schw_charts[m]
         t33, t65 = single_axis_triple(chart, Grid(20.0, 33)), schw_triples[m]
-        s33 = mass_inequality_rhs(t33, chart, 0, mass=masses[m],
+        s33 = mass_inequality_rhs(t33, 0, mass=masses[m],
                                   eps_grad=1e-6 * t33.grad_sup).slack
-        s65 = mass_inequality_rhs(t65, chart, 0, mass=masses[m],
+        s65 = mass_inequality_rhs(t65, 0, mass=masses[m],
                                   eps_grad=1e-6 * t65.grad_sup).slack
         e2, b2 = richardson_slack([s33, s65], [20.0 / 16, 20.0 / 32])
         ok = ok and e2 >= -b2
@@ -167,8 +167,7 @@ def test_criterion_05_mass_inequality_richardson(criterion, schw_charts,
     assert criterion(5, ok, "Richardson slack >= 0: " + "; ".join(details))
 
 
-def test_criterion_06_hessian_l2_bound(criterion, schw_charts, schw_triples,
-                                       masses):
+def test_criterion_06_hessian_l2_bound(criterion, schw_triples, masses):
     worst = 0.0
     seq = []
     ok = True
@@ -176,7 +175,7 @@ def test_criterion_06_hessian_l2_bound(criterion, schw_charts, schw_triples,
         triple = schw_triples[m]
         hess = 0.0
         for axis in range(3):
-            rep = mass_inequality_rhs(triple, schw_charts[m], axis, mass=masses[m],
+            rep = mass_inequality_rhs(triple, axis, mass=masses[m],
                                       eps_grad=1e-6 * triple.grad_sup)
             bound = 16.0 * np.pi * rep.grad_sup * rep.mass * 1.1
             worst = max(worst, rep.hessian_l2 / bound)

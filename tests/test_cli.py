@@ -138,6 +138,14 @@ class TestSubcommands:
         bad = write_config(tmp_path, {"family": {"tag": "flat"}})   # no seed
         assert main(["mass", "--config", str(bad)]) == 2
 
+    def test_main_mistyped_config_exit_2(self, tmp_path, capsys):
+        bad = write_config(tmp_path, tiny_config(grid={"nodes": "17"},
+                                                 solver={"tol": "1e-11"}))
+        assert main(["mass", "--config", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert "grid.nodes must be an integer" in err
+        assert "solver.tol must be a number" in err
+
     def test_main_seed_override(self, tmp_path):
         cfg_path = write_config(tmp_path, tiny_config())
         out = tmp_path / "o"
@@ -232,18 +240,21 @@ class TestFailedStages:
 
 class TestGridEvaluations:
     """Evaluations on the whole node grid: phi and grad phi once per
-    triple, R once per inequality stage, second derivatives of u only in
-    the stages that read |Hess u|^2."""
+    triple, R once per inequality stage (one x-slab of nodes at a time),
+    |Hess u|^2 only in the stages that read it."""
 
     @staticmethod
-    def _grid_calls(monkeypatch, cfg, name):
+    def _grid_calls(monkeypatch, cfg, name, slab=False):
+        """The points of each MetricChart.<name> call on the whole node grid
+        or, with slab, on one x-slab of it."""
         real = getattr(MetricChart, name)
         shape = cfg.make_grid().points().shape
+        shape = shape[1:] if slab else shape
         calls = []
 
         def counting(self, x, **kwargs):
             if np.shape(x) == shape:
-                calls.append(name)
+                calls.append(np.array(x))
             return real(self, x, **kwargs)
 
         monkeypatch.setattr(MetricChart, name, counting)
@@ -257,22 +268,23 @@ class TestGridEvaluations:
 
     def test_inequality_evaluates_scalar_once(self, schw_cfg, tmp_path, monkeypatch):
         assert run("harmonic", schw_cfg, out_dir=tmp_path)[0] == 0
-        calls = self._grid_calls(monkeypatch, schw_cfg, "conformal_terms")
+        calls = self._grid_calls(monkeypatch, schw_cfg, "conformal_terms", slab=True)
         code, _ = run("inequality", schw_cfg, out_dir=tmp_path)
         assert code == 0
-        assert len(calls) == 1
+        # N slab calls that cover the grid exactly once
+        assert np.array_equal(np.stack(calls), schw_cfg.make_grid().points())
 
     def test_hessians_derived_only_where_read(self, schw_cfg, tmp_path, monkeypatch):
         # inequality and pythagoras read |Hess u|^2 (one field per axis); the
         # solve, the distortion and the flows read only u and grad u
-        real = afstab.harmonic.second_derivatives
+        real = afstab.harmonic._hessian_norm2
         calls = []
 
-        def counting(values, h):
+        def counting(values, du, phi, dphi, h):
             calls.append(h)
-            return real(values, h)
+            return real(values, du, phi, dphi, h)
 
-        monkeypatch.setattr(afstab.harmonic, "second_derivatives", counting)
+        monkeypatch.setattr(afstab.harmonic, "_hessian_norm2", counting)
         counts = {}
         for sub in ("harmonic", "inequality", "distort", "pythagoras", "flow"):
             calls.clear()
@@ -394,8 +406,7 @@ class TestSweep:
         assert rep.psi_l1 != default.psi_l1
         eps_grad = 1e-6 * triple.grad_sup
         assert ineq["kato"] == [
-            dict(zip(("lhs", "rhs"), refined_kato_check(triple, triple.chart, axis,
-                                                        eps_grad=eps_grad)))
+            dict(zip(("lhs", "rhs"), refined_kato_check(triple, axis, eps_grad=eps_grad)))
             for axis in range(3)]
         # fresh single stages (no dumps, so each solves) give the sweep's numbers
         for sub in ("distort", "pythagoras", "flow"):
@@ -505,7 +516,7 @@ class TestSweep:
     def test_failed_kato_check_fails_inequality_alone_and_in_sweep(self, schw_cfg,
                                                                   tmp_path, monkeypatch):
         monkeypatch.setattr(afstab.cli, "refined_kato_check",
-                            lambda triple, chart, axis, eps_grad: (2.0, 1.0))
+                            lambda triple, axis, eps_grad: (2.0, 1.0))
         _, manifest = run("inequality", schw_cfg, out_dir=tmp_path / "ineq")
         assert manifest.data["stages"]["inequality"] == "assertion-failed"
         rep = _sweep_point(schw_cfg, tmp_path, "m0.1")

@@ -183,13 +183,25 @@ class TestValidation:
           "sweep.parameter": "A", "sweep.values": [0.2, 0.1, 0.05]},
          r"sweep.parameter must be one of \['m'\] for family 'schwarzschild'"),
         ({"solver.method": "amg"}, "solver.method must be 'auto' or 'cg'"),
+        ({"grid.nodes": "65"}, "grid.nodes must be an integer"),
+        ({"grid.nodes": 33.5}, "grid.nodes must be an integer"),
+        ({"sampling.seed": True}, "sampling.seed must be an integer"),
+        ({"sampling.eikonal_nodes": 41.0}, "sampling.eikonal_nodes must be an integer"),
+        ({"solver.tol": "1e-11"}, "solver.tol must be a number"),
+        ({"family.decay_tau": True}, "family.decay_tau must be a number"),
+        ({"mass.radii": "abc"}, r"mass.radii must be a list of numbers"),
+        ({"mass.radii": [20.0, 40.0, "80"]}, r"mass.radii must be a list of numbers"),
+        ({"family.tag": ["flat"]}, "family.tag must be a string"),
     ], ids=["m-nan", "schwarzschild-A", "bump-amplitude-nan", "bump-missing-width",
             "bump-center-2d", "gauss-width-zero", "x-width-nan", "x-unknown-key",
-            "sweep-value-nan", "sweep-parameter-unread", "solver-method-amg"])
+            "sweep-value-nan", "sweep-parameter-unread", "solver-method-amg",
+            "nodes-string", "nodes-fraction", "seed-bool", "eikonal-nodes-real",
+            "tol-string", "tau-bool", "radii-string", "radii-entry-string", "tag-list"])
     def test_nested_values_checked(self, overrides, message):
         # family.params, certificate.x_field and sweep hold only known keys
-        # with values of their kind, and solver.method names the solver
-        # that runs (there is no AMG solver)
+        # with values of their kind, solver.method names the solver that
+        # runs (there is no AMG solver), and a field of the wrong type is
+        # one violation naming it, never a TypeError of a range test
         with pytest.raises(ValidationError) as err:
             config_from_dict(minimal_config(**overrides))
         assert len(err.value.violations) == 1, err.value.violations

@@ -14,14 +14,14 @@ import afstab.harmonic
 from afstab.config import config_from_dict
 from afstab.errors import MismatchedChart, SolverDiverged
 from afstab.geometry import MetricChart
-from afstab.grid import Grid, ScalarGridField, gradient
-from afstab.harmonic import (HarmonicTriple, LaplaceBeltrami, _covariant_hessian,
-                             boundary_values, build_harmonic_triple, cheng_yau_ratio,
-                             fit_monopole, solve_harmonic_coordinate,
-                             triple_from_solutions)
+from afstab.grid import Grid, ScalarGridField
+from afstab.harmonic import (HarmonicTriple, LaplaceBeltrami, boundary_values,
+                             build_harmonic_triple, cheng_yau_ratio, fit_monopole,
+                             solve_harmonic_coordinate, triple_from_solutions)
 
-from oracles import (assemble_interior_system, coupling_rhs, harmonic_radial_profile,
-                     jacobi_cg_coordinate, schwarzschild_harmonic_closed_form)
+from oracles import (_covariant_hessian, assemble_interior_system, coupling_rhs,
+                     harmonic_radial_profile, jacobi_cg_coordinate,
+                     schwarzschild_harmonic_closed_form)
 
 BUMP_CONFIG = pathlib.Path(__file__).resolve().parent.parent / "configs" / "bump_control.json"
 
@@ -107,7 +107,8 @@ class TestAssembly:
             op = LaplaceBeltrami(schw_chart, grid)
             w = 1.0 / schw_chart.conformal_factor(grid.points())
             resid = op.apply(w)
-            sample = (~grid.margin_mask(2)) & (grid.radius() >= 1.0)
+            r = np.linalg.norm(grid.points(), axis=-1)
+            sample = (~grid.margin_mask(2)) & (r >= 1.0)
             errs.append(np.max(np.abs(resid[sample])))
         order = np.log2(errs[0] / errs[1])
         assert order >= 1.5
@@ -139,7 +140,7 @@ class TestSolve:
         grid = Grid(halfwidth=20.0, nodes=17)
         vals = boundary_values(schw_chart, grid, 0, "corrected")
         pts = grid.points()
-        r = grid.radius()
+        r = np.linalg.norm(grid.points(), axis=-1)
         with np.errstate(divide="ignore", invalid="ignore"):
             expect = pts[..., 0] * (1.0 - 0.1 / r)
         mask = grid.margin_mask(1)
@@ -243,11 +244,18 @@ class TestTriple:
         assert np.max(np.abs(flat_triple.u_map(p))) < 1e-12
         assert flat_triple.grad_sup == pytest.approx(1.0, abs=1e-8)
 
-    def test_hessian_exactly_symmetric(self, schw02_triple):
-        t = schw02_triple
-        values = t.u[0].values
-        H = _covariant_hessian(values, gradient(values, t.grid.h), t.phi, t.dphi, t.grid.h)
-        assert np.max(np.abs(H - np.swapaxes(H, -1, -2))) == 0.0
+    def test_hess2_matches_whole_tensor_reference(self, family_charts):
+        # the six entries one at a time give |H|^2 / phi^8 of the whole
+        # covariant-Hessian tensor up to the order of the sum of squares
+        grid = Grid(halfwidth=20.0, nodes=33)
+        for name, chart in family_charts.items():
+            t = build_harmonic_triple(chart, grid)
+            kept = ~t.excluded
+            for i in range(3):
+                H = _covariant_hessian(t.u[i].values, t.du[i], t.phi, t.dphi, grid.h)
+                ref = np.einsum("...ab,...ab->...", H, H)[kept] / t.phi[kept] ** 8
+                err = np.abs(t.hess2[i][kept] - ref)
+                assert np.all(err <= 1e-14 * ref), (name, i, np.max(err / ref))
 
     def test_hess_sup_decreases_with_mass(self, schw_triples):
         sups = [np.max(np.sqrt(t.hess2[0])[~t.excluded])
@@ -257,7 +265,7 @@ class TestTriple:
     def test_gradient_decay_fit(self, schw02_triple):
         # |grad u - e_1| ~ C r^-tau on the mid-range shell
         grid = schw02_triple.grid
-        r = grid.radius()
+        r = np.linalg.norm(grid.points(), axis=-1)
         grad = schw02_triple.du[0] / schw02_triple.phi[..., None] ** 4
         dev = np.linalg.norm(grad - np.array([1.0, 0.0, 0.0]), axis=-1)
         slopes = []

@@ -11,11 +11,11 @@ this script demonstrates the floor next to the clean Schwarzschild decay.
 import pathlib
 import sys
 
-from afstab.cli import run
-from afstab.config import parse_config
-from afstab.gh import StabilityReport   # noqa: F401 - report schema reference
-
 ROOT = pathlib.Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+
+from afstab.cli import run  # noqa: E402
+from afstab.config import parse_config  # noqa: E402
 
 
 def main():

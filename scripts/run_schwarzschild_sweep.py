@@ -13,10 +13,11 @@ import json
 import pathlib
 import sys
 
-from afstab.cli import run
-from afstab.config import parse_config
-
 ROOT = pathlib.Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+
+from afstab.cli import run  # noqa: E402
+from afstab.config import parse_config  # noqa: E402
 
 
 def main():

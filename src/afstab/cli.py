@@ -152,13 +152,12 @@ def _inequality(ctx: RunContext):
     """The mass-inequality report against the fitted ADM mass and the refined
     Kato check (lhs, rhs), per axis, and the relaxed scalar-curvature
     certificate; ok when every axis passes the check."""
-    triple, chart, mass = ctx.triple, ctx.chart, ctx.mass_report.extrapolated
+    triple, mass = ctx.triple, ctx.mass_report.extrapolated
     eps_grad = EPS_GRAD_FACTOR * triple.grad_sup
     reports = [mass_inequality_rhs(triple, axis, mass, eps_grad=eps_grad)
                for axis in range(3)]
     kato = [refined_kato_check(triple, axis, eps_grad=eps_grad) for axis in range(3)]
-    cert = relaxed_scalar_certificate(chart, VectorFieldSpec(**ctx.cfg.certificate.x_field),
-                                      triple.grid, triple.scalar_curvature,
+    cert = relaxed_scalar_certificate(triple, VectorFieldSpec(**ctx.cfg.certificate.x_field),
                                       c_coef=ctx.cfg.certificate.c_coef)
     ok = all(lhs <= rhs * (1.0 + 1e-6) + 1e-14 for lhs, rhs in kato)
     return (reports, kato, cert), ok

@@ -5,8 +5,10 @@ the shooting boundary-value problem for the exponential map: Newton
 iteration on the initial velocity of the geodesic equation
 xdd^k + Gamma^k_ab xd^a xd^b = 0, integrated by fixed-step RK4 over unit
 affine time, batched over many pairs at once with finite-difference
-Jacobians.  The integrator holds one stacked state [x | v] per row and
-makes one MetricChart.christoffel_quadratic call per RK4 stage, which
+Jacobians.  rk4_steps is the one RK4 loop of the package; the gradient
+flows of gh run through it too.  The geodesic integrator holds one
+stacked state [x | v] per row and makes one
+MetricChart.christoffel_quadratic call per RK4 stage, which
 also moves rows off a monopole puncture.  A pass costs its step count in
 such calls whatever its rows, so the solve is seeded by the same Newton
 solve at an eighth of the steps; pairs that one does not converge start
@@ -67,6 +69,29 @@ def local_distance(chart: MetricChart, a, b):
             + metric_speed(chart, b, d)) / 6.0
 
 
+def rk4_steps(slope, y, dt: float, n_steps: int, record_every: int = 0):
+    """Fixed-step classical RK4 of dy/ds = slope(y) from state y, the one
+    RK4 loop of the geodesics and the gradient flows.
+
+    y is a (K, D) state whose first three columns are the position; slope
+    maps a state to its (K, D) derivative.  Returns the state after
+    n_steps steps of size dt and the (K, M, 3) positions at the start,
+    every record_every-th step and the last step (None when record_every
+    is 0).
+    """
+    hdt = 0.5 * dt
+    samples = [y[:, :3].copy()] if record_every else None
+    for step in range(n_steps):
+        k1 = slope(y)
+        k2 = slope(y + hdt * k1)
+        k3 = slope(y + hdt * k2)
+        k4 = slope(y + dt * k3)
+        y = y + dt * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
+        if record_every and ((step + 1) % record_every == 0 or step == n_steps - 1):
+            samples.append(y[:, :3].copy())
+    return y, np.stack(samples, axis=1) if record_every else None
+
+
 def _rk4_batch(chart: MetricChart, x0, w, n_steps, record_every=0):
     """Integrate the geodesic equation over unit affine time for a batch.
 
@@ -79,8 +104,6 @@ def _rk4_batch(chart: MetricChart, x0, w, n_steps, record_every=0):
     expression on the stacked state.  Elementwise arithmetic on y is the
     same, bit for bit, as the same expressions on x and v apart.
     """
-    dt = 1.0 / n_steps
-    hdt = 0.5 * dt
     y = np.concatenate([np.asarray(x0, float), np.asarray(w, float)], axis=1)
 
     def slope(y):
@@ -89,19 +112,9 @@ def _rk4_batch(chart: MetricChart, x0, w, n_steps, record_every=0):
         k[:, 3:] = -chart.christoffel_quadratic(y[:, :3], y[:, 3:])
         return k
 
-    samples = [y[:, :3].copy()] if record_every else None
-    for step in range(n_steps):
-        k1 = slope(y)
-        k2 = slope(y + hdt * k1)
-        k3 = slope(y + hdt * k2)
-        k4 = slope(y + dt * k3)
-        y = y + dt * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
-        if record_every and ((step + 1) % record_every == 0 or step == n_steps - 1):
-            samples.append(y[:, :3].copy())
+    y, samples = rk4_steps(slope, y, 1.0 / n_steps, n_steps, record_every)
     x, v = y[:, :3].copy(), y[:, 3:].copy()
-    if record_every:
-        return x, v, np.stack(samples, axis=1)
-    return x, v
+    return (x, v, samples) if record_every else (x, v)
 
 
 def _newton_steps(J, E):

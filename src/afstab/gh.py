@@ -6,17 +6,23 @@ correspondence search is infeasible); instead the two quantities that
 bound it are measured: the sampled-pair distortion of u on a geodesic
 ball, and one-sided coverage of the Euclidean ball by the image of the
 three-step gradient-flow construction.
+
+A flow leg is integrated once: the mean-value candidates of its start
+flow as one fixed-step RK4 batch (geodesy.rk4_steps, the RK4 loop the
+geodesics use), the sampled paths are scored by segment_functional, and
+the picked candidate's path is the leg, as the level-set projections
+keep the geodesic that scored their pick.
 """
 
 import functools
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .errors import LeftDomain, NoConvergence
 from .geodesy import (DistanceField, distance_batch, local_distance,
-                      mean_value_pick, segment_functional, MV_SAMPLES, SCORE_FLOOR)
+                      mean_value_candidates, mean_value_rule, rk4_steps,
+                      segment_functional, MV_SAMPLES, SCORE_FLOOR)
 from .geometry import MetricChart
 from .harmonic import HarmonicTriple
 from .seeding import rng_for
@@ -180,35 +186,19 @@ class FlowTrace:
                 "end": list(self.end), "u_error": self.u_error}
 
 
-def _flow_rhs(triple: HarmonicTriple, axis: int, sign: float):
-    interp = triple.grad_interp[axis]
-
-    def rhs(t, x):
-        return sign * interp(x)
-
-    return rhs
-
-
 def _flow_batch(triple: HarmonicTriple, axis: int, starts, t: float, n_steps: int):
-    """Fixed-step RK4 flow of many seeds through the interpolated gradient."""
+    """Fixed-step RK4 flow of many seeds through the interpolated gradient,
+    evaluated at the points clipped to the usable box; returns the (K, 3)
+    ends and the (K, n_steps + 1, 3) samples at every step."""
     interp = triple.grad_interp[axis]
     sign = 1.0 if t >= 0 else -1.0
-    dt = abs(t) / n_steps
-    x = np.array(starts, float, copy=True)
-    samples = [x.copy()]
     lim = triple.grid.halfwidth - 2 * triple.grid.h
 
-    def f(q):
+    def slope(q):
         return sign * interp(np.clip(q, -lim, lim))
 
-    for _ in range(n_steps):
-        k1 = f(x)
-        k2 = f(x + 0.5 * dt * k1)
-        k3 = f(x + 0.5 * dt * k2)
-        k4 = f(x + dt * k3)
-        x = x + dt * (k1 + 2 * k2 + 2 * k3 + k4) / 6.0
-        samples.append(x.copy())
-    return x, np.stack(samples, axis=1)
+    return rk4_steps(slope, np.array(starts, float), abs(t) / n_steps, n_steps,
+                     record_every=1)
 
 
 def gradient_flow_step(chart: MetricChart, triple: HarmonicTriple, start, axis: int,
@@ -217,10 +207,13 @@ def gradient_flow_step(chart: MetricChart, triple: HarmonicTriple, start, axis: 
     """One mean-value-perturbed leg of the gradient flow of u^axis.
 
     Checks the ball-budget precondition d(p, start) + grad_sup |t| + rho
-    < r_limit, picks the start y* among MV_SAMPLES candidates in
-    B_rho(start) scoring the flow-integrated frame-orthonormality defect,
-    then integrates dx/ds = grad u^axis over time t with an adaptive
-    solver.  Returns (y*, end); a leg with t = 0 returns (start, start).
+    < r_limit, flows the MV_SAMPLES candidates in B_rho(start) along
+    dx/ds = grad u^axis over time t as one fixed-step RK4 batch, scores
+    each path by its integrated frame-orthonormality defect and picks the
+    start y* by the mean-value rule.  The picked path is the leg: its last
+    sample is the end, and a path that reaches the usable box's edge
+    raises LeftDomain.  Returns (y*, end); a leg with t = 0 returns
+    (start, start).
     """
     start = np.asarray(start, float)
     gsup = triple.grad_sup
@@ -228,31 +221,21 @@ def gradient_flow_step(chart: MetricChart, triple: HarmonicTriple, start, axis: 
         raise ValueError("flow step violates its ball budget: "
                          f"{d_p_start:.3f} + {gsup:.3f}*{abs(t):.3f} + {rho:.3f} "
                          f">= {r_limit:.3f}")
-    defect_interp = triple.gram_defect_interp
-    n_score_steps = max(24, int(8 * abs(t) / triple.grid.h))
-    lim = triple.grid.halfwidth - 2 * triple.grid.h
-
     if abs(t) < 1e-14:
         return start.copy(), start.copy()
 
-    def score(cands):
-        _, samples = _flow_batch(triple, axis, cands, t, n_score_steps)
-        scores = segment_functional(np.clip(samples, -lim, lim), abs(t), defect_interp)
-        return np.where(scores < SCORE_FLOOR, 0.0, scores)
-
-    y_star, _ = mean_value_pick(chart, start, rho, score, MV_SAMPLES, seed,
-                                label=f"flow-{axis}")
-    sign = 1.0 if t >= 0 else -1.0
-
-    def exit_event(s, x):
-        return lim - np.max(np.abs(x))
-    exit_event.terminal = True
-
-    sol = solve_ivp(_flow_rhs(triple, axis, sign), (0.0, abs(t)), y_star,
-                    method="RK45", rtol=1e-10, atol=1e-12, events=exit_event)
-    if sol.status == 1 or not sol.success:
+    n_steps = max(24, int(8 * abs(t) / triple.grid.h))
+    lim = triple.grid.halfwidth - 2 * triple.grid.h
+    cands, has_center = mean_value_candidates(chart, start, rho, MV_SAMPLES, seed,
+                                              label=f"flow-{axis}")
+    _, samples = _flow_batch(triple, axis, cands, t, n_steps)
+    scores = segment_functional(np.clip(samples, -lim, lim), abs(t),
+                                triple.gram_defect_interp)
+    scores = np.where(scores < SCORE_FLOOR, 0.0, scores)
+    k = mean_value_rule(scores, has_center)
+    if np.max(np.abs(samples[k])) >= lim:
         raise LeftDomain(f"gradient flow exited the usable grid box (axis {axis})")
-    return y_star, sol.y[:, -1]
+    return cands[k], samples[k, -1]
 
 
 def reach_points(chart: MetricChart, triple: HarmonicTriple, targets, rho: float,

@@ -14,8 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import MetricChart
-from .grid import Grid, gradient
+from .grid import gradient
 from .harmonic import HarmonicTriple
 
 
@@ -133,22 +132,23 @@ class RelaxedScalarCertificate:
 PSI_ZERO_TOL = 1e-12
 
 
-def relaxed_scalar_certificate(chart: MetricChart, x_spec: VectorFieldSpec,
-                               grid: Grid, scal: np.ndarray,
+def relaxed_scalar_certificate(triple: HarmonicTriple, x_spec: VectorFieldSpec,
                                c_coef: float = 1.0) -> RelaxedScalarCertificate:
-    """psi := max(0, c|X|^2 + div X - R) on the grid, its L1(g) norm, and
-    the smallest radius outside which psi vanishes numerically.
+    """psi := max(0, c|X|^2 + div X - R) on the triple's grid, its L1(g)
+    norm, and the smallest radius outside which psi vanishes numerically.
 
-    scal is R at the grid nodes, as `geometry.scalar_curvature` gives it
-    (a triple keeps it as `scalar_curvature`).  For X = grad_g w the
-    divergence is the conformal Laplace-Beltrami of w,
+    Reads the triple's nodal conformal data, its R (`scalar_curvature`)
+    and volume weights; the only node where the triple's phi is imputed is
+    the puncture, where psi is set to 0.  For X = grad_g w the divergence
+    is the conformal Laplace-Beltrami of w,
     phi^-4 lap(w) + 2 phi^-5 grad(phi).grad(w), assembled in closed form.
     The c_coef knob is the constant allowed to replace |X|^2 (any c > 1/4
     works in the continuum argument; default 1).
     """
+    chart, grid = triple.chart, triple.grid
+    phi, dphi, scal = triple.phi, triple.dphi, triple.scalar_curvature
     pts = grid.points()
     rad = np.linalg.norm(pts, axis=-1)
-    phi, dphi = chart.conformal_gradient(pts)
 
     if x_spec.kind == "zero" or x_spec.amplitude == 0.0:
         xsq = np.zeros_like(scal)
@@ -168,7 +168,7 @@ def relaxed_scalar_certificate(chart: MetricChart, x_spec: VectorFieldSpec,
     if chart.singular_at_origin:
         usable &= rad > 0.5 * grid.h
         psi = np.where(usable, psi, 0.0)
-    weights = phi**6 * grid.h**3
+    weights = triple.volume_weights()
     psi_l1 = float(np.sum(psi[usable] * weights[usable]))
 
     hot = psi > PSI_ZERO_TOL

@@ -4,24 +4,24 @@ The heavy solves are session-scoped so the acceptance criteria and the
 module tests share one solve per (family, parameter, grid).
 """
 
-import numpy as np
 import pytest
 
 from afstab.geodesy import DistanceField
-from afstab.geometry import MetricChart, scalar_curvature
+from afstab.geometry import MetricChart
 from afstab.gh import ball_distance_field
-from afstab.grid import Grid
-from afstab.harmonic import build_harmonic_triple
+from afstab.grid import Grid, ScalarGridField
+from afstab.harmonic import build_harmonic_triple, triple_from_solutions
 from afstab.inequality import relaxed_scalar_certificate
 
 SWEEP_MASSES = (0.2, 0.1, 0.05, 0.025)
 
 
 def certificate(chart, x_spec, grid, **kwargs):
-    """The relaxed certificate on a grid, with R from the chart."""
-    with np.errstate(invalid="ignore"):
-        scal = scalar_curvature(chart, grid.points())
-    return relaxed_scalar_certificate(chart, x_spec, grid, scal, **kwargs)
+    """The relaxed certificate on a grid, from a triple of the coordinate
+    fields (the certificate reads no u, so nothing is solved)."""
+    coords = [ScalarGridField(grid, grid.points()[..., a].copy()) for a in range(3)]
+    triple = triple_from_solutions(chart, grid, coords)
+    return relaxed_scalar_certificate(triple, x_spec, **kwargs)
 
 
 @pytest.fixture()

@@ -4,10 +4,12 @@ Everything here recomputes reference values along a route different from
 the library code under test: symbolic differentiation, finite-difference
 stencils on metric components, separable 1D ODE reductions, and radial
 quadrature.  Where the library runs the same arithmetic in fewer or other
-calls (the stacked geodesic integrator, the active-set eikonal), the plain
-form it replaced is kept here as the bit-for-bit reference; where it
-reaches the same solution from another start (the coarse-seeded distance
-solve), the route it replaced is kept as the reference within tolerance.
+calls (the stacked geodesic integrator, the shared RK4 loop of the flows,
+the active-set eikonal), the plain form it replaced is kept here as the
+bit-for-bit reference; where it reaches the same solution from another
+start or integrator (the coarse-seeded distance solve, the fixed-step
+flow leg), the route it replaced is kept as the reference within
+tolerance.
 """
 
 import numpy as np
@@ -17,7 +19,7 @@ from scipy.integrate import quad, solve_ivp
 from scipy.sparse.csgraph import dijkstra
 from scipy.sparse.linalg import LinearOperator, cg
 
-from afstab.errors import OutOfDomain
+from afstab.errors import LeftDomain, OutOfDomain
 from afstab.geodesy import GeodesicGraph, _bvp_batch, geodesic_lengths, local_distance
 from afstab.grid import diff1, diff2
 from afstab.harmonic import LaplaceBeltrami, boundary_values
@@ -575,3 +577,60 @@ def chord_seeded_distance_batch(chart, starts, targets, n_steps=160):
     d = geodesic_lengths(chart, starts, w)
     same = np.linalg.norm(targets - starts, axis=1) < 1e-14
     return np.where(same, 0.0, d), w, res, conv | same
+
+
+# ---------------------------------------------------------------------------
+# gradient-flow legs
+
+
+def flow_batch_reference(triple, axis, starts, t, n_steps):
+    """Fixed-step RK4 flow of many seeds through the interpolated gradient,
+    with its own RK4 loop.
+
+    The reference for `gh._flow_batch`, which runs the same stages through
+    the RK4 loop it shares with the geodesics; same arguments and returns.
+    """
+    interp = triple.grad_interp[axis]
+    sign = 1.0 if t >= 0 else -1.0
+    dt = abs(t) / n_steps
+    x = np.array(starts, float, copy=True)
+    samples = [x.copy()]
+    lim = triple.grid.halfwidth - 2 * triple.grid.h
+
+    def f(q):
+        return sign * interp(np.clip(q, -lim, lim))
+
+    for _ in range(n_steps):
+        k1 = f(x)
+        k2 = f(x + 0.5 * dt * k1)
+        k3 = f(x + 0.5 * dt * k2)
+        k4 = f(x + dt * k3)
+        x = x + dt * (k1 + 2 * k2 + 2 * k3 + k4) / 6.0
+        samples.append(x.copy())
+    return x, np.stack(samples, axis=1)
+
+
+def adaptive_flow_leg(triple, axis, y_star, t):
+    """End of the flow leg of u^axis over time t from y*, by scipy's
+    adaptive RK45 (rtol 1e-10, atol 1e-12) with a terminal event at the
+    usable box's edge, which raises LeftDomain.
+
+    The reference for the leg end of `gh.gradient_flow_step`, which takes
+    it from the fixed-step RK4 path that scored the pick.
+    """
+    interp = triple.grad_interp[axis]
+    sign = 1.0 if t >= 0 else -1.0
+    lim = triple.grid.halfwidth - 2 * triple.grid.h
+
+    def rhs(s, x):
+        return sign * interp(x)
+
+    def exit_event(s, x):
+        return lim - np.max(np.abs(x))
+    exit_event.terminal = True
+
+    sol = solve_ivp(rhs, (0.0, abs(t)), y_star,
+                    method="RK45", rtol=1e-10, atol=1e-12, events=exit_event)
+    if sol.status == 1 or not sol.success:
+        raise LeftDomain(f"gradient flow exited the usable grid box (axis {axis})")
+    return sol.y[:, -1]

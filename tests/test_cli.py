@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import afstab.cli
+import afstab.geodesy
 import afstab.gh
 import afstab.harmonic
 import afstab.mass
@@ -401,8 +402,7 @@ class TestSweep:
         assert rep.psi_l1 == cert["psi_l1"]
         # the Kato check floors |grad u| where the inequality integrands do
         triple = afstab.cli._solve_triple(cfg, cfg.chart())
-        default = relaxed_scalar_certificate(triple.chart, VectorFieldSpec(),
-                                             triple.grid, triple.scalar_curvature)
+        default = relaxed_scalar_certificate(triple, VectorFieldSpec())
         assert rep.psi_l1 != default.psi_l1
         eps_grad = 1e-6 * triple.grad_sup
         assert ineq["kato"] == [
@@ -574,6 +574,25 @@ class TestSweep:
             assert manifest.data["stages"][sub] == status
 
 
+class TestScripts:
+    def test_sweep_scripts_import_from_a_checkout(self, tmp_path):
+        # with no PYTHONPATH, each script finds afstab in this checkout's src;
+        # run_path under another name imports a script without running main
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+        scripts = [os.path.join(REPO, "scripts", name)
+                   for name in ("run_schwarzschild_sweep.py", "run_bump_control.py")]
+        probe = ("import runpy, sys\n"
+                 "for path in sys.argv[1:]:\n"
+                 "    runpy.run_path(path, run_name='probe')\n"
+                 "import afstab\n"
+                 "print(afstab.__file__)\n")
+        proc = subprocess.run([sys.executable, "-c", probe, *scripts],
+                              capture_output=True, text=True, env=env, cwd=tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert (os.path.realpath(proc.stdout.strip())
+                == os.path.realpath(os.path.join(REPO, "src", "afstab", "__init__.py")))
+
+
 class TestBenchHooks:
     def test_tracer_hooks_resolve(self, monkeypatch):
         # every name the benchmark's tracer wraps must exist, and uninstall
@@ -592,10 +611,10 @@ class TestBenchHooks:
 
         try:
             tracer.install()
-            # called as gradient_flow_step calls it: the hook reads the
-            # centre argument and the picked point of the result
-            afstab.gh.mean_value_pick(chart, center, 0.5, centre_scores_high, 8, 3,
-                                      label="flow-0")
+            # the hook reads the centre argument and the picked point of the
+            # result (no stage calls mean_value_pick, so it is called here)
+            afstab.geodesy.mean_value_pick(chart, center, 0.5, centre_scores_high, 8, 3,
+                                           label="flow-0")
         finally:
             tracer.uninstall()
         assert [s[1] for s in tracer.spans] == ["geodesy.mv_pick"]

@@ -8,12 +8,14 @@ import pytest
 import afstab.cli
 import afstab.gh
 from afstab.config import config_from_dict
+from afstab.errors import LeftDomain
 from afstab.geodesy import distance_batch
 from afstab.geometry import MetricChart
-from afstab.gh import (StabilityReport, _chord_certified, _chord_lengths,
+from afstab.gh import (StabilityReport, _chord_certified, _chord_lengths, _flow_batch,
                        ball_distance_field, flow_coverage, gh_distortion,
                        gradient_flow_step, reach_point, sample_geodesic_ball)
-from afstab.harmonic import LaplaceBeltrami
+from afstab.harmonic import LaplaceBeltrami, build_harmonic_triple
+from oracles import adaptive_flow_leg, flow_batch_reference
 
 
 class TestBallSampling:
@@ -126,6 +128,47 @@ class TestFlows:
         with pytest.raises(ValueError):
             gradient_flow_step(flat_chart, flat_triple, (0.0, 0.0, 0.0), 0,
                                5.0, 1.0, seed=7, r_limit=3.0)
+
+    def test_leg_leaving_usable_box_raises(self, flat_chart, flat_triple):
+        # the flat flow of u^1 moves along e_1: from x = 18 over time 2 it
+        # crosses the usable box's edge at 20 - 2h = 18.75
+        with pytest.raises(LeftDomain):
+            gradient_flow_step(flat_chart, flat_triple, (18.0, 0.0, 0.0), 0, 2.0,
+                               0.1, seed=7, r_limit=100.0)
+
+    def test_leg_end_is_its_row_alone(self, schw_charts, schw02_triple):
+        # the leg is the picked candidate's row of the scoring batch, and a
+        # row does not depend on its batch-mates
+        triple = schw02_triple
+        for axis, t in ((0, 1.7), (2, -1.3)):
+            y, end = gradient_flow_step(schw_charts[0.2], triple, (2.3, -0.4, 0.5), axis,
+                                        t, 2.0 * triple.grid.h, seed=5, r_limit=100.0)
+            n_steps = max(24, int(8 * abs(t) / triple.grid.h))
+            alone, _ = _flow_batch(triple, axis, y[None], t, n_steps)
+            assert np.array_equal(end, alone[0]), axis
+
+    @pytest.mark.parametrize("t", [1.9, -1.4])
+    def test_flow_batch_equals_reference_loop(self, schw02_triple, t):
+        starts = 2.0 + np.random.default_rng(4).uniform(-1.5, 1.5, size=(9, 3))
+        for axis in range(3):
+            got = _flow_batch(schw02_triple, axis, starts, t, 37)
+            ref = flow_batch_reference(schw02_triple, axis, starts, t, 37)
+            assert np.array_equal(got[0], ref[0]) and np.array_equal(got[1], ref[1])
+
+    @pytest.mark.parametrize("nodes", [33, 65])
+    def test_leg_ends_match_adaptive_oracle(self, schw_charts, schw02_triple, small_grid,
+                                            nodes):
+        # fixed-step RK4 against adaptive RK45 from the same y*: the largest
+        # gap measured on these legs is 7.5e-6 (N=65), and 1.6e-5 (N=33)
+        # on criterion 10's twenty m = 0.2 targets
+        chart = schw_charts[0.2]
+        triple = (schw02_triple if nodes == 65
+                  else build_harmonic_triple(chart, small_grid))
+        traces, _ = flow_coverage(chart, triple, 2.0, 5, seed=10)
+        for trace in traces:
+            for axis, t in enumerate(trace.times):
+                ref = adaptive_flow_leg(triple, axis, np.array(trace.picked[axis]), t)
+                assert np.max(np.abs(np.array(trace.segment_ends[axis]) - ref)) < 3e-5
 
     def test_flat_reach_point(self, flat_chart, flat_triple):
         trace = reach_point(flat_chart, flat_triple, (1.0, -0.5, 2.0), 1.25, seed=8)

@@ -38,12 +38,12 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sps
-from scipy.interpolate import RegularGridInterpolator
 from scipy.sparse.csgraph import dijkstra
 
 from .errors import (AfstabError, EmptySample, NoConvergence, NoCrossing,
                      OutOfDomain)
 from .geometry import MetricChart
+from .grid import Trilinear
 from .harmonic import HarmonicTriple
 from .seeding import rng_for
 
@@ -787,6 +787,6 @@ class DistanceField:
         return Tp.reshape(m, m, m)[1:-1, 1:-1, 1:-1].copy()
 
     def at(self, pts):
-        interp = RegularGridInterpolator(self.axes, self.T, method="linear",
-                                         bounds_error=False, fill_value=np.inf)
-        return interp(np.asarray(pts, float))
+        """T trilinearly interpolated at points (..., 3); inf outside the
+        field's box."""
+        return Trilinear(self.axes, self.T, outside=np.inf)(pts)

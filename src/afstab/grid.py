@@ -4,7 +4,6 @@ import struct
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import RegularGridInterpolator
 
 from .errors import BadFieldDump
 from .reporting import write_json
@@ -67,12 +66,87 @@ class ScalarGridField:
             raise ValueError("grid field contains non-finite values")
 
 
-def interpolator(grid: Grid, values: np.ndarray):
-    """Trilinear interpolator of nodal values (N, N, N, ...) on the grid;
-    points outside the box raise ValueError."""
+# points per chunk of a Trilinear call
+CHUNK = 4096
+
+
+class Trilinear:
+    """Trilinear interpolation of nodal values on N^3 nodes, bit for bit
+    the "linear" method of scipy's regular-grid interpolator (the reference
+    is tests/oracles.py::rgi_reference).
+
+    axes: the node coordinates of each axis, three ascending arrays of
+    length N; values: (N, N, N) or (N, N, N, 3), read through a flat view
+    (a C-contiguous array is not copied).  Points (..., 3) give
+    (...) + values.shape[3:], and one point (3,) gives
+    (1,) + values.shape[3:].
+
+    A point is inside when each coordinate lies between the end nodes of
+    its axis, or within box = (lo, hi) when that is wider: a grid's last
+    node can fall a rounding error short of its halfwidth, and a point
+    clipped to the box then extrapolates the last cell.  With outside=None
+    a point not inside, or with a NaN coordinate, raises ValueError;
+    otherwise it reads `outside`, and a NaN point reads NaN.
+    """
+
+    def __init__(self, axes, values: np.ndarray, outside=None, box=None):
+        nodes = np.array(axes, dtype=float)                  # (3, N)
+        n = nodes.shape[1]
+        if nodes.shape[0] != 3 or values.shape[:3] != (n, n, n):
+            raise ValueError(f"values {values.shape} do not fit axes {nodes.shape}")
+        self.inner = tuple(ax[1:-1] for ax in nodes)
+        self.nodes = nodes.ravel()
+        self.rows = n * np.arange(3)[:, None]                # axis a starts at a N
+        self.lo, self.hi = nodes[:, :1], nodes[:, -1:]
+        if box is not None:
+            self.lo = np.minimum(self.lo, box[0])
+            self.hi = np.maximum(self.hi, box[1])
+        self.n = n
+        self.tail = values.shape[3:]
+        self.flat = values.reshape((-1,) + self.tail)
+        # flat offsets of the 8 cell corners, x slowest and z fastest
+        self.corners = np.array([[(dx * n + dy) * n + dz] for dx in (0, 1)
+                                 for dy in (0, 1) for dz in (0, 1)])
+        self.outside = outside
+
+    def __call__(self, pts) -> np.ndarray:
+        p = np.asarray(pts, dtype=float)
+        if p.shape[-1:] != (3,):
+            raise ValueError(f"points of shape {p.shape} are not 3-vectors")
+        shape = p.shape[:-1] if p.ndim > 1 else (1,)
+        pt = np.ascontiguousarray(p.reshape(-1, 3).T)
+        if self.outside is None and not np.all((self.lo <= pt) & (pt <= self.hi)):
+            raise ValueError("a point lies outside the interpolation box")
+        # in chunks, so a call on every node of a grid keeps its transients
+        # small (no points make one empty chunk)
+        out = np.concatenate([self._cells(pt[:, s:s + CHUNK])
+                              for s in range(0, max(pt.shape[1], 1), CHUNK)])
+        if self.outside is not None:
+            out[((pt < self.lo) | (pt > self.hi)).any(axis=0)] = self.outside
+            out[np.isnan(pt).any(axis=0)] = np.nan
+        return out.reshape(shape + self.tail)
+
+    def _cells(self, pt):
+        # cell i = clip(searchsorted(ax, p, "right") - 1, 0, N - 2), found
+        # directly among the inner nodes; t = (p - ax[i]) / (ax[i+1] - ax[i])
+        i = np.array([ax.searchsorted(q, "right") for ax, q in zip(self.inner, pt)])
+        j = i + self.rows
+        x0 = self.nodes.take(j)
+        t = (pt - x0) / (self.nodes.take(j + 1) - x0)
+        w = np.array([1.0 - t, t])                           # (2, 3, m)
+        wxy = w[:, 0, None] * w[None, :, 1]                  # (2, 2, m)
+        weights = (wxy[:, :, None] * w[:, 2]).reshape((8, -1) + (1,) * len(self.tail))
+        base = (i[0] * self.n + i[1]) * self.n + i[2]
+        terms = self.flat.take(self.corners + base, axis=0) * weights
+        # corner by corner, left to right from 0.0 (so -0.0 reads +0.0)
+        return sum(terms, 0.0)
+
+
+def interpolator(grid: Grid, values: np.ndarray) -> Trilinear:
+    """Trilinear interpolator of nodal values (N, N, N[, 3]) on the grid;
+    points outside the box [-halfwidth, halfwidth]^3 raise ValueError."""
     ax = grid.axis
-    return RegularGridInterpolator((ax, ax, ax), values, method="linear",
-                                   bounds_error=True)
+    return Trilinear((ax, ax, ax), values, box=(-grid.halfwidth, grid.halfwidth))
 
 
 # ---------------------------------------------------------------------------

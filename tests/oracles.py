@@ -5,17 +5,18 @@ the library code under test: symbolic differentiation, finite-difference
 stencils on metric components, separable 1D ODE reductions, and radial
 quadrature.  Where the library runs the same arithmetic in fewer or other
 calls (the stacked geodesic integrator, the shared RK4 loop of the flows,
-the active-set eikonal), the plain form it replaced is kept here as the
-bit-for-bit reference; where it reaches the same solution from another
-start or integrator (the coarse-seeded distance solve, the fixed-step
-flow leg), the route it replaced is kept as the reference within
-tolerance.
+the active-set eikonal, the trilinear interpolator), the plain form it
+replaced is kept here as the bit-for-bit reference; where it reaches the
+same solution from another start or integrator (the coarse-seeded
+distance solve, the fixed-step flow leg), the route it replaced is kept
+as the reference within tolerance.
 """
 
 import numpy as np
 import scipy.sparse as sps
 import sympy as sp
 from scipy.integrate import quad, solve_ivp
+from scipy.interpolate import RegularGridInterpolator
 from scipy.sparse.csgraph import dijkstra
 from scipy.sparse.linalg import LinearOperator, cg
 
@@ -23,6 +24,20 @@ from afstab.errors import LeftDomain, OutOfDomain
 from afstab.geodesy import GeodesicGraph, _bvp_batch, geodesic_lengths, local_distance
 from afstab.grid import diff1, diff2
 from afstab.harmonic import LaplaceBeltrami, boundary_values
+
+
+# ---------------------------------------------------------------------------
+# trilinear interpolation
+
+
+def rgi_reference(axes, values, outside=None):
+    """scipy's linear regular-grid interpolator, as afstab used it before
+    afstab.grid.Trilinear: with outside=None points off the nodes' box
+    raise ValueError, otherwise they read `outside`."""
+    if outside is None:
+        return RegularGridInterpolator(axes, values, method="linear", bounds_error=True)
+    return RegularGridInterpolator(axes, values, method="linear", bounds_error=False,
+                                   fill_value=outside)
 
 
 # ---------------------------------------------------------------------------

@@ -593,6 +593,21 @@ class TestScripts:
                 == os.path.realpath(os.path.join(REPO, "src", "afstab", "__init__.py")))
 
 
+class TestImports:
+    def test_cli_loads_no_interpolate_or_optimize(self):
+        # set-up cost: scipy.interpolate, and scipy.optimize under it, took
+        # about 0.2 s and 16 MiB in every process, and afstab needs neither
+        probe = ("import sys\n"
+                 "import afstab.cli\n"
+                 "print(' '.join(sorted(m for m in sys.modules\n"
+                 "      if m.startswith(('scipy.interpolate', 'scipy.optimize')))))\n")
+        env = dict(os.environ, PYTHONPATH=os.path.join(REPO, "src"))
+        proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                              text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == ""
+
+
 class TestBenchHooks:
     def test_tracer_hooks_resolve(self, monkeypatch):
         # every name the benchmark's tracer wraps must exist, and uninstall

@@ -440,6 +440,16 @@ class TestDistanceField:
         assert field.sweeps == sweeps == max_sweeps
 
 
+    def test_at_reads_nodes_inf_outside_nan_for_nan(self, flat_field_81):
+        field = flat_field_81
+        idx = np.array([[0, 0, 0], [80, 80, 80], [40, 3, 77], [12, 40, 40]])
+        nodes = np.stack([field.axes[a][idx[:, a]] for a in range(3)], axis=-1)
+        assert np.array_equal(field.at(nodes), field.T[tuple(idx.T)])
+        outside = nodes[1] + [1e-9, 0.0, 0.0]
+        got = field.at([outside, [2.0, 7.5, 0.0], [2.0, 0.0, 0.0], [np.nan, 0.0, 0.0]])
+        assert np.isinf(got[:2]).all() and got[2] == 0.0 and np.isnan(got[3])
+
+
 class TestBishopGromov:
     def test_flat_kappa_zero_limit(self, flat_field_81):
         radii = [1.5, 2.0, 3.0, 4.0]

@@ -8,8 +8,10 @@ from hypothesis import strategies as st
 from afstab.cli import run
 from afstab.config import config_from_dict
 from afstab.errors import BadFieldDump
-from afstab.grid import (Grid, ScalarGridField, diff1, diff2, gradient, read_field,
-                         write_field)
+from afstab.grid import (Grid, ScalarGridField, Trilinear, diff1, diff2, gradient,
+                         interpolator, read_field, write_field)
+
+from oracles import rgi_reference
 
 
 class TestGrid:
@@ -79,6 +81,99 @@ class TestStencils:
             errs.append(max(err1.max(), err2.max()))
         order = np.log2(errs[0] / errs[1])
         assert order > 1.7
+
+
+def bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+class TestTrilinear:
+    """Trilinear against scipy's interpolator, bit for bit, on a 17^3 grid."""
+
+    GRID = Grid(halfwidth=4.0, nodes=17)
+
+    @classmethod
+    def probes(cls):
+        """Random points, every node, points on the box faces and the corners."""
+        hw = cls.GRID.halfwidth
+        rng = np.random.default_rng(11)
+        faces = rng.uniform(-hw, hw, size=(6, 40, 3))
+        for k, (a, side) in enumerate((a, s) for a in range(3) for s in (-hw, hw)):
+            faces[k, :, a] = side
+        corners = np.array([[x, y, z] for x in (-hw, hw) for y in (-hw, hw)
+                            for z in (-hw, hw)])
+        return np.concatenate([rng.uniform(-hw, hw, size=(500, 3)),
+                               cls.GRID.points().reshape(-1, 3),
+                               faces.reshape(-1, 3), corners])
+
+    @pytest.fixture(params=[(), (3,)], ids=["scalar", "vector"])
+    def values(self, request):
+        shape = (self.GRID.nodes,) * 3 + request.param
+        return np.random.default_rng(5).normal(size=shape)
+
+    def test_bounded_matches_reference(self, values):
+        ax = self.GRID.axis
+        mine = interpolator(self.GRID, values)
+        ref = rgi_reference((ax, ax, ax), values)
+        pts = self.probes()
+        for shaped in (pts, pts[7], pts[:20].reshape(4, 5, 3), pts[:0]):
+            got, want = mine(shaped), ref(shaped)
+            assert got.shape == want.shape
+            assert np.array_equal(bits(got), bits(want))
+
+    def test_outside_value_on_offset_axes(self, values):
+        # per-axis offset axes, as a DistanceField has, with an inf fill
+        center = np.array([2.0, 0.3, -0.7])
+        axes = tuple(c + 0.5 * self.GRID.axis for c in center)
+        mine = Trilinear(axes, values, outside=np.inf)
+        ref = rgi_reference(axes, values, outside=np.inf)
+        inside = center + 0.5 * self.probes()      # its nodes, faces and corners
+        pts = np.concatenate([inside, inside + 1.0])
+        got, want = mine(pts), ref(pts)
+        assert np.isinf(got).any() and np.isfinite(got).any()
+        assert np.array_equal(bits(got), bits(want))
+
+    def test_nan_points(self, values):
+        ax = self.GRID.axis
+        pts = np.array([[0.5, np.nan, 0.0], [0.5, 0.25, 0.0], [np.nan] * 3])
+        for f in (interpolator(self.GRID, values), rgi_reference((ax, ax, ax), values)):
+            with pytest.raises(ValueError):
+                f(pts)
+        mine = Trilinear((ax, ax, ax), values, outside=np.inf)
+        got = mine(pts)
+        want = rgi_reference((ax, ax, ax), values, outside=np.inf)(pts)
+        assert np.isnan(got[[0, 2]]).all() and not np.isnan(got[1]).any()
+        assert np.array_equal(bits(got), bits(want))
+
+    def test_zero_sum_is_positive_zero(self):
+        ax = self.GRID.axis
+        zeros = np.full((self.GRID.nodes,) * 3, -0.0)
+        pts = self.probes()[:50]
+        got = interpolator(self.GRID, zeros)(pts)
+        assert np.array_equal(bits(got), bits(rgi_reference((ax, ax, ax), zeros)(pts)))
+        assert not np.signbit(got).any()
+
+    def test_values_read_through_a_view(self, values):
+        assert np.shares_memory(interpolator(self.GRID, values).flat, values)
+
+    def test_outside_box_raises(self, values):
+        f = interpolator(self.GRID, values)
+        for bad in ([4.0 + 1e-9, 0.0, 0.0], [[0.0, -4.5, 0.0]], [[0.0, 0.0, 1e300]]):
+            with pytest.raises(ValueError):
+                f(np.array(bad))
+        with pytest.raises(ValueError):
+            f(np.zeros((2, 4)))
+
+    def test_box_edge_short_of_last_node(self):
+        # Grid(15, 23)'s last node is 3.6e-15 short of +15: a point clipped
+        # to the box lies past it, and takes the last cell
+        g = Grid(halfwidth=15.0, nodes=23)
+        assert g.axis[-1] < 15.0
+        f = interpolator(g, g.points()[..., 0] + 2.0 * g.points()[..., 1])
+        edge = np.clip([[16.0, 0.5, 0.0], [-16.0, 16.0, 0.0]], -15.0, 15.0)
+        assert np.allclose(f(edge), [16.0, 15.0], rtol=0, atol=1e-12)
+        with pytest.raises(ValueError):
+            f(np.array([15.0 + 1e-9, 0.0, 0.0]))
 
 
 class TestBinaryFormat:

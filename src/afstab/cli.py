@@ -24,7 +24,7 @@ from .geometry import VolumeSampling, certify_hypotheses
 from .gh import (StabilityReport, ball_distance_field, flow_coverage, gh_distortion,
                  sample_geodesic_ball)
 from .grid import read_field, write_field
-from .harmonic import build_harmonic_triple, cheng_yau_ratio, triple_from_solutions
+from .harmonic import build_harmonic_triple, cheng_yau_ratios, triple_from_solutions
 from .inequality import (EPS_GRAD_FACTOR, VectorFieldSpec, mass_inequality_rhs,
                          refined_kato_check, relaxed_scalar_certificate)
 from .mass import adm_mass, scalar_curvature_l1
@@ -145,7 +145,7 @@ def _hypotheses(ctx: RunContext):
 def _harmonic(ctx: RunContext):
     """The triple and its Cheng-Yau ratio per axis."""
     triple, r = ctx.triple, ctx.cfg.sampling.ball_radius
-    return (triple, [cheng_yau_ratio(triple, i, r) for i in range(3)]), True
+    return (triple, cheng_yau_ratios(triple, r)), True
 
 
 def _inequality(ctx: RunContext):

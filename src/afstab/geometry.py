@@ -41,12 +41,19 @@ def _as_points(x):
     return pts
 
 
-def _monopole(pts, r2, a):
-    """phi = 1 + a/|x| and grad phi from the points and their |x|^2, with
-    1/|x|^3; the seeds are the scalars 1 and 0 the other terms add to."""
+def _monopole(pts, r2, a, order):
+    """phi = 1 + a/|x| and (unless order is 0, then None) grad phi from the
+    points and their |x|^2, with 1/|x|^3; the seeds are the scalars 1 and 0
+    the other terms add to."""
     inv_r = 1.0 / np.sqrt(r2)
+    phi = 1.0 + a * inv_r
+    if order == 0:
+        return phi, None, None
     inv_r3 = inv_r / r2
-    return 1.0 + a * inv_r, 0.0 - a * pts * inv_r3[..., None], inv_r3
+    # 0 - (a x) / |x|^3, each step in place
+    grad = np.multiply(pts, a)
+    grad *= inv_r3[..., None]
+    return phi, np.subtract(0.0, grad, out=grad), inv_r3
 
 
 @dataclass(frozen=True)
@@ -57,19 +64,22 @@ class Bump:
     center: tuple
     width: float
 
-    def value_grad_hess(self, pts, hessian: bool = True):
-        """Bump value, gradient and (unless hessian is False, then None) Hessian."""
+    def value_grad_hess(self, pts, order: int = 2):
+        """Bump value, then its gradient and Hessian up to derivative order
+        `order` (0, 1 or 2), None above it."""
         d = pts - np.asarray(self.center, dtype=float)
         q = np.einsum("...a,...a->...", d, d) / self.width**2
         inside = q < 1.0 - 1e-12
         qs = np.where(inside, q, 0.0)
         one_m = 1.0 - qs
         base = np.where(inside, self.amplitude * np.exp(1.0 - 1.0 / one_m), 0.0)
+        if order == 0:
+            return base, None, None
         # dB/dq and d2B/dq2 of B(q) = amp * exp(1 - 1/(1-q))
         bq = np.where(inside, -base / one_m**2, 0.0)
         dq = 2.0 * d / self.width**2              # (..., 3)
         grad = bq[..., None] * dq
-        if not hessian:
+        if order == 1:
             return base, grad, None
         bqq = np.where(inside, base / one_m**4 - 2.0 * base / one_m**3, 0.0)
         ddq = (2.0 / self.width**2) * np.eye(3)    # constant (3, 3)
@@ -142,7 +152,7 @@ class MetricChart:
 
     def conformal_terms(self, x):
         """phi, grad phi, hess phi at points x, shape (...,), (..., 3), (..., 3, 3)."""
-        return self._conformal(x, hessian=True)
+        return self._conformal(x, order=2)
 
     def conformal_gradient(self, x):
         """phi and grad phi at points x, bit-identical to conformal_terms.
@@ -150,21 +160,27 @@ class MetricChart:
         The geodesic equation and the distance quadratures read no second
         derivatives, so they skip the Hessian and its per-call identity.
         """
-        phi, grad, _ = self._conformal(x, hessian=False)
+        phi, grad, _ = self._conformal(x, order=1)
         return phi, grad
 
-    def _conformal(self, x, hessian):
+    def conformal_factor(self, x):
+        """phi at points x, bit-identical to conformal_gradient; no
+        derivative is formed."""
+        return self._conformal(x, order=0)[0]
+
+    def _conformal(self, x, order):
+        """phi and its derivatives up to `order` (0, 1 or 2), None above it."""
         pts = _as_points(x)
-        hess = np.zeros(pts.shape + (3,)) if hessian else None
+        hess = np.zeros(pts.shape + (3,)) if order == 2 else None
         a = self.monopole_amplitude
         if a == 0.0:
             phi = np.ones(pts.shape[:-1])
-            grad = np.zeros(pts.shape)
+            grad = np.zeros(pts.shape) if order >= 1 else None
         else:
             r2 = np.einsum("...a,...a->...", pts, pts)
             with np.errstate(divide="ignore", invalid="ignore"):
-                phi, grad, inv_r3 = _monopole(pts, r2, a)
-                if hessian:
+                phi, grad, inv_r3 = _monopole(pts, r2, a, order)
+                if order == 2:
                     inv_r5 = inv_r3 / r2
                     hess = hess + a * (3.0 * pts[..., :, None] * pts[..., None, :]
                                        * inv_r5[..., None, None]
@@ -176,21 +192,20 @@ class MetricChart:
                 q = np.einsum("...a,...a->...", d, d) / width**2
                 val = amp * np.exp(-q)
                 phi = phi + val
-                grad = grad + val[..., None] * (-2.0 * d / width**2)
-                if hessian:
+                if order >= 1:
+                    grad = grad + val[..., None] * (-2.0 * d / width**2)
+                if order == 2:
                     hess = hess + val[..., None, None] * (
                         4.0 * d[..., :, None] * d[..., None, :] / width**4
                         - 2.0 * np.eye(3) / width**2)
             else:
-                v, gr, he = term[1].value_grad_hess(pts, hessian=hessian)
+                v, gr, he = term[1].value_grad_hess(pts, order=order)
                 phi = phi + v
-                grad = grad + gr
-                if hessian:
+                if order >= 1:
+                    grad = grad + gr
+                if order == 2:
                     hess = hess + he
         return phi, grad, hess
-
-    def conformal_factor(self, x):
-        return self.conformal_gradient(x)[0]
 
     # -- domain ----------------------------------------------------------
 
@@ -246,7 +261,7 @@ class MetricChart:
                 x[bad, 0] += 1e-9
                 r2 = np.einsum("...a,...a->...", x, x)
         if a != 0.0 and not self.bumps:
-            phi, dphi, _ = _monopole(x, r2, a)
+            phi, dphi, _ = _monopole(x, r2, a, 1)
         else:
             phi, dphi = self.conformal_gradient(x)
         w = dphi / phi[..., None]

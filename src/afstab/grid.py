@@ -42,8 +42,19 @@ class Grid:
     def points(self) -> np.ndarray:
         """All node coordinates, shape (N, N, N, 3) indexed [ix, iy, iz]."""
         ax = self.axis
-        X, Y, Z = np.meshgrid(ax, ax, ax, indexing="ij")
-        return np.stack([X, Y, Z], axis=-1)
+        return lattice(ax, ax, ax)
+
+    def x_slab(self, i: int) -> np.ndarray:
+        """The node coordinates of x-slab i, points()[i], shape (N, N, 3)."""
+        ax = self.axis
+        return lattice(ax[i:i + 1], ax, ax)[0]
+
+    def radii(self, center=(0.0, 0.0, 0.0)) -> np.ndarray:
+        """|x - center| at every node, shape (N, N, N), bit for bit
+        np.linalg.norm(points() - center, axis=-1), without the points."""
+        sq = [(self.axis - c) ** 2 for c in center]
+        r = sq[0][:, None, None] + sq[1][:, None] + sq[2]
+        return np.sqrt(r, out=r)
 
     def margin_mask(self, width: int = 2) -> np.ndarray:
         """Nodes within `width` cells of the box boundary."""
@@ -51,6 +62,16 @@ class Grid:
         s = slice(width, self.nodes - width)
         m[s, s, s] = False
         return m
+
+
+def lattice(x, y, z) -> np.ndarray:
+    """The points of the tensor lattice of three coordinate arrays, shape
+    (len(x), len(y), len(z), 3) indexed [ix, iy, iz], filled in place."""
+    pts = np.empty((len(x), len(y), len(z), 3))
+    pts[..., 0] = x[:, None, None]
+    pts[..., 1] = y[:, None]
+    pts[..., 2] = z
+    return pts
 
 
 @dataclass
@@ -155,35 +176,55 @@ def interpolator(grid: Grid, values: np.ndarray) -> Trilinear:
 # operator is its own face-flux stencil (harmonic.LaplaceBeltrami)
 
 
-def diff1(values: np.ndarray, h: float, axis: int) -> np.ndarray:
+def diff1(values: np.ndarray, h: float, axis: int, out=None) -> np.ndarray:
     """First derivative: 4th-order centered, degrading to 2nd order in the
-    two-cell margin (centered at depth 1, one-sided on the faces)."""
+    two-cell margin (centered at depth 1, one-sided on the faces).  Written
+    into `out` (any (N, N, N) view, e.g. one partial of a gradient) when
+    given, else into a new array."""
     v = np.moveaxis(values, axis, 0)
-    out = np.empty_like(v)
-    out[2:-2] = (v[:-4] - 8.0 * v[1:-3] + 8.0 * v[3:-1] - v[4:]) / (12.0 * h)
-    out[1] = (v[2] - v[0]) / (2.0 * h)
-    out[-2] = (v[-1] - v[-3]) / (2.0 * h)
-    out[0] = (-3.0 * v[0] + 4.0 * v[1] - v[2]) / (2.0 * h)
-    out[-1] = (3.0 * v[-1] - 4.0 * v[-2] + v[-3]) / (2.0 * h)
-    return np.moveaxis(out, 0, axis)
+    if out is None:
+        out = np.empty_like(values)
+    o = np.moveaxis(out, axis, 0)
+    # (v0 - 8 v1 + 8 v3 - v4) / 12h, left to right, on two scratch arrays
+    t = np.multiply(v[1:-3], 8.0)
+    np.subtract(v[:-4], t, out=t)
+    t += np.multiply(v[3:-1], 8.0)
+    t -= v[4:]
+    np.divide(t, 12.0 * h, out=o[2:-2])
+    o[1] = (v[2] - v[0]) / (2.0 * h)
+    o[-2] = (v[-1] - v[-3]) / (2.0 * h)
+    o[0] = (-3.0 * v[0] + 4.0 * v[1] - v[2]) / (2.0 * h)
+    o[-1] = (3.0 * v[-1] - 4.0 * v[-2] + v[-3]) / (2.0 * h)
+    return out
 
 
 def diff2(values: np.ndarray, h: float, axis: int) -> np.ndarray:
     """Pure second derivative with the same interior/margin orders as diff1."""
     v = np.moveaxis(values, axis, 0)
-    out = np.empty_like(v)
-    out[2:-2] = (-v[:-4] + 16.0 * v[1:-3] - 30.0 * v[2:-2]
-                 + 16.0 * v[3:-1] - v[4:]) / (12.0 * h**2)
-    out[1] = (v[0] - 2.0 * v[1] + v[2]) / h**2
-    out[-2] = (v[-3] - 2.0 * v[-2] + v[-1]) / h**2
-    out[0] = (2.0 * v[0] - 5.0 * v[1] + 4.0 * v[2] - v[3]) / h**2
-    out[-1] = (2.0 * v[-1] - 5.0 * v[-2] + 4.0 * v[-3] - v[-4]) / h**2
-    return np.moveaxis(out, 0, axis)
+    out = np.empty_like(values)
+    o = np.moveaxis(out, axis, 0)
+    # (-v0 + 16 v1 - 30 v2 + 16 v3 - v4) / 12h^2, left to right, in o
+    inner = np.negative(v[:-4], out=o[2:-2])
+    t = np.multiply(v[1:-3], 16.0)
+    inner += t
+    inner -= np.multiply(v[2:-2], 30.0, out=t)
+    inner += np.multiply(v[3:-1], 16.0, out=t)
+    inner -= v[4:]
+    inner /= 12.0 * h**2
+    o[1] = (v[0] - 2.0 * v[1] + v[2]) / h**2
+    o[-2] = (v[-3] - 2.0 * v[-2] + v[-1]) / h**2
+    o[0] = (2.0 * v[0] - 5.0 * v[1] + 4.0 * v[2] - v[3]) / h**2
+    o[-1] = (2.0 * v[-1] - 5.0 * v[-2] + 4.0 * v[-3] - v[-4]) / h**2
+    return out
 
 
 def gradient(values: np.ndarray, h: float) -> np.ndarray:
-    """Coordinate partials d_a u, shape (N, N, N, 3)."""
-    return np.stack([diff1(values, h, a) for a in range(3)], axis=-1)
+    """Coordinate partials d_a u, shape (N, N, N, 3), each partial written
+    straight into its slot."""
+    out = np.empty(values.shape + (3,))
+    for a in range(3):
+        diff1(values, h, a, out=out[..., a])
+    return out
 
 
 # ---------------------------------------------------------------------------

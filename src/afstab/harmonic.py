@@ -11,6 +11,19 @@ pays only for what it reads: only the mass inequality and the Pythagorean
 scoring read |Hess u|_g^2.  No derived field builds a whole-grid 3x3 tensor:
 |Hess u|_g^2 is summed entry by entry, and R is taken slab by slab.
 
+Each whole-grid quantity is built once per triple, in place where it can
+be.  The node coordinates are built once, for the nodal phi and grad phi
+(nodal_conformal); R, the boundary data, the Cheng-Yau balls and the
+certificate's radii come from the grid axis without them.  The operator
+builds the face coefficients from phi alone and, on the first corrected
+axis, the boundary factor 1 - a/|x| from one monopole fit, which the
+three axes share.  The triple shares w = grad phi / phi and phi^8 across
+the axes' |Hess u|_g^2, whose entries and the gradient's partials are
+written into their arrays in the operation order of the one-expression
+forms (tests/oracles.py keeps those as the references).  |grad u|_g is
+not kept (three more nodal fields): grad_norms() hands the three to a
+stage and fixes grad_sup from them.
+
 The discretization is the conservative second-order scheme for
 u -> (1/sqrt(det g)) d_a (sqrt(det g) g^ab d_b u) with coefficients
 evaluated at cell-face midpoints.  Every family in the corpus is
@@ -38,7 +51,7 @@ from scipy.sparse.linalg import LinearOperator, cg
 
 from .errors import MismatchedChart, SolverDiverged
 from .geometry import MetricChart, scalar_curvature
-from .grid import Grid, ScalarGridField, diff1, diff2, gradient, interpolator
+from .grid import Grid, ScalarGridField, diff1, diff2, gradient, interpolator, lattice
 from .mass import sphere_rule
 
 # No solver reads pyamg; only bench/worker.py's environment() does (and
@@ -72,8 +85,9 @@ class LaplaceBeltrami:
 
     Face coefficient arrays kx, ky, kz hold sqrt(det g) g^aa at the
     midpoints of the faces normal to each axis; weight holds the nodal
-    sqrt(det g), and phi, dphi, singular_node those of nodal_conformal,
-    which the triple builder reuses.  One face-flux stencil encodes the
+    sqrt(det g) (built on first read), and phi, dphi, singular_node those
+    of nodal_conformal, which the triple builder reuses; boundary_values()
+    gives each axis's Dirichlet data.  One face-flux stencil encodes the
     operator: apply() scales it to the full operator at the interior
     nodes, interior_system() negates it into the SPD interior operator and
     its Dirichlet lift, and poisson_preconditioner() is the fast-Poisson
@@ -91,18 +105,17 @@ class LaplaceBeltrami:
         def face_phi2(a):
             axes = [ax, ax, ax]
             axes[a] = mid
-            X, Y, Z = np.meshgrid(*axes, indexing="ij")
-            pts = np.stack([X, Y, Z], axis=-1)
-            return chart.conformal_factor(pts) ** 2
+            phi = chart.conformal_factor(lattice(*axes))
+            return np.square(phi, out=phi)
 
         self.kx = face_phi2(0)   # (N-1, N, N)
         self.ky = face_phi2(1)
         self.kz = face_phi2(2)
         self.phi, self.dphi, self.singular_node = nodal_conformal(chart, grid)
-        self.weight = self.phi**6
         self.h = grid.h
         self._system = None
         self._preconditioner = None
+        self._correction = None
 
     @staticmethod
     def _flux_divergence(kx, ky, kz, values: np.ndarray) -> np.ndarray:
@@ -117,6 +130,12 @@ class LaplaceBeltrami:
         out += flux_y[:, 1:] - flux_y[:, :-1]
         out += flux_z[:, :, 1:] - flux_z[:, :, :-1]
         return out
+
+    @cached_property
+    def weight(self) -> np.ndarray:
+        """Nodal sqrt(det g) = phi^6, built on the first apply(): the solves
+        do not read it, so it is not alive while they run."""
+        return self.phi**6
 
     def apply(self, values: np.ndarray) -> np.ndarray:
         """Operator applied to nodal values; zero on the boundary ring."""
@@ -158,6 +177,34 @@ class LaplaceBeltrami:
             self._system = A, lift
         return self._system
 
+    def boundary_values(self, axis: int, bc: str) -> np.ndarray:
+        """Dirichlet data for one axis on the whole node array (only the
+        boundary ring is used; the interior starts the solve).
+
+        plain:      u = x^axis
+        corrected:  u = x^axis (1 - a/|x|) with a the fitted monopole of
+                    phi, which matches the next order of the far-field
+                    expansion of the harmonic coordinate and shrinks the
+                    truncation error.
+
+        The factor (1 - a/|x|) is built on the first corrected call, from
+        one monopole fit and the node radii; later calls, the three axes of
+        a triple, share it.
+        """
+        shape = [1, 1, 1]
+        shape[axis] = self.grid.nodes
+        lin = self.grid.axis.reshape(shape)
+        if bc == "plain":
+            return np.broadcast_to(lin, (self.grid.nodes,) * 3).copy()
+        if bc != "corrected":
+            raise ValueError(f"unknown boundary policy {bc!r}")
+        if self._correction is None:
+            a = fit_monopole(self.chart, self.grid.halfwidth)
+            factor = np.maximum(self.grid.radii(), 1e-300)
+            np.divide(a, factor, out=factor)
+            self._correction = np.subtract(1.0, factor, out=factor)
+        return lin * self._correction
+
     def poisson_preconditioner(self) -> LinearOperator:
         """M^-1 v = Phi^-1 L^-1 Phi^-1 v over the interior nodes.
 
@@ -194,25 +241,6 @@ def fit_monopole(chart: MetricChart, radius: float) -> float:
     return radius * (mean - 1.0)
 
 
-def boundary_values(chart: MetricChart, grid: Grid, axis: int, bc: str) -> np.ndarray:
-    """Dirichlet data on the whole node array (only the boundary ring is used).
-
-    plain:      u = x^axis
-    corrected:  u = x^axis (1 - a/|x|) with a the fitted monopole of phi,
-                which matches the next order of the far-field expansion of
-                the harmonic coordinate and shrinks the truncation error.
-    """
-    pts = grid.points()
-    lin = pts[..., axis]
-    if bc == "plain":
-        return lin.copy()
-    if bc == "corrected":
-        a = fit_monopole(chart, grid.halfwidth)
-        r = np.maximum(np.linalg.norm(pts, axis=-1), 1e-300)
-        return lin * (1.0 - a / r)
-    raise ValueError(f"unknown boundary policy {bc!r}")
-
-
 def solve_harmonic_coordinate(chart: MetricChart, grid: Grid, axis: int,
                               bc: str = "corrected", tol: float = 1e-11,
                               max_iter: int = 20000,
@@ -230,14 +258,13 @@ def solve_harmonic_coordinate(chart: MetricChart, grid: Grid, axis: int,
     N = grid.nodes
     n = N - 2
     A, lift = op.interior_system()
-    ub = boundary_values(chart, grid, axis, bc)
-    x0 = ub[1:-1, 1:-1, 1:-1].ravel().copy()
-    sol, info = cg(A, lift(ub), x0=x0, rtol=tol, atol=0.0, maxiter=max_iter,
+    values = op.boundary_values(axis, bc)
+    x0 = values[1:-1, 1:-1, 1:-1].ravel().copy()
+    sol, info = cg(A, lift(values), x0=x0, rtol=tol, atol=0.0, maxiter=max_iter,
                    M=op.poisson_preconditioner())
     if info != 0:
         raise SolverDiverged(f"conjugate gradients returned info={info} "
                              f"(axis {axis}, N={N})")
-    values = ub.copy()
     values[1:-1, 1:-1, 1:-1] = sol.reshape(n, n, n)
     return ScalarGridField(grid, values)
 
@@ -246,23 +273,40 @@ def solve_harmonic_coordinate(chart: MetricChart, grid: Grid, axis: int,
 # the solved triple with its derived fields
 
 
-def _hessian_norm2(values: np.ndarray, du: np.ndarray, phi: np.ndarray,
-                   dphi: np.ndarray, h: float) -> np.ndarray:
-    """|Hess u|_g^2 of nodal values with coordinate partials du, as
+def _hessian_norm2(values: np.ndarray, du: np.ndarray, w: np.ndarray,
+                   phi8: np.ndarray, h: float) -> np.ndarray:
+    """|Hess u|_g^2 of nodal values with coordinate partials du, given
+    w = dphi / phi and phi^8 (the same for the three axes of a triple), as
     sum_a e_aa^2 + 2 sum_{a<b} e_ab^2 over the covariant-Hessian entries
-    e_ab = dd_ab - 2(d_a u w_b + w_a d_b u - delta_ab du.w), w = dphi / phi,
-    each one (N, N, N) array."""
-    w = dphi / phi[..., None]
+    e_ab = dd_ab - 2(d_a u w_b + w_a d_b u - delta_ab du.w).
+
+    Each squared entry is formed in place, in the order of that formula, in
+    the array of its second difference dd_ab, and each sum accumulates in
+    its first entry; the mixed entries go first, so du.w is not alive while
+    they are formed, and at most five (N, N, N) arrays are alive at a time.
+    """
+    def squared(dd, a, b, duw=None):
+        gamma = np.multiply(du[..., a], w[..., b])
+        if duw is None:
+            gamma += w[..., a] * du[..., b]
+        else:                           # a == b: d_a u w_a + w_a d_a u - du.w
+            gamma += gamma
+            gamma -= duw
+        gamma *= 2.0
+        dd -= gamma
+        return np.square(dd, out=dd)
+
+    mixed = squared(diff1(du[..., 1], h, 0), 0, 1)
+    mixed += squared(diff1(du[..., 2], h, 0), 0, 2)
+    mixed += squared(diff1(du[..., 2], h, 1), 1, 2)
     duw = np.einsum("...a,...a->...", du, w)
-
-    def squared_entry(a, b, dd):
-        return (dd - 2.0 * (du[..., a] * w[..., b] + w[..., a] * du[..., b]
-                            - (a == b) * duw)) ** 2
-
-    diag = sum(squared_entry(a, a, diff2(values, h, a)) for a in range(3))
-    mixed = sum(squared_entry(a, b, diff1(du[..., b], h, a))
-                for a, b in ((0, 1), (0, 2), (1, 2)))
-    return (diag + 2.0 * mixed) / phi**8
+    diag = squared(diff2(values, h, 0), 0, 0, duw)
+    diag += squared(diff2(values, h, 1), 1, 1, duw)
+    diag += squared(diff2(values, h, 2), 2, 2, duw)
+    mixed *= 2.0
+    diag += mixed
+    diag /= phi8
+    return diag
 
 
 @dataclass
@@ -293,22 +337,28 @@ class HarmonicTriple:
     @cached_property
     def hess2(self) -> tuple:
         """(N, N, N) |Hess u^i|_g^2 per axis."""
-        return tuple(_hessian_norm2(u.values, du, self.phi, self.dphi, self.grid.h)
+        w = self.dphi / self.phi[..., None]
+        phi8 = self.phi**8
+        return tuple(_hessian_norm2(u.values, du, w, phi8, self.grid.h)
                      for u, du in zip(self.u, self.du))
 
     @cached_property
     def grad_sup(self) -> float:
         """The largest |grad u^i|_g over the axes and the kept nodes."""
-        return max(float(np.max(self.grad_norm(i)[~self.excluded])) for i in range(3))
+        self.grad_norms()
+        return vars(self)["grad_sup"]
 
     @cached_property
     def scalar_curvature(self) -> np.ndarray:
         """R = -8 phi^-5 lap(phi) at the nodes, from the chart's phi (the
         puncture is not imputed)."""
         # one x-slab at a time, for memory: no (N, N, N, 3, 3) phi Hessian
+        # and no (N, N, N, 3) node coordinates
+        out = np.empty((self.grid.nodes,) * 3)
         with np.errstate(invalid="ignore"):
-            return np.stack([scalar_curvature(self.chart, slab)
-                             for slab in self.grid.points()])
+            for i in range(self.grid.nodes):
+                out[i] = scalar_curvature(self.chart, self.grid.x_slab(i))
+        return out
 
     @cached_property
     def gram_defect(self) -> np.ndarray:
@@ -348,7 +398,20 @@ class HarmonicTriple:
     def grad_norm(self, i: int) -> np.ndarray:
         """|grad u^i|_g field."""
         du = self.du[i]
-        return np.sqrt(np.einsum("...a,...a->...", du, du)) / self.phi**2
+        norm = np.einsum("...a,...a->...", du, du)
+        np.sqrt(norm, out=norm)
+        norm /= np.square(self.phi)
+        return norm
+
+    def grad_norms(self) -> tuple:
+        """|grad u^i|_g per axis: three (N, N, N) fields that the triple does
+        not keep.  The first call also fixes grad_sup from them, so a stage
+        that holds them evaluates no more for grad_sup."""
+        norms = tuple(self.grad_norm(i) for i in range(3))
+        if "grad_sup" not in vars(self):
+            kept = ~self.excluded
+            self.grad_sup = max(float(np.max(g[kept])) for g in norms)
+        return norms
 
     def u_map(self, pts) -> np.ndarray:
         """The map u = (u^1, u^2, u^3) at arbitrary points."""
@@ -407,17 +470,22 @@ def triple_from_solutions(chart: MetricChart, grid: Grid, solutions) -> Harmonic
                           dphi=dphi, excluded=_excluded(grid, singular_node))
 
 
-def cheng_yau_ratio(triple: HarmonicTriple, i: int, radius: float) -> float:
-    """Diagnostic sup_{B_r}|grad u| / sup_{B_2r}|u - u(p)|.
+def cheng_yau_ratios(triple: HarmonicTriple, radius: float) -> list:
+    """Diagnostic sup_{B_r}|grad u^i| / sup_{B_2r}|u^i - u^i(p)| per axis.
 
-    Balls are chart-Euclidean around the base point p; the constant is
-    reported per run and never asserted against a fixed value.
+    Balls are chart-Euclidean around the base point p, their node masks
+    taken once for the three axes; the constant is reported per run and
+    never asserted against a fixed value.
     """
     c = np.asarray(triple.chart.base_point, float)
-    r = np.linalg.norm(triple.grid.points() - c, axis=-1)
-    inner = (r <= radius) & ~triple.excluded
-    outer = (r <= 2.0 * radius) & ~triple.excluded
-    u0 = float(triple.u_interp[i](c)[0])
-    num = float(np.max(triple.grad_norm(i)[inner]))
-    den = float(np.max(np.abs(triple.u[i].values[outer] - u0)))
-    return num / max(den, 1e-300)
+    r = triple.grid.radii(c)
+    kept = ~triple.excluded
+    inner = (r <= radius) & kept
+    outer = (r <= 2.0 * radius) & kept
+    ratios = []
+    for i, gnorm in enumerate(triple.grad_norms()):
+        u0 = float(triple.u_interp[i](c)[0])
+        num = float(np.max(gnorm[inner]))
+        den = float(np.max(np.abs(triple.u[i].values[outer] - u0)))
+        ratios.append(num / max(den, 1e-300))
+    return ratios

@@ -35,6 +35,13 @@ class InequalityReport:
 EPS_GRAD_FACTOR = 1e-6
 
 
+def _check_floor(eps_grad: float):
+    """Raise ValueError unless the gradient floor is positive: at a floor
+    of 0 a node with |grad u| = 0 would divide |Hess u|^2 by zero."""
+    if not eps_grad > 0.0:
+        raise ValueError(f"eps_grad must be positive, got {eps_grad!r}")
+
+
 def mass_inequality_rhs(triple: HarmonicTriple, axis: int, mass: float,
                         eps_grad: float) -> InequalityReport:
     """Evaluate the mass-inequality right side for one harmonic coordinate.
@@ -45,18 +52,18 @@ def mass_inequality_rhs(triple: HarmonicTriple, axis: int, mass: float,
     grad_sup).  `mass` is the ADM mass the right side is compared with
     (the caller's adm_mass extrapolation, or the family's exact value).
     The slack mass - rhs may dip below zero only within discretization
-    error; it is reported, not asserted.
+    error; it is reported, not asserted.  A floor eps_grad that is not
+    positive raises ValueError before any field is derived.
     """
+    _check_floor(eps_grad)
     gnorm = triple.grad_norm(axis)
     hess2 = triple.hess2[axis]
-    grad_sup = float(np.max(gnorm[~triple.excluded]))
-    if eps_grad <= 0.0:
-        raise ValueError("eps_grad must be positive")
+    usable = ~triple.excluded
+    grad_sup = float(np.max(gnorm[usable]))
 
     scal = triple.scalar_curvature
     weights = triple.volume_weights()
 
-    usable = ~triple.excluded
     floored = usable & (gnorm < eps_grad)
     included = usable & ~floored
 
@@ -80,19 +87,28 @@ def refined_kato_check(triple: HarmonicTriple, axis: int, eps_grad: float):
     """Integrals of both sides of |grad sqrt|grad u||^2 <= |Hess u|^2 / (4|grad u|).
 
     Cells under the gradient floor eps_grad are left out, as in
-    mass_inequality_rhs.  Returns (lhs, rhs); the continuum inequality is
-    pointwise, so lhs must not exceed rhs beyond discretization error.
+    mass_inequality_rhs, and a floor that is not positive raises ValueError
+    before any field is derived.  Returns (lhs, rhs); the continuum
+    inequality is pointwise, so lhs must not exceed rhs beyond
+    discretization error.
     """
+    _check_floor(eps_grad)
     gnorm = triple.grad_norm(axis)
     hess2 = triple.hess2[axis]
-    s = np.sqrt(gnorm)
-    ds = gradient(s, triple.grid.h)
-    lhs_field = np.einsum("...a,...a->...", ds, ds) / triple.phi**4
+    ds = gradient(np.sqrt(gnorm), triple.grid.h)
+    lhs_field = np.einsum("...a,...a->...", ds, ds)
+    lhs_field /= triple.phi**4
     include = ~triple.excluded & (gnorm >= eps_grad)
-    w = triple.volume_weights()
-    lhs = float(np.sum(lhs_field[include] * w[include]))
-    rhs = float(np.sum(hess2[include] / (4.0 * gnorm[include]) * w[include]))
-    return lhs, rhs
+    # each side's integrand formed in place on the kept nodes: this check
+    # sets the peak memory of the inequality stage
+    w = triple.volume_weights()[include]
+    lhs = lhs_field[include]
+    lhs *= w
+    rhs = gnorm[include]
+    rhs *= 4.0
+    np.divide(hess2[include], rhs, out=rhs)
+    rhs *= w
+    return float(np.sum(lhs)), float(np.sum(rhs))
 
 
 # ---------------------------------------------------------------------------
@@ -147,8 +163,7 @@ def relaxed_scalar_certificate(triple: HarmonicTriple, x_spec: VectorFieldSpec,
     """
     chart, grid = triple.chart, triple.grid
     phi, dphi, scal = triple.phi, triple.dphi, triple.scalar_curvature
-    pts = grid.points()
-    rad = np.linalg.norm(pts, axis=-1)
+    rad = grid.radii()
 
     if x_spec.kind == "zero" or x_spec.amplitude == 0.0:
         xsq = np.zeros_like(scal)
@@ -156,7 +171,7 @@ def relaxed_scalar_certificate(triple: HarmonicTriple, x_spec: VectorFieldSpec,
     elif x_spec.kind == "gradient_bump":
         from .geometry import Bump
         bump = Bump(x_spec.amplitude, tuple(x_spec.center), x_spec.width)
-        _, dw, ddw = bump.value_grad_hess(pts)
+        _, dw, ddw = bump.value_grad_hess(grid.points())
         xsq = np.einsum("...a,...a->...", dw, dw) / phi**4
         lapw = np.trace(ddw, axis1=-2, axis2=-1)
         div = lapw / phi**4 + 2.0 * np.einsum("...a,...a->...", dphi, dw) / phi**5

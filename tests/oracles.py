@@ -5,7 +5,8 @@ the library code under test: symbolic differentiation, finite-difference
 stencils on metric components, separable 1D ODE reductions, and radial
 quadrature.  Where the library runs the same arithmetic in fewer or other
 calls (the stacked geodesic integrator, the shared RK4 loop of the flows,
-the active-set eikonal, the trilinear interpolator), the plain form it
+the active-set eikonal, the trilinear interpolator, the in-place
+stencils and |Hess u|_g^2 entries), the plain form it
 replaced is kept here as the bit-for-bit reference; where it reaches the
 same solution from another start or integrator (the coarse-seeded
 distance solve, the fixed-step flow leg), the route it replaced is kept
@@ -23,7 +24,7 @@ from scipy.sparse.linalg import LinearOperator, cg
 from afstab.errors import LeftDomain, OutOfDomain
 from afstab.geodesy import GeodesicGraph, _bvp_batch, geodesic_lengths, local_distance
 from afstab.grid import diff1, diff2
-from afstab.harmonic import LaplaceBeltrami, boundary_values
+from afstab.harmonic import LaplaceBeltrami
 
 
 # ---------------------------------------------------------------------------
@@ -214,6 +215,60 @@ def harmonic_radial_profile(m, r_eval, r_far=300.0, rtol=1e-12):
 
 
 # ---------------------------------------------------------------------------
+# the stencils, the stacked gradient and the per-axis |Hess u|_g^2 as one
+# expression each, the bit-for-bit references for grid.diff1, grid.diff2,
+# grid.gradient and harmonic._hessian_norm2, which form them in place
+
+
+def diff1_reference(values: np.ndarray, h: float, axis: int) -> np.ndarray:
+    """grid.diff1, its interior stencil as one expression."""
+    v = np.moveaxis(values, axis, 0)
+    out = np.empty_like(v)
+    out[2:-2] = (v[:-4] - 8.0 * v[1:-3] + 8.0 * v[3:-1] - v[4:]) / (12.0 * h)
+    out[1] = (v[2] - v[0]) / (2.0 * h)
+    out[-2] = (v[-1] - v[-3]) / (2.0 * h)
+    out[0] = (-3.0 * v[0] + 4.0 * v[1] - v[2]) / (2.0 * h)
+    out[-1] = (3.0 * v[-1] - 4.0 * v[-2] + v[-3]) / (2.0 * h)
+    return np.moveaxis(out, 0, axis)
+
+
+def diff2_reference(values: np.ndarray, h: float, axis: int) -> np.ndarray:
+    """grid.diff2, its interior stencil as one expression."""
+    v = np.moveaxis(values, axis, 0)
+    out = np.empty_like(v)
+    out[2:-2] = (-v[:-4] + 16.0 * v[1:-3] - 30.0 * v[2:-2]
+                 + 16.0 * v[3:-1] - v[4:]) / (12.0 * h**2)
+    out[1] = (v[0] - 2.0 * v[1] + v[2]) / h**2
+    out[-2] = (v[-3] - 2.0 * v[-2] + v[-1]) / h**2
+    out[0] = (2.0 * v[0] - 5.0 * v[1] + 4.0 * v[2] - v[3]) / h**2
+    out[-1] = (2.0 * v[-1] - 5.0 * v[-2] + 4.0 * v[-3] - v[-4]) / h**2
+    return np.moveaxis(out, 0, axis)
+
+
+def gradient_reference(values: np.ndarray, h: float) -> np.ndarray:
+    """grid.gradient as three separate partials stacked."""
+    return np.stack([diff1_reference(values, h, a) for a in range(3)], axis=-1)
+
+
+def hessian_norm2_reference(values: np.ndarray, du: np.ndarray, phi: np.ndarray,
+                            dphi: np.ndarray, h: float) -> np.ndarray:
+    """harmonic._hessian_norm2 with w and phi^8 formed per call and each
+    squared entry one fresh expression, the delta_ab du.w term included
+    (as 0 du.w) off the diagonal and the sums started from 0."""
+    w = dphi / phi[..., None]
+    duw = np.einsum("...a,...a->...", du, w)
+
+    def squared_entry(a, b, dd):
+        return (dd - 2.0 * (du[..., a] * w[..., b] + w[..., a] * du[..., b]
+                            - (a == b) * duw)) ** 2
+
+    diag = sum(squared_entry(a, a, diff2_reference(values, h, a)) for a in range(3))
+    mixed = sum(squared_entry(a, b, diff1_reference(du[..., b], h, a))
+                for a, b in ((0, 1), (0, 2), (1, 2)))
+    return (diag + 2.0 * mixed) / phi**8
+
+
+# ---------------------------------------------------------------------------
 # the whole-tensor covariant Hessian, the reference for the entrywise
 # |Hess u|_g^2 of harmonic._hessian_norm2
 
@@ -318,8 +373,9 @@ def jacobi_cg_coordinate(chart, grid, axis, bc="corrected", tol=1e-11, max_iter=
     diagonal (Jacobi) preconditioner on the assembled interior system, from
     the same start and to the same relative residual as the library solve;
     a second solver for the same discrete problem."""
-    A, couplings = assemble_interior_system(LaplaceBeltrami(chart, grid))
-    ub = boundary_values(chart, grid, axis, bc)
+    op = LaplaceBeltrami(chart, grid)
+    A, couplings = assemble_interior_system(op)
+    ub = op.boundary_values(axis, bc)
     rhs = coupling_rhs(couplings, ub)
     inv_diag = 1.0 / A.diagonal()
     jacobi = LinearOperator(A.shape, matvec=lambda v: inv_diag * v)
@@ -511,7 +567,7 @@ def _conformal_gradient_reference(chart, x):
             phi = phi + val
             grad = grad + val[..., None] * (-2.0 * d / width**2)
         else:
-            v, gr, _ = term[1].value_grad_hess(pts, hessian=False)
+            v, gr, _ = term[1].value_grad_hess(pts, order=1)
             phi = phi + v
             grad = grad + gr
     return phi, grad

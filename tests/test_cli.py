@@ -13,6 +13,7 @@ import pytest
 import afstab.cli
 import afstab.geodesy
 import afstab.gh
+import afstab.grid
 import afstab.harmonic
 import afstab.mass
 from afstab.cli import _sweep_point, main, run
@@ -281,9 +282,9 @@ class TestGridEvaluations:
         real = afstab.harmonic._hessian_norm2
         calls = []
 
-        def counting(values, du, phi, dphi, h):
+        def counting(values, du, w, phi8, h):
             calls.append(h)
-            return real(values, du, phi, dphi, h)
+            return real(values, du, w, phi8, h)
 
         monkeypatch.setattr(afstab.harmonic, "_hessian_norm2", counting)
         counts = {}
@@ -293,6 +294,35 @@ class TestGridEvaluations:
             counts[sub] = len(calls)
         assert counts == {"harmonic": 0, "inequality": 3, "distort": 0,
                           "pythagoras": 3, "flow": 0}
+
+
+    def test_whole_grid_builds_per_stage(self, schw_cfg, tmp_path, monkeypatch):
+        # per stage run: the node coordinates once (the nodal phi and grad
+        # phi), the monopole fit once for the three axes' boundary data, and
+        # |grad u|_g three times in `harmonic` (grad_sup and the Cheng-Yau
+        # ratios share them) and nine in `inequality` (grad_sup, then each
+        # axis's rhs and Kato check).  Before they were shared the stages
+        # made 7 and 3 coordinate arrays, 3 fits, and 6 and 9 norms.
+        counts = {}
+
+        def counting(owner, name):
+            real = getattr(owner, name)
+
+            def wrapper(*args, **kwargs):
+                counts[name] = counts.get(name, 0) + 1
+                return real(*args, **kwargs)
+            monkeypatch.setattr(owner, name, wrapper)
+
+        counting(afstab.grid.Grid, "points")
+        counting(afstab.harmonic, "fit_monopole")
+        counting(afstab.harmonic.HarmonicTriple, "grad_norm")
+        found = {}
+        for sub in ("harmonic", "inequality"):
+            counts.clear()
+            assert run(sub, schw_cfg, out_dir=tmp_path)[0] == 0, sub
+            found[sub] = (counts.get("points", 0), counts.get("fit_monopole", 0),
+                          counts.get("grad_norm", 0))
+        assert found == {"harmonic": (1, 1, 3), "inequality": (1, 0, 9)}
 
 
 class TestShootingBudget:

@@ -20,6 +20,37 @@ def bump_chart(amp, center=(1.0, 0.0, 0.0), width=2.0, A=0.0, box=20.0):
                        box_halfwidth=box)
 
 
+class TestConformalFactor:
+    CHARTS = {
+        "flat": MetricChart("flat"),
+        "schwarzschild": MetricChart("schwarzschild", {"m": 0.2}),
+        "conformal": MetricChart("conformal", {"A": 0.2, "gauss_amp": 0.1,
+                                               "gauss_center": (0.5, 0.0, 0.0),
+                                               "gauss_width": 1.0}),
+        "perturbed": bump_chart(0.03, center=(1.5, 0.5, 0.0), A=0.2),
+    }
+
+    @pytest.mark.parametrize("family", CHARTS)
+    def test_phi_only_matches_gradient_path(self, family):
+        # conformal_factor forms no derivative, and is bit for bit the phi
+        # of conformal_gradient: on one point, a batch, the node lattice of
+        # a grid and no points; the origin is in each, where phi is inf for
+        # the monopole families
+        chart = self.CHARTS[family]
+        rng = np.random.default_rng(5)
+        batch = np.vstack([np.zeros((1, 3)), rng.uniform(-3.0, 3.0, size=(40, 3))])
+        lattice = np.stack(np.meshgrid(*[np.linspace(-2.0, 2.0, 9)] * 3, indexing="ij"),
+                           axis=-1)
+        for x in (np.zeros(3), np.array([1.5, 0.5, 0.2]), batch, lattice, np.zeros((0, 3))):
+            with np.errstate(divide="ignore", invalid="ignore"):
+                phi = np.asarray(chart.conformal_factor(x))
+                ref = np.asarray(chart.conformal_gradient(x)[0])
+            assert phi.shape == ref.shape == x.shape[:-1]
+            assert np.array_equal(phi.view(np.uint64), ref.view(np.uint64))
+        at_origin = chart.conformal_factor(np.zeros(3))
+        assert np.isinf(at_origin) == chart.singular_at_origin
+
+
 class TestMetricAt:
     def test_flat_is_identity(self):
         g, dg, ddg = MetricChart("flat").metric_derivs((1.0, 2.0, 3.0))

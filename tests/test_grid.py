@@ -11,7 +11,7 @@ from afstab.errors import BadFieldDump
 from afstab.grid import (Grid, ScalarGridField, Trilinear, diff1, diff2, gradient,
                          interpolator, read_field, write_field)
 
-from oracles import rgi_reference
+from oracles import diff1_reference, diff2_reference, gradient_reference, rgi_reference
 
 
 class TestGrid:
@@ -34,7 +34,37 @@ class TestGrid:
         assert m.sum() == 17**3 - 13**3
 
 
+    def test_coordinates_without_meshgrid(self):
+        # points, x-slabs and radii bit for bit the meshgrid/stack points and
+        # np.linalg.norm of them, the forms they replaced
+        for n, center in ((17, (0.0, 0.0, 0.0)), (33, (2.0, 0.0, 0.0)),
+                          (33, (0.3, -1.7, 2.9))):
+            g = Grid(halfwidth=20.0, nodes=n)
+            ref = np.stack(np.meshgrid(g.axis, g.axis, g.axis, indexing="ij"), axis=-1)
+            assert np.array_equal(bits(g.points()), bits(ref))
+            for i in (0, n // 2, n - 1):
+                assert np.array_equal(bits(g.x_slab(i)), bits(ref[i]))
+            radii = np.linalg.norm(ref - np.asarray(center), axis=-1)
+            assert np.array_equal(bits(g.radii(center)), bits(radii))
+            assert np.array_equal(bits(g.radii()), bits(np.linalg.norm(ref, axis=-1)))
+
+
 class TestStencils:
+    def test_in_place_stencils_match_references(self):
+        # diff1, diff2 and gradient bit for bit the one-expression stencils
+        # and the stacked partials, on a contiguous field and on one
+        # partial of a gradient (a strided view, as |Hess u|^2 reads it)
+        g = Grid(halfwidth=3.0, nodes=17)
+        f = np.random.default_rng(3).normal(size=(17, 17, 17))
+        df = gradient(f, g.h)
+        assert np.array_equal(bits(df), bits(gradient_reference(f, g.h)))
+        for values in (f, df[..., 1]):
+            for a in range(3):
+                assert np.array_equal(bits(diff1(values, g.h, a)),
+                                      bits(diff1_reference(values, g.h, a)))
+                assert np.array_equal(bits(diff2(values, g.h, a)),
+                                      bits(diff2_reference(values, g.h, a)))
+
     def test_exact_on_cubics(self):
         g = Grid(halfwidth=2.0, nodes=21)
         pts = g.points()

@@ -15,13 +15,13 @@ from afstab.config import config_from_dict
 from afstab.errors import MismatchedChart, SolverDiverged
 from afstab.geometry import MetricChart
 from afstab.grid import Grid, ScalarGridField
-from afstab.harmonic import (HarmonicTriple, LaplaceBeltrami, boundary_values,
-                             build_harmonic_triple, cheng_yau_ratio, fit_monopole,
-                             solve_harmonic_coordinate, triple_from_solutions)
+from afstab.harmonic import (HarmonicTriple, LaplaceBeltrami, build_harmonic_triple,
+                             cheng_yau_ratios, fit_monopole, solve_harmonic_coordinate,
+                             triple_from_solutions)
 
 from oracles import (_covariant_hessian, assemble_interior_system, coupling_rhs,
-                     harmonic_radial_profile, jacobi_cg_coordinate,
-                     schwarzschild_harmonic_closed_form)
+                     gradient_reference, harmonic_radial_profile, hessian_norm2_reference,
+                     jacobi_cg_coordinate, schwarzschild_harmonic_closed_form)
 
 BUMP_CONFIG = pathlib.Path(__file__).resolve().parent.parent / "configs" / "bump_control.json"
 
@@ -39,6 +39,17 @@ def family_charts(schw_chart):
     return {"flat": MetricChart("flat", box_halfwidth=100.0), "schwarzschild": schw_chart,
             "conformal": MetricChart("conformal", {"A": 0.2}, box_halfwidth=100.0),
             "perturbed": bump}
+
+
+@pytest.fixture(scope="module")
+def family_triples33(family_charts):
+    """The solved triple of each family chart at N=33."""
+    grid = Grid(halfwidth=20.0, nodes=33)
+    return {name: build_harmonic_triple(chart, grid) for name, chart in family_charts.items()}
+
+
+def bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
 
 
 class TestAssembly:
@@ -138,7 +149,7 @@ class TestSolve:
 
     def test_corrected_boundary_profile(self, schw_chart):
         grid = Grid(halfwidth=20.0, nodes=17)
-        vals = boundary_values(schw_chart, grid, 0, "corrected")
+        vals = LaplaceBeltrami(schw_chart, grid).boundary_values(0, "corrected")
         pts = grid.points()
         r = np.linalg.norm(grid.points(), axis=-1)
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -257,6 +268,20 @@ class TestTriple:
                 err = np.abs(t.hess2[i][kept] - ref)
                 assert np.all(err <= 1e-14 * ref), (name, i, np.max(err / ref))
 
+    def test_fields_match_per_call_references(self, family_triples33):
+        # du and |Hess u|_g^2, formed in place with w and phi^8 shared by
+        # the axes, bit for bit the stacked partials and the per-call
+        # expression they replaced, on every node: the two-cell margin and,
+        # on the Schwarzschild chart, the imputed puncture node included
+        assert family_triples33["schwarzschild"].excluded[16, 16, 16]
+        for name, t in family_triples33.items():
+            for i in range(3):
+                u = t.u[i].values
+                assert np.array_equal(bits(t.du[i]), bits(gradient_reference(u, t.grid.h))), \
+                    (name, i)
+                ref = hessian_norm2_reference(u, t.du[i], t.phi, t.dphi, t.grid.h)
+                assert np.array_equal(bits(t.hess2[i]), bits(ref)), (name, i)
+
     def test_hess_sup_decreases_with_mass(self, schw_triples):
         sups = [np.max(np.sqrt(t.hess2[0])[~t.excluded])
                 for t in (schw_triples[m] for m in (0.2, 0.1, 0.05))]
@@ -284,8 +309,7 @@ class TestTriple:
             assert rn < 1e-8 * scale
 
     def test_cheng_yau_finite(self, schw02_triple):
-        for i in range(3):
-            ratio = cheng_yau_ratio(schw02_triple, i, 3.0)
+        for ratio in cheng_yau_ratios(schw02_triple, 3.0):
             assert np.isfinite(ratio) and ratio > 0.0
 
     def test_triple_from_solutions_round_trip(self, schw_chart):

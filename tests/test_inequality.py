@@ -1,8 +1,11 @@
 """Mass-inequality integrals, Kato refinement, relaxed certificates."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import afstab.harmonic
 from afstab.geometry import MetricChart
 from afstab.grid import Grid
 from afstab.harmonic import build_harmonic_triple
@@ -12,6 +15,20 @@ from afstab.mass import adm_mass
 
 from conftest import certificate
 from oracles import bump_positive_laplacian_integral
+
+
+def floor_checked_first(monkeypatch, check):
+    """Call check(triple, eps_grad) on a fresh triple with floors 0, -1e-9
+    and NaN; each must raise ValueError before |Hess u|^2 is derived."""
+    chart = MetricChart("schwarzschild", {"m": 0.2}, box_halfwidth=100.0)
+    t = build_harmonic_triple(chart, Grid(halfwidth=20.0, nodes=17))
+    calls = []
+    monkeypatch.setattr(afstab.harmonic, "_hessian_norm2",
+                        lambda *args: calls.append(args))
+    for eps_grad in (0.0, -1e-9, float("nan")):
+        with pytest.raises(ValueError, match="eps_grad must be positive"):
+            check(t, eps_grad)
+    assert calls == [] and "hess2" not in vars(t)
 
 
 class TestMassInequality:
@@ -84,8 +101,37 @@ class TestMassInequality:
         with pytest.raises(ValueError):
             mass_inequality_rhs(flat_triple, 0, eps_grad=0.0, mass=0.0)
 
+    def test_eps_grad_checked_before_fields(self, monkeypatch):
+        floor_checked_first(monkeypatch, lambda t, eps: mass_inequality_rhs(
+            t, 0, mass=0.2, eps_grad=eps))
+
+    def test_stage_peak_memory(self):
+        # tracemalloc peak of a triple's solve and its three rhs and Kato
+        # calls at N=33: 8 440 769 B (8.05 MiB) at the commit before the
+        # in-place harmonic layer, 8 264 893 B (7.88 MiB) after it.  Keeping
+        # |grad u|_g on the triple would add three (N, N, N) fields.
+        chart = MetricChart("schwarzschild", {"m": 0.2}, box_halfwidth=100.0)
+        build_harmonic_triple(chart, Grid(halfwidth=20.0, nodes=17))   # warm-up
+        tracemalloc.start()
+        try:
+            t = build_harmonic_triple(chart, Grid(halfwidth=20.0, nodes=33))
+            eps_grad = 1e-6 * t.grad_sup
+            for axis in range(3):
+                mass_inequality_rhs(t, axis, mass=0.2, eps_grad=eps_grad)
+            for axis in range(3):
+                refined_kato_check(t, axis, eps_grad=eps_grad)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8_440_769
+
 
 class TestKato:
+    def test_eps_grad_checked_before_fields(self, monkeypatch):
+        # a floor of 0 kept the nodes with |grad u| = 0 and divided by it
+        floor_checked_first(monkeypatch, lambda t, eps: refined_kato_check(
+            t, 0, eps_grad=eps))
+
     def test_flat_both_sides_vanish(self, flat_triple):
         lhs, rhs = refined_kato_check(flat_triple, 0, eps_grad=1e-6 * flat_triple.grad_sup)
         assert abs(lhs) < 1e-12 and abs(rhs) < 1e-12

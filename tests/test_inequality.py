@@ -108,7 +108,7 @@ class TestMassInequality:
     def test_stage_peak_memory(self):
         # tracemalloc peak of a triple's solve and its three rhs and Kato
         # calls at N=33: 8 440 769 B (8.05 MiB) at the commit before the
-        # in-place harmonic layer, 8 264 893 B (7.88 MiB) after it.  Keeping
+        # in-place harmonic layer, 8 264 853 B (7.88 MiB) after it.  Keeping
         # |grad u|_g on the triple would add three (N, N, N) fields.
         chart = MetricChart("schwarzschild", {"m": 0.2}, box_halfwidth=100.0)
         build_harmonic_triple(chart, Grid(halfwidth=20.0, nodes=17))   # warm-up

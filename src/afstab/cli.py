@@ -154,11 +154,21 @@ def _inequality(ctx: RunContext):
     certificate; ok when every axis passes the check."""
     triple, mass = ctx.triple, ctx.mass_report.extrapolated
     eps_grad = EPS_GRAD_FACTOR * triple.grad_sup
-    reports = [mass_inequality_rhs(triple, axis, mass, eps_grad=eps_grad)
-               for axis in range(3)]
-    kato = [refined_kato_check(triple, axis, eps_grad=eps_grad) for axis in range(3)]
+    # the |Hess u|^2 build sets the stage's memory peak: it runs before the
+    # shared fields are alive
+    triple.hess2
+    weights = triple.volume_weights()
+    reports, kato = [], []
+    for axis in range(3):
+        # |grad u|_g derived once per axis for both checks, one axis at a
+        # time so that one norm is alive
+        fields = (triple.grad_norm(axis), weights)
+        reports.append(mass_inequality_rhs(triple, axis, mass, eps_grad=eps_grad,
+                                           fields=fields))
+        kato.append(refined_kato_check(triple, axis, eps_grad=eps_grad, fields=fields))
+        del fields
     cert = relaxed_scalar_certificate(triple, VectorFieldSpec(**ctx.cfg.certificate.x_field),
-                                      c_coef=ctx.cfg.certificate.c_coef)
+                                      c_coef=ctx.cfg.certificate.c_coef, weights=weights)
     ok = all(lhs <= rhs * (1.0 + 1e-6) + 1e-14 for lhs, rhs in kato)
     return (reports, kato, cert), ok
 

@@ -37,8 +37,6 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sps
-from scipy.sparse.csgraph import dijkstra
 
 from .errors import (AfstabError, EmptySample, NoConvergence, NoCrossing,
                      OutOfDomain)
@@ -222,10 +220,13 @@ class GeodesicGraph:
     Edge weights are chord lengths |dx|_g at edge midpoints, so any graph
     path is (the length of) an admissible piecewise-straight curve and the
     Dijkstra distance upper-bounds the Riemannian distance up to the chord
-    quadrature error.
+    quadrature error.  scipy.sparse and its csgraph are imported here, on
+    the first graph: only pairs whose full distance solve fails build one.
     """
 
     def __init__(self, chart: MetricChart, halfwidth: float, nodes: int = 25):
+        import scipy.sparse as sps
+
         self.chart = chart
         self.halfwidth = float(halfwidth)
         self.n = int(nodes)
@@ -266,6 +267,8 @@ class GeodesicGraph:
 
     def seed_velocity(self, x, y):
         """Initial shooting velocity along the first Dijkstra leg."""
+        from scipy.sparse.csgraph import dijkstra
+
         ix, iy = self.nearest_node(x), self.nearest_node(y)
         dist, pred = dijkstra(self.adj, directed=False, indices=ix,
                               return_predecessors=True)

@@ -12,7 +12,6 @@ cross-check rather than the definition.
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import eigh
 
 from .errors import ExcisedPoint, OutOfDomain
 from .seeding import rng_for
@@ -32,6 +31,25 @@ FAMILIES = tuple(FAMILY_PARAMS)
 # Radius below which a monopole family counts as sitting on its puncture.
 SINGULAR_RADIUS = 1e-12
 
+# The derivative order of MetricChart._conformal (and Bump.value_grad_hess)
+# that forms, of the second derivatives, only the Laplacian: the Hessian's
+# three diagonal entries, each by the arithmetic of the full Hessian.
+LAPLACIAN = "laplacian"
+
+
+def _second_derivative_forms(order):
+    """(outer, eye, lift) for building second-derivative terms: u_a v_b,
+    c delta_ab and a per-point scalar s ready to scale them.  At order 2
+    these are the (..., 3, 3) Hessian forms; at LAPLACIAN their (..., 3)
+    diagonals, entry for entry the same arithmetic."""
+    if order == LAPLACIAN:
+        return np.multiply, np.ones(3), lambda s: s[..., None]
+
+    def outer(u, v):
+        return u[..., :, None] * v[..., None, :]
+
+    return outer, np.eye(3), lambda s: s[..., None, None]
+
 
 def _as_points(x):
     """View input as an (..., 3) float array."""
@@ -42,14 +60,16 @@ def _as_points(x):
 
 
 def _monopole(pts, r2, a, order):
-    """phi = 1 + a/|x| and (unless order is 0, then None) grad phi from the
-    points and their |x|^2, with 1/|x|^3; the seeds are the scalars 1 and 0
-    the other terms add to."""
+    """phi = 1 + a/|x| and (at orders 1 and 2, else None) grad phi from the
+    points and their |x|^2, with 1/|x|^3 (None at order 0); the seeds are
+    the scalars 1 and 0 the other terms add to."""
     inv_r = 1.0 / np.sqrt(r2)
     phi = 1.0 + a * inv_r
     if order == 0:
         return phi, None, None
     inv_r3 = inv_r / r2
+    if order == LAPLACIAN:
+        return phi, None, inv_r3
     # 0 - (a x) / |x|^3, each step in place
     grad = np.multiply(pts, a)
     grad *= inv_r3[..., None]
@@ -64,9 +84,10 @@ class Bump:
     center: tuple
     width: float
 
-    def value_grad_hess(self, pts, order: int = 2):
+    def value_grad_hess(self, pts, order: int | str = 2):
         """Bump value, then its gradient and Hessian up to derivative order
-        `order` (0, 1 or 2), None above it."""
+        `order` (0, 1 or 2), None above it; at LAPLACIAN the value, None and
+        the (..., 3) Hessian diagonal."""
         d = pts - np.asarray(self.center, dtype=float)
         q = np.einsum("...a,...a->...", d, d) / self.width**2
         inside = q < 1.0 - 1e-12
@@ -78,13 +99,13 @@ class Bump:
         # dB/dq and d2B/dq2 of B(q) = amp * exp(1 - 1/(1-q))
         bq = np.where(inside, -base / one_m**2, 0.0)
         dq = 2.0 * d / self.width**2              # (..., 3)
-        grad = bq[..., None] * dq
+        grad = None if order == LAPLACIAN else bq[..., None] * dq
         if order == 1:
             return base, grad, None
+        outer, eye, lift = _second_derivative_forms(order)
         bqq = np.where(inside, base / one_m**4 - 2.0 * base / one_m**3, 0.0)
-        ddq = (2.0 / self.width**2) * np.eye(3)    # constant (3, 3)
-        hess = (bqq[..., None, None] * dq[..., :, None] * dq[..., None, :]
-                + bq[..., None, None] * ddq)
+        ddq = (2.0 / self.width**2) * eye          # constant
+        hess = outer(bqq[..., None] * dq, dq) + lift(bq) * ddq
         return base, grad, hess
 
 
@@ -168,23 +189,37 @@ class MetricChart:
         derivative is formed."""
         return self._conformal(x, order=0)[0]
 
+    def conformal_laplacian(self, x):
+        """phi and lap(phi) at points x, bit-identical to conformal_terms's
+        phi and the trace of its Hessian; only the Hessian's diagonal is
+        formed, and no gradient."""
+        phi, _, lap = self._conformal(x, order=LAPLACIAN)
+        return phi, lap
+
     def _conformal(self, x, order):
-        """phi and its derivatives up to `order` (0, 1 or 2), None above it."""
+        """phi and its derivatives up to `order` (0, 1 or 2), None above it;
+        at LAPLACIAN phi, None and lap(phi), summed from the Hessian's
+        diagonal in np.trace's order."""
         pts = _as_points(x)
-        hess = np.zeros(pts.shape + (3,)) if order == 2 else None
+        first = order in (1, 2)
+        second = order in (2, LAPLACIAN)
+        if second:
+            outer, eye, lift = _second_derivative_forms(order)
+            hess = np.zeros(pts.shape + eye.shape[1:])    # (..., 3, 3) or (..., 3)
+        else:
+            hess = None
         a = self.monopole_amplitude
         if a == 0.0:
             phi = np.ones(pts.shape[:-1])
-            grad = np.zeros(pts.shape) if order >= 1 else None
+            grad = np.zeros(pts.shape) if first else None
         else:
             r2 = np.einsum("...a,...a->...", pts, pts)
             with np.errstate(divide="ignore", invalid="ignore"):
                 phi, grad, inv_r3 = _monopole(pts, r2, a, order)
-                if order == 2:
+                if second:
                     inv_r5 = inv_r3 / r2
-                    hess = hess + a * (3.0 * pts[..., :, None] * pts[..., None, :]
-                                       * inv_r5[..., None, None]
-                                       - np.eye(3) * inv_r3[..., None, None])
+                    hess = hess + a * (outer(3.0 * pts, pts) * lift(inv_r5)
+                                       - eye * lift(inv_r3))
         for term in self.bumps:
             if term[0] == "gauss":
                 _, amp, center, width = term
@@ -192,19 +227,20 @@ class MetricChart:
                 q = np.einsum("...a,...a->...", d, d) / width**2
                 val = amp * np.exp(-q)
                 phi = phi + val
-                if order >= 1:
+                if first:
                     grad = grad + val[..., None] * (-2.0 * d / width**2)
-                if order == 2:
-                    hess = hess + val[..., None, None] * (
-                        4.0 * d[..., :, None] * d[..., None, :] / width**4
-                        - 2.0 * np.eye(3) / width**2)
+                if second:
+                    hess = hess + lift(val) * (outer(4.0 * d, d) / width**4
+                                               - 2.0 * eye / width**2)
             else:
                 v, gr, he = term[1].value_grad_hess(pts, order=order)
                 phi = phi + v
-                if order >= 1:
+                if first:
                     grad = grad + gr
-                if order == 2:
+                if second:
                     hess = hess + he
+        if order == LAPLACIAN:
+            return phi, None, (hess[..., 0] + hess[..., 1]) + hess[..., 2]
         return phi, grad, hess
 
     # -- domain ----------------------------------------------------------
@@ -320,10 +356,11 @@ def scalar_curvature(chart: MetricChart, x):
     """Vectorized scalar curvature via the conformal identity R = -8 phi^-5 lap(phi).
 
     The generic-route value from curvature_at agrees to round-off; this is
-    the fast path used in volume integrals.
+    the fast path used in volume integrals.  It forms no (..., 3, 3)
+    phi Hessian, only its diagonal.
     """
-    phi, _, ddphi = chart.conformal_terms(x)
-    return -8.0 * phi**-5 * np.trace(ddphi, axis1=-2, axis2=-1)
+    phi, lap = chart.conformal_laplacian(x)
+    return -8.0 * phi**-5 * lap
 
 
 def ricci_batch(chart: MetricChart, pts):
@@ -433,9 +470,9 @@ def certify_hypotheses(chart: MetricChart, sampling: VolumeSampling) -> Hypothes
                                         [-1, 0, 0], [0, -1, 0], [0, 0, -1]], float)
     pts = np.vstack([pts, probes])
     ric, g, scal = ricci_batch(chart, pts)
-    lam = np.empty(len(pts))
-    for i in range(len(pts)):
-        lam[i] = eigh(ric[i], g[i], eigvals_only=True)[0]
+    # every chart metric is phi^4 delta, so the generalized eigenvalues of
+    # Ric against g are the ordinary ones of Ric / phi^4
+    lam = np.linalg.eigvalsh(ric / g[:, :1, :1])[:, 0]
     kappa = max(0.0, -0.5 * float(np.min(lam)))
     i_scal = int(np.argmin(scal))
     i_lam = int(np.argmin(lam))

@@ -42,8 +42,16 @@ def _check_floor(eps_grad: float):
         raise ValueError(f"eps_grad must be positive, got {eps_grad!r}")
 
 
+def _axis_fields(triple: HarmonicTriple, axis: int, fields):
+    """(|grad u^axis|_g, volume weights): `fields` when the caller holds
+    them, else derived from the triple."""
+    if fields is not None:
+        return fields
+    return triple.grad_norm(axis), triple.volume_weights()
+
+
 def mass_inequality_rhs(triple: HarmonicTriple, axis: int, mass: float,
-                        eps_grad: float) -> InequalityReport:
+                        eps_grad: float, fields: tuple | None = None) -> InequalityReport:
     """Evaluate the mass-inequality right side for one harmonic coordinate.
 
     Midpoint-rule volume integral with sqrt(det g) h^3 weights over cells
@@ -53,16 +61,17 @@ def mass_inequality_rhs(triple: HarmonicTriple, axis: int, mass: float,
     (the caller's adm_mass extrapolation, or the family's exact value).
     The slack mass - rhs may dip below zero only within discretization
     error; it is reported, not asserted.  A floor eps_grad that is not
-    positive raises ValueError before any field is derived.
+    positive raises ValueError before any field is derived.  `fields` is
+    the pair (triple.grad_norm(axis), triple.volume_weights()) when the
+    caller holds it; without it the pair is derived here.
     """
     _check_floor(eps_grad)
-    gnorm = triple.grad_norm(axis)
-    hess2 = triple.hess2[axis]
+    hess2 = triple.hess2[axis]      # first: its build sets the memory peak
+    gnorm, weights = _axis_fields(triple, axis, fields)
     usable = ~triple.excluded
     grad_sup = float(np.max(gnorm[usable]))
 
     scal = triple.scalar_curvature
-    weights = triple.volume_weights()
 
     floored = usable & (gnorm < eps_grad)
     included = usable & ~floored
@@ -83,25 +92,26 @@ def mass_inequality_rhs(triple: HarmonicTriple, axis: int, mass: float,
                             floored_fraction=floored_fraction)
 
 
-def refined_kato_check(triple: HarmonicTriple, axis: int, eps_grad: float):
+def refined_kato_check(triple: HarmonicTriple, axis: int, eps_grad: float,
+                       fields: tuple | None = None):
     """Integrals of both sides of |grad sqrt|grad u||^2 <= |Hess u|^2 / (4|grad u|).
 
     Cells under the gradient floor eps_grad are left out, as in
     mass_inequality_rhs, and a floor that is not positive raises ValueError
-    before any field is derived.  Returns (lhs, rhs); the continuum
-    inequality is pointwise, so lhs must not exceed rhs beyond
+    before any field is derived; `fields` is as there.  Returns (lhs, rhs);
+    the continuum inequality is pointwise, so lhs must not exceed rhs beyond
     discretization error.
     """
     _check_floor(eps_grad)
-    gnorm = triple.grad_norm(axis)
+    gnorm, weights = _axis_fields(triple, axis, fields)
     hess2 = triple.hess2[axis]
     ds = gradient(np.sqrt(gnorm), triple.grid.h)
     lhs_field = np.einsum("...a,...a->...", ds, ds)
+    del ds
     lhs_field /= triple.phi**4
     include = ~triple.excluded & (gnorm >= eps_grad)
-    # each side's integrand formed in place on the kept nodes: this check
-    # sets the peak memory of the inequality stage
-    w = triple.volume_weights()[include]
+    # each side's integrand formed in place on the kept nodes
+    w = weights[include]
     lhs = lhs_field[include]
     lhs *= w
     rhs = gnorm[include]
@@ -149,13 +159,15 @@ PSI_ZERO_TOL = 1e-12
 
 
 def relaxed_scalar_certificate(triple: HarmonicTriple, x_spec: VectorFieldSpec,
-                               c_coef: float = 1.0) -> RelaxedScalarCertificate:
+                               c_coef: float = 1.0,
+                               weights: np.ndarray | None = None) -> RelaxedScalarCertificate:
     """psi := max(0, c|X|^2 + div X - R) on the triple's grid, its L1(g)
     norm, and the smallest radius outside which psi vanishes numerically.
 
     Reads the triple's nodal conformal data, its R (`scalar_curvature`)
-    and volume weights; the only node where the triple's phi is imputed is
-    the puncture, where psi is set to 0.  For X = grad_g w the divergence
+    and volume weights (`weights`, when the caller holds them); the only
+    node where the triple's phi is imputed is the puncture, where psi is
+    set to 0.  For X = grad_g w the divergence
     is the conformal Laplace-Beltrami of w,
     phi^-4 lap(w) + 2 phi^-5 grad(phi).grad(w), assembled in closed form.
     The c_coef knob is the constant allowed to replace |X|^2 (any c > 1/4
@@ -183,7 +195,8 @@ def relaxed_scalar_certificate(triple: HarmonicTriple, x_spec: VectorFieldSpec,
     if chart.singular_at_origin:
         usable &= rad > 0.5 * grid.h
         psi = np.where(usable, psi, 0.0)
-    weights = triple.volume_weights()
+    if weights is None:
+        weights = triple.volume_weights()
     psi_l1 = float(np.sum(psi[usable] * weights[usable]))
 
     hot = psi > PSI_ZERO_TOL

@@ -6,11 +6,11 @@ stencils on metric components, separable 1D ODE reductions, and radial
 quadrature.  Where the library runs the same arithmetic in fewer or other
 calls (the stacked geodesic integrator, the shared RK4 loop of the flows,
 the active-set eikonal, the trilinear interpolator, the in-place
-stencils and |Hess u|_g^2 entries), the plain form it
-replaced is kept here as the bit-for-bit reference; where it reaches the
-same solution from another start or integrator (the coarse-seeded
-distance solve, the fixed-step flow leg), the route it replaced is kept
-as the reference within tolerance.
+stencils and |Hess u|_g^2 entries, the conjugate-gradient loop), the
+plain form it replaced is kept here as the bit-for-bit reference; where it
+reaches the same solution from another start or integrator (the
+coarse-seeded distance solve, the fixed-step flow leg), the route it
+replaced is kept as the reference within tolerance.
 """
 
 import numpy as np
@@ -366,6 +366,15 @@ def coupling_rhs(couplings, ub):
     rhs = np.zeros((ub.shape[0] - 2) ** 3)
     np.add.at(rhs, b_rows, b_vals * ub[b_index[:, 0], b_index[:, 1], b_index[:, 2]])
     return rhs
+
+
+def scipy_cg(A, b, *, M, **kwargs):
+    """scipy.sparse.linalg.cg on the function A with the preconditioner
+    function M, both wrapped as LinearOperators: the iteration
+    afstab.harmonic.cg runs, as afstab called it before it had its own."""
+    shape = (len(b), len(b))
+    return cg(LinearOperator(shape, matvec=A, dtype=float), b,
+              M=LinearOperator(shape, matvec=M, dtype=float), **kwargs)
 
 
 def jacobi_cg_coordinate(chart, grid, axis, bc="corrected", tol=1e-11, max_iter=20000):

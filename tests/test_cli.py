@@ -270,10 +270,11 @@ class TestGridEvaluations:
 
     def test_inequality_evaluates_scalar_once(self, schw_cfg, tmp_path, monkeypatch):
         assert run("harmonic", schw_cfg, out_dir=tmp_path)[0] == 0
-        calls = self._grid_calls(monkeypatch, schw_cfg, "conformal_terms", slab=True)
+        calls = self._grid_calls(monkeypatch, schw_cfg, "conformal_laplacian", slab=True)
         code, _ = run("inequality", schw_cfg, out_dir=tmp_path)
         assert code == 0
-        # N slab calls that cover the grid exactly once
+        # N slab calls of the Laplacian-only entry point (R reads no full
+        # phi Hessian) that cover the grid exactly once
         assert np.array_equal(np.stack(calls), schw_cfg.make_grid().points())
 
     def test_hessians_derived_only_where_read(self, schw_cfg, tmp_path, monkeypatch):
@@ -298,11 +299,13 @@ class TestGridEvaluations:
 
     def test_whole_grid_builds_per_stage(self, schw_cfg, tmp_path, monkeypatch):
         # per stage run: the node coordinates once (the nodal phi and grad
-        # phi), the monopole fit once for the three axes' boundary data, and
+        # phi), the monopole fit once for the three axes' boundary data,
         # |grad u|_g three times in `harmonic` (grad_sup and the Cheng-Yau
-        # ratios share them) and nine in `inequality` (grad_sup, then each
-        # axis's rhs and Kato check).  Before they were shared the stages
-        # made 7 and 3 coordinate arrays, 3 fits, and 6 and 9 norms.
+        # ratios share them) and six in `inequality` (grad_sup, then one
+        # per axis that its rhs and Kato check share), and the volume
+        # weights once in `inequality`.  Before they were shared the stages
+        # made 7 and 3 coordinate arrays, 3 fits, 6 and 9 norms, and 7
+        # weight fields in `inequality`.
         counts = {}
 
         def counting(owner, name):
@@ -316,13 +319,14 @@ class TestGridEvaluations:
         counting(afstab.grid.Grid, "points")
         counting(afstab.harmonic, "fit_monopole")
         counting(afstab.harmonic.HarmonicTriple, "grad_norm")
+        counting(afstab.harmonic.HarmonicTriple, "volume_weights")
         found = {}
         for sub in ("harmonic", "inequality"):
             counts.clear()
             assert run(sub, schw_cfg, out_dir=tmp_path)[0] == 0, sub
             found[sub] = (counts.get("points", 0), counts.get("fit_monopole", 0),
-                          counts.get("grad_norm", 0))
-        assert found == {"harmonic": (1, 1, 3), "inequality": (1, 0, 9)}
+                          counts.get("grad_norm", 0), counts.get("volume_weights", 0))
+        assert found == {"harmonic": (1, 1, 3, 0), "inequality": (1, 0, 6, 1)}
 
 
 class TestShootingBudget:
@@ -546,7 +550,7 @@ class TestSweep:
     def test_failed_kato_check_fails_inequality_alone_and_in_sweep(self, schw_cfg,
                                                                   tmp_path, monkeypatch):
         monkeypatch.setattr(afstab.cli, "refined_kato_check",
-                            lambda triple, axis, eps_grad: (2.0, 1.0))
+                            lambda triple, axis, eps_grad, fields: (2.0, 1.0))
         _, manifest = run("inequality", schw_cfg, out_dir=tmp_path / "ineq")
         assert manifest.data["stages"]["inequality"] == "assertion-failed"
         rep = _sweep_point(schw_cfg, tmp_path, "m0.1")
@@ -636,6 +640,52 @@ class TestImports:
                               text=True, env=env)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == ""
+
+
+    @staticmethod
+    def _scipy_modules(statement):
+        """The scipy modules a fresh interpreter holds after `statement`."""
+        probe = (f"import sys\n{statement}\n"
+                 "print(' '.join(sorted(m for m in sys.modules\n"
+                 "      if m == 'scipy' or m.startswith('scipy.'))))\n")
+        env = dict(os.environ, PYTHONPATH=os.path.join(REPO, "src"))
+        proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                              text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        return set(proc.stdout.split())
+
+    def test_cli_loads_no_sparse_or_linalg(self):
+        # set-up cost: scipy.sparse.linalg, scipy.linalg and scipy.sparse.csgraph
+        # took about 11 MiB and 30 ms in every process, for a CG loop, one
+        # eigenvalue per point of an isotropic metric and a Dijkstra that
+        # only failed distance solves run
+        loaded = self._scipy_modules("import afstab.cli")
+        assert not [m for m in loaded if m.startswith(("scipy.sparse", "scipy.linalg"))]
+
+    def test_cli_loads_from_scipy_only_what_fft_does(self):
+        assert (self._scipy_modules("import afstab.cli")
+                == self._scipy_modules("import scipy.fft"))
+
+    def test_geodesic_graph_imports_csgraph_on_first_use(self):
+        # the graph seed still works in a process that has not loaded
+        # scipy.sparse: the build and the seed import it
+        probe = ("import sys\n"
+                 "import numpy as np\n"
+                 "from afstab.geodesy import GeodesicGraph\n"
+                 "from afstab.geometry import MetricChart\n"
+                 "assert 'scipy.sparse' not in sys.modules\n"
+                 "graph = GeodesicGraph(MetricChart('flat', box_halfwidth=10.0), 4.0, nodes=9)\n"
+                 "assert 'scipy.sparse' in sys.modules\n"
+                 "v = graph.seed_velocity(np.array([-3.0, 0.0, 0.0]), np.array([3.0, 0.0, 0.0]))\n"
+                 "assert 'scipy.sparse.csgraph' in sys.modules\n"
+                 "print(' '.join(repr(float(c)) for c in v))\n")
+        env = dict(os.environ, PYTHONPATH=os.path.join(REPO, "src"))
+        proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                              text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        v = np.array([float(c) for c in proc.stdout.split()])
+        # flat: the Dijkstra path runs along the x axis, 6 long
+        assert v[0] == pytest.approx(6.0) and np.allclose(v[1:], 0.0)
 
 
 class TestBenchHooks:

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import eigh
 
+import afstab.geometry
 from afstab.errors import ExcisedPoint, OutOfDomain
 from afstab.geometry import (MetricChart, SphereSampling, VolumeSampling,
                              certify_hypotheses, curvature_at, scalar_curvature,
@@ -49,6 +51,28 @@ class TestConformalFactor:
             assert np.array_equal(phi.view(np.uint64), ref.view(np.uint64))
         at_origin = chart.conformal_factor(np.zeros(3))
         assert np.isinf(at_origin) == chart.singular_at_origin
+
+    @pytest.mark.parametrize("family", CHARTS)
+    def test_laplacian_matches_hessian_trace(self, family):
+        # conformal_laplacian forms only the Hessian's diagonal; phi, lap(phi)
+        # and R are bit for bit those of the full Hessian and np.trace, the
+        # origin (inf and nan for the monopole families) included
+        chart = self.CHARTS[family]
+        rng = np.random.default_rng(6)
+        batch = np.vstack([np.zeros((1, 3)), rng.uniform(-3.0, 3.0, size=(40, 3))])
+        lattice = np.stack(np.meshgrid(*[np.linspace(-2.0, 2.0, 9)] * 3, indexing="ij"),
+                           axis=-1)
+        for x in (np.zeros(3), np.array([1.5, 0.5, 0.2]), batch, lattice, np.zeros((0, 3))):
+            with np.errstate(divide="ignore", invalid="ignore"):
+                phi, lap = chart.conformal_laplacian(x)
+                ref_phi, _, hess = chart.conformal_terms(x)
+                ref_lap = np.trace(hess, axis1=-2, axis2=-1)
+                scal = np.asarray(scalar_curvature(chart, x))
+                ref_scal = np.asarray(-8.0 * ref_phi**-5 * ref_lap)
+            assert lap.shape == ref_lap.shape == x.shape[:-1]
+            for got, ref in ((phi, ref_phi), (lap, ref_lap), (scal, ref_scal)):
+                assert np.array_equal(np.asarray(got).view(np.uint64),
+                                      np.asarray(ref).view(np.uint64))
 
 
 class TestMetricAt:
@@ -236,6 +260,33 @@ class TestCertificates:
         assert np.isfinite(cert.ricci_kappa)
         assert cert.af_ok and cert.worst_ratio < 1.0
         assert cert.fitted_tau == pytest.approx(1.0, abs=0.05)
+
+    @pytest.mark.parametrize("family", TestConformalFactor.CHARTS)
+    def test_batched_ricci_eigenvalues_match_generalized(self, family, monkeypatch):
+        # certify_hypotheses takes the eigenvalues of Ric / phi^4 in one
+        # batch; against scipy's generalized eigh of (Ric, g) per point on
+        # the certify sample they agree to 1e-14 relative, with the same
+        # kappa and the same argmin witness, because g is phi^4 delta
+        chart = TestConformalFactor.CHARTS[family]
+        real = afstab.geometry.ricci_batch
+        seen = []
+
+        def recording(chart, pts):
+            out = real(chart, pts)
+            seen.append((pts, out))
+            return out
+
+        monkeypatch.setattr(afstab.geometry, "ricci_batch", recording)
+        cert = certify_hypotheses(chart, VolumeSampling(seed=3))
+        (pts, (ric, g, _)), = seen
+        assert np.array_equal(g, g[:, :1, :1] * np.eye(3))   # isotropic, exactly
+        batched = np.linalg.eigvalsh(ric / g[:, :1, :1])[:, 0]
+        ref = np.array([eigh(r, m, eigvals_only=True)[0] for r, m in zip(ric, g)])
+        scale = max(float(np.max(np.abs(ref))), 1e-300)
+        assert np.max(np.abs(batched - ref)) <= 1e-14 * scale
+        assert cert.ricci_kappa == pytest.approx(max(0.0, -0.5 * float(np.min(ref))),
+                                                 rel=1e-14, abs=1e-300)
+        assert cert.witness_points[1] == tuple(pts[int(np.argmin(ref))])
 
     def test_negative_bump_witnessed(self):
         chart = bump_chart(0.4, center=(2.0, 0.0, 0.0), width=1.5)

@@ -15,13 +15,13 @@ from afstab.config import config_from_dict
 from afstab.errors import MismatchedChart, SolverDiverged
 from afstab.geometry import MetricChart
 from afstab.grid import Grid, ScalarGridField
-from afstab.harmonic import (HarmonicTriple, LaplaceBeltrami, build_harmonic_triple,
+from afstab.harmonic import (HarmonicTriple, LaplaceBeltrami, build_harmonic_triple, cg,
                              cheng_yau_ratios, fit_monopole, solve_harmonic_coordinate,
                              triple_from_solutions)
 
 from oracles import (_covariant_hessian, assemble_interior_system, coupling_rhs,
                      gradient_reference, harmonic_radial_profile, hessian_norm2_reference,
-                     jacobi_cg_coordinate, schwarzschild_harmonic_closed_form)
+                     jacobi_cg_coordinate, schwarzschild_harmonic_closed_form, scipy_cg)
 
 BUMP_CONFIG = pathlib.Path(__file__).resolve().parent.parent / "configs" / "bump_control.json"
 
@@ -81,13 +81,14 @@ class TestAssembly:
         A, lift = op.interior_system()
         csr, couplings = assemble_interior_system(op)
         rng = np.random.default_rng(17)
-        x, y = rng.normal(size=(2, A.shape[0]))
+        n = 17 - 2
+        x, y = rng.normal(size=(2, n**3))
         ub = rng.normal(size=(17, 17, 17))
 
         def rel(a, b):
             return np.max(np.abs(a - b)) / np.max(np.abs(b))
 
-        Ax, Ay = A @ x, A @ y
+        Ax, Ay = A(x), A(y)
         assert rel(Ax, csr @ x) <= 1e-13
         assert rel(lift(ub), coupling_rhs(couplings, ub)) <= 1e-13
         asym = abs(np.dot(Ax, y) - np.dot(x, Ay))
@@ -221,7 +222,7 @@ class TestSolverContract:
             solve_harmonic_coordinate(chart, grid, axis, tol=1e-11, operator=op)
         assert len(solves) == 3
         for A, b, x, iters in solves:
-            assert np.linalg.norm(A @ x - b) <= 1e-11 * np.linalg.norm(b)
+            assert np.linalg.norm(A(x) - b) <= 1e-11 * np.linalg.norm(b)
             assert iters <= 15
 
     @pytest.mark.parametrize("family, nodes", [("schwarzschild", 33), ("perturbed", 33),
@@ -238,6 +239,79 @@ class TestSolverContract:
         grid = Grid(halfwidth=20.0, nodes=33)
         with pytest.raises(SolverDiverged, match=r"axis 1, N=33"):
             solve_harmonic_coordinate(family_charts["perturbed"], grid, 1, max_iter=1)
+
+
+class TestConjugateGradients:
+    """afstab.harmonic.cg against scipy's cg on the same functions, bit for bit."""
+
+    @staticmethod
+    def _system(chart, nodes, axis):
+        op = LaplaceBeltrami(chart, Grid(halfwidth=20.0, nodes=nodes))
+        A, lift = op.interior_system()
+        values = op.boundary_values(axis, "corrected")
+        return A, lift(values), values[1:-1, 1:-1, 1:-1].ravel(), op.poisson_preconditioner()
+
+    @staticmethod
+    def _both(A, b, x0, M, **kwargs):
+        """(x, info, callback count) of the local cg, then of scipy's."""
+        out = []
+        for solver in (cg, scipy_cg):
+            iters = []
+            x, info = solver(A, b, x0=x0, M=M, callback=iters.append, **kwargs)
+            out.append((x, info, len(iters)))
+        return out
+
+    @pytest.mark.parametrize("nodes", (17, 33))
+    @pytest.mark.parametrize("family", ("flat", "schwarzschild", "conformal", "perturbed"))
+    def test_matches_scipy_bit_for_bit(self, family_charts, family, nodes):
+        for axis in range(3):
+            A, b, x0, M = self._system(family_charts[family], nodes, axis)
+            start = x0.copy()
+            (x, info, iters), (ref, ref_info, ref_iters) = self._both(
+                A, b, x0, M, rtol=1e-11, atol=0.0, maxiter=20000)
+            assert (info, iters) == (ref_info, ref_iters)
+            assert info == 0
+            # the flat start (x^axis extended inward) solves the system already
+            assert (iters == 0) == (family == "flat")
+            assert np.array_equal(bits(x), bits(ref))
+            assert np.array_equal(x0, start)        # the start is copied, not updated
+
+    def test_exhausted_budget_matches_scipy(self, family_charts):
+        A, b, x0, M = self._system(family_charts["perturbed"], 17, 1)
+        (x, info, iters), (ref, ref_info, ref_iters) = self._both(
+            A, b, x0, M, rtol=1e-11, atol=0.0, maxiter=2)
+        assert (info, iters) == (ref_info, ref_iters) == (2, 2)
+        assert np.array_equal(bits(x), bits(ref))
+
+    def test_absolute_tolerance_matches_scipy(self, family_charts):
+        # atol above rtol |b| stops both after the same, fewer iterations
+        A, b, x0, M = self._system(family_charts["schwarzschild"], 17, 0)
+        (x, info, iters), (ref, ref_info, ref_iters) = self._both(
+            A, b, x0, M, rtol=1e-11, atol=1e-4 * np.linalg.norm(b), maxiter=20000)
+        full = self._both(A, b, x0, M, rtol=1e-11, atol=0.0, maxiter=20000)[0][2]
+        assert (info, iters) == (ref_info, ref_iters)
+        assert info == 0 and 0 < iters < full
+        assert np.array_equal(bits(x), bits(ref))
+
+    def test_zero_right_side_returns_it(self, family_charts):
+        # |b| = 0: the zero right side is the solution, with no iteration
+        # and no call of A or M, whatever the start
+        A, _, x0, M = self._system(family_charts["schwarzschild"], 17, 0)
+        calls = []
+
+        def counted(f):
+            def wrapper(v):
+                calls.append(f)
+                return f(v)
+            return wrapper
+
+        b = np.zeros_like(x0)
+        (x, info, iters), (ref, ref_info, ref_iters) = self._both(
+            counted(A), b, x0, counted(M), rtol=1e-11, atol=0.0, maxiter=20000)
+        assert (info, iters) == (ref_info, ref_iters) == (0, 0)
+        assert x is b
+        assert np.array_equal(bits(x), bits(ref))
+        assert calls == []
 
 
 class TestTriple:

@@ -80,22 +80,37 @@ class TestMassInequality:
         chart = MetricChart("schwarzschild", {"m": 0.2}, box_halfwidth=100.0)
         t = build_harmonic_triple(chart, Grid(halfwidth=20.0, nodes=17))
         real_terms = MetricChart.conformal_terms
+        real_laplacian = MetricChart.conformal_laplacian
         calls = []
 
-        def counting_terms(self, x):
+        def counting_laplacian(self, x):
             calls.append(np.shape(x))
-            return real_terms(self, x)
+            return real_laplacian(self, x)
 
-        monkeypatch.setattr(MetricChart, "conformal_terms", counting_terms)
+        monkeypatch.setattr(MetricChart, "conformal_laplacian", counting_laplacian)
         for axis in range(3):
             mass_inequality_rhs(t, axis, mass=0.2, eps_grad=1e-6 * t.grad_sup)
-        # R is derived once for the triple, one x-slab of nodes per call, and
-        # is bit for bit the whole-grid formula
+        # R is derived once for the triple, one x-slab of nodes per call of
+        # the Laplacian-only entry point, and is bit for bit the whole-grid
+        # formula on the full phi Hessian
         assert calls == [(17, 17, 3)] * 17
         phi, _, ddphi = real_terms(chart, t.grid.points())
         with np.errstate(invalid="ignore"):
             scal = -8.0 * phi**-5 * np.trace(ddphi, axis1=-2, axis2=-1)
         assert np.array_equal(t.scalar_curvature, scal, equal_nan=True)
+
+    def test_held_fields_give_the_same_reports(self, schw_triples):
+        # the stage hands each axis's |grad u|_g and the volume weights to
+        # both checks; the reports are those the checks derive themselves
+        t = schw_triples[0.2]
+        eps_grad = 1e-6 * t.grad_sup
+        weights = t.volume_weights()
+        for axis in range(3):
+            fields = (t.grad_norm(axis), weights)
+            assert (mass_inequality_rhs(t, axis, 0.2, eps_grad, fields=fields)
+                    == mass_inequality_rhs(t, axis, 0.2, eps_grad))
+            assert (refined_kato_check(t, axis, eps_grad, fields=fields)
+                    == refined_kato_check(t, axis, eps_grad))
 
     def test_eps_grad_must_be_positive(self, flat_triple):
         with pytest.raises(ValueError):

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """sha256 of every artifact of the desk sweep and of the stage chain.
 
-    python3 scripts/artifact_hashes.py <out_dir>
+    python3 scripts/artifact_hashes.py <out_dir> [--against OTHER_OUT_DIR]
 
 Runs the `sweep` subcommand on configs/schwarzschild_sweep.json into
 <out_dir>/sweep, then `check-af, mass, harmonic, inequality, distort,
@@ -20,9 +20,21 @@ stage's manifest status must be that point's tag for the stage
 (`check-af` is tagged `certify`, `distort` is tagged `distortion`, the
 others by their names).  Each field or status that differs is named on
 stderr.  Exits nonzero if any run did or anything differs.
+
+With --against OTHER_OUT_DIR, the output directory of an earlier run
+(say, of another checkout), each artifact whose sha256 differs from its
+namesake there gets one line on stderr: for a JSON or CSV artifact, the
+largest relative change |new - old| / |old| over its numbers with
+|old| >= 1e-12, the key where it occurs and how many numbers moved; for
+any other file, only that its bytes differ.  A difference in structure
+(keys, lengths, strings) is named by its key instead.  The comparison
+does not change the exit code.
 """
 
+import argparse
+import csv
 import json
+import math
 import pathlib
 import sys
 
@@ -67,19 +79,100 @@ def chain_point(chain: pathlib.Path) -> dict:
             "image_hausdorff": flow["image_hausdorff"]}
 
 
+# Numbers below this size are compared for their presence only.
+TINY = 1e-12
+
+
+def _leaves(value, key=""):
+    """(key, leaf) pairs of a parsed JSON value, keys like `axes[1].slack`."""
+    if isinstance(value, dict):
+        for k, v in value.items():
+            yield from _leaves(v, f"{key}.{k}" if key else str(k))
+    elif isinstance(value, list):
+        for i, v in enumerate(value):
+            yield from _leaves(v, f"{key}[{i}]")
+    else:
+        yield key, value
+
+
+def _cell(text):
+    """A CSV cell as a float, a list of floats (`;`-separated) or its text."""
+    try:
+        return float(text)
+    except ValueError:
+        try:
+            return [float(t) for t in text.split(";")]
+        except ValueError:
+            return text
+
+
+def _parsed(path: pathlib.Path):
+    """The (key, leaf) pairs of a JSON or CSV artifact; None for others."""
+    if path.suffix == ".json":
+        return list(_leaves(json.loads(path.read_text())))
+    if path.suffix == ".csv":
+        rows = list(csv.reader(path.read_text().splitlines()))
+        return list(_leaves([{name: _cell(text) for name, text in zip(rows[0], row)}
+                             for row in rows[1:]]))
+    return None
+
+
+def _number(v):
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def compare(new: pathlib.Path, old: pathlib.Path) -> str:
+    """One line on how artifact `new` moved from `old`."""
+    a, b = _parsed(old), _parsed(new)
+    if a is None:
+        return "bytes differ"
+    if [k for k, _ in a] != [k for k, _ in b]:
+        return "structure differs"
+    worst, where, moved = 0.0, None, 0
+    for (key, u), (_, v) in zip(a, b):
+        if _number(u) and _number(v):
+            if u == v or (math.isnan(u) and math.isnan(v)):
+                continue
+            moved += 1
+            if abs(u) >= TINY and math.isfinite(u) and math.isfinite(v):
+                rel = abs(v - u) / abs(u)
+                if rel > worst:
+                    worst, where = rel, key
+        elif u != v:
+            return f"structure differs at {key}: {u!r} -> {v!r}"
+    if where is None:
+        return f"{moved} number(s) moved, none of size >= {TINY:g}"
+    return f"largest relative change {worst:.3g} at {where} ({moved} number(s) moved)"
+
+
 def main():
-    if len(sys.argv) != 2:
-        sys.exit(__doc__)
-    out = pathlib.Path(sys.argv[1])
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("out_dir", type=pathlib.Path)
+    parser.add_argument("--against", type=pathlib.Path, metavar="OTHER_OUT_DIR")
+    args = parser.parse_args()
+    out = args.out_dir
     cfg = parse_config(CONFIG)
     code, _ = afstab("sweep", cfg, out / "sweep")
     statuses = {}
     for stage in CHAIN:
         stage_code, statuses[stage] = afstab(stage, cfg, out / "chain")
         code = max(code, stage_code)
-    for path in sorted(p for p in out.rglob("*") if p.is_file()):
-        if path.name != "manifest.json":
-            print(path.relative_to(out).as_posix(), sha256_file(path))
+    hashes = {path.relative_to(out).as_posix(): sha256_file(path)
+              for path in sorted(out.rglob("*"))
+              if path.is_file() and path.name != "manifest.json"}
+    for rel, digest in hashes.items():
+        print(rel, digest)
+    if args.against is not None:
+        others = {path.relative_to(args.against).as_posix()
+                  for path in args.against.rglob("*")
+                  if path.is_file() and path.name != "manifest.json"}
+        for rel in sorted(others | set(hashes)):
+            if rel not in hashes or rel not in others:
+                where = args.against if rel not in hashes else out
+                print(f"{rel}: only in {where}", file=sys.stderr)
+            elif hashes[rel] != sha256_file(args.against / rel):
+                print(f"{rel}: {compare(out / rel, args.against / rel)}",
+                      file=sys.stderr)
     name = cfg.sweep.parameter
     tag = f"{name}{cfg.family.params[name]:g}"
     sweep = json.loads((out / "sweep" / f"stability_{tag}.json").read_text())

@@ -6,15 +6,17 @@ iteration on the initial velocity of the geodesic equation
 xdd^k + Gamma^k_ab xd^a xd^b = 0, integrated by fixed-step RK4 over unit
 affine time, batched over many pairs at once with finite-difference
 Jacobians.  rk4_steps is the one RK4 loop of the package; the gradient
-flows of gh run through it too.  The geodesic integrator holds one
-stacked state [x | v] per row and makes one
-MetricChart.christoffel_quadratic call per RK4 stage, which
-also moves rows off a monopole puncture.  A pass costs its step count in
-such calls whatever its rows, so the solve is seeded by the same Newton
-solve at an eighth of the steps; pairs that one does not converge start
-from the straight chord.  A 26-neighbor graph Dijkstra distance seeds
-hard pairs and provides the admissible-curve upper bound the converged
-distance must respect.
+flows of gh run through it too.  It updates preallocated column-major
+stage buffers in place, so each operation runs contiguous loops over the
+K rows; a geodesic stage buffer is [x | v | a], whose slope [v | a]
+shares the velocity columns with the state.  Each RK4 stage makes one
+MetricChart.christoffel_quadratic call, which takes a closed form on a
+pure monopole chart and moves rows off a monopole puncture, each on its
+own side.  A pass costs its step count in such calls whatever its rows,
+so the solve is seeded by the same Newton solve at an eighth of the
+steps; pairs that one does not converge start from the straight chord.
+A 26-neighbor graph Dijkstra distance seeds hard pairs and provides the
+admissible-curve upper bound the converged distance must respect.
 
 Batches are invariant: a converged row is frozen out of later Newton
 passes and every operation on a row is row-local, so a pair's distance is
@@ -67,27 +69,62 @@ def local_distance(chart: MetricChart, a, b):
             + metric_speed(chart, b, d)) / 6.0
 
 
-def rk4_steps(slope, y, dt: float, n_steps: int, record_every: int = 0):
+def rk4_steps(slope, y, dt: float, n_steps: int, record_every: int = 0, tied: int = 0):
     """Fixed-step classical RK4 of dy/ds = slope(y) from state y, the one
     RK4 loop of the geodesics and the gradient flows.
 
-    y is a (K, D) state whose first three columns are the position; slope
-    maps a state to its (K, D) derivative.  Returns the state after
-    n_steps steps of size dt and the (K, M, 3) positions at the start,
-    every record_every-th step and the last step (None when record_every
-    is 0).
+    y is a (K, D) state whose first three columns are the position.  Each
+    RK4 stage keeps its state and its slope in one preallocated
+    column-major (K, 2D - tied) buffer: the state is its first D columns
+    and the slope its last D, so the slope's first `tied` columns are the
+    state's last ones (a geodesic's position slope is its velocity, a view
+    rather than a copy).  slope(q, out) writes the slope's other D - tied
+    columns at the stage state q into out.  Every update is in place, and
+    column-major buffers make each (K, .) operation a few contiguous loops
+    of length K.  The arithmetic is that of y + hdt * k1, ..., then
+    y + dt * (k1 + 2 k2 + 2 k3 + k4) / 6, bit for bit.
+
+    Returns a C-ordered copy of the state after n_steps steps of size dt,
+    and the (K, M, 3) positions at the start, every record_every-th step
+    and the last step (None when record_every is 0).
     """
+    y0 = np.asarray(y, dtype=float)
+    K, D = y0.shape
+    bufs = [np.empty((K, 2 * D - tied), order="F") for _ in range(4)]
+    q1, q2, q3, q4 = (b[:, :D] for b in bufs)           # the stage states
+    k1, k2, k3, k4 = (b[:, D - tied:] for b in bufs)    # their slopes
+    o1, o2, o3, o4 = (b[:, D:] for b in bufs)           # what slope() writes
+    y = q1
+    y[...] = y0
+    t, u = np.empty((K, D), order="F"), np.empty((K, D), order="F")
+    samples = None
+    if record_every:
+        # the start, every record_every-th step, and the last if not one
+        samples = np.empty((K, 1 + n_steps // record_every
+                            + bool(n_steps % record_every), 3))
+        samples[:, 0] = y[:, :3]
+        m = 1
     hdt = 0.5 * dt
-    samples = [y[:, :3].copy()] if record_every else None
     for step in range(n_steps):
-        k1 = slope(y)
-        k2 = slope(y + hdt * k1)
-        k3 = slope(y + hdt * k2)
-        k4 = slope(y + dt * k3)
-        y = y + dt * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
+        slope(q1, o1)
+        np.add(y, np.multiply(k1, hdt, out=t), out=q2)
+        slope(q2, o2)
+        np.add(y, np.multiply(k2, hdt, out=t), out=q3)
+        slope(q3, o3)
+        np.add(y, np.multiply(k3, dt, out=t), out=q4)
+        slope(q4, o4)
+        # y += dt * (k1 + 2 k2 + 2 k3 + k4) / 6, in that operation order
+        np.multiply(k2, 2.0, out=t)
+        t += k1
+        t += np.multiply(k3, 2.0, out=u)
+        t += k4
+        t *= dt
+        t /= 6.0
+        y += t
         if record_every and ((step + 1) % record_every == 0 or step == n_steps - 1):
-            samples.append(y[:, :3].copy())
-    return y, np.stack(samples, axis=1) if record_every else None
+            samples[:, m] = y[:, :3]
+            m += 1
+    return y.copy(), samples
 
 
 def _rk4_batch(chart: MetricChart, x0, w, n_steps, record_every=0):
@@ -97,20 +134,18 @@ def _rk4_batch(chart: MetricChart, x0, w, n_steps, record_every=0):
     points and velocities.  With record_every > 0, also returns sampled
     trajectory points of shape (K, M, 3) including both endpoints.
 
-    The state is one (K, 6) array y = [x | v] with slope k = [v | -Gamma(v, v)],
-    one christoffel_quadratic call per stage, and each RK4 update is one
-    expression on the stacked state.  Elementwise arithmetic on y is the
-    same, bit for bit, as the same expressions on x and v apart.
+    Each stage of rk4_steps holds one column-major (K, 9) buffer
+    [x | v | a]: the state is [x | v], the slope [v | a] with
+    a = -Gamma(v, v), one christoffel_quadratic call per stage on the x and
+    v columns, and each RK4 update runs on contiguous columns of length K.
+    Every operation is elementwise, so a row's bits do not depend on K.
     """
     y = np.concatenate([np.asarray(x0, float), np.asarray(w, float)], axis=1)
 
-    def slope(y):
-        k = np.empty_like(y)
-        k[:, :3] = y[:, 3:]
-        k[:, 3:] = -chart.christoffel_quadratic(y[:, :3], y[:, 3:])
-        return k
+    def slope(q, out):
+        np.negative(chart.christoffel_quadratic(q[:, :3], q[:, 3:]), out=out)
 
-    y, samples = rk4_steps(slope, y, 1.0 / n_steps, n_steps, record_every)
+    y, samples = rk4_steps(slope, y, 1.0 / n_steps, n_steps, record_every, tied=3)
     x, v = y[:, :3].copy(), y[:, 3:].copy()
     return (x, v, samples) if record_every else (x, v)
 

@@ -10,6 +10,7 @@ cross-check rather than the definition.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -142,7 +143,7 @@ class MetricChart:
 
     # -- conformal factor ------------------------------------------------
 
-    @property
+    @cached_property
     def monopole_amplitude(self) -> float:
         """Coefficient a in phi = 1 + a/|x| + (compactly supported terms)."""
         if self.family == "flat":
@@ -151,8 +152,10 @@ class MetricChart:
             return 0.5 * float(self.params.get("m", 0.0))
         return 0.5 * float(self.params.get("A", 0.0))
 
-    @property
+    @cached_property
     def bumps(self):
+        """The compactly supported terms of phi, built once per chart:
+        ("gauss", amplitude, center, width) and ("bump", Bump) entries."""
         out = []
         if self.family == "conformal":
             amp = float(self.params.get("gauss_amp", 0.0))
@@ -165,7 +168,7 @@ class MetricChart:
             for b in self.params.get("bumps", ()):
                 out.append(("bump", Bump(float(b["amplitude"]),
                                          tuple(b["center"]), float(b["width"]))))
-        return out
+        return tuple(out)
 
     @property
     def singular_at_origin(self) -> bool:
@@ -281,29 +284,72 @@ class MetricChart:
 
         The one entry point of the geodesic right-hand side, one call per
         RK4 stage; it reads phi and grad phi only.  On a monopole family a
-        row within 1e-9 of the puncture is nudged by 1e-9 along x, so the
-        puncture itself returns the value at (1e-9, 0, 0).  A pure monopole
-        chart forms phi and grad phi in one pass from that |x|^2, by the
-        arithmetic conformal_gradient uses; charts with bumps or without
-        a monopole go through conformal_gradient.
+        row with |x|^2 < 1e-18 is first nudged by copysign(1e-9, x_0) along
+        x, away from the puncture on its own side, so the puncture itself
+        (+0.0) returns the value at (1e-9, 0, 0).
+
+        A pure monopole chart, phi = 1 + a/|x|, takes the closed form
+        Gamma(v, v) = -2a / (|x|^2 (|x| + a)) (2 (v.x) v - |v|^2 x), every
+        step elementwise on the transposed (3, ...) views, so each row's
+        bits do not depend on the memory layout or on its batch-mates.
+        Charts with bumps or without a monopole go through
+        conformal_gradient on C-contiguous copies of x and v, by the same
+        arithmetic whatever layout the caller holds its state in.
         """
-        x = _as_points(x)
+        x, v = _as_points(x), _as_points(v)
         a = self.monopole_amplitude
-        if a != 0.0:
+        if a == 0.0 or self.bumps:
+            return self._christoffel_conformal(x, v)
+        if x.shape != v.shape:
+            x, v = np.broadcast_arrays(x, v)
+        r2, xv, vv = _dots(x.T, v.T)
+        if np.fmin.reduce(r2, axis=None, initial=np.inf) < 1e-18:
+            x = _off_puncture(x, (r2 < 1e-18).T)
+            r2, xv, vv = _dots(x.T, v.T)
+        # c = -2a / (|x|^2 (|x| + a)), then (2 c (v.x)) v - (c |v|^2) x
+        den = np.sqrt(r2)
+        den += a
+        den *= r2
+        c = (-2.0 * a) / den
+        xv *= c
+        xv *= 2.0
+        vv *= c
+        gamma = np.multiply(xv, v.T)
+        gamma -= vv * x.T
+        return gamma.T
+
+    def _christoffel_conformal(self, x, v):
+        """christoffel_quadratic through conformal_gradient, for any chart."""
+        x, v = np.ascontiguousarray(x), np.ascontiguousarray(v)
+        if self.monopole_amplitude != 0.0:
             r2 = np.einsum("...a,...a->...", x, x)
             bad = r2 < 1e-18
             if bad.any():
-                x = x.copy()
-                x[bad, 0] += 1e-9
-                r2 = np.einsum("...a,...a->...", x, x)
-        if a != 0.0 and not self.bumps:
-            phi, dphi, _ = _monopole(x, r2, a, 1)
-        else:
-            phi, dphi = self.conformal_gradient(x)
+                x = _off_puncture(x, bad)
+        phi, dphi = self.conformal_gradient(x)
         w = dphi / phi[..., None]
         vw = np.einsum("...a,...a->...", v, w)
         vv = np.einsum("...a,...a->...", v, v)
         return 2.0 * (2.0 * vw[..., None] * v - vv[..., None] * w)
+
+
+def _dots(xt, vt):
+    """|x|^2, x.v and |v|^2 from transposed (3, ...) points and velocities,
+    each summed ((p_0 + p_1) + p_2) elementwise."""
+    out = []
+    for p in (xt * xt, xt * vt, vt * vt):
+        s = p[0] + p[1]
+        s += p[2]
+        out.append(s)
+    return out
+
+
+def _off_puncture(x, bad):
+    """A copy of the (..., 3) points x with the rows `bad` moved 1e-9 along
+    x_0, on the side of x_0's sign (+0.0 moves to +1e-9)."""
+    x = x.copy()
+    x[bad, 0] += np.copysign(1e-9, x[bad, 0])
+    return x
 
 
 # ---------------------------------------------------------------------------

@@ -194,8 +194,8 @@ def _flow_batch(triple: HarmonicTriple, axis: int, starts, t: float, n_steps: in
     sign = 1.0 if t >= 0 else -1.0
     lim = triple.grid.halfwidth - 2 * triple.grid.h
 
-    def slope(q):
-        return sign * interp(np.clip(q, -lim, lim))
+    def slope(q, out):
+        np.multiply(interp(np.clip(q, -lim, lim)), sign, out=out)
 
     return rk4_steps(slope, np.array(starts, float), abs(t) / n_steps, n_steps,
                      record_every=1)

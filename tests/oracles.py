@@ -583,13 +583,14 @@ def _conformal_gradient_reference(chart, x):
 
 
 def _gamma_vv_reference(chart, x, v):
-    """Gamma^k_ab v^a v^b, the puncture rows nudged by 1e-9 along x first."""
+    """Gamma^k_ab v^a v^b, the puncture rows nudged by copysign(1e-9, x_0)
+    along x first."""
     if chart.singular_at_origin:
         r2 = np.einsum("...a,...a->...", x, x)
         bad = r2 < 1e-18
         if np.any(bad):
             x = x.copy()
-            x[bad, 0] += 1e-9
+            x[bad, 0] += np.copysign(1e-9, x[bad, 0])
     phi, dphi = _conformal_gradient_reference(chart, x)
     w = dphi / phi[..., None]
     vw = np.einsum("...a,...a->...", v, w)
@@ -601,7 +602,7 @@ def rk4_reference(chart, x0, w, n_steps, record_every=0):
     """Fixed-step RK4 of the geodesic equation with x and v as two arrays.
 
     The reference for `geodesy._rk4_batch`, which runs the same stages on
-    one stacked (K, 6) state; same arguments and returns.
+    column-major stage buffers [x | v | a]; same arguments and returns.
     """
     dt = 1.0 / n_steps
     x = np.array(x0, dtype=float, copy=True)

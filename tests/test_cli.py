@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import os
+import runpy
 import struct
 import subprocess
 import sys
@@ -625,6 +626,32 @@ class TestScripts:
         assert proc.returncode == 0, proc.stderr
         assert (os.path.realpath(proc.stdout.strip())
                 == os.path.realpath(os.path.join(REPO, "src", "afstab", "__init__.py")))
+
+
+    def test_artifact_hashes_names_the_largest_change(self, tmp_path):
+        # --against: a moved JSON or CSV artifact is named with its largest
+        # relative change over the numbers of size >= 1e-12, and the key
+        compare = runpy.run_path(os.path.join(REPO, "scripts", "artifact_hashes.py"),
+                                 run_name="probe")["compare"]
+        old, new = tmp_path / "old", tmp_path / "new"
+        old.mkdir()
+        new.mkdir()
+        files = {"r.json": ('{"a": 1.0, "axes": [{"s": 2.0}, {"s": 1e-13}], "t": "ok"}',
+                            '{"a": 1.000001, "axes": [{"s": 2.2}, {"s": 5e-13}], "t": "ok"}'),
+                 "p.csv": ("m,z\n0.2,1.0;2.0;4.0\n", "m,z\n0.2,1.0;2.0;5.0\n"),
+                 "k.json": ('{"a": 1.0}', '{"b": 1.0}'),
+                 "s.json": ('{"a": "ok"}', '{"a": "failed"}'),
+                 "u.field": ("\x00", "\x01")}
+        for name, (a, b) in files.items():
+            (old / name).write_text(a)
+            (new / name).write_text(b)
+        line = {name: compare(new / name, old / name) for name in files}
+        assert line["r.json"] == ("largest relative change 0.1 at axes[0].s "
+                                  "(3 number(s) moved)")
+        assert line["p.csv"] == "largest relative change 0.25 at [0].z[2] (1 number(s) moved)"
+        assert line["k.json"] == "structure differs"
+        assert line["s.json"] == "structure differs at a: 'ok' -> 'failed'"
+        assert line["u.field"] == "bytes differ"
 
 
 class TestImports:

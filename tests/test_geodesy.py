@@ -21,9 +21,9 @@ from afstab.gh import sample_geodesic_ball
 from afstab.grid import interpolator
 from afstab.seeding import rng_for
 
-from oracles import (bishop_gromov_check, chord_seeded_distance_batch, full_grid_eikonal,
-                     graph_distance, hyperbolic_ball_volume, rk4_reference,
-                     schwarzschild_radial_arclength)
+from oracles import (_gamma_vv_reference, bishop_gromov_check, chord_seeded_distance_batch,
+                     full_grid_eikonal, graph_distance, hyperbolic_ball_volume,
+                     rk4_reference, schwarzschild_radial_arclength)
 
 BUMP_CONFIG = pathlib.Path(__file__).resolve().parent.parent / "configs" / "bump_control.json"
 
@@ -84,11 +84,13 @@ def kernel_chart(name):
 
 
 class TestKernel:
-    """The stacked RK4 state and the one-pass Christoffel term against the
-    two-array integrator they replaced (tests/oracles.py)."""
+    """The column-major RK4 stage buffers and the Christoffel term against
+    the two-array integrator they replaced (tests/oracles.py)."""
 
     @pytest.mark.parametrize("name", ["flat", "schwarzschild", "conformal", "bump_control"])
     def test_rk4_matches_two_array_reference(self, name):
+        # the pure monopole chart takes the closed-form Gamma, which rounds
+        # differently from phi and grad phi; the others are bit for bit
         chart = kernel_chart(name)
         rng = rng_for(12, "rk4-reference", name)
         x0 = rng.uniform(-3.0, 3.0, size=(24, 3))
@@ -99,13 +101,65 @@ class TestKernel:
             ref = rk4_reference(chart, x0, w, 160, record_every=record_every)
             assert len(got) == len(ref)
             for a, b in zip(got, ref):
-                assert a.shape == b.shape and np.array_equal(a, b)
+                assert a.shape == b.shape
+                if name == "schwarzschild":
+                    rel = (np.linalg.norm(a - b, axis=-1)
+                           / np.maximum(np.linalg.norm(b, axis=-1), 1e-300))
+                    assert np.max(rel) <= 1e-13
+                else:
+                    assert np.array_equal(a, b)
+
+    def test_closed_form_matches_conformal_gradient(self, schw):
+        # Gamma(v, v) = -2a / (|x|^2 (|x| + a)) (2 (v.x) v - |v|^2 x), whose
+        # norm is |c| |v|^2 |x|: no cancellation to hide an error in
+        rng = rng_for(14, "closed-form")
+        dirs = rng.normal(size=(20_000, 3))
+        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+        x = dirs * np.exp(rng.uniform(np.log(1e-3), np.log(20.0), size=(20_000, 1)))
+        x[0] = 0.0
+        v = rng.normal(size=(20_000, 3))
+        got = schw.christoffel_quadratic(x, v)
+        ref = _gamma_vv_reference(schw, x, v)
+        rel = np.linalg.norm(got - ref, axis=1) / np.linalg.norm(ref, axis=1)
+        assert np.all(np.isfinite(got)) and np.max(rel) <= 1e-14
+
+    @pytest.mark.parametrize("name", ["flat", "schwarzschild", "conformal", "bump_control"])
+    def test_rows_independent_of_batch_size(self, name):
+        # np.einsum rounds a column-major (K, 3) array differently from a
+        # row-major one, and a (1, 3) array is both; every row must take
+        # the same bits at every K, recorded or not
+        chart = kernel_chart(name)
+        rng = rng_for(15, "rk4-layout", name)
+        x0 = rng.uniform(-3.0, 3.0, size=(960, 3))
+        x0[0] = 0.0
+        w = rng.normal(size=(960, 3))
+        for record_every in (0, 3):
+            full = _rk4_batch(chart, x0, w, 40, record_every=record_every)
+            for K in (1, 4, 7):
+                for lo in (0, 5, 953):
+                    part = _rk4_batch(chart, x0[lo:lo + K], w[lo:lo + K], 40,
+                                      record_every=record_every)
+                    for a, b in zip(part, full):
+                        assert np.array_equal(a, b[lo:lo + K])
 
     def test_puncture_nudged_along_x(self, schw):
         v = np.array([[0.3, -1.0, 0.2]])
         at_origin = schw.christoffel_quadratic(np.zeros((1, 3)), v)
         nudged = schw.christoffel_quadratic(np.array([[1e-9, 0.0, 0.0]]), v)
         assert np.all(np.isfinite(at_origin)) and np.array_equal(at_origin, nudged)
+
+    @pytest.mark.parametrize("name", ["schwarzschild", "conformal"])
+    def test_puncture_nudge_keeps_its_side(self, name):
+        # a row just inside |x| = 1e-9 on the negative side moves out to
+        # about -2e-9, not across the origin to 1 ulp from it: |Gamma| there
+        # is half that at -1e-9 (to 1e-8), where it was 5e15 times larger
+        chart = kernel_chart(name)
+        v = np.array([[0.3, -1.0, 0.2]])
+        inside = np.array([[np.nextafter(-1e-9, 0.0), 0.0, 0.0]])
+        edge = np.array([[-1e-9, 0.0, 0.0]])
+        ratio = (np.linalg.norm(chart.christoffel_quadratic(inside, v))
+                 / np.linalg.norm(chart.christoffel_quadratic(edge, v)))
+        assert abs(np.log2(ratio)) <= 1.0 + 1e-6
 
     def test_one_christoffel_call_per_stage(self, schw, monkeypatch):
         # the benchmark counts christoffel_quadratic calls and rows: one

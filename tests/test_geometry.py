@@ -184,6 +184,15 @@ class TestCurvature:
                            np.einsum("kab,na,nb->nk", ref, vs, vs), atol=1e-13)
 
 
+class TestChartTerms:
+    def test_terms_built_once_per_chart(self):
+        # every RK4 stage reads them; they are formed on the first read
+        chart = bump_chart(0.3, A=0.4)
+        assert chart.bumps is chart.bumps
+        assert chart.monopole_amplitude == 0.2
+        assert [type(t[1]).__name__ for t in chart.bumps] == ["Bump"]
+
+
 class TestPositiveDefinite:
     @pytest.mark.parametrize("chart", [
         MetricChart("flat"),

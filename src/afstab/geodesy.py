@@ -13,10 +13,14 @@ shares the velocity columns with the state.  Each RK4 stage makes one
 MetricChart.christoffel_quadratic call, which takes a closed form on a
 pure monopole chart and moves rows off a monopole puncture, each on its
 own side.  A pass costs its step count in such calls whatever its rows,
-so the solve is seeded by the same Newton solve at an eighth of the
-steps; pairs that one does not converge start from the straight chord.
-A 26-neighbor graph Dijkstra distance seeds hard pairs and provides the
-admissible-curve upper bound the converged distance must respect.
+so every full-resolution solve, of a distance or of a level-set
+projection, is seeded by _extrapolated_seed: the same Newton solve at an
+eighth of the steps, one Newton pass at a quarter, and a Richardson
+extrapolation of the two to the full step count, from which a solve
+typically freezes after one full pass.  Pairs the coarse solve does not
+converge start from the straight chord.  A 26-neighbor graph Dijkstra
+distance seeds hard pairs and provides the admissible-curve upper bound
+the converged distance must respect.
 
 Batches are invariant: a converged row is frozen out of later Newton
 passes and every operation on a row is row-local, so a pair's distance is
@@ -162,8 +166,28 @@ def _newton_steps(J, E):
                                for i in range(len(J))])
 
 
+def _shoot(chart: MetricChart, starts, targets, w, n_steps, record=False):
+    """The shots of one Newton pass: the endpoint misses E = x(1) - target
+    of the unit-time geodesics from starts at w, their forward-difference
+    Jacobians dE/dw (steps of 1e-7 max(1, |w|) along each axis), and with
+    record the (K, n_steps + 1, 3) trajectories at w (else None).  The
+    4K rows run as one _rk4_batch."""
+    k = len(w)
+    eye = np.eye(3)
+    delta = 1e-7 * np.maximum(1.0, np.linalg.norm(w, axis=1))
+    stacked_x = np.concatenate([starts] * 4, axis=0)
+    stacked_w = np.concatenate([w] + [w + delta[:, None] * eye[j]
+                                      for j in range(3)], axis=0)
+    ends, _, *traj = _rk4_batch(chart, stacked_x, stacked_w, n_steps,
+                                record_every=int(record))
+    E = ends[:k] - targets
+    J = np.stack([(ends[(j + 1) * k:(j + 2) * k] - ends[:k]) / delta[:, None]
+                  for j in range(3)], axis=-1)
+    return E, J, (traj[0][:k] if record else None)
+
+
 def _bvp_batch(chart: MetricChart, starts, targets, w0=None, n_steps=160,
-               max_iter=16, rel_target=1e-9, record=False):
+               max_iter=16, rel_target=1e-9, record=False, stepped=False):
     """Batched Newton shooting for the endpoint map.
 
     Returns (w, residual, converged) where w are initial velocities whose
@@ -172,6 +196,10 @@ def _bvp_batch(chart: MetricChart, starts, targets, w0=None, n_steps=160,
     1e-6 * separation (the shipping tolerance; iteration aims lower).
     With record, also returns the (K, n_steps + 1, 3) trajectories of
     those w at every step, kept from the Newton pass that integrated them.
+    With stepped, also returns (last) the velocity one full Newton step
+    past w for each row the solve froze, from the Jacobian of the pass
+    that froze it (NaN for the rows it never froze); that pass forms the
+    step anyway, so it costs no integration.
 
     A row is frozen once its best residual meets rel_target * separation:
     later passes integrate and step only the rows still active.  Every
@@ -187,6 +215,7 @@ def _bvp_batch(chart: MetricChart, starts, targets, w0=None, n_steps=160,
     scale = np.maximum(sep, 1e-12)
     best_w = w.copy()
     best_res = np.full(K, np.inf)
+    stepped_w = np.full((K, 3), np.nan)
     lam = np.ones(K)           # per-pair Newton damping
     eye = np.eye(3)
     active = np.arange(K)
@@ -194,15 +223,9 @@ def _bvp_batch(chart: MetricChart, starts, targets, w0=None, n_steps=160,
     for _ in range(max_iter):
         if len(active) == 0:
             break
-        k = len(active)
         w_a = w[active]
-        delta = 1e-7 * np.maximum(1.0, np.linalg.norm(w_a, axis=1))
-        stacked_x = np.concatenate([starts[active]] * 4, axis=0)
-        stacked_w = np.concatenate([w_a] + [w_a + delta[:, None] * eye[j]
-                                            for j in range(3)], axis=0)
-        ends, _, *traj = _rk4_batch(chart, stacked_x, stacked_w, n_steps,
-                                    record_every=int(record))
-        E = ends[:k] - targets[active]
+        E, J, traj = _shoot(chart, starts[active], targets[active], w_a, n_steps,
+                            record)
         res = np.linalg.norm(E, axis=1)
         prev = best_res[active]
         improved = res < prev
@@ -216,13 +239,14 @@ def _bvp_batch(chart: MetricChart, starts, targets, w0=None, n_steps=160,
             # the first pass integrates every row at its starting w, which
             # stays its best w until an iterate improves on it
             if best_traj is None:
-                best_traj = traj[0][:k].copy()
+                best_traj = traj.copy()
             else:
-                best_traj[active[improved]] = traj[0][:k][improved]
+                best_traj[active[improved]] = traj[improved]
         live = best_res[active] > rel_target * scale[active]
-        J = np.stack([(ends[(j + 1) * k:(j + 2) * k] - ends[:k]) / delta[:, None]
-                      for j in range(3)], axis=-1)[live]
-        step = _newton_steps(J + 1e-13 * eye, E[live])
+        # a row freezes in the pass that improved it, so its w is w_a
+        step = _newton_steps(J + 1e-13 * eye, E)
+        stepped_w[active[~live]] = w_a[~live] - step[~live]
+        step = step[live]
         # damp and clip steps; a worsened row restarts at its best point and
         # resumes from there with the halved damping on the next pass
         rows = active[live]
@@ -235,9 +259,8 @@ def _bvp_batch(chart: MetricChart, starts, targets, w0=None, n_steps=160,
         lam[rows] = lam_a[live]
         active = rows
     converged = best_res <= 1e-6 * scale
-    if record:
-        return best_w, best_res, converged, best_traj
-    return best_w, best_res, converged
+    return ((best_w, best_res, converged) + ((best_traj,) if record else ())
+            + ((stepped_w,) if stepped else ()))
 
 
 def geodesic_lengths(chart: MetricChart, starts, w):
@@ -328,30 +351,56 @@ class GeodesicGraph:
 # public geodesic operations
 
 
-# The coarse solve that seeds distance_batch: n_steps // COARSE_STEP_DIVISOR
-# RK4 steps, stopped at COARSE_REL_TARGET times the separation.  From its
-# velocity the full solve typically freezes after two passes, not three or four.
+# The coarse solve behind every full-resolution Newton seed:
+# n_steps // COARSE_STEP_DIVISOR RK4 steps, stopped at COARSE_REL_TARGET
+# times the separation, which is also the convergence rule, so it freezes
+# (and forms a last Newton step for) exactly the rows it converges.
+# Extrapolated from there and from one Newton pass at twice its steps, the
+# seed typically freezes after one full pass.
 COARSE_STEP_DIVISOR = 8
 COARSE_REL_TARGET = 1e-6
+
+
+def _extrapolated_seed(chart: MetricChart, starts, targets, n_steps: int):
+    """Initial velocities for an n_steps Newton solve of the pairs.
+
+    A Newton solve at c = n_steps // COARSE_STEP_DIVISOR steps gives, for
+    each pair it converges, the velocity w_c one full Newton step past its
+    solution; one Newton pass at 2c steps from there, its step taken
+    unverified, gives w_2c.  RK4's global error expands as C h^4 + O(h^5),
+    so the n_steps velocity is extrapolated (Richardson) as
+    w_2c + (w_2c - w_c) (h_2c^4 - h_n^4) / (h_c^4 - h_2c^4), h_k = 1/k.
+    Pairs the coarse solve does not converge keep the straight chord.
+    Every step is row-local, so a pair's seed does not depend on its batch.
+    """
+    c = n_steps // COARSE_STEP_DIVISOR
+    w0 = targets - starts
+    _, _, seeded, w_c = _bvp_batch(chart, starts, targets, n_steps=c,
+                                   rel_target=COARSE_REL_TARGET, stepped=True)
+    if np.any(seeded):
+        w_c = w_c[seeded]
+        E, J, _ = _shoot(chart, starts[seeded], targets[seeded], w_c, 2 * c)
+        w_2c = w_c - _newton_steps(J + 1e-13 * np.eye(3), E)
+        h_c, h_2c, h_n = (1.0 / k**4 for k in (c, 2 * c, n_steps))
+        w0[seeded] = w_2c + (w_2c - w_c) * ((h_2c - h_n) / (h_c - h_2c))
+    return w0
 
 
 def distance_batch(chart: MetricChart, starts, targets, n_steps: int = 160):
     """Distances for many pairs at once; returns (d, w, residual, converged).
 
-    A Newton solve at n_steps // COARSE_STEP_DIVISOR steps runs first; the
-    pairs it converges start the n_steps solve from its velocity, the
-    others from the straight chord.  Pairs whose n_steps solve fails get a
-    second Newton pass from a Dijkstra-path seed at doubled integration
-    resolution, on a graph sized by the pair itself.  Every pass is
-    batch-invariant, so a pair's row is the same bit for bit whatever
-    other pairs share its call.
+    The n_steps solve starts from _extrapolated_seed: the pairs a solve at
+    n_steps // COARSE_STEP_DIVISOR steps converges start from its velocity
+    extrapolated to n_steps, which typically freezes after one full pass;
+    the others start from the straight chord.  Pairs whose n_steps solve
+    fails get a second Newton pass from a Dijkstra-path seed at doubled
+    integration resolution, on a graph sized by the pair itself.  Every
+    pass is batch-invariant, so a pair's row is the same bit for bit
+    whatever other pairs share its call.
     """
     starts = np.atleast_2d(np.asarray(starts, float))
     targets = np.atleast_2d(np.asarray(targets, float))
-    w0, _, seeded = _bvp_batch(chart, starts, targets,
-                               n_steps=n_steps // COARSE_STEP_DIVISOR,
-                               rel_target=COARSE_REL_TARGET)
-    w0 = np.where(seeded[:, None], w0, targets - starts)
+    w0 = _extrapolated_seed(chart, starts, targets, n_steps)
     w, res, conv = _bvp_batch(chart, starts, targets, w0=w0, n_steps=n_steps)
     need = ~conv
     if np.any(need):
@@ -544,9 +593,12 @@ def level_set_projections(chart: MetricChart, triple: HarmonicTriple, xs, ys, ax
     """Quasi-project each xs[i] onto the u^axes[i] level set through ys[i].
 
     The projections run in lockstep: the mean-value candidates of every
-    row are shot toward their far points as one Newton batch, which keeps
-    the trajectory of each candidate's solution from the pass that
-    integrated it.  The picked candidate's solution and trajectory are the
+    row are shot toward their far points as one Newton batch of
+    PROJECTION_STEPS steps, seeded by _extrapolated_seed (a solve at
+    PROJECTION_STEPS // COARSE_STEP_DIVISOR steps, one pass at twice that,
+    extrapolated; a shot the coarse solve does not converge starts from
+    its chord), which keeps the trajectory of each candidate's solution
+    from the pass that integrated it.  The picked candidate's solution and trajectory are the
     projection geodesic itself; since a batch solve equals the one-row
     solve bit for bit, nothing is solved or integrated twice.
     Returns one entry per row: (z, x_star), or the AfstabError that ended
@@ -580,8 +632,10 @@ def level_set_projections(chart: MetricChart, triple: HarmonicTriple, xs, ys, ax
         return out
 
     starts = np.vstack([r[3] for r in rows])
-    w, _, conv, trajs = _bvp_batch(chart, starts, np.vstack([r[5] for r in rows]),
-                                   n_steps=PROJECTION_STEPS, record=True)
+    fars = np.vstack([r[5] for r in rows])
+    w, _, conv, trajs = _bvp_batch(
+        chart, starts, fars, w0=_extrapolated_seed(chart, starts, fars, PROJECTION_STEPS),
+        n_steps=PROJECTION_STEPS, record=True)
     lengths = geodesic_lengths(chart, starts, w)
     # the last sample is the endpoint, fewer than n_steps // 64 steps after
     # the one before when that does not divide n_steps (200 // 64 = 3), yet

@@ -8,9 +8,9 @@ calls (the stacked geodesic integrator, the shared RK4 loop of the flows,
 the active-set eikonal, the trilinear interpolator, the in-place
 stencils and |Hess u|_g^2 entries, the conjugate-gradient loop), the
 plain form it replaced is kept here as the bit-for-bit reference; where it
-reaches the same solution from another start or integrator (the
-coarse-seeded distance solve, the fixed-step flow leg), the route it
-replaced is kept as the reference within tolerance.
+reaches the same solution from another start or integrator (the seeded
+distance solve and level-set projections, the fixed-step flow leg), the
+route it replaced is kept as the reference within tolerance.
 """
 
 import numpy as np
@@ -21,8 +21,12 @@ from scipy.interpolate import RegularGridInterpolator
 from scipy.sparse.csgraph import dijkstra
 from scipy.sparse.linalg import LinearOperator, cg
 
-from afstab.errors import LeftDomain, OutOfDomain
-from afstab.geodesy import GeodesicGraph, _bvp_batch, geodesic_lengths, local_distance
+from afstab.errors import AfstabError, EmptySample, LeftDomain, OutOfDomain
+from afstab.geodesy import (LEVEL_TOL, MV_SAMPLES, PROJECTION_STEPS, SCORE_FLOOR,
+                            GeodesicGraph, _bvp_batch, _level_crossing,
+                            _score_sample_index, geodesic_lengths, local_distance,
+                            mean_value_candidates, mean_value_rule,
+                            segment_functional)
 from afstab.grid import diff1, diff2
 from afstab.harmonic import LaplaceBeltrami
 
@@ -658,6 +662,63 @@ def chord_seeded_distance_batch(chart, starts, targets, n_steps=160):
     d = geodesic_lengths(chart, starts, w)
     same = np.linalg.norm(targets - starts, axis=1) < 1e-14
     return np.where(same, 0.0, d), w, res, conv | same
+
+
+def chord_seeded_projections(chart, triple, xs, ys, axes, seeds, rho=None):
+    """`geodesy.level_set_projections` with the Newton solve of every
+    candidate's far shot started from its straight chord, as it was before
+    the extrapolated seed; same arguments.  Returns the per-row outputs,
+    (z, x_star) or the AfstabError that ended the row, then the candidates'
+    velocities and convergence flags in batch order (None, None when no
+    row shoots)."""
+    grid = triple.grid
+    L = 0.6 * grid.halfwidth
+    if rho is None:
+        rho = 2.0 * grid.h
+    xs = np.atleast_2d(np.asarray(xs, float))
+    ys = np.atleast_2d(np.asarray(ys, float))
+    out = [None] * len(xs)
+    rows = []
+    for i, (x, y, axis, seed) in enumerate(zip(xs, ys, axes, seeds)):
+        u_i = triple.u_interp[axis]
+        target = float(u_i(y)[0])
+        if abs(float(u_i(x)[0]) - target) < LEVEL_TOL:
+            out[i] = (x.copy(), x.copy())
+            continue
+        try:
+            cands, has_center = mean_value_candidates(chart, x, rho, MV_SAMPLES,
+                                                      seed, label=f"lsp-{axis}")
+        except EmptySample as exc:
+            out[i] = exc
+            continue
+        signs = np.where(target >= np.asarray(u_i(cands), float), 1.0, -1.0)
+        fars = cands.copy()
+        fars[:, axis] += signs * L
+        rows.append((i, axis, target, cands, has_center, fars))
+    if not rows:
+        return out, None, None
+    starts = np.vstack([r[3] for r in rows])
+    w, _, conv, trajs = _bvp_batch(chart, starts, np.vstack([r[5] for r in rows]),
+                                   n_steps=PROJECTION_STEPS, record=True)
+    lengths = geodesic_lengths(chart, starts, w)
+    samples = trajs[:, _score_sample_index(PROJECTION_STEPS)]
+    scores = segment_functional(np.clip(samples, -grid.halfwidth, grid.halfwidth),
+                                lengths, triple.hess_sum_interp)
+    scores = np.where(scores < SCORE_FLOOR, 0.0, scores)
+    scores = np.where(conv, scores, np.inf)
+    offset = 0
+    for i, axis, target, cands, has_center, _ in rows:
+        block = slice(offset, offset + len(cands))
+        offset += len(cands)
+        try:
+            k = block.start + mean_value_rule(scores[block], has_center)
+            z = _level_crossing(trajs[k], triple.u_interp[axis], target,
+                                grid.halfwidth)
+        except AfstabError as exc:
+            out[i] = exc
+            continue
+        out[i] = (z, starts[k].copy())
+    return out, w, conv
 
 
 # ---------------------------------------------------------------------------

@@ -338,8 +338,11 @@ class TestShootingBudget:
     # the projection trajectories and one flow distance batch per leg, the
     # chain made 21 760 (4 480 + 11 520 + 5 760); with the coarse-step seed,
     # the trajectories kept from the Newton passes and the flow budgets
-    # certified by their chords it makes 13 360 (3 040 + 8 800 + 1 520).
-    CALLS = 13_360
+    # certified by their chords it makes 13 360 (3 040 + 8 800 + 1 520);
+    # with every full solve seeded by the coarse velocity extrapolated to
+    # its step count, so a distance solve freezes after one full pass, it
+    # makes 7 860 (2 080 + 4 740 + 1 040).
+    CALLS = 7_860
 
     def test_chain_christoffel_calls(self, schw_cfg, tmp_path, monkeypatch):
         real = MetricChart.christoffel_quadratic

@@ -9,10 +9,12 @@ import pytest
 
 from afstab.cli import run
 from afstab.config import config_from_dict
+from afstab import geodesy
 from afstab.errors import OutOfDomain
 from afstab.geodesy import (COARSE_REL_TARGET, COARSE_STEP_DIVISOR,
-                            DistanceField, GeodesicGraph, _bvp_batch, _rk4_batch,
-                            distance_batch, level_set_projection,
+                            PROJECTION_STEPS, DistanceField, GeodesicGraph,
+                            _bvp_batch, _rk4_batch, distance_batch,
+                            level_set_projection, level_set_projections,
                             local_distance, mean_value_candidates,
                             mean_value_pick, metric_speed, pythagorean_check,
                             pythagorean_records, segment_functional)
@@ -22,8 +24,9 @@ from afstab.grid import interpolator
 from afstab.seeding import rng_for
 
 from oracles import (_gamma_vv_reference, bishop_gromov_check, chord_seeded_distance_batch,
-                     full_grid_eikonal, graph_distance, hyperbolic_ball_volume,
-                     rk4_reference, schwarzschild_radial_arclength)
+                     chord_seeded_projections, full_grid_eikonal, graph_distance,
+                     hyperbolic_ball_volume, rk4_reference,
+                     schwarzschild_radial_arclength)
 
 BUMP_CONFIG = pathlib.Path(__file__).resolve().parent.parent / "configs" / "bump_control.json"
 
@@ -245,6 +248,27 @@ class TestDistance:
         assert np.array_equal(conv, conv_chord)
         assert np.all(np.abs(d - d_chord) <= 5e-9 * d_chord)
 
+    @pytest.mark.parametrize("m", [0.2, 0.025])
+    def test_one_full_resolution_pass(self, schw_charts, schw_triples, monkeypatch, m):
+        # the desk pairs of the geodesic 1.5-ball: from the extrapolated seed
+        # every pair freezes in the first 160-step pass, after the 20-step
+        # passes and one pass at 40 steps
+        chart = schw_charts[m]
+        pts = sample_geodesic_ball(chart, schw_triples[m], 1.5, 120, seed=15,
+                                   label="distort-1.5")
+        steps = []
+        real = geodesy._rk4_batch
+
+        def counted(chart, x0, w, n_steps, record_every=0):
+            steps.append(n_steps)
+            return real(chart, x0, w, n_steps, record_every)
+
+        monkeypatch.setattr(geodesy, "_rk4_batch", counted)
+        _, _, _, conv = distance_batch(chart, pts[:60], pts[60:])
+        assert np.all(conv)
+        assert steps.count(160) == 1 and steps.count(40) == 1
+        assert set(steps) == {20, 40, 160}
+
     def test_degenerate_pair(self, flat_chart):
         d, _, _, conv = distance_batch(flat_chart, [[1.0, 2.0, 3.0]], [[1.0, 2.0, 3.0]])
         assert d[0] == 0.0 and conv[0]
@@ -393,6 +417,48 @@ class TestLevelSetProjection:
             z, _ = level_set_projection(schw, schw02_triple, x, y, k % 3,
                                         seed=20 + k)
             assert np.linalg.norm(z - p) < 12.0
+
+    def test_seeded_projections_match_chord_seeded(self, schw_charts, schw_triples,
+                                                   monkeypatch):
+        # the extrapolated seed converges the same candidates as the chord
+        # and picks the same ones; the first row's centre shoots along the
+        # x-axis 0.01 past the puncture, where the 25-step solve fails, so
+        # that shot keeps the chord and its projection is the chord's bit
+        # for bit
+        chart, triple = schw_charts[0.025], schw_triples[0.025]
+        rng = rng_for(23, "seeded-projections")
+        p = np.array([2.0, 0.0, 0.0])
+        xs = np.vstack([[-1.5, 0.01, 0.0], p + rng.uniform(-2.0, 2.0, size=(3, 3))])
+        ys = np.vstack([[2.5, 0.3, -0.2], p + rng.uniform(-2.0, 2.0, size=(3, 3))])
+        axes, seeds = [0, 0, 1, 2], [7, 30, 31, 32]
+        solves = []
+        real = geodesy._bvp_batch
+
+        def kept(*args, **kwargs):
+            result = real(*args, **kwargs)
+            if kwargs.get("record"):
+                solves.append(result)
+            return result
+
+        monkeypatch.setattr(geodesy, "_bvp_batch", kept)
+        seeded = level_set_projections(chart, triple, xs, ys, axes, seeds)
+        chord, w_chord, conv_chord = chord_seeded_projections(chart, triple, xs, ys,
+                                                              axes, seeds)
+        (w, _, conv, _), = solves
+        assert np.array_equal(conv, conv_chord)
+        L = 0.6 * triple.grid.halfwidth
+        for got, want in zip(seeded, chord):
+            assert type(got) is type(want)
+            assert np.array_equal(got[1], want[1])
+            assert np.linalg.norm(got[0] - want[0]) <= 1e-8 * L
+        x = xs[:1]
+        _, _, coarse = _bvp_batch(chart, x, x + [L, 0.0, 0.0],
+                                  n_steps=PROJECTION_STEPS // COARSE_STEP_DIVISOR,
+                                  rel_target=COARSE_REL_TARGET)
+        assert conv[0] and not coarse[0]
+        assert np.array_equal(w[0], w_chord[0])
+        assert np.array_equal(seeded[0][1], xs[0])
+        assert np.array_equal(seeded[0][0], chord[0][0])
 
     def test_trivial_when_already_on_level(self, flat_chart, flat_triple):
         x = np.array([1.0, 2.0, 0.0])

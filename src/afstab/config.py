@@ -44,6 +44,10 @@ class SamplingConfig:
     n_targets: int = 20
     target_radius: float = 2.0
     n_pythagoras_pairs: int = 50
+    # read by nothing: the distortion's geodesic ball comes from chord
+    # certificates and shots.  It stays, still validated, because the
+    # repository configs and the benchmark workloads set it; one schema
+    # change is to drop it from all of them
     eikonal_nodes: int = 81
 
 

@@ -42,6 +42,11 @@ class NoConvergence(AfstabError):
     """Two-point geodesic shooting, or a computation built on it, did not converge."""
 
 
+class NoDistanceBound(AfstabError):
+    """The chart's conformal factor has no positive lower bound, so no chart
+    distance bounds a geodesic distance from below."""
+
+
 class NoCrossing(AfstabError):
     """A geodesic reached its far endpoint without crossing the level set."""
 

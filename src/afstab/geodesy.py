@@ -31,12 +31,15 @@ take their candidate geodesics from the Newton passes that solved them
 and score them with segment_functional, the trapezoid integral of
 sum_j |Hess u^j|_g along the sampled trajectories.
 
-The nodes of the geodesic ball whose frame orthonormality the distortion
-integrates come from a first-order upwind eikonal solve of
-|grad T|_g = 1 from the base point, not from pairwise shooting.  The
-solve runs the Jacobi iteration to its fixed point (the fast-marching
-solution), but each sweep updates only the nodes next to a node that
-moved in the sweep before; the others would keep their values anyway.
+DistanceField is a first-order upwind eikonal solve of |grad T|_g = 1
+from one point.  It runs the Jacobi iteration to its fixed point (the
+fast-marching solution), but each sweep updates only the nodes next to a
+node that moved in the sweep before; the others would keep their values
+anyway.  No stage reads it: the geodesic ball of the distortion comes
+from chord certificates and shots (see gh.gh_distortion), and near the
+puncture the first-order field overestimates distance.  It stays for
+the Bishop-Gromov volume comparison of the tests and for the benchmark's
+tracer, which times its construction.
 """
 
 import logging

@@ -7,6 +7,13 @@ bound it are measured: the sampled-pair distortion of u on a geodesic
 ball, and one-sided coverage of the Euclidean ball by the image of the
 three-step gradient-flow construction.
 
+Membership in the geodesic ball is decided by certificates where they
+suffice and by shots where they do not.  The chord length of p -> x
+bounds d(p, x) from above (see _chord_certified), and |x - p| times the
+square of a lower bound of phi bounds it from below; a candidate or grid
+node that neither decides is shot from p.  The grid nodes the distortion
+integrates over ride as extra rows in the distance batch of its pairs.
+
 A flow leg is integrated once: the mean-value candidates of its start
 flow as one fixed-step RK4 batch (geodesy.rk4_steps, the RK4 loop the
 geodesics use), the sampled paths are scored by segment_functional, and
@@ -19,8 +26,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import LeftDomain, NoConvergence
-from .geodesy import (DistanceField, distance_batch, local_distance,
+from .errors import LeftDomain, NoConvergence, NoDistanceBound
+from .geodesy import (distance_batch, local_distance,
                       mean_value_candidates, mean_value_rule, rk4_steps,
                       segment_functional, MV_SAMPLES, SCORE_FLOOR)
 from .geometry import MetricChart
@@ -31,7 +38,8 @@ from .seeding import rng_for
 @dataclass
 class DistortionReport:
     """Distortion of u over sampled pairs of the geodesic r-ball: quantiles
-    of the pair defects, the Gram-defect integral, and the failed pairs."""
+    of the pair defects, the Gram-defect integral, the failed pairs, and
+    the grid nodes whose ball membership a shot failed to decide."""
 
     r: float
     n_pairs: int
@@ -41,6 +49,7 @@ class DistortionReport:
     defect_p99: float
     ortho_l1: float
     n_failed_pairs: int
+    n_failed_nodes: int
 
 
 # A candidate is certified in the geodesic r-ball without a shot when its
@@ -91,7 +100,9 @@ def sample_geodesic_ball(chart: MetricChart, triple: HarmonicTriple, r: float,
     filter: a candidate whose chord length certifies d(p, x) < r (see
     _chord_certified) is kept without a shot; the others are shot from p
     and kept when the shot converges with d <= r.  Candidate order and the
-    draws do not depend on which test kept a candidate.  Returns the
+    draws do not depend on which test kept a candidate.  Once the certified
+    candidates of a round fill what is missing, the later ones are cut
+    away whatever their verdict, so they are not shot.  Returns the
     (n_points, 3) points only.
     """
     p = np.asarray(chart.base_point, float)
@@ -111,6 +122,9 @@ def sample_geodesic_ball(chart: MetricChart, triple: HarmonicTriple, r: float,
             continue
         good = _chord_certified(chart, p, cands, r)
         shoot = ~good
+        filled = np.cumsum(good) >= n_points - len(pts)
+        if filled[-1]:
+            shoot[np.argmax(filled) + 1:] = False
         if np.any(shoot):
             rest = cands[shoot]
             d, _, _, conv = distance_batch(chart, np.broadcast_to(p, rest.shape), rest)
@@ -122,28 +136,75 @@ def sample_geodesic_ball(chart: MetricChart, triple: HarmonicTriple, r: float,
     return np.array(pts[:n_points])
 
 
-def ball_distance_field(chart: MetricChart, r: float, nodes: int) -> DistanceField:
-    """The eikonal distance field from the base point that measures the
-    geodesic r-ball: halfwidth max(1.6 r, r + 2), kept inside the chart box."""
-    hw = min(chart.box_halfwidth - float(np.max(np.abs(chart.base_point))),
-             max(1.6 * r, r + 2.0))
-    return DistanceField(chart, chart.base_point, hw, nodes=nodes)
+def _phi_floor(chart: MetricChart) -> float:
+    """A positive lower bound of phi over the chart: 1 plus the negative
+    Gaussian and bump amplitudes, each term being at least its amplitude
+    where that is negative.  A negative monopole, or terms that sum to
+    phi <= 0, leave no such bound and raise NoDistanceBound."""
+    lo = 1.0 + sum(min(0.0, term[1] if term[0] == "gauss" else term[1].amplitude)
+                   for term in chart.bumps)
+    if chart.monopole_amplitude < 0.0 or lo <= 0.0:
+        raise NoDistanceBound(f"phi of the {chart.family} chart has no positive lower "
+                              "bound; the geodesic ball has no Euclidean bound")
+    return lo
+
+
+def _ball_nodes(chart: MetricChart, nodes, kept, r: float):
+    """The kept (M, 3) nodes of the geodesic r-ball that certificates
+    decide, and the ones that need a shot.
+
+    A node x is in when its chord certifies d(p, x) < r (_chord_certified),
+    and out when |x - p| phi_lo^2 > r, phi_lo being _phi_floor.  The rest
+    must be shot from p, but for the degenerate ones: on a chart with a
+    puncture, a node whose chord passes within 1e-9 |x - p| of it has a
+    circle of geodesics from p and a singular Newton Jacobian, so it is out
+    and counted failed without a shot.  Returns the (M,) mask of the
+    certified nodes, the indices of the nodes to shoot and the number of
+    degenerate ones.
+    """
+    p = np.asarray(chart.base_point, float)
+    sep = np.linalg.norm(nodes - p, axis=1)
+    near = np.flatnonzero(kept & (sep * _phi_floor(chart) ** 2 <= r))
+    cert = _chord_certified(chart, p, nodes[near], r)
+    in_ball = np.zeros(len(nodes), bool)
+    in_ball[near[cert]] = True
+    undecided = near[~cert]
+    degenerate = np.zeros(len(undecided), bool)
+    if chart.singular_at_origin:
+        # closest approach of the chord p -> x to the puncture
+        seg = nodes[undecided] - p
+        s = np.clip(-(seg @ p) / sep[undecided] ** 2, 0.0, 1.0)
+        closest = np.linalg.norm(p + s[:, None] * seg, axis=1)
+        degenerate = closest <= 1e-9 * sep[undecided]
+    return in_ball, undecided[~degenerate], int(np.sum(degenerate))
 
 
 def gh_distortion(chart: MetricChart, triple: HarmonicTriple, r: float,
-                  n_pairs: int, seed: int, dist_field: DistanceField) -> DistortionReport:
+                  n_pairs: int, seed: int) -> DistortionReport:
     """Sampled distortion of the map u over pairs in the geodesic r-ball.
 
     Per-pair defect |d(x, y) - |u(x) - u(y)||; pairs whose two-point solve
     fails are excluded and counted (they must stay under 1% in acceptance
     runs).  ortho_l1 is the cell integral over the ball of
-    sum_ij |<grad u^i, grad u^j> - delta^ij|, the ball being the nodes
-    that dist_field (see ball_distance_field) puts within r.
+    sum_ij |<grad u^i, grad u^j> - delta^ij|, the ball being the kept grid
+    nodes x with d(p, x) <= r: certified in or out by _ball_nodes, else in
+    when a shot p -> x converges with d <= r.  The nodes' shots are extra
+    rows of the pairs' distance_batch, which leaves the pairs' rows as they
+    are alone; the degenerate nodes and the nodes whose shot fails are out
+    and counted in n_failed_nodes.
     """
+    nodes = triple.grid.points().reshape(-1, 3)
+    in_ball, shoot, n_degenerate = _ball_nodes(chart, nodes, ~triple.excluded.ravel(), r)
     pts = sample_geodesic_ball(chart, triple, r, 2 * n_pairs, seed,
                                label=f"distort-{r}")
     xs, ys = pts[:n_pairs], pts[n_pairs:]
-    d, _, _, conv = distance_batch(chart, xs, ys)
+    p = np.broadcast_to(np.asarray(chart.base_point, float), (len(shoot), 3))
+    d, _, _, conv = distance_batch(chart, np.concatenate([xs, p]),
+                                   np.concatenate([ys, nodes[shoot]]))
+    in_ball[shoot] = conv[n_pairs:] & (d[n_pairs:] <= r)
+    in_ball = in_ball.reshape(triple.excluded.shape)
+    n_failed_nodes = n_degenerate + int(np.sum(~conv[n_pairs:]))
+    d, conv = d[:n_pairs], conv[:n_pairs]
     u_xs = triple.u_map(xs)
     u_ys = triple.u_map(ys)
     defects = np.abs(d - np.linalg.norm(u_xs - u_ys, axis=1))
@@ -153,16 +214,13 @@ def gh_distortion(chart: MetricChart, triple: HarmonicTriple, r: float,
         raise NoConvergence("every distortion pair failed to converge")
     quant = np.percentile(np.sort(defects), [50.0, 90.0, 99.0])
 
-    nodes = triple.grid.points()
-    node_d = dist_field.at(nodes.reshape(-1, 3)).reshape(nodes.shape[:-1])
-    in_ball = (node_d <= r) & ~triple.excluded
     ortho_l1 = float(np.sum(triple.gram_defect[in_ball]
                             * triple.volume_weights()[in_ball]))
     return DistortionReport(r=float(r), n_pairs=int(n_pairs),
                             max_defect=float(np.max(defects)),
                             defect_p50=float(quant[0]), defect_p90=float(quant[1]),
                             defect_p99=float(quant[2]), ortho_l1=ortho_l1,
-                            n_failed_pairs=n_failed)
+                            n_failed_pairs=n_failed, n_failed_nodes=n_failed_nodes)
 
 
 # ---------------------------------------------------------------------------

@@ -6,11 +6,14 @@ stencils on metric components, separable 1D ODE reductions, and radial
 quadrature.  Where the library runs the same arithmetic in fewer or other
 calls (the stacked geodesic integrator, the shared RK4 loop of the flows,
 the active-set eikonal, the trilinear interpolator, the in-place
-stencils and |Hess u|_g^2 entries, the conjugate-gradient loop), the
-plain form it replaced is kept here as the bit-for-bit reference; where it
-reaches the same solution from another start or integrator (the seeded
-distance solve and level-set projections, the fixed-step flow leg), the
-route it replaced is kept as the reference within tolerance.
+stencils and |Hess u|_g^2 entries, the conjugate-gradient loop, the ball
+sampling that shot every uncertified candidate), the plain form it
+replaced is kept here as the bit-for-bit reference; where it reaches the
+same solution from another start or integrator (the seeded distance solve
+and level-set projections, the fixed-step flow leg), the route it replaced
+is kept as the reference within tolerance.  The eikonal field that once
+measured the distortion's geodesic ball is kept as the mask its
+certified and shot nodes must reproduce where the eikonal is accurate.
 """
 
 import numpy as np
@@ -21,14 +24,17 @@ from scipy.interpolate import RegularGridInterpolator
 from scipy.sparse.csgraph import dijkstra
 from scipy.sparse.linalg import LinearOperator, cg
 
-from afstab.errors import AfstabError, EmptySample, LeftDomain, OutOfDomain
+from afstab.errors import (AfstabError, EmptySample, LeftDomain, NoConvergence,
+                           OutOfDomain)
 from afstab.geodesy import (LEVEL_TOL, MV_SAMPLES, PROJECTION_STEPS, SCORE_FLOOR,
-                            GeodesicGraph, _bvp_batch, _level_crossing,
-                            _score_sample_index, geodesic_lengths, local_distance,
-                            mean_value_candidates, mean_value_rule,
+                            DistanceField, GeodesicGraph, _bvp_batch, _level_crossing,
+                            _score_sample_index, distance_batch, geodesic_lengths,
+                            local_distance, mean_value_candidates, mean_value_rule,
                             segment_functional)
+from afstab.gh import _chord_certified
 from afstab.grid import diff1, diff2
 from afstab.harmonic import LaplaceBeltrami
+from afstab.seeding import rng_for
 
 
 # ---------------------------------------------------------------------------
@@ -551,6 +557,52 @@ def full_grid_eikonal(field, T, tol, max_sweeps):
         if change < tol * field.h and still_inf == 0:
             break
     return T, done
+
+
+def ball_distance_field(chart, r: float, nodes: int) -> DistanceField:
+    """The eikonal distance field from the base point that measured the
+    geodesic r-ball of `gh.gh_distortion` before its certified and shot
+    node mask: halfwidth max(1.6 r, r + 2), kept inside the chart box; the
+    ball was the kept grid nodes where it reads <= r."""
+    hw = min(chart.box_halfwidth - float(np.max(np.abs(chart.base_point))),
+             max(1.6 * r, r + 2.0))
+    return DistanceField(chart, chart.base_point, hw, nodes=nodes)
+
+
+# ---------------------------------------------------------------------------
+# geodesic-ball sampling
+
+
+def sample_geodesic_ball_reference(chart, triple, r, n_points, seed, label="ball"):
+    """`gh.sample_geodesic_ball` as it was before it stopped shooting the
+    candidates past the ones its certified candidates fill: every
+    uncertified candidate of a round is shot; same arguments and return."""
+    p = np.asarray(chart.base_point, float)
+    rng = rng_for(seed, label)
+    pts = []
+    budget = 12
+    while len(pts) < n_points and budget > 0:
+        need = max(8, int(1.3 * (n_points - len(pts))))
+        dirs = rng.normal(size=(need, 3))
+        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+        radii = r * rng.uniform(size=need) ** (1.0 / 3.0)
+        cands = p + dirs * radii[:, None]
+        cands = cands[np.all(np.abs(cands) <= triple.grid.halfwidth - 2 * triple.grid.h,
+                             axis=1)]
+        if len(cands) == 0:
+            budget -= 1
+            continue
+        good = _chord_certified(chart, p, cands, r)
+        shoot = ~good
+        if np.any(shoot):
+            rest = cands[shoot]
+            d, _, _, conv = distance_batch(chart, np.broadcast_to(p, rest.shape), rest)
+            good[shoot] = conv & (d <= r)
+        pts.extend(cands[good])
+        budget -= 1
+    if len(pts) < n_points:
+        raise NoConvergence(f"geodesic-ball sampling stalled at {len(pts)}/{n_points}")
+    return np.array(pts[:n_points])
 
 
 # ---------------------------------------------------------------------------

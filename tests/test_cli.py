@@ -170,6 +170,19 @@ class TestFailedStages:
         assert "ball budget" in (tmp_path / "summary.txt").read_text()
         assert load_manifest(tmp_path).verify() == []
 
+    def test_negative_mass_fails_distort_alone_and_in_sweep(self, tmp_path):
+        # phi = 1 - 0.05/|x| has no positive lower bound, so no Euclidean
+        # ball bounds the geodesic one: a tagged failure, not a traceback
+        cfg = config_from_dict(tiny_config(
+            tag="schwarzschild",
+            family={"tag": "schwarzschild", "params": {"m": -0.1},
+                    "box_halfwidth": 100.0}))
+        code, manifest = run("distort", cfg, out_dir=tmp_path / "distort")
+        assert code == 1
+        assert manifest.data["stages"]["distort"].startswith("failed: NoDistanceBound")
+        rep = _sweep_point(cfg, tmp_path, "m-0.1")
+        assert rep.stages["distortion"].startswith("failed: NoDistanceBound"), rep.stages
+
     def test_truncated_dump_fails_inequality(self, schw_cfg, tmp_path):
         assert run("harmonic", schw_cfg, out_dir=tmp_path)[0] == 0
         dump = tmp_path / "u2.field"
@@ -341,8 +354,10 @@ class TestShootingBudget:
     # certified by their chords it makes 13 360 (3 040 + 8 800 + 1 520);
     # with every full solve seeded by the coarse velocity extrapolated to
     # its step count, so a distance solve freezes after one full pass, it
-    # makes 7 860 (2 080 + 4 740 + 1 040).
-    CALLS = 7_860
+    # makes 7 860 (2 080 + 4 740 + 1 040); with ball sampling shooting no
+    # candidate past the ones its certified candidates already fill, 6 740
+    # (2 080 + 3 620 + 1 040).
+    CALLS = 6_740
 
     def test_chain_christoffel_calls(self, schw_cfg, tmp_path, monkeypatch):
         real = MetricChart.christoffel_quadratic
@@ -521,8 +536,10 @@ class TestSweep:
 
         def two_unconverged(chart, x, y, *args, **kwargs):
             d, w, res, conv = real_batch(chart, x, y, *args, **kwargs)
-            # the x-y pair batch; ball sampling shoots from the base point
-            if len(y) == 20 and np.any(np.asarray(x) != chart.base_point):
+            # the distortion batch: its first 20 rows are the x-y pairs, the
+            # grid-node rows after them shoot from the base point, as ball
+            # sampling does
+            if len(y) >= 20 and np.any(np.asarray(x)[:20] != chart.base_point):
                 conv = conv.copy()
                 conv[:2] = False
             return d, w, res, conv

@@ -8,14 +8,32 @@ import pytest
 import afstab.cli
 import afstab.gh
 from afstab.config import config_from_dict
-from afstab.errors import LeftDomain
+from afstab.errors import LeftDomain, NoDistanceBound
 from afstab.geodesy import distance_batch
 from afstab.geometry import MetricChart
-from afstab.gh import (StabilityReport, _chord_certified, _chord_lengths, _flow_batch,
-                       ball_distance_field, flow_coverage, gh_distortion,
+from afstab.gh import (StabilityReport, _ball_nodes, _chord_certified, _chord_lengths,
+                       _flow_batch, _phi_floor, flow_coverage, gh_distortion,
                        gradient_flow_step, reach_point, sample_geodesic_ball)
+from afstab.grid import Grid
 from afstab.harmonic import LaplaceBeltrami, build_harmonic_triple
-from oracles import adaptive_flow_leg, flow_batch_reference
+import oracles
+from oracles import (adaptive_flow_leg, ball_distance_field, flow_batch_reference,
+                     sample_geodesic_ball_reference)
+
+
+def _recording_batches(monkeypatch, module=afstab.gh):
+    """Wrap the module's distance_batch; returns the list each call appends
+    its (starts, targets) and its outputs to."""
+    real = module.distance_batch
+    calls = []
+
+    def recording(chart, starts, targets, *args, **kwargs):
+        out = real(chart, starts, targets, *args, **kwargs)
+        calls.append(((np.array(starts), np.array(targets)), out))
+        return out
+
+    monkeypatch.setattr(module, "distance_batch", recording)
+    return calls
 
 
 class TestBallSampling:
@@ -58,6 +76,26 @@ class TestBallSampling:
                                        certified)
         assert np.all(conv) and np.all(d <= r)
 
+    @pytest.mark.parametrize("m, r, n_points, seed", [
+        (0.0, 3.0, 30, 1), (0.2, 1.5, 120, 3), (0.2, 3.0, 200, 11),
+        (0.1, 3.0, 150, 2026), (0.025, 3.0, 150, 5)])
+    def test_matches_loop_that_shoots_every_candidate(self, flat_chart, flat_triple,
+                                                      schw_charts, schw_triples,
+                                                      monkeypatch, m, r, n_points, seed):
+        # candidates past the ones the certified candidates fill are cut
+        # away whatever their shot says, so not shooting them keeps the
+        # sample bit for bit and shoots a subset of the rows
+        chart, triple = ((flat_chart, flat_triple) if m == 0.0
+                         else (schw_charts[m], schw_triples[m]))
+        calls = _recording_batches(monkeypatch)
+        pts = sample_geodesic_ball(chart, triple, r, n_points, seed, label="ball")
+        shot = sum(len(targets) for (_, targets), _ in calls)
+        calls = _recording_batches(monkeypatch, oracles)
+        want = sample_geodesic_ball_reference(chart, triple, r, n_points, seed,
+                                              label="ball")
+        assert np.array_equal(pts, want)
+        assert shot <= sum(len(targets) for (_, targets), _ in calls)
+
     def test_chord_through_puncture_not_certified(self, schw_charts):
         # the true chord length through the puncture is infinite; the
         # 32-point rule alone would certify it (2.876 < 3)
@@ -69,9 +107,8 @@ class TestBallSampling:
 
 
 class TestDistortion:
-    def test_flat_exact(self, flat_chart, flat_triple, flat_ball_field):
-        rep = gh_distortion(flat_chart, flat_triple, 3.0, 30, seed=2,
-                            dist_field=flat_ball_field)
+    def test_flat_exact(self, flat_chart, flat_triple):
+        rep = gh_distortion(flat_chart, flat_triple, 3.0, 30, seed=2)
         assert rep.max_defect < 1e-6
         assert rep.ortho_l1 < 1e-6
         assert rep.n_failed_pairs == 0
@@ -91,19 +128,125 @@ class TestDistortion:
         assert np.all(np.linalg.norm(u, axis=1)
                       <= schw02_triple.grad_sup * d * 1.01 + 1e-8)
 
-    def test_image_containment(self, schw_charts, schw02_triple, schw_ball_fields):
+    def test_image_containment(self, schw_charts, schw02_triple):
         chart = schw_charts[0.2]
         r = 3.0
-        rep = gh_distortion(chart, schw02_triple, r, 40, seed=4,
-                            dist_field=schw_ball_fields[0.2])
+        rep = gh_distortion(chart, schw02_triple, r, 40, seed=4)
         pts = sample_geodesic_ball(chart, schw02_triple, r, 40, seed=4)
         u = schw02_triple.u_map(pts)
         assert np.all(np.linalg.norm(u, axis=1) <= r + rep.max_defect + 1e-8)
 
-    def test_determinism(self, schw_charts, schw02_triple, schw_ball_fields):
-        a, b = (gh_distortion(schw_charts[0.2], schw02_triple, 3.0, 20, seed=6,
-                              dist_field=schw_ball_fields[0.2]) for _ in range(2))
+    def test_determinism(self, schw_charts, schw02_triple):
+        a, b = (gh_distortion(schw_charts[0.2], schw02_triple, 3.0, 20, seed=6)
+                for _ in range(2))
         assert asdict(a) == asdict(b)
+
+
+class TestBallMask:
+    """The grid nodes over which gh_distortion integrates ortho_l1."""
+
+    @staticmethod
+    def _mask(chart, triple, r):
+        """The certified nodes, the mask (certified or shot with d <= r) and
+        the failed count, with the undecided nodes shot in a batch of their
+        own; each (N, N, N) but the count."""
+        nodes = triple.grid.points().reshape(-1, 3)
+        cert, shoot, n_degenerate = _ball_nodes(chart, nodes, ~triple.excluded.ravel(), r)
+        p = np.broadcast_to(np.asarray(chart.base_point, float), (len(shoot), 3))
+        d, _, _, conv = distance_batch(chart, p, nodes[shoot])
+        mask = cert.copy()
+        mask[shoot] = conv & (d <= r)
+        shape = triple.excluded.shape
+        return cert.reshape(shape), mask.reshape(shape), n_degenerate + int(np.sum(~conv))
+
+    @staticmethod
+    def _ortho_l1(triple, mask):
+        return float(np.sum(triple.gram_defect[mask] * triple.volume_weights()[mask]))
+
+    def test_chord_certified_nodes_in_mask(self, schw_charts, schw_triples):
+        # the sweep's m = 0.1 point: every kept node whose chord certifies
+        # d(p, x) < 3 is in the ball; the first-order eikonal field reads
+        # 12 of them above 3
+        chart, triple, r = schw_charts[0.1], schw_triples[0.1], 3.0
+        nodes = triple.grid.points()
+        kept = ~triple.excluded
+        certified = np.zeros(kept.shape, bool)
+        certified[kept] = _chord_certified(chart, np.asarray(chart.base_point),
+                                           nodes[kept], r)
+        _, mask, _ = self._mask(chart, triple, r)
+        assert np.all(mask[certified])
+        eikonal = (ball_distance_field(chart, r, 81).at(nodes) <= r) & kept
+        assert np.sum(certified & ~eikonal) == 12
+        rep = gh_distortion(chart, triple, r, 10, seed=3)
+        assert rep.ortho_l1 == self._ortho_l1(triple, mask)
+
+    @pytest.mark.parametrize("nodes, r, eikonal_nodes", [(33, 1.5, 41), (65, 3.0, 81)])
+    def test_equals_eikonal_mask_at_large_mass(self, schw_charts, schw_triples, nodes,
+                                               r, eikonal_nodes):
+        # at m = 0.2 the eikonal field misplaces no node of the desk-point
+        # (N = 33, r = 1.5) and the sweep (N = 65, r = 3) balls
+        chart = schw_charts[0.2]
+        triple = (schw_triples[0.2] if nodes == 65
+                  else build_harmonic_triple(chart, Grid(halfwidth=20.0, nodes=33)))
+        _, mask, _ = self._mask(chart, triple, r)
+        field = ball_distance_field(chart, r, eikonal_nodes)
+        eikonal = (field.at(triple.grid.points()) <= r) & ~triple.excluded
+        assert np.array_equal(mask, eikonal)
+        rep = gh_distortion(chart, triple, r, 10, seed=4)
+        assert rep.ortho_l1 == self._ortho_l1(triple, eikonal)
+
+    def test_pair_rows_as_in_a_pairs_only_batch(self, schw_charts, schw_triples,
+                                                monkeypatch):
+        chart, triple, r, n = schw_charts[0.1], schw_triples[0.1], 3.0, 20
+        calls = _recording_batches(monkeypatch)
+        rep = gh_distortion(chart, triple, r, n, seed=5)
+        (starts, targets), merged = calls[-1]
+        nodes = triple.grid.points().reshape(-1, 3)
+        _, shoot, _ = _ball_nodes(chart, nodes, ~triple.excluded.ravel(), r)
+        assert len(shoot) > 0 and np.array_equal(targets[n:], nodes[shoot])
+        _, mask, n_failed = self._mask(chart, triple, r)
+        alone = distance_batch(chart, starts[:n], targets[:n])
+        for got, want in zip(merged, alone):
+            assert np.array_equal(got[:n], want)
+        assert rep.n_failed_nodes == n_failed
+        assert rep.ortho_l1 == self._ortho_l1(triple, mask)
+
+    def test_antipodal_node_failed_without_a_shot(self, schw_charts, schw_triples,
+                                                  monkeypatch):
+        # (-0.625, 0, 0) lies 2.625 < 3 from p = (2, 0, 0) behind the
+        # puncture: a circle of geodesics reaches it, and its chord is not
+        # certified (the chord length is infinite)
+        chart, triple, r = schw_charts[0.025], schw_triples[0.025], 3.0
+        nodes = triple.grid.points().reshape(-1, 3)
+        node = np.flatnonzero(np.all(nodes == (-0.625, 0.0, 0.0), axis=1))
+        assert len(node) == 1 and not triple.excluded.ravel()[node[0]]
+        cert, shoot, n_degenerate = _ball_nodes(chart, nodes, ~triple.excluded.ravel(), r)
+        assert n_degenerate == 1 and not cert[node[0]] and node[0] not in shoot
+        calls = _recording_batches(monkeypatch)
+        rep = gh_distortion(chart, triple, r, 10, seed=6)
+        assert not np.any(np.all(calls[-1][0][1] == nodes[node[0]], axis=1))
+        assert rep.n_failed_nodes >= 1
+
+    def test_phi_floor(self):
+        assert _phi_floor(MetricChart("schwarzschild", {"m": 0.1})) == 1.0
+        bumps = [{"amplitude": -0.3, "center": (1.0, 0.0, 0.0), "width": 2.0},
+                 {"amplitude": 0.5, "center": (-1.0, 0.0, 0.0), "width": 2.0}]
+        assert _phi_floor(MetricChart("perturbed", {"A": 0.1, "bumps": bumps})) == 0.7
+        for chart in (MetricChart("schwarzschild", {"m": -0.1}),
+                      MetricChart("conformal", {"gauss_amp": -1.5})):
+            with pytest.raises(NoDistanceBound):
+                _phi_floor(chart)
+
+    def test_chart_without_phi_floor_fails_before_sampling(self, monkeypatch):
+        # phi = 1 - exp(-|x|^2) vanishes at the origin; the flat triple only
+        # lends its grid
+        chart = MetricChart("conformal", {"gauss_amp": -1.0}, box_halfwidth=100.0)
+        triple = build_harmonic_triple(MetricChart("flat", box_halfwidth=100.0),
+                                       Grid(halfwidth=10.0, nodes=17))
+        calls = _recording_batches(monkeypatch)
+        with pytest.raises(NoDistanceBound):
+            gh_distortion(chart, triple, 2.0, 5, seed=1)
+        assert calls == []
 
 
 def _leg_u_error(triple, y, end, axis, t):
@@ -251,8 +394,6 @@ class TestHypothesisViolationControl:
         # a compactly supported bump of fixed amplitude violates R >= 0
         # independently of the monopole, so shrinking A (hence the mass)
         # must NOT drive the distortion to zero
-        from afstab.grid import Grid
-        from afstab.harmonic import build_harmonic_triple
 
         grid = Grid(halfwidth=20.0, nodes=33)
         p50 = []
@@ -263,8 +404,7 @@ class TestHypothesisViolationControl:
                                     "width": 2.0}]},
                 box_halfwidth=100.0, decay_tau=0.9)
             triple = build_harmonic_triple(chart, grid)
-            rep = gh_distortion(chart, triple, 3.0, 30, seed=12,
-                                dist_field=ball_distance_field(chart, 3.0, 81))
+            rep = gh_distortion(chart, triple, 3.0, 30, seed=12)
             p50.append(rep.defect_p50)
         assert min(p50) > 1e-3          # far above the flat noise floor
         assert p50[1] > 0.3 * p50[0]    # no decay toward zero

@@ -8,7 +8,10 @@ Runs the `sweep` subcommand on configs/schwarzschild_sweep.json into
 pythagoras, flow` with the same config, in that order, into
 <out_dir>/chain, all through `afstab.cli.run`, and prints
 `relpath sha256` for every file under <out_dir> except the manifests
-(they hold wall times); the runs' status lines go to stderr.  afstab is
+(they hold wall times); the runs' status lines go to stderr, and then
+one line `christoffel_quadratic calls: sweep N, chain M`, the
+`MetricChart.christoffel_quadratic` calls of the sweep and of the chain
+(deterministic: one call per RK4 stage of a geodesic batch).  afstab is
 imported from this checkout's `src`, so the output of two checkouts can
 be compared line by line, e.g. with `diff`, to check that a change keeps
 the artifacts byte-identical.
@@ -32,6 +35,7 @@ does not change the exit code.
 """
 
 import argparse
+import contextlib
 import csv
 import json
 import math
@@ -43,6 +47,7 @@ sys.path.insert(0, str(ROOT / "src"))
 
 from afstab.cli import run  # noqa: E402
 from afstab.config import parse_config  # noqa: E402
+from afstab.geometry import MetricChart  # noqa: E402
 from afstab.reporting import sha256_file  # noqa: E402
 
 CONFIG = str(ROOT / "configs" / "schwarzschild_sweep.json")
@@ -57,6 +62,24 @@ def afstab(subcommand, cfg, out_dir):
     status = manifest.data["stages"][subcommand]
     print(f"afstab {subcommand}: {status}", file=sys.stderr)
     return code, status
+
+
+@contextlib.contextmanager
+def christoffel_calls():
+    """Count the MetricChart.christoffel_quadratic calls made inside the
+    block; yields a one-item list that holds the count."""
+    real = MetricChart.christoffel_quadratic
+    count = [0]
+
+    def counting(self, x, v):
+        count[0] += 1
+        return real(self, x, v)
+
+    MetricChart.christoffel_quadratic = counting
+    try:
+        yield count
+    finally:
+        MetricChart.christoffel_quadratic = real
 
 
 def chain_point(chain: pathlib.Path) -> dict:
@@ -152,11 +175,15 @@ def main():
     args = parser.parse_args()
     out = args.out_dir
     cfg = parse_config(CONFIG)
-    code, _ = afstab("sweep", cfg, out / "sweep")
+    with christoffel_calls() as sweep_calls:
+        code, _ = afstab("sweep", cfg, out / "sweep")
     statuses = {}
-    for stage in CHAIN:
-        stage_code, statuses[stage] = afstab(stage, cfg, out / "chain")
-        code = max(code, stage_code)
+    with christoffel_calls() as chain_calls:
+        for stage in CHAIN:
+            stage_code, statuses[stage] = afstab(stage, cfg, out / "chain")
+            code = max(code, stage_code)
+    print(f"christoffel_quadratic calls: sweep {sweep_calls[0]}, chain {chain_calls[0]}",
+          file=sys.stderr)
     hashes = {path.relative_to(out).as_posix(): sha256_file(path)
               for path in sorted(out.rglob("*"))
               if path.is_file() and path.name != "manifest.json"}

@@ -21,7 +21,7 @@ from .config import ExperimentConfig, parse_config
 from .errors import AfstabError, BadFieldDump
 from .geodesy import pythagorean_records
 from .geometry import VolumeSampling, certify_hypotheses
-from .gh import StabilityReport, flow_coverage, gh_distortion, sample_geodesic_ball
+from .gh import StabilityReport, consume_geodesic_ball, flow_coverage, gh_distortion
 from .grid import read_field, write_field
 from .harmonic import build_harmonic_triple, cheng_yau_ratios, triple_from_solutions
 from .inequality import (EPS_GRAD_FACTOR, VectorFieldSpec, mass_inequality_rhs,
@@ -179,14 +179,22 @@ def _distortion(ctx: RunContext):
 
 def _pythagoras(ctx: RunContext):
     """The configured Pythagorean records, in lockstep, and the number that
-    failed; ok when failures stay within the 1 % rule."""
+    failed; ok when failures stay within the 1 % rule.  The ball
+    candidates of the pairs' sample are shot as extra rows of the records'
+    closing distance batch (gh.consume_geodesic_ball)."""
     s = ctx.cfg.sampling
     n = s.n_pythagoras_pairs
-    pts = sample_geodesic_ball(ctx.chart, ctx.triple, s.ball_radius, 2 * n, s.seed,
-                               label="pythagoras")
-    results = pythagorean_records(ctx.chart, ctx.triple, pts[:n], pts[n:],
-                                  [k % 3 for k in range(n)],
-                                  [s.seed + k for k in range(n)])
+    p = np.asarray(ctx.chart.base_point, float)
+
+    def records(pts, cands):
+        results, (d, conv) = pythagorean_records(
+            ctx.chart, ctx.triple, pts[:n], pts[n:], [k % 3 for k in range(n)],
+            [s.seed + k for k in range(n)],
+            _extra=(np.broadcast_to(p, cands.shape), cands))
+        return results, d, conv
+
+    _, results = consume_geodesic_ball(ctx.chart, ctx.triple, s.ball_radius, 2 * n,
+                                       s.seed, "pythagoras", records)
     records = [r for r in results if not isinstance(r, AfstabError)]
     failures = n - len(records)
     return (records, failures), failures <= max(1, n // 100)

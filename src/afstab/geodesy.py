@@ -696,7 +696,7 @@ def _record(triple: HarmonicTriple, x, y, z, axis: int, d) -> PythagoreanRecord:
 
 
 def pythagorean_records(chart: MetricChart, triple: HarmonicTriple, xs, ys, axes,
-                        seeds, rho: float | None = None):
+                        seeds, rho: float | None = None, _extra=None):
     """Almost-Pythagorean defect records for many pairs, in lockstep.
 
     Row i projects xs[i] onto the u^axes[i] level set through ys[i]
@@ -704,6 +704,12 @@ def pythagorean_records(chart: MetricChart, triple: HarmonicTriple, xs, ys, axes
     with d(x, y), d(x, z) and d(y, z); all 3n closing distances are one
     distance_batch.  Returns one entry per pair: its PythagoreanRecord, or
     the AfstabError that ended it, so a caller can tolerate failures.
+
+    _extra = (starts, targets) adds those rows after the closing ones in
+    the same distance_batch (the ball candidates of the sample, see
+    gh.consume_geodesic_ball); the return is then (entries, (d, converged)
+    of the extra rows).  Every row is batch-invariant, so the records do
+    not depend on them.
     """
     xs = np.atleast_2d(np.asarray(xs, float))
     ys = np.atleast_2d(np.asarray(ys, float))
@@ -725,11 +731,15 @@ def pythagorean_records(chart: MetricChart, triple: HarmonicTriple, xs, ys, axes
             out[i] = proj
         else:
             closing.append((i, proj[0]))
-    if not closing:
-        return out
-    starts = np.array([p for i, _ in closing for p in (xs[i], xs[i], ys[i])])
-    targets = np.array([p for i, z in closing for p in (ys[i], z, z)])
-    d, _, res, conv = distance_batch(chart, starts, targets)
+    starts = [p for i, _ in closing for p in (xs[i], xs[i], ys[i])]
+    targets = [p for i, z in closing for p in (ys[i], z, z)]
+    n_closing = len(starts)
+    if _extra is not None:
+        starts += list(_extra[0])
+        targets += list(_extra[1])
+    d, conv = np.empty(0), np.empty(0, bool)
+    if starts:
+        d, _, res, conv = distance_batch(chart, np.array(starts), np.array(targets))
     for m, (i, z) in enumerate(closing):
         tri = slice(3 * m, 3 * m + 3)
         if not np.all(conv[tri]):
@@ -737,7 +747,7 @@ def pythagorean_records(chart: MetricChart, triple: HarmonicTriple, xs, ys, axes
                                    f"(residuals {res[tri]})")
         else:
             out[i] = _record(triple, xs[i], ys[i], z, axes[i], d[tri])
-    return out
+    return out if _extra is None else (out, (d[n_closing:], conv[n_closing:]))
 
 
 def pythagorean_check(chart: MetricChart, triple: HarmonicTriple, x, y, axis: int,

@@ -11,8 +11,13 @@ Membership in the geodesic ball is decided by certificates where they
 suffice and by shots where they do not.  The chord length of p -> x
 bounds d(p, x) from above (see _chord_certified), and |x - p| times the
 square of a lower bound of phi bounds it from below; a candidate or grid
-node that neither decides is shot from p.  The grid nodes the distortion
-integrates over ride as extra rows in the distance batch of its pairs.
+node that neither decides is shot from p.  The shots ride as extra rows
+of a distance batch that runs anyway: the grid nodes the distortion
+integrates over and the undecided candidates of its sample share the
+batch of its pairs, and the candidates of the Pythagorean sample share
+the records' closing batch.  A candidate is guessed out, and the sample
+is drawn again on the shot verdicts until the guess holds (see
+consume_geodesic_ball).
 
 A flow leg is integrated once: the mean-value candidates of its start
 flow as one fixed-step RK4 batch (geodesy.rk4_steps, the RK4 loop the
@@ -84,30 +89,28 @@ def _chord_lengths(chart: MetricChart, p, xs, n_nodes: int):
     return (w @ phi**2) * np.linalg.norm(seg, axis=1)
 
 
-def _chord_certified(chart: MetricChart, p, xs, r: float):
-    """Candidates whose chord length certifies d(p, x) < r without a shot."""
+def _chord_certified(chart: MetricChart, p, xs, r: float, hi=None):
+    """Candidates whose chord length certifies d(p, x) < r without a shot;
+    hi, when given, holds their 2 CHORD_NODES-point lengths already formed."""
     bound = r * (1.0 - CHORD_MARGIN)
     lo = _chord_lengths(chart, p, xs, CHORD_NODES)
-    hi = _chord_lengths(chart, p, xs, 2 * CHORD_NODES)
+    if hi is None:
+        hi = _chord_lengths(chart, p, xs, 2 * CHORD_NODES)
     return (lo < bound) & (hi < bound) & (np.abs(lo - hi) <= CHORD_AGREE * hi)
 
 
-def sample_geodesic_ball(chart: MetricChart, triple: HarmonicTriple, r: float,
-                         n_points: int, seed: int, label: str = "ball"):
-    """Seeded points of the geodesic r-ball around the base point.
+def _replay_ball(chart: MetricChart, triple: HarmonicTriple, r: float, n_points: int,
+                 seed: int, label: str, verdicts: dict):
+    """The rejection loop of sample_geodesic_ball, reading the verdict of
+    each candidate it would shoot from `verdicts` (candidate bytes -> in).
 
-    Rejection sampling from the chart-Euclidean r-ball, then the geodesic
-    filter: a candidate whose chord length certifies d(p, x) < r (see
-    _chord_certified) is kept without a shot; the others are shot from p
-    and kept when the shot converges with d <= r.  Candidate order and the
-    draws do not depend on which test kept a candidate.  Once the certified
-    candidates of a round fill what is missing, the later ones are cut
-    away whatever their verdict, so they are not shot.  Returns the
-    (n_points, 3) points only.
+    A candidate missing there is taken as out and returned as assumed.
+    Returns the kept points (fewer than n_points when the loop stalls) and
+    the (K, 3) assumed candidates.
     """
     p = np.asarray(chart.base_point, float)
     rng = rng_for(seed, label)
-    pts = []
+    pts, assumed = [], []
     budget = 12
     while len(pts) < n_points and budget > 0:
         need = max(8, int(1.3 * (n_points - len(pts))))
@@ -125,15 +128,76 @@ def sample_geodesic_ball(chart: MetricChart, triple: HarmonicTriple, r: float,
         filled = np.cumsum(good) >= n_points - len(pts)
         if filled[-1]:
             shoot[np.argmax(filled) + 1:] = False
-        if np.any(shoot):
-            rest = cands[shoot]
-            d, _, _, conv = distance_batch(chart, np.broadcast_to(p, rest.shape), rest)
-            good[shoot] = conv & (d <= r)
+        for k in np.flatnonzero(shoot):
+            verdict = verdicts.get(cands[k].tobytes())
+            if verdict is None:
+                assumed.append(cands[k])
+            else:
+                good[k] = verdict
         pts.extend(cands[good])
         budget -= 1
-    if len(pts) < n_points:
-        raise NoConvergence(f"geodesic-ball sampling stalled at {len(pts)}/{n_points}")
-    return np.array(pts[:n_points])
+    return pts, np.reshape(assumed, (-1, 3))
+
+
+def consume_geodesic_ball(chart: MetricChart, triple: HarmonicTriple, r: float,
+                          n_points: int, seed: int, label: str, consume=None):
+    """The sample of sample_geodesic_ball and what `consume` makes of it,
+    its undecided candidates shot in the consumer's own distance batch.
+
+    Each step replays the rejection loop on the verdicts shot so far
+    (_replay_ball), guessing every candidate not yet shot to be out, then
+    runs consume(points, cands) on the sample that guess gives, with the
+    assumed candidates as extra rows p -> cands of its batch; consume
+    returns (result, d, converged), the last two for those rows only.  A
+    candidate is in when its shot converges with d <= r.  The steps end
+    when a replay assumes nothing and the consumer has run on an equal
+    sample.  Every row of a distance batch is batch-invariant, so that
+    replay reads real verdicts only and keeps what the sequential loop
+    keeps, bit for bit; a wrong guess costs one more step.  A replay that
+    stalls under its guesses shoots its assumed candidates alone.  Without
+    a consumer the candidates are shot alone.  Returns (the (n_points, 3)
+    points, consume's result, or None without a consumer).
+    """
+    p = np.asarray(chart.base_point, float)
+    verdicts = {}
+    consumed = None            # (sample, result) of the last consumer run
+    while True:
+        pts, assumed = _replay_ball(chart, triple, r, n_points, seed, label, verdicts)
+        sample = np.array(pts[:n_points]) if len(pts) >= n_points else None
+        if len(assumed) == 0:
+            if sample is None:
+                raise NoConvergence("geodesic-ball sampling stalled at "
+                                    f"{len(pts)}/{n_points}")
+            if consume is None:
+                return sample, None
+            if consumed is None or not np.array_equal(consumed[0], sample):
+                consumed = sample, consume(sample, assumed)[0]
+            return consumed
+        if consume is None or sample is None:
+            d, _, _, conv = distance_batch(chart, np.broadcast_to(p, assumed.shape),
+                                           assumed)
+        else:
+            result, d, conv = consume(sample, assumed)
+            consumed = sample, result
+        verdicts.update((c.tobytes(), bool(v)) for c, v in zip(assumed, conv & (d <= r)))
+
+
+def sample_geodesic_ball(chart: MetricChart, triple: HarmonicTriple, r: float,
+                         n_points: int, seed: int, label: str = "ball"):
+    """Seeded points of the geodesic r-ball around the base point.
+
+    Rejection sampling from the chart-Euclidean r-ball, then the geodesic
+    filter: a candidate whose chord length certifies d(p, x) < r (see
+    _chord_certified) is kept without a shot; the others are shot from p
+    and kept when the shot converges with d <= r.  Candidate order and the
+    draws do not depend on which test kept a candidate.  Once the certified
+    candidates of a round fill what is missing, the later ones are cut
+    away whatever their verdict, so they are not shot.  The candidates are
+    shot in batches of their own (consume_geodesic_ball with no consumer);
+    a stage that uses the sample shoots them in its own batch instead.
+    Returns the (n_points, 3) points only.
+    """
+    return consume_geodesic_ball(chart, triple, r, n_points, seed, label)[0]
 
 
 def _phi_floor(chart: MetricChart) -> float:
@@ -188,23 +252,35 @@ def gh_distortion(chart: MetricChart, triple: HarmonicTriple, r: float,
     runs).  ortho_l1 is the cell integral over the ball of
     sum_ij |<grad u^i, grad u^j> - delta^ij|, the ball being the kept grid
     nodes x with d(p, x) <= r: certified in or out by _ball_nodes, else in
-    when a shot p -> x converges with d <= r.  The nodes' shots are extra
-    rows of the pairs' distance_batch, which leaves the pairs' rows as they
-    are alone; the degenerate nodes and the nodes whose shot fails are out
-    and counted in n_failed_nodes.
+    when a shot p -> x converges with d <= r.  The pairs come from
+    consume_geodesic_ball, and one distance_batch holds the rows
+    [pairs | nodes | ball candidates]: the nodes' shots ride its first
+    batch only, and every row is the same as alone.  The degenerate nodes
+    and the nodes whose shot fails are out and counted in n_failed_nodes.
     """
     nodes = triple.grid.points().reshape(-1, 3)
     in_ball, shoot, n_degenerate = _ball_nodes(chart, nodes, ~triple.excluded.ravel(), r)
-    pts = sample_geodesic_ball(chart, triple, r, 2 * n_pairs, seed,
-                               label=f"distort-{r}")
+    p = np.asarray(chart.base_point, float)
+    node_shots = []              # (d, converged) of the nodes, from the first batch
+
+    def pair_distances(pts, cands):
+        extra = cands if node_shots else np.concatenate([nodes[shoot], cands])
+        d, _, _, conv = distance_batch(
+            chart, np.concatenate([pts[:n_pairs], np.broadcast_to(p, extra.shape)]),
+            np.concatenate([pts[n_pairs:], extra]))
+        if not node_shots:
+            node_shots.append((d[n_pairs:n_pairs + len(shoot)],
+                               conv[n_pairs:n_pairs + len(shoot)]))
+        tail = slice(len(d) - len(cands), None)
+        return (d[:n_pairs], conv[:n_pairs]), d[tail], conv[tail]
+
+    pts, (d, conv) = consume_geodesic_ball(chart, triple, r, 2 * n_pairs, seed,
+                                           f"distort-{r}", pair_distances)
     xs, ys = pts[:n_pairs], pts[n_pairs:]
-    p = np.broadcast_to(np.asarray(chart.base_point, float), (len(shoot), 3))
-    d, _, _, conv = distance_batch(chart, np.concatenate([xs, p]),
-                                   np.concatenate([ys, nodes[shoot]]))
-    in_ball[shoot] = conv[n_pairs:] & (d[n_pairs:] <= r)
+    d_nodes, conv_nodes = node_shots[0]
+    in_ball[shoot] = conv_nodes & (d_nodes <= r)
     in_ball = in_ball.reshape(triple.excluded.shape)
-    n_failed_nodes = n_degenerate + int(np.sum(~conv[n_pairs:]))
-    d, conv = d[:n_pairs], conv[:n_pairs]
+    n_failed_nodes = n_degenerate + int(np.sum(~conv_nodes))
     u_xs = triple.u_map(xs)
     u_ys = triple.u_map(ys)
     defects = np.abs(d - np.linalg.norm(u_xs - u_ys, axis=1))
@@ -338,7 +414,7 @@ def reach_points(chart: MetricChart, triple: HarmonicTriple, targets, rho: float
             # room the next leg's budget leaves for d(p, end)
             room = r_limits - gsup * np.abs(targets[:, axis + 1]) - rho
             d_p_current = _chord_lengths(chart, p, current, 2 * CHORD_NODES)
-            shoot = ~_chord_certified(chart, p, current, room)
+            shoot = ~_chord_certified(chart, p, current, room, hi=d_p_current)
             if np.any(shoot):
                 ends = current[shoot]
                 d, _, _, conv = distance_batch(chart, np.broadcast_to(p, ends.shape),

@@ -7,13 +7,15 @@ quadrature.  Where the library runs the same arithmetic in fewer or other
 calls (the stacked geodesic integrator, the shared RK4 loop of the flows,
 the active-set eikonal, the trilinear interpolator, the in-place
 stencils and |Hess u|_g^2 entries, the conjugate-gradient loop, the ball
-sampling that shot every uncertified candidate), the plain form it
-replaced is kept here as the bit-for-bit reference; where it reaches the
-same solution from another start or integrator (the seeded distance solve
-and level-set projections, the fixed-step flow leg), the route it replaced
-is kept as the reference within tolerance.  The eikonal field that once
-measured the distortion's geodesic ball is kept as the mask its
-certified and shot nodes must reproduce where the eikonal is accurate.
+sampling that shot every uncertified candidate, and the one that shot
+each round's candidates in a batch of their own before the sample's
+rows), the plain form it replaced is kept here as the bit-for-bit
+reference; where it reaches the same solution from another start or
+integrator (the seeded distance solve and level-set projections, the
+fixed-step flow leg), the route it replaced is kept as the reference
+within tolerance.  The eikonal field that once measured the distortion's
+geodesic ball is kept as the mask its certified and shot nodes must
+reproduce where the eikonal is accurate.
 """
 
 import numpy as np
@@ -30,8 +32,8 @@ from afstab.geodesy import (LEVEL_TOL, MV_SAMPLES, PROJECTION_STEPS, SCORE_FLOOR
                             DistanceField, GeodesicGraph, _bvp_batch, _level_crossing,
                             _score_sample_index, distance_batch, geodesic_lengths,
                             local_distance, mean_value_candidates, mean_value_rule,
-                            segment_functional)
-from afstab.gh import _chord_certified
+                            pythagorean_records, segment_functional)
+from afstab.gh import DistortionReport, _ball_nodes, _chord_certified
 from afstab.grid import diff1, diff2
 from afstab.harmonic import LaplaceBeltrami
 from afstab.seeding import rng_for
@@ -573,10 +575,17 @@ def ball_distance_field(chart, r: float, nodes: int) -> DistanceField:
 # geodesic-ball sampling
 
 
-def sample_geodesic_ball_reference(chart, triple, r, n_points, seed, label="ball"):
+def sample_geodesic_ball_reference(chart, triple, r, n_points, seed, label="ball",
+                                   cut=False):
     """`gh.sample_geodesic_ball` as it was before it stopped shooting the
     candidates past the ones its certified candidates fill: every
-    uncertified candidate of a round is shot; same arguments and return."""
+    uncertified candidate of a round is shot; same arguments and return.
+
+    With cut=True, the sampler as it was before its candidates rode the
+    distance batch of the rows that use the sample: the candidates past
+    the ones the certified candidates fill are not shot, and each round
+    shoots the rest in a distance_batch of their own before the next
+    round is drawn."""
     p = np.asarray(chart.base_point, float)
     rng = rng_for(seed, label)
     pts = []
@@ -594,6 +603,9 @@ def sample_geodesic_ball_reference(chart, triple, r, n_points, seed, label="ball
             continue
         good = _chord_certified(chart, p, cands, r)
         shoot = ~good
+        filled = np.cumsum(good) >= n_points - len(pts)
+        if cut and filled[-1]:
+            shoot[np.argmax(filled) + 1:] = False
         if np.any(shoot):
             rest = cands[shoot]
             d, _, _, conv = distance_batch(chart, np.broadcast_to(p, rest.shape), rest)
@@ -603,6 +615,53 @@ def sample_geodesic_ball_reference(chart, triple, r, n_points, seed, label="ball
     if len(pts) < n_points:
         raise NoConvergence(f"geodesic-ball sampling stalled at {len(pts)}/{n_points}")
     return np.array(pts[:n_points])
+
+
+def sequential_gh_distortion(chart, triple, r, n_pairs, seed):
+    """`gh.gh_distortion` with its pairs drawn first, by
+    sample_geodesic_ball_reference with cut=True, then one distance_batch
+    of the rows [pairs | nodes]; same arguments and return."""
+    nodes = triple.grid.points().reshape(-1, 3)
+    in_ball, shoot, n_degenerate = _ball_nodes(chart, nodes, ~triple.excluded.ravel(), r)
+    pts = sample_geodesic_ball_reference(chart, triple, r, 2 * n_pairs, seed,
+                                         label=f"distort-{r}", cut=True)
+    xs, ys = pts[:n_pairs], pts[n_pairs:]
+    p = np.broadcast_to(np.asarray(chart.base_point, float), (len(shoot), 3))
+    d, _, _, conv = distance_batch(chart, np.concatenate([xs, p]),
+                                   np.concatenate([ys, nodes[shoot]]))
+    in_ball[shoot] = conv[n_pairs:] & (d[n_pairs:] <= r)
+    in_ball = in_ball.reshape(triple.excluded.shape)
+    n_failed_nodes = n_degenerate + int(np.sum(~conv[n_pairs:]))
+    d, conv = d[:n_pairs], conv[:n_pairs]
+    defects = np.abs(d - np.linalg.norm(triple.u_map(xs) - triple.u_map(ys), axis=1))
+    defects = defects[conv]
+    if len(defects) == 0:
+        raise NoConvergence("every distortion pair failed to converge")
+    quant = np.percentile(np.sort(defects), [50.0, 90.0, 99.0])
+    ortho_l1 = float(np.sum(triple.gram_defect[in_ball]
+                            * triple.volume_weights()[in_ball]))
+    return DistortionReport(r=float(r), n_pairs=int(n_pairs),
+                            max_defect=float(np.max(defects)),
+                            defect_p50=float(quant[0]), defect_p90=float(quant[1]),
+                            defect_p99=float(quant[2]), ortho_l1=ortho_l1,
+                            n_failed_pairs=int(np.sum(~conv)),
+                            n_failed_nodes=n_failed_nodes)
+
+
+def sequential_pythagoras(ctx):
+    """`cli._pythagoras` with its pairs drawn first, by
+    sample_geodesic_ball_reference with cut=True; same argument and
+    return."""
+    s = ctx.cfg.sampling
+    n = s.n_pythagoras_pairs
+    pts = sample_geodesic_ball_reference(ctx.chart, ctx.triple, s.ball_radius, 2 * n,
+                                         s.seed, label="pythagoras", cut=True)
+    results = pythagorean_records(ctx.chart, ctx.triple, pts[:n], pts[n:],
+                                  [k % 3 for k in range(n)],
+                                  [s.seed + k for k in range(n)])
+    records = [r for r in results if not isinstance(r, AfstabError)]
+    failures = n - len(records)
+    return (records, failures), failures <= max(1, n // 100)
 
 
 # ---------------------------------------------------------------------------

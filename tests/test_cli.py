@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import os
+import re
 import runpy
 import struct
 import subprocess
@@ -356,8 +357,9 @@ class TestShootingBudget:
     # its step count, so a distance solve freezes after one full pass, it
     # makes 7 860 (2 080 + 4 740 + 1 040); with ball sampling shooting no
     # candidate past the ones its certified candidates already fill, 6 740
-    # (2 080 + 3 620 + 1 040).
-    CALLS = 6_740
+    # (2 080 + 3 620 + 1 040); with the sample's candidates shot in the
+    # distance batch of its pairs, 5 700 (1 040 + 3 620 + 1 040).
+    CALLS = 5_700
 
     def test_chain_christoffel_calls(self, schw_cfg, tmp_path, monkeypatch):
         real = MetricChart.christoffel_quadratic
@@ -371,6 +373,27 @@ class TestShootingBudget:
         for sub in ("distort", "pythagoras", "flow"):
             assert run(sub, schw_cfg, out_dir=tmp_path)[0] == 0, sub
         assert len(calls) <= self.CALLS
+
+    def test_one_batch_per_stage_when_no_candidate_lands_in(self, schw_cfg, tmp_path,
+                                                            monkeypatch):
+        # no ball candidate of the tiny config lands in, so `distort` shoots
+        # its candidates, pairs and nodes in one distance batch, and
+        # `pythagoras` runs one projection chain and one closing batch
+        batches = []
+        for module in (afstab.gh, afstab.geodesy):
+            real = module.distance_batch
+            monkeypatch.setattr(module, "distance_batch",
+                                lambda *a, _real=real, **k: batches.append("distance")
+                                or _real(*a, **k))
+        real = afstab.geodesy.level_set_projections
+        monkeypatch.setattr(afstab.geodesy, "level_set_projections",
+                            lambda *a, **k: batches.append("projection") or real(*a, **k))
+        made = {}
+        for sub in ("distort", "pythagoras"):
+            batches.clear()
+            assert run(sub, schw_cfg, out_dir=tmp_path)[0] == 0, sub
+            made[sub] = list(batches)
+        assert made == {"distort": ["distance"], "pythagoras": ["projection", "distance"]}
 
 
 class TestManifest:
@@ -537,8 +560,8 @@ class TestSweep:
         def two_unconverged(chart, x, y, *args, **kwargs):
             d, w, res, conv = real_batch(chart, x, y, *args, **kwargs)
             # the distortion batch: its first 20 rows are the x-y pairs, the
-            # grid-node rows after them shoot from the base point, as ball
-            # sampling does
+            # grid-node and ball-candidate rows after them shoot from the
+            # base point, as a ball-candidate batch of its own does
             if len(y) >= 20 and np.any(np.asarray(x)[:20] != chart.base_point):
                 conv = conv.copy()
                 conv[:2] = False
@@ -647,6 +670,26 @@ class TestScripts:
         assert (os.path.realpath(proc.stdout.strip())
                 == os.path.realpath(os.path.join(REPO, "src", "afstab", "__init__.py")))
 
+
+    def test_artifact_hashes_counts_christoffel_calls(self, tmp_path, monkeypatch,
+                                                      capsys):
+        # one stderr line counts the christoffel_quadratic calls of the sweep
+        # and of the chain; run here on a tiny sweep config
+        main = runpy.run_path(os.path.join(REPO, "scripts", "artifact_hashes.py"),
+                              run_name="probe")["main"]
+        config = write_config(tmp_path, tiny_config(
+            tag="schwarzschild",
+            family={"tag": "schwarzschild", "params": {"m": 0.1}, "box_halfwidth": 100.0},
+            sweep={"parameter": "m", "values": [0.1, 0.05, 0.025]}))
+        monkeypatch.setitem(main.__globals__, "CONFIG", str(config))
+        monkeypatch.setattr(sys, "argv", ["artifact_hashes.py", str(tmp_path / "out")])
+        assert main() == 0
+        lines = [line for line in capsys.readouterr().err.splitlines()
+                 if line.startswith("christoffel_quadratic calls:")]
+        assert len(lines) == 1
+        sweep, chain = (int(v) for v in re.fullmatch(
+            r"christoffel_quadratic calls: sweep (\d+), chain (\d+)", lines[0]).groups())
+        assert 0 < chain < sweep
 
     def test_artifact_hashes_names_the_largest_change(self, tmp_path):
         # --against: a moved JSON or CSV artifact is named with its largest

@@ -1,14 +1,16 @@
 """Distortion of the coordinate map, gradient flows, sweep reports."""
 
 from dataclasses import asdict
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import afstab.cli
+import afstab.geodesy
 import afstab.gh
 from afstab.config import config_from_dict
-from afstab.errors import LeftDomain, NoDistanceBound
+from afstab.errors import LeftDomain, NoConvergence, NoDistanceBound
 from afstab.geodesy import distance_batch
 from afstab.geometry import MetricChart
 from afstab.gh import (StabilityReport, _ball_nodes, _chord_certified, _chord_lengths,
@@ -18,7 +20,8 @@ from afstab.grid import Grid
 from afstab.harmonic import LaplaceBeltrami, build_harmonic_triple
 import oracles
 from oracles import (adaptive_flow_leg, ball_distance_field, flow_batch_reference,
-                     sample_geodesic_ball_reference)
+                     sample_geodesic_ball_reference, sequential_gh_distortion,
+                     sequential_pythagoras)
 
 
 def _recording_batches(monkeypatch, module=afstab.gh):
@@ -104,6 +107,126 @@ class TestBallSampling:
         x = np.array([[-0.5, 0.0, 0.0]])
         assert _chord_lengths(chart, p, x, 32)[0] < 3.0 * (1.0 - 1e-6)
         assert not _chord_certified(chart, p, x, 3.0)[0]
+
+
+def _sampling_ctx(chart, triple, r, n, seed):
+    """A bare stage context for cli._pythagoras."""
+    return SimpleNamespace(chart=chart, triple=triple, cfg=SimpleNamespace(
+        sampling=SimpleNamespace(n_pythagoras_pairs=n, seed=seed, ball_radius=r)))
+
+
+@pytest.fixture(scope="module")
+def desk_point(schw_charts, small_grid):
+    """The desk-point geometry: m = 0.2 on N = 33, halfwidth 20."""
+    return schw_charts[0.2], build_harmonic_triple(schw_charts[0.2], small_grid)
+
+
+class TestSampleConsumers:
+    """The ball candidates shot in the batch of the rows that use the sample,
+    against the sequential sampler that shot them in batches of their own."""
+
+    @staticmethod
+    def _candidate_rows(call, n_rows):
+        """The targets, converged flags and distances of a recorded batch's
+        rows after its first n_rows."""
+        (_, targets), (d, _, _, conv) = call
+        return targets[n_rows:], conv[n_rows:], d[n_rows:]
+
+    def test_candidates_all_out(self, schw_charts, schw_triples, monkeypatch):
+        # every shot candidate ends out, so the guess holds: the distortion
+        # runs one distance batch [pairs | nodes | candidates], the records
+        # one projection chain and one closing batch
+        chart, triple, r = schw_charts[0.1], schw_triples[0.1], 3.0
+        want = sequential_gh_distortion(chart, triple, r, 20, seed=5)
+        calls = _recording_batches(monkeypatch)
+        rep = gh_distortion(chart, triple, r, 20, seed=5)
+        assert asdict(rep) == asdict(want)
+        assert len(calls) == 1
+        _, shoot, _ = _ball_nodes(chart, triple.grid.points().reshape(-1, 3),
+                                  ~triple.excluded.ravel(), r)
+        cands, conv, d = self._candidate_rows(calls[0], 20 + len(shoot))
+        assert len(cands) > 0 and not np.any(conv & (d <= r))
+
+        ctx = _sampling_ctx(chart, triple, r, 5, seed=5)
+        want = sequential_pythagoras(ctx)
+        closing = _recording_batches(monkeypatch, afstab.geodesy)
+        projections = []
+        real = afstab.geodesy.level_set_projections
+        monkeypatch.setattr(afstab.geodesy, "level_set_projections",
+                            lambda *a, **k: projections.append(1) or real(*a, **k))
+        assert afstab.cli._pythagoras(ctx) == want
+        assert len(projections) == 1 and len(closing) == 1
+        cands, conv, d = self._candidate_rows(closing[0], 3 * 5)
+        assert len(cands) > 0 and not np.any(conv & (d <= r))
+
+    def test_candidate_in_draws_again(self, desk_point, monkeypatch):
+        # desk-point input 7007: one shot candidate of the first batch lands
+        # in, so the sample is drawn again on the real verdicts and its pairs
+        # shot once more, alone (the nodes rode the first batch)
+        chart, triple = desk_point
+        want = sequential_gh_distortion(chart, triple, 1.5, 60, seed=7007)
+        calls = _recording_batches(monkeypatch)
+        rep = gh_distortion(chart, triple, 1.5, 60, seed=7007)
+        assert asdict(rep) == asdict(want)
+        assert len(calls) == 2
+        _, shoot, _ = _ball_nodes(chart, triple.grid.points().reshape(-1, 3),
+                                  ~triple.excluded.ravel(), 1.5)
+        _, conv, d = self._candidate_rows(calls[0], 60 + len(shoot))
+        assert np.sum(conv & (d <= 1.5)) == 1
+        assert len(calls[1][0][1]) == 60
+
+    def test_failed_candidate_shot_is_out(self, desk_point, monkeypatch):
+        # the candidate of input 7007 that lands in, its shot failed: it is
+        # out, as in the sequential sampler, and the first guess holds
+        chart, triple = desk_point
+        calls = _recording_batches(monkeypatch)
+        gh_distortion(chart, triple, 1.5, 60, seed=7007)
+        shot, conv, d = self._candidate_rows(calls[0], 60)
+        lands = shot[conv & (d <= 1.5)]
+        assert len(lands) == 1
+
+        def failing(real):
+            def batch(chart, starts, targets, *args, **kwargs):
+                d, w, res, conv = real(chart, starts, targets, *args, **kwargs)
+                return d, w, res, conv & ~np.all(np.asarray(targets) == lands[0], axis=1)
+            return batch
+
+        for module in (afstab.gh, oracles):
+            monkeypatch.setattr(module, "distance_batch", failing(module.distance_batch))
+        calls.clear()
+        rep = gh_distortion(chart, triple, 1.5, 60, seed=7007)
+        assert len(calls) == 1
+        assert asdict(rep) == asdict(sequential_gh_distortion(chart, triple, 1.5, 60, 7007))
+
+    def test_stalled_sample_raises_as_before(self, flat_chart, flat_triple, monkeypatch):
+        # certify only the candidates within r / 2 of p and fail every shot:
+        # 12 rounds keep too few points, and every consumer raises the
+        # sequential sampler's NoConvergence
+        def inner_half(chart, p, xs, r, hi=None):
+            return np.linalg.norm(xs - p, axis=1) < 0.5 * r
+
+        def all_failed(chart, starts, targets, *args, **kwargs):
+            k = len(targets)
+            return np.full(k, np.inf), np.zeros((k, 3)), np.full(k, np.inf), np.zeros(k, bool)
+
+        for module in (afstab.gh, oracles):
+            monkeypatch.setattr(module, "_chord_certified", inner_half)
+            monkeypatch.setattr(module, "distance_batch", all_failed)
+        chart, triple = flat_chart, flat_triple
+        ctx = _sampling_ctx(chart, triple, 3.0, 20, seed=3)
+        runs = [(lambda: sample_geodesic_ball(chart, triple, 3.0, 40, seed=3),
+                 lambda: sample_geodesic_ball_reference(chart, triple, 3.0, 40, seed=3,
+                                                        cut=True)),
+                (lambda: gh_distortion(chart, triple, 3.0, 20, seed=3),
+                 lambda: sequential_gh_distortion(chart, triple, 3.0, 20, seed=3)),
+                (lambda: afstab.cli._pythagoras(ctx), lambda: sequential_pythagoras(ctx))]
+        for new, old in runs:
+            with pytest.raises(NoConvergence) as want:
+                old()
+            with pytest.raises(NoConvergence) as got:
+                new()
+            assert str(got.value) == str(want.value)
+            assert "stalled at" in str(got.value) and not str(got.value).endswith(" 0/40")
 
 
 class TestDistortion:
@@ -203,7 +326,7 @@ class TestBallMask:
         (starts, targets), merged = calls[-1]
         nodes = triple.grid.points().reshape(-1, 3)
         _, shoot, _ = _ball_nodes(chart, nodes, ~triple.excluded.ravel(), r)
-        assert len(shoot) > 0 and np.array_equal(targets[n:], nodes[shoot])
+        assert len(shoot) > 0 and np.array_equal(targets[n:n + len(shoot)], nodes[shoot])
         _, mask, n_failed = self._mask(chart, triple, r)
         alone = distance_batch(chart, starts[:n], targets[:n])
         for got, want in zip(merged, alone):
@@ -351,7 +474,7 @@ class TestFlows:
         certified, _ = flow_coverage(chart, triple, 1.5, 3, seed=13)
         calls = []
         monkeypatch.setattr(afstab.gh, "_chord_certified",
-                            lambda chart, p, xs, r: np.zeros(len(xs), bool))
+                            lambda chart, p, xs, r, hi=None: np.zeros(len(xs), bool))
         monkeypatch.setattr(afstab.gh, "distance_batch",
                             lambda *a, **k: calls.append(1) or distance_batch(*a, **k))
         shot, _ = flow_coverage(chart, triple, 1.5, 3, seed=13)

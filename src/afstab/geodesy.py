@@ -18,9 +18,8 @@ projection, is seeded by _extrapolated_seed: the same Newton solve at an
 eighth of the steps, one Newton pass at a quarter, and a Richardson
 extrapolation of the two to the full step count, from which a solve
 typically freezes after one full pass.  Pairs the coarse solve does not
-converge start from the straight chord.  A 26-neighbor graph Dijkstra
-distance seeds hard pairs and provides the admissible-curve upper bound
-the converged distance must respect.
+converge start from the straight chord, and pairs the full solve does not
+converge solve once more from the chord bent away from the puncture.
 
 Batches are invariant: a converged row is frozen out of later Newton
 passes and every operation on a row is row-local, so a pair's distance is
@@ -272,7 +271,7 @@ def geodesic_lengths(chart: MetricChart, starts, w):
 
 
 # ---------------------------------------------------------------------------
-# coarse graph distances (seeds and admissible upper bounds)
+# coarse graph distances (admissible upper bounds)
 
 
 class GeodesicGraph:
@@ -281,8 +280,8 @@ class GeodesicGraph:
     Edge weights are chord lengths |dx|_g at edge midpoints, so any graph
     path is (the length of) an admissible piecewise-straight curve and the
     Dijkstra distance upper-bounds the Riemannian distance up to the chord
-    quadrature error.  scipy.sparse and its csgraph are imported here, on
-    the first graph: only pairs whose full distance solve fails build one.
+    quadrature error.  No stage builds one; scipy.sparse and its csgraph
+    are imported here, on the first graph.
     """
 
     def __init__(self, chart: MetricChart, halfwidth: float, nodes: int = 25):
@@ -363,6 +362,10 @@ class GeodesicGraph:
 COARSE_STEP_DIVISOR = 8
 COARSE_REL_TARGET = 1e-6
 
+# The bend of the retry seed: a failed pair's chord c, bent by BEND |c|
+# away from the puncture, starts its second solve.
+BEND = 0.3
+
 
 def _extrapolated_seed(chart: MetricChart, starts, targets, n_steps: int):
     """Initial velocities for an n_steps Newton solve of the pairs.
@@ -389,6 +392,20 @@ def _extrapolated_seed(chart: MetricChart, starts, targets, n_steps: int):
     return w0
 
 
+def _bent_chord(starts, targets):
+    """Retry seeds c + BEND |c| e, c the chord and e the unit vector from the
+    origin to the nearest point of the chord's line, or c x e_k normalised,
+    k the axis of the smallest |c_k|, for a chord through the origin.
+    Row-local."""
+    c = targets - starts
+    t = -np.sum(starts * c, axis=1) / np.maximum(np.sum(c * c, axis=1), 1e-300)
+    q = starts + t[:, None] * c
+    n = np.linalg.norm(c, axis=1)
+    through = np.linalg.norm(q, axis=1) <= 1e-9 * n
+    q[through] = np.cross(c[through], np.eye(3)[np.argmin(np.abs(c[through]), axis=1)])
+    return c + BEND * n[:, None] * q / np.maximum(np.linalg.norm(q, axis=1), 1e-300)[:, None]
+
+
 def distance_batch(chart: MetricChart, starts, targets, n_steps: int = 160):
     """Distances for many pairs at once; returns (d, w, residual, converged).
 
@@ -396,31 +413,20 @@ def distance_batch(chart: MetricChart, starts, targets, n_steps: int = 160):
     n_steps // COARSE_STEP_DIVISOR steps converges start from its velocity
     extrapolated to n_steps, which typically freezes after one full pass;
     the others start from the straight chord.  Pairs whose n_steps solve
-    fails get a second Newton pass from a Dijkstra-path seed at doubled
-    integration resolution, on a graph sized by the pair itself.  Every
-    pass is batch-invariant, so a pair's row is the same bit for bit
-    whatever other pairs share its call.
+    fails (their chords pass near the puncture) get one more n_steps solve
+    from the chord bent away from it (_bent_chord) and keep the better of
+    the two.  Every solve is batch-invariant, so a pair's row is the
+    same bit for bit whatever other pairs share its call.
     """
     starts = np.atleast_2d(np.asarray(starts, float))
     targets = np.atleast_2d(np.asarray(targets, float))
     w0 = _extrapolated_seed(chart, starts, targets, n_steps)
     w, res, conv = _bvp_batch(chart, starts, targets, w0=w0, n_steps=n_steps)
-    need = ~conv
-    if np.any(need):
-        graphs = {}
-        seeds = []
-        for s, t in zip(starts[need], targets[need]):
-            # sized by the pair alone (in whole units, so pairs of like
-            # extent share one graph): the seed ignores the batch-mates
-            hw = min(chart.box_halfwidth,
-                     float(np.ceil(np.max(np.abs([s, t])))) + 3.0)
-            if hw not in graphs:
-                graphs[hw] = GeodesicGraph(chart, hw, nodes=25)
-            seeds.append(graphs[hw].seed_velocity(s, t))
-        seeds = np.array(seeds)
-        w2, res2, conv2 = _bvp_batch(chart, starts[need], targets[need], w0=seeds,
-                                     n_steps=2 * n_steps, max_iter=24)
-        idx = np.nonzero(need)[0]
+    idx = np.nonzero(~conv)[0]
+    if len(idx):
+        w2, res2, conv2 = _bvp_batch(chart, starts[idx], targets[idx],
+                                     w0=_bent_chord(starts[idx], targets[idx]),
+                                     n_steps=n_steps)
         better = conv2 | (res2 < res[idx])
         w[idx[better]] = w2[better]
         res[idx[better]] = res2[better]

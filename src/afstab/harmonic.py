@@ -41,8 +41,9 @@ A = div(phi^2 grad .) is spectrally close to Phi L Phi, with
 Phi = diag(phi) and L the 7-point Dirichlet Laplacian, which DST-I
 diagonalizes exactly, so each application of the inverse is one forward
 and one inverse fast sine transform.  scipy.fft is the only part of scipy
-the module imports: a numpy rfft of the odd extension gives the same DST-I
-bit for bit but takes about three times as long.
+the module imports, on the first preconditioner: a numpy rfft of the odd
+extension gives the same DST-I bit for bit but takes about three times as
+long.
 """
 
 from collections.abc import Callable
@@ -50,7 +51,6 @@ from dataclasses import dataclass
 from functools import cached_property, partial
 
 import numpy as np
-from scipy.fft import dstn, idstn
 
 from .errors import MismatchedChart, SolverDiverged
 from .geometry import MetricChart, scalar_curvature
@@ -257,6 +257,8 @@ class LaplaceBeltrami:
         axes of a triple share it.
         """
         if self._preconditioner is None:
+            from scipy.fft import dstn, idstn
+
             n = self.grid.nodes - 2
             lam1 = 2.0 - 2.0 * np.cos(np.pi * np.arange(1, n + 1) / (n + 1))
             lam = lam1[:, None, None] + lam1[None, :, None] + lam1[None, None, :]

@@ -3,19 +3,21 @@
 Everything here recomputes reference values along a route different from
 the library code under test: symbolic differentiation, finite-difference
 stencils on metric components, separable 1D ODE reductions, and radial
-quadrature.  Where the library runs the same arithmetic in fewer or other
-calls (the stacked geodesic integrator, the shared RK4 loop of the flows,
-the active-set eikonal, the trilinear interpolator, the in-place
-stencils and |Hess u|_g^2 entries, the conjugate-gradient loop, the ball
-sampling that shot every uncertified candidate, and the one that shot
-each round's candidates in a batch of their own before the sample's
-rows), the plain form it replaced is kept here as the bit-for-bit
-reference; where it reaches the same solution from another start or
-integrator (the seeded distance solve and level-set projections, the
-fixed-step flow leg), the route it replaced is kept as the reference
-within tolerance.  The eikonal field that once measured the distortion's
-geodesic ball is kept as the mask its certified and shot nodes must
-reproduce where the eikonal is accurate.
+quadrature, among them every geodesic length of the monopole chart in
+the plane of its endpoints and the puncture.  Where the library runs the
+same arithmetic in fewer or other calls (the stacked geodesic
+integrator, the shared RK4 loop of the flows, the active-set eikonal,
+the trilinear interpolator, the in-place stencils and |Hess u|_g^2
+entries, the conjugate-gradient loop, the ball sampling that shot every
+uncertified candidate, and the one that shot each round's candidates in
+a batch of their own before the sample's rows), the plain form it
+replaced is kept here as the bit-for-bit reference; where it reaches the
+same solution from another start or integrator (the seeded distance
+solve and level-set projections, the fixed-step flow leg), the route it
+replaced is kept as the reference within tolerance.  The eikonal field
+that once measured the distortion's geodesic ball is kept as the mask
+its certified and shot nodes must reproduce where the eikonal is
+accurate.
 """
 
 import numpy as np
@@ -29,7 +31,7 @@ from scipy.sparse.linalg import LinearOperator, cg
 from afstab.errors import (AfstabError, EmptySample, LeftDomain, NoConvergence,
                            OutOfDomain)
 from afstab.geodesy import (LEVEL_TOL, MV_SAMPLES, PROJECTION_STEPS, SCORE_FLOOR,
-                            DistanceField, GeodesicGraph, _bvp_batch, _level_crossing,
+                            DistanceField, _bent_chord, _bvp_batch, _level_crossing,
                             _score_sample_index, distance_batch, geodesic_lengths,
                             local_distance, mean_value_candidates, mean_value_rule,
                             pythagorean_records, segment_functional)
@@ -469,6 +471,103 @@ def graph_distance(graph, x, y):
 
 
 # ---------------------------------------------------------------------------
+# exact planar geodesics of a monopole chart
+
+
+def _geometric_rule(n, panels):
+    """Gauss-Legendre nodes and weights on [0, 1], n on each of the panels
+    [2^-(j+1), 2^-j], j < panels, and on [0, 2^-panels]."""
+    x, wts = np.polynomial.legendre.leggauss(n)
+    edges = np.concatenate([[0.0], 0.5 ** np.arange(panels, -1, -1)])
+    lo, hi = edges[:-1, None], edges[1:, None]
+    return (0.5 * (hi - lo) * x + 0.5 * (hi + lo)).ravel(), (0.5 * (hi - lo) * wts).ravel()
+
+
+_PLANAR_RULE = _geometric_rule(16, 48)
+
+
+def _planar_integrals(a, r0, delta, b, R):
+    """(angle, length) of monotone runs of geodesics of phi^4 delta,
+    phi = 1 + a/r, with F(r) sin(psi) = b, F = phi^2 r, from r0 out to R:
+    the integrals of b / (r sqrt(F^2 - b^2)) and phi^2 F / sqrt(F^2 - b^2)
+    over [r0, R], given delta = F(r0) - b >= 0; the arguments broadcast.
+
+    With r = r0 + s^2, F(r) - b = s^2 (1 - a^2 / (r r0)) + delta exactly, so
+    a turning point at r0 (delta = 0) leaves the integrand bounded and no
+    difference cancels.  _PLANAR_RULE scaled to s in [0, sqrt(R - r0)]:
+    its geometric panels resolve the peak at s ~ sqrt(delta) and the one of
+    a turning point near the minimal sphere r = a.
+    """
+    nodes, weights = _PLANAR_RULE
+    r0, delta, b, R = (np.asarray(v, float)[..., None] for v in (r0, delta, b, R))
+    S = np.sqrt(np.maximum(R - r0, 0.0))
+    s, ws = S * nodes, S * weights
+    r = r0 + s * s
+    phi2 = (1.0 + a / r) ** 2
+    F = phi2 * r
+    root = np.sqrt((s * s * (1.0 - a * a / (r * r0)) + delta) * (F + b))
+    dr = np.divide(2.0 * s * ws, root, out=np.zeros_like(root), where=root > 0.0)
+    return np.sum(b / r * dr, axis=-1), np.sum(phi2 * F * dr, axis=-1)
+
+
+def planar_geodesics(a, p, x):
+    """Lengths of the geodesics of phi^4 delta, phi = 1 + a/r, from p to x
+    that sweep the angle theta between them about the puncture, or
+    2 pi - theta, sorted; both points lie outside the minimal sphere r = a.
+
+    Every such geodesic lies in the plane of p, x and the puncture, where
+    F(r) sin(psi) = b is conserved (Bouguer's invariant, psi the angle to
+    the radial direction); F = phi^2 r is smallest at r = a, F(a) = 4a.
+    With r1 <= r2 the endpoint radii, a branch is monotone in r
+    (0 <= b <= F(r1)) or turns once at r_t in (a, r1], b = F(r_t).  The
+    swept angle runs continuously from 0 (radial, b = 0) through the
+    junction b = F(r1), where r_t = r1, and grows without bound as r_t
+    falls to a; the scan stops at r_t - a = 1e-12 (r1 - a).  Every root of
+    the swept angle minus either target on that curve is bracketed on a
+    fixed grid that includes the junction and refined by bisection.  A
+    pair p, -p has a circle of equal branches and reads one length.
+    """
+    p, x = np.asarray(p, float), np.asarray(x, float)
+    r1, r2 = sorted((float(np.linalg.norm(p)), float(np.linalg.norm(x))))
+    assert r1 > a, "both points must lie outside the minimal sphere"
+    theta = float(np.arctan2(np.linalg.norm(np.cross(p, x)), p @ x))
+    F1 = r1 + 2.0 * a + a * a / r1
+
+    # u in [0, 1]: monotone, delta = F1 (1 - u)^2 (u = 0 radial, 1 the
+    # junction); u in (1, 2]: turning, r_t - a = (r1 - a) 1e-12^((u - 1)^2).
+    # Both are linear in the launch angle near the junction.
+    def branch(u):
+        monotone = u <= 1.0
+        delta = F1 * (1.0 - np.minimum(u, 1.0)) ** 2
+        rt = a + (r1 - a) * 1e-12 ** (np.maximum(u - 1.0, 0.0) ** 2)
+        bt = rt + 2.0 * a + a * a / rt
+        mono = _planar_integrals(a, r1, delta, F1 - delta, r2)
+        inner, outer = (_planar_integrals(a, rt, 0.0, bt, R) for R in (r1, r2))
+        return (np.where(monotone, mono[0], inner[0] + outer[0]),
+                np.where(monotone, mono[1], inner[1] + outer[1]))
+
+    grid = np.linspace(0.0, 2.0, 101)
+    angles = branch(grid)[0]
+    exact, lo, hi, target = [], [], [], []
+    for t in sorted({theta, 2.0 * np.pi - theta}):
+        f = angles - t
+        exact.extend(grid[f == 0.0])
+        cross = np.nonzero(f[:-1] * f[1:] < 0.0)[0]
+        lo.extend(grid[cross])
+        hi.extend(grid[cross + 1])
+        target.extend([t] * len(cross))
+    lo, hi, target = np.array(lo), np.array(hi), np.array(target)
+    f_lo = branch(lo)[0] - target
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        f_mid = branch(mid)[0] - target
+        same = (f_mid < 0.0) == (f_lo < 0.0)
+        lo, f_lo, hi = (np.where(same, mid, lo), np.where(same, f_mid, f_lo),
+                        np.where(same, hi, mid))
+    return sorted(branch(np.concatenate([exact, 0.5 * (lo + hi)]))[1])
+
+
+# ---------------------------------------------------------------------------
 # bump-function radial quadrature
 
 
@@ -747,25 +846,16 @@ def rk4_reference(chart, x0, w, n_steps, record_every=0):
 def chord_seeded_distance_batch(chart, starts, targets, n_steps=160):
     """`geodesy.distance_batch` with its Newton solve started from the
     straight chord of every pair, as it was before the coarse-step seed:
-    the chord solve, then the Dijkstra-seeded retry at doubled resolution
-    for the pairs it fails; same arguments and returns."""
+    the chord solve, then the retry from the bent chord for the pairs it
+    fails; same arguments and returns."""
     starts = np.atleast_2d(np.asarray(starts, float))
     targets = np.atleast_2d(np.asarray(targets, float))
     w, res, conv = _bvp_batch(chart, starts, targets, n_steps=n_steps)
-    need = ~conv
-    if np.any(need):
-        graphs = {}
-        seeds = []
-        for s, t in zip(starts[need], targets[need]):
-            hw = min(chart.box_halfwidth,
-                     float(np.ceil(np.max(np.abs([s, t])))) + 3.0)
-            if hw not in graphs:
-                graphs[hw] = GeodesicGraph(chart, hw, nodes=25)
-            seeds.append(graphs[hw].seed_velocity(s, t))
-        w2, res2, conv2 = _bvp_batch(chart, starts[need], targets[need],
-                                     w0=np.array(seeds), n_steps=2 * n_steps,
-                                     max_iter=24)
-        idx = np.nonzero(need)[0]
+    idx = np.nonzero(~conv)[0]
+    if len(idx):
+        w2, res2, conv2 = _bvp_batch(chart, starts[idx], targets[idx],
+                                     w0=_bent_chord(starts[idx], targets[idx]),
+                                     n_steps=n_steps)
         better = conv2 | (res2 < res[idx])
         w[idx[better]] = w2[better]
         res[idx[better]] = res2[better]

@@ -747,14 +747,24 @@ class TestImports:
     def test_cli_loads_no_sparse_or_linalg(self):
         # set-up cost: scipy.sparse.linalg, scipy.linalg and scipy.sparse.csgraph
         # took about 11 MiB and 30 ms in every process, for a CG loop, one
-        # eigenvalue per point of an isotropic metric and a Dijkstra that
-        # only failed distance solves run
+        # eigenvalue per point of an isotropic metric and a Dijkstra graph
+        # that no stage builds any more
         loaded = self._scipy_modules("import afstab.cli")
         assert not [m for m in loaded if m.startswith(("scipy.sparse", "scipy.linalg"))]
 
-    def test_cli_loads_from_scipy_only_what_fft_does(self):
-        assert (self._scipy_modules("import afstab.cli")
-                == self._scipy_modules("import scipy.fft"))
+    def test_cli_loads_no_scipy(self):
+        # scipy.fft took about 0.3 s on top of numpy in every process; only
+        # the preconditioner of a harmonic solve imports it
+        assert self._scipy_modules("import afstab.cli") == set()
+
+    def test_harmonic_solve_loads_from_scipy_only_what_fft_does(self):
+        solve = ("import afstab.cli\n"
+                 "from afstab.geometry import MetricChart\n"
+                 "from afstab.grid import Grid\n"
+                 "from afstab.harmonic import solve_harmonic_coordinate\n"
+                 "solve_harmonic_coordinate(MetricChart('schwarzschild', {'m': 0.2}),\n"
+                 "                          Grid(halfwidth=20.0, nodes=17), 0)")
+        assert self._scipy_modules(solve) == self._scipy_modules("import scipy.fft")
 
     def test_geodesic_graph_imports_csgraph_on_first_use(self):
         # the graph seed still works in a process that has not loaded

@@ -25,12 +25,40 @@ from afstab.seeding import rng_for
 
 from oracles import (_gamma_vv_reference, bishop_gromov_check, chord_seeded_distance_batch,
                      chord_seeded_projections, full_grid_eikonal, graph_distance,
-                     hyperbolic_ball_volume, rk4_reference,
+                     hyperbolic_ball_volume, planar_geodesics, rk4_reference,
                      schwarzschild_radial_arclength)
 
 BUMP_CONFIG = pathlib.Path(__file__).resolve().parent.parent / "configs" / "bump_control.json"
 
 RADIAL_D_2_5 = 3.186258146374831   # 3 + 0.2 ln(5/2) + 0.01 (1/2 - 1/5), m = 0.2
+
+# Pairs whose full distance solve fails, each chord passing within 0.21 of
+# the puncture, and whose retry from the bent chord converges, by mass:
+# at m = 0.2 the rows of test_triangle_inequality,
+# test_batch_invariant_bit_for_bit (two), the r = 3 ball sampling of
+# test_gh.py and test_image_containment; at m = 0.1 and 0.05 the desk
+# sweep's rows and p -> -p, and at m = 0.1 a pair whose Dijkstra-seeded
+# retry at twice the steps failed.
+RETRIED = {
+    0.2: [((3.975373084440675, -2.432947994771559, 1.5971334080951367),
+           (-0.5813910503943815, 0.5368961510941181, -0.310986199848271)),
+          ((-0.24085151311722974, -1.4592779595722578, 0.927187644347975),
+           (-0.14965747636095772, 1.7002527489216472, -1.2350244455686883)),
+          ((2.0, 0.0, 0.0), (-2.0, 0.0, 0.0)),
+          ((2.0, 0.0, 0.0), (-0.1963808284356574, 0.011525127435245665,
+                             0.04309167910740616)),
+          ((2.0, 0.0, 0.0), (-0.86166963749326, 0.06853469864538342,
+                             -0.17234458324382965))],
+    0.1: [((-0.25388731439958656, -0.46062029328825543, -0.5428822485496915),
+           (1.9877046506639624, 2.1427904533076148, 1.8416602209118869)),
+          ((2.0, 0.0, 0.0), (-0.9170729921077045, 0.07110153608961074,
+                             -0.0656802480723099)),
+          ((2.0, 0.0, 0.0), (-2.0, 0.0, 0.0)),
+          ((2.0, 0.0, 0.0), (-0.86167, 0.06853, -0.17234))],
+    0.05: [((2.0, 0.0, 0.0), (-0.9170729921077045, 0.07110153608961074,
+                              -0.0656802480723099)),
+           ((2.0, 0.0, 0.0), (-2.0, 0.0, 0.0))],
+}
 
 
 @pytest.fixture(scope="module")
@@ -215,9 +243,10 @@ class TestDistance:
 
     def test_batch_invariant_bit_for_bit(self, schw):
         # a pair's solve must not depend on its batch-mates: converged rows
-        # are frozen, and graph-seeded retries use a graph sized by the pair;
-        # the last pair's chord runs through the puncture, so its coarse
-        # solve fails and its full solve starts from the chord
+        # are frozen, and every step of a solve is row-local; the last
+        # pair's chord runs through the puncture, so its coarse solve fails,
+        # its full solve from the chord fails too, and the retry from the
+        # bent chord converges it
         rng = rng_for(21, "batch-invariance")
         p = np.array([2.0, 0.0, 0.0])
         xs = np.vstack([p + rng.uniform(-2.5, 2.5, size=(40, 3)), p])
@@ -269,6 +298,38 @@ class TestDistance:
         assert steps.count(160) == 1 and steps.count(40) == 1
         assert set(steps) == {20, 40, 160}
 
+    @pytest.mark.parametrize("m", sorted(RETRIED))
+    def test_bent_retry_converges_to_the_shortest_branch(self, schw_charts, monkeypatch, m):
+        # each row's full solve fails and one retry from the bent chord, at
+        # the same steps, converges it to the shortest planar geodesic; no
+        # graph is built
+        calls, solves = [], []
+        christoffel, bvp_batch = MetricChart.christoffel_quadratic, geodesy._bvp_batch
+
+        def counted(chart, x, v):
+            calls.append(len(x))
+            return christoffel(chart, x, v)
+
+        def recorded(chart, starts, *args, **kwargs):
+            solves.append(len(starts))
+            return bvp_batch(chart, starts, *args, **kwargs)
+
+        def no_graph(*args, **kwargs):
+            raise AssertionError("a distance solve built a graph")
+
+        monkeypatch.setattr(MetricChart, "christoffel_quadratic", counted)
+        monkeypatch.setattr(geodesy, "_bvp_batch", recorded)
+        monkeypatch.setattr(GeodesicGraph, "__init__", no_graph)
+        xs, ys = (np.array(p, float) for p in zip(*RETRIED[m]))
+        d, _, _, conv = distance_batch(schw_charts[m], xs, ys)
+        # the coarse solve, the full solve and the retry, each of every row
+        assert solves == [len(xs)] * 3 and np.all(conv)
+        # each solve of a batch runs until its last row freezes, so the
+        # batch costs at least what any of its rows costs alone
+        assert len(calls) <= 16_000
+        for x, y, dist in zip(xs, ys, d):
+            assert dist == pytest.approx(planar_geodesics(m / 2, x, y)[0], rel=1e-8)
+
     def test_degenerate_pair(self, flat_chart):
         d, _, _, conv = distance_batch(flat_chart, [[1.0, 2.0, 3.0]], [[1.0, 2.0, 3.0]])
         assert d[0] == 0.0 and conv[0]
@@ -294,6 +355,29 @@ class TestDistance:
             d, _, _, conv = distance_batch(schw, x[None], y[None])
             if conv[0]:
                 assert d[0] <= graph_distance(graph, x, y) + 1e-8
+
+
+class TestPlanarGeodesics:
+    def test_radial_closed_form(self):
+        # the radial branch, and the one around the puncture, which crosses
+        # the negative x axis and so is longer than 2 + 5
+        radial, around = planar_geodesics(0.1, (2.0, 0.0, 0.0), (5.0, 0.0, 0.0))
+        assert radial == pytest.approx(RADIAL_D_2_5, rel=1e-13)
+        assert around > 2.0 + 5.0
+
+    def test_antipodal_pair_reads_one_length(self):
+        # p -> -p: a circle of equal branches, each sweeping pi
+        assert len(planar_geodesics(0.1, (2.0, 0.0, 0.0), (-2.0, 0.0, 0.0))) == 1
+
+    def test_distortion_pairs_are_shortest_branches(self, schw_charts, schw_triples):
+        # the m = 0.2 desk pairs of the geodesic 3-ball: every converged
+        # distance is the shortest planar geodesic's length
+        pts = sample_geodesic_ball(schw_charts[0.2], schw_triples[0.2], 3.0, 120,
+                                   seed=15, label="distort-3.0")
+        d, _, _, conv = distance_batch(schw_charts[0.2], pts[:60], pts[60:])
+        assert np.all(conv)
+        shortest = [planar_geodesics(0.1, x, y)[0] for x, y in zip(pts[:60], pts[60:])]
+        assert np.all(np.abs(d - shortest) <= 1e-8 * np.array(shortest))
 
 
 class TestSegmentFunctional:

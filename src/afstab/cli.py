@@ -21,7 +21,8 @@ from .config import ExperimentConfig, parse_config
 from .errors import AfstabError, BadFieldDump
 from .geodesy import pythagorean_records
 from .geometry import VolumeSampling, certify_hypotheses
-from .gh import StabilityReport, consume_geodesic_ball, flow_coverage, gh_distortion
+from .gh import (StabilityReport, consume_geodesic_ball, displacement_bound,
+                 flow_coverage, gh_distortion)
 from .grid import read_field, write_field
 from .harmonic import build_harmonic_triple, cheng_yau_ratios, triple_from_solutions
 from .inequality import (EPS_GRAD_FACTOR, VectorFieldSpec, mass_inequality_rhs,
@@ -207,7 +208,7 @@ def _flows(ctx: RunContext):
     s, grad_sup = ctx.cfg.sampling, ctx.triple.grad_sup
     traces, hausdorff = flow_coverage(ctx.chart, ctx.triple, s.target_radius,
                                       s.n_targets, s.seed)
-    ok = all(tr.displacements[leg] <= grad_sup * abs(tr.times[leg]) * 1.001 + 1e-12
+    ok = all(tr.displacements[leg] <= displacement_bound(grad_sup, tr.times[leg])
              for tr in traces for leg in range(3))
     return (traces, hausdorff), ok
 

@@ -75,11 +75,13 @@ def local_distance(chart: MetricChart, a, b):
             + metric_speed(chart, b, d)) / 6.0
 
 
-def rk4_steps(slope, y, dt: float, n_steps: int, record_every: int = 0, tied: int = 0):
+def rk4_steps(slope, y, dt, n_steps: int, record_every: int = 0, tied: int = 0):
     """Fixed-step classical RK4 of dy/ds = slope(y) from state y, the one
     RK4 loop of the geodesics and the gradient flows.
 
-    y is a (K, D) state whose first three columns are the position.  Each
+    y is a (K, D) state whose first three columns are the position; dt is
+    one step size, or a (K, 1) column of one per row (the lockstep flow
+    legs), which every update broadcasts elementwise.  Each
     RK4 stage keeps its state and its slope in one preallocated
     column-major (K, 2D - tied) buffer: the state is its first D columns
     and the slope its last D, so the slope's first `tied` columns are the

@@ -20,10 +20,17 @@ is drawn again on the shot verdicts until the guess holds (see
 consume_geodesic_ball).
 
 A flow leg is integrated once: the mean-value candidates of its start
-flow as one fixed-step RK4 batch (geodesy.rk4_steps, the RK4 loop the
+flow as fixed-step RK4 rows (geodesy.rk4_steps, the RK4 loop the
 geodesics use), the sampled paths are scored by segment_functional, and
 the picked candidate's path is the leg, as the level-set projections
-keep the geodesic that scored their pick.
+keep the geodesic that scored their pick.  Leg j of every trace runs in
+lockstep: the candidates of all traces with the same step count are one
+RK4 batch, each row with its own step size and sign.  The flow stage
+shoots no geodesic where chords decide: a leg's displacement d(y*, end)
+is bounded by its chord length when that certifies the displacement
+bound (displacement_bound), and so is d(p, end) for the next leg's
+budget check; only the legs and ends that their chords leave undecided
+are shot.
 """
 
 import functools
@@ -31,7 +38,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import LeftDomain, NoConvergence, NoDistanceBound
+from .errors import EmptySample, LeftDomain, NoConvergence, NoDistanceBound
 from .geodesy import (distance_batch, local_distance,
                       mean_value_candidates, mean_value_rule, rk4_steps,
                       segment_functional, MV_SAMPLES, SCORE_FLOOR)
@@ -80,13 +87,19 @@ def _chord_lengths(chart: MetricChart, p, xs, n_nodes: int):
     """Lengths of the straight chart segments p -> xs[k] under g, by the
     n_nodes-point Gauss-Legendre rule on int_0^1 phi(p + s(x - p))^2 |x - p| ds.
 
-    The chord is an admissible curve, so its length bounds d(p, x) from
-    above; near the puncture phi^2 is singular and the rule may undershoot.
+    p is one start (3,) or one start per row (K, 3).  The chord is an
+    admissible curve, so its length bounds d(p, x) from above; near the
+    puncture phi^2 is singular and the rule may undershoot.
     """
     s, w = _unit_gauss_legendre(n_nodes)
     seg = np.asarray(xs, float) - p
     phi = chart.conformal_factor(p + s[:, None, None] * seg)
-    return (w @ phi**2) * np.linalg.norm(seg, axis=1)
+    # node by node, so a row's bits do not depend on its batch (a matrix
+    # product sums in an order that does)
+    total = np.zeros(len(seg))
+    for wk, phik in zip(w, phi):
+        total += wk * phik**2
+    return total * np.linalg.norm(seg, axis=1)
 
 
 def _chord_certified(chart: MetricChart, p, xs, r: float, hi=None):
@@ -311,7 +324,7 @@ class FlowTrace:
     segment_ends: tuple          # endpoints of the three flow legs
     end: tuple
     u_error: float
-    displacements: tuple         # geodesic d(picked_j, segment_end_j) per leg
+    displacements: tuple         # d(picked_j, segment_end_j), or its certifying chord bound
 
     def to_polyline_dict(self):
         return {"start": list(self.start), "times": list(self.times),
@@ -320,25 +333,97 @@ class FlowTrace:
                 "end": list(self.end), "u_error": self.u_error}
 
 
-def _flow_batch(triple: HarmonicTriple, axis: int, starts, t: float, n_steps: int):
+def displacement_bound(grad_sup: float, t):
+    """The most a flow leg of time t may move: d(y*, end) <= grad_sup |t|
+    times 1.001, plus 1e-12 (for t a scalar or an array)."""
+    return grad_sup * np.abs(t) * 1.001 + 1e-12
+
+
+def _flow_batch(triple: HarmonicTriple, axis: int, starts, t, n_steps: int):
     """Fixed-step RK4 flow of many seeds through the interpolated gradient,
-    evaluated at the points clipped to the usable box; returns the (K, 3)
-    ends and the (K, n_steps + 1, 3) samples at every step."""
+    evaluated at the points clipped to the usable box; t is one flow time,
+    or a (K,) array of one per row, whose step |t| / n_steps and sign ride
+    as (K, 1) columns.  Returns the (K, 3) ends and the (K, n_steps + 1, 3)
+    samples at every step."""
     interp = triple.grad_interp[axis]
-    sign = 1.0 if t >= 0 else -1.0
+    t = np.asarray(t, float)
+    if t.ndim:
+        t = t[:, None]
+    sign = np.where(t >= 0, 1.0, -1.0)
     lim = triple.grid.halfwidth - 2 * triple.grid.h
 
     def slope(q, out):
         np.multiply(interp(np.clip(q, -lim, lim)), sign, out=out)
 
-    return rk4_steps(slope, np.array(starts, float), abs(t) / n_steps, n_steps,
+    return rk4_steps(slope, np.array(starts, float), np.abs(t) / n_steps, n_steps,
                      record_every=1)
+
+
+def _flow_legs(chart: MetricChart, triple: HarmonicTriple, starts, axis: int, times,
+               rho: float, seeds, r_limits, d_p_starts):
+    """Leg `axis` of K traces in lockstep: row k is the mean-value-perturbed
+    leg of time times[k] from starts[k] (see gradient_flow_step), seeded by
+    seeds[k], under the ball budget r_limits[k] with d(p, start) given by
+    d_p_starts[k].
+
+    The candidates of every moving leg with the same step count
+    max(24, 8 |t| / h) flow as one _flow_batch and are scored by one
+    segment_functional call; each row's arithmetic is elementwise, so a
+    leg is the same as alone, bit for bit.  The checks keep the order of
+    a loop over the traces: the first trace whose budget, candidates, pick
+    or path fails raises what that loop would.  Returns the (K, 3) picked
+    starts y* and the (K, 3) ends; a leg with t = 0 returns (start, start).
+    """
+    starts = np.asarray(starts, float)
+    gsup, h = triple.grad_sup, triple.grid.h
+    lim = triple.grid.halfwidth - 2 * h
+    failed = {}                  # trace -> what its budget or candidates raised
+    groups = {}                  # n_steps -> [(trace, cands, has_center)]
+    for k, t in enumerate(times):
+        if d_p_starts[k] + gsup * abs(t) + rho >= r_limits[k]:
+            failed[k] = ValueError("flow step violates its ball budget: "
+                                   f"{d_p_starts[k]:.3f} + {gsup:.3f}*{abs(t):.3f} + "
+                                   f"{rho:.3f} >= {r_limits[k]:.3f}")
+        elif abs(t) >= 1e-14:
+            try:
+                cands, has_center = mean_value_candidates(chart, starts[k], rho, MV_SAMPLES,
+                                                          seeds[k], label=f"flow-{axis}")
+            except (ValueError, EmptySample) as exc:
+                failed[k] = exc
+                continue
+            n_steps = max(24, int(8 * abs(t) / h))
+            groups.setdefault(n_steps, []).append((k, cands, has_center))
+    legs = {}                    # trace -> (cands, has_center, samples, scores)
+    for n_steps, group in groups.items():
+        sizes = [len(cands) for _, cands, _ in group]
+        row_t = np.repeat([times[k] for k, _, _ in group], sizes)
+        _, samples = _flow_batch(triple, axis, np.concatenate([c for _, c, _ in group]),
+                                 row_t, n_steps)
+        scores = segment_functional(np.clip(samples, -lim, lim), np.abs(row_t),
+                                    triple.gram_defect_interp)
+        scores = np.where(scores < SCORE_FLOOR, 0.0, scores)
+        cuts = np.cumsum(sizes)[:-1]
+        for (k, cands, has_center), paths, score in zip(group, np.split(samples, cuts),
+                                                        np.split(scores, cuts)):
+            legs[k] = cands, has_center, paths, score
+    picked, ends = starts.copy(), starts.copy()
+    for k in range(len(starts)):
+        if k in failed:
+            raise failed[k]
+        if k in legs:
+            cands, has_center, paths, score = legs[k]
+            j = mean_value_rule(score, has_center)
+            if np.max(np.abs(paths[j])) >= lim:
+                raise LeftDomain(f"gradient flow exited the usable grid box (axis {axis})")
+            picked[k], ends[k] = cands[j], paths[j, -1]
+    return picked, ends
 
 
 def gradient_flow_step(chart: MetricChart, triple: HarmonicTriple, start, axis: int,
                        t: float, rho: float, seed: int, r_limit: float,
                        d_p_start: float = 0.0):
-    """One mean-value-perturbed leg of the gradient flow of u^axis.
+    """One mean-value-perturbed leg of the gradient flow of u^axis, the
+    one-row case of _flow_legs.
 
     Checks the ball-budget precondition d(p, start) + grad_sup |t| + rho
     < r_limit, flows the MV_SAMPLES candidates in B_rho(start) along
@@ -349,27 +434,9 @@ def gradient_flow_step(chart: MetricChart, triple: HarmonicTriple, start, axis: 
     raises LeftDomain.  Returns (y*, end); a leg with t = 0 returns
     (start, start).
     """
-    start = np.asarray(start, float)
-    gsup = triple.grad_sup
-    if d_p_start + gsup * abs(t) + rho >= r_limit:
-        raise ValueError("flow step violates its ball budget: "
-                         f"{d_p_start:.3f} + {gsup:.3f}*{abs(t):.3f} + {rho:.3f} "
-                         f">= {r_limit:.3f}")
-    if abs(t) < 1e-14:
-        return start.copy(), start.copy()
-
-    n_steps = max(24, int(8 * abs(t) / triple.grid.h))
-    lim = triple.grid.halfwidth - 2 * triple.grid.h
-    cands, has_center = mean_value_candidates(chart, start, rho, MV_SAMPLES, seed,
-                                              label=f"flow-{axis}")
-    _, samples = _flow_batch(triple, axis, cands, t, n_steps)
-    scores = segment_functional(np.clip(samples, -lim, lim), abs(t),
-                                triple.gram_defect_interp)
-    scores = np.where(scores < SCORE_FLOOR, 0.0, scores)
-    k = mean_value_rule(scores, has_center)
-    if np.max(np.abs(samples[k])) >= lim:
-        raise LeftDomain(f"gradient flow exited the usable grid box (axis {axis})")
-    return cands[k], samples[k, -1]
+    picked, ends = _flow_legs(chart, triple, np.asarray(start, float)[None], axis, [t],
+                              rho, [seed], [r_limit], [d_p_start])
+    return picked[0], ends[0]
 
 
 def reach_points(chart: MetricChart, triple: HarmonicTriple, targets, rho: float,
@@ -382,15 +449,18 @@ def reach_points(chart: MetricChart, triple: HarmonicTriple, targets, rho: float
     |u(end) - target|.  The ball budget of a trace is
     3 (grad_sup + 1) max(|target| + 0.05 grad_sup rho, rho, 1).
 
-    The traces run in lockstep, one leg of every trace at a time.  The next
-    leg's budget check reads d(p, end), or the chord length of p -> end
-    where that certifies the check (see _chord_certified): d(p, end) is
-    shot only for the traces whose chord does not, one distance_batch per
-    leg that has any.  The displacements d(y*, end) of all moving legs are
-    one distance_batch after the last leg, so a run whose budgets all
-    certify makes one.  Pair solves do not depend on their batch, so
-    trace k is the same as reach_point(targets[k], seed=seeds[k]) bit for
-    bit.
+    The traces run in lockstep: leg j of every trace is one _flow_legs
+    call.  The next leg's budget check reads d(p, end), or the chord
+    length of p -> end where that certifies the check (see
+    _chord_certified): d(p, end) is shot only for the traces whose chord
+    does not, one distance_batch per leg that has any.  A moving leg's
+    displacement is the 2 CHORD_NODES-point chord length of y* -> end
+    where that certifies d(y*, end) below displacement_bound, an upper
+    bound of d that keeps the bound; the legs whose chord does not are
+    shot in one distance_batch after the last leg, so a run whose chords
+    all certify shoots no geodesic.  Every row of these steps is
+    row-local, so trace k is the same as reach_point(targets[k],
+    seed=seeds[k]) bit for bit.
     """
     targets = np.atleast_2d(np.asarray(targets, float))
     n = len(targets)
@@ -404,11 +474,9 @@ def reach_points(chart: MetricChart, triple: HarmonicTriple, targets, rho: float
     picked = np.empty((n, 3, 3))          # [trace, leg]: the leg's start y*
     seg_ends = np.empty((n, 3, 3))        # [trace, leg]: the leg's end
     for axis in range(3):
-        for k in range(n):
-            picked[k, axis], seg_ends[k, axis] = gradient_flow_step(
-                chart, triple, current[k], axis, float(targets[k, axis]), rho,
-                seeds[k] + 7 * axis, float(r_limits[k]),
-                d_p_start=float(d_p_current[k]))
+        picked[:, axis], seg_ends[:, axis] = _flow_legs(
+            chart, triple, current, axis, targets[:, axis], rho,
+            [seed + 7 * axis for seed in seeds], r_limits, d_p_current)
         current = seg_ends[:, axis].copy()
         if axis < 2:
             # room the next leg's budget leaves for d(p, end)
@@ -424,8 +492,14 @@ def reach_points(chart: MetricChart, triple: HarmonicTriple, targets, rho: float
     displacements = np.zeros((n, 3))
     if np.any(moving):
         starts, ends = picked[moving], seg_ends[moving]
-        d, _, _, conv = distance_batch(chart, starts, ends)
-        displacements[moving] = np.where(conv, d, local_distance(chart, starts, ends))
+        chords = _chord_lengths(chart, starts, ends, 2 * CHORD_NODES)
+        shoot = ~_chord_certified(chart, starts, ends,
+                                  displacement_bound(gsup, targets[moving]), hi=chords)
+        if np.any(shoot):
+            starts, ends = starts[shoot], ends[shoot]
+            d, _, _, conv = distance_batch(chart, starts, ends)
+            chords[shoot] = np.where(conv, d, local_distance(chart, starts, ends))
+        displacements[moving] = chords
     traces = []
     for k in range(n):
         err_vec = triple.u_map(current[k]) - targets[k]

@@ -358,8 +358,9 @@ class TestShootingBudget:
     # makes 7 860 (2 080 + 4 740 + 1 040); with ball sampling shooting no
     # candidate past the ones its certified candidates already fill, 6 740
     # (2 080 + 3 620 + 1 040); with the sample's candidates shot in the
-    # distance batch of its pairs, 5 700 (1 040 + 3 620 + 1 040).
-    CALLS = 5_700
+    # distance batch of its pairs, 5 700 (1 040 + 3 620 + 1 040); with the
+    # flow displacements certified by their chords, 4 660 (1 040 + 3 620 + 0).
+    CALLS = 4_660
 
     def test_chain_christoffel_calls(self, schw_cfg, tmp_path, monkeypatch):
         real = MetricChart.christoffel_quadratic
@@ -370,9 +371,13 @@ class TestShootingBudget:
             return real(self, x, v)
 
         monkeypatch.setattr(MetricChart, "christoffel_quadratic", counting)
+        made = {}
         for sub in ("distort", "pythagoras", "flow"):
+            before = len(calls)
             assert run(sub, schw_cfg, out_dir=tmp_path)[0] == 0, sub
+            made[sub] = len(calls) - before
         assert len(calls) <= self.CALLS
+        assert made["flow"] == 0, made
 
     def test_one_batch_per_stage_when_no_candidate_lands_in(self, schw_cfg, tmp_path,
                                                             monkeypatch):

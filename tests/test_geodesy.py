@@ -140,6 +140,22 @@ class TestKernel:
                 else:
                     assert np.array_equal(a, b)
 
+    def test_dt_column_equals_scalar_dt_per_row(self):
+        # a (K, 1) dt column steps each row as its own scalar dt does
+        rng = rng_for(16, "rk4-dt-column")
+        y0 = rng.uniform(-2.0, 2.0, size=(9, 3))
+        dt = rng.uniform(0.01, 0.2, size=(9, 1))
+
+        def slope(q, out):
+            np.multiply(np.sin(q[:, ::-1]), np.cos(q), out=out)
+
+        end, samples = geodesy.rk4_steps(slope, y0, dt, 30, record_every=1)
+        for k in range(len(y0)):
+            end_k, samples_k = geodesy.rk4_steps(slope, y0[k:k + 1], float(dt[k, 0]), 30,
+                                                 record_every=1)
+            assert np.array_equal(end[k:k + 1], end_k), k
+            assert np.array_equal(samples[k:k + 1], samples_k), k
+
     def test_closed_form_matches_conformal_gradient(self, schw):
         # Gamma(v, v) = -2a / (|x|^2 (|x| + a)) (2 (v.x) v - |v|^2 x), whose
         # norm is |c| |v|^2 |x|: no cancellation to hide an error in

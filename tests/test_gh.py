@@ -1,6 +1,6 @@
 """Distortion of the coordinate map, gradient flows, sweep reports."""
 
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -14,8 +14,9 @@ from afstab.errors import LeftDomain, NoConvergence, NoDistanceBound
 from afstab.geodesy import distance_batch
 from afstab.geometry import MetricChart
 from afstab.gh import (StabilityReport, _ball_nodes, _chord_certified, _chord_lengths,
-                       _flow_batch, _phi_floor, flow_coverage, gh_distortion,
-                       gradient_flow_step, reach_point, sample_geodesic_ball)
+                       _flow_batch, _flow_legs, _phi_floor, displacement_bound,
+                       flow_coverage, gh_distortion, gradient_flow_step, reach_point,
+                       reach_points, sample_geodesic_ball)
 from afstab.grid import Grid
 from afstab.harmonic import LaplaceBeltrami, build_harmonic_triple
 import oracles
@@ -459,17 +460,19 @@ class TestFlows:
         monkeypatch.setattr(gh, "distance_batch",
                             lambda *a, **k: calls.append(1) or distance_batch(*a, **k))
         traces, _ = flow_coverage(chart, triple, 1.5, 3, seed=13)
-        # every leg budget certifies on its chord: the displacements of all
-        # legs are the one batch
-        assert len(calls) == 1
+        # every leg budget and every displacement certifies on its chord:
+        # the flows shoot no geodesic
+        assert len(calls) == 0
         rho = 2.0 * triple.grid.h
         for k, trace in enumerate(traces):
             alone = reach_point(chart, triple, trace.times, rho, seed=13 + 1000 + k)
             assert alone == trace, k
 
     def test_shot_budgets_equal_certified(self, schw_charts, schw_triples, monkeypatch):
-        # shooting d(p, end) for every budget check instead of certifying it
-        # on the chord changes the number of distance batches, not the traces
+        # shooting d(p, end) for every budget check and d(y*, end) for every
+        # displacement instead of certifying them on the chord changes the
+        # number of distance batches and the displacements, which the chord
+        # bounds from above, and nothing else
         chart, triple = schw_charts[0.1], schw_triples[0.1]
         certified, _ = flow_coverage(chart, triple, 1.5, 3, seed=13)
         calls = []
@@ -479,7 +482,70 @@ class TestFlows:
                             lambda *a, **k: calls.append(1) or distance_batch(*a, **k))
         shot, _ = flow_coverage(chart, triple, 1.5, 3, seed=13)
         assert len(calls) == 3        # legs 1 and 2, then the displacements
-        assert shot == certified
+        for a, b in zip(shot, certified):
+            assert replace(a, displacements=b.displacements) == b
+            assert all(d <= c for d, c in zip(a.displacements, b.displacements))
+
+    def test_uncertified_leg_is_shot(self, schw_charts, schw_triples, monkeypatch):
+        # a displacement whose chord does not certify is shot, alone, and
+        # still keeps its bound
+        chart, triple = schw_charts[0.1], schw_triples[0.1]
+        certified, _ = flow_coverage(chart, triple, 1.5, 3, seed=13)
+        real = afstab.gh._chord_certified
+
+        def refuse_first_leg(chart, p, xs, r, hi=None):
+            ok = real(chart, p, xs, r, hi=hi)
+            if np.ndim(p) == 2:       # the displacements: one start per row
+                ok[0] = False
+            return ok
+
+        monkeypatch.setattr(afstab.gh, "_chord_certified", refuse_first_leg)
+        calls = _recording_batches(monkeypatch)
+        shot, _ = flow_coverage(chart, triple, 1.5, 3, seed=13)
+        assert len(calls) == 1
+        (starts, ends), _ = calls[0]
+        assert np.array_equal(starts, [certified[0].picked[0]])
+        assert np.array_equal(ends, [certified[0].segment_ends[0]])
+        assert shot[0].displacements[0] <= certified[0].displacements[0]
+        assert shot[0].displacements[1:] == certified[0].displacements[1:]
+        assert shot[1:] == certified[1:]
+        # the flow stage's verdict: every leg keeps its displacement bound
+        assert all(d <= displacement_bound(triple.grad_sup, t)
+                   for trace in shot for d, t in zip(trace.displacements, trace.times))
+
+    def test_traces_row_local_across_step_groups(self, schw_charts, schw_triples,
+                                                 monkeypatch):
+        # targets of both signs, a t = 0 leg, and |t| on both sides of 3h,
+        # so each leg runs candidates of two step counts in two batches
+        chart, triple = schw_charts[0.1], schw_triples[0.1]
+        h = triple.grid.h
+        targets = np.array([[0.9, -0.6, 0.0], [-3.4 * h, 0.4, 3.2 * h],
+                            [0.3, 3.6 * h, -0.7]])
+        steps = []
+        real = afstab.gh._flow_batch
+
+        def recording(triple, axis, starts, t, n_steps):
+            steps.append((axis, n_steps))
+            return real(triple, axis, starts, t, n_steps)
+
+        monkeypatch.setattr(afstab.gh, "_flow_batch", recording)
+        rho = 2.0 * h
+        traces = reach_points(chart, triple, targets, rho, [21, 22, 23])
+        assert all(len({n for a, n in steps if a == axis}) == 2 for axis in range(3))
+        for k, trace in enumerate(traces):
+            assert reach_point(chart, triple, targets[k], rho, seed=21 + k) == trace, k
+
+    def test_first_failing_trace_raises(self, flat_chart, flat_triple):
+        # trace 0 leaves the usable box, trace 1 breaks its ball budget: a
+        # loop over the traces would raise trace 0's LeftDomain, and so do
+        # the legs in lockstep, though trace 1 fails before any flow
+        starts = [(18.0, 0.0, 0.0), (0.0, 0.0, 0.0)]
+        with pytest.raises(LeftDomain):
+            _flow_legs(flat_chart, flat_triple, starts, 0, [2.0, 5.0], 0.1, [7, 7],
+                       [100.0, 3.0], [0.0, 0.0])
+        with pytest.raises(ValueError, match="ball budget"):
+            _flow_legs(flat_chart, flat_triple, starts[::-1], 0, [5.0, 2.0], 0.1, [7, 7],
+                       [3.0, 100.0], [0.0, 0.0])
 
     def test_flow_error_tracks_mass(self, schw_charts, schw_triples):
         errs = {}

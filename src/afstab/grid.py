@@ -219,11 +219,30 @@ def diff2(values: np.ndarray, h: float, axis: int) -> np.ndarray:
 
 
 def gradient(values: np.ndarray, h: float) -> np.ndarray:
-    """Coordinate partials d_a u, shape (N, N, N, 3), each partial written
-    straight into its slot."""
-    out = np.empty(values.shape + (3,))
+    """Coordinate partials d_a u, component-major: shape (3, N, N, N), so
+    each partial out[a] is one C-contiguous (N, N, N) array, written in
+    place, and a product of two partials streams through memory (a partial
+    of an interleaved (N, N, N, 3) array is a stride-3 view).  Contract two
+    such fields with dot3."""
+    out = np.empty((3,) + values.shape)
     for a in range(3):
-        diff1(values, h, a, out=out[..., a])
+        diff1(values, h, a, out=out[a])
+    return out
+
+
+def dot3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """sum_k a[k] b[k] of two component-major (3, ...) fields, bit for bit
+    np.einsum("...a,...a->...") on the contiguous (..., 3) layout.
+
+    The order is fixed here, not left to einsum, whose length-3 sum
+    depends on the operand's memory layout: on contiguous (..., 3) data
+    numpy sums from +0.0 as (a0 b0 + a2 b2) + a1 b1, which is the order
+    written out below (the +0.0 turns a sum of three -0.0 into +0.0)."""
+    out = np.multiply(a[0], b[0])
+    out += 0.0
+    t = np.multiply(a[2], b[2])
+    out += t
+    out += np.multiply(a[1], b[1], out=t)
     return out
 
 

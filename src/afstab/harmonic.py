@@ -24,6 +24,16 @@ forms (tests/oracles.py keeps those as the references).  |grad u|_g is
 not kept (three more nodal fields): grad_norms() hands the three to a
 stage and fixes grad_sup from them.
 
+Gradient fields are component-major, shape (3, N, N, N): du per axis (from
+grid.gradient) and w, so each partial is one C-contiguous array and the
+products of partials that |Hess u|_g^2, |grad u|_g and the Gram defect
+form stream through memory.  Their length-3 contractions all go through
+grid.dot3, which fixes the summation order: np.einsum's order depends on
+the operands' memory layout, and dot3 keeps the one it takes on
+contiguous (N, N, N, 3) data.  Only grad_interp interleaves its values
+(N, N, N, 3), as Trilinear reads them; the nodal dphi keeps the layout
+the chart returns.
+
 The discretization is the conservative second-order scheme for
 u -> (1/sqrt(det g)) d_a (sqrt(det g) g^ab d_b u) with coefficients
 evaluated at cell-face midpoints.  Every family in the corpus is
@@ -54,7 +64,8 @@ import numpy as np
 
 from .errors import MismatchedChart, SolverDiverged
 from .geometry import MetricChart, scalar_curvature
-from .grid import Grid, ScalarGridField, diff1, diff2, gradient, interpolator, lattice
+from .grid import (Grid, ScalarGridField, diff1, diff2, dot3, gradient, interpolator,
+                   lattice)
 from .mass import sphere_rule
 
 # No solver reads pyamg; only bench/worker.py's environment() does (and
@@ -265,7 +276,8 @@ class LaplaceBeltrami:
             inv_phi = 1.0 / self.phi[1:-1, 1:-1, 1:-1]
 
             def apply_inverse(v):
-                w = dstn(v.reshape(n, n, n) * inv_phi, type=1)
+                # both transforms overwrite their input: each is a fresh array
+                w = dstn(v.reshape(n, n, n) * inv_phi, type=1, overwrite_x=True)
                 w /= lam
                 w = idstn(w, type=1, overwrite_x=True)
                 w *= inv_phi
@@ -316,8 +328,9 @@ def solve_harmonic_coordinate(chart: MetricChart, grid: Grid, axis: int,
 
 def _hessian_norm2(values: np.ndarray, du: np.ndarray, w: np.ndarray,
                    phi8: np.ndarray, h: float) -> np.ndarray:
-    """|Hess u|_g^2 of nodal values with coordinate partials du, given
-    w = dphi / phi and phi^8 (the same for the three axes of a triple), as
+    """|Hess u|_g^2 of nodal values with component-major coordinate
+    partials du, given the component-major w = dphi / phi and phi^8 (the
+    same for the three axes of a triple), as
     sum_a e_aa^2 + 2 sum_{a<b} e_ab^2 over the covariant-Hessian entries
     e_ab = dd_ab - 2(d_a u w_b + w_a d_b u - delta_ab du.w).
 
@@ -327,9 +340,9 @@ def _hessian_norm2(values: np.ndarray, du: np.ndarray, w: np.ndarray,
     they are formed, and at most five (N, N, N) arrays are alive at a time.
     """
     def squared(dd, a, b, duw=None):
-        gamma = np.multiply(du[..., a], w[..., b])
+        gamma = np.multiply(du[a], w[b])
         if duw is None:
-            gamma += w[..., a] * du[..., b]
+            gamma += w[a] * du[b]
         else:                           # a == b: d_a u w_a + w_a d_a u - du.w
             gamma += gamma
             gamma -= duw
@@ -337,10 +350,10 @@ def _hessian_norm2(values: np.ndarray, du: np.ndarray, w: np.ndarray,
         dd -= gamma
         return np.square(dd, out=dd)
 
-    mixed = squared(diff1(du[..., 1], h, 0), 0, 1)
-    mixed += squared(diff1(du[..., 2], h, 0), 0, 2)
-    mixed += squared(diff1(du[..., 2], h, 1), 1, 2)
-    duw = np.einsum("...a,...a->...", du, w)
+    mixed = squared(diff1(du[1], h, 0), 0, 1)
+    mixed += squared(diff1(du[2], h, 0), 0, 2)
+    mixed += squared(diff1(du[2], h, 1), 1, 2)
+    duw = dot3(du, w)
     diag = squared(diff2(values, h, 0), 0, 0, duw)
     diag += squared(diff2(values, h, 1), 1, 1, duw)
     diag += squared(diff2(values, h, 2), 2, 2, duw)
@@ -365,20 +378,22 @@ class HarmonicTriple:
     grid: Grid
     u: tuple                     # three ScalarGridFields, u^i(p) = 0
     phi: np.ndarray              # nodal conformal factor (puncture imputed)
-    dphi: np.ndarray             # nodal conformal gradient
+    dphi: np.ndarray             # nodal conformal gradient, (N, N, N, 3)
     excluded: np.ndarray         # nodes excluded from integral norms
     residual_norms: tuple | None = None   # operator residual per raw solution
     u_at_p: tuple | None = None           # the subtracted raw values u^i(p)
 
     @cached_property
     def du(self) -> tuple:
-        """(N, N, N, 3) coordinate partials per axis."""
+        """(3, N, N, N) coordinate partials per axis (grid.gradient)."""
         return tuple(gradient(u.values, self.grid.h) for u in self.u)
 
     @cached_property
     def hess2(self) -> tuple:
         """(N, N, N) |Hess u^i|_g^2 per axis."""
-        w = self.dphi / self.phi[..., None]
+        w = np.empty((3,) + self.phi.shape)     # component-major, as du
+        for a in range(3):
+            np.divide(self.dphi[..., a], self.phi, out=w[a])
         phi8 = self.phi**8
         return tuple(_hessian_norm2(u.values, du, w, phi8, self.grid.h)
                      for u, du in zip(self.u, self.du))
@@ -403,12 +418,24 @@ class HarmonicTriple:
 
     @cached_property
     def gram_defect(self) -> np.ndarray:
-        """sum_ij |<grad u^i, grad u^j>_g - delta^ij| field."""
+        """sum_ij |<grad u^i, grad u^j>_g - delta^ij| field, summed in
+        (i, j) order; the Gram matrix is symmetric, so each entry with
+        i < j is formed once and added twice."""
+        phi4 = self.phi**4
+        upper = {}                       # |entry (i, j)|, i < j, until read twice
         total = np.zeros((self.grid.nodes,) * 3)
         for i in range(3):
             for j in range(3):
-                gram = np.einsum("...a,...a->...", self.du[i], self.du[j]) / self.phi**4
-                total += np.abs(gram - (1.0 if i == j else 0.0))
+                if j < i:
+                    total += upper.pop((j, i))
+                    continue
+                gram = dot3(self.du[i], self.du[j])
+                gram /= phi4
+                if i == j:
+                    gram -= 1.0
+                total += np.abs(gram, out=gram)
+                if i < j:
+                    upper[i, j] = gram
         return total
 
     @cached_property
@@ -418,9 +445,17 @@ class HarmonicTriple:
 
     @cached_property
     def grad_interp(self) -> tuple:
-        """Interpolator of the raised g-gradient du / phi^4 of u^i per axis."""
-        return tuple(interpolator(self.grid, du / self.phi[..., None] ** 4)
-                     for du in self.du)
+        """Interpolator of the raised g-gradient du / phi^4 of u^i per axis,
+        its values interleaved (N, N, N, 3) as Trilinear reads them."""
+        phi4 = self.phi**4
+
+        def raised(du):
+            out = np.empty(phi4.shape + (3,))
+            for a in range(3):
+                np.divide(du[a], phi4, out=out[..., a])
+            return out
+
+        return tuple(interpolator(self.grid, raised(du)) for du in self.du)
 
     @cached_property
     def hess_sum_interp(self):
@@ -438,8 +473,7 @@ class HarmonicTriple:
 
     def grad_norm(self, i: int) -> np.ndarray:
         """|grad u^i|_g field."""
-        du = self.du[i]
-        norm = np.einsum("...a,...a->...", du, du)
+        norm = dot3(self.du[i], self.du[i])
         np.sqrt(norm, out=norm)
         norm /= np.square(self.phi)
         return norm

@@ -5,16 +5,17 @@ The central quantity is the lower bound
     (1/16 pi) integral of ( |Hess u|^2 / |grad u| + R |grad u| ) dV
 for each harmonic coordinate u, which the ADM mass dominates in the
 continuum.  Cells where |grad u| falls under a configurable floor are
-excluded and counted instead of regularized, and the reported slack
-carries a Richardson error bar over grid levels rather than being
-asserted on any single grid.
+excluded and counted instead of regularized.  The slack is reported per
+grid, not asserted on any single one; its extrapolation over grid levels
+(second-order Richardson, with an error band) is done by the acceptance
+tests.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import gradient
+from .grid import dot3, gradient
 from .harmonic import HarmonicTriple
 
 
@@ -106,7 +107,7 @@ def refined_kato_check(triple: HarmonicTriple, axis: int, eps_grad: float,
     gnorm, weights = _axis_fields(triple, axis, fields)
     hess2 = triple.hess2[axis]
     ds = gradient(np.sqrt(gnorm), triple.grid.h)
-    lhs_field = np.einsum("...a,...a->...", ds, ds)
+    lhs_field = dot3(ds, ds)
     del ds
     lhs_field /= triple.phi**4
     include = ~triple.excluded & (gnorm >= eps_grad)
@@ -212,33 +213,3 @@ def relaxed_scalar_certificate(triple: HarmonicTriple, x_spec: VectorFieldSpec,
                                     psi_support_radius=support_radius,
                                     holds_pointwise_outside=holds_outside,
                                     quadratic_coefficient=float(c_coef))
-
-
-# ---------------------------------------------------------------------------
-# Richardson extrapolation of the slack over grid levels
-
-
-def richardson_slack(slacks, spacings):
-    """Extrapolated slack and an error band from second-order Richardson.
-
-    slacks/spacings are matched sequences over at least two grid levels,
-    finest last.  The band is the spread between the extrapolations of the
-    last two level pairs (or the correction magnitude when only two levels
-    are given).
-    """
-    s = [float(v) for v in slacks]
-    h = [float(v) for v in spacings]
-    if len(s) < 2:
-        raise ValueError("need at least two grid levels")
-
-    def extrap(i, j):
-        return (s[j] * h[i]**2 - s[i] * h[j]**2) / (h[i]**2 - h[j]**2)
-
-    if len(s) == 2:
-        e = extrap(0, 1)
-        return e, abs(e - s[1])
-    e_prev = extrap(-3, -2)
-    e_last = extrap(-2, -1)
-    band = abs(e_last - e_prev)
-    return e_last, band
-

@@ -127,13 +127,3 @@ class RunManifest:
             elif sha256_file(path) != digest:
                 problems.append(f"hash mismatch for {rel}")
         return problems
-
-
-def load_manifest(out_dir):
-    path = os.path.join(str(out_dir), MANIFEST_NAME)
-    with open(path) as f:
-        data = json.load(f)
-    m = RunManifest.__new__(RunManifest)
-    m.out_dir = str(out_dir)
-    m.data = data
-    return m

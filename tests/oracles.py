@@ -20,6 +20,9 @@ its certified and shot nodes must reproduce where the eikonal is
 accurate.
 """
 
+import json
+import os
+
 import numpy as np
 import scipy.sparse as sps
 import sympy as sp
@@ -38,6 +41,7 @@ from afstab.geodesy import (LEVEL_TOL, MV_SAMPLES, PROJECTION_STEPS, SCORE_FLOOR
 from afstab.gh import DistortionReport, _ball_nodes, _chord_certified
 from afstab.grid import diff1, diff2
 from afstab.harmonic import LaplaceBeltrami
+from afstab.reporting import MANIFEST_NAME, RunManifest
 from afstab.seeding import rng_for
 
 
@@ -260,8 +264,8 @@ def diff2_reference(values: np.ndarray, h: float, axis: int) -> np.ndarray:
 
 
 def gradient_reference(values: np.ndarray, h: float) -> np.ndarray:
-    """grid.gradient as three separate partials stacked."""
-    return np.stack([diff1_reference(values, h, a) for a in range(3)], axis=-1)
+    """grid.gradient as three separate partials stacked, component-major."""
+    return np.stack([diff1_reference(values, h, a) for a in range(3)])
 
 
 def hessian_norm2_reference(values: np.ndarray, du: np.ndarray, phi: np.ndarray,
@@ -977,3 +981,44 @@ def adaptive_flow_leg(triple, axis, y_star, t):
     if sol.status == 1 or not sol.success:
         raise LeftDomain(f"gradient flow exited the usable grid box (axis {axis})")
     return sol.y[:, -1]
+
+
+# ---------------------------------------------------------------------------
+# Richardson extrapolation of the slack over grid levels, and a manifest
+# read back from its output directory (the program itself needs neither)
+
+
+def richardson_slack(slacks, spacings):
+    """Extrapolated slack and an error band from second-order Richardson.
+
+    slacks/spacings are matched sequences over at least two grid levels,
+    finest last.  The band is the spread between the extrapolations of the
+    last two level pairs (or the correction magnitude when only two levels
+    are given).
+    """
+    s = [float(v) for v in slacks]
+    h = [float(v) for v in spacings]
+    if len(s) < 2:
+        raise ValueError("need at least two grid levels")
+
+    def extrap(i, j):
+        return (s[j] * h[i]**2 - s[i] * h[j]**2) / (h[i]**2 - h[j]**2)
+
+    if len(s) == 2:
+        e = extrap(0, 1)
+        return e, abs(e - s[1])
+    e_prev = extrap(-3, -2)
+    e_last = extrap(-2, -1)
+    band = abs(e_last - e_prev)
+    return e_last, band
+
+
+def load_manifest(out_dir):
+    """The RunManifest an output directory holds, read back from its file."""
+    path = os.path.join(str(out_dir), MANIFEST_NAME)
+    with open(path) as f:
+        data = json.load(f)
+    m = RunManifest.__new__(RunManifest)
+    m.out_dir = str(out_dir)
+    m.data = data
+    return m

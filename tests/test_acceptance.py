@@ -20,15 +20,16 @@ from afstab.geometry import (MetricChart, VolumeSampling, certify_hypotheses,
 from afstab.gh import flow_coverage, gh_distortion, sample_geodesic_ball
 from afstab.grid import Grid
 from afstab.harmonic import solve_harmonic_coordinate, triple_from_solutions
-from afstab.inequality import VectorFieldSpec, mass_inequality_rhs, richardson_slack
+from afstab.inequality import VectorFieldSpec, mass_inequality_rhs
 from afstab.mass import adm_mass
 from afstab.reporting import sha256_file
 from afstab.seeding import rng_for
 
 from conftest import SWEEP_MASSES, certificate
 from oracles import (bishop_gromov_check, bump_positive_laplacian_integral,
-                     harmonic_radial_profile, schwarzschild_radial_arclength,
-                     sympy_conformal_scalar, sympy_gaussian_phi)
+                     harmonic_radial_profile, richardson_slack,
+                     schwarzschild_radial_arclength, sympy_conformal_scalar,
+                     sympy_gaussian_phi)
 
 PROBE_RADII = np.array([2.5, 5.0, 7.5, 10.0])   # common nodes of all levels
 LEVELS = (33, 65, 129)

@@ -25,7 +25,9 @@ from afstab.geometry import MetricChart
 from afstab.grid import FORMAT_VERSION, HEADER, MAGIC
 from afstab.inequality import (VectorFieldSpec, refined_kato_check,
                                relaxed_scalar_certificate)
-from afstab.reporting import load_manifest, sha256_file
+from afstab.reporting import sha256_file
+
+from oracles import load_manifest
 
 REPO = os.path.join(os.path.dirname(__file__), os.pardir)
 

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from afstab.cli import run
 from afstab.config import config_from_dict
 from afstab.errors import BadFieldDump
-from afstab.grid import (Grid, ScalarGridField, Trilinear, diff1, diff2, gradient,
+from afstab.grid import (Grid, ScalarGridField, Trilinear, diff1, diff2, dot3, gradient,
                          interpolator, read_field, write_field)
 
 from oracles import diff1_reference, diff2_reference, gradient_reference, rgi_reference
@@ -52,13 +52,13 @@ class TestGrid:
 class TestStencils:
     def test_in_place_stencils_match_references(self):
         # diff1, diff2 and gradient bit for bit the one-expression stencils
-        # and the stacked partials, on a contiguous field and on one
-        # partial of a gradient (a strided view, as |Hess u|^2 reads it)
+        # and the stacked partials, on a field and on one partial of a
+        # gradient (as |Hess u|^2 reads it)
         g = Grid(halfwidth=3.0, nodes=17)
         f = np.random.default_rng(3).normal(size=(17, 17, 17))
         df = gradient(f, g.h)
         assert np.array_equal(bits(df), bits(gradient_reference(f, g.h)))
-        for values in (f, df[..., 1]):
+        for values in (f, df[1]):
             for a in range(3):
                 assert np.array_equal(bits(diff1(values, g.h, a)),
                                       bits(diff1_reference(values, g.h, a)))
@@ -71,11 +71,28 @@ class TestStencils:
         f = pts[..., 0] ** 3 + 2.0 * pts[..., 1] ** 2 * pts[..., 2]
         inner = ~g.margin_mask(2)
         df = gradient(f, g.h)
-        assert np.allclose(df[inner][:, 0], (3 * pts[..., 0] ** 2)[inner], atol=1e-10)
+        assert np.allclose(df[0][inner], (3 * pts[..., 0] ** 2)[inner], atol=1e-10)
         dxx = diff2(f, g.h, 0)
         assert np.allclose(dxx[inner], (6 * pts[..., 0])[inner], atol=1e-9)
-        dyz = diff1(df[..., 2], g.h, 1)   # a mixed entry: diff1 of a partial
+        dyz = diff1(df[2], g.h, 1)   # a mixed entry: diff1 of a partial
         assert np.allclose(dyz[inner], (4 * pts[..., 1])[inner], atol=1e-9)
+
+    def test_dot3_matches_einsum(self):
+        # bit for bit np.einsum on the contiguous (..., 3) layout, whose
+        # length-3 sum starts from +0.0: random fields, and every sign
+        # pattern of zeros and ones (three -0.0 products sum to +0.0)
+        rng = np.random.default_rng(11)
+        signed = np.array([0.0, -0.0, 1.0, -1.0])
+        combos = np.stack(np.meshgrid(*[signed] * 6, indexing="ij"), axis=-1).reshape(-1, 6)
+        pairs = [(combos[:, :3].copy(), combos[:, 3:].copy())]
+        for shape in ((17, 17, 17, 3), (33, 33, 33, 3), (5, 3), (1, 3)):
+            a, b = rng.normal(size=shape), rng.normal(size=shape)
+            pairs += [(a, b), (a, a)]
+        for a, b in pairs:
+            ref = np.einsum("...a,...a->...", a, b)
+            got = dot3(np.ascontiguousarray(np.moveaxis(a, -1, 0)),
+                       np.ascontiguousarray(np.moveaxis(b, -1, 0)))
+            assert np.array_equal(bits(got), bits(ref)), a.shape
 
     def test_second_derivatives_symmetric_to_roundoff(self):
         # the one-dimensional stencils commute, so a mixed second derivative

@@ -14,7 +14,7 @@ import afstab.harmonic
 from afstab.config import config_from_dict
 from afstab.errors import MismatchedChart, SolverDiverged
 from afstab.geometry import MetricChart
-from afstab.grid import Grid, ScalarGridField
+from afstab.grid import Grid, ScalarGridField, dot3
 from afstab.harmonic import (HarmonicTriple, LaplaceBeltrami, build_harmonic_triple, cg,
                              cheng_yau_ratios, fit_monopole, solve_harmonic_coordinate,
                              triple_from_solutions)
@@ -50,6 +50,13 @@ def family_triples33(family_charts):
 
 def bits(a):
     return np.ascontiguousarray(a).view(np.uint64)
+
+
+def interleaved(du):
+    """A component-major gradient as the contiguous (N, N, N, 3) array the
+    einsum-based references take: einsum sums a strided view of it in
+    another order."""
+    return np.ascontiguousarray(np.moveaxis(du, 0, -1))
 
 
 class TestAssembly:
@@ -321,8 +328,8 @@ class TestTriple:
         for i in range(3):
             e_i = np.zeros(3)
             e_i[i] = 1.0
-            grad = flat_triple.du[i] / flat_triple.phi[..., None] ** 4
-            assert np.max(np.abs(grad[ok] - e_i)) < 1e-8
+            grad = flat_triple.du[i] / flat_triple.phi ** 4
+            assert np.max(np.abs(grad[:, ok] - e_i[:, None])) < 1e-8
             # |Hess u|_g bounds every component (phi = 1)
             assert np.max(np.sqrt(flat_triple.hess2[i][ok])) < 1e-8
         p = np.asarray(flat_triple.chart.base_point)
@@ -337,7 +344,8 @@ class TestTriple:
             t = build_harmonic_triple(chart, grid)
             kept = ~t.excluded
             for i in range(3):
-                H = _covariant_hessian(t.u[i].values, t.du[i], t.phi, t.dphi, grid.h)
+                H = _covariant_hessian(t.u[i].values, interleaved(t.du[i]), t.phi,
+                                       t.dphi, grid.h)
                 ref = np.einsum("...ab,...ab->...", H, H)[kept] / t.phi[kept] ** 8
                 err = np.abs(t.hess2[i][kept] - ref)
                 assert np.all(err <= 1e-14 * ref), (name, i, np.max(err / ref))
@@ -353,8 +361,43 @@ class TestTriple:
                 u = t.u[i].values
                 assert np.array_equal(bits(t.du[i]), bits(gradient_reference(u, t.grid.h))), \
                     (name, i)
-                ref = hessian_norm2_reference(u, t.du[i], t.phi, t.dphi, t.grid.h)
+                ref = hessian_norm2_reference(u, interleaved(t.du[i]), t.phi, t.dphi,
+                                              t.grid.h)
                 assert np.array_equal(bits(t.hess2[i]), bits(ref)), (name, i)
+
+    def test_dot3_matches_einsum_on_triple(self, family_triples33):
+        # du.w (the Hessian's Christoffel term) and du.du (|grad u|^2) of
+        # the Schwarzschild triple bit for bit the einsum on the (N, N, N, 3)
+        # layout the fields had, on every node
+        t = family_triples33["schwarzschild"]
+        w = t.dphi / t.phi[..., None]
+        w_major = np.ascontiguousarray(np.moveaxis(w, -1, 0))
+        for du in t.du:
+            d = interleaved(du)
+            assert np.array_equal(bits(dot3(du, w_major)),
+                                  bits(np.einsum("...a,...a->...", d, w)))
+            assert np.array_equal(bits(dot3(du, du)),
+                                  bits(np.einsum("...a,...a->...", d, d)))
+
+    def test_partials_are_contiguous(self, schw_chart, monkeypatch):
+        # every partial of du and of the w = dphi / phi that |Hess u|^2
+        # reads is one C-contiguous (N, N, N) array
+        seen = []
+        real = afstab.harmonic._hessian_norm2
+
+        def recording(values, du, w, phi8, h):
+            seen.append((du, w))
+            return real(values, du, w, phi8, h)
+
+        monkeypatch.setattr(afstab.harmonic, "_hessian_norm2", recording)
+        t = build_harmonic_triple(schw_chart, Grid(halfwidth=20.0, nodes=17))
+        t.hess2
+        assert len(seen) == 3
+        for i, (du, w) in enumerate(seen):
+            assert du is t.du[i]
+            for field in (du, w):
+                assert field.shape == (3, 17, 17, 17)
+                assert all(field[a].flags.c_contiguous for a in range(3))
 
     def test_hess_sup_decreases_with_mass(self, schw_triples):
         sups = [np.max(np.sqrt(t.hess2[0])[~t.excluded])
@@ -365,7 +408,7 @@ class TestTriple:
         # |grad u - e_1| ~ C r^-tau on the mid-range shell
         grid = schw02_triple.grid
         r = np.linalg.norm(grid.points(), axis=-1)
-        grad = schw02_triple.du[0] / schw02_triple.phi[..., None] ** 4
+        grad = np.moveaxis(schw02_triple.du[0] / schw02_triple.phi ** 4, 0, -1)
         dev = np.linalg.norm(grad - np.array([1.0, 0.0, 0.0]), axis=-1)
         slopes = []
         radii = np.array([4.0, 6.0, 9.0])

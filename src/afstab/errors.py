@@ -22,7 +22,7 @@ class SolverDiverged(AfstabError):
 
 
 class FitFailure(AfstabError):
-    """Extrapolation fit residual exceeds the configured threshold."""
+    """Extrapolation fit residual exceeds mass.FIT_RESIDUAL_TOL of the value scale."""
 
     def __init__(self, message, residual=None):
         super().__init__(message)

@@ -190,9 +190,15 @@ def _shoot(chart: MetricChart, starts, targets, w, n_steps, record=False):
     return E, J, (traj[0][:k] if record else None)
 
 
+# Newton passes of a shooting solve; a row not frozen by then is left
+# unconverged.
+NEWTON_PASSES = 16
+
+
 def _bvp_batch(chart: MetricChart, starts, targets, w0=None, n_steps=160,
-               max_iter=16, rel_target=1e-9, record=False, stepped=False):
-    """Batched Newton shooting for the endpoint map.
+               rel_target=1e-9, record=False, stepped=False):
+    """Batched Newton shooting for the endpoint map, at most NEWTON_PASSES
+    passes.
 
     Returns (w, residual, converged) where w are initial velocities whose
     unit-time geodesics end nearest the targets; residual is the chart
@@ -224,7 +230,7 @@ def _bvp_batch(chart: MetricChart, starts, targets, w0=None, n_steps=160,
     eye = np.eye(3)
     active = np.arange(K)
     best_traj = None
-    for _ in range(max_iter):
+    for _ in range(NEWTON_PASSES):
         if len(active) == 0:
             break
         w_a = w[active]
@@ -368,6 +374,9 @@ COARSE_REL_TARGET = 1e-6
 # away from the puncture, starts its second solve.
 BEND = 0.3
 
+# RK4 steps over unit affine time of a distance geodesic.
+DISTANCE_STEPS = 160
+
 
 def _extrapolated_seed(chart: MetricChart, starts, targets, n_steps: int):
     """Initial velocities for an n_steps Newton solve of the pairs.
@@ -408,27 +417,27 @@ def _bent_chord(starts, targets):
     return c + BEND * n[:, None] * q / np.maximum(np.linalg.norm(q, axis=1), 1e-300)[:, None]
 
 
-def distance_batch(chart: MetricChart, starts, targets, n_steps: int = 160):
+def distance_batch(chart: MetricChart, starts, targets):
     """Distances for many pairs at once; returns (d, w, residual, converged).
 
-    The n_steps solve starts from _extrapolated_seed: the pairs a solve at
-    n_steps // COARSE_STEP_DIVISOR steps converges start from its velocity
-    extrapolated to n_steps, which typically freezes after one full pass;
-    the others start from the straight chord.  Pairs whose n_steps solve
-    fails (their chords pass near the puncture) get one more n_steps solve
-    from the chord bent away from it (_bent_chord) and keep the better of
-    the two.  Every solve is batch-invariant, so a pair's row is the
-    same bit for bit whatever other pairs share its call.
+    The DISTANCE_STEPS solve starts from _extrapolated_seed: the pairs a
+    solve at DISTANCE_STEPS // COARSE_STEP_DIVISOR steps converges start
+    from its velocity extrapolated to DISTANCE_STEPS, which typically
+    freezes after one full pass; the others start from the straight chord.
+    Pairs whose full solve fails (their chords pass near the puncture) get
+    one more from the chord bent away from it (_bent_chord) and keep the
+    better of the two.  Every solve is batch-invariant, so a pair's row is
+    the same bit for bit whatever other pairs share its call.
     """
     starts = np.atleast_2d(np.asarray(starts, float))
     targets = np.atleast_2d(np.asarray(targets, float))
-    w0 = _extrapolated_seed(chart, starts, targets, n_steps)
-    w, res, conv = _bvp_batch(chart, starts, targets, w0=w0, n_steps=n_steps)
+    w0 = _extrapolated_seed(chart, starts, targets, DISTANCE_STEPS)
+    w, res, conv = _bvp_batch(chart, starts, targets, w0=w0, n_steps=DISTANCE_STEPS)
     idx = np.nonzero(~conv)[0]
     if len(idx):
         w2, res2, conv2 = _bvp_batch(chart, starts[idx], targets[idx],
                                      w0=_bent_chord(starts[idx], targets[idx]),
-                                     n_steps=n_steps)
+                                     n_steps=DISTANCE_STEPS)
         better = conv2 | (res2 < res[idx])
         w[idx[better]] = w2[better]
         res[idx[better]] = res2[better]
@@ -559,17 +568,10 @@ SCORE_FLOOR = 1e-8
 # level-set projections and the flow legs alike.
 MV_SAMPLES = 8
 
-# RK4 steps over unit affine time of a projection geodesic.
+# RK4 steps over unit affine time of a projection geodesic, and the stride
+# of the trajectory samples its score reads: 51 samples, 50 equal intervals.
 PROJECTION_STEPS = 200
-
-
-def _score_sample_index(n_steps: int) -> np.ndarray:
-    """Trajectory steps a projection score reads: every n_steps // 64-th
-    step and the endpoint, as _rk4_batch records them."""
-    every = max(1, n_steps // 64)
-    steps = [s + 1 for s in range(n_steps)
-             if (s + 1) % every == 0 or s == n_steps - 1]
-    return np.array([0] + steps)
+SCORE_STRIDE = 4
 
 
 def _level_crossing(traj, u_i, target: float, halfwidth: float):
@@ -600,7 +602,7 @@ def _level_crossing(traj, u_i, target: float, halfwidth: float):
 
 
 def level_set_projections(chart: MetricChart, triple: HarmonicTriple, xs, ys, axes,
-                          seeds, rho: float | None = None):
+                          seeds):
     """Quasi-project each xs[i] onto the u^axes[i] level set through ys[i].
 
     The projections run in lockstep: the mean-value candidates of every
@@ -609,16 +611,17 @@ def level_set_projections(chart: MetricChart, triple: HarmonicTriple, xs, ys, ax
     PROJECTION_STEPS // COARSE_STEP_DIVISOR steps, one pass at twice that,
     extrapolated; a shot the coarse solve does not converge starts from
     its chord), which keeps the trajectory of each candidate's solution
-    from the pass that integrated it.  The picked candidate's solution and trajectory are the
-    projection geodesic itself; since a batch solve equals the one-row
-    solve bit for bit, nothing is solved or integrated twice.
+    from the pass that integrated it.  Each candidate is scored on every
+    SCORE_STRIDE-th step of its trajectory.  The picked candidate's
+    solution and trajectory are the projection geodesic itself; since a
+    batch solve equals the one-row solve bit for bit, nothing is solved or
+    integrated twice.
     Returns one entry per row: (z, x_star), or the AfstabError that ended
     that row.  See level_set_projection for the construction.
     """
     grid = triple.grid
     L = 0.6 * grid.halfwidth
-    if rho is None:
-        rho = 2.0 * grid.h
+    rho = 2.0 * grid.h
     xs = np.atleast_2d(np.asarray(xs, float))
     ys = np.atleast_2d(np.asarray(ys, float))
     out = [None] * len(xs)
@@ -648,10 +651,7 @@ def level_set_projections(chart: MetricChart, triple: HarmonicTriple, xs, ys, ax
         chart, starts, fars, w0=_extrapolated_seed(chart, starts, fars, PROJECTION_STEPS),
         n_steps=PROJECTION_STEPS, record=True)
     lengths = geodesic_lengths(chart, starts, w)
-    # the last sample is the endpoint, fewer than n_steps // 64 steps after
-    # the one before when that does not divide n_steps (200 // 64 = 3), yet
-    # segment_functional weighs it like every other interval
-    samples = trajs[:, _score_sample_index(PROJECTION_STEPS)]
+    samples = trajs[:, ::SCORE_STRIDE]
     scores = segment_functional(np.clip(samples, -grid.halfwidth, grid.halfwidth),
                                 lengths, triple.hess_sum_interp)
     # integrated defects at stencil-noise level are exact ties (flat family)
@@ -674,19 +674,18 @@ def level_set_projections(chart: MetricChart, triple: HarmonicTriple, xs, ys, ax
 
 
 def level_set_projection(chart: MetricChart, triple: HarmonicTriple, x, y,
-                         axis: int, rho: float | None = None, seed: int = 0):
+                         axis: int, seed: int = 0):
     """Quasi-project x onto the u^axis level set through y.
 
     A mean-value-picked start x_star near x (MV_SAMPLES candidates in the
-    rho-ball, default two grid cells) shoots the minimizing geodesic
+    ball of radius rho = 2h, two grid cells) shoots the minimizing geodesic
     toward the far point x_star +- L e_axis, L = 0.6 grid halfwidths, the
     sign chosen so the level value at y lies between start and far values;
     the first crossing of the level set along the geodesic, located by
     bisection on interpolated u, is the returned z.  Returns (z, x_star);
     the one-row case of level_set_projections.
     """
-    result, = level_set_projections(chart, triple, [x], [y], [axis], [seed],
-                                    rho=rho)
+    result, = level_set_projections(chart, triple, [x], [y], [axis], [seed])
     if isinstance(result, AfstabError):
         raise result
     return result
@@ -704,7 +703,7 @@ def _record(triple: HarmonicTriple, x, y, z, axis: int, d) -> PythagoreanRecord:
 
 
 def pythagorean_records(chart: MetricChart, triple: HarmonicTriple, xs, ys, axes,
-                        seeds, rho: float | None = None, _extra=None):
+                        seeds, _extra=None):
     """Almost-Pythagorean defect records for many pairs, in lockstep.
 
     Row i projects xs[i] onto the u^axes[i] level set through ys[i]
@@ -732,7 +731,7 @@ def pythagorean_records(chart: MetricChart, triple: HarmonicTriple, xs, ys, axes
             live.append(i)
     projections = level_set_projections(
         chart, triple, xs[live], ys[live], [axes[i] for i in live],
-        [seeds[i] for i in live], rho=rho) if live else []
+        [seeds[i] for i in live]) if live else []
     closing = []     # (row, z)
     for i, proj in zip(live, projections):
         if isinstance(proj, AfstabError):
@@ -759,10 +758,10 @@ def pythagorean_records(chart: MetricChart, triple: HarmonicTriple, xs, ys, axes
 
 
 def pythagorean_check(chart: MetricChart, triple: HarmonicTriple, x, y, axis: int,
-                      rho: float | None = None, seed: int = 0) -> PythagoreanRecord:
+                      seed: int = 0) -> PythagoreanRecord:
     """Almost-Pythagorean defect record for a pair and a level-set axis;
     the one-record case of pythagorean_records."""
-    result, = pythagorean_records(chart, triple, [x], [y], [axis], [seed], rho=rho)
+    result, = pythagorean_records(chart, triple, [x], [y], [axis], [seed])
     if isinstance(result, AfstabError):
         raise result
     return result

@@ -11,10 +11,12 @@ cross-check rather than the definition.
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import ClassVar
 
 import numpy as np
 
 from .errors import ExcisedPoint, OutOfDomain
+from .grid import dot3
 from .seeding import rng_for
 
 # The params each family reads, and the kind of value each takes: a finite
@@ -122,9 +124,8 @@ class MetricChart:
     decay_b, decay_tau: the declared asymptotic-flatness constants; the
         decay inequality |d^beta (g - delta)| <= b |x|^(-tau - |beta|)
         is verified, never assumed.
-    base_point: the marked point p of the stability runs, on a chart
-        node away from the unit ball by convention; every run takes the
-        default (2, 0, 0).
+    base_point: the marked point p of the stability runs, (2, 0, 0) on
+        every chart: a chart node away from the unit ball by convention.
     """
 
     family: str
@@ -132,7 +133,7 @@ class MetricChart:
     box_halfwidth: float = 20.0
     decay_b: float = 10.0
     decay_tau: float = 1.0
-    base_point: tuple = (2.0, 0.0, 0.0)
+    base_point: ClassVar[tuple] = (2.0, 0.0, 0.0)
 
     def __post_init__(self):
         if self.family not in FAMILIES:
@@ -319,17 +320,19 @@ class MetricChart:
         return gamma.T
 
     def _christoffel_conformal(self, x, v):
-        """christoffel_quadratic through conformal_gradient, for any chart."""
+        """christoffel_quadratic through conformal_gradient, for any chart;
+        the length-3 sums are grid.dot3 on the component-major views."""
         x, v = np.ascontiguousarray(x), np.ascontiguousarray(v)
+        vt = np.moveaxis(v, -1, 0)
         if self.monopole_amplitude != 0.0:
-            r2 = np.einsum("...a,...a->...", x, x)
-            bad = r2 < 1e-18
+            xt = np.moveaxis(x, -1, 0)
+            bad = dot3(xt, xt) < 1e-18
             if bad.any():
                 x = _off_puncture(x, bad)
         phi, dphi = self.conformal_gradient(x)
         w = dphi / phi[..., None]
-        vw = np.einsum("...a,...a->...", v, w)
-        vv = np.einsum("...a,...a->...", v, v)
+        vw = dot3(vt, np.moveaxis(w, -1, 0))
+        vv = dot3(vt, vt)
         return 2.0 * (2.0 * vw[..., None] * v - vv[..., None] * w)
 
 

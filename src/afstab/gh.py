@@ -420,13 +420,12 @@ def _flow_legs(chart: MetricChart, triple: HarmonicTriple, starts, axis: int, ti
 
 
 def gradient_flow_step(chart: MetricChart, triple: HarmonicTriple, start, axis: int,
-                       t: float, rho: float, seed: int, r_limit: float,
-                       d_p_start: float = 0.0):
+                       t: float, rho: float, seed: int, r_limit: float):
     """One mean-value-perturbed leg of the gradient flow of u^axis, the
-    one-row case of _flow_legs.
+    one-row case of _flow_legs with d(p, start) taken as 0.
 
-    Checks the ball-budget precondition d(p, start) + grad_sup |t| + rho
-    < r_limit, flows the MV_SAMPLES candidates in B_rho(start) along
+    Checks the ball-budget precondition grad_sup |t| + rho < r_limit,
+    flows the MV_SAMPLES candidates in B_rho(start) along
     dx/ds = grad u^axis over time t as one fixed-step RK4 batch, scores
     each path by its integrated frame-orthonormality defect and picks the
     start y* by the mean-value rule.  The picked path is the leg: its last
@@ -435,7 +434,7 @@ def gradient_flow_step(chart: MetricChart, triple: HarmonicTriple, start, axis: 
     (start, start).
     """
     picked, ends = _flow_legs(chart, triple, np.asarray(start, float)[None], axis, [t],
-                              rho, [seed], [r_limit], [d_p_start])
+                              rho, [seed], [r_limit], [0.0])
     return picked[0], ends[0]
 
 
@@ -519,16 +518,16 @@ def reach_point(chart: MetricChart, triple: HarmonicTriple, target, rho: float,
 
 
 def flow_coverage(chart: MetricChart, triple: HarmonicTriple, radius: float,
-                  n_targets: int, seed: int, rho: float | None = None):
-    """Flow traces toward seeded targets in the Euclidean ball of `radius`.
+                  n_targets: int, seed: int):
+    """Flow traces toward seeded targets in the Euclidean ball of `radius`,
+    each leg start mean-value-picked in the ball of radius rho = 2h.
 
     Returns (traces, image_hausdorff) where image_hausdorff is the largest
     |u(w) - target| over the batch: the one-sided Hausdorff gap between the
     sampled Euclidean ball and the reached image points.
     """
     rng = rng_for(seed, "flow-targets")
-    if rho is None:
-        rho = 2.0 * triple.grid.h
+    rho = 2.0 * triple.grid.h
     dirs = rng.normal(size=(n_targets, 3))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     radii = radius * rng.uniform(size=n_targets) ** (1.0 / 3.0)

@@ -242,7 +242,8 @@ def dot3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     out += 0.0
     t = np.multiply(a[2], b[2])
     out += t
-    out += np.multiply(a[1], b[1], out=t)
+    # on two (3,) vectors the products are numpy scalars, which take no out=
+    out += np.multiply(a[1], b[1], out=t) if np.ndim(t) else a[1] * b[1]
     return out
 
 

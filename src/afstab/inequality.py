@@ -185,9 +185,10 @@ def relaxed_scalar_certificate(triple: HarmonicTriple, x_spec: VectorFieldSpec,
         from .geometry import Bump
         bump = Bump(x_spec.amplitude, tuple(x_spec.center), x_spec.width)
         _, dw, ddw = bump.value_grad_hess(grid.points())
-        xsq = np.einsum("...a,...a->...", dw, dw) / phi**4
+        dw = np.moveaxis(dw, -1, 0)
+        xsq = dot3(dw, dw) / phi**4
         lapw = np.trace(ddw, axis1=-2, axis2=-1)
-        div = lapw / phi**4 + 2.0 * np.einsum("...a,...a->...", dphi, dw) / phi**5
+        div = lapw / phi**4 + 2.0 * dot3(np.moveaxis(dphi, -1, 0), dw) / phi**5
     else:
         raise ValueError(f"unknown vector field kind {x_spec.kind!r}")
 

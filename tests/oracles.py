@@ -34,8 +34,8 @@ from scipy.sparse.linalg import LinearOperator, cg
 from afstab.errors import (AfstabError, EmptySample, LeftDomain, NoConvergence,
                            OutOfDomain)
 from afstab.geodesy import (LEVEL_TOL, MV_SAMPLES, PROJECTION_STEPS, SCORE_FLOOR,
-                            DistanceField, _bent_chord, _bvp_batch, _level_crossing,
-                            _score_sample_index, distance_batch, geodesic_lengths,
+                            SCORE_STRIDE, DistanceField, _bent_chord, _bvp_batch,
+                            _level_crossing, distance_batch, geodesic_lengths,
                             local_distance, mean_value_candidates, mean_value_rule,
                             pythagorean_records, segment_functional)
 from afstab.gh import DistortionReport, _ball_nodes, _chord_certified
@@ -869,7 +869,7 @@ def chord_seeded_distance_batch(chart, starts, targets, n_steps=160):
     return np.where(same, 0.0, d), w, res, conv | same
 
 
-def chord_seeded_projections(chart, triple, xs, ys, axes, seeds, rho=None):
+def chord_seeded_projections(chart, triple, xs, ys, axes, seeds):
     """`geodesy.level_set_projections` with the Newton solve of every
     candidate's far shot started from its straight chord, as it was before
     the extrapolated seed; same arguments.  Returns the per-row outputs,
@@ -878,8 +878,7 @@ def chord_seeded_projections(chart, triple, xs, ys, axes, seeds, rho=None):
     row shoots)."""
     grid = triple.grid
     L = 0.6 * grid.halfwidth
-    if rho is None:
-        rho = 2.0 * grid.h
+    rho = 2.0 * grid.h
     xs = np.atleast_2d(np.asarray(xs, float))
     ys = np.atleast_2d(np.asarray(ys, float))
     out = [None] * len(xs)
@@ -906,7 +905,7 @@ def chord_seeded_projections(chart, triple, xs, ys, axes, seeds, rho=None):
     w, _, conv, trajs = _bvp_batch(chart, starts, np.vstack([r[5] for r in rows]),
                                    n_steps=PROJECTION_STEPS, record=True)
     lengths = geodesic_lengths(chart, starts, w)
-    samples = trajs[:, _score_sample_index(PROJECTION_STEPS)]
+    samples = trajs[:, ::SCORE_STRIDE]
     scores = segment_functional(np.clip(samples, -grid.halfwidth, grid.halfwidth),
                                 lengths, triple.hess_sum_interp)
     scores = np.where(scores < SCORE_FLOOR, 0.0, scores)

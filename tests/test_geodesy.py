@@ -11,9 +11,10 @@ from afstab.cli import run
 from afstab.config import config_from_dict
 from afstab import geodesy
 from afstab.errors import OutOfDomain
-from afstab.geodesy import (COARSE_REL_TARGET, COARSE_STEP_DIVISOR,
+from afstab.geodesy import (COARSE_REL_TARGET, COARSE_STEP_DIVISOR, DISTANCE_STEPS,
                             PROJECTION_STEPS, DistanceField, GeodesicGraph,
-                            _bvp_batch, _rk4_batch, distance_batch,
+                            _bent_chord, _bvp_batch, _rk4_batch, distance_batch,
+                            geodesic_lengths,
                             level_set_projection, level_set_projections,
                             local_distance, mean_value_candidates,
                             mean_value_pick, metric_speed, pythagorean_check,
@@ -346,6 +347,27 @@ class TestDistance:
         for x, y, dist in zip(xs, ys, d):
             assert dist == pytest.approx(planar_geodesics(m / 2, x, y)[0], rel=1e-8)
 
+    def test_a_row_only_the_chord_converges(self, schw_charts):
+        # an m = 0.2 pair of test_image_containment whose chord passes 0.019
+        # from the puncture: its coarse solve fails, so its full solve starts
+        # from the chord and converges to the shortest planar branch, while
+        # a full solve from the bent chord does not converge; seeding every
+        # such row bent would lose it
+        chart = schw_charts[0.2]
+        x = np.array([[-0.2215489825769863, -0.106779890827828, -0.7718134661909454]])
+        y = np.array([[0.39245235097550357, 0.15548792966957467, 1.193653521451004]])
+        c = y - x
+        closest = x - (np.sum(x * c) / np.sum(c * c)) * c
+        assert np.linalg.norm(closest) < 0.02
+        _, _, coarse = _bvp_batch(chart, x, y, n_steps=DISTANCE_STEPS // COARSE_STEP_DIVISOR,
+                                  rel_target=COARSE_REL_TARGET)
+        assert not coarse[0]
+        d, _, _, conv = distance_batch(chart, x, y)
+        assert conv[0]
+        assert d[0] == pytest.approx(planar_geodesics(0.1, x[0], y[0])[0], rel=1e-8)
+        _, res, bent = _bvp_batch(chart, x, y, w0=_bent_chord(x, y), n_steps=DISTANCE_STEPS)
+        assert not bent[0] and res[0] > 0.05
+
     def test_degenerate_pair(self, flat_chart):
         d, _, _, conv = distance_batch(flat_chart, [[1.0, 2.0, 3.0]], [[1.0, 2.0, 3.0]])
         assert d[0] == 0.0 and conv[0]
@@ -559,6 +581,63 @@ class TestLevelSetProjection:
         assert np.array_equal(w[0], w_chord[0])
         assert np.array_equal(seeded[0][1], xs[0])
         assert np.array_equal(seeded[0][0], chord[0][0])
+
+    def test_scores_are_exact_line_integrals(self, flat_chart, flat_triple, monkeypatch):
+        # a flat shot is the straight segment from its candidate to its far
+        # point, and the trapezoid rule on equally spaced samples integrates
+        # a field linear along it exactly: |far - start| (f(start) + f(far)) / 2
+        def field(pts):
+            return 3.0 + pts @ np.array([0.2, -0.1, 0.05])
+
+        scores, shots = [], []
+        rule, bvp_batch = geodesy.mean_value_rule, geodesy._bvp_batch
+
+        def scored(values, has_center):
+            scores.append(np.array(values))
+            return rule(values, has_center)
+
+        def kept(chart, starts, targets, **kwargs):
+            if kwargs.get("record"):
+                shots.append((starts, targets))
+            return bvp_batch(chart, starts, targets, **kwargs)
+
+        monkeypatch.setattr(flat_triple, "hess_sum_interp", field)
+        monkeypatch.setattr(geodesy, "mean_value_rule", scored)
+        monkeypatch.setattr(geodesy, "_bvp_batch", kept)
+        out = level_set_projections(flat_chart, flat_triple,
+                                    [[1.0, 1.0, 0.0], [-1.0, 0.5, 2.0]],
+                                    [[0.0, 0.0, 0.0], [0.5, 2.0, -1.0]], [0, 1], [3, 4])
+        assert not any(isinstance(r, Exception) for r in out)
+        (starts, fars), = shots
+        exact = np.linalg.norm(fars - starts, axis=1) * (field(starts) + field(fars)) / 2.0
+        assert np.allclose(np.concatenate(scores), exact, rtol=1e-10, atol=0.0)
+
+    @pytest.mark.xfail(strict=True, reason="a far shot past the puncture converges to "
+                       "the longer branch when its coarse solve fails (ROADMAP item 1(a))")
+    def test_far_shot_past_the_puncture_is_the_shortest_branch(self, schw_charts,
+                                                               schw_triples, monkeypatch):
+        # the first row of test_seeded_projections_match_chord_seeded: the
+        # centre's far shot (-1.5, 0.01, 0) -> (10.5, 0.01, 0) at m = 0.025
+        # converges to the branch below the puncture, 12.2044960, not to the
+        # shortest one, 12.2003504
+        chart, triple = schw_charts[0.025], schw_triples[0.025]
+        x = np.array([[-1.5, 0.01, 0.0]])
+        solves = []
+        real = geodesy._bvp_batch
+
+        def kept(chart, starts, targets, **kwargs):
+            result = real(chart, starts, targets, **kwargs)
+            if kwargs.get("record"):
+                solves.append((starts, targets, result))
+            return result
+
+        monkeypatch.setattr(geodesy, "_bvp_batch", kept)
+        level_set_projections(chart, triple, x, [[2.5, 0.3, -0.2]], [0], [7])
+        (starts, fars, (w, _, conv, _)), = solves
+        assert np.array_equal(starts[0], x[0]) and conv[0]
+        shortest = planar_geodesics(0.0125, starts[0], fars[0])[0]
+        assert geodesic_lengths(chart, starts[:1], w[:1])[0] == pytest.approx(shortest,
+                                                                              rel=1e-6)
 
     def test_trivial_when_already_on_level(self, flat_chart, flat_triple):
         x = np.array([1.0, 2.0, 0.0])

@@ -85,7 +85,7 @@ class TestStencils:
         signed = np.array([0.0, -0.0, 1.0, -1.0])
         combos = np.stack(np.meshgrid(*[signed] * 6, indexing="ij"), axis=-1).reshape(-1, 6)
         pairs = [(combos[:, :3].copy(), combos[:, 3:].copy())]
-        for shape in ((17, 17, 17, 3), (33, 33, 33, 3), (5, 3), (1, 3)):
+        for shape in ((17, 17, 17, 3), (33, 33, 33, 3), (5, 3), (1, 3), (3,)):
             a, b = rng.normal(size=shape), rng.normal(size=shape)
             pairs += [(a, b), (a, a)]
         for a, b in pairs:

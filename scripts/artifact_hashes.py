@@ -28,7 +28,8 @@ With --against OTHER_OUT_DIR, the output directory of an earlier run
 (say, of another checkout), each artifact whose sha256 differs from its
 namesake there gets one line on stderr: for a JSON or CSV artifact, the
 largest relative change |new - old| / |old| over its numbers with
-|old| >= 1e-12, the key where it occurs and how many numbers moved; for
+|old| >= 1e-12, the key where it occurs with its old and new values, and
+how many numbers moved; for
 any other file, only that its bytes differ.  A difference in structure
 (keys, lengths, strings) is named by its key instead.  The comparison
 does not change the exit code.
@@ -151,7 +152,7 @@ def compare(new: pathlib.Path, old: pathlib.Path) -> str:
         return "bytes differ"
     if [k for k, _ in a] != [k for k, _ in b]:
         return "structure differs"
-    worst, where, moved = 0.0, None, 0
+    worst, where, moved = 0.0, None, 0     # where: (key, old, new)
     for (key, u), (_, v) in zip(a, b):
         if _number(u) and _number(v):
             if u == v or (math.isnan(u) and math.isnan(v)):
@@ -160,12 +161,14 @@ def compare(new: pathlib.Path, old: pathlib.Path) -> str:
             if abs(u) >= TINY and math.isfinite(u) and math.isfinite(v):
                 rel = abs(v - u) / abs(u)
                 if rel > worst:
-                    worst, where = rel, key
+                    worst, where = rel, (key, u, v)
         elif u != v:
             return f"structure differs at {key}: {u!r} -> {v!r}"
     if where is None:
         return f"{moved} number(s) moved, none of size >= {TINY:g}"
-    return f"largest relative change {worst:.3g} at {where} ({moved} number(s) moved)"
+    key, u, v = where
+    return (f"largest relative change {worst:.3g} at {key}: {u!r} -> {v!r} "
+            f"({moved} number(s) moved)")
 
 
 def main():

@@ -18,8 +18,9 @@ projection, is seeded by _extrapolated_seed: the same Newton solve at an
 eighth of the steps, one Newton pass at a quarter, and a Richardson
 extrapolation of the two to the full step count, from which a solve
 typically freezes after one full pass.  Pairs the coarse solve does not
-converge start from the straight chord, and pairs the full solve does not
-converge solve once more from the chord bent away from the puncture.
+converge start from the straight chord, bent away from the puncture when
+it runs through it, and pairs the full solve does not converge solve once
+more from the bent chord.
 
 Batches are invariant: a converged row is frozen out of later Newton
 passes and every operation on a row is row-local, so a pair's distance is
@@ -387,12 +388,21 @@ def _extrapolated_seed(chart: MetricChart, starts, targets, n_steps: int):
     unverified, gives w_2c.  RK4's global error expands as C h^4 + O(h^5),
     so the n_steps velocity is extrapolated (Richardson) as
     w_2c + (w_2c - w_c) (h_2c^4 - h_n^4) / (h_c^4 - h_2c^4), h_k = 1/k.
-    Pairs the coarse solve does not converge keep the straight chord.
-    Every step is row-local, so a pair's seed does not depend on its batch.
+    The coarse solve starts from the chord c, or from _bent_chord where c
+    passes within 1e-9 |c| of a puncture; pairs it does not converge keep
+    that start.  Every step is row-local, so a pair's seed does not depend
+    on its batch.
     """
     c = n_steps // COARSE_STEP_DIVISOR
     w0 = targets - starts
-    _, _, seeded, w_c = _bvp_batch(chart, starts, targets, n_steps=c,
+    if chart.singular_at_origin:
+        # closest approach of the chord segment to the puncture
+        s = np.clip(-np.sum(starts * w0, axis=1)
+                    / np.maximum(np.sum(w0 * w0, axis=1), 1e-300), 0.0, 1.0)
+        through = (np.linalg.norm(starts + s[:, None] * w0, axis=1)
+                   <= 1e-9 * np.linalg.norm(w0, axis=1))
+        w0[through] = _bent_chord(starts[through], targets[through])
+    _, _, seeded, w_c = _bvp_batch(chart, starts, targets, w0=w0, n_steps=c,
                                    rel_target=COARSE_REL_TARGET, stepped=True)
     if np.any(seeded):
         w_c = w_c[seeded]
@@ -423,9 +433,10 @@ def distance_batch(chart: MetricChart, starts, targets):
     The DISTANCE_STEPS solve starts from _extrapolated_seed: the pairs a
     solve at DISTANCE_STEPS // COARSE_STEP_DIVISOR steps converges start
     from its velocity extrapolated to DISTANCE_STEPS, which typically
-    freezes after one full pass; the others start from the straight chord.
-    Pairs whose full solve fails (their chords pass near the puncture) get
-    one more from the chord bent away from it (_bent_chord) and keep the
+    freezes after one full pass; the others start from the straight chord,
+    or from the chord bent away from the puncture (_bent_chord) when the
+    chord runs through it.  Pairs whose full solve fails (their chords pass
+    near the puncture) get one more from the bent chord and keep the
     better of the two.  Every solve is batch-invariant, so a pair's row is
     the same bit for bit whatever other pairs share its call.
     """

@@ -39,9 +39,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import EmptySample, LeftDomain, NoConvergence, NoDistanceBound
-from .geodesy import (distance_batch, local_distance,
-                      mean_value_candidates, mean_value_rule, rk4_steps,
-                      segment_functional, MV_SAMPLES, SCORE_FLOOR)
+from .geodesy import (distance_batch, mean_value_candidates, mean_value_rule,
+                      rk4_steps, segment_functional, MV_SAMPLES, SCORE_FLOOR)
 from .geometry import MetricChart
 from .harmonic import HarmonicTriple
 from .seeding import rng_for
@@ -231,29 +230,18 @@ def _ball_nodes(chart: MetricChart, nodes, kept, r: float):
     decide, and the ones that need a shot.
 
     A node x is in when its chord certifies d(p, x) < r (_chord_certified),
-    and out when |x - p| phi_lo^2 > r, phi_lo being _phi_floor.  The rest
-    must be shot from p, but for the degenerate ones: on a chart with a
-    puncture, a node whose chord passes within 1e-9 |x - p| of it has a
-    circle of geodesics from p and a singular Newton Jacobian, so it is out
-    and counted failed without a shot.  Returns the (M,) mask of the
-    certified nodes, the indices of the nodes to shoot and the number of
-    degenerate ones.
+    and out when |x - p| phi_lo^2 > r, phi_lo being _phi_floor; the rest
+    must be shot from p (a chord through the puncture starts its shot from
+    the bent chord, see geodesy._extrapolated_seed).  Returns the (M,) mask
+    of the certified nodes and the indices of the nodes to shoot.
     """
     p = np.asarray(chart.base_point, float)
-    sep = np.linalg.norm(nodes - p, axis=1)
-    near = np.flatnonzero(kept & (sep * _phi_floor(chart) ** 2 <= r))
+    near = np.flatnonzero(kept & (np.linalg.norm(nodes - p, axis=1)
+                                  * _phi_floor(chart) ** 2 <= r))
     cert = _chord_certified(chart, p, nodes[near], r)
     in_ball = np.zeros(len(nodes), bool)
     in_ball[near[cert]] = True
-    undecided = near[~cert]
-    degenerate = np.zeros(len(undecided), bool)
-    if chart.singular_at_origin:
-        # closest approach of the chord p -> x to the puncture
-        seg = nodes[undecided] - p
-        s = np.clip(-(seg @ p) / sep[undecided] ** 2, 0.0, 1.0)
-        closest = np.linalg.norm(p + s[:, None] * seg, axis=1)
-        degenerate = closest <= 1e-9 * sep[undecided]
-    return in_ball, undecided[~degenerate], int(np.sum(degenerate))
+    return in_ball, near[~cert]
 
 
 def gh_distortion(chart: MetricChart, triple: HarmonicTriple, r: float,
@@ -268,11 +256,11 @@ def gh_distortion(chart: MetricChart, triple: HarmonicTriple, r: float,
     when a shot p -> x converges with d <= r.  The pairs come from
     consume_geodesic_ball, and one distance_batch holds the rows
     [pairs | nodes | ball candidates]: the nodes' shots ride its first
-    batch only, and every row is the same as alone.  The degenerate nodes
-    and the nodes whose shot fails are out and counted in n_failed_nodes.
+    batch only, and every row is the same as alone.  The nodes whose shot
+    fails are out and counted in n_failed_nodes.
     """
     nodes = triple.grid.points().reshape(-1, 3)
-    in_ball, shoot, n_degenerate = _ball_nodes(chart, nodes, ~triple.excluded.ravel(), r)
+    in_ball, shoot = _ball_nodes(chart, nodes, ~triple.excluded.ravel(), r)
     p = np.asarray(chart.base_point, float)
     node_shots = []              # (d, converged) of the nodes, from the first batch
 
@@ -293,7 +281,7 @@ def gh_distortion(chart: MetricChart, triple: HarmonicTriple, r: float,
     d_nodes, conv_nodes = node_shots[0]
     in_ball[shoot] = conv_nodes & (d_nodes <= r)
     in_ball = in_ball.reshape(triple.excluded.shape)
-    n_failed_nodes = n_degenerate + int(np.sum(~conv_nodes))
+    n_failed_nodes = int(np.sum(~conv_nodes))
     u_xs = triple.u_map(xs)
     u_ys = triple.u_map(ys)
     defects = np.abs(d - np.linalg.norm(u_xs - u_ys, axis=1))
@@ -438,6 +426,20 @@ def gradient_flow_step(chart: MetricChart, triple: HarmonicTriple, start, axis: 
     return picked[0], ends[0]
 
 
+def _chord_or_shot(chart: MetricChart, starts, ends, bound):
+    """Upper bounds of d(starts[k], ends[k]) checked against bound[k]: the
+    2 CHORD_NODES-point chord length where that certifies d below the bound
+    (_chord_certified), else the length of a distance_batch shot, or the
+    chord length when the shot fails; starts is (3,) or one per row (K, 3)."""
+    chords = _chord_lengths(chart, starts, ends, 2 * CHORD_NODES)
+    shoot = ~_chord_certified(chart, starts, ends, bound, hi=chords)
+    if np.any(shoot):
+        d, _, _, conv = distance_batch(chart, np.broadcast_to(starts, ends.shape)[shoot],
+                                       ends[shoot])
+        chords[shoot] = np.where(conv, d, chords[shoot])
+    return chords
+
+
 def reach_points(chart: MetricChart, triple: HarmonicTriple, targets, rho: float,
                  seeds):
     """Three-leg gradient-flow constructions aiming u at Euclidean targets.
@@ -449,17 +451,14 @@ def reach_points(chart: MetricChart, triple: HarmonicTriple, targets, rho: float
     3 (grad_sup + 1) max(|target| + 0.05 grad_sup rho, rho, 1).
 
     The traces run in lockstep: leg j of every trace is one _flow_legs
-    call.  The next leg's budget check reads d(p, end), or the chord
-    length of p -> end where that certifies the check (see
-    _chord_certified): d(p, end) is shot only for the traces whose chord
-    does not, one distance_batch per leg that has any.  A moving leg's
-    displacement is the 2 CHORD_NODES-point chord length of y* -> end
-    where that certifies d(y*, end) below displacement_bound, an upper
-    bound of d that keeps the bound; the legs whose chord does not are
-    shot in one distance_batch after the last leg, so a run whose chords
-    all certify shoots no geodesic.  Every row of these steps is
-    row-local, so trace k is the same as reach_point(targets[k],
-    seed=seeds[k]) bit for bit.
+    call.  The next leg's budget check reads d(p, end), and a moving leg's
+    displacement d(y*, end) against displacement_bound, each as an upper
+    bound from _chord_or_shot: the chord length where that certifies the
+    check, else a shot, one distance_batch per leg for the budgets and one
+    after the last leg for the displacements, so a run whose chords all
+    certify shoots no geodesic.  Every row of these steps is row-local, so
+    trace k is the same as reach_point(targets[k], seed=seeds[k]) bit for
+    bit.
     """
     targets = np.atleast_2d(np.asarray(targets, float))
     n = len(targets)
@@ -480,25 +479,12 @@ def reach_points(chart: MetricChart, triple: HarmonicTriple, targets, rho: float
         if axis < 2:
             # room the next leg's budget leaves for d(p, end)
             room = r_limits - gsup * np.abs(targets[:, axis + 1]) - rho
-            d_p_current = _chord_lengths(chart, p, current, 2 * CHORD_NODES)
-            shoot = ~_chord_certified(chart, p, current, room, hi=d_p_current)
-            if np.any(shoot):
-                ends = current[shoot]
-                d, _, _, conv = distance_batch(chart, np.broadcast_to(p, ends.shape),
-                                               ends)
-                d_p_current[shoot] = np.where(conv, d, local_distance(chart, p, ends))
+            d_p_current = _chord_or_shot(chart, p, current, room)
     moving = np.abs(targets) >= 1e-14
     displacements = np.zeros((n, 3))
     if np.any(moving):
-        starts, ends = picked[moving], seg_ends[moving]
-        chords = _chord_lengths(chart, starts, ends, 2 * CHORD_NODES)
-        shoot = ~_chord_certified(chart, starts, ends,
-                                  displacement_bound(gsup, targets[moving]), hi=chords)
-        if np.any(shoot):
-            starts, ends = starts[shoot], ends[shoot]
-            d, _, _, conv = distance_batch(chart, starts, ends)
-            chords[shoot] = np.where(conv, d, local_distance(chart, starts, ends))
-        displacements[moving] = chords
+        displacements[moving] = _chord_or_shot(chart, picked[moving], seg_ends[moving],
+                                               displacement_bound(gsup, targets[moving]))
     traces = []
     for k in range(n):
         err_vec = triple.u_map(current[k]) - targets[k]

@@ -725,7 +725,7 @@ def sequential_gh_distortion(chart, triple, r, n_pairs, seed):
     sample_geodesic_ball_reference with cut=True, then one distance_batch
     of the rows [pairs | nodes]; same arguments and return."""
     nodes = triple.grid.points().reshape(-1, 3)
-    in_ball, shoot, n_degenerate = _ball_nodes(chart, nodes, ~triple.excluded.ravel(), r)
+    in_ball, shoot = _ball_nodes(chart, nodes, ~triple.excluded.ravel(), r)
     pts = sample_geodesic_ball_reference(chart, triple, r, 2 * n_pairs, seed,
                                          label=f"distort-{r}", cut=True)
     xs, ys = pts[:n_pairs], pts[n_pairs:]
@@ -734,7 +734,7 @@ def sequential_gh_distortion(chart, triple, r, n_pairs, seed):
                                    np.concatenate([ys, nodes[shoot]]))
     in_ball[shoot] = conv[n_pairs:] & (d[n_pairs:] <= r)
     in_ball = in_ball.reshape(triple.excluded.shape)
-    n_failed_nodes = n_degenerate + int(np.sum(~conv[n_pairs:]))
+    n_failed_nodes = int(np.sum(~conv[n_pairs:]))
     d, conv = d[:n_pairs], conv[:n_pairs]
     defects = np.abs(d - np.linalg.norm(triple.u_map(xs) - triple.u_map(ys), axis=1))
     defects = defects[conv]

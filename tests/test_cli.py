@@ -700,7 +700,8 @@ class TestScripts:
 
     def test_artifact_hashes_names_the_largest_change(self, tmp_path):
         # --against: a moved JSON or CSV artifact is named with its largest
-        # relative change over the numbers of size >= 1e-12, and the key
+        # relative change over the numbers of size >= 1e-12, the key, and
+        # the old and new values there
         compare = runpy.run_path(os.path.join(REPO, "scripts", "artifact_hashes.py"),
                                  run_name="probe")["compare"]
         old, new = tmp_path / "old", tmp_path / "new"
@@ -716,9 +717,10 @@ class TestScripts:
             (old / name).write_text(a)
             (new / name).write_text(b)
         line = {name: compare(new / name, old / name) for name in files}
-        assert line["r.json"] == ("largest relative change 0.1 at axes[0].s "
+        assert line["r.json"] == ("largest relative change 0.1 at axes[0].s: 2.0 -> 2.2 "
                                   "(3 number(s) moved)")
-        assert line["p.csv"] == "largest relative change 0.25 at [0].z[2] (1 number(s) moved)"
+        assert line["p.csv"] == ("largest relative change 0.25 at [0].z[2]: 4.0 -> 5.0 "
+                                 "(1 number(s) moved)")
         assert line["k.json"] == "structure differs"
         assert line["s.json"] == "structure differs at a: 'ok' -> 'failed'"
         assert line["u.field"] == "bytes differ"

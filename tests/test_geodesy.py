@@ -36,16 +36,15 @@ RADIAL_D_2_5 = 3.186258146374831   # 3 + 0.2 ln(5/2) + 0.01 (1/2 - 1/5), m = 0.2
 # Pairs whose full distance solve fails, each chord passing within 0.21 of
 # the puncture, and whose retry from the bent chord converges, by mass:
 # at m = 0.2 the rows of test_triangle_inequality,
-# test_batch_invariant_bit_for_bit (two), the r = 3 ball sampling of
-# test_gh.py and test_image_containment; at m = 0.1 and 0.05 the desk
-# sweep's rows and p -> -p, and at m = 0.1 a pair whose Dijkstra-seeded
-# retry at twice the steps failed.
+# test_batch_invariant_bit_for_bit, the r = 3 ball sampling of test_gh.py
+# and test_image_containment; at m = 0.1 and 0.05 the desk sweep's rows,
+# and at m = 0.1 a pair whose Dijkstra-seeded retry at twice the steps
+# failed.
 RETRIED = {
     0.2: [((3.975373084440675, -2.432947994771559, 1.5971334080951367),
            (-0.5813910503943815, 0.5368961510941181, -0.310986199848271)),
           ((-0.24085151311722974, -1.4592779595722578, 0.927187644347975),
            (-0.14965747636095772, 1.7002527489216472, -1.2350244455686883)),
-          ((2.0, 0.0, 0.0), (-2.0, 0.0, 0.0)),
           ((2.0, 0.0, 0.0), (-0.1963808284356574, 0.011525127435245665,
                              0.04309167910740616)),
           ((2.0, 0.0, 0.0), (-0.86166963749326, 0.06853469864538342,
@@ -54,11 +53,9 @@ RETRIED = {
            (1.9877046506639624, 2.1427904533076148, 1.8416602209118869)),
           ((2.0, 0.0, 0.0), (-0.9170729921077045, 0.07110153608961074,
                              -0.0656802480723099)),
-          ((2.0, 0.0, 0.0), (-2.0, 0.0, 0.0)),
           ((2.0, 0.0, 0.0), (-0.86167, 0.06853, -0.17234))],
     0.05: [((2.0, 0.0, 0.0), (-0.9170729921077045, 0.07110153608961074,
-                              -0.0656802480723099)),
-           ((2.0, 0.0, 0.0), (-2.0, 0.0, 0.0))],
+                              -0.0656802480723099))],
 }
 
 
@@ -261,9 +258,8 @@ class TestDistance:
     def test_batch_invariant_bit_for_bit(self, schw):
         # a pair's solve must not depend on its batch-mates: converged rows
         # are frozen, and every step of a solve is row-local; the last
-        # pair's chord runs through the puncture, so its coarse solve fails,
-        # its full solve from the chord fails too, and the retry from the
-        # bent chord converges it
+        # pair's chord runs through the puncture, so its coarse solve from
+        # the chord fails, and its seed starts from the bent chord instead
         rng = rng_for(21, "batch-invariance")
         p = np.array([2.0, 0.0, 0.0])
         xs = np.vstack([p + rng.uniform(-2.5, 2.5, size=(40, 3)), p])
@@ -315,11 +311,11 @@ class TestDistance:
         assert steps.count(160) == 1 and steps.count(40) == 1
         assert set(steps) == {20, 40, 160}
 
-    @pytest.mark.parametrize("m", sorted(RETRIED))
-    def test_bent_retry_converges_to_the_shortest_branch(self, schw_charts, monkeypatch, m):
-        # each row's full solve fails and one retry from the bent chord, at
-        # the same steps, converges it to the shortest planar geodesic; no
-        # graph is built
+    @staticmethod
+    def _counted(monkeypatch):
+        """Record each christoffel_quadratic call's row count and each
+        _bvp_batch solve's row count, and fail on any graph build; returns
+        the two lists."""
         calls, solves = [], []
         christoffel, bvp_batch = MetricChart.christoffel_quadratic, geodesy._bvp_batch
 
@@ -337,6 +333,14 @@ class TestDistance:
         monkeypatch.setattr(MetricChart, "christoffel_quadratic", counted)
         monkeypatch.setattr(geodesy, "_bvp_batch", recorded)
         monkeypatch.setattr(GeodesicGraph, "__init__", no_graph)
+        return calls, solves
+
+    @pytest.mark.parametrize("m", sorted(RETRIED))
+    def test_bent_retry_converges_to_the_shortest_branch(self, schw_charts, monkeypatch, m):
+        # each row's full solve fails and one retry from the bent chord, at
+        # the same steps, converges it to the shortest planar geodesic; no
+        # graph is built
+        calls, solves = self._counted(monkeypatch)
         xs, ys = (np.array(p, float) for p in zip(*RETRIED[m]))
         d, _, _, conv = distance_batch(schw_charts[m], xs, ys)
         # the coarse solve, the full solve and the retry, each of every row
@@ -346,6 +350,53 @@ class TestDistance:
         assert len(calls) <= 16_000
         for x, y, dist in zip(xs, ys, d):
             assert dist == pytest.approx(planar_geodesics(m / 2, x, y)[0], rel=1e-8)
+
+    @pytest.mark.parametrize("m, y", [(0.2, (-2.0, 0.0, 0.0)), (0.1, (-2.0, 0.0, 0.0)),
+                                      (0.05, (-2.0, 0.0, 0.0)), (0.2, (-0.625, 0.0, 0.0)),
+                                      (0.05, (-0.625, 0.0, 0.0)),
+                                      (0.025, (-0.625, 0.0, 0.0))])
+    def test_chord_through_the_puncture_converges_in_the_first_solve(
+            self, schw_charts, monkeypatch, m, y):
+        # p -> -p, and p -> the desk sweep's grid node behind the puncture:
+        # the chord runs through the puncture, so the seed starts from the
+        # bent chord; its coarse solve converges, the full solve converges
+        # from the extrapolation, and no row is retried.  The planar oracle
+        # reads the length of the circle of branches of p -> -p
+        calls, solves = self._counted(monkeypatch)
+        x, y = np.array([[2.0, 0.0, 0.0]]), np.array([y])
+        d, _, _, conv = distance_batch(schw_charts[m], x, y)
+        assert solves == [1, 1] and conv[0]
+        assert len(calls) <= 2_000
+        assert d[0] == pytest.approx(planar_geodesics(m / 2, x[0], y[0])[0], rel=1e-8)
+
+    @pytest.mark.xfail(strict=True, reason="a converged shot past the puncture need not "
+                       "be the shortest geodesic (ROADMAP item 2)")
+    def test_converged_pair_is_the_shortest_branch(self, schw_charts):
+        # one of 303 seeded m = 0.2 pairs of the r = 3 ball around p whose
+        # chords pass within 0.6 of the puncture; 4 of them converge to a
+        # geodesic that is not the shortest.  This one converges at
+        # 8.2134009, while the planar branches are 5.3935045 and 5.7610961
+        x = np.array([[-0.42699981817360433, 0.16767632426423082, 0.2762818874615037]])
+        y = np.array([[3.008675302564681, -0.10261971383124618, -2.4415971918652803]])
+        d, _, _, conv = distance_batch(schw_charts[0.2], x, y)
+        assert conv[0]
+        assert d[0] == pytest.approx(planar_geodesics(0.1, x[0], y[0])[0], rel=1e-8)
+
+    def test_bend_toward_the_puncture_converges_to_the_longer_branch(self, schw_charts):
+        # the m = 0.1 ball candidate of the desk sweep: from the chord bent
+        # away from the puncture the full solve converges to the shorter
+        # planar branch, 3.4491409; bent as far toward it, 2c - _bent_chord,
+        # to the longer one, 3.5391863.  A converged shot is a geodesic,
+        # not always a minimiser
+        chart = schw_charts[0.1]
+        x = np.array([[2.0, 0.0, 0.0]])
+        y = np.array([[-0.9170729921077045, 0.07110153608961074, -0.0656802480723099]])
+        away = _bent_chord(x, y)
+        branches = planar_geodesics(0.05, x[0], y[0])
+        for w0, branch in zip((away, 2.0 * (y - x) - away), branches):
+            w, _, conv = _bvp_batch(chart, x, y, w0=w0, n_steps=DISTANCE_STEPS)
+            assert conv[0]
+            assert geodesic_lengths(chart, x, w)[0] == pytest.approx(branch, rel=1e-8)
 
     def test_a_row_only_the_chord_converges(self, schw_charts):
         # an m = 0.2 pair of test_image_containment whose chord passes 0.019

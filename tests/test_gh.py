@@ -21,8 +21,8 @@ from afstab.grid import Grid
 from afstab.harmonic import LaplaceBeltrami, build_harmonic_triple
 import oracles
 from oracles import (adaptive_flow_leg, ball_distance_field, flow_batch_reference,
-                     sample_geodesic_ball_reference, sequential_gh_distortion,
-                     sequential_pythagoras)
+                     planar_geodesics, sample_geodesic_ball_reference,
+                     sequential_gh_distortion, sequential_pythagoras)
 
 
 def _recording_batches(monkeypatch, module=afstab.gh):
@@ -143,8 +143,8 @@ class TestSampleConsumers:
         rep = gh_distortion(chart, triple, r, 20, seed=5)
         assert asdict(rep) == asdict(want)
         assert len(calls) == 1
-        _, shoot, _ = _ball_nodes(chart, triple.grid.points().reshape(-1, 3),
-                                  ~triple.excluded.ravel(), r)
+        _, shoot = _ball_nodes(chart, triple.grid.points().reshape(-1, 3),
+                               ~triple.excluded.ravel(), r)
         cands, conv, d = self._candidate_rows(calls[0], 20 + len(shoot))
         assert len(cands) > 0 and not np.any(conv & (d <= r))
 
@@ -170,8 +170,8 @@ class TestSampleConsumers:
         rep = gh_distortion(chart, triple, 1.5, 60, seed=7007)
         assert asdict(rep) == asdict(want)
         assert len(calls) == 2
-        _, shoot, _ = _ball_nodes(chart, triple.grid.points().reshape(-1, 3),
-                                  ~triple.excluded.ravel(), 1.5)
+        _, shoot = _ball_nodes(chart, triple.grid.points().reshape(-1, 3),
+                               ~triple.excluded.ravel(), 1.5)
         _, conv, d = self._candidate_rows(calls[0], 60 + len(shoot))
         assert np.sum(conv & (d <= 1.5)) == 1
         assert len(calls[1][0][1]) == 60
@@ -275,13 +275,13 @@ class TestBallMask:
         the failed count, with the undecided nodes shot in a batch of their
         own; each (N, N, N) but the count."""
         nodes = triple.grid.points().reshape(-1, 3)
-        cert, shoot, n_degenerate = _ball_nodes(chart, nodes, ~triple.excluded.ravel(), r)
+        cert, shoot = _ball_nodes(chart, nodes, ~triple.excluded.ravel(), r)
         p = np.broadcast_to(np.asarray(chart.base_point, float), (len(shoot), 3))
         d, _, _, conv = distance_batch(chart, p, nodes[shoot])
         mask = cert.copy()
         mask[shoot] = conv & (d <= r)
         shape = triple.excluded.shape
-        return cert.reshape(shape), mask.reshape(shape), n_degenerate + int(np.sum(~conv))
+        return cert.reshape(shape), mask.reshape(shape), int(np.sum(~conv))
 
     @staticmethod
     def _ortho_l1(triple, mask):
@@ -326,7 +326,7 @@ class TestBallMask:
         rep = gh_distortion(chart, triple, r, n, seed=5)
         (starts, targets), merged = calls[-1]
         nodes = triple.grid.points().reshape(-1, 3)
-        _, shoot, _ = _ball_nodes(chart, nodes, ~triple.excluded.ravel(), r)
+        _, shoot = _ball_nodes(chart, nodes, ~triple.excluded.ravel(), r)
         assert len(shoot) > 0 and np.array_equal(targets[n:n + len(shoot)], nodes[shoot])
         _, mask, n_failed = self._mask(chart, triple, r)
         alone = distance_batch(chart, starts[:n], targets[:n])
@@ -335,21 +335,31 @@ class TestBallMask:
         assert rep.n_failed_nodes == n_failed
         assert rep.ortho_l1 == self._ortho_l1(triple, mask)
 
-    def test_antipodal_node_failed_without_a_shot(self, schw_charts, schw_triples,
-                                                  monkeypatch):
+    def test_antipodal_node_shot_in_the_pairs_batch(self, schw_charts, schw_triples,
+                                                    monkeypatch):
         # (-0.625, 0, 0) lies 2.625 < 3 from p = (2, 0, 0) behind the
-        # puncture: a circle of geodesics reaches it, and its chord is not
-        # certified (the chord length is infinite)
+        # puncture, and its chord is not certified (the chord length is
+        # infinite): it is shot in the pairs' batch, from the bent chord,
+        # and converges to the shortest planar branch, inside the ball
         chart, triple, r = schw_charts[0.025], schw_triples[0.025], 3.0
         nodes = triple.grid.points().reshape(-1, 3)
         node = np.flatnonzero(np.all(nodes == (-0.625, 0.0, 0.0), axis=1))
         assert len(node) == 1 and not triple.excluded.ravel()[node[0]]
-        cert, shoot, n_degenerate = _ball_nodes(chart, nodes, ~triple.excluded.ravel(), r)
-        assert n_degenerate == 1 and not cert[node[0]] and node[0] not in shoot
+        cert, shoot = _ball_nodes(chart, nodes, ~triple.excluded.ravel(), r)
+        assert not cert[node[0]] and node[0] in shoot
         calls = _recording_batches(monkeypatch)
         rep = gh_distortion(chart, triple, r, 10, seed=6)
-        assert not np.any(np.all(calls[-1][0][1] == nodes[node[0]], axis=1))
-        assert rep.n_failed_nodes >= 1
+        (_, targets), (d, _, _, conv) = calls[0]
+        row = 10 + int(np.flatnonzero(shoot == node[0])[0])
+        assert np.array_equal(targets[row], nodes[node[0]]) and conv[row]
+        p = np.asarray(chart.base_point, float)
+        # the shortest planar branch, 2.7932187
+        assert d[row] == pytest.approx(planar_geodesics(0.0125, p, nodes[node[0]])[0],
+                                       rel=1e-8)
+        _, mask, _ = self._mask(chart, triple, r)
+        assert mask.ravel()[node[0]]
+        assert rep.n_failed_nodes == 0
+        assert rep.ortho_l1 == self._ortho_l1(triple, mask)
 
     def test_phi_floor(self):
         assert _phi_floor(MetricChart("schwarzschild", {"m": 0.1})) == 1.0

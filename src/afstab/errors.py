@@ -9,10 +9,6 @@ class OutOfDomain(AfstabError):
     """A chart point (or a whole sphere/ball) lies outside the chart box."""
 
 
-class ExcisedPoint(AfstabError):
-    """A chart point lies inside the excised region or on a metric singularity."""
-
-
 class MismatchedChart(AfstabError):
     """Fields and chart passed to an operation do not belong together."""
 

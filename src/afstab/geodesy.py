@@ -52,7 +52,7 @@ from .errors import (AfstabError, EmptySample, NoConvergence, NoCrossing,
 from .geometry import MetricChart
 from .grid import Trilinear
 from .harmonic import HarmonicTriple
-from .seeding import rng_for
+from .seeding import ball_offsets, rng_for
 
 
 def metric_speed(chart: MetricChart, x, v):
@@ -491,10 +491,7 @@ def mean_value_candidates(chart: MetricChart, center, rho: float, n_samples: int
     rng = rng_for(seed, label, *np.round(center, 9))
     k = max(0, int(n_samples) - 1)
     if k:
-        dirs = rng.normal(size=(k, 3))
-        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-        radii = rho * rng.uniform(size=k) ** (1.0 / 3.0)
-        draws = center + dirs * radii[:, None]
+        draws = center + ball_offsets(rng, k, rho)
         draws = draws[chart.in_box(draws)]
     else:
         draws = np.empty((0, 3))

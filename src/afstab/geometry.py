@@ -2,11 +2,14 @@
 
 Every family in the corpus is conformally flat, g_ij = phi(x)^4 delta_ij,
 with phi built from a monopole term 1 + a/|x|, an optional Gaussian lump,
-and optional smooth compactly supported bumps.  First and second metric
-derivatives are exact closed forms; finite differences appear only in test
-oracles.  Curvature is computed from the generic Christoffel/Ricci formulas
-so that the conformal identity R = -8 phi^-5 lap(phi) is an independent
-cross-check rather than the definition.
+and optional smooth compactly supported bumps, whose value, gradient and
+Hessian are exact closed forms.  Everything the laboratory reads of the
+metric comes from phi and its derivatives in closed form: the Christoffel
+symbols, the Ricci tensor and R = -8 phi^-5 lap(phi), the decay of g - delta
+and its derivatives, and (in afstab.mass) the ADM flux.  The generic
+metric-tensor route (g, dg, ddg and the textbook Christoffel/Ricci
+formulas) and finite differences are test oracles, the independent
+cross-check of these closed forms.
 """
 
 from dataclasses import dataclass, field
@@ -15,9 +18,9 @@ from typing import ClassVar
 
 import numpy as np
 
-from .errors import ExcisedPoint, OutOfDomain
+from .errors import OutOfDomain
 from .grid import dot3
-from .seeding import rng_for
+from .seeding import rng_for, unit_directions
 
 # The params each family reads, and the kind of value each takes: a finite
 # "number", a finite positive "width", a finite 3-vector "point", or
@@ -30,9 +33,6 @@ FAMILY_PARAMS = {
     "perturbed": {"A": "number", "bumps": "bumps"},
 }
 FAMILIES = tuple(FAMILY_PARAMS)
-
-# Radius below which a monopole family counts as sitting on its puncture.
-SINGULAR_RADIUS = 1e-12
 
 # The derivative order of MetricChart._conformal (and Bump.value_grad_hess)
 # that forms, of the second derivatives, only the Laplacian: the Hessian's
@@ -253,32 +253,11 @@ class MetricChart:
         pts = _as_points(x)
         return np.all(np.abs(pts) <= self.box_halfwidth + 1e-12, axis=-1)
 
-    def check_point(self, x):
-        """Raise OutOfDomain / ExcisedPoint for a single chart point."""
-        pts = _as_points(x)
-        if not np.all(self.in_box(pts)):
-            raise OutOfDomain(f"point {np.asarray(x)} outside box of halfwidth {self.box_halfwidth}")
-        r = np.linalg.norm(pts, axis=-1)
-        if self.singular_at_origin and np.any(r < SINGULAR_RADIUS):
-            raise ExcisedPoint("point sits on the puncture of a monopole family")
-
-    # -- metric and derivatives -------------------------------------------
+    # -- metric and geodesics -----------------------------------------------
 
     def metric(self, x):
         phi = self.conformal_factor(x)
         return phi[..., None, None] ** 4 * np.eye(3)
-
-    def metric_derivs(self, x):
-        """g, dg, ddg with dg[..., k, i, j] = d_k g_ij and ddg[..., l, k, i, j] = d_l d_k g_ij."""
-        phi, dphi, ddphi = self.conformal_terms(x)
-        eye = np.eye(3)
-        g = phi[..., None, None] ** 4 * eye
-        dg = 4.0 * (phi**3)[..., None, None, None] * dphi[..., :, None, None] * eye
-        ddg = (12.0 * (phi**2)[..., None, None, None, None]
-               * dphi[..., :, None, None, None] * dphi[..., None, :, None, None]
-               + 4.0 * (phi**3)[..., None, None, None, None]
-               * ddphi[..., :, :, None, None]) * eye
-        return g, dg, ddg
 
     def christoffel_quadratic(self, x, v):
         """Gamma^k_ab v^a v^b for velocity vectors v, exploiting the conformal form.
@@ -359,66 +338,33 @@ def _off_puncture(x, bad):
 # pointwise operations
 
 
-@dataclass(frozen=True)
-class CurvatureSample:
-    point: tuple
-    christoffel: np.ndarray   # (3, 3, 3), Gamma^k_ab
-    ricci: np.ndarray         # (3, 3), symmetric
-    scalar: float
-
-
-def _ricci_from_derivs(g, dg, ddg):
-    """Generic Ricci tensor from metric derivatives, batched over leading axes.
-
-    Gamma^c_ab = 1/2 g^cd (d_a g_bd + d_b g_ad - d_d g_ab)
-    Ric_ab = d_c Gamma^c_ab - d_a Gamma^c_cb + Gamma^c_cd Gamma^d_ab - Gamma^c_ad Gamma^d_cb
-    """
-    g_inv = np.linalg.inv(g)
-    sym = (np.einsum("...abd->...dab", dg) + np.einsum("...bad->...dab", dg)
-           - np.einsum("...dab->...dab", dg))
-    gamma = 0.5 * np.einsum("...cd,...dab->...cab", g_inv, sym)
-    dg_inv = -np.einsum("...cm,...emn,...nd->...ecd", g_inv, dg, g_inv)
-    dsym = (np.einsum("...eabd->...edab", ddg) + np.einsum("...ebad->...edab", ddg)
-            - np.einsum("...edab->...edab", ddg))
-    dgamma = (0.5 * np.einsum("...ecd,...dab->...ecab", dg_inv, sym)
-              + 0.5 * np.einsum("...cd,...edab->...ecab", g_inv, dsym))
-    term1 = np.einsum("...ccab->...ab", dgamma)   # d_c Gamma^c_ab
-    term2 = np.einsum("...accb->...ab", dgamma)   # d_a Gamma^c_cb
-    term3 = np.einsum("...ccd,...dab->...ab", gamma, gamma)
-    term4 = np.einsum("...cad,...dcb->...ab", gamma, gamma)
-    ric = term1 - term2 + term3 - term4
-    return gamma, ric, g_inv
-
-
-def curvature_at(chart: MetricChart, x) -> CurvatureSample:
-    """Christoffel symbols, Ricci tensor and scalar curvature at one point."""
-    chart.check_point(x)
-    g, dg, ddg = chart.metric_derivs(x)
-    gamma, ric, g_inv = _ricci_from_derivs(g, dg, ddg)
-    ric = 0.5 * (ric + np.swapaxes(ric, -1, -2))
-    scalar = np.einsum("...ab,...ab->...", g_inv, ric)
-    return CurvatureSample(point=tuple(np.asarray(x, float)), christoffel=gamma,
-                           ricci=ric, scalar=float(scalar))
-
-
 def scalar_curvature(chart: MetricChart, x):
-    """Vectorized scalar curvature via the conformal identity R = -8 phi^-5 lap(phi).
+    """Scalar curvature R = -8 phi^-5 lap(phi) at points x.
 
-    The generic-route value from curvature_at agrees to round-off; this is
-    the fast path used in volume integrals.  It forms no (..., 3, 3)
-    phi Hessian, only its diagonal.
+    It forms no (..., 3, 3) phi Hessian, only its diagonal; ricci_batch's
+    R is the same bit for bit.
     """
     phi, lap = chart.conformal_laplacian(x)
     return -8.0 * phi**-5 * lap
 
 
 def ricci_batch(chart: MetricChart, pts):
-    """Batched (Ricci, metric, scalar) via the generic formulas."""
-    g, dg, ddg = chart.metric_derivs(pts)
-    _, ric, g_inv = _ricci_from_derivs(g, dg, ddg)
+    """Batched (Ricci, metric, scalar) of g = phi^4 delta from phi's closed forms:
+
+    Ric = -2 hess(phi)/phi + 6 grad(phi) grad(phi)^T / phi^2
+          - (2 lap(phi)/phi + 2 |grad(phi)|^2 / phi^2) delta,
+
+    symmetrised exactly, and R = -8 phi^-5 lap(phi) in scalar_curvature's
+    arithmetic.
+    """
+    phi, dphi, hess = chart.conformal_terms(pts)
+    lap = np.trace(hess, axis1=-2, axis2=-1)
+    w = dphi / phi[..., None]
+    iso = 2.0 * lap / phi + 2.0 * np.sum(w * w, axis=-1)
+    ric = (-2.0 * hess / phi[..., None, None] + 6.0 * w[..., :, None] * w[..., None, :]
+           - iso[..., None, None] * np.eye(3))
     ric = 0.5 * (ric + np.swapaxes(ric, -1, -2))
-    scal = np.einsum("...ab,...ab->...", g_inv, ric)
-    return ric, g, scal
+    return ric, phi[..., None, None] ** 4 * np.eye(3), -8.0 * phi**-5 * lap
 
 
 # ---------------------------------------------------------------------------
@@ -457,18 +403,15 @@ class HypothesisCertificate:
     witness_points: tuple   # (argmin of scalar, argmin of Ricci eigenvalue)
 
 
-def _sphere_dirs(n, rng):
-    v = rng.normal(size=(n, 3))
-    return v / np.linalg.norm(v, axis=1, keepdims=True)
-
-
 def verify_asymptotic_flatness(chart: MetricChart, sampling: SphereSampling):
     """Check the declared decay inequality on sampled spheres.
 
     Returns (af_ok, fitted_tau, worst_ratio) where worst_ratio is the
     largest of |d^beta (g - delta)| / (b r^(-tau-|beta|)) over all samples
     and derivative orders |beta| <= 2, and fitted_tau is the log-log slope
-    of sup_{|x|=r} |g - delta| against r.
+    of sup_{|x|=r} |g - delta| against r.  For g = phi^4 delta the sups
+    over components are |phi^4 - 1|, max_k |4 phi^3 d_k phi| and
+    max_kl |12 phi^2 d_k phi d_l phi + 4 phi^3 d_k d_l phi|.
     """
     radii = np.asarray(sampling.radii, float)
     if np.any(radii < 2.0):
@@ -476,16 +419,18 @@ def verify_asymptotic_flatness(chart: MetricChart, sampling: SphereSampling):
     if np.any(radii > chart.box_halfwidth * np.sqrt(3.0)):
         raise OutOfDomain("sampling sphere outside the chart box diagonal")
     rng = rng_for(sampling.seed, "af-verify", chart.family)
-    dirs = _sphere_dirs(sampling.n_per_sphere, rng)
+    dirs = unit_directions(rng, sampling.n_per_sphere)
     worst = 0.0
     sup0 = []
     b, tau = chart.decay_b, chart.decay_tau
     for r in radii:
         pts = r * dirs
-        g, dg, ddg = chart.metric_derivs(pts)
-        d0 = np.max(np.abs(g - np.eye(3)), axis=(-2, -1))
-        d1 = np.max(np.abs(dg), axis=(-3, -2, -1))
-        d2 = np.max(np.abs(ddg), axis=(-4, -3, -2, -1))
+        phi, dphi, ddphi = chart.conformal_terms(pts)
+        d0 = np.abs(phi**4 - 1.0)
+        d1 = np.max(np.abs((4.0 * phi**3)[:, None] * dphi), axis=-1)
+        d2 = np.max(np.abs((12.0 * phi**2)[:, None, None] * dphi[:, :, None]
+                           * dphi[:, None, :]
+                           + (4.0 * phi**3)[:, None, None] * ddphi), axis=(-2, -1))
         worst = max(worst,
                     float(np.max(d0) / (b * r ** (-tau))),
                     float(np.max(d1) / (b * r ** (-tau - 1))),
@@ -510,7 +455,7 @@ def certify_hypotheses(chart: MetricChart, sampling: VolumeSampling) -> Hypothes
     from max(2, r_max) to 0.9 box halfwidths: decay outside a compact set.
     """
     rng = rng_for(sampling.seed, "certify", chart.family)
-    dirs = _sphere_dirs(sampling.n_points, rng)
+    dirs = unit_directions(rng, sampling.n_points)
     u = rng.uniform(size=sampling.n_points)
     radii = (sampling.r_min**3 + u * (sampling.r_max**3 - sampling.r_min**3)) ** (1.0 / 3.0)
     pts = dirs * radii[:, None]

@@ -43,7 +43,7 @@ from .geodesy import (distance_batch, mean_value_candidates, mean_value_rule,
                       rk4_steps, segment_functional, MV_SAMPLES, SCORE_FLOOR)
 from .geometry import MetricChart
 from .harmonic import HarmonicTriple
-from .seeding import rng_for
+from .seeding import ball_offsets, rng_for
 
 
 @dataclass
@@ -126,10 +126,7 @@ def _replay_ball(chart: MetricChart, triple: HarmonicTriple, r: float, n_points:
     budget = 12
     while len(pts) < n_points and budget > 0:
         need = max(8, int(1.3 * (n_points - len(pts))))
-        dirs = rng.normal(size=(need, 3))
-        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-        radii = r * rng.uniform(size=need) ** (1.0 / 3.0)
-        cands = p + dirs * radii[:, None]
+        cands = p + ball_offsets(rng, need, r)
         cands = cands[np.all(np.abs(cands) <= triple.grid.halfwidth - 2 * triple.grid.h,
                              axis=1)]
         if len(cands) == 0:
@@ -514,10 +511,7 @@ def flow_coverage(chart: MetricChart, triple: HarmonicTriple, radius: float,
     """
     rng = rng_for(seed, "flow-targets")
     rho = 2.0 * triple.grid.h
-    dirs = rng.normal(size=(n_targets, 3))
-    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    radii = radius * rng.uniform(size=n_targets) ** (1.0 / 3.0)
-    targets = dirs * radii[:, None]
+    targets = ball_offsets(rng, n_targets, radius)
     traces = reach_points(chart, triple, targets, rho,
                           [seed + 1000 + k for k in range(n_targets)])
     hausdorff = max(tr.u_error for tr in traces)

@@ -2,7 +2,9 @@
 
 Everything here recomputes reference values along a route different from
 the library code under test: symbolic differentiation, finite-difference
-stencils on metric components, separable 1D ODE reductions, and radial
+stencils on metric components, the generic metric-tensor route (g, dg and
+ddg with the textbook Christoffel, Ricci and ADM-flux formulas) behind the
+library's closed forms in phi, separable 1D ODE reductions, and radial
 quadrature, among them every geodesic length of the monopole chart in
 the plane of its endpoints and the puncture.  Where the library runs the
 same arithmetic in fewer or other calls (the stacked geodesic
@@ -41,6 +43,7 @@ from afstab.geodesy import (LEVEL_TOL, MV_SAMPLES, PROJECTION_STEPS, SCORE_FLOOR
 from afstab.gh import DistortionReport, _ball_nodes, _chord_certified
 from afstab.grid import diff1, diff2
 from afstab.harmonic import LaplaceBeltrami
+from afstab.mass import QUADRATURE_AZIMUTH, QUADRATURE_POLAR, sphere_rule
 from afstab.reporting import MANIFEST_NAME, RunManifest
 from afstab.seeding import rng_for
 
@@ -163,6 +166,94 @@ def fd_scalar_curvature(metric_fn, x0, h=0.02):
                     s += gamma[c, c, d] * gamma[d, a, b] - gamma[c, a, d] * gamma[d, c, b]
             ric[a, b] = s
     return float(np.einsum("ab,ab->", ginv, ric))
+
+
+# ---------------------------------------------------------------------------
+# the generic metric-tensor route: g, dg, ddg and the textbook formulas
+
+
+def metric_derivs(chart, x):
+    """g, dg, ddg of g = phi^4 delta from the chart's phi terms, with
+    dg[..., k, i, j] = d_k g_ij and ddg[..., l, k, i, j] = d_l d_k g_ij."""
+    phi, dphi, ddphi = chart.conformal_terms(x)
+    eye = np.eye(3)
+    g = phi[..., None, None] ** 4 * eye
+    dg = 4.0 * (phi**3)[..., None, None, None] * dphi[..., :, None, None] * eye
+    ddg = (12.0 * (phi**2)[..., None, None, None, None]
+           * dphi[..., :, None, None, None] * dphi[..., None, :, None, None]
+           + 4.0 * (phi**3)[..., None, None, None, None]
+           * ddphi[..., :, :, None, None]) * eye
+    return g, dg, ddg
+
+
+def _ricci_from_derivs(g, dg, ddg):
+    """Generic Ricci tensor from metric derivatives, batched over leading axes.
+
+    Gamma^c_ab = 1/2 g^cd (d_a g_bd + d_b g_ad - d_d g_ab)
+    Ric_ab = d_c Gamma^c_ab - d_a Gamma^c_cb + Gamma^c_cd Gamma^d_ab - Gamma^c_ad Gamma^d_cb
+    """
+    g_inv = np.linalg.inv(g)
+    sym = (np.einsum("...abd->...dab", dg) + np.einsum("...bad->...dab", dg)
+           - np.einsum("...dab->...dab", dg))
+    gamma = 0.5 * np.einsum("...cd,...dab->...cab", g_inv, sym)
+    dg_inv = -np.einsum("...cm,...emn,...nd->...ecd", g_inv, dg, g_inv)
+    dsym = (np.einsum("...eabd->...edab", ddg) + np.einsum("...ebad->...edab", ddg)
+            - np.einsum("...edab->...edab", ddg))
+    dgamma = (0.5 * np.einsum("...ecd,...dab->...ecab", dg_inv, sym)
+              + 0.5 * np.einsum("...cd,...edab->...ecab", g_inv, dsym))
+    term1 = np.einsum("...ccab->...ab", dgamma)   # d_c Gamma^c_ab
+    term2 = np.einsum("...accb->...ab", dgamma)   # d_a Gamma^c_cb
+    term3 = np.einsum("...ccd,...dab->...ab", gamma, gamma)
+    term4 = np.einsum("...cad,...dcb->...ab", gamma, gamma)
+    return gamma, term1 - term2 + term3 - term4, g_inv
+
+
+def generic_curvature(chart, x):
+    """(Gamma^k_ab, Ric, R) at points x from metric_derivs by the generic
+    formulas: Ric symmetrised, R the trace g^-1 . Ric."""
+    g, dg, ddg = metric_derivs(chart, x)
+    gamma, ric, g_inv = _ricci_from_derivs(g, dg, ddg)
+    ric = 0.5 * (ric + np.swapaxes(ric, -1, -2))
+    return gamma, ric, np.einsum("...ab,...ab->...", g_inv, ric)
+
+
+def generic_decay(chart, sampling):
+    """verify_asymptotic_flatness on the tensors of metric_derivs: the same
+    sphere directions, the sups over every component of g - delta, dg and
+    ddg, and the same fit."""
+    radii = np.asarray(sampling.radii, float)
+    rng = rng_for(sampling.seed, "af-verify", chart.family)
+    dirs = rng.normal(size=(sampling.n_per_sphere, 3))
+    dirs = dirs / np.linalg.norm(dirs, axis=1, keepdims=True)
+    worst = 0.0
+    sup0 = []
+    b, tau = chart.decay_b, chart.decay_tau
+    for r in radii:
+        g, dg, ddg = metric_derivs(chart, r * dirs)
+        d0 = np.max(np.abs(g - np.eye(3)), axis=(-2, -1))
+        d1 = np.max(np.abs(dg), axis=(-3, -2, -1))
+        d2 = np.max(np.abs(ddg), axis=(-4, -3, -2, -1))
+        worst = max(worst,
+                    float(np.max(d0) / (b * r ** (-tau))),
+                    float(np.max(d1) / (b * r ** (-tau - 1))),
+                    float(np.max(d2) / (b * r ** (-tau - 2))))
+        sup0.append(np.max(d0))
+    sup0 = np.asarray(sup0)
+    if np.all(sup0 > 0):
+        fitted_tau = -float(np.polyfit(np.log(radii), np.log(sup0), 1)[0])
+    else:
+        fitted_tau = float("inf")
+    return worst <= 1.0, fitted_tau, worst
+
+
+def generic_mass_flux(chart, r):
+    """adm_mass_at_radius with the flux sum_ij (d_i g_ij - d_j g_ii) nu^j
+    contracted from the tensor dg of metric_derivs."""
+    dirs, weights = sphere_rule(QUADRATURE_POLAR, QUADRATURE_AZIMUTH)
+    _, dg, _ = metric_derivs(chart, r * dirs)
+    flux = np.einsum("...iij->...j", dg) - np.einsum("...jii->...j", dg)
+    return float(r**2 * np.sum(weights * np.einsum("nj,nj->n", flux, dirs))
+                 / (16.0 * np.pi))
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,8 @@ from afstab import geodesy
 from afstab.errors import OutOfDomain
 from afstab.geodesy import (COARSE_REL_TARGET, COARSE_STEP_DIVISOR, DISTANCE_STEPS,
                             PROJECTION_STEPS, DistanceField, GeodesicGraph,
-                            _bent_chord, _bvp_batch, _rk4_batch, distance_batch,
+                            _bent_chord, _bvp_batch, _extrapolated_seed, _rk4_batch,
+                            distance_batch,
                             geodesic_lengths,
                             level_set_projection, level_set_projections,
                             local_distance, mean_value_candidates,
@@ -367,6 +368,31 @@ class TestDistance:
         d, _, _, conv = distance_batch(schw_charts[m], x, y)
         assert solves == [1, 1] and conv[0]
         assert len(calls) <= 2_000
+        assert d[0] == pytest.approx(planar_geodesics(m / 2, x[0], y[0])[0], rel=1e-8)
+
+    @pytest.mark.parametrize("m, x, y, shortest", [
+        (0.1, (0.7961503944298864, 1.3104934902004235, -0.40730925787919603),
+         (-0.3827321684040035, -0.684451100865212, 0.23080847352668563), 2.945650886),
+        (0.1, (-0.5288832065709328, 0.09632201725791328, 1.0713580269338805),
+         (1.5780319494026342, -0.728580369105773, -2.318837102394233), 4.578474989),
+        (0.1, (-0.7994742733612119, 0.23087002056786082, -0.2841079040607642),
+         (3.2184087701977826, -0.9145800044450986, 1.870575584425391), 5.242961605),
+        (0.05, (0.25716890270206183, 1.9404230651849812, -1.1933765400534833),
+         (-0.059946532263091434, -1.677108620749417, 1.076036422612132), 4.579132344)])
+    def test_retry_rescues_a_diverged_extrapolation(self, schw_charts, m, x, y, shortest):
+        # near-puncture rows of a seeded census whose coarse solve converges
+        # but whose full solve from the extrapolated seed does not; only the
+        # bent retry converges them, to the shortest planar branch
+        chart = schw_charts[m]
+        x, y = np.array([x]), np.array([y])
+        _, _, coarse = _bvp_batch(chart, x, y, n_steps=DISTANCE_STEPS // COARSE_STEP_DIVISOR,
+                                  rel_target=COARSE_REL_TARGET)
+        assert coarse[0]
+        w0 = _extrapolated_seed(chart, x, y, DISTANCE_STEPS)
+        assert not _bvp_batch(chart, x, y, w0=w0, n_steps=DISTANCE_STEPS)[2][0]
+        d, _, _, conv = distance_batch(chart, x, y)
+        assert conv[0]
+        assert planar_geodesics(m / 2, x[0], y[0])[0] == pytest.approx(shortest, abs=1e-9)
         assert d[0] == pytest.approx(planar_geodesics(m / 2, x[0], y[0])[0], rel=1e-8)
 
     @pytest.mark.xfail(strict=True, reason="a converged shot past the puncture need not "

@@ -7,13 +7,15 @@ from hypothesis import strategies as st
 from scipy.linalg import eigh
 
 import afstab.geometry
-from afstab.errors import ExcisedPoint, OutOfDomain
 from afstab.geometry import (MetricChart, SphereSampling, VolumeSampling,
-                             certify_hypotheses, curvature_at, scalar_curvature,
+                             certify_hypotheses, ricci_batch, scalar_curvature,
                              verify_asymptotic_flatness)
+from afstab.mass import adm_mass_at_radius
 from afstab.seeding import rng_for
 
-from oracles import fd_scalar_curvature, sympy_conformal_scalar, sympy_gaussian_phi
+from oracles import (fd_scalar_curvature, generic_curvature, generic_decay,
+                     generic_mass_flux, metric_derivs, sympy_conformal_scalar,
+                     sympy_gaussian_phi)
 
 
 def bump_chart(amp, center=(1.0, 0.0, 0.0), width=2.0, A=0.0, box=20.0):
@@ -76,66 +78,62 @@ class TestConformalFactor:
 
 
 class TestMetricAt:
+    # the metric tensors of the generic route, which the closed forms in
+    # phi are checked against
     def test_flat_is_identity(self):
-        g, dg, ddg = MetricChart("flat").metric_derivs((1.0, 2.0, 3.0))
+        g, dg, ddg = metric_derivs(MetricChart("flat"), (1.0, 2.0, 3.0))
         assert np.array_equal(g, np.eye(3))
         assert np.all(dg == 0.0) and np.all(ddg == 0.0)
 
     def test_schwarzschild_closed_form(self):
         # (1 + 0.5/(2*2))^4, frozen from the family's closed form
         chart = MetricChart("schwarzschild", {"m": 0.5}, box_halfwidth=100.0)
-        g, _, _ = chart.metric_derivs((2.0, 0.0, 0.0))
+        g, _, _ = metric_derivs(chart, (2.0, 0.0, 0.0))
         assert g[0, 0] == pytest.approx(1.601806640625, abs=1e-15)
         assert g[1, 1] == pytest.approx(g[0, 0], abs=1e-15)
         assert abs(g[0, 1]) == 0.0
 
     def test_conformal_zero_amplitude_matches_flat(self):
         conf = MetricChart("conformal", {"A": 0.0})
-        g, dg, ddg = conf.metric_derivs((1.0, -2.0, 0.5))
+        g, dg, ddg = metric_derivs(conf, (1.0, -2.0, 0.5))
         assert np.array_equal(g, np.eye(3))
         assert np.all(dg == 0.0) and np.all(ddg == 0.0)
 
     def test_second_derivative_symmetry(self):
         chart = bump_chart(0.2)
-        _, _, ddg = chart.metric_derivs((1.3, 0.4, -0.2))
+        _, _, ddg = metric_derivs(chart, (1.3, 0.4, -0.2))
         assert np.allclose(ddg, np.swapaxes(ddg, 0, 1), atol=0.0)
 
     def test_errors(self):
-        schw = MetricChart("schwarzschild", {"m": 0.1})
-        with pytest.raises(ExcisedPoint):
-            schw.check_point((0.0, 0.0, 0.0))
-        with pytest.raises(OutOfDomain):
-            schw.check_point((25.0, 0.0, 0.0))
         # a chart takes only the params its family reads
         with pytest.raises(ValueError, match=r"reads no param\(s\) \['A'\]"):
             MetricChart("schwarzschild", {"A": 0.2})
         # the flat family is regular at the origin
-        flat = MetricChart("flat")
-        flat.check_point((0.0, 0.0, 0.0))
-        g, _, _ = flat.metric_derivs((0.0, 0.0, 0.0))
-        assert np.array_equal(g, np.eye(3))
+        assert np.array_equal(MetricChart("flat").metric((0.0, 0.0, 0.0)), np.eye(3))
 
 
 class TestCurvature:
+    # the generic route of tests/oracles.py against FD, sympy and the
+    # closed forms in phi
     def test_flat_zero(self):
-        cs = curvature_at(MetricChart("flat"), (0.3, -4.0, 2.0))
-        assert np.all(cs.ricci == 0.0) and cs.scalar == 0.0
+        _, ric, scal = generic_curvature(MetricChart("flat"), (0.3, -4.0, 2.0))
+        assert np.all(ric == 0.0) and scal == 0.0
 
     def test_schwarzschild_scalar_vanishes_vs_fd_oracle(self):
         chart = MetricChart("schwarzschild", {"m": 0.5}, box_halfwidth=100.0)
         x = (2.0, 0.0, 0.0)
-        cs = curvature_at(chart, x)
-        assert abs(cs.scalar) < 1e-12
+        scal = generic_curvature(chart, x)[2]
+        assert abs(scal) < 1e-12
         fd = fd_scalar_curvature(lambda p: chart.metric(p), np.asarray(x), h=0.02)
-        assert abs(cs.scalar - fd) < 1e-6
+        assert abs(scal - fd) < 1e-6
 
     def test_gaussian_bump_matches_symbolic_oracle(self):
         chart = MetricChart("conformal", {"A": 0.0, "gauss_amp": 0.1, "gauss_width": 1.0})
         phi, syms = sympy_gaussian_phi(0.1, 1.0)
         R_sym = sympy_conformal_scalar(phi, syms)
         for x in [(1.0, 0.0, 0.0), (0.5, 0.5, -0.3), (0.0, 0.0, 0.0)]:
-            cs = curvature_at(chart, x)
-            assert cs.scalar == pytest.approx(float(R_sym(*x)), abs=1e-9)
+            assert generic_curvature(chart, x)[2] == pytest.approx(float(R_sym(*x)),
+                                                                  abs=1e-9)
 
     def test_conformal_identity_on_samples(self):
         chart = bump_chart(-0.15, A=0.2)
@@ -143,21 +141,20 @@ class TestCurvature:
         pts = rng.uniform(-3, 3, size=(200, 3))
         pts = pts[np.linalg.norm(pts, axis=1) > 0.3]
         fast = scalar_curvature(chart, pts)
-        for p, r_fast in zip(pts[:50], fast[:50]):
-            assert curvature_at(chart, p).scalar == pytest.approx(r_fast, abs=1e-9)
+        assert np.allclose(generic_curvature(chart, pts)[2], fast, rtol=0.0, atol=1e-9)
 
     def test_ricci_symmetric_exactly(self):
         chart = bump_chart(0.3, A=0.4)
         for x in [(1.1, 0.2, 0.3), (2.0, -1.0, 0.5), (0.4, 0.4, 0.4)]:
-            cs = curvature_at(chart, x)
-            assert np.max(np.abs(cs.ricci - cs.ricci.T)) == 0.0
+            ric = generic_curvature(chart, x)[1]
+            assert np.max(np.abs(ric - ric.T)) == 0.0
 
     def test_fd_consistency_order(self):
         # FD oracle converges to the closed-form value at observed order >= 3.5
         chart = MetricChart("conformal", {"A": 0.3, "gauss_amp": 0.1, "gauss_width": 1.5},
                             box_halfwidth=50.0)
         x = np.array([1.2, 0.7, -0.4])
-        exact = curvature_at(chart, x).scalar
+        exact = generic_curvature(chart, x)[2]
         hs = np.array([0.16, 0.08, 0.04])
         errs = np.array([abs(fd_scalar_curvature(lambda p: chart.metric(p), x, h=h) - exact)
                          for h in hs])
@@ -167,7 +164,7 @@ class TestCurvature:
     def test_christoffel_closed_form_matches_generic(self):
         chart = bump_chart(0.25, A=0.3)
         x = np.array([1.4, -0.6, 0.9])
-        g, dg, _ = chart.metric_derivs(x)
+        g, dg, _ = metric_derivs(chart, x)
         ginv = np.linalg.inv(g)
         ref = np.zeros((3, 3, 3))
         for c in range(3):
@@ -182,6 +179,45 @@ class TestCurvature:
         vs = np.vstack([eye, eye + np.roll(eye, 1, axis=1), [[0.3, -1.0, 0.2]]])
         assert np.allclose(chart.christoffel_quadratic(np.broadcast_to(x, vs.shape), vs),
                            np.einsum("kab,na,nb->nk", ref, vs, vs), atol=1e-13)
+
+
+class TestClosedFormsAgainstGenericRoute:
+    # Ric, R, the decay sups and the ADM flux come from phi in closed form;
+    # the generic metric-tensor route of tests/oracles.py checks them on
+    # every family
+    @staticmethod
+    def _points():
+        pts = rng_for(13, "closed-forms").uniform(-4.0, 4.0, size=(300, 3))
+        return pts[np.linalg.norm(pts, axis=1) > 0.2]
+
+    @pytest.mark.parametrize("family", TestConformalFactor.CHARTS)
+    def test_ricci_matches_generic(self, family):
+        chart = TestConformalFactor.CHARTS[family]
+        pts = self._points()
+        ric, g, scal = ricci_batch(chart, pts)
+        ref = generic_curvature(chart, pts)[1]
+        scale = max(float(np.max(np.abs(ref))), 1e-300)
+        assert np.max(np.abs(ric - ref)) <= 1e-12 * scale
+        assert np.array_equal(ric, np.swapaxes(ric, -1, -2))
+        assert np.array_equal(g, chart.metric(pts))
+        # one formula for R: ricci_batch's is scalar_curvature's
+        assert np.array_equal(scal, scalar_curvature(chart, pts))
+
+    @pytest.mark.parametrize("family", TestConformalFactor.CHARTS)
+    def test_decay_matches_generic(self, family):
+        # the sups over tensor components, in the tensors' arithmetic, give
+        # the same verdict, fit and ratio bit for bit
+        chart = TestConformalFactor.CHARTS[family]
+        sampling = SphereSampling(radii=tuple(np.geomspace(2.0, 18.0, 6)),
+                                  n_per_sphere=32, seed=3)
+        assert verify_asymptotic_flatness(chart, sampling) == generic_decay(chart, sampling)
+
+    @pytest.mark.parametrize("family", TestConformalFactor.CHARTS)
+    @pytest.mark.parametrize("r", [2.5, 10.0])
+    def test_adm_flux_matches_generic(self, family, r):
+        chart = TestConformalFactor.CHARTS[family]
+        assert adm_mass_at_radius(chart, r) == pytest.approx(generic_mass_flux(chart, r),
+                                                             rel=1e-14, abs=0.0)
 
 
 class TestChartTerms:
@@ -303,4 +339,4 @@ class TestCertificates:
                                                         r_max=5.0, seed=5))
         assert cert.scalar_min < 0.0
         w = np.asarray(cert.witness_points[0])
-        assert curvature_at(chart, w).scalar == pytest.approx(cert.scalar_min, rel=1e-12)
+        assert generic_curvature(chart, w)[2] == pytest.approx(cert.scalar_min, rel=1e-12)

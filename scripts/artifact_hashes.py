@@ -31,8 +31,9 @@ largest relative change |new - old| / |old| over its numbers with
 |old| >= 1e-12, the key where it occurs with its old and new values, and
 how many numbers moved; for
 any other file, only that its bytes differ.  A difference in structure
-(keys, lengths, strings) is named by its key instead.  The comparison
-does not change the exit code.
+(keys or list items on one side only, strings) is named by its key, and
+the numbers under the keys both sides share are still compared.  The
+comparison does not change the exit code.
 """
 
 import argparse
@@ -146,14 +147,21 @@ def _number(v):
 
 
 def compare(new: pathlib.Path, old: pathlib.Path) -> str:
-    """One line on how artifact `new` moved from `old`."""
+    """One line on how artifact `new` moved from `old`: the keys on one
+    side only and the shared leaves whose non-numbers differ, then the
+    largest move over the shared numbers."""
     a, b = _parsed(old), _parsed(new)
     if a is None:
         return "bytes differ"
-    if [k for k, _ in a] != [k for k, _ in b]:
-        return "structure differs"
+    olds, news = dict(a), dict(b)
+    notes = [f"only in {side}: {', '.join(keys)}"
+             for side, keys in (("old", [k for k in olds if k not in news]),
+                                ("new", [k for k in news if k not in olds])) if keys]
     worst, where, moved = 0.0, None, 0     # where: (key, old, new)
-    for (key, u), (_, v) in zip(a, b):
+    for key, u in a:
+        if key not in news:
+            continue
+        v = news[key]
         if _number(u) and _number(v):
             if u == v or (math.isnan(u) and math.isnan(v)):
                 continue
@@ -163,12 +171,15 @@ def compare(new: pathlib.Path, old: pathlib.Path) -> str:
                 if rel > worst:
                     worst, where = rel, (key, u, v)
         elif u != v:
-            return f"structure differs at {key}: {u!r} -> {v!r}"
+            notes.append(f"structure differs at {key}: {u!r} -> {v!r}")
     if where is None:
-        return f"{moved} number(s) moved, none of size >= {TINY:g}"
-    key, u, v = where
-    return (f"largest relative change {worst:.3g} at {key}: {u!r} -> {v!r} "
-            f"({moved} number(s) moved)")
+        if moved or not notes:
+            notes.append(f"{moved} number(s) moved, none of size >= {TINY:g}")
+    else:
+        key, u, v = where
+        notes.append(f"largest relative change {worst:.3g} at {key}: {u!r} -> {v!r} "
+                     f"({moved} number(s) moved)")
+    return "; ".join(notes)
 
 
 def main():

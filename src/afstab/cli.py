@@ -37,12 +37,12 @@ def _chart_sidecar(cfg: ExperimentConfig, chart) -> dict:
             "decay_b": chart.decay_b, "decay_tau": chart.decay_tau,
             "base_point": list(chart.base_point),
             "grid_nodes": cfg.grid.nodes, "grid_halfwidth": cfg.grid.halfwidth,
-            "bc": cfg.grid.bc, "config_hash": config_hash(cfg)}
+            "config_hash": config_hash(cfg)}
 
 
 def _solve_triple(cfg: ExperimentConfig, chart):
-    return build_harmonic_triple(chart, cfg.make_grid(), bc=cfg.grid.bc,
-                                 tol=cfg.solver.tol, max_iter=cfg.solver.max_iter)
+    return build_harmonic_triple(chart, cfg.make_grid(), tol=cfg.solver.tol,
+                                 max_iter=cfg.solver.max_iter)
 
 
 def _sidecar_matches(path, expected: dict) -> bool:
@@ -270,7 +270,6 @@ def stage_harmonic(cfg, out_dir):
     payload = {"residual_norms": list(triple.residual_norms),
                "grad_sup": triple.grad_sup,
                "u_at_p": list(triple.u_at_p),
-               "bc": cfg.grid.bc,
                "cheng_yau": cheng_yau}
     write_json(os.path.join(out_dir, "harmonic_report.json"), payload)
     return ok, payload

@@ -26,7 +26,6 @@ class FamilyConfig:
 class GridConfig:
     nodes: int = 65
     halfwidth: float = 20.0
-    bc: str = "corrected"
 
 
 @dataclass
@@ -227,8 +226,6 @@ def validate(cfg: ExperimentConfig) -> list:
         v.append("grid.halfwidth must be finite and positive")
     elif g.halfwidth > f.box_halfwidth:
         v.append("grid.halfwidth must not exceed family.box_halfwidth")
-    if g.bc not in ("plain", "corrected"):
-        v.append("grid.bc must be 'plain' or 'corrected'")
 
     s = cfg.solver
     if not 0 < s.tol <= 1e-6:

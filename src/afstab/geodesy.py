@@ -56,9 +56,12 @@ from .seeding import ball_offsets, rng_for
 
 
 def metric_speed(chart: MetricChart, x, v):
-    """|v|_g at x, batched."""
-    g = chart.metric(x)
-    return np.sqrt(np.einsum("...ab,...a,...b->...", g, v, v))
+    """|v|_g at x, batched: sqrt((phi^4 v_0 v_0 + phi^4 v_1 v_1) + phi^4 v_2 v_2),
+    the order of np.einsum on the tensor phi^4 delta.  phi^4 is an array
+    power even at a single point, where conformal_factor returns a numpy
+    scalar: a scalar's ** differs from the array loop in the last bit."""
+    terms = chart.conformal_factor(x)[..., None] ** 4 * v * v
+    return np.sqrt((terms[..., 0] + terms[..., 1]) + terms[..., 2])
 
 
 def local_distance(chart: MetricChart, a, b):

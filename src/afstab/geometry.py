@@ -4,12 +4,14 @@ Every family in the corpus is conformally flat, g_ij = phi(x)^4 delta_ij,
 with phi built from a monopole term 1 + a/|x|, an optional Gaussian lump,
 and optional smooth compactly supported bumps, whose value, gradient and
 Hessian are exact closed forms.  Everything the laboratory reads of the
-metric comes from phi and its derivatives in closed form: the Christoffel
-symbols, the Ricci tensor and R = -8 phi^-5 lap(phi), the decay of g - delta
-and its derivatives, and (in afstab.mass) the ADM flux.  The generic
-metric-tensor route (g, dg, ddg and the textbook Christoffel/Ricci
-formulas) and finite differences are test oracles, the independent
-cross-check of these closed forms.
+metric comes from phi in closed form: the Christoffel symbols, the Ricci
+tensor and R = -8 phi^-5 lap(phi), the decay of g - delta and its
+derivatives, and elsewhere the ADM flux (afstab.mass), |v|_g
+(geodesy.metric_speed) and the harmonic boundary data from the monopole
+amplitude.  No other module reads phi's terms, and no metric tensor is
+formed: the tensor phi^4 delta, the generic route (g, dg, ddg and the
+textbook Christoffel/Ricci formulas) and finite differences are test
+oracles, the independent cross-check of these closed forms.
 """
 
 from dataclasses import dataclass, field
@@ -18,7 +20,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .errors import OutOfDomain
+from .errors import NoDistanceBound, OutOfDomain
 from .grid import dot3
 from .seeding import rng_for, unit_directions
 
@@ -175,6 +177,28 @@ class MetricChart:
     def singular_at_origin(self) -> bool:
         return self.monopole_amplitude != 0.0
 
+    @property
+    def phi_floor(self) -> float:
+        """A positive lower bound of phi over the chart: 1 plus the negative
+        Gaussian and bump amplitudes, each term being at least its amplitude
+        where that is negative.  A negative monopole, or terms that sum to
+        phi <= 0, leave no such bound and raise NoDistanceBound."""
+        lo = 1.0 + sum(min(0.0, term[1] if term[0] == "gauss" else term[1].amplitude)
+                       for term in self.bumps)
+        if self.monopole_amplitude < 0.0 or lo <= 0.0:
+            raise NoDistanceBound(f"phi of the {self.family} chart has no positive lower "
+                                  "bound; the geodesic ball has no Euclidean bound")
+        return lo
+
+    @property
+    def perturbation_radius(self) -> float:
+        """The chart-Euclidean radius outside which phi is its monopole: the
+        largest reach |center| + width of a bump and |center| + 6 widths of
+        a Gaussian (where it is below e^-36); 0 without such terms."""
+        return 0.0 if not self.bumps else max(
+            (np.linalg.norm(b[1].center) + b[1].width if b[0] == "bump"
+             else np.linalg.norm(b[2]) + 6.0 * b[3]) for b in self.bumps)
+
     def conformal_terms(self, x):
         """phi, grad phi, hess phi at points x, shape (...,), (..., 3), (..., 3, 3)."""
         return self._conformal(x, order=2)
@@ -253,11 +277,7 @@ class MetricChart:
         pts = _as_points(x)
         return np.all(np.abs(pts) <= self.box_halfwidth + 1e-12, axis=-1)
 
-    # -- metric and geodesics -----------------------------------------------
-
-    def metric(self, x):
-        phi = self.conformal_factor(x)
-        return phi[..., None, None] ** 4 * np.eye(3)
+    # -- geodesics ---------------------------------------------------------
 
     def christoffel_quadratic(self, x, v):
         """Gamma^k_ab v^a v^b for velocity vectors v, exploiting the conformal form.
@@ -349,7 +369,7 @@ def scalar_curvature(chart: MetricChart, x):
 
 
 def ricci_batch(chart: MetricChart, pts):
-    """Batched (Ricci, metric, scalar) of g = phi^4 delta from phi's closed forms:
+    """Batched (Ricci, scalar) of g = phi^4 delta from phi's closed forms:
 
     Ric = -2 hess(phi)/phi + 6 grad(phi) grad(phi)^T / phi^2
           - (2 lap(phi)/phi + 2 |grad(phi)|^2 / phi^2) delta,
@@ -364,7 +384,7 @@ def ricci_batch(chart: MetricChart, pts):
     ric = (-2.0 * hess / phi[..., None, None] + 6.0 * w[..., :, None] * w[..., None, :]
            - iso[..., None, None] * np.eye(3))
     ric = 0.5 * (ric + np.swapaxes(ric, -1, -2))
-    return ric, phi[..., None, None] ** 4 * np.eye(3), -8.0 * phi**-5 * lap
+    return ric, -8.0 * phi**-5 * lap
 
 
 # ---------------------------------------------------------------------------
@@ -463,10 +483,10 @@ def certify_hypotheses(chart: MetricChart, sampling: VolumeSampling) -> Hypothes
     probes = sampling.r_min * np.array([[1, 0, 0], [0, 1, 0], [0, 0, 1],
                                         [-1, 0, 0], [0, -1, 0], [0, 0, -1]], float)
     pts = np.vstack([pts, probes])
-    ric, g, scal = ricci_batch(chart, pts)
+    ric, scal = ricci_batch(chart, pts)
     # every chart metric is phi^4 delta, so the generalized eigenvalues of
     # Ric against g are the ordinary ones of Ric / phi^4
-    lam = np.linalg.eigvalsh(ric / g[:, :1, :1])[:, 0]
+    lam = np.linalg.eigvalsh(ric / (chart.conformal_factor(pts) ** 4)[:, None, None])[:, 0]
     kappa = max(0.0, -0.5 * float(np.min(lam)))
     i_scal = int(np.argmin(scal))
     i_lam = int(np.argmin(lam))

@@ -10,14 +10,14 @@ three-step gradient-flow construction.
 Membership in the geodesic ball is decided by certificates where they
 suffice and by shots where they do not.  The chord length of p -> x
 bounds d(p, x) from above (see _chord_certified), and |x - p| times the
-square of a lower bound of phi bounds it from below; a candidate or grid
-node that neither decides is shot from p.  The shots ride as extra rows
-of a distance batch that runs anyway: the grid nodes the distortion
-integrates over and the undecided candidates of its sample share the
-batch of its pairs, and the candidates of the Pythagorean sample share
-the records' closing batch.  A candidate is guessed out, and the sample
-is drawn again on the shot verdicts until the guess holds (see
-consume_geodesic_ball).
+square of the chart's lower bound of phi (MetricChart.phi_floor) bounds
+it from below; a candidate or grid node that neither decides is shot
+from p.  The shots ride as extra rows of a distance batch that runs
+anyway: the grid nodes the distortion integrates over and the undecided
+candidates of its sample share the batch of its pairs, and the
+candidates of the Pythagorean sample share the records' closing batch.
+A candidate is guessed out, and the sample is drawn again on the shot
+verdicts until the guess holds (see consume_geodesic_ball).
 
 A flow leg is integrated once: the mean-value candidates of its start
 flow as fixed-step RK4 rows (geodesy.rk4_steps, the RK4 loop the
@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import EmptySample, LeftDomain, NoConvergence, NoDistanceBound
+from .errors import EmptySample, LeftDomain, NoConvergence
 from .geodesy import (distance_batch, mean_value_candidates, mean_value_rule,
                       rk4_steps, segment_functional, MV_SAMPLES, SCORE_FLOOR)
 from .geometry import MetricChart
@@ -209,32 +209,19 @@ def sample_geodesic_ball(chart: MetricChart, triple: HarmonicTriple, r: float,
     return consume_geodesic_ball(chart, triple, r, n_points, seed, label)[0]
 
 
-def _phi_floor(chart: MetricChart) -> float:
-    """A positive lower bound of phi over the chart: 1 plus the negative
-    Gaussian and bump amplitudes, each term being at least its amplitude
-    where that is negative.  A negative monopole, or terms that sum to
-    phi <= 0, leave no such bound and raise NoDistanceBound."""
-    lo = 1.0 + sum(min(0.0, term[1] if term[0] == "gauss" else term[1].amplitude)
-                   for term in chart.bumps)
-    if chart.monopole_amplitude < 0.0 or lo <= 0.0:
-        raise NoDistanceBound(f"phi of the {chart.family} chart has no positive lower "
-                              "bound; the geodesic ball has no Euclidean bound")
-    return lo
-
-
 def _ball_nodes(chart: MetricChart, nodes, kept, r: float):
     """The kept (M, 3) nodes of the geodesic r-ball that certificates
     decide, and the ones that need a shot.
 
     A node x is in when its chord certifies d(p, x) < r (_chord_certified),
-    and out when |x - p| phi_lo^2 > r, phi_lo being _phi_floor; the rest
+    and out when |x - p| phi_lo^2 > r, phi_lo being chart.phi_floor; the rest
     must be shot from p (a chord through the puncture starts its shot from
     the bent chord, see geodesy._extrapolated_seed).  Returns the (M,) mask
     of the certified nodes and the indices of the nodes to shoot.
     """
     p = np.asarray(chart.base_point, float)
     near = np.flatnonzero(kept & (np.linalg.norm(nodes - p, axis=1)
-                                  * _phi_floor(chart) ** 2 <= r))
+                                  * chart.phi_floor ** 2 <= r))
     cert = _chord_certified(chart, p, nodes[near], r)
     in_ball = np.zeros(len(nodes), bool)
     in_ball[near[cert]] = True

@@ -3,6 +3,8 @@
 Solves div_g grad u = 0 for the three functions asymptotic to the chart
 coordinates, with Dirichlet data on the truncation box, all three against
 one operator, and normalizes them to u(p) = 0 at the chart base point p.
+The data are x^i (1 - a/|x|) with a the chart's monopole amplitude, m/2
+on Schwarzschild.
 A solve and a reload of field dumps build the triple by one constructor
 from the normalized u and the nodal conformal data; each field a
 diagnostic reads (u's coordinate partials, |Hess u|_g^2, grad_sup, R, the
@@ -15,14 +17,14 @@ Each whole-grid quantity is built once per triple, in place where it can
 be.  The node coordinates are built once, for the nodal phi and grad phi
 (nodal_conformal); R, the boundary data, the Cheng-Yau balls and the
 certificate's radii come from the grid axis without them.  The operator
-builds the face coefficients from phi alone and, on the first corrected
-axis, the boundary factor 1 - a/|x| from one monopole fit, which the
-three axes share.  The triple shares w = grad phi / phi and phi^8 across
-the axes' |Hess u|_g^2, whose entries and the gradient's partials are
-written into their arrays in the operation order of the one-expression
-forms (tests/oracles.py keeps those as the references).  |grad u|_g is
-not kept (three more nodal fields): grad_norms() hands the three to a
-stage and fixes grad_sup from them.
+builds the face coefficients from phi alone and, on the first axis, the
+boundary factor 1 - a/|x|, which the three axes share.  The triple
+shares w = grad phi / phi and phi^8 across the axes' |Hess u|_g^2, whose
+entries and the gradient's partials are written into their arrays in
+the operation order of the one-expression forms (tests/oracles.py keeps
+those as the references).  |grad u|_g is not kept (three more nodal
+fields): grad_norms() hands the three to a stage and fixes grad_sup from
+them.
 
 Gradient fields are component-major, shape (3, N, N, N): du per axis (from
 grid.gradient) and w, so each partial is one C-contiguous array and the
@@ -66,7 +68,6 @@ from .errors import MismatchedChart, SolverDiverged
 from .geometry import MetricChart, scalar_curvature
 from .grid import (Grid, ScalarGridField, diff1, diff2, dot3, gradient, interpolator,
                    lattice)
-from .mass import sphere_rule
 
 # No solver reads pyamg; only bench/worker.py's environment() does (and
 # TestBenchHooks checks that the name exists).
@@ -228,33 +229,23 @@ class LaplaceBeltrami:
             self._system = matvec, lift
         return self._system
 
-    def boundary_values(self, axis: int, bc: str) -> np.ndarray:
-        """Dirichlet data for one axis on the whole node array (only the
-        boundary ring is used; the interior starts the solve).
+    def boundary_values(self, axis: int) -> np.ndarray:
+        """Dirichlet data u = x^axis (1 - a/|x|) for one axis on the whole
+        node array (only the boundary ring is used; the interior starts the
+        solve), with a the chart's monopole amplitude: the next order of the
+        far-field expansion of the harmonic coordinate, which shrinks the
+        truncation error.  At a = 0 the data are x^axis bit for bit.
 
-        plain:      u = x^axis
-        corrected:  u = x^axis (1 - a/|x|) with a the fitted monopole of
-                    phi, which matches the next order of the far-field
-                    expansion of the harmonic coordinate and shrinks the
-                    truncation error.
-
-        The factor (1 - a/|x|) is built on the first corrected call, from
-        one monopole fit and the node radii; later calls, the three axes of
-        a triple, share it.
+        The factor (1 - a/|x|) is built on the first call from the node
+        radii; later calls, the three axes of a triple, share it.
         """
         shape = [1, 1, 1]
         shape[axis] = self.grid.nodes
-        lin = self.grid.axis.reshape(shape)
-        if bc == "plain":
-            return np.broadcast_to(lin, (self.grid.nodes,) * 3).copy()
-        if bc != "corrected":
-            raise ValueError(f"unknown boundary policy {bc!r}")
         if self._correction is None:
-            a = fit_monopole(self.chart, self.grid.halfwidth)
             factor = np.maximum(self.grid.radii(), 1e-300)
-            np.divide(a, factor, out=factor)
+            np.divide(self.chart.monopole_amplitude, factor, out=factor)
             self._correction = np.subtract(1.0, factor, out=factor)
-        return lin * self._correction
+        return self.grid.axis.reshape(shape) * self._correction
 
     def poisson_preconditioner(self) -> Callable[[np.ndarray], np.ndarray]:
         """The function v -> M^-1 v = Phi^-1 L^-1 Phi^-1 v on flat interior
@@ -287,17 +278,8 @@ class LaplaceBeltrami:
         return self._preconditioner
 
 
-def fit_monopole(chart: MetricChart, radius: float) -> float:
-    """Coefficient a of phi ~ 1 + a/r from the sphere average at `radius`."""
-    dirs, w = sphere_rule(16, 32)
-    phi = chart.conformal_factor(radius * dirs)
-    mean = float(np.sum(w * phi) / (4.0 * np.pi))
-    return radius * (mean - 1.0)
-
-
 def solve_harmonic_coordinate(chart: MetricChart, grid: Grid, axis: int,
-                              bc: str = "corrected", tol: float = 1e-11,
-                              max_iter: int = 20000,
+                              tol: float = 1e-11, max_iter: int = 20000,
                               operator: LaplaceBeltrami | None = None) -> ScalarGridField:
     """Solve the Dirichlet problem for one harmonic coordinate.
 
@@ -312,7 +294,7 @@ def solve_harmonic_coordinate(chart: MetricChart, grid: Grid, axis: int,
     N = grid.nodes
     n = N - 2
     A, lift = op.interior_system()
-    values = op.boundary_values(axis, bc)
+    values = op.boundary_values(axis)
     sol, info = cg(A, lift(values), x0=values[1:-1, 1:-1, 1:-1].ravel(), rtol=tol,
                    atol=0.0, maxiter=max_iter, M=op.poisson_preconditioner())
     if info != 0:
@@ -504,8 +486,8 @@ def _excluded(grid: Grid, singular_node) -> np.ndarray:
     return excluded
 
 
-def build_harmonic_triple(chart: MetricChart, grid: Grid, bc: str = "corrected",
-                          tol: float = 1e-11, max_iter: int = 20000) -> HarmonicTriple:
+def build_harmonic_triple(chart: MetricChart, grid: Grid, tol: float = 1e-11,
+                          max_iter: int = 20000) -> HarmonicTriple:
     """Solve all three axes against one operator, then normalize.
 
     The residual norms are taken from the raw solutions; each is then
@@ -514,7 +496,7 @@ def build_harmonic_triple(chart: MetricChart, grid: Grid, bc: str = "corrected",
     on first read, as on a triple_from_solutions reload of the dumps.
     """
     operator = LaplaceBeltrami(chart, grid)
-    solutions = [solve_harmonic_coordinate(chart, grid, a, bc=bc, tol=tol,
+    solutions = [solve_harmonic_coordinate(chart, grid, a, tol=tol,
                                            max_iter=max_iter, operator=operator)
                  for a in range(3)]
     excluded = _excluded(grid, operator.singular_node)

@@ -203,11 +203,7 @@ def relaxed_scalar_certificate(triple: HarmonicTriple, x_spec: VectorFieldSpec,
 
     hot = psi > PSI_ZERO_TOL
     support_radius = float(np.max(rad[hot])) if np.any(hot) else 0.0
-    declared = max(x_spec.support_radius(),
-                   0.0 if not chart.bumps else max(
-                       (np.linalg.norm(b[1].center) + b[1].width if b[0] == "bump"
-                        else np.linalg.norm(b[2]) + 6.0 * b[3])
-                       for b in chart.bumps))
+    declared = max(x_spec.support_radius(), chart.perturbation_radius)
     holds_outside = bool(np.all(psi[rad > declared + grid.h] <= PSI_ZERO_TOL)) \
         if np.any(rad > declared + grid.h) else True
     return RelaxedScalarCertificate(x_field=x_spec, psi_l1=psi_l1,

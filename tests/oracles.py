@@ -2,11 +2,13 @@
 
 Everything here recomputes reference values along a route different from
 the library code under test: symbolic differentiation, finite-difference
-stencils on metric components, the generic metric-tensor route (g, dg and
-ddg with the textbook Christoffel, Ricci and ADM-flux formulas) behind the
-library's closed forms in phi, separable 1D ODE reductions, and radial
-quadrature, among them every geodesic length of the monopole chart in
-the plane of its endpoints and the puncture.  Where the library runs the
+stencils on metric components, the generic metric-tensor route (the
+tensor phi^4 delta, whose contraction geodesy.metric_speed forms without
+it, and g, dg and ddg with the textbook Christoffel, Ricci and ADM-flux
+formulas) behind the library's closed forms in phi, a second harmonic
+solver that also takes the plain boundary data x^i, separable 1D ODE
+reductions, and radial quadrature, among them every geodesic length of
+the monopole chart in the plane of its endpoints and the puncture.  Where the library runs the
 same arithmetic in fewer or other calls (the stacked geodesic
 integrator, the shared RK4 loop of the flows, the active-set eikonal,
 the trilinear interpolator, the in-place stencils and |Hess u|_g^2
@@ -170,6 +172,14 @@ def fd_scalar_curvature(metric_fn, x0, h=0.02):
 
 # ---------------------------------------------------------------------------
 # the generic metric-tensor route: g, dg, ddg and the textbook formulas
+
+
+def metric(chart, x):
+    """The (..., 3, 3) metric tensor phi^4 delta at points x, phi^4 an
+    array power even at a single point: the tensor geodesy.metric_speed
+    contracts without forming."""
+    phi = chart.conformal_factor(x)
+    return phi[..., None, None] ** 4 * np.eye(3)
 
 
 def metric_derivs(chart, x):
@@ -486,14 +496,16 @@ def scipy_cg(A, b, *, M, **kwargs):
               M=LinearOperator(shape, matvec=M, dtype=float), **kwargs)
 
 
-def jacobi_cg_coordinate(chart, grid, axis, bc="corrected", tol=1e-11, max_iter=20000):
+def jacobi_cg_coordinate(chart, grid, axis, plain=False, tol=1e-11, max_iter=20000):
     """Nodal values of one harmonic coordinate, solved by CG with the
     diagonal (Jacobi) preconditioner on the assembled interior system, from
     the same start and to the same relative residual as the library solve;
-    a second solver for the same discrete problem."""
+    a second solver for the same discrete problem.  With plain=True the
+    Dirichlet data are x^axis itself instead of the library's
+    x^axis (1 - a/|x|)."""
     op = LaplaceBeltrami(chart, grid)
     A, couplings = assemble_interior_system(op)
-    ub = op.boundary_values(axis, bc)
+    ub = grid.points()[..., axis] if plain else op.boundary_values(axis)
     rhs = coupling_rhs(couplings, ub)
     inv_diag = 1.0 / A.diagonal()
     jacobi = LinearOperator(A.shape, matvec=lambda v: inv_diag * v)

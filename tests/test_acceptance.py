@@ -38,7 +38,7 @@ LEVELS = (33, 65, 129)
 def single_axis_triple(chart, grid):
     """Axis-1 solve wrapped as a triple (not normalized; the inequality
     integrals only read derivative fields)."""
-    u = solve_harmonic_coordinate(chart, grid, 0, bc="corrected")
+    u = solve_harmonic_coordinate(chart, grid, 0)
     return triple_from_solutions(chart, grid, [u, u, u])
 
 
@@ -69,7 +69,7 @@ def test_criterion_01_flat_exactness(criterion, flat_chart, flat_triple):
     grid = flat_triple.grid
     u_err = 0.0
     for axis in range(3):
-        u = solve_harmonic_coordinate(flat_chart, grid, axis, bc="plain")
+        u = solve_harmonic_coordinate(flat_chart, grid, axis)
         u_err = max(u_err, float(np.max(np.abs(u.values - grid.points()[..., axis]))))
     drep = gh_distortion(flat_chart, flat_triple, 3.0, 30, seed=101)
     xs = [(1.0, 1.0, 0.0), (2.5, -1.0, 0.5), (3.0, 1.0, 1.0)]
@@ -103,7 +103,7 @@ def test_criterion_03_curvature_oracles(criterion, schw_charts):
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     radii = 0.4 + 17.0 * rng.uniform(size=1000) ** (1.0 / 3.0)
     pts = dirs * radii[:, None]
-    _, _, scal = ricci_batch(schw_charts[0.2], pts)
+    _, scal = ricci_batch(schw_charts[0.2], pts)
     schw_max = float(np.max(np.abs(scal)))
 
     bump = MetricChart("conformal", {"A": 0.0, "gauss_amp": 0.1, "gauss_width": 1.0},
@@ -111,7 +111,7 @@ def test_criterion_03_curvature_oracles(criterion, schw_charts):
     phi, syms = sympy_gaussian_phi(0.1, 1.0)
     oracle = sympy_conformal_scalar(phi, syms)
     sample = rng.uniform(-2.0, 2.0, size=(200, 3))
-    _, _, scal_b = ricci_batch(bump, sample)
+    _, scal_b = ricci_batch(bump, sample)
     conf_max = float(np.max(np.abs(scal_b - oracle(*sample.T))))
     ok = schw_max < 1e-8 and conf_max < 1e-9
     assert criterion(3, ok, f"curvature oracles: |R_schw|max={schw_max:.1e}, "

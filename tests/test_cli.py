@@ -334,16 +334,15 @@ class TestGridEvaluations:
             monkeypatch.setattr(owner, name, wrapper)
 
         counting(afstab.grid.Grid, "points")
-        counting(afstab.harmonic, "fit_monopole")
         counting(afstab.harmonic.HarmonicTriple, "grad_norm")
         counting(afstab.harmonic.HarmonicTriple, "volume_weights")
         found = {}
         for sub in ("harmonic", "inequality"):
             counts.clear()
             assert run(sub, schw_cfg, out_dir=tmp_path)[0] == 0, sub
-            found[sub] = (counts.get("points", 0), counts.get("fit_monopole", 0),
-                          counts.get("grad_norm", 0), counts.get("volume_weights", 0))
-        assert found == {"harmonic": (1, 1, 3, 0), "inequality": (1, 0, 6, 1)}
+            found[sub] = (counts.get("points", 0), counts.get("grad_norm", 0),
+                          counts.get("volume_weights", 0))
+        assert found == {"harmonic": (1, 3, 0), "inequality": (1, 6, 1)}
 
 
 class TestShootingBudget:
@@ -701,7 +700,8 @@ class TestScripts:
     def test_artifact_hashes_names_the_largest_change(self, tmp_path):
         # --against: a moved JSON or CSV artifact is named with its largest
         # relative change over the numbers of size >= 1e-12, the key, and
-        # the old and new values there
+        # the old and new values there; keys on one side only are named,
+        # and the shared numbers are still compared
         compare = runpy.run_path(os.path.join(REPO, "scripts", "artifact_hashes.py"),
                                  run_name="probe")["compare"]
         old, new = tmp_path / "old", tmp_path / "new"
@@ -711,6 +711,7 @@ class TestScripts:
                             '{"a": 1.000001, "axes": [{"s": 2.2}, {"s": 5e-13}], "t": "ok"}'),
                  "p.csv": ("m,z\n0.2,1.0;2.0;4.0\n", "m,z\n0.2,1.0;2.0;5.0\n"),
                  "k.json": ('{"a": 1.0}', '{"b": 1.0}'),
+                 "kn.json": ('{"bc": "plain", "r": [1.0, 2.0]}', '{"r": [1.5, 2.0, 3.0]}'),
                  "s.json": ('{"a": "ok"}', '{"a": "failed"}'),
                  "u.field": ("\x00", "\x01")}
         for name, (a, b) in files.items():
@@ -721,7 +722,9 @@ class TestScripts:
                                   "(3 number(s) moved)")
         assert line["p.csv"] == ("largest relative change 0.25 at [0].z[2]: 4.0 -> 5.0 "
                                  "(1 number(s) moved)")
-        assert line["k.json"] == "structure differs"
+        assert line["k.json"] == "only in old: a; only in new: b"
+        assert line["kn.json"] == ("only in old: bc; only in new: r[2]; largest relative "
+                                   "change 0.5 at r[0]: 1.0 -> 1.5 (1 number(s) moved)")
         assert line["s.json"] == "structure differs at a: 'ok' -> 'failed'"
         assert line["u.field"] == "bytes differ"
 

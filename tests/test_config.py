@@ -65,9 +65,10 @@ class TestParsing:
         with pytest.raises(ValidationError, match="unknown field"):
             config_from_dict(minimal_config(**{"grid.mesh": 3}))
         # the gradient floor, the certificate sampling, the mass fit, rho and
-        # the base point are constants of the program, and the excision is
-        # gone: none of them is a config field
-        fixed = ["family.excision_radius", "family.base_point",
+        # the base point are constants of the program, the boundary data
+        # follow the chart, and the excision is gone: none of them is a
+        # config field
+        fixed = ["family.excision_radius", "family.base_point", "grid.bc",
                  "solver.eps_grad_factor", "sampling.rho", "mass.fit_exponent",
                  "mass.quadrature_polar", "mass.quadrature_azimuth",
                  "mass.residual_threshold", "certificate.n_sample_points",
@@ -76,6 +77,7 @@ class TestParsing:
             config_from_dict(minimal_config(**{key: 1.0 for key in fixed}))
         assert err.value.violations == [
             "family: unknown field(s) ['base_point', 'excision_radius']",
+            "grid: unknown field(s) ['bc']",
             "solver: unknown field(s) ['eps_grad_factor']",
             "sampling: unknown field(s) ['rho']",
             "mass: unknown field(s) ['fit_exponent', 'quadrature_azimuth', "

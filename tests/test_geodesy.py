@@ -27,7 +27,7 @@ from afstab.seeding import rng_for
 
 from oracles import (_gamma_vv_reference, bishop_gromov_check, chord_seeded_distance_batch,
                      chord_seeded_projections, full_grid_eikonal, graph_distance,
-                     hyperbolic_ball_volume, planar_geodesics, rk4_reference,
+                     hyperbolic_ball_volume, metric, planar_geodesics, rk4_reference,
                      schwarzschild_radial_arclength)
 
 BUMP_CONFIG = pathlib.Path(__file__).resolve().parent.parent / "configs" / "bump_control.json"
@@ -97,7 +97,7 @@ class TestShoot:
         rng = rng_for(3, "launch")
         v = rng.normal(size=3)
         x0 = np.array([2.5, 1.0, -0.5])
-        g = schw.metric(x0)
+        g = metric(schw, x0)
         v = v / np.sqrt(v @ g @ v)
         x, w = _rk4_batch(schw, x0[None], 5.0 * v[None], 160)
         assert abs(metric_speed(schw, x, w)[0] / 5.0 - 1.0) < 1e-8

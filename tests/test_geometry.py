@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from scipy.linalg import eigh
 
 import afstab.geometry
+from afstab.geodesy import metric_speed
 from afstab.geometry import (MetricChart, SphereSampling, VolumeSampling,
                              certify_hypotheses, ricci_batch, scalar_curvature,
                              verify_asymptotic_flatness)
@@ -14,7 +15,7 @@ from afstab.mass import adm_mass_at_radius
 from afstab.seeding import rng_for
 
 from oracles import (fd_scalar_curvature, generic_curvature, generic_decay,
-                     generic_mass_flux, metric_derivs, sympy_conformal_scalar,
+                     generic_mass_flux, metric, metric_derivs, sympy_conformal_scalar,
                      sympy_gaussian_phi)
 
 
@@ -109,7 +110,29 @@ class TestMetricAt:
         with pytest.raises(ValueError, match=r"reads no param\(s\) \['A'\]"):
             MetricChart("schwarzschild", {"A": 0.2})
         # the flat family is regular at the origin
-        assert np.array_equal(MetricChart("flat").metric((0.0, 0.0, 0.0)), np.eye(3))
+        assert np.array_equal(metric(MetricChart("flat"), (0.0, 0.0, 0.0)), np.eye(3))
+
+
+class TestMetricSpeed:
+    # |v|_g from phi^4 alone is bit for bit the contraction of the oracle's
+    # tensor, on a batch, a single point (where phi is a numpy scalar and
+    # phi^4 must still be an array power) and strided views
+    @staticmethod
+    def _reference(chart, x, v):
+        return np.sqrt(np.einsum("...ab,...a,...b->...", metric(chart, x), v, v))
+
+    @pytest.mark.parametrize("family", TestConformalFactor.CHARTS)
+    def test_matches_tensor_contraction(self, family):
+        chart = TestConformalFactor.CHARTS[family]
+        rng = rng_for(17, "metric-speed", family)
+        x = rng.uniform(-4.0, 4.0, size=(400, 3))
+        v = rng.normal(size=(400, 3))
+        assert np.array_equal(metric_speed(chart, x, v), self._reference(chart, x, v))
+        for xi, vi in zip(x, v):
+            assert np.array_equal(metric_speed(chart, xi, vi), self._reference(chart, xi, vi))
+        xs, vs = np.asfortranarray(x)[::3], v[::-3]
+        assert not xs.flags.c_contiguous
+        assert np.array_equal(metric_speed(chart, xs, vs), self._reference(chart, xs, vs))
 
 
 class TestCurvature:
@@ -124,7 +147,7 @@ class TestCurvature:
         x = (2.0, 0.0, 0.0)
         scal = generic_curvature(chart, x)[2]
         assert abs(scal) < 1e-12
-        fd = fd_scalar_curvature(lambda p: chart.metric(p), np.asarray(x), h=0.02)
+        fd = fd_scalar_curvature(lambda p: metric(chart, p), np.asarray(x), h=0.02)
         assert abs(scal - fd) < 1e-6
 
     def test_gaussian_bump_matches_symbolic_oracle(self):
@@ -156,7 +179,7 @@ class TestCurvature:
         x = np.array([1.2, 0.7, -0.4])
         exact = generic_curvature(chart, x)[2]
         hs = np.array([0.16, 0.08, 0.04])
-        errs = np.array([abs(fd_scalar_curvature(lambda p: chart.metric(p), x, h=h) - exact)
+        errs = np.array([abs(fd_scalar_curvature(lambda p: metric(chart, p), x, h=h) - exact)
                          for h in hs])
         order = np.polyfit(np.log(hs), np.log(errs), 1)[0]
         assert order >= 3.5
@@ -194,12 +217,11 @@ class TestClosedFormsAgainstGenericRoute:
     def test_ricci_matches_generic(self, family):
         chart = TestConformalFactor.CHARTS[family]
         pts = self._points()
-        ric, g, scal = ricci_batch(chart, pts)
+        ric, scal = ricci_batch(chart, pts)
         ref = generic_curvature(chart, pts)[1]
         scale = max(float(np.max(np.abs(ref))), 1e-300)
         assert np.max(np.abs(ric - ref)) <= 1e-12 * scale
         assert np.array_equal(ric, np.swapaxes(ric, -1, -2))
-        assert np.array_equal(g, chart.metric(pts))
         # one formula for R: ricci_batch's is scalar_curvature's
         assert np.array_equal(scal, scalar_curvature(chart, pts))
 
@@ -241,7 +263,7 @@ class TestPositiveDefinite:
         pts = rng.uniform(-0.95 * chart.box_halfwidth, 0.95 * chart.box_halfwidth,
                           size=(10_000, 3))
         pts = pts[np.linalg.norm(pts, axis=1) > 1e-6]
-        g = chart.metric(pts)
+        g = metric(chart, pts)
         assert np.allclose(g, np.swapaxes(g, -1, -2), atol=0.0)
         assert np.min(np.linalg.eigvalsh(g)) > 0.0
 
@@ -252,7 +274,7 @@ class TestPositiveDefinite:
         pt = np.array([x, y, z])
         if np.linalg.norm(pt) < 1e-3:
             pt[0] += 1.0
-        g = MetricChart("schwarzschild", {"m": m}).metric(pt)
+        g = metric(MetricChart("schwarzschild", {"m": m}), pt)
         assert np.min(np.linalg.eigvalsh(g)) > 0.0
 
 
@@ -323,7 +345,8 @@ class TestCertificates:
 
         monkeypatch.setattr(afstab.geometry, "ricci_batch", recording)
         cert = certify_hypotheses(chart, VolumeSampling(seed=3))
-        (pts, (ric, g, _)), = seen
+        (pts, (ric, _)), = seen
+        g = metric(chart, pts)
         assert np.array_equal(g, g[:, :1, :1] * np.eye(3))   # isotropic, exactly
         batched = np.linalg.eigvalsh(ric / g[:, :1, :1])[:, 0]
         ref = np.array([eigh(r, m, eigvals_only=True)[0] for r, m in zip(ric, g)])

@@ -14,7 +14,7 @@ from afstab.errors import LeftDomain, NoConvergence, NoDistanceBound
 from afstab.geodesy import distance_batch
 from afstab.geometry import MetricChart
 from afstab.gh import (StabilityReport, _ball_nodes, _chord_certified, _chord_lengths,
-                       _flow_batch, _flow_legs, _phi_floor, displacement_bound,
+                       _flow_batch, _flow_legs, displacement_bound,
                        flow_coverage, gh_distortion, gradient_flow_step, reach_point,
                        reach_points, sample_geodesic_ball)
 from afstab.grid import Grid
@@ -362,14 +362,14 @@ class TestBallMask:
         assert rep.ortho_l1 == self._ortho_l1(triple, mask)
 
     def test_phi_floor(self):
-        assert _phi_floor(MetricChart("schwarzschild", {"m": 0.1})) == 1.0
+        assert MetricChart("schwarzschild", {"m": 0.1}).phi_floor == 1.0
         bumps = [{"amplitude": -0.3, "center": (1.0, 0.0, 0.0), "width": 2.0},
                  {"amplitude": 0.5, "center": (-1.0, 0.0, 0.0), "width": 2.0}]
-        assert _phi_floor(MetricChart("perturbed", {"A": 0.1, "bumps": bumps})) == 0.7
+        assert MetricChart("perturbed", {"A": 0.1, "bumps": bumps}).phi_floor == 0.7
         for chart in (MetricChart("schwarzschild", {"m": -0.1}),
                       MetricChart("conformal", {"gauss_amp": -1.5})):
             with pytest.raises(NoDistanceBound):
-                _phi_floor(chart)
+                chart.phi_floor
 
     def test_chart_without_phi_floor_fails_before_sampling(self, monkeypatch):
         # phi = 1 - exp(-|x|^2) vanishes at the origin; the flat triple only

@@ -16,7 +16,7 @@ from afstab.errors import MismatchedChart, SolverDiverged
 from afstab.geometry import MetricChart
 from afstab.grid import Grid, ScalarGridField, dot3
 from afstab.harmonic import (HarmonicTriple, LaplaceBeltrami, build_harmonic_triple, cg,
-                             cheng_yau_ratios, fit_monopole, solve_harmonic_coordinate,
+                             cheng_yau_ratios, solve_harmonic_coordinate,
                              triple_from_solutions)
 
 from oracles import (_covariant_hessian, assemble_interior_system, coupling_rhs,
@@ -143,27 +143,43 @@ class TestSolve:
         grid = Grid(halfwidth=20.0, nodes=33)
         chart = MetricChart("flat", box_halfwidth=50.0)
         for axis in range(3):
-            u = solve_harmonic_coordinate(chart, grid, axis, bc="plain")
+            u = solve_harmonic_coordinate(chart, grid, axis)
             assert np.max(np.abs(u.values - grid.points()[..., axis])) < 1e-8
 
     def test_conformal_zero_amplitude_matches_flat(self):
         grid = Grid(halfwidth=20.0, nodes=17)
         conf = MetricChart("conformal", {"A": 0.0}, box_halfwidth=50.0)
-        u = solve_harmonic_coordinate(conf, grid, 0, bc="plain")
+        u = solve_harmonic_coordinate(conf, grid, 0)
         assert np.max(np.abs(u.values - grid.points()[..., 0])) < 1e-8
 
-    def test_monopole_fit(self, schw_chart):
-        assert fit_monopole(schw_chart, 20.0) == pytest.approx(0.1, abs=1e-12)
+    @pytest.mark.parametrize("chart", [
+        MetricChart("flat", box_halfwidth=50.0),
+        MetricChart("conformal", {"A": 0.0}, box_halfwidth=50.0),
+        MetricChart("perturbed", {"A": 0.0, "bumps": [
+            {"amplitude": 0.15, "center": [1.0, 0.0, 0.0], "width": 2.0}]},
+            box_halfwidth=50.0),
+    ], ids=["flat", "conformal", "perturbed"])
+    def test_boundary_data_without_monopole_are_the_coordinates(self, chart):
+        # a = 0: x^i (1 - a/|x|) is x^i bit for bit, the origin node included
+        grid = Grid(halfwidth=20.0, nodes=17)
+        op = LaplaceBeltrami(chart, grid)
+        for axis in range(3):
+            assert np.array_equal(op.boundary_values(axis), grid.points()[..., axis])
 
     def test_corrected_boundary_profile(self, schw_chart):
+        # x^i (1 - (m/2)/|x|) on the boundary ring, in the same operation
+        # order, with a = m/2 exactly the chart's
         grid = Grid(halfwidth=20.0, nodes=17)
-        vals = LaplaceBeltrami(schw_chart, grid).boundary_values(0, "corrected")
-        pts = grid.points()
-        r = np.linalg.norm(grid.points(), axis=-1)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            expect = pts[..., 0] * (1.0 - 0.1 / r)
+        op = LaplaceBeltrami(schw_chart, grid)
         mask = grid.margin_mask(1)
-        assert np.allclose(vals[mask], expect[mask], atol=1e-12)
+        factor = 1.0 - (0.2 / 2) / grid.radii()[mask]
+        shared = []
+        for axis in range(3):
+            assert np.array_equal(op.boundary_values(axis)[mask],
+                                  grid.points()[..., axis][mask] * factor)
+            shared.append(op._correction)
+        # the factor is built once; the three axes share it
+        assert shared[0] is shared[1] is shared[2]
 
     def test_axis_profile_matches_ode_oracle(self, schw_chart):
         # frozen oracle values: shooting solution of (r^2 phi^2 H')' = 2 phi^2 H,
@@ -177,7 +193,7 @@ class TestSolve:
         assert np.max(np.abs(H - frozen)) < 1e-9
 
         grid = Grid(halfwidth=20.0, nodes=65)
-        u = solve_harmonic_coordinate(schw_chart, grid, 0, bc="corrected")
+        u = solve_harmonic_coordinate(schw_chart, grid, 0)
         c = 65 // 2
         for r, href in zip(probes, H):
             i = int(round((r + 20.0) / grid.h))
@@ -185,23 +201,24 @@ class TestSolve:
 
     def test_discrete_maximum_principle(self, schw_chart):
         grid = Grid(halfwidth=20.0, nodes=33)
-        u = solve_harmonic_coordinate(schw_chart, grid, 0, bc="plain")
+        u = solve_harmonic_coordinate(schw_chart, grid, 0)
         boundary = grid.margin_mask(1)
         assert np.max(u.values[~boundary]) <= np.max(u.values[boundary]) + 1e-10
         assert np.min(u.values[~boundary]) >= np.min(u.values[boundary]) - 1e-10
 
     def test_truncation_consistency(self):
-        # plain vs corrected boundary data change the solution on a fixed
-        # central region by an amount decaying like R_out^-tau (the
-        # boundary-data difference ~ a x/R extends harmonically inward)
+        # plain data x^i (the oracle's) vs the corrected data change the
+        # solution on a fixed central region by an amount decaying like
+        # R_out^-tau (the boundary-data difference ~ a x/R extends
+        # harmonically inward)
         diffs = []
         for R in (10.0, 20.0):
             chart = MetricChart("schwarzschild", {"m": 0.2}, box_halfwidth=50.0)
             grid = Grid(halfwidth=R, nodes=33)
-            up = solve_harmonic_coordinate(chart, grid, 0, bc="plain")
-            uc = solve_harmonic_coordinate(chart, grid, 0, bc="corrected")
+            up = jacobi_cg_coordinate(chart, grid, 0, plain=True)
+            uc = solve_harmonic_coordinate(chart, grid, 0)
             inner = np.all(np.abs(grid.points()) <= 5.0, axis=-1)
-            diffs.append(np.max(np.abs(up.values - uc.values)[inner]))
+            diffs.append(np.max(np.abs(up - uc.values)[inner]))
         assert diffs[1] < diffs[0]
         assert 1.3 < diffs[0] / diffs[1] < 3.2   # declared tau = 1, ratio ~ 2
 
@@ -255,7 +272,7 @@ class TestConjugateGradients:
     def _system(chart, nodes, axis):
         op = LaplaceBeltrami(chart, Grid(halfwidth=20.0, nodes=nodes))
         A, lift = op.interior_system()
-        values = op.boundary_values(axis, "corrected")
+        values = op.boundary_values(axis)
         return A, lift(values), values[1:-1, 1:-1, 1:-1].ravel(), op.poisson_preconditioner()
 
     @staticmethod
@@ -511,7 +528,7 @@ class TestTriple:
         errs = []
         for n in (33, 65):
             grid = Grid(halfwidth=20.0, nodes=n)
-            u = solve_harmonic_coordinate(schw_chart, grid, 0, bc="corrected")
+            u = solve_harmonic_coordinate(schw_chart, grid, 0)
             c = n // 2
             err = 0.0
             for r, href in zip(probes, H):

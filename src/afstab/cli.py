@@ -148,20 +148,19 @@ def _inequality(ctx: RunContext):
     Kato check (lhs, rhs), per axis, and the relaxed scalar-curvature
     certificate; ok when every axis passes the check."""
     triple, mass = ctx.triple, ctx.mass_report.extrapolated
+    # each axis's |grad u|_g and |Hess u|^2 from one gradient, held for the
+    # axis loop (the norms also fix grad_sup); this build sets the stage's
+    # memory peak: it runs before the shared fields are alive
+    norms, _ = triple.grad_norms_and_hess2()
     eps_grad = EPS_GRAD_FACTOR * triple.grad_sup
-    # the |Hess u|^2 build sets the stage's memory peak: it runs before the
-    # shared fields are alive
-    triple.hess2
     weights = triple.volume_weights()
     reports, kato = [], []
     for axis in range(3):
-        # |grad u|_g derived once per axis for both checks, one axis at a
-        # time so that one norm is alive
-        fields = (triple.grad_norm(axis), weights)
+        fields = (norms[axis], weights)
         reports.append(mass_inequality_rhs(triple, axis, mass, eps_grad=eps_grad,
                                            fields=fields))
         kato.append(refined_kato_check(triple, axis, eps_grad=eps_grad, fields=fields))
-        del fields
+    del norms, fields
     cert = relaxed_scalar_certificate(triple, VectorFieldSpec(**ctx.cfg.certificate.x_field),
                                       c_coef=ctx.cfg.certificate.c_coef, weights=weights)
     ok = all(lhs <= rhs * (1.0 + 1e-6) + 1e-14 for lhs, rhs in kato)

@@ -6,33 +6,43 @@ one operator, and normalizes them to u(p) = 0 at the chart base point p.
 The data are x^i (1 - a/|x|) with a the chart's monopole amplitude, m/2
 on Schwarzschild.
 A solve and a reload of field dumps build the triple by one constructor
-from the normalized u and the nodal conformal data; each field a
-diagnostic reads (u's coordinate partials, |Hess u|_g^2, grad_sup, R, the
+from the normalized u (and, from a solve, the operator's nodal phi); each
+field a diagnostic reads (phi, grad phi, |Hess u|_g^2, grad_sup, R, the
 Gram defect, the interpolators) is derived on its first read, so a stage
 pays only for what it reads: only the mass inequality and the Pythagorean
 scoring read |Hess u|_g^2.  No derived field builds a whole-grid 3x3 tensor:
 |Hess u|_g^2 is summed entry by entry, and R is taken slab by slab.
 
-Each whole-grid quantity is built once per triple, in place where it can
-be.  The node coordinates are built once, for the nodal phi and grad phi
-(nodal_conformal); R, the boundary data, the Cheng-Yau balls and the
-certificate's radii come from the grid axis without them.  The operator
-builds the face coefficients from phi alone and, on the first axis, the
-boundary factor 1 - a/|x|, which the three axes share.  The triple
-shares w = grad phi / phi and phi^8 across the axes' |Hess u|_g^2, whose
-entries and the gradient's partials are written into their arrays in
-the operation order of the one-expression forms (tests/oracles.py keeps
-those as the references).  |grad u|_g is not kept (three more nodal
-fields): grad_norms() hands the three to a stage and fixes grad_sup from
-them.
+The triple keeps what its readers share and no more: u, phi, the
+|Hess u|_g^2 fields, and grad phi, R, the Gram defect and the interpolators
+once read.  u's coordinate partials are not kept (nine nodal fields):
+partials(i) derives one axis's from grid.gradient, and every consumer
+uses one axis's and drops them, except the Gram defect, which holds all
+nine while it sums.  |grad u|_g is not kept either (three more):
+grad_norms() hands the three to a stage and fixes grad_sup from them, and
+grad_norms_and_hess2() forms each axis's |grad u|_g and |Hess u|_g^2 from
+one gradient, for the mass-inequality stage.
 
-Gradient fields are component-major, shape (3, N, N, N): du per axis (from
-grid.gradient) and w, so each partial is one C-contiguous array and the
-products of partials that |Hess u|_g^2, |grad u|_g and the Gram defect
-form stream through memory.  Their length-3 contractions all go through
-grid.dot3, which fixes the summation order: np.einsum's order depends on
-the operands' memory layout, and dot3 keeps the one it takes on
-contiguous (N, N, N, 3) data.  Only grad_interp interleaves its values
+Each whole-grid quantity is built once per stage, in place where it can
+be.  The node coordinates are built once: for the operator's nodal phi
+in a solve, and for grad phi (with phi, on a reload) where it is read;
+R, the boundary data, the Cheng-Yau balls and the certificate's radii
+come from the grid axis without them.  The operator builds the face
+coefficients and the nodal phi from the chart's phi alone, no grad phi,
+and, on the first axis, the boundary factor 1 - a/|x|, which the three
+axes share.  The |Hess u|_g^2 build shares w = grad phi / phi and phi^8
+across the axes; its grad phi is not kept, so it is not alive while the
+entries are formed.  The entries and the gradient's partials are written
+into their arrays in the operation order of the one-expression forms
+(tests/oracles.py keeps those as the references).
+
+Gradient fields are component-major, shape (3, N, N, N): u's partials per
+axis (from grid.gradient) and w, so each partial is one C-contiguous array
+and the products of partials that |Hess u|_g^2, |grad u|_g and the Gram
+defect form stream through memory.  Their length-3 contractions all go
+through grid.dot3, which fixes the summation order: np.einsum's order
+depends on the operands' memory layout, and dot3 keeps the one it takes
+on contiguous (N, N, N, 3) data.  Only grad_interp interleaves its values
 (N, N, N, 3), as Trilinear reads them; the nodal dphi keeps the layout
 the chart returns.
 
@@ -46,6 +56,11 @@ scaling and negated, the stencil on the interior nodes is a symmetric
 positive definite operator, which is exactly the symmetry of the operator
 in the sqrt(det g)-weighted inner product, and the same stencil on the
 boundary data gives the Dirichlet right-hand side.
+The stencil's working set is fixed: one face-flux buffer serves the three
+directions and one scratch array their differences, in the operation
+order of the form with one flux array per direction (tests/oracles.py
+keeps it as the reference), and the solve hands cg a view of the
+interior start, which cg copies once into its iterate.
 
 The solve is conjugate gradients on that operator (cg, scipy's iteration
 on plain functions), preconditioned by the Concus-Golub scaled Laplacian:
@@ -59,7 +74,7 @@ long.
 """
 
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from functools import cached_property, partial
 
 import numpy as np
@@ -83,8 +98,10 @@ def cg(A: Callable, b: np.ndarray, *, x0: np.ndarray, rtol: float, atol: float,
     order, so it returns the same (x, info) bit for bit: info is 0 once
     |r| < max(atol, rtol |b|) and maxiter when the budget runs out; b itself
     (the exact solution) for b = 0.  callback(x) runs after each iteration.
+    x0 may be any array of b's size, a strided view too: it is copied once,
+    into the iterate, and never written.
     """
-    x = np.array(x0, dtype=float)
+    x = np.array(x0, dtype=float).reshape(b.shape)
     bnrm2 = np.linalg.norm(b)
     atol = max(float(atol), float(rtol) * float(bnrm2))
     if bnrm2 == 0:
@@ -111,25 +128,29 @@ def cg(A: Callable, b: np.ndarray, *, x0: np.ndarray, rtol: float, atol: float,
     return x, maxiter
 
 
-def _finite_impute(arr: np.ndarray, node):
-    """Replace the values at one node by the mean of its six neighbors."""
-    i, j, k = node
-    arr[i, j, k] = (arr[i + 1, j, k] + arr[i - 1, j, k] + arr[i, j + 1, k]
-                    + arr[i, j - 1, k] + arr[i, j, k + 1] + arr[i, j, k - 1]) / 6.0
-
-
-def nodal_conformal(chart: MetricChart, grid: Grid):
-    """Nodal conformal factor and gradient; returns (phi, dphi, node).  For
-    a chart singular at the origin with a node there, node is that node and
-    phi, dphi hold the mean of its six neighbors there, else node is None."""
-    phi, dphi = chart.conformal_gradient(grid.points())
+def _puncture_node(chart: MetricChart, grid: Grid):
+    """The node at the origin when the chart is singular there and the grid
+    has a node there, else None."""
     c = grid.nodes // 2
-    if not (chart.singular_at_origin and abs(grid.axis[c]) < 1e-12):
-        return phi, dphi, None
-    node = (c, c, c)
-    _finite_impute(phi, node)
-    _finite_impute(dphi, node)
-    return phi, dphi, node
+    if chart.singular_at_origin and abs(grid.axis[c]) < 1e-12:
+        return (c, c, c)
+    return None
+
+
+def _impute(arr: np.ndarray, node) -> np.ndarray:
+    """arr with its values at node (none when node is None) replaced, in
+    place, by the mean of its six neighbors."""
+    if node is not None:
+        i, j, k = node
+        arr[i, j, k] = (arr[i + 1, j, k] + arr[i - 1, j, k] + arr[i, j + 1, k]
+                        + arr[i, j - 1, k] + arr[i, j, k + 1] + arr[i, j, k - 1]) / 6.0
+    return arr
+
+
+def nodal_phi(chart: MetricChart, grid: Grid) -> np.ndarray:
+    """The nodal conformal factor, imputed at the puncture node; no
+    derivative is formed."""
+    return _impute(chart.conformal_factor(grid.points()), _puncture_node(chart, grid))
 
 
 class LaplaceBeltrami:
@@ -137,13 +158,14 @@ class LaplaceBeltrami:
 
     Face coefficient arrays kx, ky, kz hold sqrt(det g) g^aa at the
     midpoints of the faces normal to each axis; weight holds the nodal
-    sqrt(det g) (built on first read), and phi, dphi, singular_node those
-    of nodal_conformal, which the triple builder reuses; boundary_values()
-    gives each axis's Dirichlet data.  One face-flux stencil encodes the
-    operator: apply() scales it to the full operator at the interior
-    nodes, interior_system() negates it into the SPD interior operator and
-    its Dirichlet lift, and poisson_preconditioner() is the fast-Poisson
-    preconditioner of that interior operator.
+    sqrt(det g) (built on first read), phi the nodal conformal factor
+    (nodal_phi, which the triple builder reuses) and singular_node the
+    puncture node or None; boundary_values() gives each axis's Dirichlet
+    data.  One face-flux stencil encodes the operator: apply() scales it
+    to the full operator at the interior nodes, interior_system() negates
+    it into the SPD interior operator and its Dirichlet lift, and
+    poisson_preconditioner() is the fast-Poisson preconditioner of that
+    interior operator.
     """
 
     def __init__(self, chart: MetricChart, grid: Grid):
@@ -163,7 +185,8 @@ class LaplaceBeltrami:
         self.kx = face_phi2(0)   # (N-1, N, N)
         self.ky = face_phi2(1)
         self.kz = face_phi2(2)
-        self.phi, self.dphi, self.singular_node = nodal_conformal(chart, grid)
+        self.singular_node = _puncture_node(chart, grid)
+        self.phi = nodal_phi(chart, grid)
         self.h = grid.h
         self._system = None
         self._preconditioner = None
@@ -173,14 +196,24 @@ class LaplaceBeltrami:
     def _flux_divergence(kx, ky, kz, values: np.ndarray) -> np.ndarray:
         """(n, n, n) sum over the axes of the outgoing minus the incoming
         face flux k_a (difference of values across the face) of nodal
-        values, at the interior nodes: h^2 weight times the operator."""
+        values, at the interior nodes: h^2 weight times the operator.  The
+        three directions reuse one face-flux buffer, and y and z one
+        scratch array for their differences."""
         c = slice(1, -1)
-        flux_x = kx[:, c, c] * (values[1:, c, c] - values[:-1, c, c])
-        flux_y = ky[c, :, c] * (values[c, 1:, c] - values[c, :-1, c])
-        flux_z = kz[c, c, :] * (values[c, c, 1:] - values[c, c, :-1])
-        out = flux_x[1:] - flux_x[:-1]
-        out += flux_y[:, 1:] - flux_y[:, :-1]
-        out += flux_z[:, :, 1:] - flux_z[:, :, :-1]
+        n = values.shape[0] - 2
+        flux = np.empty((n + 1) * n * n)
+
+        def face_flux(k, hi, lo, shape):
+            f = np.subtract(hi, lo, out=flux.reshape(shape))
+            return np.multiply(k, f, out=f)
+
+        f = face_flux(kx[:, c, c], values[1:, c, c], values[:-1, c, c], (n + 1, n, n))
+        out = np.subtract(f[1:], f[:-1])
+        scratch = np.empty_like(out)
+        f = face_flux(ky[c, :, c], values[c, 1:, c], values[c, :-1, c], (n, n + 1, n))
+        out += np.subtract(f[:, 1:], f[:, :-1], out=scratch)
+        f = face_flux(kz[c, c, :], values[c, c, 1:], values[c, c, :-1], (n, n, n + 1))
+        out += np.subtract(f[:, :, 1:], f[:, :, :-1], out=scratch)
         return out
 
     @cached_property
@@ -295,7 +328,8 @@ def solve_harmonic_coordinate(chart: MetricChart, grid: Grid, axis: int,
     n = N - 2
     A, lift = op.interior_system()
     values = op.boundary_values(axis)
-    sol, info = cg(A, lift(values), x0=values[1:-1, 1:-1, 1:-1].ravel(), rtol=tol,
+    # the interior view starts the iteration: cg copies it once, into its iterate
+    sol, info = cg(A, lift(values), x0=values[1:-1, 1:-1, 1:-1], rtol=tol,
                    atol=0.0, maxiter=max_iter, M=op.poisson_preconditioner())
     if info != 0:
         raise SolverDiverged(f"conjugate gradients returned info={info} "
@@ -350,35 +384,81 @@ class HarmonicTriple:
     """The three normalized coordinates and the fields derived from them.
 
     The constructor takes what a solve or a reload provides: the fields
-    u^i (u^i(p) = 0), the nodal conformal data, the excluded-node mask
-    and, from a solve only, the diagnostics residual_norms and u_at_p
+    u^i (u^i(p) = 0), the excluded-node mask and, from a solve only, the
+    diagnostics residual_norms and u_at_p and the operator's nodal phi
     (None on a triple rebuilt from field dumps).  Every other field is
-    derived from these on first read and kept.
+    derived from these on first read and kept, except u's coordinate
+    partials and |grad u|_g, which are derived per call and not kept.
     """
 
     chart: MetricChart
     grid: Grid
     u: tuple                     # three ScalarGridFields, u^i(p) = 0
-    phi: np.ndarray              # nodal conformal factor (puncture imputed)
-    dphi: np.ndarray             # nodal conformal gradient, (N, N, N, 3)
     excluded: np.ndarray         # nodes excluded from integral norms
     residual_norms: tuple | None = None   # operator residual per raw solution
     u_at_p: tuple | None = None           # the subtracted raw values u^i(p)
+    solved_phi: InitVar[np.ndarray | None] = None   # the solve's nodal phi
+
+    def __post_init__(self, solved_phi):
+        if solved_phi is not None:
+            self.phi = solved_phi
 
     @cached_property
-    def du(self) -> tuple:
-        """(3, N, N, N) coordinate partials per axis (grid.gradient)."""
-        return tuple(gradient(u.values, self.grid.h) for u in self.u)
+    def phi(self) -> np.ndarray:
+        """Nodal conformal factor, imputed at the puncture (nodal_phi): the
+        operator's on a solved triple, else built on first read, or with
+        grad phi when that is built first."""
+        return nodal_phi(self.chart, self.grid)
+
+    @cached_property
+    def dphi(self) -> np.ndarray:
+        """Nodal conformal gradient (N, N, N, 3), imputed at the puncture,
+        built on first read and kept (see _nodal_gradient)."""
+        return self._nodal_gradient()
+
+    def _nodal_gradient(self) -> np.ndarray:
+        """A new nodal conformal gradient (N, N, N, 3), imputed at the
+        puncture; phi, when it is not built yet, comes from the same chart
+        call on the node coordinates."""
+        node = _puncture_node(self.chart, self.grid)
+        phi, dphi = self.chart.conformal_gradient(self.grid.points())
+        if "phi" not in vars(self):
+            self.phi = _impute(phi, node)
+        return _impute(dphi, node)
+
+    def partials(self, i: int) -> np.ndarray:
+        """(3, N, N, N) coordinate partials of u^i (grid.gradient), derived
+        on each call and not kept."""
+        return gradient(self.u[i].values, self.grid.h)
 
     @cached_property
     def hess2(self) -> tuple:
-        """(N, N, N) |Hess u^i|_g^2 per axis."""
-        w = np.empty((3,) + self.phi.shape)     # component-major, as du
+        """(N, N, N) |Hess u^i|_g^2 per axis (see grad_norms_and_hess2)."""
+        return self.grad_norms_and_hess2()[1]
+
+    def grad_norms_and_hess2(self) -> tuple:
+        """(grad_norms(), hess2), each axis's |grad u|_g and |Hess u|_g^2
+        from one gradient of u^i while hess2 is not built; the partials of
+        one axis are alive at a time, and the first call fixes hess2 and,
+        unless it is fixed, grad_sup.  w = grad phi / phi comes from a
+        grad phi that is not kept (_nodal_gradient), so it is not alive while
+        the Hessians are formed."""
+        if "hess2" in vars(self):
+            return self.grad_norms(), self.hess2
+        dphi = self._nodal_gradient()   # first: on a reload it also builds phi
+        w = np.empty((3,) + dphi.shape[:-1])     # component-major, as the partials
         for a in range(3):
-            np.divide(self.dphi[..., a], self.phi, out=w[a])
+            np.divide(dphi[..., a], self.phi, out=w[a])
+        del dphi
         phi8 = self.phi**8
-        return tuple(_hessian_norm2(u.values, du, w, phi8, self.grid.h)
-                     for u, du in zip(self.u, self.du))
+        norms, hess2 = [], []
+        for i, u in enumerate(self.u):
+            du = self.partials(i)
+            hess2.append(_hessian_norm2(u.values, du, w, phi8, self.grid.h))
+            norms.append(self.grad_norm(i, du))
+            del du
+        self.hess2 = tuple(hess2)
+        return self._fix_grad_sup(tuple(norms)), self.hess2
 
     @cached_property
     def grad_sup(self) -> float:
@@ -404,6 +484,7 @@ class HarmonicTriple:
         (i, j) order; the Gram matrix is symmetric, so each entry with
         i < j is formed once and added twice."""
         phi4 = self.phi**4
+        du = [self.partials(i) for i in range(3)]   # the nine partials, while summing
         upper = {}                       # |entry (i, j)|, i < j, until read twice
         total = np.zeros((self.grid.nodes,) * 3)
         for i in range(3):
@@ -411,7 +492,7 @@ class HarmonicTriple:
                 if j < i:
                     total += upper.pop((j, i))
                     continue
-                gram = dot3(self.du[i], self.du[j])
+                gram = dot3(du[i], du[j])
                 gram /= phi4
                 if i == j:
                     gram -= 1.0
@@ -428,7 +509,8 @@ class HarmonicTriple:
     @cached_property
     def grad_interp(self) -> tuple:
         """Interpolator of the raised g-gradient du / phi^4 of u^i per axis,
-        its values interleaved (N, N, N, 3) as Trilinear reads them."""
+        its values interleaved (N, N, N, 3) as Trilinear reads them; one
+        axis's partials are alive at a time."""
         phi4 = self.phi**4
 
         def raised(du):
@@ -437,7 +519,7 @@ class HarmonicTriple:
                 np.divide(du[a], phi4, out=out[..., a])
             return out
 
-        return tuple(interpolator(self.grid, raised(du)) for du in self.du)
+        return tuple(interpolator(self.grid, raised(self.partials(i))) for i in range(3))
 
     @cached_property
     def hess_sum_interp(self):
@@ -453,18 +535,25 @@ class HarmonicTriple:
         """Riemannian cell volumes sqrt(det g) h^3 at nodes."""
         return self.phi**6 * self.grid.h**3
 
-    def grad_norm(self, i: int) -> np.ndarray:
-        """|grad u^i|_g field."""
-        norm = dot3(self.du[i], self.du[i])
+    def grad_norm(self, i: int, du: np.ndarray | None = None) -> np.ndarray:
+        """|grad u^i|_g field, from the partials du of u^i when the caller
+        holds them, else from partials(i)."""
+        if du is None:
+            du = self.partials(i)
+        norm = dot3(du, du)
         np.sqrt(norm, out=norm)
         norm /= np.square(self.phi)
         return norm
 
     def grad_norms(self) -> tuple:
         """|grad u^i|_g per axis: three (N, N, N) fields that the triple does
-        not keep.  The first call also fixes grad_sup from them, so a stage
-        that holds them evaluates no more for grad_sup."""
-        norms = tuple(self.grad_norm(i) for i in range(3))
+        not keep, one axis's partials alive at a time.  The first call also
+        fixes grad_sup from them, so a stage that holds them evaluates no
+        more for grad_sup."""
+        return self._fix_grad_sup(tuple(self.grad_norm(i) for i in range(3)))
+
+    def _fix_grad_sup(self, norms: tuple) -> tuple:
+        """norms, after fixing grad_sup from them unless it is fixed."""
         if "grad_sup" not in vars(self):
             kept = ~self.excluded
             self.grad_sup = max(float(np.max(g[kept])) for g in norms)
@@ -506,9 +595,9 @@ def build_harmonic_triple(chart: MetricChart, grid: Grid, tol: float = 1e-11,
     u_at_p = tuple(float(interpolator(grid, u.values)(p)[0]) for u in solutions)
     for u, off in zip(solutions, u_at_p):
         u.values -= off
-    return HarmonicTriple(chart=chart, grid=grid, u=tuple(solutions),
-                          phi=operator.phi, dphi=operator.dphi, excluded=excluded,
-                          residual_norms=residual_norms, u_at_p=u_at_p)
+    return HarmonicTriple(chart=chart, grid=grid, u=tuple(solutions), excluded=excluded,
+                          residual_norms=residual_norms, u_at_p=u_at_p,
+                          solved_phi=operator.phi)
 
 
 def triple_from_solutions(chart: MetricChart, grid: Grid, solutions) -> HarmonicTriple:
@@ -517,14 +606,13 @@ def triple_from_solutions(chart: MetricChart, grid: Grid, solutions) -> Harmonic
     Built by the same constructor as a solved triple, from the values as
     they are, so a triple reloaded from its dumps derives the solved one's
     fields bit for bit.  No operator is built: residual_norms and u_at_p
-    stay None.
+    stay None, and phi is derived on first read.
     """
     for sol in solutions:
         if sol.grid != grid:
             raise MismatchedChart("field dump grid differs from the config grid")
-    phi, dphi, singular_node = nodal_conformal(chart, grid)
-    return HarmonicTriple(chart=chart, grid=grid, u=tuple(solutions), phi=phi,
-                          dphi=dphi, excluded=_excluded(grid, singular_node))
+    return HarmonicTriple(chart=chart, grid=grid, u=tuple(solutions),
+                          excluded=_excluded(grid, _puncture_node(chart, grid)))
 
 
 def cheng_yau_ratios(triple: HarmonicTriple, radius: float) -> list:

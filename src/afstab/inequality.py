@@ -165,17 +165,17 @@ def relaxed_scalar_certificate(triple: HarmonicTriple, x_spec: VectorFieldSpec,
     """psi := max(0, c|X|^2 + div X - R) on the triple's grid, its L1(g)
     norm, and the smallest radius outside which psi vanishes numerically.
 
-    Reads the triple's nodal conformal data, its R (`scalar_curvature`)
-    and volume weights (`weights`, when the caller holds them); the only
-    node where the triple's phi is imputed is the puncture, where psi is
-    set to 0.  For X = grad_g w the divergence
-    is the conformal Laplace-Beltrami of w,
+    Reads the triple's R (`scalar_curvature`) and volume weights
+    (`weights`, when the caller holds them), and its nodal phi and grad phi
+    only for a gradient_bump field; the only node where the triple's phi
+    is imputed is the puncture, where psi is set to 0.  For X = grad_g w
+    the divergence is the conformal Laplace-Beltrami of w,
     phi^-4 lap(w) + 2 phi^-5 grad(phi).grad(w), assembled in closed form.
     The c_coef knob is the constant allowed to replace |X|^2 (any c > 1/4
     works in the continuum argument; default 1).
     """
     chart, grid = triple.chart, triple.grid
-    phi, dphi, scal = triple.phi, triple.dphi, triple.scalar_curvature
+    scal = triple.scalar_curvature
     rad = grid.radii()
 
     if x_spec.kind == "zero" or x_spec.amplitude == 0.0:
@@ -183,6 +183,8 @@ def relaxed_scalar_certificate(triple: HarmonicTriple, x_spec: VectorFieldSpec,
         div = np.zeros_like(scal)
     elif x_spec.kind == "gradient_bump":
         from .geometry import Bump
+        dphi = triple.dphi          # first: on a reload it also builds phi
+        phi = triple.phi
         bump = Bump(x_spec.amplitude, tuple(x_spec.center), x_spec.width)
         _, dw, ddw = bump.value_grad_hess(grid.points())
         dw = np.moveaxis(dw, -1, 0)

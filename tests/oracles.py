@@ -422,6 +422,19 @@ def _covariant_hessian(values: np.ndarray, du: np.ndarray, phi: np.ndarray,
     return dd - gamma_term
 
 
+def flux_divergence_reference(kx, ky, kz, values: np.ndarray) -> np.ndarray:
+    """The face-flux stencil of LaplaceBeltrami with one flux array per
+    direction, each formed in one expression."""
+    c = slice(1, -1)
+    flux_x = kx[:, c, c] * (values[1:, c, c] - values[:-1, c, c])
+    flux_y = ky[c, :, c] * (values[c, 1:, c] - values[c, :-1, c])
+    flux_z = kz[c, c, :] * (values[c, c, 1:] - values[c, c, :-1])
+    out = flux_x[1:] - flux_x[:-1]
+    out += flux_y[:, 1:] - flux_y[:, :-1]
+    out += flux_z[:, :, 1:] - flux_z[:, :, :-1]
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Jacobi-preconditioned CG on an assembled harmonic system
 

@@ -8,6 +8,7 @@ import runpy
 import struct
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -315,14 +316,16 @@ class TestGridEvaluations:
 
 
     def test_whole_grid_builds_per_stage(self, schw_cfg, tmp_path, monkeypatch):
-        # per stage run: the node coordinates once (the nodal phi and grad
-        # phi), the monopole fit once for the three axes' boundary data,
-        # |grad u|_g three times in `harmonic` (grad_sup and the Cheng-Yau
-        # ratios share them) and six in `inequality` (grad_sup, then one
-        # per axis that its rhs and Kato check share), and the volume
-        # weights once in `inequality`.  Before they were shared the stages
-        # made 7 and 3 coordinate arrays, 3 fits, 6 and 9 norms, and 7
-        # weight fields in `inequality`.
+        # per stage run: the node coordinates once (the nodal phi in
+        # `harmonic`; phi and grad phi from one chart call in `inequality`),
+        # |grad u|_g three times in each stage (in `harmonic` grad_sup and
+        # the Cheng-Yau ratios share them; in `inequality` each comes with
+        # its axis's |Hess u|^2 from one gradient, and grad_sup, the rhs and
+        # the Kato check share them), and the volume weights once in
+        # `inequality`.  Before they were shared the stages made 7 and 3
+        # coordinate arrays, 3 fits, 6 and 9 norms, and 7 weight fields in
+        # `inequality`; then `inequality` made 6 norms (grad_sup's three,
+        # then one per axis) while the triple kept u's partials.
         counts = {}
 
         def counting(owner, name):
@@ -342,7 +345,38 @@ class TestGridEvaluations:
             assert run(sub, schw_cfg, out_dir=tmp_path)[0] == 0, sub
             found[sub] = (counts.get("points", 0), counts.get("grad_norm", 0),
                           counts.get("volume_weights", 0))
-        assert found == {"harmonic": (1, 3, 0), "inequality": (1, 6, 1)}
+        assert found == {"harmonic": (1, 3, 0), "inequality": (1, 3, 1)}
+
+
+class TestStageMemory:
+    # tracemalloc peak of the `harmonic` stage, then of `inequality` (which
+    # reloads its dumps), on the Schwarzschild config at N = 33, in (N, N, N)
+    # float64 fields, after a warm-up run of both at N = 17 that loads what
+    # they import.  While the triple kept u's partials, the solve held grad
+    # phi and the stencil three face-flux arrays, they read 24.14 and 28.22
+    # fields; then 18.60 and 20.78.
+    BOUNDS = {"harmonic": 19.0, "inequality": 21.2}
+
+    def test_stage_peaks_in_fields(self, tmp_path):
+        def config(nodes):
+            return config_from_dict(tiny_config(
+                tag="schwarzschild",
+                family={"tag": "schwarzschild", "params": {"m": 0.1},
+                        "box_halfwidth": 100.0},
+                grid={"nodes": nodes, "halfwidth": 20.0}))
+
+        for sub in self.BOUNDS:
+            assert run(sub, config(17), out_dir=tmp_path / "warm-up")[0] == 0, sub
+        peaks = {}
+        for sub in self.BOUNDS:
+            tracemalloc.start()
+            try:
+                assert run(sub, config(33), out_dir=tmp_path / "run")[0] == 0, sub
+                peaks[sub] = tracemalloc.get_traced_memory()[1] / (8 * 33**3)
+            finally:
+                tracemalloc.stop()
+        for sub, bound in self.BOUNDS.items():
+            assert peaks[sub] <= bound, (sub, peaks[sub])
 
 
 class TestShootingBudget:
@@ -696,6 +730,21 @@ class TestScripts:
         sweep, chain = (int(v) for v in re.fullmatch(
             r"christoffel_quadratic calls: sweep (\d+), chain (\d+)", lines[0]).groups())
         assert 0 < chain < sweep
+
+    def test_stage_peaks_prints_each_stage(self, tmp_path, monkeypatch, capsys):
+        # one line per stage, harmonic then inequality, at the given N
+        main = runpy.run_path(os.path.join(REPO, "scripts", "stage_peaks.py"),
+                              run_name="probe")["main"]
+        config = write_config(tmp_path, tiny_config(
+            tag="schwarzschild",
+            family={"tag": "schwarzschild", "params": {"m": 0.1}, "box_halfwidth": 100.0}))
+        monkeypatch.setattr(sys, "argv", ["stage_peaks.py", str(config), "19"])
+        assert main() == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split(":")[0] for line in lines] == ["harmonic", "inequality"]
+        for line in lines:
+            assert re.fullmatch(r"\w+: ok, N=19, wall \d+\.\d\d s, "
+                                r"max RSS \d+\.\d MiB", line), line
 
     def test_artifact_hashes_names_the_largest_change(self, tmp_path):
         # --against: a moved JSON or CSV artifact is named with its largest

@@ -20,7 +20,8 @@ from afstab.harmonic import (HarmonicTriple, LaplaceBeltrami, build_harmonic_tri
                              triple_from_solutions)
 
 from oracles import (_covariant_hessian, assemble_interior_system, coupling_rhs,
-                     gradient_reference, harmonic_radial_profile, hessian_norm2_reference,
+                     flux_divergence_reference, gradient_reference,
+                     harmonic_radial_profile, hessian_norm2_reference,
                      jacobi_cg_coordinate, schwarzschild_harmonic_closed_form, scipy_cg)
 
 BUMP_CONFIG = pathlib.Path(__file__).resolve().parent.parent / "configs" / "bump_control.json"
@@ -100,6 +101,18 @@ class TestAssembly:
         assert rel(lift(ub), coupling_rhs(couplings, ub)) <= 1e-13
         asym = abs(np.dot(Ax, y) - np.dot(x, Ay))
         assert asym <= 1e-13 * np.linalg.norm(Ax) * np.linalg.norm(y)
+
+    @pytest.mark.parametrize("family", ("flat", "schwarzschild", "perturbed"))
+    def test_stencil_matches_three_flux_arrays(self, family_charts, family):
+        # the stencil on one face-flux buffer and one scratch array gives
+        # the form with a flux array per direction bit for bit (the
+        # interior system, its lift and apply() all go through it)
+        op = LaplaceBeltrami(family_charts[family], Grid(halfwidth=20.0, nodes=17))
+        values = np.random.default_rng(18).normal(size=(17, 17, 17))
+        got = op._flux_divergence(op.kx, op.ky, op.kz, values)
+        ref = flux_divergence_reference(op.kx, op.ky, op.kz, values)
+        assert got.shape == (15, 15, 15)
+        assert np.array_equal(bits(got), bits(ref))
 
     def test_operator_freed_by_reference_count(self, schw_chart):
         # the cached system and preconditioner hold no reference back to
@@ -300,6 +313,22 @@ class TestConjugateGradients:
             assert np.array_equal(bits(x), bits(ref))
             assert np.array_equal(x0, start)        # the start is copied, not updated
 
+    def test_interior_view_start_is_copied_once(self, family_charts):
+        # the solve hands cg the interior view of the boundary profile: cg
+        # reads it as the flat start it copies, bit for bit, and leaves the
+        # profile as it was
+        op = LaplaceBeltrami(family_charts["schwarzschild"], Grid(halfwidth=20.0, nodes=17))
+        A, lift = op.interior_system()
+        values = op.boundary_values(0)
+        before = values.copy()
+        kwargs = dict(rtol=1e-11, atol=0.0, maxiter=20000, M=op.poisson_preconditioner())
+        x, info = cg(A, lift(values), x0=values[1:-1, 1:-1, 1:-1], **kwargs)
+        ref, ref_info = cg(A, lift(values), x0=values[1:-1, 1:-1, 1:-1].ravel(), **kwargs)
+        assert info == ref_info == 0
+        assert x.shape == ref.shape == (15**3,)
+        assert np.array_equal(bits(x), bits(ref))
+        assert np.array_equal(bits(values), bits(before))
+
     def test_exhausted_budget_matches_scipy(self, family_charts):
         A, b, x0, M = self._system(family_charts["perturbed"], 17, 1)
         (x, info, iters), (ref, ref_info, ref_iters) = self._both(
@@ -345,7 +374,7 @@ class TestTriple:
         for i in range(3):
             e_i = np.zeros(3)
             e_i[i] = 1.0
-            grad = flat_triple.du[i] / flat_triple.phi ** 4
+            grad = flat_triple.partials(i) / flat_triple.phi ** 4
             assert np.max(np.abs(grad[:, ok] - e_i[:, None])) < 1e-8
             # |Hess u|_g bounds every component (phi = 1)
             assert np.max(np.sqrt(flat_triple.hess2[i][ok])) < 1e-8
@@ -361,7 +390,7 @@ class TestTriple:
             t = build_harmonic_triple(chart, grid)
             kept = ~t.excluded
             for i in range(3):
-                H = _covariant_hessian(t.u[i].values, interleaved(t.du[i]), t.phi,
+                H = _covariant_hessian(t.u[i].values, interleaved(t.partials(i)), t.phi,
                                        t.dphi, grid.h)
                 ref = np.einsum("...ab,...ab->...", H, H)[kept] / t.phi[kept] ** 8
                 err = np.abs(t.hess2[i][kept] - ref)
@@ -376,9 +405,10 @@ class TestTriple:
         for name, t in family_triples33.items():
             for i in range(3):
                 u = t.u[i].values
-                assert np.array_equal(bits(t.du[i]), bits(gradient_reference(u, t.grid.h))), \
+                assert np.array_equal(bits(t.partials(i)),
+                                      bits(gradient_reference(u, t.grid.h))), \
                     (name, i)
-                ref = hessian_norm2_reference(u, interleaved(t.du[i]), t.phi, t.dphi,
+                ref = hessian_norm2_reference(u, interleaved(t.partials(i)), t.phi, t.dphi,
                                               t.grid.h)
                 assert np.array_equal(bits(t.hess2[i]), bits(ref)), (name, i)
 
@@ -389,7 +419,7 @@ class TestTriple:
         t = family_triples33["schwarzschild"]
         w = t.dphi / t.phi[..., None]
         w_major = np.ascontiguousarray(np.moveaxis(w, -1, 0))
-        for du in t.du:
+        for du in map(t.partials, range(3)):
             d = interleaved(du)
             assert np.array_equal(bits(dot3(du, w_major)),
                                   bits(np.einsum("...a,...a->...", d, w)))
@@ -411,7 +441,7 @@ class TestTriple:
         t.hess2
         assert len(seen) == 3
         for i, (du, w) in enumerate(seen):
-            assert du is t.du[i]
+            assert np.array_equal(bits(du), bits(t.partials(i)))
             for field in (du, w):
                 assert field.shape == (3, 17, 17, 17)
                 assert all(field[a].flags.c_contiguous for a in range(3))
@@ -425,7 +455,7 @@ class TestTriple:
         # |grad u - e_1| ~ C r^-tau on the mid-range shell
         grid = schw02_triple.grid
         r = np.linalg.norm(grid.points(), axis=-1)
-        grad = np.moveaxis(schw02_triple.du[0] / schw02_triple.phi ** 4, 0, -1)
+        grad = np.moveaxis(schw02_triple.partials(0) / schw02_triple.phi ** 4, 0, -1)
         dev = np.linalg.norm(grad - np.array([1.0, 0.0, 0.0]), axis=-1)
         slopes = []
         radii = np.array([4.0, 6.0, 9.0])
@@ -454,7 +484,7 @@ class TestTriple:
         # the reload derives from the normalized values as the solve does
         for i in range(3):
             assert np.array_equal(t2.u[i].values, t1.u[i].values)
-            assert np.array_equal(t2.du[i], t1.du[i])
+            assert np.array_equal(t2.partials(i), t1.partials(i))
             assert np.array_equal(t2.hess2[i], t1.hess2[i])
         for name in ("excluded", "phi", "dphi"):
             assert np.array_equal(getattr(t2, name), getattr(t1, name)), name
@@ -479,8 +509,9 @@ class TestTriple:
             assert shared[1] is shared[0] and shared[2] is shared[0]
 
     def test_triple_keeps_reduced_fields(self, schw_chart):
-        # u, du and |Hess u|^2 per axis plus phi and dphi: 19 float64 per node,
-        # and no tensor field (keeping the Hessians took 52); every derived
+        # u and |Hess u|^2 per axis plus phi and dphi: 10 float64 per node,
+        # no tensor field (keeping the Hessians took 52) and no partials
+        # (keeping u's nine partials too took 19); every derived
         # field is read first, so the walk over vars(t) sees the cached values
         grid = Grid(halfwidth=20.0, nodes=17)
         t = build_harmonic_triple(schw_chart, grid)
@@ -507,9 +538,9 @@ class TestTriple:
         def floats_per_node(found):
             return sum(a.size for a in found if a.dtype == np.float64) / grid.nodes**3
 
-        for name in ("du", "hess2", "grad_sup"):   # with u, phi, dphi: the 19
+        for name in ("dphi", "hess2", "grad_sup"):   # with u and phi: the 10
             getattr(t, name)
-        assert floats_per_node(arrays()) <= 20
+        assert floats_per_node(arrays()) <= 10
         derived = [name for name, attr in vars(HarmonicTriple).items()
                    if isinstance(attr, functools.cached_property)]
         for name in derived:
@@ -517,8 +548,9 @@ class TestTriple:
         assert set(derived) <= set(vars(t))
         found = arrays()
         assert not any(a.ndim >= 2 and a.shape[-2:] == (3, 3) for a in found)
+        assert not any(a.shape == (3,) + (grid.nodes,) * 3 for a in found)
         # R and the Gram defect are the only other nodal fields kept
-        assert floats_per_node(found) <= 20 + 2
+        assert floats_per_node(found) <= 10 + 2
 
     def test_grid_convergence_order_against_oracle(self, schw_chart):
         # part of acceptance criterion 4 at reduced size: orders from the

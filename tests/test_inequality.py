@@ -7,9 +7,10 @@ import pytest
 
 import afstab.harmonic
 from afstab.geometry import MetricChart
-from afstab.grid import Grid
-from afstab.harmonic import build_harmonic_triple
-from afstab.inequality import VectorFieldSpec, mass_inequality_rhs, refined_kato_check
+from afstab.grid import Grid, ScalarGridField
+from afstab.harmonic import build_harmonic_triple, triple_from_solutions
+from afstab.inequality import (VectorFieldSpec, mass_inequality_rhs, refined_kato_check,
+                               relaxed_scalar_certificate)
 from afstab.mass import adm_mass
 
 from conftest import certificate
@@ -122,8 +123,11 @@ class TestMassInequality:
     def test_stage_peak_memory(self):
         # tracemalloc peak of a triple's solve and its three rhs and Kato
         # calls at N=33: 8 440 769 B (8.05 MiB) at the commit before the
-        # in-place harmonic layer, 8 264 853 B (7.88 MiB) after it.  Keeping
-        # |grad u|_g on the triple would add three (N, N, N) fields.
+        # in-place harmonic layer, 8 264 853 B (7.88 MiB) after it, and
+        # 8 098 581 B (7.72 MiB) while the triple kept u's partials and the
+        # solve held grad phi; 5 964 303 B (5.69 MiB) without them and with
+        # the stencil's one face-flux buffer.  Keeping |grad u|_g on the
+        # triple would add three (N, N, N) fields.
         chart = MetricChart("schwarzschild", {"m": 0.2}, box_halfwidth=100.0)
         build_harmonic_triple(chart, Grid(halfwidth=20.0, nodes=17))   # warm-up
         tracemalloc.start()
@@ -137,7 +141,7 @@ class TestMassInequality:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 8_440_769
+        assert peak <= 6_080_000
 
 
 class TestKato:
@@ -209,6 +213,26 @@ class TestRelaxedCertificate:
                                  center=(1.0, 0.0, 0.0), width=2.0)
         cert2 = certificate(schw_charts[0.1], weaker, small_grid)
         assert cert2.psi_l1 <= cert.psi_l1
+
+    def test_zero_field_leaves_grad_phi_unbuilt(self, small_grid):
+        # the zero field reads R and the volume weights only: on a reloaded
+        # triple it builds no grad phi, and it gives the certificate of a
+        # triple whose grad phi (and phi with it) was built first
+        chart = MetricChart("perturbed",
+                            {"A": 0.2, "bumps": [{"amplitude": -0.05,
+                                                  "center": (1.0, 0.5, 0.0),
+                                                  "width": 2.5}]},
+                            box_halfwidth=100.0)
+        coords = [ScalarGridField(small_grid, small_grid.points()[..., a].copy())
+                  for a in range(3)]
+        lazy = triple_from_solutions(chart, small_grid, coords)
+        cert = relaxed_scalar_certificate(lazy, VectorFieldSpec("zero"))
+        assert "dphi" not in vars(lazy)
+        assert cert.psi_l1 > 0.0
+        eager = triple_from_solutions(chart, small_grid, coords)
+        eager.dphi
+        assert "phi" in vars(eager)
+        assert cert == relaxed_scalar_certificate(eager, VectorFieldSpec("zero"))
 
     def test_c_coefficient_knob(self, small_grid):
         chart = MetricChart("perturbed",
